@@ -9,16 +9,15 @@
 
 use std::sync::OnceLock;
 
-use crate::types::{Key128, KEY_LEN};
+use crate::types::Key128;
 
 /// AES block size in bytes.
-pub const BLOCK_LEN: usize = 16;
+pub(crate) const BLOCK_LEN: usize = 16;
 
 const ROUNDS: usize = 10;
 
 struct Tables {
     sbox: [u8; 256],
-    inv_sbox: [u8; 256],
 }
 
 /// Multiplication in GF(2⁸) with the AES reduction polynomial
@@ -53,7 +52,6 @@ fn tables() -> &'static Tables {
             }
         }
         let mut sbox = [0u8; 256];
-        let mut inv_sbox = [0u8; 256];
         for x in 0..=255u8 {
             let i = inv[x as usize];
             // Affine transform: b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
@@ -64,28 +62,15 @@ fn tables() -> &'static Tables {
                 ^ i.rotate_left(4)
                 ^ 0x63;
             sbox[x as usize] = s;
-            inv_sbox[s as usize] = x;
         }
-        Tables { sbox, inv_sbox }
+        Tables { sbox }
     })
 }
 
-/// An expanded AES-128 key, ready for encryption and decryption.
-///
-/// # Example
-///
-/// ```
-/// use speed_crypto::aes::Aes128;
-/// use speed_crypto::Key128;
-///
-/// let cipher = Aes128::new(&Key128::from_bytes([0u8; 16]));
-/// let mut block = [0u8; 16];
-/// cipher.encrypt_block(&mut block);
-/// cipher.decrypt_block(&mut block);
-/// assert_eq!(block, [0u8; 16]);
-/// ```
+/// An expanded AES-128 key for the forward cipher (GCM never decrypts a
+/// block).
 #[derive(Clone)]
-pub struct Aes128 {
+pub(crate) struct Aes128 {
     round_keys: [[u8; BLOCK_LEN]; ROUNDS + 1],
 }
 
@@ -97,7 +82,7 @@ impl std::fmt::Debug for Aes128 {
 
 impl Aes128 {
     /// Expands `key` into the full round-key schedule.
-    pub fn new(key: &Key128) -> Self {
+    pub(crate) fn new(key: &Key128) -> Self {
         let t = tables();
         let mut words = [[0u8; 4]; 4 * (ROUNDS + 1)];
         for (i, w) in words.iter_mut().take(4).enumerate() {
@@ -128,7 +113,7 @@ impl Aes128 {
     }
 
     /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
         let t = tables();
         add_round_key(block, &self.round_keys[0]);
         for round in 1..ROUNDS {
@@ -140,21 +125,6 @@ impl Aes128 {
         sub_bytes(block, &t.sbox);
         shift_rows(block);
         add_round_key(block, &self.round_keys[ROUNDS]);
-    }
-
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        let t = tables();
-        add_round_key(block, &self.round_keys[ROUNDS]);
-        inv_shift_rows(block);
-        sub_bytes(block, &t.inv_sbox);
-        for round in (1..ROUNDS).rev() {
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            sub_bytes(block, &t.inv_sbox);
-        }
-        add_round_key(block, &self.round_keys[0]);
     }
 }
 
@@ -180,15 +150,6 @@ fn shift_rows(state: &mut [u8; BLOCK_LEN]) {
     }
 }
 
-fn inv_shift_rows(state: &mut [u8; BLOCK_LEN]) {
-    for r in 1..4 {
-        let row = [state[r], state[4 + r], state[8 + r], state[12 + r]];
-        for c in 0..4 {
-            state[c * 4 + r] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
 fn mix_columns(state: &mut [u8; BLOCK_LEN]) {
     for c in 0..4 {
         let col = [state[c * 4], state[c * 4 + 1], state[c * 4 + 2], state[c * 4 + 3]];
@@ -196,28 +157,6 @@ fn mix_columns(state: &mut [u8; BLOCK_LEN]) {
         state[c * 4 + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
         state[c * 4 + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
         state[c * 4 + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; BLOCK_LEN]) {
-    for c in 0..4 {
-        let col = [state[c * 4], state[c * 4 + 1], state[c * 4 + 2], state[c * 4 + 3]];
-        state[c * 4] = gf_mul(col[0], 14)
-            ^ gf_mul(col[1], 11)
-            ^ gf_mul(col[2], 13)
-            ^ gf_mul(col[3], 9);
-        state[c * 4 + 1] = gf_mul(col[0], 9)
-            ^ gf_mul(col[1], 14)
-            ^ gf_mul(col[2], 11)
-            ^ gf_mul(col[3], 13);
-        state[c * 4 + 2] = gf_mul(col[0], 13)
-            ^ gf_mul(col[1], 9)
-            ^ gf_mul(col[2], 14)
-            ^ gf_mul(col[3], 11);
-        state[c * 4 + 3] = gf_mul(col[0], 11)
-            ^ gf_mul(col[1], 13)
-            ^ gf_mul(col[2], 9)
-            ^ gf_mul(col[3], 14);
     }
 }
 
@@ -268,17 +207,19 @@ pub(crate) fn inc32(counter: &mut [u8; BLOCK_LEN]) {
     counter[12..16].copy_from_slice(&v.to_be_bytes());
 }
 
-#[allow(dead_code)]
-pub(crate) fn key_schedule_len() -> usize {
-    KEY_LEN * (ROUNDS + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AesGcm128;
 
-    fn key(bytes: [u8; 16]) -> Key128 {
-        Key128::from_bytes(bytes)
+    /// Checks a FIPS 197 vector on every GCM backend's block cipher (the
+    /// portable backend is this module's `Aes128`).
+    fn assert_encrypts(key: [u8; 16], plaintext: [u8; 16], expected: [u8; 16]) {
+        for cipher in AesGcm128::backends(&Key128::from_bytes(key)) {
+            let mut block = plaintext;
+            cipher.encrypt_block(&mut block);
+            assert_eq!(block, expected, "{cipher:?}");
+        }
     }
 
     #[test]
@@ -288,72 +229,47 @@ mod tests {
         assert_eq!(t.sbox[0x01], 0x7c);
         assert_eq!(t.sbox[0x53], 0xed);
         assert_eq!(t.sbox[0xff], 0x16);
-        for x in 0..=255u8 {
-            assert_eq!(t.inv_sbox[t.sbox[x as usize] as usize], x);
+        let mut seen = [false; 256];
+        for s in t.sbox {
+            assert!(!seen[s as usize], "S-box is not a permutation");
+            seen[s as usize] = true;
         }
     }
 
     #[test]
     fn fips197_appendix_c_vector() {
-        let k = key([
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c,
-            0x0d, 0x0e, 0x0f,
-        ]);
-        let cipher = Aes128::new(&k);
-        let mut block = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc,
-            0xdd, 0xee, 0xff,
-        ];
-        cipher.encrypt_block(&mut block);
-        assert_eq!(
-            block,
+        assert_encrypts(
             [
-                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80,
-                0x70, 0xb4, 0xc5, 0x5a
-            ]
-        );
-        cipher.decrypt_block(&mut block);
-        assert_eq!(
-            block,
+                0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b,
+                0x0c, 0x0d, 0x0e, 0x0f,
+            ],
             [
                 0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb,
-                0xcc, 0xdd, 0xee, 0xff
-            ]
+                0xcc, 0xdd, 0xee, 0xff,
+            ],
+            [
+                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80,
+                0x70, 0xb4, 0xc5, 0x5a,
+            ],
         );
     }
 
     #[test]
     fn fips197_appendix_b_vector() {
-        let k = key([
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09,
-            0xcf, 0x4f, 0x3c,
-        ]);
-        let cipher = Aes128::new(&k);
-        let mut block = [
-            0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0,
-            0x37, 0x07, 0x34,
-        ];
-        cipher.encrypt_block(&mut block);
-        assert_eq!(
-            block,
+        assert_encrypts(
+            [
+                0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88,
+                0x09, 0xcf, 0x4f, 0x3c,
+            ],
+            [
+                0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2,
+                0xe0, 0x37, 0x07, 0x34,
+            ],
             [
                 0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97,
-                0x19, 0x6a, 0x0b, 0x32
-            ]
+                0x19, 0x6a, 0x0b, 0x32,
+            ],
         );
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_many_blocks() {
-        let cipher = Aes128::new(&key([0x42; 16]));
-        for i in 0..64u8 {
-            let original = [i; 16];
-            let mut block = original;
-            cipher.encrypt_block(&mut block);
-            assert_ne!(block, original);
-            cipher.decrypt_block(&mut block);
-            assert_eq!(block, original);
-        }
     }
 
     #[test]

@@ -1,0 +1,157 @@
+//! Differential tests: every hardware backend against the portable one,
+//! byte for byte.
+//!
+//! On a CPU without the hardware features only the portable backend runs,
+//! and each test says so on stderr.
+
+use crate::aes::{Aes128, BLOCK_LEN};
+use crate::rng::SystemRng;
+use crate::{AesGcm128, CryptoError, Key128, Sha256};
+
+fn note_if_portable_only(backends: usize, features: &str) {
+    if backends < 2 {
+        eprintln!(
+            "note: this CPU lacks {features}; only the portable backend was checked"
+        );
+    }
+}
+
+/// `offset + len` random bytes, for data that starts `offset` bytes in.
+fn misaligned(rng: &mut SystemRng, offset: usize, len: usize) -> Vec<u8> {
+    let mut buffer = vec![0u8; offset + len];
+    rng.fill(&mut buffer);
+    buffer
+}
+
+fn update_in_random_splits(hasher: &mut Sha256, mut data: &[u8], rng: &mut SystemRng) {
+    loop {
+        let take = rng.range_usize_inclusive(0, data.len());
+        hasher.update(&data[..take]);
+        data = &data[take..];
+        if data.is_empty() {
+            return;
+        }
+    }
+}
+
+#[test]
+fn sha256_backends_agree_at_every_length_offset_and_split() {
+    let backends = Sha256::backends();
+    note_if_portable_only(backends.len(), "SHA-NI");
+    let mut rng = SystemRng::seeded(0xD1FF_5A25);
+    let largest = 64 * 1024 + 7;
+    let buffer = misaligned(&mut rng, 15, largest);
+    for len in (0..=1024).chain([largest]) {
+        for offset in 0..=15 {
+            let data = &buffer[offset..offset + len];
+            let mut reference = backends[0].clone();
+            reference.update(data);
+            let reference = reference.finalize();
+            for backend in &backends {
+                let mut hasher = backend.clone();
+                update_in_random_splits(&mut hasher, data, &mut rng);
+                assert_eq!(
+                    hasher.finalize(),
+                    reference,
+                    "length {len}, offset {offset}, hardware: {}",
+                    backend.is_hardware()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn gcm_backends_agree_on_seal_open_and_tampering() {
+    let probe = AesGcm128::backends(&Key128::from_bytes([0; 16]));
+    note_if_portable_only(probe.len(), "AES-NI or PCLMULQDQ");
+    let mut rng = SystemRng::seeded(0xD1FF_6C4D);
+    for len in (0..=600).chain([25_000, 65_543]) {
+        let ciphers = AesGcm128::backends(&rng.gen_key());
+        let nonce = rng.gen_nonce();
+        let (pt_offset, aad_offset) = (rng.range_usize(0, 16), rng.range_usize(0, 16));
+        let mut plaintext = misaligned(&mut rng, pt_offset, len);
+        let mut aad = misaligned(&mut rng, aad_offset, len % 81);
+        let (plaintext, aad) = (&mut plaintext[pt_offset..], &mut aad[aad_offset..]);
+
+        let boxed = ciphers[0].seal(&nonce, aad, plaintext);
+        let box_offset = rng.range_usize(0, 16);
+        let mut boxed_copy = vec![0u8; box_offset];
+        boxed_copy.extend_from_slice(&boxed);
+        for cipher in &ciphers {
+            let context = format!("length {len}, aad {}, {cipher:?}", aad.len());
+            assert_eq!(cipher.seal(&nonce, aad, plaintext), boxed, "{context}");
+            let opened = cipher.open(&nonce, aad, &boxed_copy[box_offset..]);
+            assert_eq!(opened.as_deref(), Ok(&*plaintext), "{context}");
+        }
+
+        // One flipped bit anywhere in the box or the AAD fails everywhere.
+        let bit = rng.range_usize(0, (boxed.len() + aad.len()) * 8);
+        let mut tampered = boxed.clone();
+        let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+        match tampered.get_mut(byte) {
+            Some(b) => *b ^= mask,
+            None => aad[byte - boxed.len()] ^= mask,
+        }
+        for cipher in &ciphers {
+            let context = format!("length {len}, bit {bit}, {cipher:?}");
+            let failed = CryptoError::AuthenticationFailed;
+            assert_eq!(cipher.open(&nonce, aad, &tampered), Err(failed), "{context}");
+            assert_eq!(cipher.verify(&nonce, aad, &tampered), Err(failed), "{context}");
+        }
+    }
+}
+
+#[test]
+fn ctr_wraps_inside_an_eight_block_batch_like_the_portable_code() {
+    let mut rng = SystemRng::seeded(0xD1FF_C7E0);
+    let key = rng.gen_key();
+    let ciphers = AesGcm128::backends(&key);
+    note_if_portable_only(ciphers.len(), "AES-NI");
+    let data = misaligned(&mut rng, 0, 3 * 8 * BLOCK_LEN + 5);
+    // Counter blocks ending 0xffff_fff0..=0xffff_ffff put the 32-bit wrap at
+    // each lane of the first batch of eight blocks, and past it.
+    for last in 0xffff_fff0..=0xffff_ffffu32 {
+        let mut counter0 = [0u8; BLOCK_LEN];
+        rng.fill(&mut counter0[..12]);
+        counter0[12..].copy_from_slice(&last.to_be_bytes());
+        let outputs: Vec<Vec<u8>> = ciphers
+            .iter()
+            .map(|cipher| {
+                let mut out = data.clone();
+                cipher.ctr_xor(&counter0, &mut out);
+                out
+            })
+            .collect();
+        for (cipher, out) in ciphers.iter().zip(&outputs) {
+            assert_eq!(out, &outputs[0], "counter {last:#x}, {cipher:?}");
+        }
+        // The block after the wrap is keyed by counter 0 with the nonce
+        // bytes untouched (inc32 wraps 32 bits, never carries further).
+        let wrap_block = (u32::MAX - last) as usize * BLOCK_LEN;
+        let mut expected = counter0;
+        expected[12..].fill(0);
+        Aes128::new(&key).encrypt_block(&mut expected);
+        for (i, want) in expected.iter().enumerate() {
+            let at = wrap_block + i;
+            assert_eq!(outputs[0][at] ^ data[at], *want, "counter {last:#x}");
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn detection_selects_the_hardware_backends() {
+    let common = is_x86_feature_detected!("sse2")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1");
+    let sha = common && is_x86_feature_detected!("sha");
+    let aes = common
+        && is_x86_feature_detected!("aes")
+        && is_x86_feature_detected!("pclmulqdq");
+    assert_eq!(Sha256::new().is_hardware(), sha);
+    let cipher = AesGcm128::new(&Key128::from_bytes([0x5a; 16]));
+    assert_eq!(cipher.is_hardware(), aes);
+    let shown = format!("{cipher:?}");
+    assert!(shown.ends_with("<key redacted>)"), "{shown}");
+}

@@ -25,19 +25,54 @@ use crate::types::{AuthTag, Key128, Nonce, TAG_LEN};
 /// assert_eq!(cipher.open(&nonce, b"header", &boxed).unwrap(), b"secret");
 /// assert!(cipher.open(&nonce, b"tampered", &boxed).is_err());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct AesGcm128 {
-    cipher: Aes128,
-    h: u128,
+    backend: Backend,
 }
 
-impl AesGcm128 {
-    /// Initialises the cipher and its GHASH subkey `H = E(K, 0¹²⁸)`.
-    pub fn new(key: &Key128) -> Self {
+/// The AES and GHASH implementation a cipher runs, chosen by CPU detection
+/// when it is created. Every variant produces the same bytes for every
+/// input.
+#[derive(Clone)]
+enum Backend {
+    /// The portable byte-wise AES and bit-serial GHASH: the only path on
+    /// CPUs without AES-NI, and the reference the differential tests
+    /// compare against. `h` is the GHASH subkey `H = E(K, 0¹²⁸)`.
+    Soft { cipher: Aes128, h: u128 },
+    /// The AES-NI and PCLMULQDQ code in [`crate::gcm_ni`].
+    #[cfg(target_arch = "x86_64")]
+    Ni(crate::gcm_ni::GcmNi),
+}
+
+impl Backend {
+    fn soft(key: &Key128) -> Self {
         let cipher = Aes128::new(key);
         let mut h_block = [0u8; BLOCK_LEN];
         cipher.encrypt_block(&mut h_block);
-        AesGcm128 { cipher, h: u128::from_be_bytes(h_block) }
+        Backend::Soft { cipher, h: u128::from_be_bytes(h_block) }
+    }
+}
+
+impl std::fmt::Debug for AesGcm128 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let backend = match self.backend {
+            Backend::Soft { .. } => "soft",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(_) => "aes-ni",
+        };
+        write!(f, "AesGcm128({backend}, <key redacted>)")
+    }
+}
+
+impl AesGcm128 {
+    /// Initialises the cipher and its GHASH subkey `H = E(K, 0¹²⁸)` on the
+    /// fastest implementation this CPU runs.
+    pub fn new(key: &Key128) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = crate::gcm_ni::GcmNi::new(key) {
+            return AesGcm128 { backend: Backend::Ni(ni) };
+        }
+        AesGcm128 { backend: Backend::soft(key) }
     }
 
     /// Encrypts `plaintext`, authenticating it together with `aad`.
@@ -46,7 +81,7 @@ impl AesGcm128 {
     pub fn seal(&self, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let j0 = self.j0(nonce);
         let mut out = plaintext.to_vec();
-        ctr_xor(&self.cipher, &j0, &mut out);
+        self.ctr_xor(&j0, &mut out);
         let tag = self.compute_tag(&j0, aad, &out);
         out.extend_from_slice(tag.as_bytes());
         out
@@ -76,7 +111,7 @@ impl AesGcm128 {
             return Err(CryptoError::AuthenticationFailed);
         }
         let mut out = ciphertext.to_vec();
-        ctr_xor(&self.cipher, &j0, &mut out);
+        self.ctr_xor(&j0, &mut out);
         Ok(out)
     }
 
@@ -111,6 +146,25 @@ impl AesGcm128 {
         j0
     }
 
+    /// Encrypts one block in place with the raw AES-128 cipher.
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
+        match &self.backend {
+            Backend::Soft { cipher, .. } => cipher.encrypt_block(block),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) => ni.encrypt_block(block),
+        }
+    }
+
+    /// XORs `data` with the CTR keystream that starts after `counter0`
+    /// (GCM's `inc32` before every block).
+    pub(crate) fn ctr_xor(&self, counter0: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        match &self.backend {
+            Backend::Soft { cipher, .. } => ctr_xor(cipher, counter0, data),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) => ni.ctr_xor(counter0, data),
+        }
+    }
+
     fn compute_tag(
         &self,
         j0: &[u8; BLOCK_LEN],
@@ -119,7 +173,7 @@ impl AesGcm128 {
     ) -> AuthTag {
         let s = self.ghash(aad, ciphertext);
         let mut tag_block = *j0;
-        self.cipher.encrypt_block(&mut tag_block);
+        self.encrypt_block(&mut tag_block);
         let mut tag = [0u8; TAG_LEN];
         let s_bytes = s.to_be_bytes();
         for i in 0..TAG_LEN {
@@ -129,16 +183,44 @@ impl AesGcm128 {
     }
 
     fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> u128 {
-        let mut y = 0u128;
-        for chunk in aad.chunks(BLOCK_LEN) {
-            y = gf128_mul(y ^ block_to_u128(chunk), self.h);
+        match &self.backend {
+            Backend::Soft { h, .. } => ghash(*h, aad, ciphertext),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) => ni.ghash(aad, ciphertext),
         }
-        for chunk in ciphertext.chunks(BLOCK_LEN) {
-            y = gf128_mul(y ^ block_to_u128(chunk), self.h);
-        }
-        let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
-        gf128_mul(y ^ lengths, self.h)
     }
+}
+
+#[cfg(test)]
+impl AesGcm128 {
+    /// One cipher for `key` per implementation this CPU runs, the portable
+    /// one first.
+    pub(crate) fn backends(key: &Key128) -> Vec<AesGcm128> {
+        let mut backends = vec![AesGcm128 { backend: Backend::soft(key) }];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = crate::gcm_ni::GcmNi::new(key) {
+            backends.push(AesGcm128 { backend: Backend::Ni(ni) });
+        }
+        backends
+    }
+
+    /// Whether this cipher runs a hardware implementation.
+    pub(crate) fn is_hardware(&self) -> bool {
+        !matches!(self.backend, Backend::Soft { .. })
+    }
+}
+
+/// The portable GHASH over `aad`, `ciphertext` and their bit lengths.
+fn ghash(h: u128, aad: &[u8], ciphertext: &[u8]) -> u128 {
+    let mut y = 0u128;
+    for chunk in aad.chunks(BLOCK_LEN) {
+        y = gf128_mul(y ^ block_to_u128(chunk), h);
+    }
+    for chunk in ciphertext.chunks(BLOCK_LEN) {
+        y = gf128_mul(y ^ block_to_u128(chunk), h);
+    }
+    let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
+    gf128_mul(y ^ lengths, h)
 }
 
 fn block_to_u128(chunk: &[u8]) -> u128 {
@@ -187,67 +269,80 @@ mod tests {
     // NIST GCM spec, test case 1: all-zero key and IV, empty everything.
     #[test]
     fn nist_test_case_1() {
-        let cipher = AesGcm128::new(&key_from_hex("00000000000000000000000000000000"));
-        let nonce = nonce_from_hex("000000000000000000000000");
-        let boxed = cipher.seal(&nonce, b"", b"");
-        assert_eq!(boxed, from_hex("58e2fccefa7e3061367f1d57a4e7455a"));
+        let key = key_from_hex("00000000000000000000000000000000");
+        for cipher in AesGcm128::backends(&key) {
+            let nonce = nonce_from_hex("000000000000000000000000");
+            let boxed = cipher.seal(&nonce, b"", b"");
+            assert_eq!(boxed, from_hex("58e2fccefa7e3061367f1d57a4e7455a"), "{cipher:?}");
+        }
     }
 
     // NIST GCM spec, test case 2: one zero plaintext block.
     #[test]
     fn nist_test_case_2() {
-        let cipher = AesGcm128::new(&key_from_hex("00000000000000000000000000000000"));
-        let nonce = nonce_from_hex("000000000000000000000000");
-        let boxed = cipher.seal(&nonce, b"", &[0u8; 16]);
-        assert_eq!(
-            boxed,
-            from_hex("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
-        );
-        assert_eq!(cipher.open(&nonce, b"", &boxed).unwrap(), vec![0u8; 16]);
+        let key = key_from_hex("00000000000000000000000000000000");
+        for cipher in AesGcm128::backends(&key) {
+            let nonce = nonce_from_hex("000000000000000000000000");
+            let boxed = cipher.seal(&nonce, b"", &[0u8; 16]);
+            assert_eq!(
+                boxed,
+                from_hex(
+                    "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"
+                ),
+                "{cipher:?}"
+            );
+            assert_eq!(cipher.open(&nonce, b"", &boxed).unwrap(), vec![0u8; 16]);
+        }
     }
 
     // NIST GCM spec, test case 3: four plaintext blocks.
     #[test]
     fn nist_test_case_3() {
-        let cipher = AesGcm128::new(&key_from_hex("feffe9928665731c6d6a8f9467308308"));
-        let nonce = nonce_from_hex("cafebabefacedbaddecaf888");
-        let plaintext = from_hex(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
-        );
-        let boxed = cipher.seal(&nonce, b"", &plaintext);
-        let expected_ct = from_hex(
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
-        );
-        assert_eq!(&boxed[..plaintext.len()], &expected_ct[..]);
-        assert_eq!(
-            &boxed[plaintext.len()..],
-            &from_hex("4d5c2af327cd64a62cf35abd2ba6fab4")[..]
-        );
+        let key = key_from_hex("feffe9928665731c6d6a8f9467308308");
+        for cipher in AesGcm128::backends(&key) {
+            let nonce = nonce_from_hex("cafebabefacedbaddecaf888");
+            let plaintext = from_hex(
+                "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+                 1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+            );
+            let boxed = cipher.seal(&nonce, b"", &plaintext);
+            let expected_ct = from_hex(
+                "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+                 21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+            );
+            assert_eq!(&boxed[..plaintext.len()], &expected_ct[..], "{cipher:?}");
+            assert_eq!(
+                &boxed[plaintext.len()..],
+                &from_hex("4d5c2af327cd64a62cf35abd2ba6fab4")[..],
+                "{cipher:?}"
+            );
+        }
     }
 
     // NIST GCM spec, test case 4: with associated data and a partial block.
     #[test]
     fn nist_test_case_4() {
-        let cipher = AesGcm128::new(&key_from_hex("feffe9928665731c6d6a8f9467308308"));
-        let nonce = nonce_from_hex("cafebabefacedbaddecaf888");
-        let plaintext = from_hex(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-        );
-        let aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let boxed = cipher.seal(&nonce, &aad, &plaintext);
-        let expected_ct = from_hex(
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
-        );
-        assert_eq!(&boxed[..plaintext.len()], &expected_ct[..]);
-        assert_eq!(
-            &boxed[plaintext.len()..],
-            &from_hex("5bc94fbc3221a5db94fae95ae7121a47")[..]
-        );
-        assert_eq!(cipher.open(&nonce, &aad, &boxed).unwrap(), plaintext);
+        let key = key_from_hex("feffe9928665731c6d6a8f9467308308");
+        for cipher in AesGcm128::backends(&key) {
+            let nonce = nonce_from_hex("cafebabefacedbaddecaf888");
+            let plaintext = from_hex(
+                "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+                 1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+            );
+            let aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+            let boxed = cipher.seal(&nonce, &aad, &plaintext);
+            let expected_ct = from_hex(
+                "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+                 21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+            );
+            assert_eq!(&boxed[..plaintext.len()], &expected_ct[..], "{cipher:?}");
+            assert_eq!(
+                &boxed[plaintext.len()..],
+                &from_hex("5bc94fbc3221a5db94fae95ae7121a47")[..],
+                "{cipher:?}"
+            );
+            assert_eq!(cipher.open(&nonce, &aad, &boxed).unwrap(), plaintext);
+        }
     }
 
     #[test]

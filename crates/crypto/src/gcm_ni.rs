@@ -1,0 +1,288 @@
+//! AES-128-GCM with the x86 AES-NI and PCLMULQDQ instructions.
+//!
+//! [`GcmNi`] keeps its expanded key and GHASH key private, and its only
+//! constructor, [`GcmNi::new`], first checks with `is_x86_feature_detected!`
+//! that the CPU has every feature the code below is compiled for: AES,
+//! PCLMULQDQ, SSE2, SSSE3 and SSE4.1. Holding one is what makes the calls
+//! into the `#[target_feature]` code sound. [`crate::AesGcm128`] asks for
+//! one when it is created and otherwise keeps the portable cipher, which
+//! produces the same bytes for every input.
+//!
+//! The key schedule uses AESKEYGENASSIST, the CTR keystream is encrypted
+//! eight blocks at a time so that the AESENC latencies overlap, and GHASH
+//! does one carry-less multiply and reduction per block (Gueron and
+//! Kounavis, "Intel Carry-Less Multiplication Instruction and its Usage for
+//! Computing the GCM Mode", algorithms 1 and 5).
+
+#![allow(unsafe_code)]
+
+// hot-path: deny-clone
+
+use std::arch::x86_64::{
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128,
+    _mm_clmulepi64_si128, _mm_insert_epi32, _mm_loadu_si128, _mm_or_si128,
+    _mm_set_epi64x, _mm_set_epi8, _mm_setzero_si128, _mm_shuffle_epi32, _mm_shuffle_epi8,
+    _mm_slli_epi32, _mm_slli_si128, _mm_srli_epi32, _mm_srli_si128, _mm_storeu_si128,
+    _mm_xor_si128,
+};
+use std::fmt;
+
+use crate::aes::BLOCK_LEN;
+use crate::types::Key128;
+
+const ROUNDS: usize = 10;
+/// Counter blocks encrypted together: enough independent AESENC chains to
+/// hide the instruction's latency.
+const BATCH_BLOCKS: usize = 8;
+const BATCH_LEN: usize = BATCH_BLOCKS * BLOCK_LEN;
+
+/// An AES-128-GCM key on AES-NI: exists only after detection passed.
+#[derive(Clone)]
+pub(crate) struct GcmNi {
+    round_keys: [__m128i; ROUNDS + 1],
+    /// `H = E(K, 0¹²⁸)`, byte-reversed: the register's little-endian value
+    /// is the block read big-endian, the bit order GHASH multiplies in.
+    h: __m128i,
+}
+
+impl fmt::Debug for GcmNi {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("GcmNi(<key schedule redacted>)")
+    }
+}
+
+impl GcmNi {
+    /// Expands `key`, or `None` when the CPU lacks one of the features.
+    pub(crate) fn new(key: &Key128) -> Option<Self> {
+        let present = is_x86_feature_detected!("aes")
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        if !present {
+            return None;
+        }
+        // SAFETY: every feature `expand` enables was just detected.
+        Some(unsafe { expand(key) })
+    }
+
+    /// Encrypts one block in place.
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
+        // SAFETY: a `GcmNi` exists only if `new` detected every feature
+        // `encrypt` enables.
+        *block = store(unsafe { self.encrypt(load(block)) });
+    }
+
+    /// XORs `data` with the CTR keystream that starts after `counter0`,
+    /// incrementing its last 32 bits big-endian, wrapping (GCM's `inc32`).
+    pub(crate) fn ctr_xor(&self, counter0: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        // SAFETY: as in `encrypt_block`, for `ctr_xor_ni`.
+        unsafe { self.ctr_xor_ni(counter0, data) }
+    }
+
+    /// GHASH over `aad`, `ciphertext` and their bit lengths, as the
+    /// big-endian value of the result block.
+    pub(crate) fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> u128 {
+        // SAFETY: as in `encrypt_block`, for `ghash_ni`.
+        u128::from_le_bytes(store(unsafe { self.ghash_ni(aad, ciphertext) }))
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support every feature the function enables.
+    #[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sse4.1")]
+    fn encrypt(&self, block: __m128i) -> __m128i {
+        let mut x = _mm_xor_si128(block, self.round_keys[0]);
+        for key in &self.round_keys[1..ROUNDS] {
+            x = _mm_aesenc_si128(x, *key);
+        }
+        _mm_aesenclast_si128(x, self.round_keys[ROUNDS])
+    }
+
+    /// Encrypts eight blocks round by round, interleaved.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support every feature the function enables.
+    #[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sse4.1")]
+    fn encrypt8(&self, mut blocks: [__m128i; BATCH_BLOCKS]) -> [__m128i; BATCH_BLOCKS] {
+        for x in &mut blocks {
+            *x = _mm_xor_si128(*x, self.round_keys[0]);
+        }
+        for key in &self.round_keys[1..ROUNDS] {
+            for x in &mut blocks {
+                *x = _mm_aesenc_si128(*x, *key);
+            }
+        }
+        for x in &mut blocks {
+            *x = _mm_aesenclast_si128(*x, self.round_keys[ROUNDS]);
+        }
+        blocks
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support every feature the function enables.
+    #[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sse4.1")]
+    fn ctr_xor_ni(&self, counter0: &[u8; BLOCK_LEN], data: &mut [u8]) {
+        let base = load(counter0);
+        let mut counter =
+            u32::from_be_bytes([counter0[12], counter0[13], counter0[14], counter0[15]]);
+        let mut next_counters = || {
+            [(); BATCH_BLOCKS].map(|()| {
+                counter = counter.wrapping_add(1);
+                // Lane 3 holds bytes 12..16, read little-endian.
+                _mm_insert_epi32::<3>(base, counter.swap_bytes() as i32)
+            })
+        };
+        let (batches, tail) = data.as_chunks_mut::<BATCH_LEN>();
+        for batch in batches {
+            let keystream = self.encrypt8(next_counters());
+            for (block, key) in
+                batch.as_chunks_mut::<BLOCK_LEN>().0.iter_mut().zip(keystream)
+            {
+                *block = store(_mm_xor_si128(load(block), key));
+            }
+        }
+        if !tail.is_empty() {
+            let mut keystream = [0u8; BATCH_LEN];
+            let blocks = keystream.as_chunks_mut::<BLOCK_LEN>().0;
+            for (block, key) in blocks.iter_mut().zip(self.encrypt8(next_counters())) {
+                *block = store(key);
+            }
+            for (byte, key) in tail.iter_mut().zip(keystream) {
+                *byte ^= key;
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support every feature the function enables.
+    #[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sse4.1")]
+    fn ghash_ni(&self, aad: &[u8], ciphertext: &[u8]) -> __m128i {
+        let mut y = _mm_setzero_si128();
+        for data in [aad, ciphertext] {
+            let (blocks, tail) = data.as_chunks::<BLOCK_LEN>();
+            for block in blocks {
+                y = gf_mul(_mm_xor_si128(y, byte_reverse(load(block))), self.h);
+            }
+            if !tail.is_empty() {
+                let mut last = [0u8; BLOCK_LEN];
+                last[..tail.len()].copy_from_slice(tail);
+                y = gf_mul(_mm_xor_si128(y, byte_reverse(load(&last))), self.h);
+            }
+        }
+        let bits = |len: usize| (len as u64).wrapping_mul(8) as i64;
+        let lengths = _mm_set_epi64x(bits(aad.len()), bits(ciphertext.len()));
+        gf_mul(_mm_xor_si128(y, lengths), self.h)
+    }
+}
+
+/// Expands the key schedule and derives the GHASH key.
+///
+/// # Safety
+///
+/// The CPU must support every feature the function enables.
+#[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sse4.1")]
+fn expand(key: &Key128) -> GcmNi {
+    let k0 = load(key.as_bytes());
+    let k1 = next_round_key::<0x01>(k0);
+    let k2 = next_round_key::<0x02>(k1);
+    let k3 = next_round_key::<0x04>(k2);
+    let k4 = next_round_key::<0x08>(k3);
+    let k5 = next_round_key::<0x10>(k4);
+    let k6 = next_round_key::<0x20>(k5);
+    let k7 = next_round_key::<0x40>(k6);
+    let k8 = next_round_key::<0x80>(k7);
+    let k9 = next_round_key::<0x1b>(k8);
+    let k10 = next_round_key::<0x36>(k9);
+    let round_keys = [k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10];
+    let cipher = GcmNi { round_keys, h: _mm_setzero_si128() };
+    let h = byte_reverse(cipher.encrypt(_mm_setzero_si128()));
+    GcmNi { h, ..cipher }
+}
+
+/// One step of the FIPS 197 key expansion, with round constant `RCON`.
+///
+/// # Safety
+///
+/// The CPU must support every feature the function enables.
+#[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sse4.1")]
+fn next_round_key<const RCON: i32>(previous: __m128i) -> __m128i {
+    // Lane 3 of the assist is SubWord(RotWord(w3)) ^ RCON.
+    let assist = _mm_shuffle_epi32::<0xff>(_mm_aeskeygenassist_si128::<RCON>(previous));
+    // Prefix XOR of the four words: w0, w0^w1, w0^w1^w2, w0^w1^w2^w3.
+    let key = _mm_xor_si128(previous, _mm_slli_si128::<4>(previous));
+    let key = _mm_xor_si128(key, _mm_slli_si128::<8>(key));
+    _mm_xor_si128(key, assist)
+}
+
+/// Multiplication in GF(2¹²⁸) of two byte-reversed GHASH blocks.
+///
+/// # Safety
+///
+/// The CPU must support every feature the function enables.
+#[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sse4.1")]
+fn gf_mul(a: __m128i, b: __m128i) -> __m128i {
+    // The 256-bit carry-less product, as (hi, lo).
+    let mid = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x10>(a, b),
+        _mm_clmulepi64_si128::<0x01>(a, b),
+    );
+    let lo = _mm_xor_si128(_mm_clmulepi64_si128::<0x00>(a, b), _mm_slli_si128::<8>(mid));
+    let hi = _mm_xor_si128(_mm_clmulepi64_si128::<0x11>(a, b), _mm_srli_si128::<8>(mid));
+
+    // GHASH bits are reflected, so the product comes out one bit short:
+    // shift the 256-bit value left by one.
+    let lo_carry = _mm_srli_epi32::<31>(lo);
+    let hi_carry = _mm_srli_epi32::<31>(hi);
+    let lo = _mm_or_si128(_mm_slli_epi32::<1>(lo), _mm_slli_si128::<4>(lo_carry));
+    let hi = _mm_or_si128(
+        _mm_or_si128(_mm_slli_epi32::<1>(hi), _mm_slli_si128::<4>(hi_carry)),
+        _mm_srli_si128::<12>(lo_carry),
+    );
+
+    // Reduce modulo x¹²⁸ + x⁷ + x² + x + 1 in two phases.
+    let t = _mm_xor_si128(
+        _mm_xor_si128(_mm_slli_epi32::<31>(lo), _mm_slli_epi32::<30>(lo)),
+        _mm_slli_epi32::<25>(lo),
+    );
+    let lo = _mm_xor_si128(lo, _mm_slli_si128::<12>(t));
+    let u = _mm_xor_si128(
+        _mm_xor_si128(_mm_srli_epi32::<1>(lo), _mm_srli_epi32::<2>(lo)),
+        _mm_xor_si128(_mm_srli_epi32::<7>(lo), _mm_srli_si128::<4>(t)),
+    );
+    _mm_xor_si128(hi, _mm_xor_si128(lo, u))
+}
+
+/// Reverses the 16 bytes of a register.
+///
+/// # Safety
+///
+/// The CPU must support every feature the function enables.
+#[target_feature(enable = "aes,pclmulqdq,sse2,ssse3,sse4.1")]
+fn byte_reverse(x: __m128i) -> __m128i {
+    _mm_shuffle_epi8(
+        x,
+        _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+    )
+}
+
+/// Loads 16 bytes into a register, lane 0 from the lowest address.
+#[inline(always)]
+fn load(bytes: &[u8; BLOCK_LEN]) -> __m128i {
+    // SAFETY: `bytes` is 16 readable bytes, and `loadu` has no alignment
+    // requirement; SSE2 is part of the x86_64 baseline.
+    unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+}
+
+/// Stores a register as 16 bytes, lane 0 at the lowest address.
+#[inline(always)]
+fn store(x: __m128i) -> [u8; BLOCK_LEN] {
+    let mut out = [0u8; BLOCK_LEN];
+    // SAFETY: `out` is 16 writable bytes, and `storeu` has no alignment
+    // requirement; SSE2 is part of the x86_64 baseline.
+    unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), x) };
+    out
+}

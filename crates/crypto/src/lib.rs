@@ -2,12 +2,13 @@
 //!
 //! The SPEED paper uses the crypto library shipped with the Intel SGX SDK:
 //! SHA-256 as the collision-resistant hash and AES-GCM-128 as the
-//! authenticated encryption scheme (§II-D, §V-A). This crate reimplements the
-//! same algorithms in pure Rust so the whole system is self-contained:
+//! authenticated encryption scheme (§II-D, §V-A), which run on the AES-NI
+//! and SHA instructions of the CPU. This crate reimplements the same
+//! algorithms with no dependencies so the whole system is self-contained:
 //!
 //! - [`Sha256`] — FIPS 180-4 SHA-256 with an incremental API.
-//! - [`aes::Aes128`] — FIPS 197 AES-128 block cipher.
-//! - [`AesGcm128`] — NIST SP 800-38D AES-GCM-128 AEAD.
+//! - [`AesGcm128`] — NIST SP 800-38D AES-GCM-128 AEAD over the FIPS 197
+//!   AES-128 block cipher.
 //! - [`hmac::HmacSha256`] — RFC 2104 HMAC over SHA-256.
 //! - [`hkdf`] — RFC 5869 HKDF for session-key derivation in the secure
 //!   channel.
@@ -15,8 +16,20 @@
 //! - [`SystemRng`] — CSPRNG handle used for keys, nonces, and the RCE
 //!   challenge message `r`.
 //!
+//! SHA-256 and AES-GCM each have two implementations, chosen by CPU
+//! detection when a hasher or cipher is created, with no option to pick
+//! one: portable Rust, and on x86_64 CPUs with the instructions, SHA-NI
+//! block compression and AES-NI/PCLMULQDQ AES-GCM. Every caller above
+//! (tags, RCE, the secure channel, sealing, the WAL) gets the same bytes
+//! from either. The hardware code is the only `unsafe` code in the crate;
+//! it lives in two private modules whose types can only be created after
+//! detection succeeded. The portable code is the only path on other CPUs
+//! and the reference the differential tests compare the hardware code
+//! against.
+//!
 //! All primitives are validated against published test vectors (FIPS 180-4,
-//! FIPS 197, NIST GCM, RFC 4231, RFC 5869) in the unit tests.
+//! FIPS 197, NIST GCM, RFC 4231, RFC 5869) in the unit tests, on every
+//! implementation the CPU runs.
 //!
 //! # Example
 //!
@@ -34,17 +47,25 @@
 //! assert_eq!(opened, b"plaintext");
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the two hardware modules opt back in with an inner
+// allow attribute, which `forbid` would reject.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aes;
+mod aes;
 mod ct;
+#[cfg(test)]
+mod differential;
 mod error;
 mod gcm;
+#[cfg(target_arch = "x86_64")]
+mod gcm_ni;
 pub mod hkdf;
 pub mod hmac;
 mod rng;
 mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod sha256_ni;
 mod types;
 
 pub use ct::ct_eq;

@@ -7,9 +7,11 @@ use std::fmt;
 /// Length in bytes of a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
 
-const BLOCK_LEN: usize = 64;
+/// SHA-256 block size in bytes.
+pub(crate) const BLOCK_LEN: usize = 64;
 
-const K: [u32; 64] = [
+/// FIPS 180-4 round constants.
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -103,12 +105,20 @@ pub struct Sha256 {
     buffer: [u8; BLOCK_LEN],
     buffer_len: usize,
     total_len: u64,
+    compressor: Compressor,
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the fastest compression function this CPU
+    /// runs.
     pub fn new() -> Self {
-        Sha256 { state: H0, buffer: [0u8; BLOCK_LEN], buffer_len: 0, total_len: 0 }
+        Sha256 {
+            state: H0,
+            buffer: [0u8; BLOCK_LEN],
+            buffer_len: 0,
+            total_len: 0,
+            compressor: Compressor::detect(),
+        }
     }
 
     /// One-shot convenience: hash `data` in a single call.
@@ -135,9 +145,10 @@ impl Sha256 {
 
     /// Absorbs more input.
     ///
-    /// Full 64-byte blocks are compressed directly from `data` — the hot
-    /// bulk-hash loop never stages input bytes through the internal buffer,
-    /// which only holds the sub-block head/tail of a misaligned stream.
+    /// Full 64-byte blocks are compressed directly from `data`, as one run
+    /// per call — the hot bulk-hash loop never stages input bytes through
+    /// the internal buffer, which only holds the sub-block head/tail of a
+    /// misaligned stream.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
@@ -147,17 +158,16 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == BLOCK_LEN {
-                compress(&mut self.state, &self.buffer);
-                self.buffer_len = 0;
+                self.compress_buffer();
             }
         }
-        while data.len() >= BLOCK_LEN {
-            compress(&mut self.state, &data[..BLOCK_LEN]);
-            data = &data[BLOCK_LEN..];
+        let (blocks, tail) = data.as_chunks::<BLOCK_LEN>();
+        if !blocks.is_empty() {
+            self.compressor.compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
+        if !tail.is_empty() {
+            self.buffer[..tail.len()].copy_from_slice(tail);
+            self.buffer_len = tail.len();
         }
     }
 
@@ -171,7 +181,7 @@ impl Sha256 {
         }
         let len_bytes = bit_len.to_be_bytes();
         self.buffer[56..64].copy_from_slice(&len_bytes);
-        compress(&mut self.state, &self.buffer);
+        self.compress_buffer();
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -184,8 +194,7 @@ impl Sha256 {
         self.buffer[self.buffer_len] = 0x80;
         self.buffer_len += 1;
         if self.buffer_len == BLOCK_LEN {
-            compress(&mut self.state, &self.buffer);
-            self.buffer_len = 0;
+            self.compress_buffer();
         }
     }
 
@@ -193,19 +202,51 @@ impl Sha256 {
         self.buffer[self.buffer_len] = 0;
         self.buffer_len += 1;
         if self.buffer_len == BLOCK_LEN {
-            compress(&mut self.state, &self.buffer);
-            self.buffer_len = 0;
+            self.compress_buffer();
+        }
+    }
+
+    /// Compresses the full internal buffer and empties it.
+    fn compress_buffer(&mut self) {
+        self.compressor
+            .compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+        self.buffer_len = 0;
+    }
+}
+
+/// The compression function a hasher runs, chosen by CPU detection when it
+/// is created. Every variant produces the same state for every input.
+#[derive(Clone, Copy, Debug)]
+enum Compressor {
+    /// The portable code below: the only path on CPUs without SHA-NI, and
+    /// the reference the differential tests compare against.
+    Soft,
+    /// The SHA-NI code in [`crate::sha256_ni`].
+    #[cfg(target_arch = "x86_64")]
+    Ni(crate::sha256_ni::ShaNi),
+}
+
+impl Compressor {
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = crate::sha256_ni::ShaNi::detect() {
+            return Compressor::Ni(ni);
+        }
+        Compressor::Soft
+    }
+
+    /// Compresses `blocks`, in order, into `state`.
+    fn compress_blocks(self, state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+        match self {
+            Compressor::Soft => blocks.iter().for_each(|block| compress(state, block)),
+            #[cfg(target_arch = "x86_64")]
+            Compressor::Ni(ni) => ni.compress_blocks(state, blocks),
         }
     }
 }
 
 /// One FIPS 180-4 compression round over a single 64-byte block.
-///
-/// Free function over disjoint `state`/`block` borrows so callers can feed
-/// blocks straight out of caller-owned input slices (or the hasher's own
-/// buffer) without copying them into a staging array first.
-fn compress(state: &mut [u32; 8], block: &[u8]) {
-    debug_assert_eq!(block.len(), BLOCK_LEN);
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
     for i in 0..16 {
         w[i] = u32::from_be_bytes([
@@ -258,45 +299,67 @@ impl Default for Sha256 {
 }
 
 #[cfg(test)]
+impl Sha256 {
+    /// One fresh hasher per compression function this CPU runs, the
+    /// portable one first.
+    pub(crate) fn backends() -> Vec<Sha256> {
+        let soft = Sha256 { compressor: Compressor::Soft, ..Sha256::new() };
+        let mut backends = vec![soft];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = crate::sha256_ni::ShaNi::detect() {
+            backends.push(Sha256 { compressor: Compressor::Ni(ni), ..Sha256::new() });
+        }
+        backends
+    }
+
+    /// Whether this hasher runs a hardware compression function.
+    pub(crate) fn is_hardware(&self) -> bool {
+        !matches!(self.compressor, Compressor::Soft)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    fn hex(digest: Digest) -> String {
-        digest.to_hex()
+    /// Checks a FIPS 180-4 vector on every backend.
+    fn assert_digest(data: &[u8], expected: &str) {
+        for mut hasher in Sha256::backends() {
+            let hardware = hasher.is_hardware();
+            hasher.update(data);
+            assert_eq!(hasher.finalize().to_hex(), expected, "hardware: {hardware}");
+        }
     }
 
     #[test]
     fn fips_empty_string() {
-        assert_eq!(
-            hex(Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_digest(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn fips_abc() {
-        assert_eq!(
-            hex(Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_digest(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn fips_two_block_message() {
-        assert_eq!(
-            hex(Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_digest(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(Sha256::digest(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_digest(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 

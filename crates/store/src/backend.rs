@@ -173,15 +173,25 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
     /// read-only.
     fn flush(&self) -> Result<(), StoreError>;
 
-    /// Writes a checkpoint of the full store state (per-shard sections,
-    /// as exported by [`crate::ResultStore::export_shards`]) and drops the
-    /// WAL segments it covers.
+    /// Writes a checkpoint of the full store state and drops the WAL
+    /// segments it covers.
+    ///
+    /// `export` returns the state as per-shard sections (see
+    /// [`crate::ResultStore::export_shards`]). A durable backend calls it
+    /// once it has stopped appending records and before it fixes the
+    /// sequence number the checkpoint covers. The store logs a mutation
+    /// only after releasing the shard lock it made the change under, so a
+    /// mutation the export misses is logged above that sequence number and
+    /// outlives the checkpoint. `export` must not call into the backend.
     ///
     /// # Errors
     ///
     /// Returns an error if the checkpoint could not be written; the WAL
     /// is untouched and the store remains writable.
-    fn checkpoint(&self, sections: &[Vec<SyncEntry>]) -> Result<(), StoreError>;
+    fn checkpoint(
+        &self,
+        export: &dyn Fn() -> Vec<Vec<SyncEntry>>,
+    ) -> Result<(), StoreError>;
 
     /// Rewrites at most one mostly-dead sealed segment, reclaiming its
     /// dead space.
@@ -260,7 +270,10 @@ impl StoreBackend for MemoryBackend {
         Ok(())
     }
 
-    fn checkpoint(&self, _sections: &[Vec<SyncEntry>]) -> Result<(), StoreError> {
+    fn checkpoint(
+        &self,
+        _export: &dyn Fn() -> Vec<Vec<SyncEntry>>,
+    ) -> Result<(), StoreError> {
         Ok(())
     }
 

@@ -53,9 +53,9 @@
 //! ```
 
 // `deny` rather than `forbid`: the event-loop server needs readiness
-// notification, which std does not expose, so `poller` carries the one
-// tightly-scoped `#[allow(unsafe_code)]` in the workspace — a single
-// extern "C" binding to poll(2). Everything else stays safe Rust.
+// notification, which std does not expose, so `poller` carries this
+// crate's one tightly-scoped exemption from the lint — a single extern "C"
+// binding to poll(2). Everything else in the crate stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

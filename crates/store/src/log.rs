@@ -701,13 +701,19 @@ impl StoreBackend for LogBackend {
         Ok(())
     }
 
-    fn checkpoint(&self, sections: &[Vec<SyncEntry>]) -> Result<(), StoreError> {
-        let payload = crate::persist::encode_shard_sections(sections)?;
+    fn checkpoint(
+        &self,
+        export: &dyn Fn() -> Vec<Vec<SyncEntry>>,
+    ) -> Result<(), StoreError> {
         let mut inner = self.lock();
         let ctx = inner
             .ctx
             .clone()
             .ok_or_else(|| StoreError::Protocol("log backend not opened".into()))?;
+        // Export under the lock, before reading the mark: a mutation the
+        // export misses cannot have appended its record yet, so the record
+        // lands above `seq_mark`, in a segment this checkpoint keeps.
+        let payload = crate::persist::encode_shard_sections(&export())?;
         let seq_mark = inner.next_seq.saturating_sub(1);
         let sealed = seal(
             &ctx.platform,
@@ -1030,7 +1036,7 @@ mod tests {
         backend.record_put(&entry(1)).unwrap();
         backend.record_put(&entry(2)).unwrap();
         backend.flush().unwrap();
-        backend.checkpoint(&[vec![entry(1), entry(2)]]).unwrap();
+        backend.checkpoint(&|| vec![vec![entry(1), entry(2)]]).unwrap();
         assert_eq!(backend.stats().wal_bytes, 0, "segments collapsed");
         // Post-checkpoint traffic lands in fresh segments.
         backend.record_put(&entry(3)).unwrap();
@@ -1056,7 +1062,7 @@ mod tests {
         backend.record_put(&entry(2)).unwrap();
         backend.flush().unwrap();
         assert!(backend.wants_checkpoint());
-        backend.checkpoint(&[vec![entry(1), entry(2)]]).unwrap();
+        backend.checkpoint(&|| vec![vec![entry(1), entry(2)]]).unwrap();
         assert!(!backend.wants_checkpoint());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1098,7 +1104,7 @@ mod tests {
         let (backend, _) = open_on(&dir, LogConfig::new(&dir));
         backend.record_put(&entry(1)).unwrap();
         backend.flush().unwrap();
-        backend.checkpoint(&[vec![entry(1)]]).unwrap();
+        backend.checkpoint(&|| vec![vec![entry(1)]]).unwrap();
         backend.record_put(&entry(2)).unwrap();
         backend.flush().unwrap();
         drop(backend);

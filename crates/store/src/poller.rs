@@ -2,7 +2,7 @@
 //! wrapper over poll(2), plus a self-pipe waker.
 //!
 //! std offers no readiness API, and the workspace is zero-dependency, so
-//! this module carries the single `unsafe` block in the tree: one
+//! this module carries the store crate's single `unsafe` block: one
 //! `extern "C"` binding to poll(2) (already linked via libc on every unix
 //! target the workspace supports). poll scales linearly with the fd count,
 //! which is fine for the server's budget of a few thousand connections —

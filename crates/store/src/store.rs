@@ -552,8 +552,7 @@ impl ResultStore {
         if !self.backend.is_durable() {
             return Ok(());
         }
-        let sections = self.export_shards();
-        self.backend.checkpoint(&sections)
+        self.backend.checkpoint(&|| self.export_shards())
     }
 
     /// Runs at most one due maintenance step: a checkpoint when enough
@@ -2481,5 +2480,115 @@ mod tests {
             assert!(snap.shards[other].is_complete());
             assert!(snap.shards[other].may_contain(44));
         }
+    }
+
+    /// A `LogBackend` whose checkpoint first lets one PUT through the
+    /// store: the PUT a concurrent caller can land after the checkpoint
+    /// began but before the backend took its lock.
+    #[derive(Debug)]
+    struct PutDuringCheckpoint {
+        log: crate::LogBackend,
+        store: std::sync::OnceLock<std::sync::Weak<ResultStore>>,
+        put: Mutex<Option<(CompTag, Record)>>,
+    }
+
+    impl StoreBackend for PutDuringCheckpoint {
+        fn name(&self) -> &'static str {
+            "put-during-checkpoint"
+        }
+
+        fn is_durable(&self) -> bool {
+            true
+        }
+
+        fn open(
+            &self,
+            platform: &Arc<Platform>,
+            enclave: &Arc<Enclave>,
+        ) -> Result<crate::backend::Recovery, StoreError> {
+            self.log.open(platform, enclave)
+        }
+
+        fn record_put(&self, entry: &SyncEntry) -> Result<(), StoreError> {
+            self.log.record_put(entry)
+        }
+
+        fn record_ref(&self, tag: &CompTag) -> Result<(), StoreError> {
+            self.log.record_ref(tag)
+        }
+
+        fn record_unref(&self, tag: &CompTag) -> Result<(), StoreError> {
+            self.log.record_unref(tag)
+        }
+
+        fn record_delete(&self, tag: &CompTag) -> Result<(), StoreError> {
+            self.log.record_delete(tag)
+        }
+
+        fn flush(&self) -> Result<(), StoreError> {
+            self.log.flush()
+        }
+
+        fn checkpoint(
+            &self,
+            export: &dyn Fn() -> Vec<Vec<SyncEntry>>,
+        ) -> Result<(), StoreError> {
+            let pending = self.put.lock().unwrap().take();
+            if let Some((tag, record)) = pending {
+                let store = self.store.get().and_then(std::sync::Weak::upgrade).unwrap();
+                let put =
+                    store.handle(Message::PutRequest { app: AppId(1), tag, record });
+                assert!(matches!(put, Message::PutResponse(body) if body.accepted));
+            }
+            self.log.checkpoint(export)
+        }
+
+        fn compact(&self) -> Result<crate::backend::CompactionStats, StoreError> {
+            self.log.compact()
+        }
+    }
+
+    #[test]
+    fn checkpoint_keeps_a_put_that_lands_as_it_starts() {
+        let dir = std::env::temp_dir()
+            .join(format!("speed-store-checkpoint-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Seeded, so the reopened store unseals what the first one wrote.
+        let platform = Platform::with_seed(CostModel::no_sgx(), Some(0x5eed));
+        let open = |backend: Arc<dyn StoreBackend>| {
+            ResultStore::open(&platform, StoreConfig::default(), backend).unwrap().0
+        };
+
+        let backend = Arc::new(PutDuringCheckpoint {
+            log: crate::LogBackend::new(crate::LogConfig::new(&dir)),
+            store: std::sync::OnceLock::new(),
+            put: Mutex::new(Some((tag(2), record(64, 2)))),
+        });
+        let store = Arc::new(open(Arc::clone(&backend) as Arc<dyn StoreBackend>));
+        backend.store.set(Arc::downgrade(&store)).unwrap();
+        let put = store.handle(Message::PutRequest {
+            app: AppId(1),
+            tag: tag(1),
+            record: record(64, 1),
+        });
+        assert!(matches!(put, Message::PutResponse(body) if body.accepted));
+        store.checkpoint().unwrap();
+        assert!(backend.put.lock().unwrap().is_none(), "the racing PUT ran");
+        drop(store);
+        drop(backend);
+
+        let reopened =
+            open(Arc::new(crate::LogBackend::new(crate::LogConfig::new(&dir))));
+        for (n, fill) in [(1, 1), (2, 2)] {
+            match reopened.handle(Message::GetRequest { app: AppId(1), tag: tag(n) }) {
+                Message::GetResponse(body) => {
+                    let record =
+                        body.record.unwrap_or_else(|| panic!("PUT {n} was lost"));
+                    assert_eq!(record.boxed_result, vec![fill; 64]);
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
