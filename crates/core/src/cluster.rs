@@ -29,15 +29,15 @@
 //! call (`cluster_store`) and keeps its own resilience/replay layer as an
 //! outer line of defence for whole-cluster outages.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use speed_telemetry::{names, Counter, Gauge};
 use speed_wire::{
-    AppId, BatchItem, BatchItemResult, BatchStatus, CompTag, FilterBody, Message,
-    RingBody, RingNodeBody, StatsBody,
+    AppId, BatchItem, BatchItemResult, BatchStatus, CompTag, FilterBody, GetResponseBody,
+    Message, PutResponseBody, RingBody, RingNodeBody, StatsBody,
 };
 
 use crate::client::StoreClient;
@@ -448,6 +448,14 @@ fn put_message_of(app: AppId, item: &BatchItem) -> Option<Message> {
     }
 }
 
+/// The `PUT_RESPONSE` equivalent to a routed PUT item's result.
+fn put_response(result: BatchItemResult) -> Message {
+    Message::PutResponse(PutResponseBody {
+        accepted: result.status == BatchStatus::Accepted,
+        reason: result.reason,
+    })
+}
+
 fn message_tag(message: &Message) -> Option<&CompTag> {
     match message {
         Message::PutRequest { tag, .. } | Message::PutPrefiltered { tag, .. } => {
@@ -485,87 +493,20 @@ impl ClusterShared {
         handle.send(request)
     }
 
-    fn route_get(&self, request: &Message, tag: &CompTag) -> Result<Message, CoreError> {
-        let (ring, handles) = self.view();
-        let replicas = ring.replicas(tag, self.config.replication.max(1));
-        if replicas.is_empty() {
-            return Err(unavailable("cluster ring is empty"));
-        }
-        let mut miss = None;
-        let mut recovered = false;
-        let mut hit = None;
-        for node in &replicas {
-            let Some(handle) = handles.get(&node.0) else { continue };
-            let (sent, rec) = self.send(handle, request);
-            recovered |= rec;
-            match sent {
-                Ok(Message::GetResponse(body)) => {
-                    if body.found {
-                        hit = Some(Message::GetResponse(body));
-                        break;
-                    }
-                    // Read-from-any: a miss on one replica may be an
-                    // undrained hint — keep probing the rest of the set.
-                    if miss.is_none() {
-                        miss = Some(Message::GetResponse(body));
-                    }
-                }
-                Ok(_) | Err(_) => self.note_failover(handle),
-            }
-        }
-        if recovered {
-            self.drain_hints();
-        }
-        hit.or(miss).ok_or_else(|| unavailable("no replica reachable for GET"))
-    }
-
-    fn route_put(&self, request: &Message, tag: &CompTag) -> Result<Message, CoreError> {
-        let (ring, handles) = self.view();
-        let replicas = ring.replicas(tag, self.config.replication.max(1));
-        if replicas.is_empty() {
-            return Err(unavailable("cluster ring is empty"));
-        }
-        let mut acked = None;
-        let mut unreachable = 0usize;
-        let mut recovered = false;
-        for node in &replicas {
-            let Some(handle) = handles.get(&node.0) else { continue };
-            let (sent, rec) = self.send(handle, request);
-            recovered |= rec;
-            match sent {
-                // An authoritative answer, accepted or refused; the first
-                // replica's verdict acknowledges the call (write-quorum 1).
-                Ok(response @ Message::PutResponse(_)) => {
-                    if acked.is_none() {
-                        acked = Some(response);
-                    }
-                }
-                Ok(_) | Err(_) => {
-                    self.note_failover(handle);
-                    unreachable += 1;
-                }
-            }
-        }
-        let result = match acked {
-            Some(response) => {
-                if unreachable > 0 {
-                    // Acknowledged but under-replicated: park a hint so the
-                    // drain restores R-way replication later.
-                    self.hints.push(request.clone());
-                }
-                Ok(response)
-            }
-            None => Err(unavailable("no replica acknowledged the PUT")),
-        };
-        if recovered {
-            self.drain_hints();
-        }
-        result
-    }
-
-    fn route_batch(&self, app: AppId, items: &[BatchItem]) -> Result<Message, CoreError> {
+    /// Routes a batch: round k sends every unsettled item to its k-th
+    /// replica, grouped into one sub-batch per node (round-trips stay
+    /// O(nodes), and a dead primary costs one extra round, not one per
+    /// item). A PUT settles on its first answer; a GET settles on a found
+    /// record, while an answered miss keeps probing the later replicas —
+    /// it may be an undrained hint — and stands only if none has the
+    /// record. A standalone GET or PUT is a batch of one.
+    fn route_batch(
+        &self,
+        app: AppId,
+        items: &[BatchItem],
+    ) -> Result<Vec<BatchItemResult>, CoreError> {
         if items.is_empty() {
-            return Ok(Message::BatchResponse(Vec::new()));
+            return Ok(Vec::new());
         }
         let (ring, handles) = self.view();
         if ring.is_empty() {
@@ -576,16 +517,18 @@ impl ClusterShared {
             items.iter().map(|item| ring.replicas(item_tag(item), r)).collect();
         let mut results: Vec<Option<BatchItemResult>> = vec![None; items.len()];
         let mut served_by: Vec<Option<NodeId>> = vec![None; items.len()];
+        // Nodes whose round-trip failed during this call.
+        let mut failed: BTreeSet<u32> = BTreeSet::new();
         let mut recovered = false;
 
-        // Round k sends every unresolved item to its k-th replica, grouped
-        // into one sub-batch per node (round-trips stay O(nodes), and a
-        // dead primary costs one extra round, not one per item).
         let max_rounds = replicas.iter().map(Vec::len).max().unwrap_or(0);
         for round in 0..max_rounds {
             let mut by_node: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
             for (i, reps) in replicas.iter().enumerate() {
-                if results[i].is_none() {
+                let settled = results[i]
+                    .as_ref()
+                    .is_some_and(|result| result.status != BatchStatus::NotFound);
+                if !settled {
                     if let Some(node) = reps.get(round) {
                         by_node.entry(node.0).or_default().push(i);
                     }
@@ -604,11 +547,18 @@ impl ClusterShared {
                 match sent {
                     Ok(Message::BatchResponse(rs)) if rs.len() == idxs.len() => {
                         for (result, &i) in rs.into_iter().zip(&idxs) {
-                            results[i] = Some(result);
-                            served_by[i] = Some(NodeId(node_id));
+                            if results[i].is_none()
+                                || result.status != BatchStatus::NotFound
+                            {
+                                results[i] = Some(result);
+                                served_by[i] = Some(NodeId(node_id));
+                            }
                         }
                     }
-                    Ok(_) | Err(_) => self.note_failover(handle),
+                    Ok(_) | Err(_) => {
+                        self.note_failover(handle);
+                        failed.insert(node_id);
+                    }
                 }
             }
         }
@@ -618,11 +568,12 @@ impl ClusterShared {
             }
             return Err(unavailable("no replica reachable for some batch items"));
         }
-        let results: Vec<BatchItemResult> =
-            results.into_iter().map(|r| r.expect("checked above")).collect();
+        let results: Vec<BatchItemResult> = results.into_iter().flatten().collect();
 
         // Replicate accepted PUT items to the rest of their replica sets,
-        // again one sub-batch per node; failures become hints.
+        // again one sub-batch per node; failures become hints. A replica
+        // that already failed during this call is hinted without another
+        // doomed send.
         let mut secondary: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (i, item) in items.iter().enumerate() {
             if matches!(item, BatchItem::Get { .. } | BatchItem::GetPrefiltered { .. })
@@ -638,12 +589,19 @@ impl ClusterShared {
         }
         for (node_id, idxs) in secondary {
             let Some(handle) = handles.get(&node_id) else { continue };
-            let sub: Vec<BatchItem> = idxs.iter().map(|&i| items[i].clone()).collect();
-            let (sent, rec) =
-                self.send(handle, &Message::BatchRequest { app, items: sub });
-            recovered |= rec;
-            if !matches!(sent, Ok(Message::BatchResponse(_))) {
-                self.note_failover(handle);
+            let delivered = !failed.contains(&node_id) && {
+                let sub: Vec<BatchItem> =
+                    idxs.iter().map(|&i| items[i].clone()).collect();
+                let (sent, rec) =
+                    self.send(handle, &Message::BatchRequest { app, items: sub });
+                recovered |= rec;
+                let answered = matches!(sent, Ok(Message::BatchResponse(_)));
+                if !answered {
+                    self.note_failover(handle);
+                }
+                answered
+            };
+            if !delivered {
                 for &i in &idxs {
                     if let Some(hint) = put_message_of(app, &items[i]) {
                         self.hints.push(hint);
@@ -654,7 +612,18 @@ impl ClusterShared {
         if recovered {
             self.drain_hints();
         }
-        Ok(Message::BatchResponse(results))
+        Ok(results)
+    }
+
+    /// Routes one standalone GET or PUT as a batch of one.
+    fn route_one(
+        &self,
+        app: AppId,
+        item: BatchItem,
+    ) -> Result<BatchItemResult, CoreError> {
+        self.route_batch(app, std::slice::from_ref(&item))?
+            .pop()
+            .ok_or_else(|| unavailable("a batch of one returned no result"))
     }
 
     /// Fans a `FILTER_REQUEST` to every member and concatenates the shard
@@ -1025,11 +994,28 @@ impl ClusterClient {
 impl StoreClient for ClusterClient {
     fn roundtrip(&mut self, request: &Message) -> Result<Message, CoreError> {
         match request {
-            Message::GetRequest { tag, .. } => self.shared.route_get(request, tag),
-            Message::PutRequest { tag, .. } | Message::PutPrefiltered { tag, .. } => {
-                self.shared.route_put(request, tag)
+            Message::GetRequest { app, tag } => {
+                let result = self.shared.route_one(*app, BatchItem::Get { tag: *tag })?;
+                Ok(Message::GetResponse(GetResponseBody {
+                    found: result.record.is_some(),
+                    record: result.record,
+                }))
             }
-            Message::BatchRequest { app, items } => self.shared.route_batch(*app, items),
+            Message::PutRequest { app, tag, record } => {
+                let item = BatchItem::Put { tag: *tag, record: record.clone() };
+                Ok(put_response(self.shared.route_one(*app, item)?))
+            }
+            Message::PutPrefiltered { app, tag, prefilter, record } => {
+                let item = BatchItem::PutPrefiltered {
+                    tag: *tag,
+                    prefilter: *prefilter,
+                    record: record.clone(),
+                };
+                Ok(put_response(self.shared.route_one(*app, item)?))
+            }
+            Message::BatchRequest { app, items } => {
+                Ok(Message::BatchResponse(self.shared.route_batch(*app, items)?))
+            }
             Message::FilterRequest => self.shared.fanout_filters(),
             Message::StatsRequest => self.shared.fanout_stats(),
             Message::RingRequest => Ok(Message::RingResponse(self.ring_body())),
@@ -1252,7 +1238,9 @@ mod tests {
             Message::PutResponse(body) if body.accepted
         ));
         assert_eq!(cluster.client.hint_depth(), 1);
-        assert!(cluster.client.counts().failovers >= 1);
+        // One failed send: the replication step hints the dead primary
+        // instead of trying it a second time.
+        assert_eq!(cluster.client.counts().failovers, 1);
         // The GET fails over past the dead primary and still finds it.
         assert!(get(&mut cluster.client, 42));
 
@@ -1376,6 +1364,8 @@ mod tests {
             .unwrap();
         let Message::BatchResponse(results) = response else { panic!("not a batch") };
         assert!(results.iter().all(|r| r.status == BatchStatus::Accepted));
+        // The dead node is tried once; its replica copies become hints.
+        assert_eq!(cluster.client.counts().failovers, 1);
         let items: Vec<BatchItem> =
             (0..12u64).map(|seed| BatchItem::Get { tag: tag_of(seed) }).collect();
         let response = cluster

@@ -16,8 +16,8 @@ use speed_enclave::{Enclave, Platform};
 use speed_store::ResultStore;
 use speed_telemetry::{names, Counter, Histogram};
 use speed_wire::{
-    AppId, BatchItem, BatchStatus, CompTag, Message, NegativeFilter, SessionAuthority,
-    StatsBody,
+    AppId, BatchItem, BatchItemResult, BatchStatus, CompTag, Message, NegativeFilter,
+    Record, SessionAuthority, StatsBody,
 };
 
 use crate::client::{InProcessClient, StoreClient, TcpClient};
@@ -120,6 +120,60 @@ impl std::fmt::Debug for BatchCall<'_> {
     }
 }
 
+/// One item of a [`DedupRuntime`] pass over the tier ladder — a marked
+/// call, or, without a compute, a [`DedupRuntime::lookup`] probe — and
+/// what the pass has learned about it so far.
+struct Planned<'a> {
+    identity: FuncIdentity,
+    input: &'a [u8],
+    compute: Option<BatchCompute<'a>>,
+    /// A call rather than a probe (its compute may already have run).
+    call: bool,
+    /// The adaptive policy sent the call straight to its compute.
+    bypass: bool,
+    prefilter: Option<u64>,
+    /// The full comp-tag, derived on first use.
+    tag: Option<CompTag>,
+    /// The negative filter proved no stored result exists.
+    filtered: bool,
+    /// The record the store returned.
+    found: Option<Record>,
+    compute_ns: Option<u64>,
+    answer: Option<(ResultBytes, DedupOutcome)>,
+}
+
+impl<'a> Planned<'a> {
+    fn new(
+        identity: FuncIdentity,
+        input: &'a [u8],
+        compute: Option<BatchCompute<'a>>,
+    ) -> Self {
+        Planned {
+            identity,
+            input,
+            call: compute.is_some(),
+            compute,
+            bypass: false,
+            prefilter: None,
+            tag: None,
+            filtered: false,
+            found: None,
+            compute_ns: None,
+            answer: None,
+        }
+    }
+
+    /// Runs the compute fallback (a probe has none), timing it for the
+    /// adaptive profiler.
+    fn run(&mut self) -> Option<ResultBytes> {
+        let compute = self.compute.take()?;
+        let started = std::time::Instant::now();
+        let result = ResultBytes::new(compute(self.input));
+        self.compute_ns = Some(started.elapsed().as_nanos() as u64);
+        Some(result)
+    }
+}
+
 /// Counters describing a runtime's activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
@@ -160,37 +214,100 @@ pub struct RuntimeStats {
     pub filtered_misses: u64,
 }
 
-#[derive(Debug, Default)]
-struct AtomicStats {
-    calls: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    verify_failures: AtomicU64,
-    rejected_puts: AtomicU64,
-    reused_bytes: AtomicU64,
-    bypasses: AtomicU64,
-    degraded_calls: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    filtered_misses: AtomicU64,
+/// One runtime counter: the runtime's own tally, mirrored into its
+/// process-wide registry series (which aggregates every runtime in the
+/// process) whenever it has one, so each event is counted at one site.
+#[derive(Debug)]
+struct Tally {
+    own: AtomicU64,
+    series: Option<Counter>,
 }
 
-/// Handles into the process-wide telemetry registry. The per-runtime
-/// [`AtomicStats`] stay authoritative for [`DedupRuntime::stats`]; these
-/// aggregate the same events across every runtime in the process and add
-/// the latency histograms the scalar counters cannot express.
+impl Tally {
+    fn new(series: Option<Counter>) -> Self {
+        Tally { own: AtomicU64::new(0), series }
+    }
+
+    fn add(&self, n: u64) {
+        self.own.fetch_add(n, Ordering::Relaxed);
+        if let Some(series) = &self.series {
+            series.add(n);
+        }
+    }
+
+    fn get(&self) -> u64 {
+        self.own.load(Ordering::Relaxed)
+    }
+}
+
+/// The counters behind [`RuntimeStats`], shared with the asynchronous PUT
+/// worker.
+#[derive(Debug)]
+struct AtomicStats {
+    calls: Tally,
+    hits: Tally,
+    misses: Tally,
+    verify_failures: Tally,
+    rejected_puts: Tally,
+    reused_bytes: Tally,
+    bypasses: Tally,
+    degraded_calls: Tally,
+    cache_hits: Tally,
+    cache_misses: Tally,
+    filtered_misses: Tally,
+}
+
+impl AtomicStats {
+    fn from_global() -> Self {
+        let reg = speed_telemetry::global();
+        let series = |name: &str, help: &str| Tally::new(Some(reg.counter(name, help)));
+        AtomicStats {
+            calls: series(names::DEDUP_CALLS_TOTAL, "Marked calls intercepted"),
+            hits: series(
+                names::DEDUP_HITS_TOTAL,
+                "Calls satisfied from the store (dedup hits)",
+            ),
+            misses: series(
+                names::DEDUP_MISSES_TOTAL,
+                "Calls that executed the function (initial computations)",
+            ),
+            verify_failures: series(
+                names::DEDUP_VERIFY_FAILURES_TOTAL,
+                "Records that failed the result-verification protocol",
+            ),
+            rejected_puts: series(
+                names::DEDUP_REJECTED_PUTS_TOTAL,
+                "PUTs the store rejected (quota, enclave memory, races)",
+            ),
+            reused_bytes: series(
+                names::DEDUP_REUSED_BYTES_TOTAL,
+                "Plaintext result bytes reused instead of recomputed",
+            ),
+            bypasses: series(
+                names::DEDUP_BYPASSES_TOTAL,
+                "Calls executed directly because the adaptive policy bypassed dedup",
+            ),
+            degraded_calls: series(
+                names::DEDUP_DEGRADED_CALLS_TOTAL,
+                "Calls that degraded to local execution during a store outage",
+            ),
+            cache_hits: series(
+                names::DEDUP_CACHE_HITS_TOTAL,
+                "Lookups answered by the in-enclave hot-tag cache",
+            ),
+            cache_misses: series(
+                names::DEDUP_CACHE_MISSES_TOTAL,
+                "Hot-tag cache lookups that missed",
+            ),
+            filtered_misses: Tally::new(None),
+        }
+    }
+}
+
+/// Histogram and stream handles into the process-wide telemetry registry:
+/// the latencies the scalar counters cannot express.
 #[derive(Clone, Debug)]
 pub(crate) struct RuntimeTelemetry {
-    calls: Counter,
-    hits: Counter,
-    misses: Counter,
-    verify_failures: Counter,
-    bypasses: Counter,
-    rejected_puts: Counter,
-    reused_bytes: Counter,
-    degraded_calls: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
     call_duration: Histogram,
     batch_duration: Histogram,
     tag_derive: Histogram,
@@ -212,43 +329,6 @@ impl RuntimeTelemetry {
     fn from_global() -> Self {
         let reg = speed_telemetry::global();
         RuntimeTelemetry {
-            calls: reg.counter(names::DEDUP_CALLS_TOTAL, "Marked calls intercepted"),
-            hits: reg.counter(
-                names::DEDUP_HITS_TOTAL,
-                "Calls satisfied from the store (dedup hits)",
-            ),
-            misses: reg.counter(
-                names::DEDUP_MISSES_TOTAL,
-                "Calls that executed the function (initial computations)",
-            ),
-            verify_failures: reg.counter(
-                names::DEDUP_VERIFY_FAILURES_TOTAL,
-                "Records that failed the result-verification protocol",
-            ),
-            bypasses: reg.counter(
-                names::DEDUP_BYPASSES_TOTAL,
-                "Calls executed directly because the adaptive policy bypassed dedup",
-            ),
-            rejected_puts: reg.counter(
-                names::DEDUP_REJECTED_PUTS_TOTAL,
-                "PUTs the store rejected (quota, enclave memory, races)",
-            ),
-            reused_bytes: reg.counter(
-                names::DEDUP_REUSED_BYTES_TOTAL,
-                "Plaintext result bytes reused instead of recomputed",
-            ),
-            degraded_calls: reg.counter(
-                names::DEDUP_DEGRADED_CALLS_TOTAL,
-                "Calls that degraded to local execution during a store outage",
-            ),
-            cache_hits: reg.counter(
-                names::DEDUP_CACHE_HITS_TOTAL,
-                "Lookups answered by the in-enclave hot-tag cache",
-            ),
-            cache_misses: reg.counter(
-                names::DEDUP_CACHE_MISSES_TOTAL,
-                "Hot-tag cache lookups that missed",
-            ),
             call_duration: reg.histogram(
                 names::DEDUP_CALL_DURATION_NS,
                 "End-to-end latency of one marked call",
@@ -371,13 +451,35 @@ fn merge_shard_filters(shards: Vec<NegativeFilter>) -> Option<NegativeFilter> {
     Some(merged)
 }
 
+/// Parks failed PUT items in the replay queue, one standalone PUT message
+/// each, so partial replay capacity still saves the newest results.
+/// Returns how many items were parked.
+fn park(replay: &ReplayQueue, app: AppId, items: Vec<BatchItem>) -> u64 {
+    let mut parked = 0;
+    for item in items {
+        let message = match item {
+            BatchItem::Put { tag, record } => Message::PutRequest { app, tag, record },
+            BatchItem::PutPrefiltered { tag, prefilter, record } => {
+                Message::PutPrefiltered { app, tag, prefilter, record }
+            }
+            BatchItem::Get { .. } | BatchItem::GetPrefiltered { .. } => continue,
+        };
+        replay.push(message);
+        parked += 1;
+    }
+    parked
+}
+
+/// Rejected items of a batched PUT's response.
+fn rejections(results: &[BatchItemResult]) -> u64 {
+    results.iter().filter(|r| r.status == BatchStatus::Rejected).count() as u64
+}
+
 /// The asynchronous PUT worker: a background thread draining a channel of
-/// `PUT_REQUEST`s through its own store connection.
+/// batched PUTs through its own store connection.
 struct AsyncPutter {
     sender: Option<Sender<Message>>,
     pending: Arc<(Mutex<u64>, Condvar)>,
-    rejected: Arc<AtomicU64>,
-    degraded: Arc<AtomicU64>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -391,73 +493,25 @@ impl AsyncPutter {
     fn spawn(
         mut client: Box<dyn StoreClient>,
         replay: Option<Arc<ReplayQueue>>,
-        telemetry: RuntimeTelemetry,
+        stats: Arc<AtomicStats>,
     ) -> Self {
         let (sender, receiver) = mpsc::channel::<Message>();
         let pending = Arc::new((Mutex::new(0u64), Condvar::new()));
-        let rejected = Arc::new(AtomicU64::new(0));
-        let degraded = Arc::new(AtomicU64::new(0));
         let pending_worker = Arc::clone(&pending);
-        let rejected_worker = Arc::clone(&rejected);
-        let degraded_worker = Arc::clone(&degraded);
         let handle = std::thread::spawn(move || {
             while let Ok(message) = receiver.recv() {
-                let response = client.roundtrip(&message);
-                match response {
-                    Ok(Message::PutResponse(body)) if !body.accepted => {
-                        rejected_worker.fetch_add(1, Ordering::Relaxed);
-                        telemetry.rejected_puts.inc();
-                    }
+                match client.roundtrip(&message) {
                     Ok(Message::BatchResponse(results)) => {
-                        let rejected = results
-                            .iter()
-                            .filter(|r| r.status == BatchStatus::Rejected)
-                            .count() as u64;
-                        rejected_worker.fetch_add(rejected, Ordering::Relaxed);
-                        telemetry.rejected_puts.add(rejected);
+                        stats.rejected_puts.add(rejections(&results));
                     }
                     Err(CoreError::StoreUnavailable(_)) => {
-                        // Graceful degradation: park the PUT for replay once
+                        // Graceful degradation: park the PUTs for replay once
                         // the store answers again. Without the resilience
                         // layer the failure is dropped (legacy behavior).
-                        if let Some(replay) = &replay {
-                            degraded_worker.fetch_add(1, Ordering::Relaxed);
-                            telemetry.degraded_calls.inc();
-                            match message {
-                                // A failed batch degrades item by item, so
-                                // partial replay capacity still saves the
-                                // newest results.
-                                Message::BatchRequest { app, items } => {
-                                    for item in items {
-                                        match item {
-                                            BatchItem::Put { tag, record } => {
-                                                replay.push(Message::PutRequest {
-                                                    app,
-                                                    tag,
-                                                    record,
-                                                });
-                                            }
-                                            BatchItem::PutPrefiltered {
-                                                tag,
-                                                prefilter,
-                                                record,
-                                            } => {
-                                                replay.push(Message::PutPrefiltered {
-                                                    app,
-                                                    tag,
-                                                    prefilter,
-                                                    record,
-                                                });
-                                            }
-                                            BatchItem::Get { .. }
-                                            | BatchItem::GetPrefiltered { .. } => {}
-                                        }
-                                    }
-                                }
-                                other => {
-                                    replay.push(other);
-                                }
-                            }
+                        if let (Some(replay), Message::BatchRequest { app, items }) =
+                            (&replay, message)
+                        {
+                            stats.degraded_calls.add(park(replay, app, items));
                         }
                     }
                     _ => {}
@@ -468,13 +522,7 @@ impl AsyncPutter {
                 cvar.notify_all();
             }
         });
-        AsyncPutter {
-            sender: Some(sender),
-            pending,
-            rejected,
-            degraded,
-            handle: Some(handle),
-        }
+        AsyncPutter { sender: Some(sender), pending, handle: Some(handle) }
     }
 
     fn submit(&self, message: Message) -> Result<(), CoreError> {
@@ -725,6 +773,7 @@ impl RuntimeBuilder {
             CoreError::UnexpectedResponse("no store configured on builder".into())
         })?;
 
+        let stats = Arc::new(AtomicStats::from_global());
         let resilience_handles =
             self.resilience.as_ref().map(|config| ResilienceHandles {
                 stats: Arc::new(ResilienceStats::default()),
@@ -777,11 +826,7 @@ impl RuntimeBuilder {
                     let put_client = build_client(0xA5)?;
                     let replay =
                         resilience_handles.as_ref().map(|h| Arc::clone(&h.replay));
-                    Some(AsyncPutter::spawn(
-                        put_client,
-                        replay,
-                        RuntimeTelemetry::from_global(),
-                    ))
+                    Some(AsyncPutter::spawn(put_client, replay, Arc::clone(&stats)))
                 } else {
                     None
                 };
@@ -804,7 +849,7 @@ impl RuntimeBuilder {
             policy: self.policy,
             profiler: AdaptiveProfiler::new(),
             rng: Mutex::new(rng),
-            stats: AtomicStats::default(),
+            stats,
             telemetry: RuntimeTelemetry::from_global(),
             async_putter,
             resilience: resilience_handles,
@@ -878,7 +923,7 @@ pub struct DedupRuntime {
     policy: DedupPolicy,
     profiler: AdaptiveProfiler,
     rng: Mutex<SystemRng>,
-    stats: AtomicStats,
+    stats: Arc<AtomicStats>,
     telemetry: RuntimeTelemetry,
     async_putter: Option<AsyncPutter>,
     resilience: Option<ResilienceHandles>,
@@ -926,7 +971,10 @@ impl DedupRuntime {
     /// result. With [`RuntimeBuilder::prefilter`] enabled the tag pipeline
     /// is tiered: a cheap sampled prefilter tag gates the hot-cache probe,
     /// and the store's negative filter lets definite misses skip the GET
-    /// round-trip ([`DedupOutcome::MissFiltered`]).
+    /// round-trip ([`DedupOutcome::MissFiltered`]). The call is a batch of
+    /// one through the same pipeline as
+    /// [`execute_batch`](DedupRuntime::execute_batch), at the same cost:
+    /// one ECALL plus a GET and a PUT OCALL on a miss.
     ///
     /// Returns the serialized result — a [`ResultBytes`] sharing the hot
     /// cache's buffer on a cached hit, no copy — and what happened.
@@ -942,298 +990,20 @@ impl DedupRuntime {
         input: &[u8],
         compute: impl FnOnce(&[u8]) -> Vec<u8>,
     ) -> Result<(ResultBytes, DedupOutcome), CoreError> {
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.calls.inc();
-
-        // Adaptive policy (§VII future work): bypass the store entirely
-        // for functions where deduplication cannot pay off.
-        let adaptive = match &self.policy {
-            DedupPolicy::Always => None,
-            DedupPolicy::Adaptive(config) => Some(*config),
-        };
-        if let Some(config) = &adaptive {
-            if self.profiler.decide(identity, config) == PolicyDecision::Bypass {
-                self.stats.bypasses.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.bypasses.inc();
-                let started = std::time::Instant::now();
-                let result = self.enclave.ecall("direct_execute", || compute(input));
-                self.profiler.record_compute(
-                    identity,
-                    started.elapsed().as_nanos() as u64,
-                    config,
-                );
-                return Ok((ResultBytes::new(result), DedupOutcome::BypassedByPolicy));
-            }
-        }
-
-        let call_started = std::time::Instant::now();
-        let call_span = self.telemetry.call_duration.start_span();
-        let outcome = self.enclave.ecall("dedup_execute", || {
-            // Inside the application enclave. Tier 0 of the tag pipeline:
-            // the cheap sampled prefilter tag (when enabled). The full
-            // SHA-256 comp-tag is derived lazily — only once a tier
-            // actually needs it.
-            let prefilter = self.prefilter.as_ref().map(|_| {
-                self.telemetry.prefilter_derive.time(|| prefilter_tag(identity, input))
-            });
-            let mut tag_slot: Option<CompTag> = None;
-            let derive_tag = |slot: &mut Option<CompTag>| -> CompTag {
-                *slot.get_or_insert_with(|| {
-                    self.telemetry.tag_derive.time(|| tag_for(identity, input))
-                })
-            };
-
-            // Tier 1 — hot-tag cache: a recently resolved result is
-            // answered without leaving the enclave. The prefilter multiset
-            // gates the probe: a definite "not cached" skips the full-tag
-            // derivation and the lookup.
-            if let Some(cache) = &self.hot_cache {
-                let mut guard = lock_recover(cache);
-                let gate = match prefilter {
-                    Some(p) => guard.may_contain(p),
-                    None => true,
-                };
-                if gate {
-                    let tag = derive_tag(&mut tag_slot);
-                    let lookup = self.telemetry.hotcache_lookup.time(|| guard.get(&tag));
-                    drop(guard);
-                    if let Some(result) = lookup {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.cache_hits.inc();
-                        self.stats
-                            .reused_bytes
-                            .fetch_add(result.len() as u64, Ordering::Relaxed);
-                        self.telemetry.reused_bytes.add(result.len() as u64);
-                        return Ok((
-                            ResultBytes::from_shared(result),
-                            DedupOutcome::HitLocalCache,
-                            0u64,
-                        ));
-                    }
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.cache_misses.inc();
-                } else {
-                    drop(guard);
-                    self.telemetry.prefilter_cache_skips.inc();
-                }
-            }
-
-            // Tier 2 — the store's negative filter: a complete merged
-            // filter that lacks the prefilter tag *proves* no stored
-            // result exists, so the GET round-trip below is pure waste.
-            let filtered = match prefilter {
-                Some(p) if self.filter_proves_absent(p) => {
-                    self.telemetry.prefilter_store_skips.inc();
-                    self.stats.filtered_misses.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-                _ => false,
-            };
-
-            // OCALL: synchronous GET roundtrip (tag out, record back),
-            // skipped when the filter already proved the answer.
-            let mut degraded = false;
-            let found = if filtered {
-                None
-            } else {
-                let tag = derive_tag(&mut tag_slot);
-                let get_request = Message::GetRequest { app: self.app_id, tag };
-                let response =
-                    self.enclave.ocall_with_bytes("get_request", 48, 0, || {
-                        lock_recover(&self.client).roundtrip(&get_request)
-                    });
-
-                // Graceful degradation (resilience layer only): an
-                // unreachable store is a miss, never an application error —
-                // Algorithm 1's fallback is always "just execute".
-                match response {
-                    Ok(Message::GetResponse(body)) => body.record,
-                    Ok(other) => {
-                        return Err(CoreError::UnexpectedResponse(format!("{other:?}")))
-                    }
-                    Err(CoreError::StoreUnavailable(_)) if self.resilience.is_some() => {
-                        degraded = true;
-                        None
-                    }
-                    Err(err) => return Err(err),
-                }
-            };
-
-            if let Some(record) = found {
-                self.enclave.charge_boundary_bytes(record.wire_size());
-                let recovered = self.telemetry.rce_recover.time(|| match &self.mode {
-                    DedupMode::CrossApp => rce::recover_result(identity, input, &record),
-                    DedupMode::SingleKey(key) => {
-                        rce::recover_result_single_key(key, &record)
-                    }
-                    DedupMode::Convergent => {
-                        rce::recover_result_convergent(identity, input, &record)
-                    }
-                });
-                match recovered {
-                    Ok(result) => {
-                        let result = ResultBytes::new(result);
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.hits.inc();
-                        self.stats
-                            .reused_bytes
-                            .fetch_add(result.len() as u64, Ordering::Relaxed);
-                        self.telemetry.reused_bytes.add(result.len() as u64);
-                        if let Some(cache) = &self.hot_cache {
-                            lock_recover(cache).insert(
-                                &self.enclave,
-                                derive_tag(&mut tag_slot),
-                                result.shared(),
-                                prefilter,
-                            );
-                        }
-                        return Ok((result, DedupOutcome::Hit, 0u64));
-                    }
-                    Err(CoreError::VerificationFailed) => {
-                        // Fig. 3: ⊥ ⇒ behave as a miss, but do not publish
-                        // (the tag slot is taken; overwriting is the store's
-                        // anti-poisoning policy decision).
-                        self.stats.verify_failures.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.verify_failures.inc();
-                        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.misses.inc();
-                        let compute_started = std::time::Instant::now();
-                        let result = ResultBytes::new(compute(input));
-                        let compute_ns = compute_started.elapsed().as_nanos() as u64;
-                        return Ok((
-                            result,
-                            DedupOutcome::MissAfterFailedVerify,
-                            compute_ns,
-                        ));
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
-
-            // Fresh computation: execute inside the enclave.
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.misses.inc();
-            let compute_started = std::time::Instant::now();
-            let result = ResultBytes::new(compute(input));
-            let compute_ns = compute_started.elapsed().as_nanos() as u64;
-            let tag = derive_tag(&mut tag_slot);
-            if let Some(cache) = &self.hot_cache {
-                lock_recover(cache).insert(
-                    &self.enclave,
-                    tag,
-                    result.shared(),
-                    prefilter,
-                );
-            }
-
-            // Encrypt and publish.
-            let record = self.telemetry.rce_encrypt.time(|| {
-                let mut rng = lock_recover(&self.rng);
-                match &self.mode {
-                    DedupMode::CrossApp => {
-                        rce::encrypt_result(identity, input, &result, &mut rng)
-                    }
-                    DedupMode::SingleKey(key) => {
-                        rce::encrypt_result_single_key(key, &result, &mut rng)
-                    }
-                    DedupMode::Convergent => {
-                        rce::encrypt_result_convergent(identity, input, &result, &mut rng)
-                    }
-                }
-            });
-            let record_size = record.wire_size();
-            // When the filter tier is enabled the PUT carries the prefilter
-            // tag so the store can keep its negative filters complete.
-            let put_request = match prefilter {
-                Some(p) => Message::PutPrefiltered {
-                    app: self.app_id,
-                    tag,
-                    prefilter: p,
-                    record,
-                },
-                None => Message::PutRequest { app: self.app_id, tag, record },
-            };
-
-            match &self.async_putter {
-                Some(putter) => {
-                    // Asynchronous PUT: enqueue and return immediately; the
-                    // worker thread performs the OCALL on its own channel.
-                    putter.submit(put_request)?;
-                }
-                None => {
-                    let response = self.enclave.ocall_with_bytes(
-                        "put_request",
-                        record_size + 48,
-                        1,
-                        || lock_recover(&self.client).roundtrip(&put_request),
-                    );
-                    match response {
-                        Ok(Message::PutResponse(body)) => {
-                            if !body.accepted {
-                                self.stats.rejected_puts.fetch_add(1, Ordering::Relaxed);
-                                self.telemetry.rejected_puts.inc();
-                            }
-                        }
-                        Ok(other) => {
-                            return Err(CoreError::UnexpectedResponse(format!(
-                                "{other:?}"
-                            )))
-                        }
-                        Err(CoreError::StoreUnavailable(_))
-                            if self.resilience.is_some() =>
-                        {
-                            // The result is still correct — park the PUT in
-                            // the bounded replay queue for later delivery.
-                            degraded = true;
-                            if let Some(handles) = &self.resilience {
-                                handles.replay.push(put_request);
-                            }
-                        }
-                        Err(err) => return Err(err),
-                    }
-                }
-            }
-
-            if degraded {
-                self.stats.degraded_calls.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.degraded_calls.inc();
-            }
-            let outcome =
-                if filtered { DedupOutcome::MissFiltered } else { DedupOutcome::Miss };
-            Ok((result, outcome, compute_ns))
-        });
-        drop(call_span);
-
-        let (result, outcome, compute_ns) = outcome?;
-        if let Some(config) = &adaptive {
-            let total_ns = call_started.elapsed().as_nanos() as u64;
-            match outcome {
-                DedupOutcome::Hit | DedupOutcome::HitLocalCache => {
-                    self.profiler.record_dedup_overhead(identity, total_ns, config)
-                }
-                DedupOutcome::Miss
-                | DedupOutcome::MissFiltered
-                | DedupOutcome::MissAfterFailedVerify => {
-                    self.profiler.record_compute(identity, compute_ns, config);
-                    self.profiler.record_dedup_overhead(
-                        identity,
-                        total_ns.saturating_sub(compute_ns),
-                        config,
-                    );
-                }
-                DedupOutcome::BypassedByPolicy => {
-                    unreachable!("bypass returns before the dedup path")
-                }
-            }
-        }
-        Ok((result, outcome))
+        let _call_span = self.telemetry.call_duration.start_span();
+        let call = Planned::new(*identity, input, Some(Box::new(compute)));
+        self.plan(vec![call])?
+            .pop()
+            .flatten()
+            .ok_or_else(|| CoreError::UnexpectedResponse("call left unresolved".into()))
     }
 
     /// Runs a batch of marked computations with O(1) enclave transitions
     /// and at most one network round-trip per direction.
     ///
-    /// Where [`execute_raw`](DedupRuntime::execute_raw) costs one ECALL
-    /// plus one or two OCALLs *per call*, this pipelines the whole batch:
+    /// Where a loop of [`execute_raw`](DedupRuntime::execute_raw) costs one
+    /// ECALL plus one or two OCALLs *per call*, this pipelines the whole
+    /// batch:
     ///
     /// 1. one ECALL covers tag derivation, hot-cache lookups, and all
     ///    cryptographic work for every item;
@@ -1251,8 +1021,9 @@ impl DedupRuntime {
     /// an individual `PUT_REQUEST`, so partial replay capacity still saves
     /// the newest results.
     ///
-    /// The batch path does not consult the adaptive policy profiler;
-    /// callers batching work have already decided deduplication pays off.
+    /// The adaptive policy decides per item: a bypassed item is computed
+    /// inside the batch ECALL and reported as
+    /// [`DedupOutcome::BypassedByPolicy`].
     ///
     /// # Errors
     ///
@@ -1267,375 +1038,12 @@ impl DedupRuntime {
         if calls.is_empty() {
             return Ok(Vec::new());
         }
-        let n = calls.len();
-        self.stats.calls.fetch_add(n as u64, Ordering::Relaxed);
-        self.telemetry.calls.add(n as u64);
         let _batch_span = self.telemetry.batch_duration.start_span();
-
-        // ONE ECALL for the whole batch.
-        let outcome = self.enclave.ecall("dedup_execute_batch", || {
-            let mut identities = Vec::with_capacity(n);
-            let mut inputs = Vec::with_capacity(n);
-            let mut computes = Vec::with_capacity(n);
-            for call in calls {
-                identities.push(call.identity);
-                inputs.push(call.input);
-                computes.push(Some(call.compute));
-            }
-            // Tier 0: cheap prefilter tags for the whole batch (when the
-            // filter tier is enabled). Full comp-tags are still derived for
-            // every item — each one either enters the batch GET or ends in
-            // a PUT — but the prefilters gate the cache probes and let
-            // proven-absent items skip the batch GET entirely.
-            let prefilters: Option<Vec<u64>> = self.prefilter.as_ref().map(|_| {
-                identities
-                    .iter()
-                    .zip(&inputs)
-                    .map(|(identity, input)| {
-                        self.telemetry
-                            .prefilter_derive
-                            .time(|| prefilter_tag(identity, input))
-                    })
-                    .collect()
-            });
-            let tags: Vec<_> = identities
-                .iter()
-                .zip(&inputs)
-                .map(|(identity, input)| {
-                    self.telemetry.tag_derive.time(|| tag_for(identity, input))
-                })
-                .collect();
-            let prefilter_of = |i: usize| prefilters.as_ref().map(|ps| ps[i]);
-
-            // Phase 1: hot-tag cache, no boundary crossing.
-            let mut slots: Vec<Option<(ResultBytes, DedupOutcome)>> = vec![None; n];
-            let mut pending: Vec<usize> = Vec::with_capacity(n);
-            if let Some(cache) = &self.hot_cache {
-                let mut cache = lock_recover(cache);
-                for i in 0..n {
-                    let gate = match prefilter_of(i) {
-                        Some(p) => cache.may_contain(p),
-                        None => true,
-                    };
-                    if !gate {
-                        self.telemetry.prefilter_cache_skips.inc();
-                        pending.push(i);
-                        continue;
-                    }
-                    match self.telemetry.hotcache_lookup.time(|| cache.get(&tags[i])) {
-                        Some(result) => {
-                            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                            self.telemetry.cache_hits.inc();
-                            self.stats
-                                .reused_bytes
-                                .fetch_add(result.len() as u64, Ordering::Relaxed);
-                            self.telemetry.reused_bytes.add(result.len() as u64);
-                            slots[i] = Some((
-                                ResultBytes::from_shared(result),
-                                DedupOutcome::HitLocalCache,
-                            ));
-                        }
-                        None => {
-                            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                            self.telemetry.cache_misses.inc();
-                            pending.push(i);
-                        }
-                    }
-                }
-            } else {
-                pending.extend(0..n);
-            }
-
-            // Tier 2: consult the merged negative filter once per pending
-            // item — proven-absent items never enter the batch GET; they
-            // fall straight through to compute-and-publish below.
-            let mut skip_get = vec![false; pending.len()];
-            if prefilters.is_some() {
-                for (slot_pos, &i) in pending.iter().enumerate() {
-                    let p = prefilter_of(i).expect("prefilters computed for the batch");
-                    if self.filter_proves_absent(p) {
-                        self.telemetry.prefilter_store_skips.inc();
-                        self.stats.filtered_misses.fetch_add(1, Ordering::Relaxed);
-                        skip_get[slot_pos] = true;
-                    }
-                }
-            }
-
-            // Phase 2: ONE OCALL resolves every unresolved tag against the
-            // store in a single network round-trip.
-            let mut degraded = false;
-            let mut found: Vec<Option<speed_wire::Record>> =
-                (0..pending.len()).map(|_| None).collect();
-            let get_positions: Vec<usize> =
-                (0..pending.len()).filter(|&pos| !skip_get[pos]).collect();
-            if !get_positions.is_empty() {
-                // With the filter tier enabled the GETs carry their
-                // prefilter tags, so the store can answer definite misses
-                // straight from its (authoritative, never stale) shard
-                // filters without dictionary-lock work — the server-side
-                // complement of the client's merged-filter skip above.
-                let get_items: Vec<BatchItem> = get_positions
-                    .iter()
-                    .map(|&pos| {
-                        let tag = tags[pending[pos]];
-                        match prefilter_of(pending[pos]) {
-                            Some(prefilter) => {
-                                BatchItem::GetPrefiltered { tag, prefilter }
-                            }
-                            None => BatchItem::Get { tag },
-                        }
-                    })
-                    .collect();
-                let args_len = 48 * get_items.len();
-                let request =
-                    Message::BatchRequest { app: self.app_id, items: get_items };
-                let response = self.enclave.ocall_with_bytes(
-                    "batch_get_request",
-                    args_len,
-                    0,
-                    || lock_recover(&self.client).roundtrip(&request),
-                );
-                match response {
-                    Ok(Message::BatchResponse(results))
-                        if results.len() == get_positions.len() =>
-                    {
-                        for (k, result) in results.into_iter().enumerate() {
-                            found[get_positions[k]] = result.record;
-                        }
-                    }
-                    Ok(other) => {
-                        return Err(CoreError::UnexpectedResponse(format!("{other:?}")))
-                    }
-                    Err(CoreError::StoreUnavailable(_)) if self.resilience.is_some() => {
-                        // Per-item degradation: every unresolved item falls
-                        // back to local execution below.
-                        degraded = true;
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-
-            // Phase 3: verify hits, compute misses, collect batched PUTs.
-            let mut put_items: Vec<BatchItem> = Vec::new();
-            for (slot_pos, &i) in pending.iter().enumerate() {
-                let identity = &identities[i];
-                let input = inputs[i];
-                if let Some(record) = found.get_mut(slot_pos).and_then(Option::take) {
-                    self.enclave.charge_boundary_bytes(record.wire_size());
-                    let recovered =
-                        self.telemetry.rce_recover.time(|| match &self.mode {
-                            DedupMode::CrossApp => {
-                                rce::recover_result(identity, input, &record)
-                            }
-                            DedupMode::SingleKey(key) => {
-                                rce::recover_result_single_key(key, &record)
-                            }
-                            DedupMode::Convergent => {
-                                rce::recover_result_convergent(identity, input, &record)
-                            }
-                        });
-                    match recovered {
-                        Ok(result) => {
-                            let result = ResultBytes::new(result);
-                            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                            self.telemetry.hits.inc();
-                            self.stats
-                                .reused_bytes
-                                .fetch_add(result.len() as u64, Ordering::Relaxed);
-                            self.telemetry.reused_bytes.add(result.len() as u64);
-                            if let Some(cache) = &self.hot_cache {
-                                lock_recover(cache).insert(
-                                    &self.enclave,
-                                    tags[i],
-                                    result.shared(),
-                                    prefilter_of(i),
-                                );
-                            }
-                            slots[i] = Some((result, DedupOutcome::Hit));
-                            continue;
-                        }
-                        Err(CoreError::VerificationFailed) => {
-                            // Fig. 3: ⊥ ⇒ execute locally, publish nothing.
-                            self.stats.verify_failures.fetch_add(1, Ordering::Relaxed);
-                            self.telemetry.verify_failures.inc();
-                            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                            self.telemetry.misses.inc();
-                            let compute =
-                                computes[i].take().expect("each compute runs once");
-                            let result = ResultBytes::new(compute(input));
-                            slots[i] =
-                                Some((result, DedupOutcome::MissAfterFailedVerify));
-                            continue;
-                        }
-                        Err(other) => return Err(other),
-                    }
-                }
-
-                // Miss (filtered, degraded, or plain): execute inside the
-                // enclave. Filtered items never touched the store, so they
-                // do not count as degraded even during an outage.
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.misses.inc();
-                if degraded && !skip_get[slot_pos] {
-                    self.stats.degraded_calls.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.degraded_calls.inc();
-                }
-                let compute = computes[i].take().expect("each compute runs once");
-                let result = ResultBytes::new(compute(input));
-                if let Some(cache) = &self.hot_cache {
-                    lock_recover(cache).insert(
-                        &self.enclave,
-                        tags[i],
-                        result.shared(),
-                        prefilter_of(i),
-                    );
-                }
-                let record = self.telemetry.rce_encrypt.time(|| {
-                    let mut rng = lock_recover(&self.rng);
-                    match &self.mode {
-                        DedupMode::CrossApp => {
-                            rce::encrypt_result(identity, input, &result, &mut rng)
-                        }
-                        DedupMode::SingleKey(key) => {
-                            rce::encrypt_result_single_key(key, &result, &mut rng)
-                        }
-                        DedupMode::Convergent => rce::encrypt_result_convergent(
-                            identity, input, &result, &mut rng,
-                        ),
-                    }
-                });
-                let item = match prefilter_of(i) {
-                    Some(prefilter) => {
-                        BatchItem::PutPrefiltered { tag: tags[i], prefilter, record }
-                    }
-                    None => BatchItem::Put { tag: tags[i], record },
-                };
-                put_items.push(item);
-                let outcome = if skip_get[slot_pos] {
-                    DedupOutcome::MissFiltered
-                } else {
-                    DedupOutcome::Miss
-                };
-                slots[i] = Some((result, outcome));
-            }
-
-            // Phase 4: publish every fresh record in one batched PUT.
-            if !put_items.is_empty() {
-                if degraded {
-                    // The store is already known unreachable: park each PUT
-                    // individually so replay delivers item by item.
-                    if let Some(handles) = &self.resilience {
-                        for item in put_items {
-                            match item {
-                                BatchItem::Put { tag, record } => {
-                                    handles.replay.push(Message::PutRequest {
-                                        app: self.app_id,
-                                        tag,
-                                        record,
-                                    });
-                                }
-                                BatchItem::PutPrefiltered { tag, prefilter, record } => {
-                                    handles.replay.push(Message::PutPrefiltered {
-                                        app: self.app_id,
-                                        tag,
-                                        prefilter,
-                                        record,
-                                    });
-                                }
-                                BatchItem::Get { .. }
-                                | BatchItem::GetPrefiltered { .. } => {}
-                            }
-                        }
-                    }
-                } else {
-                    let wire_len: usize =
-                        put_items.iter().map(BatchItem::wire_size).sum();
-                    let put_request =
-                        Message::BatchRequest { app: self.app_id, items: put_items };
-                    match &self.async_putter {
-                        Some(putter) => putter.submit(put_request)?,
-                        None => {
-                            let response = self.enclave.ocall_with_bytes(
-                                "batch_put_request",
-                                wire_len + 48,
-                                0,
-                                || lock_recover(&self.client).roundtrip(&put_request),
-                            );
-                            match response {
-                                Ok(Message::BatchResponse(results)) => {
-                                    let rejected = results
-                                        .iter()
-                                        .filter(|r| r.status == BatchStatus::Rejected)
-                                        .count()
-                                        as u64;
-                                    self.stats
-                                        .rejected_puts
-                                        .fetch_add(rejected, Ordering::Relaxed);
-                                    self.telemetry.rejected_puts.add(rejected);
-                                }
-                                Ok(other) => {
-                                    return Err(CoreError::UnexpectedResponse(format!(
-                                        "{other:?}"
-                                    )))
-                                }
-                                Err(CoreError::StoreUnavailable(_))
-                                    if self.resilience.is_some() =>
-                                {
-                                    // The batch PUT failed as a unit, but it
-                                    // degrades item by item into the replay
-                                    // queue.
-                                    if let (
-                                        Some(handles),
-                                        Message::BatchRequest { app, items },
-                                    ) = (&self.resilience, put_request)
-                                    {
-                                        for item in items {
-                                            let replayed = match item {
-                                                BatchItem::Put { tag, record } => {
-                                                    Some(Message::PutRequest {
-                                                        app,
-                                                        tag,
-                                                        record,
-                                                    })
-                                                }
-                                                BatchItem::PutPrefiltered {
-                                                    tag,
-                                                    prefilter,
-                                                    record,
-                                                } => Some(Message::PutPrefiltered {
-                                                    app,
-                                                    tag,
-                                                    prefilter,
-                                                    record,
-                                                }),
-                                                BatchItem::Get { .. }
-                                                | BatchItem::GetPrefiltered { .. } => {
-                                                    None
-                                                }
-                                            };
-                                            if let Some(message) = replayed {
-                                                self.stats
-                                                    .degraded_calls
-                                                    .fetch_add(1, Ordering::Relaxed);
-                                                self.telemetry.degraded_calls.inc();
-                                                handles.replay.push(message);
-                                            }
-                                        }
-                                    }
-                                }
-                                Err(err) => return Err(err),
-                            }
-                        }
-                    }
-                }
-            }
-
-            Ok(slots
-                .into_iter()
-                .map(|slot| slot.expect("every batch slot resolved"))
-                .collect::<Vec<_>>())
-        });
-        outcome
+        let calls = calls
+            .into_iter()
+            .map(|call| Planned::new(call.identity, call.input, Some(call.compute)))
+            .collect();
+        Ok(self.plan(calls)?.into_iter().flatten().collect())
     }
 
     /// Convenience: resolve + execute in one call.
@@ -1662,7 +1070,8 @@ impl DedupRuntime {
     /// GET. On a filter-proven miss the probe returns `Ok(None)` *without
     /// computing the full SHA-256 at all* — for large inputs that is the
     /// dominant cost of a negative lookup. A record that fails verification
-    /// also yields `Ok(None)`.
+    /// also yields `Ok(None)`. A probe is not a call: it is not counted in
+    /// [`RuntimeStats::calls`].
     ///
     /// # Errors
     ///
@@ -1673,102 +1082,328 @@ impl DedupRuntime {
         identity: &FuncIdentity,
         input: &[u8],
     ) -> Result<Option<ResultBytes>, CoreError> {
-        self.enclave.ecall("dedup_lookup", || {
-            let prefilter = self.prefilter.as_ref().map(|_| {
-                self.telemetry.prefilter_derive.time(|| prefilter_tag(identity, input))
-            });
-            let mut tag_slot: Option<CompTag> = None;
-            let derive_tag = |slot: &mut Option<CompTag>| -> CompTag {
-                *slot.get_or_insert_with(|| {
-                    self.telemetry.tag_derive.time(|| tag_for(identity, input))
-                })
-            };
+        let probe = Planned::new(*identity, input, None);
+        Ok(self.plan(vec![probe])?.pop().flatten().map(|(result, _)| result))
+    }
 
-            if let Some(cache) = &self.hot_cache {
-                let mut guard = lock_recover(cache);
-                let gate = match prefilter {
-                    Some(p) => guard.may_contain(p),
-                    None => true,
-                };
-                if gate {
-                    let tag = derive_tag(&mut tag_slot);
-                    let lookup = self.telemetry.hotcache_lookup.time(|| guard.get(&tag));
-                    drop(guard);
-                    if let Some(result) = lookup {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.cache_hits.inc();
-                        self.stats
-                            .reused_bytes
-                            .fetch_add(result.len() as u64, Ordering::Relaxed);
-                        self.telemetry.reused_bytes.add(result.len() as u64);
-                        return Ok(Some(ResultBytes::from_shared(result)));
-                    }
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.cache_misses.inc();
-                } else {
-                    drop(guard);
+    /// Algorithm 1 over a batch of items, in one ECALL: adaptive policy →
+    /// prefilter → hot cache → negative filter → one batched GET → RCE
+    /// recover or compute → one batched PUT, degrading item by item. An
+    /// item without a compute is a [`lookup`](DedupRuntime::lookup) probe:
+    /// it derives the full tag only when a tier needs it, never computes or
+    /// publishes, and is not counted as a call. Returns each item's result
+    /// in order; a probe that found nothing yields `None`.
+    fn plan(
+        &self,
+        items: Vec<Planned<'_>>,
+    ) -> Result<Vec<Option<(ResultBytes, DedupOutcome)>>, CoreError> {
+        let calls = items.iter().filter(|item| item.call).count();
+        self.stats.calls.add(calls as u64);
+        self.enclave.ecall("dedup_execute", || self.ladder(items))
+    }
+
+    /// The body of [`plan`](DedupRuntime::plan)'s ECALL.
+    fn ladder(
+        &self,
+        mut items: Vec<Planned<'_>>,
+    ) -> Result<Vec<Option<(ResultBytes, DedupOutcome)>>, CoreError> {
+        let started = std::time::Instant::now();
+        let adaptive = match &self.policy {
+            DedupPolicy::Always => None,
+            DedupPolicy::Adaptive(config) => Some(config),
+        };
+
+        // Tier 0: the adaptive policy (§VII future work) bypasses the store
+        // for calls where deduplication cannot pay off; every other item
+        // derives the cheap sampled prefilter tag (when enabled).
+        for item in &mut items {
+            if let (Some(config), true) = (adaptive, item.call) {
+                item.bypass = self.profiler.decide(&item.identity, config)
+                    == PolicyDecision::Bypass;
+            }
+            if !item.bypass && self.prefilter.is_some() {
+                let (identity, input) = (&item.identity, item.input);
+                item.prefilter = Some(
+                    self.telemetry
+                        .prefilter_derive
+                        .time(|| prefilter_tag(identity, input)),
+                );
+            }
+        }
+        let mut pending: Vec<usize> =
+            (0..items.len()).filter(|&i| !items[i].bypass).collect();
+
+        // Tier 1 — hot-tag cache: a recently resolved result is answered
+        // without leaving the enclave. The prefilter multiset gates the
+        // probe: a definite "not cached" skips the full-tag derivation.
+        if let Some(cache) = &self.hot_cache {
+            let mut cache = lock_recover(cache);
+            pending.retain(|&i| {
+                let item = &mut items[i];
+                if item.prefilter.is_some_and(|p| !cache.may_contain(p)) {
                     self.telemetry.prefilter_cache_skips.inc();
+                    return true;
                 }
-            }
-
-            if let Some(p) = prefilter {
-                if self.filter_proves_absent(p) {
-                    // Definite miss: the full SHA-256 was never derived.
-                    self.telemetry.prefilter_store_skips.inc();
-                    return Ok(None);
+                let tag = self.full_tag(item);
+                match self.telemetry.hotcache_lookup.time(|| cache.get(&tag)) {
+                    Some(result) => {
+                        let result = ResultBytes::from_shared(result);
+                        self.count_reuse(&self.stats.cache_hits, &result);
+                        item.answer = Some((result, DedupOutcome::HitLocalCache));
+                        false
+                    }
+                    None => {
+                        self.stats.cache_misses.add(1);
+                        true
+                    }
                 }
-            }
-
-            let tag = derive_tag(&mut tag_slot);
-            let get_request = Message::GetRequest { app: self.app_id, tag };
-            let response = self.enclave.ocall_with_bytes("get_request", 48, 0, || {
-                lock_recover(&self.client).roundtrip(&get_request)
             });
-            let found = match response {
-                Ok(Message::GetResponse(body)) => body.record,
+        }
+
+        // Tier 2 — the store's negative filter: a complete merged filter
+        // that lacks the prefilter tag *proves* no stored result exists,
+        // so the GET round-trip is pure waste.
+        for &i in &pending {
+            let item = &mut items[i];
+            if item.prefilter.is_some_and(|p| self.filter_proves_absent(p)) {
+                self.telemetry.prefilter_store_skips.inc();
+                item.filtered = true;
+                if item.call {
+                    self.stats.filtered_misses.add(1);
+                }
+            }
+        }
+
+        // OCALL: ONE synchronous GET round-trip resolves every remaining
+        // tag. With the filter tier enabled the GETs carry their prefilter
+        // tags, so the store can answer definite misses straight from its
+        // (authoritative, never stale) shard filters.
+        pending.retain(|&i| !items[i].filtered);
+        let mut degraded = false;
+        if !pending.is_empty() {
+            let gets = pending
+                .iter()
+                .map(|&i| {
+                    let tag = self.full_tag(&mut items[i]);
+                    match items[i].prefilter {
+                        Some(prefilter) => BatchItem::GetPrefiltered { tag, prefilter },
+                        None => BatchItem::Get { tag },
+                    }
+                })
+                .collect();
+            let request = Message::BatchRequest { app: self.app_id, items: gets };
+            let response = self.enclave.ocall_with_bytes(
+                "batch_get_request",
+                48 * pending.len(),
+                0,
+                || lock_recover(&self.client).roundtrip(&request),
+            );
+            // Graceful degradation (resilience layer only): an unreachable
+            // store is a miss, never an application error — Algorithm 1's
+            // fallback is always "just execute".
+            match response {
+                Ok(Message::BatchResponse(results)) if results.len() == pending.len() => {
+                    for (result, &i) in results.into_iter().zip(&pending) {
+                        items[i].found = result.record;
+                    }
+                }
                 Ok(other) => {
                     return Err(CoreError::UnexpectedResponse(format!("{other:?}")))
                 }
-                Err(CoreError::StoreUnavailable(_)) if self.resilience.is_some() => None,
+                Err(CoreError::StoreUnavailable(_)) if self.resilience.is_some() => {
+                    degraded = true;
+                }
                 Err(err) => return Err(err),
-            };
-            let Some(record) = found else { return Ok(None) };
+            }
+        }
 
-            self.enclave.charge_boundary_bytes(record.wire_size());
-            let recovered = self.telemetry.rce_recover.time(|| match &self.mode {
-                DedupMode::CrossApp => rce::recover_result(identity, input, &record),
-                DedupMode::SingleKey(key) => rce::recover_result_single_key(key, &record),
-                DedupMode::Convergent => {
-                    rce::recover_result_convergent(identity, input, &record)
+        // Verify hits, compute misses, collect the PUTs.
+        let mut puts: Vec<BatchItem> = Vec::new();
+        for item in &mut items {
+            if item.bypass {
+                if let Some(result) = item.run() {
+                    self.stats.bypasses.add(1);
+                    item.answer = Some((result, DedupOutcome::BypassedByPolicy));
                 }
-            });
-            match recovered {
-                Ok(result) => {
-                    let result = ResultBytes::new(result);
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.hits.inc();
-                    self.stats
-                        .reused_bytes
-                        .fetch_add(result.len() as u64, Ordering::Relaxed);
-                    self.telemetry.reused_bytes.add(result.len() as u64);
-                    if let Some(cache) = &self.hot_cache {
-                        lock_recover(cache).insert(
-                            &self.enclave,
-                            tag,
-                            result.shared(),
-                            prefilter,
-                        );
+                continue;
+            }
+            if item.answer.is_some() {
+                continue; // answered by the hot cache
+            }
+            if let Some(record) = item.found.take() {
+                self.enclave.charge_boundary_bytes(record.wire_size());
+                match self.recover(&item.identity, item.input, &record) {
+                    Ok(result) => {
+                        let result = ResultBytes::new(result);
+                        self.count_reuse(&self.stats.hits, &result);
+                        let tag = self.full_tag(item);
+                        self.remember(tag, &result, item.prefilter);
+                        item.answer = Some((result, DedupOutcome::Hit));
+                        continue;
                     }
-                    Ok(Some(result))
+                    Err(CoreError::VerificationFailed) => {
+                        // Fig. 3: ⊥ ⇒ execute locally, publish nothing (the
+                        // tag slot is taken; overwriting is the store's
+                        // anti-poisoning policy decision).
+                        self.stats.verify_failures.add(1);
+                        if item.call {
+                            self.stats.misses.add(1);
+                        }
+                        if let Some(result) = item.run() {
+                            item.answer =
+                                Some((result, DedupOutcome::MissAfterFailedVerify));
+                        }
+                        continue;
+                    }
+                    Err(other) => return Err(other),
                 }
-                Err(CoreError::VerificationFailed) => {
-                    self.stats.verify_failures.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.verify_failures.inc();
-                    Ok(None)
+            }
+
+            // Miss (filtered, degraded, or plain): a probe ends here; a call
+            // executes inside the enclave. Filtered items never touched the
+            // store, so they do not count as degraded even during an outage.
+            if !item.call {
+                continue;
+            }
+            self.stats.misses.add(1);
+            if degraded && !item.filtered {
+                self.stats.degraded_calls.add(1);
+            }
+            let Some(result) = item.run() else { continue };
+            let tag = self.full_tag(item);
+            self.remember(tag, &result, item.prefilter);
+            // With the filter tier enabled the PUT carries the prefilter tag
+            // so the store can keep its negative filters complete.
+            let record = self.encrypt(&item.identity, item.input, &result);
+            puts.push(match item.prefilter {
+                Some(prefilter) => BatchItem::PutPrefiltered { tag, prefilter, record },
+                None => BatchItem::Put { tag, record },
+            });
+            let outcome = if item.filtered {
+                DedupOutcome::MissFiltered
+            } else {
+                DedupOutcome::Miss
+            };
+            item.answer = Some((result, outcome));
+        }
+
+        // Publish every fresh record in one batched PUT. When the GET
+        // already found the store unreachable, the PUTs are parked without
+        // a second doomed round-trip.
+        if !puts.is_empty() {
+            match &self.resilience {
+                Some(handles) if degraded => {
+                    park(&handles.replay, self.app_id, puts);
                 }
-                Err(other) => Err(other),
+                _ => self.publish(puts)?,
+            }
+        }
+
+        // Each executed item feeds its compute time to the profiler; each
+        // call that went through the store shares the batch's dedup
+        // overhead (the wall time not spent computing).
+        if let Some(config) = adaptive {
+            let deduped = items.iter().filter(|item| item.call && !item.bypass).count();
+            let computed: u64 = items.iter().filter_map(|item| item.compute_ns).sum();
+            let overhead = (started.elapsed().as_nanos() as u64).saturating_sub(computed)
+                / deduped.max(1) as u64;
+            for item in &items {
+                if let Some(ns) = item.compute_ns {
+                    self.profiler.record_compute(&item.identity, ns, config);
+                }
+                if item.call && !item.bypass {
+                    self.profiler.record_dedup_overhead(&item.identity, overhead, config);
+                }
+            }
+        }
+        Ok(items.into_iter().map(|item| item.answer).collect())
+    }
+
+    /// Sends fresh records to the store in one batched PUT — through the
+    /// asynchronous worker when enabled, else as one OCALL.
+    fn publish(&self, items: Vec<BatchItem>) -> Result<(), CoreError> {
+        let wire_len: usize = items.iter().map(BatchItem::wire_size).sum();
+        let request = Message::BatchRequest { app: self.app_id, items };
+        if let Some(putter) = &self.async_putter {
+            // Enqueue and return immediately; the worker thread performs
+            // the OCALL on its own channel.
+            return putter.submit(request);
+        }
+        let response =
+            self.enclave.ocall_with_bytes("batch_put_request", wire_len + 48, 0, || {
+                lock_recover(&self.client).roundtrip(&request)
+            });
+        match (response, &self.resilience) {
+            (Ok(Message::BatchResponse(results)), _) => {
+                self.stats.rejected_puts.add(rejections(&results));
+                Ok(())
+            }
+            (Ok(other), _) => Err(CoreError::UnexpectedResponse(format!("{other:?}"))),
+            // The results are still correct: the PUTs failed as a unit but
+            // degrade item by item into the bounded replay queue.
+            (Err(CoreError::StoreUnavailable(_)), Some(handles)) => {
+                if let Message::BatchRequest { app, items } = request {
+                    self.stats.degraded_calls.add(park(&handles.replay, app, items));
+                }
+                Ok(())
+            }
+            (Err(err), _) => Err(err),
+        }
+    }
+
+    /// An item's full comp-tag `Hash(func, m)`, derived on first use.
+    fn full_tag(&self, item: &mut Planned<'_>) -> CompTag {
+        let (identity, input) = (&item.identity, item.input);
+        *item.tag.get_or_insert_with(|| {
+            self.telemetry.tag_derive.time(|| tag_for(identity, input))
+        })
+    }
+
+    /// Recovers and verifies a stored record under the runtime's mode.
+    fn recover(
+        &self,
+        identity: &FuncIdentity,
+        input: &[u8],
+        record: &Record,
+    ) -> Result<Vec<u8>, CoreError> {
+        self.telemetry.rce_recover.time(|| match &self.mode {
+            DedupMode::CrossApp => rce::recover_result(identity, input, record),
+            DedupMode::SingleKey(key) => rce::recover_result_single_key(key, record),
+            DedupMode::Convergent => {
+                rce::recover_result_convergent(identity, input, record)
             }
         })
+    }
+
+    /// Encrypts a fresh result for publishing under the runtime's mode.
+    fn encrypt(&self, identity: &FuncIdentity, input: &[u8], result: &[u8]) -> Record {
+        self.telemetry.rce_encrypt.time(|| {
+            let mut rng = lock_recover(&self.rng);
+            match &self.mode {
+                DedupMode::CrossApp => {
+                    rce::encrypt_result(identity, input, result, &mut rng)
+                }
+                DedupMode::SingleKey(key) => {
+                    rce::encrypt_result_single_key(key, result, &mut rng)
+                }
+                DedupMode::Convergent => {
+                    rce::encrypt_result_convergent(identity, input, result, &mut rng)
+                }
+            }
+        })
+    }
+
+    /// Counts a reused result: a cache or store hit plus its bytes.
+    fn count_reuse(&self, hits: &Tally, result: &ResultBytes) {
+        hits.add(1);
+        self.stats.reused_bytes.add(result.len() as u64);
+    }
+
+    /// Keeps a resolved result in the hot-tag cache, when enabled.
+    fn remember(&self, tag: CompTag, result: &ResultBytes, prefilter: Option<u64>) {
+        if let Some(cache) = &self.hot_cache {
+            lock_recover(cache).insert(&self.enclave, tag, result.shared(), prefilter);
+        }
     }
 
     /// Consults (and lazily refreshes) the merged client-side negative
@@ -1819,10 +1454,6 @@ impl DedupRuntime {
 
     /// A snapshot of the runtime counters.
     pub fn stats(&self) -> RuntimeStats {
-        let async_rejected =
-            self.async_putter.as_ref().map_or(0, |p| p.rejected.load(Ordering::Relaxed));
-        let async_degraded =
-            self.async_putter.as_ref().map_or(0, |p| p.degraded.load(Ordering::Relaxed));
         let (retries, breaker_transitions, replayed_puts) = match &self.resilience {
             Some(handles) => (
                 handles.stats.retries.load(Ordering::Relaxed),
@@ -1831,23 +1462,22 @@ impl DedupRuntime {
             ),
             None => (0, 0, 0),
         };
+        let stats = &self.stats;
         RuntimeStats {
-            calls: self.stats.calls.load(Ordering::Relaxed),
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            verify_failures: self.stats.verify_failures.load(Ordering::Relaxed),
-            rejected_puts: self.stats.rejected_puts.load(Ordering::Relaxed)
-                + async_rejected,
-            reused_bytes: self.stats.reused_bytes.load(Ordering::Relaxed),
-            bypasses: self.stats.bypasses.load(Ordering::Relaxed),
-            degraded_calls: self.stats.degraded_calls.load(Ordering::Relaxed)
-                + async_degraded,
+            calls: stats.calls.get(),
+            hits: stats.hits.get(),
+            misses: stats.misses.get(),
+            verify_failures: stats.verify_failures.get(),
+            rejected_puts: stats.rejected_puts.get(),
+            reused_bytes: stats.reused_bytes.get(),
+            bypasses: stats.bypasses.get(),
+            degraded_calls: stats.degraded_calls.get(),
             retries,
             breaker_transitions,
             replayed_puts,
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
-            filtered_misses: self.stats.filtered_misses.load(Ordering::Relaxed),
+            cache_hits: stats.cache_hits.get(),
+            cache_misses: stats.cache_misses.get(),
+            filtered_misses: stats.filtered_misses.get(),
         }
     }
 
@@ -2121,17 +1751,20 @@ mod tests {
     #[test]
     fn adaptive_policy_bypasses_cheap_function() {
         let (platform, store, authority) = setup();
-        let rt = DedupRuntime::builder(Arc::clone(&platform), b"adaptive-app")
-            .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-            .trusted_library(library())
-            .policy(DedupPolicy::Adaptive(crate::AdaptiveConfig {
-                min_speedup: 1.0,
-                warmup_calls: 2,
-                probe_interval: 100,
-                ewma_alpha: 0.5,
-            }))
-            .build()
-            .unwrap();
+        let adaptive_runtime = |code: &[u8]| {
+            DedupRuntime::builder(Arc::clone(&platform), code)
+                .in_process_store(Arc::clone(&store), Arc::clone(&authority))
+                .trusted_library(library())
+                .policy(DedupPolicy::Adaptive(crate::AdaptiveConfig {
+                    min_speedup: 1.0,
+                    warmup_calls: 2,
+                    probe_interval: 100,
+                    ewma_alpha: 0.5,
+                }))
+                .build()
+                .unwrap()
+        };
+        let rt = adaptive_runtime(b"adaptive-app");
         let identity = rt.resolve(&desc_double()).unwrap();
 
         // A trivially cheap function with all-distinct inputs: every dedup
@@ -2149,6 +1782,30 @@ mod tests {
         assert!(rt.stats().bypasses > 0);
         let (compute, overhead) = rt.profile_estimates(&identity).unwrap();
         assert!(compute < overhead, "compute {compute} overhead {overhead}");
+
+        // Batches consult the same policy, item by item: groups of distinct
+        // inputs are all misses, so the batch path starts bypassing too.
+        let rt = adaptive_runtime(b"adaptive-batch-app");
+        let identity = rt.resolve(&desc_double()).unwrap();
+        let mut bypassed = false;
+        for group in 0..20u32 {
+            let inputs: Vec<[u8; 4]> =
+                (0..4).map(|i| (1_000 + group * 4 + i).to_le_bytes()).collect();
+            let calls = inputs
+                .iter()
+                .map(|input| BatchCall::new(identity, input.as_slice(), |d| d.to_vec()))
+                .collect();
+            for (i, (result, outcome)) in
+                rt.execute_batch(calls).unwrap().into_iter().enumerate()
+            {
+                assert_eq!(result, inputs[i].to_vec(), "group {group} item {i}");
+                bypassed |= outcome == DedupOutcome::BypassedByPolicy;
+            }
+        }
+        assert!(bypassed, "cheap function never got bypassed in a batch");
+        assert!(rt.stats().bypasses > 0);
+        let (compute, overhead) = rt.profile_estimates(&identity).unwrap();
+        assert!(compute < overhead, "batch: compute {compute} overhead {overhead}");
     }
 
     #[test]

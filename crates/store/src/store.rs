@@ -614,51 +614,38 @@ impl ResultStore {
     ///
     /// Mirrors the paper's flow: preliminary parsing happens outside the
     /// enclave (the caller decoded the message), then the request is
-    /// delegated to a `GET` or `PUT` ECALL that marshals data across the
-    /// boundary and touches the in-enclave dictionary shard the tag routes
-    /// to.
+    /// delegated to an ECALL that marshals data across the boundary and
+    /// touches the in-enclave dictionary shard the tag routes to. Every
+    /// data-plane message is served by [`handle_batch`](Self::handle_batch):
+    /// a standalone GET or PUT is a batch of one, at the same boundary
+    /// charge (32 B in and 128 B out per GET, the entry metadata in and one
+    /// byte out per PUT).
     pub fn handle(&self, message: Message) -> Message {
         let _request_span = self.telemetry.request_duration.start_span();
         match message {
             Message::GetRequest { app, tag } => {
-                if !self.config.access.permits(app) {
-                    return Message::Error(format!("app {} not authorized", app.0));
-                }
-                Message::GetResponse(self.handle_get(app, tag))
+                self.serve(app, vec![BatchItem::Get { tag }], |mut results| {
+                    let record = results.pop().and_then(|result| result.record);
+                    Message::GetResponse(GetResponseBody {
+                        found: record.is_some(),
+                        record,
+                    })
+                })
             }
             Message::PutRequest { app, tag, record } => {
-                if !self.config.access.permits(app) {
-                    return Message::Error(format!("app {} not authorized", app.0));
-                }
-                let response =
-                    Message::PutResponse(self.handle_put(app, tag, record, None));
-                self.maintain();
-                response
+                self.serve(app, vec![BatchItem::Put { tag, record }], Self::put_response)
             }
-            Message::PutPrefiltered { app, tag, prefilter, record } => {
-                if !self.config.access.permits(app) {
-                    return Message::Error(format!("app {} not authorized", app.0));
-                }
-                let response = Message::PutResponse(self.handle_put(
-                    app,
-                    tag,
-                    record,
-                    Some(prefilter),
-                ));
-                self.maintain();
-                response
+            Message::PutPrefiltered { app, tag, prefilter, record } => self.serve(
+                app,
+                vec![BatchItem::PutPrefiltered { tag, prefilter, record }],
+                Self::put_response,
+            ),
+            Message::BatchRequest { app, items } => {
+                self.serve(app, items, Message::BatchResponse)
             }
             Message::FilterRequest => {
                 self.telemetry.filter_requests.inc();
                 Message::FilterResponse(self.filter_snapshot())
-            }
-            Message::BatchRequest { app, items } => {
-                if !self.config.access.permits(app) {
-                    return Message::Error(format!("app {} not authorized", app.0));
-                }
-                let response = Message::BatchResponse(self.handle_batch(app, items));
-                self.maintain();
-                response
             }
             Message::StatsRequest => Message::StatsResponse(self.stats()),
             Message::MetricsRequest { format } => {
@@ -674,15 +661,15 @@ impl ResultStore {
                 Message::SyncBatch(self.export_popular(min_hits))
             }
             Message::SyncBatch(entries) => {
-                let mut accepted = 0u64;
-                for entry in entries {
-                    if self
-                        .handle_put(AppId(u64::MAX), entry.tag, entry.record, None)
-                        .accepted
-                    {
-                        accepted += 1;
-                    }
-                }
+                let items = entries
+                    .into_iter()
+                    .map(|entry| BatchItem::Put { tag: entry.tag, record: entry.record })
+                    .collect();
+                let accepted = self
+                    .handle_batch(AppId(u64::MAX), items)
+                    .iter()
+                    .filter(|result| result.status == BatchStatus::Accepted)
+                    .count();
                 self.maintain();
                 Message::PutResponse(PutResponseBody {
                     accepted: true,
@@ -693,239 +680,36 @@ impl ResultStore {
         }
     }
 
-    fn handle_get(&self, _app: AppId, tag: CompTag) -> GetResponseBody {
-        self.counters.gets.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.gets.inc();
-        let now_ms = self.tick();
-        let shard = self.shard(&tag);
-        // GET ECALL: tag goes in (32 B), metadata comes out.
-        let (meta, expired) = self.enclave.ecall_with_bytes("store_get", 32, 128, || {
-            if let Some(ttl) = self.config.ttl_ms {
-                // Expiry may remove the entry, so TTL-enabled lookups take
-                // the shard's write lock.
-                let mut dict = shard.dict_write();
-                let is_expired = dict
-                    .peek(&tag)
-                    .is_some_and(|entry| now_ms.saturating_sub(entry.created_ms) >= ttl);
-                if is_expired {
-                    return (None, dict.remove(&tag));
-                }
-                (dict.get(&tag).map(Self::entry_meta), None)
-            } else {
-                // Pure lookup: hit counting is interior-mutable, so shard
-                // readers share the lock.
-                let dict = shard.dict_read();
-                (dict.get(&tag).map(Self::entry_meta), None)
-            }
-        });
-        if let Some(entry) = expired {
-            self.untrusted.remove(entry.blob);
-            self.quota.release(entry.owner, u64::from(entry.boxed_len));
-            self.release_entry_memory(shard, &entry);
-            if self.durable() {
-                // Best-effort: a lost expiry record only resurrects an
-                // already-expired entry on restart, where TTL re-expires it.
-                let _ =
-                    self.backend.record_delete(&tag).and_then(|()| self.backend.flush());
-            }
-        }
-        match meta {
-            Some((challenge, wrapped_key, nonce, blob, boxed_len)) => {
-                // The ciphertext itself is read from untrusted memory by the
-                // host side — no boundary crossing for the bulk bytes.
-                match self.untrusted.load(blob) {
-                    Some(boxed_result) => {
-                        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.hits.inc();
-                        GetResponseBody {
-                            found: true,
-                            record: Some(Record {
-                                challenge,
-                                wrapped_key,
-                                nonce,
-                                boxed_result,
-                            }),
-                        }
-                    }
-                    None => {
-                        // Blob vanished (hostile deletion outside the
-                        // enclave). Drop the dangling metadata and miss.
-                        let _ = boxed_len;
-                        self.enclave.ecall("store_drop_dangling", || {
-                            let mut dict = shard.dict_write();
-                            if let Some(entry) = dict.remove(&tag) {
-                                drop(dict);
-                                self.release_entry_memory(shard, &entry);
-                            }
-                        });
-                        if self.durable() {
-                            let _ = self
-                                .backend
-                                .record_delete(&tag)
-                                .and_then(|()| self.backend.flush());
-                        }
-                        GetResponseBody { found: false, record: None }
-                    }
-                }
-            }
-            None => GetResponseBody { found: false, record: None },
-        }
-    }
-
-    #[allow(clippy::type_complexity)] // the GET ECALL's marshalled tuple
-    fn entry_meta(
-        entry: &crate::DictEntry,
-    ) -> (Vec<u8>, [u8; 16], [u8; 12], BlobId, u32) {
-        (
-            entry.challenge.clone(),
-            entry.wrapped_key,
-            entry.nonce,
-            entry.blob,
-            entry.boxed_len,
-        )
-    }
-
-    fn handle_put(
+    /// Serves `app`'s data-plane `items` through the batch path, shaping
+    /// the per-item results into the reply; maintenance follows writes.
+    fn serve(
         &self,
         app: AppId,
-        tag: CompTag,
-        record: Record,
-        prefilter: Option<u64>,
-    ) -> PutResponseBody {
-        self.counters.puts.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.puts.inc();
-        let now_ms = self.tick();
-        let boxed_len = record.boxed_result.len() as u64;
-
-        // Degraded durability rejects writes up front: the store must not
-        // acknowledge a PUT it cannot make crash-safe. GETs are unaffected.
-        if let Some(reason) = self.backend.read_only() {
-            self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.rejected_puts.inc();
-            return PutResponseBody {
-                accepted: false,
-                reason: Some(format!("store is read-only: {reason}")),
-            };
+        items: Vec<BatchItem>,
+        reply: impl FnOnce(Vec<BatchItemResult>) -> Message,
+    ) -> Message {
+        if !self.config.access.permits(app) {
+            return Message::Error(format!("app {} not authorized", app.0));
         }
-
-        let decision = self.quota.check_put(app, boxed_len, now_ms);
-        if let QuotaDecision::Deny(reason) = decision {
-            self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.rejected_puts.inc();
-            return PutResponseBody { accepted: false, reason: Some(reason) };
+        let writes = items.iter().any(|item| {
+            matches!(item, BatchItem::Put { .. } | BatchItem::PutPrefiltered { .. })
+        });
+        let response = reply(self.handle_batch(app, items));
+        if writes {
+            self.maintain();
         }
+        response
+    }
 
-        // Bulk ciphertext goes straight to untrusted memory.
-        let blob = self.untrusted.store(record.boxed_result);
-        let shard = self.shard(&tag);
-
-        // PUT ECALL: metadata (challenge, [k], nonce, pointer) crosses the
-        // boundary into the tag's dictionary shard.
-        let meta_len = record.challenge.len() + 16 + 12 + 8;
-        let result: Result<Option<speed_enclave::BlobId>, EnclaveError> =
-            self.enclave.ecall_with_bytes("store_put", meta_len, 1, || {
-                let mut dict = shard.dict_write();
-                let entry_footprint = 32 + record.challenge.len() + 120;
-                lock_recover(&shard.meta_heap).reserve(&self.enclave, entry_footprint)?;
-                let rejected = dict.insert(
-                    tag,
-                    record.challenge.clone(),
-                    record.wrapped_key,
-                    record.nonce,
-                    blob,
-                    boxed_len as u32,
-                    app,
-                    now_ms,
-                    prefilter,
-                );
-                if rejected.is_some() {
-                    // Entry already existed; give back the memory we took.
-                    lock_recover(&shard.meta_heap)
-                        .release(&self.enclave, entry_footprint);
-                }
-                Ok(rejected)
-            });
-
-        match result {
-            Ok(None) => {
-                if self.durable() {
-                    // WAL-then-ack: the record must be durable before the
-                    // client hears "accepted". The ciphertext is read back
-                    // from untrusted memory (it was stored a moment ago)
-                    // rather than cloned up front.
-                    let logged = match self.untrusted.load(blob) {
-                        Some(boxed_result) => {
-                            let entry = SyncEntry {
-                                tag,
-                                record: Record {
-                                    challenge: record.challenge.clone(),
-                                    wrapped_key: record.wrapped_key,
-                                    nonce: record.nonce,
-                                    boxed_result,
-                                },
-                                hits: 0,
-                            };
-                            self.backend
-                                .record_put(&entry)
-                                .and_then(|()| self.backend.flush())
-                        }
-                        None => Ok(()), // blob raced away; nothing to record
-                    };
-                    if let Err(e) = logged {
-                        // Roll the insert back: an acknowledged PUT must
-                        // survive a crash, so an un-durable one is rejected.
-                        self.enclave.ecall("store_put_rollback", || {
-                            let removed = shard.dict_write().remove(&tag);
-                            if let Some(entry) = removed {
-                                self.release_entry_memory(shard, &entry);
-                            }
-                        });
-                        self.untrusted.remove(blob);
-                        self.quota.release(app, boxed_len);
-                        self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.rejected_puts.inc();
-                        return PutResponseBody {
-                            accepted: false,
-                            reason: Some(e.to_string()),
-                        };
-                    }
-                }
-                self.note_filter_insert(shard, prefilter);
-                self.enforce_capacity(shard);
-                PutResponseBody { accepted: true, reason: None }
-            }
-            Ok(Some(orphan_blob)) => {
-                // Duplicate tag: first writer won; free the new blob and
-                // refund quota.
-                self.untrusted.remove(orphan_blob);
-                self.quota.release(app, boxed_len);
-                if self.durable() {
-                    // A deduplicated PUT is one more reference to the
-                    // surviving entry; the count must be durable too.
-                    if let Err(e) =
-                        self.backend.record_ref(&tag).and_then(|()| self.backend.flush())
-                    {
-                        self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.rejected_puts.inc();
-                        return PutResponseBody {
-                            accepted: false,
-                            reason: Some(e.to_string()),
-                        };
-                    }
-                }
-                PutResponseBody {
-                    accepted: true,
-                    reason: Some("duplicate: existing entry kept".into()),
-                }
-            }
-            Err(e) => {
-                self.untrusted.remove(blob);
-                self.quota.release(app, boxed_len);
-                self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.rejected_puts.inc();
-                PutResponseBody { accepted: false, reason: Some(e.to_string()) }
-            }
-        }
+    /// The `PUT_RESPONSE` for a standalone PUT's batch of one.
+    fn put_response(mut results: Vec<BatchItemResult>) -> Message {
+        let result = results.pop().unwrap_or_else(|| {
+            BatchItemResult::rejected("a batch of one returned no result")
+        });
+        Message::PutResponse(PutResponseBody {
+            accepted: result.status == BatchStatus::Accepted,
+            reason: result.reason,
+        })
     }
 
     /// Handles a batched request: every dictionary operation in the batch
@@ -1005,9 +789,9 @@ impl ResultStore {
                     // Conservative: recorded even if the PUT is denied below
                     // (skipping the shortcut never changes an answer).
                     batch_put_tags.insert(tag);
+                    // Degraded durability rejects writes up front: the store
+                    // must not acknowledge a PUT it cannot make crash-safe.
                     if let Some(reason) = self.backend.read_only() {
-                        self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.rejected_puts.inc();
                         plans.push(BatchPlan::Denied {
                             reason: format!("store is read-only: {reason}"),
                         });
@@ -1016,8 +800,6 @@ impl ResultStore {
                     let boxed_len = record.boxed_result.len() as u64;
                     let decision = self.quota.check_put(app, boxed_len, now_ms);
                     if let QuotaDecision::Deny(reason) = decision {
-                        self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.rejected_puts.inc();
                         plans.push(BatchPlan::Denied { reason });
                         continue;
                     }
@@ -1107,22 +889,23 @@ impl ResultStore {
         let durable = self.durable();
         let mut results = Vec::with_capacity(outcomes.len());
         let mut dangling: Vec<CompTag> = Vec::new();
-        let mut inserted_shards = vec![false; self.shards.len()];
-        // Inserted PUTs whose WAL record awaits the final flush: the result
-        // index plus everything needed to roll the item back if it fails.
-        let mut pending_puts: Vec<(usize, CompTag, BlobId, u64)> = Vec::new();
+        // Inserted PUTs, acknowledged only once the final flush succeeds:
+        // the result index plus everything needed to roll the item back.
+        let mut inserted: Vec<(usize, CompTag, BlobId, u64, Option<u64>)> = Vec::new();
+        // Duplicate PUTs whose `Ref` record also awaits that flush.
+        let mut referenced: Vec<usize> = Vec::new();
         let mut wal_touched = false;
         for (outcome, plan) in outcomes.into_iter().zip(plans) {
             match outcome {
-                BatchOutcome::Denied(reason) => {
-                    results.push(BatchItemResult::rejected(reason));
-                }
+                BatchOutcome::Denied(reason) => results.push(self.reject(reason)),
                 BatchOutcome::GetMiss => results.push(BatchItemResult::not_found()),
                 BatchOutcome::GetExpired(entry) => {
                     self.untrusted.remove(entry.blob);
                     self.quota.release(entry.owner, u64::from(entry.boxed_len));
                     if let Some(tag) = plan.tag() {
                         self.release_entry_memory(self.shard(tag), &entry);
+                        // Best-effort: a lost expiry record only resurrects
+                        // an already-expired entry, which TTL re-expires.
                         if durable && self.backend.record_delete(tag).is_ok() {
                             wal_touched = true;
                         }
@@ -1130,6 +913,8 @@ impl ResultStore {
                     results.push(BatchItemResult::not_found());
                 }
                 BatchOutcome::GetHit { challenge, wrapped_key, nonce, blob } => {
+                    // The ciphertext itself is read from untrusted memory by
+                    // the host side — no boundary crossing for the bulk bytes.
                     match self.untrusted.load(blob) {
                         Some(boxed_result) => {
                             self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -1152,70 +937,63 @@ impl ResultStore {
                     }
                 }
                 BatchOutcome::PutInserted => {
+                    let BatchPlan::Put {
+                        tag,
+                        challenge,
+                        wrapped_key,
+                        nonce,
+                        blob,
+                        boxed_len,
+                        prefilter,
+                        ..
+                    } = plan
+                    else {
+                        continue;
+                    };
                     if durable {
-                        if let BatchPlan::Put {
-                            tag,
-                            challenge,
-                            wrapped_key,
-                            nonce,
-                            blob,
-                            boxed_len,
-                            ..
-                        } = &plan
-                        {
-                            let logged = match self.untrusted.load(*blob) {
-                                Some(boxed_result) => {
-                                    self.backend.record_put(&SyncEntry {
-                                        tag: *tag,
-                                        record: Record {
-                                            challenge: challenge.clone(),
-                                            wrapped_key: *wrapped_key,
-                                            nonce: *nonce,
-                                            boxed_result,
-                                        },
-                                        hits: 0,
-                                    })
-                                }
-                                None => Ok(()),
-                            };
-                            match logged {
-                                Ok(()) => {
-                                    wal_touched = true;
-                                    pending_puts.push((
-                                        results.len(),
-                                        *tag,
-                                        *blob,
-                                        *boxed_len,
-                                    ));
-                                }
-                                Err(e) => {
-                                    self.rollback_batch_put(app, tag, *blob, *boxed_len);
-                                    results
-                                        .push(BatchItemResult::rejected(e.to_string()));
-                                    continue;
-                                }
-                            }
+                        // WAL-then-ack: the ciphertext is read back from
+                        // untrusted memory (it was stored a moment ago)
+                        // rather than cloned up front.
+                        let logged = match self.untrusted.load(blob) {
+                            Some(boxed_result) => self.backend.record_put(&SyncEntry {
+                                tag,
+                                record: Record {
+                                    challenge,
+                                    wrapped_key,
+                                    nonce,
+                                    boxed_result,
+                                },
+                                hits: 0,
+                            }),
+                            None => Ok(()), // blob raced away; nothing to record
+                        };
+                        if let Err(e) = logged {
+                            results.push(
+                                self.rollback_batch_put(app, &tag, blob, boxed_len, e),
+                            );
+                            continue;
                         }
+                        wal_touched = true;
                     }
-                    if let BatchPlan::Put { tag, prefilter, .. } = &plan {
-                        inserted_shards[self.shard_for_tag(tag)] = true;
-                        // Bits survive even if the group-commit flush below
-                        // rolls this item back: a stale bit is only a false
-                        // positive, which the filter contract permits.
-                        self.note_filter_insert(self.shard(tag), *prefilter);
-                    }
+                    inserted.push((results.len(), tag, blob, boxed_len, prefilter));
                     results.push(BatchItemResult::accepted());
                 }
                 BatchOutcome::PutDuplicate { orphan } => {
+                    // First writer won: free the new blob and refund quota.
                     self.untrusted.remove(orphan);
                     if let BatchPlan::Put { boxed_len, .. } = plan {
                         self.quota.release(app, boxed_len);
                     }
                     if durable {
+                        // A deduplicated PUT is one more reference to the
+                        // surviving entry; the count must be durable too.
                         if let Some(tag) = plan.tag() {
-                            if self.backend.record_ref(tag).is_ok() {
-                                wal_touched = true;
+                            if let Err(e) = self.backend.record_ref(tag) {
+                                results.push(self.reject(e.to_string()));
+                                continue;
                             }
+                            wal_touched = true;
+                            referenced.push(results.len());
                         }
                     }
                     results.push(BatchItemResult {
@@ -1229,9 +1007,7 @@ impl ResultStore {
                         self.untrusted.remove(blob);
                         self.quota.release(app, boxed_len);
                     }
-                    self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.rejected_puts.inc();
-                    results.push(BatchItemResult::rejected(reason));
+                    results.push(self.reject(reason));
                 }
             }
         }
@@ -1254,15 +1030,24 @@ impl ResultStore {
             }
         }
         // Group commit: one fsync covers every record this batch appended.
-        // If it fails, the inserted PUTs were acknowledged optimistically in
-        // `results` but are not durable — roll each back and reject it.
+        // If it fails, the PUTs acknowledged optimistically in `results`
+        // are not durable — roll each insert back and reject every one.
         if wal_touched {
             if let Err(e) = self.backend.flush() {
-                for (index, tag, blob, boxed_len) in pending_puts {
-                    self.rollback_batch_put(app, &tag, blob, boxed_len);
-                    results[index] = BatchItemResult::rejected(e.to_string());
+                for (index, tag, blob, boxed_len, _) in inserted.drain(..) {
+                    results[index] =
+                        self.rollback_batch_put(app, &tag, blob, boxed_len, e.clone());
+                }
+                for index in referenced {
+                    results[index] = self.reject(e.to_string());
                 }
             }
+        }
+        let mut inserted_shards = vec![false; self.shards.len()];
+        for (_, tag, _, _, prefilter) in &inserted {
+            let shard = self.shard_for_tag(tag);
+            self.note_filter_insert(&self.shards[shard], *prefilter);
+            inserted_shards[shard] = true;
         }
         for (shard_index, inserted) in inserted_shards.iter().enumerate() {
             if *inserted {
@@ -1272,15 +1057,24 @@ impl ResultStore {
         results
     }
 
+    /// Counts one rejected PUT and returns its batch result.
+    fn reject(&self, reason: impl Into<String>) -> BatchItemResult {
+        self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
+        self.telemetry.rejected_puts.inc();
+        BatchItemResult::rejected(reason)
+    }
+
     /// Rolls one batch-inserted PUT back out of the dictionary, untrusted
-    /// memory, and quota accounting after its WAL record failed.
+    /// memory, and quota accounting after its WAL record failed, and
+    /// rejects it: an acknowledged PUT must survive a crash.
     fn rollback_batch_put(
         &self,
         app: AppId,
         tag: &CompTag,
         blob: BlobId,
         boxed_len: u64,
-    ) {
+        error: StoreError,
+    ) -> BatchItemResult {
         let shard = self.shard(tag);
         self.enclave.ecall("store_put_rollback", || {
             let removed = shard.dict_write().remove(tag);
@@ -1290,8 +1084,7 @@ impl ResultStore {
         });
         self.untrusted.remove(blob);
         self.quota.release(app, boxed_len);
-        self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.rejected_puts.inc();
+        self.reject(error.to_string())
     }
 
     /// Settles one batch item against its (write-locked) shard dictionary.
@@ -1486,8 +1279,9 @@ impl ResultStore {
         for entry in entries {
             let hits = entry.hits;
             let tag = entry.tag;
-            let response = self.handle_put(AppId(u64::MAX), tag, entry.record, None);
-            if response.accepted {
+            let item = BatchItem::Put { tag, record: entry.record };
+            let results = self.handle_batch(AppId(u64::MAX), vec![item]);
+            if results.iter().all(|result| result.status == BatchStatus::Accepted) {
                 self.enclave.ecall("store_restore_hits", || {
                     self.shard(&tag).dict_read().restore_hits(&tag, hits);
                 });

@@ -262,3 +262,136 @@ fn runtime_survives_poisoned_client_lock() {
     assert_eq!(results[0].0, b"after");
     assert_eq!(results[1].0, b"fresh");
 }
+
+/// Inputs the equivalence guard draws from: few enough that a sequence of
+/// groups revisits them, so later groups mix store hits, hot-cache hits
+/// and fresh misses.
+const GUARD_POOL: u8 = 10;
+
+/// A sequence of groups of distinct pool indices. Shrinking may repeat an
+/// index inside a group; the property drops such repeats, so every group
+/// it runs holds distinct inputs.
+fn gen_groups(rng: &mut speed_testkit::TestRng) -> Vec<Vec<u8>> {
+    let groups = rng.range_usize(1, 7);
+    (0..groups)
+        .map(|_| {
+            let mut group: Vec<u8> = Vec::new();
+            for _ in 0..rng.range_usize(1, 6) {
+                let index = rng.byte() % GUARD_POOL;
+                if !group.contains(&index) {
+                    group.push(index);
+                }
+            }
+            group
+        })
+        .collect()
+}
+
+fn distinct(group: &[u8]) -> Vec<u8> {
+    let mut seen = Vec::new();
+    for &index in group {
+        if !seen.contains(&index) {
+            seen.push(index);
+        }
+    }
+    seen
+}
+
+fn guard_input(index: u8) -> Vec<u8> {
+    let len = 8 + usize::from(index) * 3;
+    (0..len).map(|i| index.wrapping_mul(31).wrapping_add(i as u8)).collect()
+}
+
+fn guard_compute(input: &[u8]) -> Vec<u8> {
+    input.iter().rev().map(|b| b ^ 0x5A).collect()
+}
+
+/// One tier configuration of the runtime under the guard.
+#[derive(Clone, Copy, Debug)]
+struct Tiers {
+    hot_cache: bool,
+    prefilter: bool,
+    async_put: bool,
+}
+
+/// Everything the guard compares between the two runs of one sequence.
+type GuardRun = (Vec<(Vec<u8>, DedupOutcome)>, speed_core::RuntimeStats, [u64; 4]);
+
+/// Runs `groups` on a fresh store and runtime, either one `execute_raw`
+/// per input or one `execute_batch` per group.
+fn run_guard(groups: &[Vec<u8>], tiers: Tiers, batched: bool) -> GuardRun {
+    let platform = Platform::new(CostModel::no_sgx());
+    let store = Arc::new(
+        ResultStore::new(&platform, StoreConfig::with_capacity(1_000, u64::MAX)).unwrap(),
+    );
+    let authority = Arc::new(SessionAuthority::with_seed(13));
+    let mut builder = DedupRuntime::builder(Arc::clone(&platform), b"guard-app")
+        .in_process_store(Arc::clone(&store), Arc::clone(&authority))
+        .trusted_library(library())
+        .async_put(tiers.async_put)
+        .rng_seed(99);
+    if tiers.hot_cache {
+        builder = builder.hot_cache(speed_core::HotCacheConfig::default());
+    }
+    if tiers.prefilter {
+        builder = builder.prefilter(speed_core::PrefilterConfig { refresh_ops: 1 });
+    }
+    let rt = builder.build().unwrap();
+    let identity = rt.resolve(&desc()).unwrap();
+
+    let mut results = Vec::new();
+    for group in groups {
+        let inputs: Vec<Vec<u8>> = distinct(group).into_iter().map(guard_input).collect();
+        if batched {
+            let calls = inputs
+                .iter()
+                .map(|input| BatchCall::new(identity, input, guard_compute))
+                .collect();
+            for (result, outcome) in rt.execute_batch(calls).unwrap() {
+                results.push((result.as_slice().to_vec(), outcome));
+            }
+        } else {
+            for input in &inputs {
+                let (result, outcome) =
+                    rt.execute_raw(&identity, input, guard_compute).unwrap();
+                results.push((result.as_slice().to_vec(), outcome));
+                rt.flush();
+            }
+        }
+        rt.flush();
+    }
+    let stats = store.stats();
+    (results, rt.stats(), [stats.entries, stats.puts, stats.gets, stats.hits])
+}
+
+/// The equivalence guard for the single and batched entry points: the same
+/// seeded sequence of input groups, run once as one `execute_raw` per
+/// input and once as one `execute_batch` per group, each on its own fresh
+/// store, must yield the same outcomes, result bytes, runtime counters and
+/// store counters — under every combination of the hot-cache and
+/// prefilter tiers, with synchronous and asynchronous PUTs.
+#[test]
+fn single_and_batched_calls_agree_on_seeded_sequences() {
+    speed_testkit::check(
+        "single_and_batched_calls_agree_on_seeded_sequences",
+        0x5EED_0013,
+        gen_groups,
+        |groups: &Vec<Vec<u8>>| {
+            for async_put in [false, true] {
+                for (hot_cache, prefilter) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let tiers = Tiers { hot_cache, prefilter, async_put };
+                    let single = run_guard(groups, tiers, false);
+                    let batched = run_guard(groups, tiers, true);
+                    assert_eq!(single.0, batched.0, "{tiers:?}: outcomes or bytes");
+                    assert_eq!(single.1, batched.1, "{tiers:?}: runtime stats");
+                    assert_eq!(
+                        single.2, batched.2,
+                        "{tiers:?}: store entries/puts/gets/hits"
+                    );
+                }
+            }
+        },
+    );
+}

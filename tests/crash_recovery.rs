@@ -30,7 +30,9 @@ use speed_store::{
 };
 use speed_testkit::fault::{FailMode, FaultOp, FaultVfs};
 use speed_testkit::TestRng;
-use speed_wire::{AppId, CompTag, Message, Record, SyncEntry, COMP_TAG_LEN};
+use speed_wire::{
+    AppId, BatchItem, BatchStatus, CompTag, Message, Record, SyncEntry, COMP_TAG_LEN,
+};
 
 /// One platform seed for the whole harness: recovery must model a restart
 /// of the *same machine*, and sealing keys derive from the platform fuse
@@ -390,6 +392,60 @@ fn fsync_fault_point_matrix_preserves_ack_contract() {
              the acknowledged set"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A duplicate PUT is one more reference to the surviving entry, and the
+/// reference count must be as durable as the entry: when the `Ref` record
+/// cannot be appended, or its fsync fails, the PUT is rejected and counted
+/// — as a standalone `PUT_REQUEST` and as a batch item alike.
+#[test]
+fn duplicate_put_with_undurable_ref_is_rejected_in_both_shapes() {
+    let platform = platform();
+    for fault in [FaultOp::Append, FaultOp::Fsync] {
+        for batched in [false, true] {
+            let dir = scratch(&format!("dup-ref-{fault:?}-{batched}"));
+            let vfs = FaultVfs::new();
+            let backend = Arc::new(LogBackend::with_vfs(
+                vfs.clone() as Arc<dyn Vfs>,
+                LogConfig::new(&dir),
+            ));
+            let (store, _report) =
+                ResultStore::open(&platform, roomy_config(), backend).unwrap();
+            let put = Message::PutRequest {
+                app: AppId(1),
+                tag: tag_of(7),
+                record: record_of(7),
+            };
+            assert!(
+                matches!(store.handle(put.clone()), Message::PutResponse(b) if b.accepted),
+                "the first PUT is durable and acknowledged"
+            );
+
+            // The duplicate's only WAL work is its `Ref` record.
+            vfs.fail_nth(fault, 0, FailMode::Once);
+            let (accepted, reason) = if batched {
+                let items = vec![BatchItem::Put { tag: tag_of(7), record: record_of(7) }];
+                match store.handle(Message::BatchRequest { app: AppId(1), items }) {
+                    Message::BatchResponse(results) => (
+                        results[0].status == BatchStatus::Accepted,
+                        results[0].reason.clone(),
+                    ),
+                    other => panic!("unexpected batch response {other:?}"),
+                }
+            } else {
+                match store.handle(put) {
+                    Message::PutResponse(body) => (body.accepted, body.reason),
+                    other => panic!("unexpected PUT response {other:?}"),
+                }
+            };
+            let context = format!("{fault:?} fault, batched = {batched}");
+            assert_eq!(vfs.injected_failures(), 1, "{context}: the fault fired");
+            assert!(!accepted, "{context}: duplicate acknowledged ({reason:?})");
+            assert_eq!(store.stats().rejected_puts, 1, "{context}");
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
