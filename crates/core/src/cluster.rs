@@ -191,8 +191,9 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Monotonic counters describing a cluster client's activity (scalar
-/// mirror of the `cluster_*` telemetry series).
+/// Monotonic counters describing a cluster client's activity. The hint
+/// fields read this client's cells of the `cluster_hint*` series; `routed`
+/// and `failovers` sum over members, which the per-node series split.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterCounts {
     /// Requests routed to any node (one per node round-trip).
@@ -222,12 +223,9 @@ struct ClusterStats {
 struct HintQueue {
     inner: Mutex<VecDeque<Message>>,
     capacity: usize,
-    hinted: AtomicU64,
-    replayed: AtomicU64,
-    dropped: AtomicU64,
-    hinted_tm: Counter,
-    replayed_tm: Counter,
-    dropped_tm: Counter,
+    hinted: Counter,
+    replayed: Counter,
+    dropped: Counter,
     depth_tm: Gauge,
 }
 
@@ -237,18 +235,15 @@ impl HintQueue {
         HintQueue {
             inner: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            hinted: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            hinted_tm: reg.counter(
+            hinted: reg.counter(
                 names::CLUSTER_HINTED_PUTS_TOTAL,
                 "Acknowledged PUTs parked as hints because a replica was down",
             ),
-            replayed_tm: reg.counter(
+            replayed: reg.counter(
                 names::CLUSTER_HINTS_REPLAYED_TOTAL,
                 "Hinted PUTs delivered after re-routing through the current ring",
             ),
-            dropped_tm: reg.counter(
+            dropped: reg.counter(
                 names::CLUSTER_HINTS_DROPPED_TOTAL,
                 "Hinted PUTs evicted because the bounded hint queue overflowed",
             ),
@@ -263,13 +258,11 @@ impl HintQueue {
         let mut queue = lock_recover(&self.inner);
         while queue.len() >= self.capacity {
             queue.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.dropped_tm.inc();
+            self.dropped.inc();
             self.depth_tm.sub(1);
         }
         queue.push_back(message);
-        self.hinted.fetch_add(1, Ordering::Relaxed);
-        self.hinted_tm.inc();
+        self.hinted.inc();
         self.depth_tm.add(1);
     }
 
@@ -284,11 +277,6 @@ impl HintQueue {
             self.depth_tm.sub(1);
         }
         popped
-    }
-
-    fn note_replayed(&self) {
-        self.replayed.fetch_add(1, Ordering::Relaxed);
-        self.replayed_tm.inc();
     }
 
     fn len(&self) -> usize {
@@ -387,7 +375,7 @@ impl NodeHandle {
                 false
             }
         };
-        self.reattests_tm.set(self.stats.reconnects.load(Ordering::Relaxed));
+        self.reattests_tm.set(self.stats.reconnects.get());
         (result, recovered)
     }
 
@@ -407,7 +395,6 @@ struct ClusterShared {
     topology: RwLock<Topology>,
     hints: HintQueue,
     stats: ClusterStats,
-    routed_total: AtomicU64,
     ring_version_tm: Gauge,
     ring_nodes_tm: Gauge,
 }
@@ -474,11 +461,6 @@ impl ClusterShared {
         (Arc::clone(&topo.ring), topo.handles.clone())
     }
 
-    fn note_routed(&self) {
-        self.stats.routed.fetch_add(1, Ordering::Relaxed);
-        self.routed_total.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn note_failover(&self, handle: &NodeHandle) {
         handle.note_failover();
         self.stats.failovers.fetch_add(1, Ordering::Relaxed);
@@ -489,7 +471,7 @@ impl ClusterShared {
         handle: &NodeHandle,
         request: &Message,
     ) -> (Result<Message, CoreError>, bool) {
-        self.note_routed();
+        self.stats.routed.fetch_add(1, Ordering::Relaxed);
         handle.send(request)
     }
 
@@ -742,7 +724,7 @@ impl ClusterShared {
                 }
             }
             if all_answered {
-                self.hints.note_replayed();
+                self.hints.replayed.inc();
                 delivered += 1;
             } else {
                 self.hints.push_front(message);
@@ -800,7 +782,6 @@ impl ClusterBuilder {
         let shared = ClusterShared {
             hints: HintQueue::new(self.config.hint_capacity),
             stats: ClusterStats::default(),
-            routed_total: AtomicU64::new(0),
             ring_version_tm: reg.gauge(
                 names::CLUSTER_RING_VERSION,
                 "Version of the ring the cluster client currently routes by",
@@ -875,14 +856,14 @@ impl ClusterClient {
         ring.replicas(tag, self.shared.config.replication.max(1))
     }
 
-    /// Scalar counters (mirrors of the `cluster_*` telemetry series).
+    /// Scalar counters of this client (see [`ClusterCounts`]).
     pub fn counts(&self) -> ClusterCounts {
         ClusterCounts {
             routed: self.shared.stats.routed.load(Ordering::Relaxed),
             failovers: self.shared.stats.failovers.load(Ordering::Relaxed),
-            hinted_puts: self.shared.hints.hinted.load(Ordering::Relaxed),
-            hints_replayed: self.shared.hints.replayed.load(Ordering::Relaxed),
-            hints_dropped: self.shared.hints.dropped.load(Ordering::Relaxed),
+            hinted_puts: self.shared.hints.hinted.get(),
+            hints_replayed: self.shared.hints.replayed.get(),
+            hints_dropped: self.shared.hints.dropped.get(),
         }
     }
 
@@ -894,7 +875,7 @@ impl ClusterClient {
     /// Re-attested reconnects performed against node `id` so far.
     pub fn reattestations(&self, id: u32) -> u64 {
         let (_, handles) = self.shared.view();
-        handles.get(&id).map(|h| h.stats.reconnects.load(Ordering::Relaxed)).unwrap_or(0)
+        handles.get(&id).map(|h| h.stats.reconnects.get()).unwrap_or(0)
     }
 
     /// Attempts to deliver parked hints now (also triggered automatically

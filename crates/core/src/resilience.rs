@@ -21,7 +21,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -221,9 +220,8 @@ impl CircuitBreaker {
 pub struct ReplayQueue {
     inner: Mutex<VecDeque<Message>>,
     capacity: usize,
-    dropped: AtomicU64,
+    dropped: Counter,
     depth_tm: Gauge,
-    dropped_tm: Counter,
 }
 
 impl fmt::Debug for ReplayQueue {
@@ -242,14 +240,13 @@ impl ReplayQueue {
         ReplayQueue {
             inner: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
+            dropped: reg.counter(
+                names::RESILIENCE_REPLAY_DROPPED_TOTAL,
+                "Queued PUTs evicted because the bounded replay queue overflowed",
+            ),
             depth_tm: reg.gauge(
                 names::RESILIENCE_REPLAY_QUEUE_DEPTH,
                 "PUTs currently parked in the replay queue",
-            ),
-            dropped_tm: reg.counter(
-                names::RESILIENCE_REPLAY_DROPPED_TOTAL,
-                "Queued PUTs evicted because the bounded replay queue overflowed",
             ),
         }
     }
@@ -262,8 +259,7 @@ impl ReplayQueue {
         let mut clean = true;
         while queue.len() >= self.capacity {
             queue.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.dropped_tm.inc();
+            self.dropped.inc();
             self.depth_tm.sub(1);
             clean = false;
         }
@@ -278,8 +274,7 @@ impl ReplayQueue {
             self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if queue.len() >= self.capacity {
             queue.pop_back();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.dropped_tm.inc();
+            self.dropped.inc();
             self.depth_tm.sub(1);
         }
         queue.push_front(message);
@@ -311,7 +306,7 @@ impl ReplayQueue {
 
     /// Messages evicted because the queue was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 }
 
@@ -328,22 +323,56 @@ impl Drop for ReplayQueue {
 
 /// Shared counters describing the resilience layer's activity. One
 /// instance is shared by every [`ResilientClient`] a runtime owns (the
-/// synchronous client and the async-PUT worker's client).
-#[derive(Debug, Default)]
+/// synchronous client and the async-PUT worker's client); its fields are
+/// this instance's cells of the `resilience_*` registry series.
+#[derive(Debug)]
 pub struct ResilienceStats {
     /// Retried round-trip attempts (not counting the first attempt).
-    pub retries: AtomicU64,
+    pub retries: Counter,
     /// Re-established connections (full re-attestation handshakes),
     /// excluding each client's initial connect.
-    pub reconnects: AtomicU64,
+    pub reconnects: Counter,
     /// Circuit-breaker state transitions across all clients.
-    pub breaker_transitions: AtomicU64,
+    pub breaker_transitions: Counter,
     /// Queued PUTs successfully delivered after recovery.
-    pub replayed_puts: AtomicU64,
+    pub replayed_puts: Counter,
     /// Requests failed fast because the breaker was open.
-    pub fast_fails: AtomicU64,
+    pub fast_fails: Counter,
     /// Round-trips abandoned after exhausting retries or the deadline.
-    pub giveups: AtomicU64,
+    pub giveups: Counter,
+}
+
+impl Default for ResilienceStats {
+    /// Registers a fresh cell of each series in the global registry.
+    fn default() -> Self {
+        let reg = speed_telemetry::global();
+        ResilienceStats {
+            retries: reg.counter(
+                names::RESILIENCE_RETRIES_TOTAL,
+                "Store round-trip attempts retried with backoff",
+            ),
+            reconnects: reg.counter(
+                names::RESILIENCE_RECONNECTS_TOTAL,
+                "Re-established store connections (full re-attestation handshakes)",
+            ),
+            breaker_transitions: reg.counter(
+                names::RESILIENCE_BREAKER_TRANSITIONS_TOTAL,
+                "Circuit-breaker state transitions (closed/open/half-open)",
+            ),
+            replayed_puts: reg.counter(
+                names::RESILIENCE_REPLAYED_PUTS_TOTAL,
+                "Queued PUTs delivered after the store recovered",
+            ),
+            fast_fails: reg.counter(
+                names::RESILIENCE_FAST_FAILS_TOTAL,
+                "Round-trips refused immediately by the open circuit breaker",
+            ),
+            giveups: reg.counter(
+                names::RESILIENCE_GIVEUPS_TOTAL,
+                "Round-trips abandoned after exhausting retries or the deadline",
+            ),
+        }
+    }
 }
 
 /// Everything [`ResilientClient`] needs to know.
@@ -391,50 +420,6 @@ pub struct ResilientClient {
     rng: SystemRng,
     stats: Arc<ResilienceStats>,
     replay: Arc<ReplayQueue>,
-    telemetry: ResilienceTelemetry,
-}
-
-/// Process-wide telemetry mirrors of [`ResilienceStats`].
-#[derive(Debug)]
-struct ResilienceTelemetry {
-    retries: Counter,
-    reconnects: Counter,
-    breaker_transitions: Counter,
-    replayed_puts: Counter,
-    fast_fails: Counter,
-    giveups: Counter,
-}
-
-impl ResilienceTelemetry {
-    fn from_global() -> Self {
-        let reg = speed_telemetry::global();
-        ResilienceTelemetry {
-            retries: reg.counter(
-                names::RESILIENCE_RETRIES_TOTAL,
-                "Store round-trip attempts retried with backoff",
-            ),
-            reconnects: reg.counter(
-                names::RESILIENCE_RECONNECTS_TOTAL,
-                "Re-established store connections (full re-attestation handshakes)",
-            ),
-            breaker_transitions: reg.counter(
-                names::RESILIENCE_BREAKER_TRANSITIONS_TOTAL,
-                "Circuit-breaker state transitions (closed/open/half-open)",
-            ),
-            replayed_puts: reg.counter(
-                names::RESILIENCE_REPLAYED_PUTS_TOTAL,
-                "Queued PUTs delivered after the store recovered",
-            ),
-            fast_fails: reg.counter(
-                names::RESILIENCE_FAST_FAILS_TOTAL,
-                "Round-trips refused immediately by the open circuit breaker",
-            ),
-            giveups: reg.counter(
-                names::RESILIENCE_GIVEUPS_TOTAL,
-                "Round-trips abandoned after exhausting retries or the deadline",
-            ),
-        }
-    }
 }
 
 impl fmt::Debug for ResilientClient {
@@ -468,7 +453,6 @@ impl ResilientClient {
             config,
             stats,
             replay,
-            telemetry: ResilienceTelemetry::from_global(),
         }
     }
 
@@ -479,16 +463,14 @@ impl ResilientClient {
 
     fn note_transition(&self, transitioned: bool) {
         if transitioned {
-            self.stats.breaker_transitions.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.breaker_transitions.inc();
+            self.stats.breaker_transitions.inc();
         }
     }
 
     fn try_once(&mut self, request: &Message) -> Result<Message, CoreError> {
         if self.inner.is_none() {
             if self.ever_connected {
-                self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.reconnects.inc();
+                self.stats.reconnects.inc();
             }
             let client = (self.connector)()?;
             self.ever_connected = true;
@@ -507,8 +489,7 @@ impl ResilientClient {
             };
             match inner.roundtrip(&queued) {
                 Ok(_) => {
-                    self.stats.replayed_puts.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.replayed_puts.inc();
+                    self.stats.replayed_puts.inc();
                 }
                 Err(_) => {
                     self.replay.push_front(queued);
@@ -525,8 +506,7 @@ impl StoreClient for ResilientClient {
         let (admitted, transitioned) = self.breaker.admit(Instant::now());
         self.note_transition(transitioned);
         if !admitted {
-            self.stats.fast_fails.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.fast_fails.inc();
+            self.stats.fast_fails.inc();
             return Err(CoreError::StoreUnavailable("circuit breaker open".into()));
         }
 
@@ -554,15 +534,13 @@ impl StoreClient for ResilientClient {
                     {
                         break;
                     }
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.retries.inc();
+                    self.stats.retries.inc();
                     let backoff = self.config.retry.backoff(attempt, &mut self.rng);
                     std::thread::sleep(backoff.min(deadline.remaining()));
                 }
             }
         }
-        self.stats.giveups.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.giveups.inc();
+        self.stats.giveups.inc();
         Err(CoreError::StoreUnavailable(last_error))
     }
 }
@@ -571,7 +549,7 @@ impl StoreClient for ResilientClient {
 mod tests {
     use super::*;
     use speed_wire::{AppId, CompTag, GetResponseBody};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn get_request() -> Message {
         Message::GetRequest { app: AppId(1), tag: CompTag::from_bytes([7; 32]) }
@@ -723,8 +701,8 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         // Each failure forced a fresh handshake: 3 connects total.
         assert_eq!(connects.load(Ordering::Relaxed), 3);
-        assert_eq!(client.stats.retries.load(Ordering::Relaxed), 2);
-        assert_eq!(client.stats.reconnects.load(Ordering::Relaxed), 2);
+        assert_eq!(client.stats.retries.get(), 2);
+        assert_eq!(client.stats.reconnects.get(), 2);
     }
 
     #[test]
@@ -734,7 +712,7 @@ mod tests {
         let err = client.roundtrip(&get_request()).unwrap_err();
         assert!(matches!(err, CoreError::StoreUnavailable(_)));
         assert_eq!(calls.load(Ordering::Relaxed), 3);
-        assert_eq!(client.stats.giveups.load(Ordering::Relaxed), 1);
+        assert_eq!(client.stats.giveups.get(), 1);
     }
 
     #[test]
@@ -764,7 +742,7 @@ mod tests {
         let err = client.roundtrip(&get_request()).unwrap_err();
         assert!(matches!(err, CoreError::StoreUnavailable(_)));
         assert_eq!(calls.load(Ordering::Relaxed), calls_before);
-        assert_eq!(client.stats.fast_fails.load(Ordering::Relaxed), 1);
+        assert_eq!(client.stats.fast_fails.get(), 1);
     }
 
     #[test]
@@ -794,7 +772,7 @@ mod tests {
         assert!(client.roundtrip(&get_request()).is_ok());
         assert_eq!(client.breaker_state(), BreakerState::Closed);
         assert_eq!(replay.len(), 0);
-        assert_eq!(stats.replayed_puts.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.replayed_puts.get(), 2);
     }
 
     #[test]

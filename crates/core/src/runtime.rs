@@ -7,7 +7,6 @@
 //! OCALL waits for the `GET_RESPONSE`); PUTs can be processed "in a
 //! separated thread for better efficiency" — the asynchronous PUT worker.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -214,92 +213,68 @@ pub struct RuntimeStats {
     pub filtered_misses: u64,
 }
 
-/// One runtime counter: the runtime's own tally, mirrored into its
-/// process-wide registry series (which aggregates every runtime in the
-/// process) whenever it has one, so each event is counted at one site.
-#[derive(Debug)]
-struct Tally {
-    own: AtomicU64,
-    series: Option<Counter>,
-}
-
-impl Tally {
-    fn new(series: Option<Counter>) -> Self {
-        Tally { own: AtomicU64::new(0), series }
-    }
-
-    fn add(&self, n: u64) {
-        self.own.fetch_add(n, Ordering::Relaxed);
-        if let Some(series) = &self.series {
-            series.add(n);
-        }
-    }
-
-    fn get(&self) -> u64 {
-        self.own.load(Ordering::Relaxed)
-    }
-}
-
 /// The counters behind [`RuntimeStats`], shared with the asynchronous PUT
-/// worker.
+/// worker: this runtime's cells of the process-wide registry series.
 #[derive(Debug)]
 struct AtomicStats {
-    calls: Tally,
-    hits: Tally,
-    misses: Tally,
-    verify_failures: Tally,
-    rejected_puts: Tally,
-    reused_bytes: Tally,
-    bypasses: Tally,
-    degraded_calls: Tally,
-    cache_hits: Tally,
-    cache_misses: Tally,
-    filtered_misses: Tally,
+    calls: Counter,
+    hits: Counter,
+    misses: Counter,
+    verify_failures: Counter,
+    rejected_puts: Counter,
+    reused_bytes: Counter,
+    bypasses: Counter,
+    degraded_calls: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    filtered_misses: Counter,
 }
 
 impl AtomicStats {
     fn from_global() -> Self {
         let reg = speed_telemetry::global();
-        let series = |name: &str, help: &str| Tally::new(Some(reg.counter(name, help)));
         AtomicStats {
-            calls: series(names::DEDUP_CALLS_TOTAL, "Marked calls intercepted"),
-            hits: series(
+            calls: reg.counter(names::DEDUP_CALLS_TOTAL, "Marked calls intercepted"),
+            hits: reg.counter(
                 names::DEDUP_HITS_TOTAL,
                 "Calls satisfied from the store (dedup hits)",
             ),
-            misses: series(
+            misses: reg.counter(
                 names::DEDUP_MISSES_TOTAL,
                 "Calls that executed the function (initial computations)",
             ),
-            verify_failures: series(
+            verify_failures: reg.counter(
                 names::DEDUP_VERIFY_FAILURES_TOTAL,
                 "Records that failed the result-verification protocol",
             ),
-            rejected_puts: series(
+            rejected_puts: reg.counter(
                 names::DEDUP_REJECTED_PUTS_TOTAL,
                 "PUTs the store rejected (quota, enclave memory, races)",
             ),
-            reused_bytes: series(
+            reused_bytes: reg.counter(
                 names::DEDUP_REUSED_BYTES_TOTAL,
                 "Plaintext result bytes reused instead of recomputed",
             ),
-            bypasses: series(
+            bypasses: reg.counter(
                 names::DEDUP_BYPASSES_TOTAL,
                 "Calls executed directly because the adaptive policy bypassed dedup",
             ),
-            degraded_calls: series(
+            degraded_calls: reg.counter(
                 names::DEDUP_DEGRADED_CALLS_TOTAL,
                 "Calls that degraded to local execution during a store outage",
             ),
-            cache_hits: series(
+            cache_hits: reg.counter(
                 names::DEDUP_CACHE_HITS_TOTAL,
                 "Lookups answered by the in-enclave hot-tag cache",
             ),
-            cache_misses: series(
+            cache_misses: reg.counter(
                 names::DEDUP_CACHE_MISSES_TOTAL,
                 "Hot-tag cache lookups that missed",
             ),
-            filtered_misses: Tally::new(None),
+            filtered_misses: reg.counter(
+                names::DEDUP_FILTERED_MISSES_TOTAL,
+                "Misses whose store GET the negative filter proved unnecessary",
+            ),
         }
     }
 }
@@ -1394,7 +1369,7 @@ impl DedupRuntime {
     }
 
     /// Counts a reused result: a cache or store hit plus its bytes.
-    fn count_reuse(&self, hits: &Tally, result: &ResultBytes) {
+    fn count_reuse(&self, hits: &Counter, result: &ResultBytes) {
         hits.add(1);
         self.stats.reused_bytes.add(result.len() as u64);
     }
@@ -1456,9 +1431,9 @@ impl DedupRuntime {
     pub fn stats(&self) -> RuntimeStats {
         let (retries, breaker_transitions, replayed_puts) = match &self.resilience {
             Some(handles) => (
-                handles.stats.retries.load(Ordering::Relaxed),
-                handles.stats.breaker_transitions.load(Ordering::Relaxed),
-                handles.stats.replayed_puts.load(Ordering::Relaxed),
+                handles.stats.retries.get(),
+                handles.stats.breaker_transitions.get(),
+                handles.stats.replayed_puts.get(),
             ),
             None => (0, 0, 0),
         };
@@ -1524,7 +1499,7 @@ mod tests {
     use super::*;
     use speed_enclave::CostModel;
     use speed_store::StoreConfig;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup() -> (Arc<Platform>, Arc<ResultStore>, Arc<SessionAuthority>) {
         let platform = Platform::new(CostModel::default_sgx());

@@ -82,43 +82,41 @@ pub struct Enclave {
     clock: Arc<SimClock>,
     epc: Arc<EpcAllocator>,
     model: CostModel,
-    ecalls: AtomicU64,
-    ocalls: AtomicU64,
-    switchless_calls: AtomicU64,
-    boundary_bytes: AtomicU64,
-    charged_ns: AtomicU64,
-    epc_committed: AtomicU64,
-    telemetry: EnclaveTelemetry,
-}
-
-/// Process-wide telemetry handles shared by every enclave; the per-enclave
-/// atomics above stay authoritative for [`Enclave::stats`].
-#[derive(Debug)]
-struct EnclaveTelemetry {
     ecalls: Counter,
     ocalls: Counter,
     switchless_calls: Counter,
     boundary_bytes: Counter,
     charged_ns: Counter,
+    epc_committed: AtomicU64,
 }
 
-impl EnclaveTelemetry {
-    fn from_global() -> Self {
+impl Enclave {
+    pub(crate) fn new(
+        id: u64,
+        measurement: Measurement,
+        clock: Arc<SimClock>,
+        epc: Arc<EpcAllocator>,
+        model: CostModel,
+        initial_commit: usize,
+    ) -> Result<Self, EnclaveError> {
+        epc.commit(initial_commit)?;
         let registry = speed_telemetry::global();
-        const TRANSITIONS_HELP: &str =
-            "World switches performed, by kind (ecall = host->enclave entry, \
-             ocall = enclave->host exit)";
-        EnclaveTelemetry {
-            ecalls: registry.counter_with(
+        let transitions = |kind| {
+            registry.counter_with(
                 names::ENCLAVE_TRANSITIONS_TOTAL,
-                TRANSITIONS_HELP,
-                &[("kind", "ecall")],
-            ),
-            ocalls: registry.counter_with(
-                names::ENCLAVE_TRANSITIONS_TOTAL,
-                TRANSITIONS_HELP,
-                &[("kind", "ocall")],
-            ),
+                "World switches performed, by kind (ecall = host->enclave entry, \
+                 ocall = enclave->host exit)",
+                &[("kind", kind)],
+            )
+        };
+        Ok(Enclave {
+            id,
+            measurement,
+            clock,
+            epc,
+            model,
+            ecalls: transitions("ecall"),
+            ocalls: transitions("ocall"),
             switchless_calls: registry.counter(
                 names::ENCLAVE_SWITCHLESS_CALLS_TOTAL,
                 "Enclave calls served by a resident switchless worker without \
@@ -132,33 +130,7 @@ impl EnclaveTelemetry {
                 names::ENCLAVE_CHARGED_NS_TOTAL,
                 "Modeled nanoseconds charged for world switches and boundary copies",
             ),
-        }
-    }
-}
-
-impl Enclave {
-    pub(crate) fn new(
-        id: u64,
-        measurement: Measurement,
-        clock: Arc<SimClock>,
-        epc: Arc<EpcAllocator>,
-        model: CostModel,
-        initial_commit: usize,
-    ) -> Result<Self, EnclaveError> {
-        epc.commit(initial_commit)?;
-        Ok(Enclave {
-            id,
-            measurement,
-            clock,
-            epc,
-            model,
-            ecalls: AtomicU64::new(0),
-            ocalls: AtomicU64::new(0),
-            switchless_calls: AtomicU64::new(0),
-            boundary_bytes: AtomicU64::new(0),
-            charged_ns: AtomicU64::new(0),
             epc_committed: AtomicU64::new(initial_commit as u64),
-            telemetry: EnclaveTelemetry::from_global(),
         })
     }
 
@@ -184,12 +156,11 @@ impl Enclave {
     /// table of the SGX SDK's EDL files.
     pub fn ecall<R>(&self, _name: &str, body: impl FnOnce() -> R) -> R {
         if switchless_active() {
-            self.count_switchless();
+            self.switchless_calls.inc();
             return body();
         }
         self.charge(self.model.ecall_ns);
-        self.ecalls.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.ecalls.inc();
+        self.ecalls.inc();
         body()
     }
 
@@ -209,12 +180,11 @@ impl Enclave {
     /// Leaves the enclave (`OCALL`) to run `body` in the untrusted host.
     pub fn ocall<R>(&self, _name: &str, body: impl FnOnce() -> R) -> R {
         if switchless_active() {
-            self.count_switchless();
+            self.switchless_calls.inc();
             return body();
         }
         self.charge(self.model.ocall_ns);
-        self.ocalls.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.ocalls.inc();
+        self.ocalls.inc();
         body()
     }
 
@@ -291,11 +261,11 @@ impl Enclave {
     /// Returns a snapshot of this enclave's counters.
     pub fn stats(&self) -> EnclaveStats {
         EnclaveStats {
-            ecalls: self.ecalls.load(Ordering::Relaxed),
-            ocalls: self.ocalls.load(Ordering::Relaxed),
-            switchless_calls: self.switchless_calls.load(Ordering::Relaxed),
-            boundary_bytes: self.boundary_bytes.load(Ordering::Relaxed),
-            charged_ns: self.charged_ns.load(Ordering::Relaxed),
+            ecalls: self.ecalls.get(),
+            ocalls: self.ocalls.get(),
+            switchless_calls: self.switchless_calls.get(),
+            boundary_bytes: self.boundary_bytes.get(),
+            charged_ns: self.charged_ns.get(),
         }
     }
 
@@ -304,21 +274,14 @@ impl Enclave {
         &self.clock
     }
 
-    fn count_switchless(&self) {
-        self.switchless_calls.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.switchless_calls.inc();
-    }
-
     fn charge(&self, ns: u64) {
         self.clock.charge_ns(ns);
-        self.charged_ns.fetch_add(ns, Ordering::Relaxed);
-        self.telemetry.charged_ns.add(ns);
+        self.charged_ns.add(ns);
     }
 
     fn charge_copy(&self, bytes: usize) {
         let ns = self.model.boundary_copy_ns(bytes);
-        self.boundary_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.telemetry.boundary_bytes.add(bytes as u64);
+        self.boundary_bytes.add(bytes as u64);
         self.charge(ns);
     }
 }

@@ -150,9 +150,6 @@ struct Inner {
     segments: HashMap<PathBuf, SegmentState>,
     index: HashMap<CompTag, IndexEntry>,
     read_only: Option<String>,
-    appended_records: u64,
-    appended_bytes: u64,
-    reclaimed_bytes: u64,
 }
 
 #[derive(Debug)]
@@ -339,8 +336,6 @@ impl LogBackend {
         let rotate = state.len >= self.config.segment_bytes;
         inner.next_seq = seq + 1;
         inner.records_since_checkpoint += 1;
-        inner.appended_records += 1;
-        inner.appended_bytes += frame_len;
         self.telemetry.appends.inc();
         self.telemetry.appended_bytes.add(frame_len);
         match &record.op {
@@ -626,9 +621,6 @@ impl StoreBackend for LogBackend {
             segments,
             index,
             read_only: None,
-            appended_records: 0,
-            appended_bytes: 0,
-            reclaimed_bytes: 0,
         };
         drop(inner);
         self.telemetry.read_only.set(0);
@@ -753,7 +745,6 @@ impl StoreBackend for LogBackend {
         inner.segments.clear();
         for (path, len) in old {
             if len == 0 || self.vfs.remove_file(&path).is_ok() {
-                inner.reclaimed_bytes += len;
                 self.telemetry.reclaimed.add(len);
             }
             // A segment whose removal failed stays on disk harmlessly: its
@@ -898,7 +889,6 @@ impl StoreBackend for LogBackend {
             stats.reclaimed_bytes = 0;
         }
         inner.segments.remove(&source);
-        inner.reclaimed_bytes += stats.reclaimed_bytes;
         let _ = self.vfs.fsync_dir(&self.config.dir);
         self.telemetry.compactions.inc();
         self.telemetry.reclaimed.add(stats.reclaimed_bytes);
@@ -934,11 +924,11 @@ impl StoreBackend for LogBackend {
     fn stats(&self) -> BackendStats {
         let inner = self.lock();
         BackendStats {
-            appended_records: inner.appended_records,
-            appended_bytes: inner.appended_bytes,
+            appended_records: self.telemetry.appends.get(),
+            appended_bytes: self.telemetry.appended_bytes.get(),
             segment_files: inner.segments.values().filter(|s| s.len > 0).count(),
             wal_bytes: inner.segments.values().map(|s| s.len).sum(),
-            reclaimed_bytes: inner.reclaimed_bytes,
+            reclaimed_bytes: self.telemetry.reclaimed.get(),
             records_since_checkpoint: inner.records_since_checkpoint,
         }
     }

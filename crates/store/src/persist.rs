@@ -8,13 +8,16 @@
 //! RCE-protected, so sealing here adds rollback/integrity protection for
 //! the snapshot as a whole rather than confidentiality of individual
 //! results.
+//!
+//! A store persists across restarts through [`crate::LogBackend`], whose
+//! checkpoint file wraps this same sealed payload; [`snapshot`] and
+//! [`restore`] move a whole store in memory.
 
 use speed_enclave::sealing::{seal, unseal, SealPolicy, SealedData};
 use speed_enclave::Platform;
 use speed_wire::{Reader, SyncEntry, WireDecode, WireEncode, WireError, Writer};
 
 use crate::store::{ResultStore, StoreConfig};
-use crate::vfs::Vfs;
 use crate::StoreError;
 
 /// Sealing AAD. Unchanged across payload versions — an AAD bump would make
@@ -156,163 +159,26 @@ pub fn restore(
     Ok(store)
 }
 
-/// Validates the outer sealed container without unsealing, returning its
-/// size. Only the owner enclave can read the contents.
-pub fn snapshot_size(sealed_bytes: &[u8]) -> Option<usize> {
-    SealedData::from_bytes(sealed_bytes).ok().map(|s| s.len())
-}
-
-/// How [`restore_or_fresh`] obtained its store.
+/// How a backend's recovery obtained its checkpoint, reported in
+/// [`RecoveryReport::checkpoint`](crate::RecoveryReport::checkpoint).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotLoad {
-    /// The snapshot file unsealed and decoded; entries were imported.
+    /// The checkpoint unsealed and decoded; its entries were imported.
     Restored,
-    /// No snapshot file existed; started empty.
+    /// No checkpoint existed; started from the WAL alone.
     FreshMissing,
-    /// A snapshot file existed but could not be used (torn write, tampered
-    /// bytes, foreign enclave identity, or unreadable file); started empty.
+    /// A checkpoint existed but could not be used (torn write, tampered
+    /// bytes, foreign enclave identity, or unreadable file); recovery
+    /// started from the WAL alone (see
+    /// [`RecoveryReport::quarantined_checkpoint`](crate::RecoveryReport::quarantined_checkpoint)).
     FreshUnreadable(String),
-}
-
-/// Writes a sealed snapshot of `store` to `path` atomically: the bytes land
-/// in a sibling `<path>.tmp` first, are fsynced, then renamed over `path`,
-/// and finally the parent directory is fsynced so the rename itself is
-/// durable across power loss. A crash at any point leaves either the
-/// previous complete snapshot or a stray `.tmp` that [`restore_or_fresh`]
-/// never looks at — readers can never observe a torn file through `path`.
-///
-/// # Errors
-///
-/// - [`StoreError::Io`] on filesystem failure.
-/// - Any error [`snapshot`] can return.
-pub fn write_snapshot_file(
-    platform: &Platform,
-    store: &ResultStore,
-    path: &std::path::Path,
-) -> Result<(), StoreError> {
-    write_snapshot_file_vfs(platform, store, &crate::vfs::StdVfs, path)
-}
-
-/// [`write_snapshot_file`] on an injected [`Vfs`] (fault testing).
-///
-/// # Errors
-///
-/// Same as [`write_snapshot_file`].
-pub fn write_snapshot_file_vfs(
-    platform: &Platform,
-    store: &ResultStore,
-    vfs: &dyn Vfs,
-    path: &std::path::Path,
-) -> Result<(), StoreError> {
-    let bytes = snapshot(platform, store)?;
-    let tmp = tmp_path(path);
-    vfs.write(&tmp, &bytes)?;
-    // Durability point 1: the tmp file is complete on disk before the
-    // rename makes it visible under the real name.
-    vfs.fsync(&tmp)?;
-    vfs.rename(&tmp, path)?;
-    // Durability point 2: the rename is a directory-entry change; without
-    // fsyncing the directory a power cut can roll `path` back to the old
-    // snapshot — or to nothing — after the call returned success.
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        vfs.fsync_dir(parent)?;
-    }
-    Ok(())
-}
-
-/// Restores a store from the snapshot at `path`, falling back to a fresh
-/// empty store when the file is missing or unusable. Unusable covers torn
-/// writes, tampering, and snapshots sealed by a different enclave identity
-/// — a store must come up after a crash, and sealing already guarantees a
-/// corrupt snapshot cannot decode into bogus entries. A corrupt snapshot is
-/// quarantined by renaming it to `<path>.corrupt` (and counted by the
-/// `store_snapshot_quarantined_total` metric) so the evidence survives for
-/// inspection; a leftover `<path>.tmp` from a crashed write is swept.
-///
-/// # Errors
-///
-/// - [`StoreError::Enclave`] if even a fresh store cannot be constructed
-///   (the fallback itself failed; nothing to serve).
-pub fn restore_or_fresh(
-    platform: &Platform,
-    config: StoreConfig,
-    path: &std::path::Path,
-) -> Result<(ResultStore, SnapshotLoad), StoreError> {
-    restore_or_fresh_vfs(platform, config, &crate::vfs::StdVfs, path)
-}
-
-/// [`restore_or_fresh`] on an injected [`Vfs`] (fault testing).
-///
-/// # Errors
-///
-/// Same as [`restore_or_fresh`].
-pub fn restore_or_fresh_vfs(
-    platform: &Platform,
-    config: StoreConfig,
-    vfs: &dyn Vfs,
-    path: &std::path::Path,
-) -> Result<(ResultStore, SnapshotLoad), StoreError> {
-    // Sweep the write-side leftover: a crash between tmp write and rename
-    // leaks `<path>.tmp` forever otherwise. It is never read, so removal
-    // failures are harmless and ignored.
-    let tmp = tmp_path(path);
-    if vfs.exists(&tmp) {
-        let _ = vfs.remove_file(&tmp);
-    }
-    let bytes = match vfs.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok((ResultStore::new(platform, config)?, SnapshotLoad::FreshMissing));
-        }
-        Err(e) => {
-            quarantine(vfs, path);
-            return Ok((
-                ResultStore::new(platform, config.clone())?,
-                SnapshotLoad::FreshUnreadable(e.to_string()),
-            ));
-        }
-    };
-    match restore(platform, config.clone(), &bytes) {
-        Ok(store) => Ok((store, SnapshotLoad::Restored)),
-        Err(e) => {
-            quarantine(vfs, path);
-            Ok((
-                ResultStore::new(platform, config)?,
-                SnapshotLoad::FreshUnreadable(e.to_string()),
-            ))
-        }
-    }
-}
-
-/// Renames an unusable snapshot to `<path>.corrupt` — evidence for the
-/// operator instead of a silent fresh start — and bumps the quarantine
-/// counter. Best-effort: the fallback store must come up either way.
-fn quarantine(vfs: &dyn Vfs, path: &std::path::Path) {
-    speed_telemetry::global()
-        .counter(
-            speed_telemetry::names::STORE_SNAPSHOT_QUARANTINED_TOTAL,
-            "corrupt snapshots/checkpoints quarantined to *.corrupt",
-        )
-        .inc();
-    if vfs.exists(path) {
-        let _ = vfs.rename(path, &crate::segment::corrupt_sibling(path));
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            let _ = vfs.fsync_dir(parent);
-        }
-    }
-}
-
-/// The sibling temp name used by [`write_snapshot_file`] (same directory,
-/// so the final rename never crosses filesystems).
-fn tmp_path(path: &std::path::Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::StoreBackend;
+    use crate::vfs::Vfs;
     use speed_enclave::CostModel;
     use speed_wire::{AppId, CompTag, Message, Record};
 
@@ -504,118 +370,25 @@ mod tests {
         assert_eq!(original, recovered);
     }
 
-    fn scratch_file(label: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("speed-store-persist-{label}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("store.snap")
-    }
-
-    #[test]
-    fn file_roundtrip_restores() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let path = scratch_file("roundtrip");
-        let store = populated_store(&platform);
-        write_snapshot_file(&platform, &store, &path).unwrap();
-        drop(store);
-        let (restored, outcome) =
-            restore_or_fresh(&platform, StoreConfig::default(), &path).unwrap();
-        assert_eq!(outcome, SnapshotLoad::Restored);
-        assert_eq!(restored.stats().entries, 5);
-        // The write was atomic: no stray tmp file remains.
-        assert!(!tmp_path(&path).exists());
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn missing_file_starts_fresh() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let path = scratch_file("missing");
-        let (store, outcome) =
-            restore_or_fresh(&platform, StoreConfig::default(), &path).unwrap();
-        assert_eq!(outcome, SnapshotLoad::FreshMissing);
-        assert_eq!(store.stats().entries, 0);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
     #[test]
     fn torn_snapshot_never_loads_at_any_truncation_point() {
-        // Simulates a crash mid-write for a writer that (wrongly) wrote the
-        // target in place: every strict prefix of a valid snapshot must fall
-        // back to a fresh store — never panic, never import partial entries.
+        // Simulates a crash mid-write: every strict prefix of a valid
+        // snapshot must fail to restore — never panic, never import a
+        // partial store.
         let platform = Platform::new(CostModel::no_sgx());
-        let path = scratch_file("torn");
         let store = populated_store(&platform);
         let full = snapshot(&platform, &store).unwrap();
         drop(store);
         // Cover the header, the sealed-container boundary, and a spread of
-        // interior points without writing thousands of files.
+        // interior points.
         let mut cuts: Vec<usize> = (0..16.min(full.len())).collect();
         cuts.extend((16..full.len()).step_by(37));
         for cut in cuts {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let (fresh, outcome) =
-                restore_or_fresh(&platform, StoreConfig::default(), &path).unwrap();
             assert!(
-                matches!(outcome, SnapshotLoad::FreshUnreadable(_)),
+                restore(&platform, StoreConfig::default(), &full[..cut]).is_err(),
                 "prefix of {cut} bytes unexpectedly loaded"
             );
-            assert_eq!(fresh.stats().entries, 0, "cut={cut}");
         }
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn leftover_tmp_file_is_swept_on_open() {
-        // A crash between tmp write and rename leaves `<path>.tmp` but no
-        // `<path>`: the loader must report a clean miss, never read the
-        // tmp, and sweep it so the leak is not forever.
-        let platform = Platform::new(CostModel::no_sgx());
-        let path = scratch_file("tmp-left");
-        let store = populated_store(&platform);
-        let full = snapshot(&platform, &store).unwrap();
-        drop(store);
-        std::fs::write(tmp_path(&path), &full).unwrap();
-        let (fresh, outcome) =
-            restore_or_fresh(&platform, StoreConfig::default(), &path).unwrap();
-        assert_eq!(outcome, SnapshotLoad::FreshMissing);
-        assert_eq!(fresh.stats().entries, 0);
-        assert!(!tmp_path(&path).exists(), "stale tmp must be swept");
-        // The next successful write still lands and recovers.
-        let store = populated_store(&platform);
-        write_snapshot_file(&platform, &store, &path).unwrap();
-        let (restored, outcome) =
-            restore_or_fresh(&platform, StoreConfig::default(), &path).unwrap();
-        assert_eq!(outcome, SnapshotLoad::Restored);
-        assert_eq!(restored.stats().entries, 5);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn tampered_snapshot_quarantined_and_falls_back_fresh() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let path = scratch_file("tampered");
-        let store = populated_store(&platform);
-        write_snapshot_file(&platform, &store, &path).unwrap();
-        drop(store);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        let (fresh, outcome) =
-            restore_or_fresh(&platform, StoreConfig::default(), &path).unwrap();
-        assert!(matches!(outcome, SnapshotLoad::FreshUnreadable(_)));
-        assert_eq!(fresh.stats().entries, 0);
-        // The bad file was quarantined as evidence, not silently discarded.
-        assert!(!path.exists());
-        let quarantined = crate::segment::corrupt_sibling(&path);
-        assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
-        // A second open after quarantine is a clean miss.
-        let (_, outcome) =
-            restore_or_fresh(&platform, StoreConfig::default(), &path).unwrap();
-        assert_eq!(outcome, SnapshotLoad::FreshMissing);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     /// A [`Vfs`] that records the order of durability-relevant operations.
@@ -680,130 +453,36 @@ mod tests {
         }
     }
 
-    /// A [`Vfs`] whose next `read` fails once, then behaves normally.
-    #[derive(Debug, Default)]
-    struct FailNextRead {
-        armed: std::sync::atomic::AtomicBool,
-    }
-
-    impl Vfs for FailNextRead {
-        fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
-            if self.armed.swap(false, std::sync::atomic::Ordering::Relaxed) {
-                return Err(std::io::Error::other("injected read error"));
-            }
-            std::fs::read(path)
-        }
-        fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-            std::fs::write(path, bytes)
-        }
-        fn append(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-            crate::vfs::StdVfs.append(path, bytes)
-        }
-        fn truncate(&self, path: &std::path::Path, len: u64) -> std::io::Result<()> {
-            crate::vfs::StdVfs.truncate(path, len)
-        }
-        fn fsync(&self, path: &std::path::Path) -> std::io::Result<()> {
-            crate::vfs::StdVfs.fsync(path)
-        }
-        fn fsync_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
-            crate::vfs::StdVfs.fsync_dir(dir)
-        }
-        fn rename(
-            &self,
-            from: &std::path::Path,
-            to: &std::path::Path,
-        ) -> std::io::Result<()> {
-            std::fs::rename(from, to)
-        }
-        fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-            std::fs::remove_file(path)
-        }
-        fn create_dir_all(&self, dir: &std::path::Path) -> std::io::Result<()> {
-            std::fs::create_dir_all(dir)
-        }
-        fn list_dir(
-            &self,
-            dir: &std::path::Path,
-        ) -> std::io::Result<Vec<std::path::PathBuf>> {
-            crate::vfs::StdVfs.list_dir(dir)
-        }
-        fn file_len(&self, path: &std::path::Path) -> std::io::Result<u64> {
-            crate::vfs::StdVfs.file_len(path)
-        }
-        fn exists(&self, path: &std::path::Path) -> bool {
-            path.exists()
-        }
-    }
-
-    #[test]
-    fn v1_snapshot_migrates_to_v2_despite_transient_read_error() {
-        // A legacy v1 snapshot file, a flaky first read: the store must
-        // come up fresh (quarantining the file), and once the operator
-        // moves the evidence back, the v1 payload must still migrate and
-        // the next save must land in the v2 format.
-        let platform = Platform::new(CostModel::no_sgx());
-        let path = scratch_file("v1-readfault");
-        let seal_store = ResultStore::new(&platform, StoreConfig::default()).unwrap();
-        let sealed = seal(
-            &platform,
-            seal_store.enclave(),
-            &SealPolicy::MrEnclave,
-            SNAPSHOT_AAD,
-            V1_PAYLOAD,
-        )
-        .to_bytes();
-        drop(seal_store);
-        std::fs::write(&path, &sealed).unwrap();
-
-        let vfs = FailNextRead::default();
-        vfs.armed.store(true, std::sync::atomic::Ordering::Relaxed);
-        let (fresh, outcome) =
-            restore_or_fresh_vfs(&platform, StoreConfig::default(), &vfs, &path).unwrap();
-        assert!(matches!(outcome, SnapshotLoad::FreshUnreadable(_)));
-        assert_eq!(fresh.stats().entries, 0);
-        let quarantined = crate::segment::corrupt_sibling(&path);
-        assert_eq!(std::fs::read(&quarantined).unwrap(), sealed, "evidence intact");
-
-        // Operator intervention: move the quarantined file back; the read
-        // succeeds this time and the v1 payload migrates.
-        std::fs::rename(&quarantined, &path).unwrap();
-        let (migrated, outcome) =
-            restore_or_fresh_vfs(&platform, StoreConfig::default(), &vfs, &path).unwrap();
-        assert_eq!(outcome, SnapshotLoad::Restored);
-        assert_eq!(migrated.stats().entries, 3);
-
-        // Re-saving writes the current v2 payload, finishing the migration.
-        write_snapshot_file(&platform, &migrated, &path).unwrap();
-        let (reread, outcome) =
-            restore_or_fresh(&platform, StoreConfig::default(), &path).unwrap();
-        assert_eq!(outcome, SnapshotLoad::Restored);
-        assert_eq!(reread.stats().entries, 3);
-        let popular = reread.export_popular(6);
-        assert_eq!(popular.len(), 1, "hit counts survived both hops");
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
     #[test]
     fn snapshot_write_fsyncs_file_then_rename_then_directory() {
-        // Regression for the missing directory fsync: without it a power
-        // cut after `write_snapshot_file` returned can roll the rename
-        // back, losing a write the caller was told succeeded.
+        // The `LogBackend` checkpoint is what writes this sealed payload to
+        // disk. Without the directory fsync a power cut after the
+        // checkpoint returned can roll the rename back, losing a write the
+        // caller was told succeeded (and the segments it let go).
         let platform = Platform::new(CostModel::no_sgx());
-        let path = scratch_file("dirsync");
+        let enclave = platform.create_enclave(b"dirsync").unwrap();
+        let dir = std::env::temp_dir()
+            .join(format!("speed-store-persist-dirsync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let vfs = std::sync::Arc::new(RecordingVfs::default());
+        let backend =
+            crate::LogBackend::with_vfs(vfs.clone(), crate::LogConfig::new(&dir));
+        backend.open(&platform, &enclave).unwrap();
         let store = populated_store(&platform);
-        let vfs = RecordingVfs::default();
-        write_snapshot_file_vfs(&platform, &store, &vfs, &path).unwrap();
+        vfs.ops.lock().unwrap().clear();
+        backend.checkpoint(&|| store.export_shards()).unwrap();
         let ops = vfs.ops.lock().unwrap().clone();
-        let parent = path.parent().unwrap().display().to_string();
+        let checkpoint = dir.join(crate::segment::CHECKPOINT_FILE);
+        let tmp = crate::segment::tmp_sibling(&checkpoint);
         assert_eq!(
-            ops,
-            vec![
-                format!("write {}", tmp_path(&path).display()),
-                format!("fsync {}", tmp_path(&path).display()),
-                format!("rename {}", path.display()),
-                format!("fsync_dir {parent}"),
+            ops[..4],
+            [
+                format!("write {}", tmp.display()),
+                format!("fsync {}", tmp.display()),
+                format!("rename {}", checkpoint.display()),
+                format!("fsync_dir {}", dir.display()),
             ],
         );
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

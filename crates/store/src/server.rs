@@ -136,29 +136,22 @@ pub struct ServerStats {
 /// two servers in one process must never share (and stomp) a series.
 static SERVER_INSTANCE: AtomicU64 = AtomicU64::new(0);
 
-/// Per-server counters, mirrored live into per-instance-labelled
-/// registry series so a `MetricsRequest` served by any thread sees fresh
-/// values.
+/// Per-server counters: connection occupancy, mirrored into per-instance
+/// labelled gauges, and this server's cells of the per-instance labelled
+/// event counter series.
 #[derive(Debug)]
 struct ServerCounters {
     active: AtomicU64,
     peak: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    protocol_errors: AtomicU64,
-    frame_timeouts: AtomicU64,
-    switchless_requests: AtomicU64,
-    switchless_responses: AtomicU64,
-    switchless_fallbacks: AtomicU64,
+    accepted: Counter,
+    rejected: Counter,
+    protocol_errors: Counter,
+    frame_timeouts: Counter,
+    switchless_requests: Counter,
+    switchless_responses: Counter,
+    switchless_fallbacks: Counter,
     active_tm: Gauge,
     peak_tm: Gauge,
-    accepted_tm: Counter,
-    rejected_tm: Counter,
-    protocol_errors_tm: Counter,
-    frame_timeouts_tm: Counter,
-    switchless_requests_tm: Counter,
-    switchless_responses_tm: Counter,
-    switchless_fallbacks_tm: Counter,
 }
 
 impl ServerCounters {
@@ -176,13 +169,41 @@ impl ServerCounters {
         ServerCounters {
             active: AtomicU64::new(0),
             peak: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            frame_timeouts: AtomicU64::new(0),
-            switchless_requests: AtomicU64::new(0),
-            switchless_responses: AtomicU64::new(0),
-            switchless_fallbacks: AtomicU64::new(0),
+            accepted: registry.counter_with(
+                names::SERVER_CONNECTIONS_ACCEPTED_TOTAL,
+                "Connections accepted over the server's lifetime",
+                labels,
+            ),
+            rejected: registry.counter_with(
+                names::SERVER_CONNECTIONS_REJECTED_TOTAL,
+                "Connections refused with a busy frame (budget saturated)",
+                labels,
+            ),
+            protocol_errors: registry.counter_with(
+                names::SERVER_PROTOCOL_ERRORS_TOTAL,
+                "Connections dropped on a protocol violation",
+                labels,
+            ),
+            frame_timeouts: registry.counter_with(
+                names::SERVER_FRAME_TIMEOUTS_TOTAL,
+                "Connections dropped by the per-frame deadline",
+                labels,
+            ),
+            switchless_requests: registry.counter_with(
+                names::SWITCHLESS_REQUESTS_TOTAL,
+                "Requests submitted to a switchless ring",
+                labels,
+            ),
+            switchless_responses: registry.counter_with(
+                names::SWITCHLESS_RESPONSES_TOTAL,
+                "Responses drained from a switchless ring",
+                labels,
+            ),
+            switchless_fallbacks: registry.counter_with(
+                names::SWITCHLESS_FALLBACKS_TOTAL,
+                "Hot-path requests that fell back to the ECALL path",
+                labels,
+            ),
             active_tm: registry.gauge_with(
                 names::SERVER_CONNECTIONS_ACTIVE,
                 "Connections currently open",
@@ -193,47 +214,11 @@ impl ServerCounters {
                 "High-water mark of concurrently open connections",
                 labels,
             ),
-            accepted_tm: registry.counter_with(
-                names::SERVER_CONNECTIONS_ACCEPTED_TOTAL,
-                "Connections accepted over the server's lifetime",
-                labels,
-            ),
-            rejected_tm: registry.counter_with(
-                names::SERVER_CONNECTIONS_REJECTED_TOTAL,
-                "Connections refused with a busy frame (budget saturated)",
-                labels,
-            ),
-            protocol_errors_tm: registry.counter_with(
-                names::SERVER_PROTOCOL_ERRORS_TOTAL,
-                "Connections dropped on a protocol violation",
-                labels,
-            ),
-            frame_timeouts_tm: registry.counter_with(
-                names::SERVER_FRAME_TIMEOUTS_TOTAL,
-                "Connections dropped by the per-frame deadline",
-                labels,
-            ),
-            switchless_requests_tm: registry.counter_with(
-                names::SWITCHLESS_REQUESTS_TOTAL,
-                "Requests submitted to a switchless ring",
-                labels,
-            ),
-            switchless_responses_tm: registry.counter_with(
-                names::SWITCHLESS_RESPONSES_TOTAL,
-                "Responses drained from a switchless ring",
-                labels,
-            ),
-            switchless_fallbacks_tm: registry.counter_with(
-                names::SWITCHLESS_FALLBACKS_TOTAL,
-                "Hot-path requests that fell back to the ECALL path",
-                labels,
-            ),
         }
     }
 
     fn conn_opened(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.accepted_tm.inc();
+        self.accepted.inc();
         let live = self.active.fetch_add(1, Ordering::Relaxed) + 1;
         self.active_tm.set(live);
         let peak = self.peak.fetch_max(live, Ordering::Relaxed).max(live);
@@ -243,36 +228,6 @@ impl ServerCounters {
     fn conn_closed(&self) {
         let live = self.active.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
         self.active_tm.set(live);
-    }
-
-    fn reject(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.rejected_tm.inc();
-    }
-
-    fn protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        self.protocol_errors_tm.inc();
-    }
-
-    fn frame_timeout(&self) {
-        self.frame_timeouts.fetch_add(1, Ordering::Relaxed);
-        self.frame_timeouts_tm.inc();
-    }
-
-    fn switchless_request(&self) {
-        self.switchless_requests.fetch_add(1, Ordering::Relaxed);
-        self.switchless_requests_tm.inc();
-    }
-
-    fn switchless_response(&self) {
-        self.switchless_responses.fetch_add(1, Ordering::Relaxed);
-        self.switchless_responses_tm.inc();
-    }
-
-    fn switchless_fallback(&self) {
-        self.switchless_fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.switchless_fallbacks_tm.inc();
     }
 }
 
@@ -397,25 +352,17 @@ impl StoreServer {
 
     /// Current server counters.
     pub fn stats(&self) -> ServerStats {
+        let counters = &self.counters;
         ServerStats {
-            active: self.counters.active.load(Ordering::Relaxed),
-            peak: self.counters.peak.load(Ordering::Relaxed),
-            accepted: self.counters.accepted.load(Ordering::Relaxed),
-            rejected: self.counters.rejected.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-            frame_timeouts: self.counters.frame_timeouts.load(Ordering::Relaxed),
-            switchless_requests: self
-                .counters
-                .switchless_requests
-                .load(Ordering::Relaxed),
-            switchless_responses: self
-                .counters
-                .switchless_responses
-                .load(Ordering::Relaxed),
-            switchless_fallbacks: self
-                .counters
-                .switchless_fallbacks
-                .load(Ordering::Relaxed),
+            active: counters.active.load(Ordering::Relaxed),
+            peak: counters.peak.load(Ordering::Relaxed),
+            accepted: counters.accepted.get(),
+            rejected: counters.rejected.get(),
+            protocol_errors: counters.protocol_errors.get(),
+            frame_timeouts: counters.frame_timeouts.get(),
+            switchless_requests: counters.switchless_requests.get(),
+            switchless_responses: counters.switchless_responses.get(),
+            switchless_fallbacks: counters.switchless_fallbacks.get(),
         }
     }
 
@@ -673,7 +620,7 @@ impl IoThread {
     /// enough to drain it — the client gets a definite "busy, retry"
     /// instead of an unexplained reset.
     fn busy_reject(&mut self, stream: TcpStream) {
-        self.shared.counters.reject();
+        self.shared.counters.rejected.inc();
         let slot = self.install(stream, false);
         if let Some(conn) = self.conns[slot].as_mut() {
             conn.state = ConnState::Closing;
@@ -721,8 +668,8 @@ impl IoThread {
         }
         match reason {
             CloseReason::Normal => {}
-            CloseReason::Protocol => self.shared.counters.protocol_error(),
-            CloseReason::Deadline => self.shared.counters.frame_timeout(),
+            CloseReason::Protocol => self.shared.counters.protocol_errors.inc(),
+            CloseReason::Deadline => self.shared.counters.frame_timeouts.inc(),
         }
     }
 
@@ -873,7 +820,7 @@ impl IoThread {
                 let token = ((slot as u64) << 32) | u64::from(conn.generation);
                 match engine.try_submit(self.index, token, request) {
                     Ok(()) => {
-                        self.shared.counters.switchless_request();
+                        self.shared.counters.switchless_requests.inc();
                         conn.inflight = true;
                         // Bounds the switchless round-trip: if the worker
                         // dies, the connection times out instead of
@@ -883,7 +830,7 @@ impl IoThread {
                         return true;
                     }
                     Err(request) => {
-                        self.shared.counters.switchless_fallback();
+                        self.shared.counters.switchless_fallbacks.inc();
                         let response = self.shared.store.handle(request);
                         return self.respond(slot, &response);
                     }
@@ -961,7 +908,7 @@ impl IoThread {
             if !alive {
                 continue; // connection closed while the op was in flight
             }
-            self.shared.counters.switchless_response();
+            self.shared.counters.switchless_responses.inc();
             if let Some(conn) = self.conns[slot].as_mut() {
                 conn.inflight = false;
                 conn.deadline = None;

@@ -122,19 +122,10 @@ impl StoreConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    gets: AtomicU64,
-    hits: AtomicU64,
-    puts: AtomicU64,
-    rejected_puts: AtomicU64,
-}
-
-/// Process-wide telemetry handles for one [`ResultStore`]. Event counters
-/// are incremented live alongside the per-store [`Counters`] (which stay
-/// authoritative for [`ResultStore::stats`]); derived values — entry
-/// counts, byte totals, per-shard counters — are pushed into the registry
-/// by [`ResultStore::sync_telemetry`] just before a snapshot is rendered.
+/// One [`ResultStore`]'s handles into the process-wide telemetry registry:
+/// its own cells of the event counters, which [`ResultStore::stats`] reads,
+/// and the gauges that [`ResultStore::sync_telemetry`] sets just before a
+/// snapshot is rendered.
 #[derive(Debug)]
 struct StoreTelemetry {
     gets: Counter,
@@ -150,55 +141,11 @@ struct StoreTelemetry {
     filter_incomplete: Counter,
     filter_rebuilds: Counter,
     filter_batch_skips: Counter,
-    shards: Vec<ShardTelemetry>,
-}
-
-/// Per-shard registry series, labelled `shard="<index>"`.
-#[derive(Debug)]
-struct ShardTelemetry {
-    entries: Gauge,
-    stored_bytes: Gauge,
-    evictions: Counter,
-    lock_contention: Counter,
-    busy_ns: Counter,
 }
 
 impl StoreTelemetry {
-    fn from_global(shard_count: usize) -> Self {
+    fn from_global() -> Self {
         let registry = speed_telemetry::global();
-        let shards = (0..shard_count)
-            .map(|index| {
-                let label = index.to_string();
-                let labels: &[(&str, &str)] = &[("shard", label.as_str())];
-                ShardTelemetry {
-                    entries: registry.gauge_with(
-                        names::STORE_SHARD_ENTRIES,
-                        "Dictionary entries held by this shard",
-                        labels,
-                    ),
-                    stored_bytes: registry.gauge_with(
-                        names::STORE_SHARD_STORED_BYTES,
-                        "Ciphertext bytes referenced by this shard's entries",
-                        labels,
-                    ),
-                    evictions: registry.counter_with(
-                        names::STORE_SHARD_EVICTIONS_TOTAL,
-                        "LRU evictions performed by this shard",
-                        labels,
-                    ),
-                    lock_contention: registry.counter_with(
-                        names::STORE_SHARD_LOCK_CONTENTION_TOTAL,
-                        "Dictionary lock acquisitions that had to block on this shard",
-                        labels,
-                    ),
-                    busy_ns: registry.counter_with(
-                        names::STORE_SHARD_BUSY_NS_TOTAL,
-                        "Nanoseconds this shard's dictionary lock was held",
-                        labels,
-                    ),
-                }
-            })
-            .collect();
         StoreTelemetry {
             gets: registry
                 .counter(names::STORE_GETS_TOTAL, "GET requests served by the store"),
@@ -248,7 +195,6 @@ impl StoreTelemetry {
                 "Prefiltered batch GETs answered not-found straight from the \
                  shard's negative filter",
             ),
-            shards,
         }
     }
 }
@@ -294,7 +240,7 @@ impl MetaHeap {
 struct Timed<'a, G> {
     inner: G,
     start: Instant,
-    busy: &'a AtomicU64,
+    busy: &'a Counter,
 }
 
 impl<G> std::ops::Deref for Timed<'_, G>
@@ -319,13 +265,12 @@ where
 
 impl<G> Drop for Timed<'_, G> {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed().as_nanos() as u64;
-        self.busy.fetch_add(elapsed, Ordering::Relaxed);
+        self.busy.add(self.start.elapsed().as_nanos() as u64);
     }
 }
 
 /// One lock partition: its own dictionary, meta-heap slice, negative
-/// filter, and counters.
+/// filter, and `shard`-labelled registry series.
 #[derive(Debug)]
 struct Shard {
     dict: RwLock<MetadataDict>,
@@ -335,20 +280,47 @@ struct Shard {
     /// (eviction/expiry leave stale bits — false positives only); any insert
     /// without a known prefilter marks it incomplete.
     filter: Mutex<NegativeFilter>,
-    evictions: AtomicU64,
-    contention: AtomicU64,
-    busy_ns: AtomicU64,
+    evictions: Counter,
+    contention: Counter,
+    busy_ns: Counter,
+    entries_tm: Gauge,
+    stored_bytes_tm: Gauge,
 }
 
 impl Shard {
-    fn new(filter_capacity: usize) -> Self {
+    fn new(index: usize, filter_capacity: usize) -> Self {
+        let registry = speed_telemetry::global();
+        let label = index.to_string();
+        let labels: &[(&str, &str)] = &[("shard", label.as_str())];
         Shard {
             dict: RwLock::new(MetadataDict::new()),
             meta_heap: Mutex::new(MetaHeap::default()),
             filter: Mutex::new(NegativeFilter::with_capacity(filter_capacity as u64)),
-            evictions: AtomicU64::new(0),
-            contention: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
+            evictions: registry.counter_with(
+                names::STORE_SHARD_EVICTIONS_TOTAL,
+                "LRU evictions performed by this shard",
+                labels,
+            ),
+            contention: registry.counter_with(
+                names::STORE_SHARD_LOCK_CONTENTION_TOTAL,
+                "Dictionary lock acquisitions that had to block on this shard",
+                labels,
+            ),
+            busy_ns: registry.counter_with(
+                names::STORE_SHARD_BUSY_NS_TOTAL,
+                "Nanoseconds this shard's dictionary lock was held",
+                labels,
+            ),
+            entries_tm: registry.gauge_with(
+                names::STORE_SHARD_ENTRIES,
+                "Dictionary entries held by this shard",
+                labels,
+            ),
+            stored_bytes_tm: registry.gauge_with(
+                names::STORE_SHARD_STORED_BYTES,
+                "Ciphertext bytes referenced by this shard's entries",
+                labels,
+            ),
         }
     }
 
@@ -358,7 +330,7 @@ impl Shard {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             Err(std::sync::TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
+                self.contention.inc();
                 self.dict.read().unwrap_or_else(std::sync::PoisonError::into_inner)
             }
         };
@@ -372,7 +344,7 @@ impl Shard {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             Err(std::sync::TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
+                self.contention.inc();
                 self.dict.write().unwrap_or_else(std::sync::PoisonError::into_inner)
             }
         };
@@ -451,7 +423,6 @@ pub struct ResultStore {
     shard_max_bytes: u64,
     quota: ShardedQuota,
     config: StoreConfig,
-    counters: Counters,
     telemetry: StoreTelemetry,
     logical_ms: AtomicU64,
     /// Bumped on every negative-filter mutation; shipped in
@@ -481,7 +452,7 @@ impl ResultStore {
         let shard_count = config.shards.max(1);
         let shard_max_entries = config.max_entries.div_ceil(shard_count).max(1);
         let shards: Box<[Shard]> =
-            (0..shard_count).map(|_| Shard::new(shard_max_entries)).collect();
+            (0..shard_count).map(|index| Shard::new(index, shard_max_entries)).collect();
         Ok(ResultStore {
             enclave,
             untrusted: Arc::clone(platform.untrusted()),
@@ -490,8 +461,7 @@ impl ResultStore {
             quota: ShardedQuota::new(config.quota, shard_count),
             shards,
             config,
-            counters: Counters::default(),
-            telemetry: StoreTelemetry::from_global(shard_count),
+            telemetry: StoreTelemetry::from_global(),
             logical_ms: AtomicU64::new(0),
             filter_epoch: AtomicU64::new(0),
             backend: Arc::new(MemoryBackend),
@@ -746,14 +716,12 @@ impl ResultStore {
             let now_ms = self.tick();
             match item {
                 BatchItem::Get { tag } => {
-                    self.counters.gets.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.gets.inc();
                     args_len += 32;
                     ret_len += 128;
                     plans.push(BatchPlan::Get { tag, now_ms });
                 }
                 BatchItem::GetPrefiltered { tag, prefilter } => {
-                    self.counters.gets.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.gets.inc();
                     // Filter-aware batch GET planning: a complete shard
                     // filter that does not contain the prefilter tag proves
@@ -784,7 +752,6 @@ impl ResultStore {
                             unreachable!("matched above")
                         }
                     };
-                    self.counters.puts.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.puts.inc();
                     // Conservative: recorded even if the PUT is denied below
                     // (skipping the shortcut never changes an answer).
@@ -917,7 +884,6 @@ impl ResultStore {
                     // the host side — no boundary crossing for the bulk bytes.
                     match self.untrusted.load(blob) {
                         Some(boxed_result) => {
-                            self.counters.hits.fetch_add(1, Ordering::Relaxed);
                             self.telemetry.hits.inc();
                             results.push(BatchItemResult::found(Record {
                                 challenge,
@@ -1059,7 +1025,6 @@ impl ResultStore {
 
     /// Counts one rejected PUT and returns its batch result.
     fn reject(&self, reason: impl Into<String>) -> BatchItemResult {
-        self.counters.rejected_puts.fetch_add(1, Ordering::Relaxed);
         self.telemetry.rejected_puts.inc();
         BatchItemResult::rejected(reason)
     }
@@ -1190,7 +1155,7 @@ impl ResultStore {
             });
             match evicted {
                 Some((tag, entry)) => {
-                    shard.evictions.fetch_add(1, Ordering::Relaxed);
+                    shard.evictions.inc();
                     self.telemetry.evictions.inc();
                     self.untrusted.remove(entry.blob);
                     self.quota.release(entry.owner, u64::from(entry.boxed_len));
@@ -1362,7 +1327,7 @@ impl ResultStore {
                 let dict = shard.dict_observe();
                 (dict.len() as u64, dict.stored_bytes())
             };
-            let shard_evictions = shard.evictions.load(Ordering::Relaxed);
+            let shard_evictions = shard.evictions.get();
             entries += shard_entries;
             stored_bytes += shard_bytes;
             evictions += shard_evictions;
@@ -1370,46 +1335,45 @@ impl ResultStore {
                 entries: shard_entries,
                 stored_bytes: shard_bytes,
                 evictions: shard_evictions,
-                lock_contention: shard.contention.load(Ordering::Relaxed),
-                busy_ns: shard.busy_ns.load(Ordering::Relaxed),
+                lock_contention: shard.contention.get(),
+                busy_ns: shard.busy_ns.get(),
             });
         }
         StatsBody {
             entries,
-            gets: self.counters.gets.load(Ordering::Relaxed),
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            puts: self.counters.puts.load(Ordering::Relaxed),
-            rejected_puts: self.counters.rejected_puts.load(Ordering::Relaxed),
+            gets: self.telemetry.gets.get(),
+            hits: self.telemetry.hits.get(),
+            puts: self.telemetry.puts.get(),
+            rejected_puts: self.telemetry.rejected_puts.get(),
             stored_bytes,
             evictions,
             shards,
         }
     }
 
-    /// Pushes the store's derived values — entry counts, byte totals, and
-    /// per-shard counters — into the process-global telemetry registry.
+    /// Sets the store's gauges — entry counts and byte totals, per shard and
+    /// in all — in the process-global telemetry registry.
     ///
-    /// Event counters (gets, hits, puts, rejections, evictions) are
-    /// incremented live as requests flow; the values synced here are
-    /// point-in-time readings that only a snapshot consumer needs, so they
-    /// are refreshed on demand: [`handle`](Self::handle) calls this before
-    /// answering a `MetricsRequest`, and the `speedctl serve` JSONL emitter
-    /// calls it once per interval.
+    /// Event counters (gets, hits, puts, rejections, evictions, per-shard
+    /// contention and busy time) count live on this store's registry cells;
+    /// the gauges are point-in-time readings that only a snapshot consumer
+    /// needs, so they are refreshed on demand: [`handle`](Self::handle)
+    /// calls this before answering a `MetricsRequest`, and the `speedctl
+    /// serve` JSONL emitter calls it once per interval. Gauges are
+    /// last-writer per series, so with several stores in one process they
+    /// show the store that synced last.
     pub fn sync_telemetry(&self) {
         let mut entries = 0u64;
         let mut stored_bytes = 0u64;
-        for (shard, tm) in self.shards.iter().zip(&self.telemetry.shards) {
+        for shard in self.shards.iter() {
             let (shard_entries, shard_bytes) = {
                 let dict = shard.dict_observe();
                 (dict.len() as u64, dict.stored_bytes())
             };
             entries += shard_entries;
             stored_bytes += shard_bytes;
-            tm.entries.set(shard_entries);
-            tm.stored_bytes.set(shard_bytes);
-            tm.evictions.set_total(shard.evictions.load(Ordering::Relaxed));
-            tm.lock_contention.set_total(shard.contention.load(Ordering::Relaxed));
-            tm.busy_ns.set_total(shard.busy_ns.load(Ordering::Relaxed));
+            shard.entries_tm.set(shard_entries);
+            shard.stored_bytes_tm.set(shard_bytes);
         }
         self.telemetry.entries.set(entries);
         self.telemetry.stored_bytes.set(stored_bytes);
@@ -1417,7 +1381,7 @@ impl ResultStore {
 
     /// Number of LRU evictions so far, across all shards.
     pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.evictions.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.evictions.get()).sum()
     }
 
     /// Advances and returns the logical millisecond clock used for quota

@@ -13,9 +13,15 @@
 //! # Model
 //!
 //! - [`Counter`] — monotonically increasing `u64` (requests served,
-//!   transitions performed, bytes copied).
+//!   transitions performed, bytes copied). Every registration is its own
+//!   cell: a component registers its counters when it is built, counts each
+//!   event once on its own cell, and builds its stats view from
+//!   [`Counter::get`]. A snapshot reports a series as the sum of its cells,
+//!   including the final counts of cells whose owners have dropped, so a
+//!   series never goes down.
 //! - [`Gauge`] — a `u64` that can go up and down (entries resident, replay
-//!   queue depth, live workers).
+//!   queue depth, live workers). Every registration of a series shares one
+//!   cell, so the last writer wins.
 //! - [`Histogram`] — fixed-bucket latency distribution in **nanoseconds**
 //!   (bucket bounds are upper-inclusive `le` limits, Prometheus-style).
 //! - [`Span`] — a timed scope: created from a histogram, it observes the

@@ -24,8 +24,10 @@ pub const DEFAULT_NS_BUCKETS: &[u64] = &[
     2_097_152_000,
 ];
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter: one cell of a registry series.
 ///
+/// Each [`Registry::counter`](crate::Registry::counter) call returns a new
+/// cell, which the caller owns; the series sums every cell of its name.
 /// Cloning is cheap (an `Arc` bump); all clones share the same cell.
 #[derive(Clone, Debug)]
 pub struct Counter(pub(crate) Arc<AtomicU64>);
@@ -41,17 +43,8 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrites the counter with an externally tracked monotonic total.
-    ///
-    /// Used when an existing subsystem already keeps its own monotonic
-    /// counter (e.g. the store's per-shard `busy_ns`) and the registry
-    /// mirrors it at snapshot time instead of double-bookkeeping the hot
-    /// path. The caller is responsible for `total` being monotonic.
-    pub fn set_total(&self, total: u64) {
-        self.0.store(total, Ordering::Relaxed);
-    }
-
-    /// Current value.
+    /// This cell's count: the events added through this handle and its
+    /// clones, not the whole series.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -185,8 +178,6 @@ mod tests {
         counter.inc();
         counter.add(4);
         assert_eq!(counter.get(), 5);
-        counter.set_total(100);
-        assert_eq!(counter.get(), 100);
 
         let gauge = Gauge(Arc::new(AtomicU64::new(0)));
         gauge.set(7);

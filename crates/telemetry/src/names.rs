@@ -41,6 +41,9 @@ pub const DEDUP_DEGRADED_CALLS_TOTAL: &str = "dedup_degraded_calls_total";
 pub const DEDUP_CACHE_HITS_TOTAL: &str = "dedup_cache_hits_total";
 /// Counter: hot-tag cache lookups that missed.
 pub const DEDUP_CACHE_MISSES_TOTAL: &str = "dedup_cache_misses_total";
+/// Counter: misses whose store GET was skipped because the negative filter
+/// proved no stored result exists (also counted in `dedup_misses_total`).
+pub const DEDUP_FILTERED_MISSES_TOTAL: &str = "dedup_filtered_misses_total";
 
 /// Histogram (ns): end-to-end latency of one marked call (`execute_raw`).
 pub const DEDUP_CALL_DURATION_NS: &str = "dedup_call_duration_ns";
@@ -258,6 +261,7 @@ pub const ALL: &[&str] = &[
     DEDUP_DEGRADED_CALLS_TOTAL,
     DEDUP_CACHE_HITS_TOTAL,
     DEDUP_CACHE_MISSES_TOTAL,
+    DEDUP_FILTERED_MISSES_TOTAL,
     DEDUP_CALL_DURATION_NS,
     DEDUP_BATCH_DURATION_NS,
     TAG_DERIVE_DURATION_NS,

@@ -1,7 +1,9 @@
-//! The metric registry: get-or-register handles, snapshot on demand.
+//! The metric registry: a cell per counter registration, shared gauges and
+//! histograms, snapshot on demand.
 
 use std::collections::HashMap;
-use std::sync::{OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::metrics::{Counter, Gauge, Histogram, DEFAULT_NS_BUCKETS};
 use crate::snapshot::{MetricSnapshot, MetricValue, TelemetrySnapshot};
@@ -10,11 +12,43 @@ use crate::snapshot::{MetricSnapshot, MetricValue, TelemetrySnapshot};
 /// `{b="2",a="1"}` name the same series.
 type Labels = Vec<(String, String)>;
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Handle {
-    Counter(Counter),
+    Counter(CounterCells),
     Gauge(Gauge),
     Histogram(Histogram),
+}
+
+/// The cells of one counter series: one per registration, plus the final
+/// counts of cells no [`Counter`] refers to any more.
+#[derive(Debug, Default)]
+struct CounterCells {
+    cells: Vec<Arc<AtomicU64>>,
+    carried: u64,
+}
+
+impl CounterCells {
+    /// Folds every cell whose handles have all dropped into `carried`, then
+    /// adds a fresh cell. The write lock is held, and a cell's count cannot
+    /// change once only the registry holds it, so a snapshot sees the same
+    /// total before and after the fold.
+    fn register(&mut self) -> Counter {
+        let carried = &mut self.carried;
+        self.cells.retain_mut(|cell| match Arc::get_mut(cell) {
+            Some(count) => {
+                *carried += *count.get_mut();
+                false
+            }
+            None => true,
+        });
+        let cell = Arc::new(AtomicU64::new(0));
+        self.cells.push(Arc::clone(&cell));
+        Counter(cell)
+    }
+
+    fn total(&self) -> u64 {
+        self.carried + self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>()
+    }
 }
 
 #[derive(Debug)]
@@ -25,12 +59,15 @@ struct Series {
 
 /// A collection of named metrics.
 ///
-/// `counter`/`gauge`/`histogram` are get-or-register: the first call for a
-/// `(name, labels)` pair creates the series, later calls return a clone of
-/// the same handle, so independently constructed components aggregate into
-/// one series. Registering a name that already exists with a *different*
-/// metric type panics — that is a programming error, not a runtime
-/// condition.
+/// Every `counter`/`counter_with` call registers a fresh cell of the named
+/// `(name, labels)` series and returns a handle to it, so each component
+/// counts its own events and reads them back with [`Counter::get`]. A
+/// snapshot reports the series as the sum of its cells plus the counts of
+/// cells whose handles have all dropped, so a series never goes down.
+/// `gauge`/`histogram` are get-or-register: every call for a pair returns
+/// a clone of one shared handle. Registering a name that already exists
+/// with a *different* metric type panics — that is a programming error,
+/// not a runtime condition.
 ///
 /// The internal lock is held only during registration and
 /// [`snapshot`](Registry::snapshot); recording through a handle never takes
@@ -46,24 +83,28 @@ impl Registry {
         Registry::default()
     }
 
-    /// Gets or registers an unlabeled counter.
+    /// Registers a new cell of an unlabeled counter.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
         self.counter_with(name, help, &[])
     }
 
-    /// Gets or registers a counter carrying the given labels.
+    /// Registers a new cell of a counter carrying the given labels.
     pub fn counter_with(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
     ) -> Counter {
-        match self.get_or_insert(name, help, labels, || {
-            Handle::Counter(Counter(Default::default()))
-        }) {
-            Handle::Counter(c) => c,
-            other => panic!("metric {name} already registered as {}", kind_of(&other)),
-        }
+        self.register(
+            name,
+            help,
+            labels,
+            || Handle::Counter(CounterCells::default()),
+            |handle| match handle {
+                Handle::Counter(cells) => Some(cells.register()),
+                _ => None,
+            },
+        )
     }
 
     /// Gets or registers an unlabeled gauge.
@@ -73,12 +114,16 @@ impl Registry {
 
     /// Gets or registers a gauge carrying the given labels.
     pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.get_or_insert(name, help, labels, || {
-            Handle::Gauge(Gauge(Default::default()))
-        }) {
-            Handle::Gauge(g) => g,
-            other => panic!("metric {name} already registered as {}", kind_of(&other)),
-        }
+        self.register(
+            name,
+            help,
+            labels,
+            || Handle::Gauge(Gauge(Default::default())),
+            |handle| match handle {
+                Handle::Gauge(gauge) => Some(gauge.clone()),
+                _ => None,
+            },
+        )
     }
 
     /// Gets or registers an unlabeled histogram with the
@@ -98,33 +143,42 @@ impl Registry {
         labels: &[(&str, &str)],
         buckets: &[u64],
     ) -> Histogram {
-        match self.get_or_insert(name, help, labels, || {
-            Handle::Histogram(Histogram::new(buckets))
-        }) {
-            Handle::Histogram(h) => h,
-            other => panic!("metric {name} already registered as {}", kind_of(&other)),
-        }
+        self.register(
+            name,
+            help,
+            labels,
+            || Handle::Histogram(Histogram::new(buckets)),
+            |handle| match handle {
+                Handle::Histogram(histogram) => Some(histogram.clone()),
+                _ => None,
+            },
+        )
     }
 
-    fn get_or_insert(
+    /// Finds or creates the series and takes a handle from it with `take`,
+    /// which returns `None` when the series holds another metric type.
+    fn register<T>(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
         make: impl FnOnce() -> Handle,
-    ) -> Handle {
+        take: impl FnOnce(&mut Handle) -> Option<T>,
+    ) -> T {
         let mut labels: Labels =
             labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         labels.sort();
-        let key = (name.to_string(), labels);
-        if let Some(series) = self.series.read().expect("registry poisoned").get(&key) {
-            return series.handle.clone();
-        }
         let mut map = self.series.write().expect("registry poisoned");
-        map.entry(key)
-            .or_insert_with(|| Series { help: help.to_string(), handle: make() })
-            .handle
-            .clone()
+        let series = map
+            .entry((name.to_string(), labels))
+            .or_insert_with(|| Series { help: help.to_string(), handle: make() });
+        let kind = match take(&mut series.handle) {
+            Some(handle) => return handle,
+            None => kind_of(&series.handle),
+        };
+        // Release the lock first so the panic does not poison the registry.
+        drop(map);
+        panic!("metric {name} already registered as {kind}")
     }
 
     /// Captures every series into a point-in-time [`TelemetrySnapshot`],
@@ -138,7 +192,7 @@ impl Registry {
                 help: series.help.clone(),
                 labels: labels.clone(),
                 value: match &series.handle {
-                    Handle::Counter(c) => MetricValue::Counter(c.get()),
+                    Handle::Counter(cells) => MetricValue::Counter(cells.total()),
                     Handle::Gauge(g) => MetricValue::Gauge(g.get()),
                     Handle::Histogram(h) => MetricValue::Histogram {
                         bounds: h.bounds().to_vec(),
@@ -179,11 +233,96 @@ mod tests {
     #[test]
     fn get_or_register_shares_one_cell() {
         let registry = Registry::new();
+        registry.gauge("g", "test").set(4);
+        registry.gauge("g", "test").add(1);
+        let counter = registry.counter("c_total", "test");
+        let clone = counter.clone();
+        counter.inc();
+        clone.add(2);
+        assert_eq!(counter.get(), 3, "clones of a counter share its cell");
+        let snap = registry.snapshot();
+        assert_eq!(snap.scalar("g"), Some(5), "gauge registrations share one cell");
+        assert_eq!(snap.scalar("c_total"), Some(3));
+    }
+
+    #[test]
+    fn registrations_of_one_name_are_cells_summed_by_the_series() {
+        let registry = Registry::new();
         let a = registry.counter("c_total", "test");
         let b = registry.counter("c_total", "test");
         a.inc();
         b.add(2);
-        assert_eq!(a.get(), 3);
+        assert_eq!((a.get(), b.get()), (1, 2));
+        assert_eq!(registry.snapshot().scalar("c_total"), Some(3));
+    }
+
+    #[test]
+    fn dropped_cell_count_stays_in_the_series() {
+        let registry = Registry::new();
+        let kept = registry.counter("c_total", "test");
+        kept.inc();
+        let dropped = registry.counter("c_total", "test");
+        dropped.add(5);
+        drop(dropped);
+        assert_eq!(registry.snapshot().scalar("c_total"), Some(6));
+        // A later registration folds the dropped cell into the carried total.
+        let fresh = registry.counter("c_total", "test");
+        assert_eq!(fresh.get(), 0);
+        assert_eq!(registry.snapshot().scalar("c_total"), Some(6));
+        kept.add(2);
+        assert_eq!(registry.snapshot().scalar("c_total"), Some(8));
+    }
+
+    #[test]
+    fn series_never_decreases_while_cells_come_and_go() {
+        const THREADS: usize = 4;
+        const ADDS: u64 = 25;
+        let registry = Registry::new();
+        let total = || registry.snapshot().scalar("churn_total").unwrap_or(0);
+        let snapshots = AtomicU64::new(0);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let rounds: u64 = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let mut last = 0;
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    let now = total();
+                    assert!(now >= last, "series went down: {last} -> {now}");
+                    last = now;
+                    snapshots.fetch_add(1, Ordering::Relaxed);
+                    if finished {
+                        return;
+                    }
+                }
+            });
+            // Each worker churns until the watcher has snapshotted throughout.
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let long_lived = registry.counter("churn_total", "test");
+                        let mut rounds = 0u64;
+                        while rounds < 200 || snapshots.load(Ordering::Relaxed) < 100 {
+                            let cell = registry.counter("churn_total", "test");
+                            let clone = cell.clone();
+                            for _ in 0..ADDS - 1 {
+                                clone.inc();
+                            }
+                            drop(clone);
+                            drop(cell);
+                            long_lived.inc();
+                            rounds += 1;
+                        }
+                        rounds
+                    })
+                })
+                .collect();
+            let rounds =
+                workers.into_iter().map(|w| w.join().expect("worker panicked")).sum();
+            done.store(true, Ordering::Release);
+            watcher.join().expect("watcher panicked");
+            rounds
+        });
+        assert_eq!(total(), rounds * ADDS);
     }
 
     #[test]
@@ -199,7 +338,12 @@ mod tests {
         let multi = registry.counter_with("m_total", "test", &[("a", "1"), ("b", "2")]);
         let same = registry.counter_with("m_total", "test", &[("b", "2"), ("a", "1")]);
         multi.inc();
-        assert_eq!(same.get(), 1, "label order must not split the series");
+        same.add(2);
+        let snap = registry.snapshot();
+        let series: Vec<_> =
+            snap.metrics.iter().filter(|m| m.name == "m_total").collect();
+        assert_eq!(series.len(), 1, "label order must not split the series");
+        assert_eq!(series[0].value, MetricValue::Counter(3));
     }
 
     #[test]
@@ -222,9 +366,11 @@ mod tests {
 
     #[test]
     fn global_registry_is_shared() {
-        let a = global().counter("registry_test_shared_total", "test");
-        let before = a.get();
-        global().counter("registry_test_shared_total", "test").inc();
-        assert_eq!(a.get(), before + 1);
+        const NAME: &str = "registry_test_shared_total";
+        let a = global().counter(NAME, "test");
+        a.inc();
+        global().counter(NAME, "test").add(2);
+        assert_eq!(a.get(), 1);
+        assert_eq!(global().snapshot().scalar(NAME), Some(3));
     }
 }

@@ -23,7 +23,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use speed_enclave::{CostModel, Enclave, Platform};
-use speed_store::persist::{restore_or_fresh_vfs, write_snapshot_file_vfs, SnapshotLoad};
 use speed_store::vfs::{StdVfs, Vfs};
 use speed_store::{
     LogBackend, LogConfig, QuotaPolicy, ResultStore, StoreBackend, StoreConfig,
@@ -555,45 +554,5 @@ fn enospc_degrades_read_only_then_recovers_on_bigger_disk() {
         Message::PutResponse(body) => assert!(body.accepted, "{:?}", body.reason),
         other => panic!("unexpected response {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot path under injected faults.
-// ---------------------------------------------------------------------------
-
-/// An injected read error during restore quarantines the snapshot and
-/// starts fresh — the store must come up, and the evidence must survive.
-#[test]
-fn snapshot_read_fault_quarantines_and_starts_fresh() {
-    let platform = platform();
-    let dir = scratch("snap-readfault");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("store.snap");
-    let store = ResultStore::new(&platform, roomy_config()).unwrap();
-    store.handle(Message::PutRequest {
-        app: AppId(1),
-        tag: tag_of(1),
-        record: record_of(1),
-    });
-    write_snapshot_file_vfs(&platform, &store, &StdVfs, &path).unwrap();
-    drop(store);
-
-    let vfs = FaultVfs::new();
-    vfs.fail_nth(FaultOp::Read, 0, FailMode::Once);
-    let (fresh, outcome) =
-        restore_or_fresh_vfs(&platform, roomy_config(), vfs.as_ref(), &path).unwrap();
-    assert!(matches!(outcome, SnapshotLoad::FreshUnreadable(_)), "{outcome:?}");
-    assert_eq!(fresh.stats().entries, 0);
-    let corrupt = dir.join("store.snap.corrupt");
-    assert!(corrupt.exists(), "unreadable snapshot must be quarantined");
-    assert!(!path.exists());
-
-    // The quarantined bytes are intact: an operator can move them back.
-    std::fs::rename(&corrupt, &path).unwrap();
-    let (restored, outcome) =
-        restore_or_fresh_vfs(&platform, roomy_config(), &StdVfs, &path).unwrap();
-    assert_eq!(outcome, SnapshotLoad::Restored);
-    assert_eq!(restored.stats().entries, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

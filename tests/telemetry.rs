@@ -13,8 +13,8 @@ use speed_core::{DedupOutcome, DedupRuntime, FuncDesc, HotCacheConfig, TrustedLi
 use speed_enclave::{CostModel, Platform};
 use speed_store::server::{StoreServer, TcpStoreClient};
 use speed_store::{ResultStore, StoreConfig};
-use speed_telemetry::{names, TelemetrySnapshot};
-use speed_wire::{Message, MetricsFormat, SessionAuthority};
+use speed_telemetry::{names, MetricValue, TelemetrySnapshot};
+use speed_wire::{AppId, CompTag, Message, MetricsFormat, Record, SessionAuthority};
 
 fn world() -> (Arc<Platform>, Arc<ResultStore>, Arc<SessionAuthority>) {
     let platform = Platform::new(CostModel::default_sgx());
@@ -195,6 +195,45 @@ fn metrics_request_roundtrips_in_both_formats() {
     assert!(jsonl.contains("\"buckets\":["));
 
     server.shutdown();
+}
+
+/// A second store in the process must not lower the counter series of the
+/// first: a counter series sums every store's cell, and syncing a store
+/// only sets gauges.
+#[test]
+fn a_second_store_never_lowers_shard_counters() {
+    let platform = Platform::new(CostModel::default_sgx());
+    let a = ResultStore::new(&platform, StoreConfig::with_capacity(2, u64::MAX)).unwrap();
+    for n in 0..5u8 {
+        let record = Record {
+            challenge: vec![n; 32],
+            wrapped_key: [n; 16],
+            nonce: [n; 12],
+            boxed_result: vec![n; 40],
+        };
+        a.handle(Message::PutRequest {
+            app: AppId(1),
+            tag: CompTag::from_bytes([n; 32]),
+            record,
+        });
+    }
+    assert_eq!(a.evictions(), 3);
+    a.sync_telemetry();
+    let b = ResultStore::new(&platform, StoreConfig::default()).unwrap();
+    b.sync_telemetry();
+
+    let shard_zero = snapshot()
+        .metrics
+        .into_iter()
+        .find(|m| {
+            m.name == names::STORE_SHARD_EVICTIONS_TOTAL
+                && m.labels == [("shard".to_string(), "0".to_string())]
+        })
+        .map(|m| m.value);
+    let Some(MetricValue::Counter(evictions)) = shard_zero else {
+        panic!("shard 0 eviction counter missing: {shard_zero:?}");
+    };
+    assert!(evictions >= a.evictions(), "{evictions} < {}", a.evictions());
 }
 
 #[test]
