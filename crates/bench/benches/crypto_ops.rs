@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use speed_bench::apps::DedupEnv;
-use speed_core::{rce, secondary_key, tag_for, FuncDesc};
+use speed_core::{comp_digest, rce, FuncDesc};
 use speed_crypto::{AesGcm128, Key128, SystemRng};
 use speed_enclave::CostModel;
 
@@ -23,23 +23,24 @@ fn bench_crypto_ops(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(size as u64));
 
         group.bench_with_input(BenchmarkId::new("tag_gen", size), &input, |b, input| {
-            b.iter(|| tag_for(&identity, input))
+            b.iter(|| comp_digest(&identity, input).tag())
         });
+        let digest = comp_digest(&identity, &input);
 
-        group.bench_with_input(BenchmarkId::new("key_gen", size), &input, |b, input| {
+        group.bench_with_input(BenchmarkId::new("key_gen", size), &input, |b, _| {
             let mut rng = SystemRng::seeded(2);
             b.iter(|| {
                 let r = rng.gen_challenge(32);
-                let h = secondary_key(&identity, input, &r);
+                let h = digest.secondary_key(&r);
                 rng.gen_key().xor_pad(&h)
             })
         });
 
         let challenge = rng.gen_challenge(32);
         let wrapped =
-            Key128::from_bytes([7; 16]).xor_pad(&secondary_key(&identity, &input, &challenge));
-        group.bench_with_input(BenchmarkId::new("key_rec", size), &input, |b, input| {
-            b.iter(|| wrapped.xor_pad(&secondary_key(&identity, input, &challenge)))
+            Key128::from_bytes([7; 16]).xor_pad(&digest.secondary_key(&challenge));
+        group.bench_with_input(BenchmarkId::new("key_rec", size), &input, |b, _| {
+            b.iter(|| wrapped.xor_pad(&digest.secondary_key(&challenge)))
         });
 
         let key = Key128::from_bytes([7; 16]);
@@ -61,7 +62,7 @@ fn bench_crypto_ops(c: &mut Criterion) {
             &input,
             |b, input| {
                 let mut rng = SystemRng::seeded(3);
-                b.iter(|| rce::encrypt_result(&identity, input, input, &mut rng))
+                b.iter(|| rce::encrypt_result(&digest, input, &mut rng))
             },
         );
     }

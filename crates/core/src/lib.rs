@@ -8,9 +8,13 @@
 //!   function (library family, version, signature) from which the runtime
 //!   derives "a universally unique value for function identification" after
 //!   verifying the application actually owns the code.
-//! - [`tag_for`] — the duplicate-checking tag `t ← Hash(func, m)`.
+//! - [`comp_digest`] — the one pass over a call's input: the secret digest
+//!   `d ← Hash(func, m)`, which never leaves the enclave. The
+//!   duplicate-checking tag `t` ([`CompDigest::tag`], [`tag_for`]) and the
+//!   secondary key `h` ([`CompDigest::secondary_key`]) are domain-separated
+//!   hashes of `d`, where Algorithms 1 and 2 hash `(func, m)` twice.
 //! - [`rce`] — the randomized-convergent-encryption result protection:
-//!   random key `k`, secondary key `h ← Hash(func, m, r)`, wrapped key
+//!   random key `k`, secondary key `h ← Hash(d, r)`, wrapped key
 //!   `[k] ← k ⊕ h`, ciphertext `[res] ← AES.Enc(k, res)`, and the Fig. 3
 //!   verification protocol on recovery.
 //! - [`DedupRuntime`] — intercepts marked computations, queries the
@@ -98,4 +102,4 @@ pub use runtime::{
     RuntimeBuilder, RuntimeStats,
 };
 pub use stream::{StreamConfig, StreamOutcome, StreamSession, StreamStats};
-pub use tag::{secondary_key, tag_for};
+pub use tag::{comp_digest, tag_for, CompDigest};

@@ -1,47 +1,48 @@
 //! Result protection: the randomized-convergent-encryption construction of
 //! §III-C, plus the basic single-key scheme of §III-B.
 //!
+//! Every function here takes the computation's [`CompDigest`]
+//! `d = Hash("comp", func, m)`, never the input itself: the runtime hashes
+//! the input once per call, and the keys below are hashes of `d`.
+//!
 //! Encryption (Algorithm 1, lines 5–9):
 //!
 //! ```text
-//! r  ←$ {0,1}*                  // challenge message
-//! h  ← Hash(func, m, r)         // secondary key
-//! k  ← AES.KeyGen(1^λ)          // fresh random result key
-//! [res] ← AES.Enc(k, res)       // AES-GCM: confidentiality + integrity
-//! [k]   ← k ⊕ h                 // one-time-pad wrap
+//! r  ←$ {0,1}*                      // challenge message
+//! h  ← Hash("secondary-key", d, r)  // secondary key
+//! k  ← AES.KeyGen(1^λ)              // fresh random result key
+//! [res] ← AES.Enc(k, res)           // AES-GCM: confidentiality + integrity
+//! [k]   ← k ⊕ h                     // one-time-pad wrap
 //! ```
 //!
 //! Recovery (Algorithm 2, lines 4–6, and the Fig. 3 verification protocol):
-//! an application recomputes `h' ← Hash(func, m, r)` from its *own* code and
-//! input; if it does not perform the identical computation, `k' = [k] ⊕ h'`
-//! is wrong and AES-GCM decryption returns `⊥`.
+//! an application derives `d'` from its *own* code and input and recomputes
+//! `h' ← Hash("secondary-key", d', r)`; if it does not perform the identical
+//! computation, `k' = [k] ⊕ h'` is wrong and AES-GCM decryption returns `⊥`.
+
+// hot-path: deny-clone
 
 use speed_crypto::{AesGcm128, Key128, Nonce, SystemRng};
 use speed_wire::Record;
 
 use crate::error::CoreError;
-use crate::func::FuncIdentity;
-use crate::tag::secondary_key;
+use crate::tag::CompDigest;
 
 /// Length in bytes of the challenge message `r`.
 pub const CHALLENGE_LEN: usize = 32;
 
-/// Associated data bound into every result ciphertext, versioning the
-/// scheme.
-const RESULT_AAD: &[u8] = b"speed-result-v1";
+/// Associated data bound into every result ciphertext: the version of the
+/// record scheme. Version 2 derives the keys from the computation digest,
+/// so a version-1 record never verifies under a version-2 key.
+const RESULT_AAD: &[u8] = b"speed-result-v2";
 
 /// Encrypts a freshly computed result for publication (initial computation,
 /// Algorithm 1).
 ///
 /// Returns the [`Record`] to send in the `PUT_REQUEST`.
-pub fn encrypt_result(
-    func: &FuncIdentity,
-    input: &[u8],
-    result: &[u8],
-    rng: &mut SystemRng,
-) -> Record {
+pub fn encrypt_result(digest: &CompDigest, result: &[u8], rng: &mut SystemRng) -> Record {
     let challenge = rng.gen_challenge(CHALLENGE_LEN);
-    let h = secondary_key(func, input, &challenge);
+    let h = digest.secondary_key(&challenge);
     let k = rng.gen_key();
     let nonce = rng.gen_nonce();
     let cipher = AesGcm128::new(&k);
@@ -59,11 +60,10 @@ pub fn encrypt_result(
 /// authenticate the ciphertext — or if the record was tampered with outside
 /// the enclave.
 pub fn recover_result(
-    func: &FuncIdentity,
-    input: &[u8],
+    digest: &CompDigest,
     record: &Record,
 ) -> Result<Vec<u8>, CoreError> {
-    let h = secondary_key(func, input, &record.challenge);
+    let h = digest.secondary_key(&record.challenge);
     let k = Key128::from_bytes(record.wrapped_key).xor_pad(&h);
     let cipher = AesGcm128::new(&k);
     let nonce = Nonce::from_bytes(record.nonce);
@@ -74,8 +74,8 @@ pub fn recover_result(
 
 /// Encrypts a result under classic *convergent encryption* (the original
 /// deterministic MLE of Douceur et al., which RCE improves upon): the key
-/// is derived directly from the computation, `k = H(func, m)`, with no
-/// challenge message and no wrapped key.
+/// is derived directly from the computation, `k = H("convergent-key", d)`,
+/// with no challenge message and no wrapped key.
 ///
 /// Compared to the paper's RCE construction this saves one hash and the
 /// key-wrap XOR, but the key is *deterministic*: anyone who can enumerate
@@ -83,12 +83,11 @@ pub fn recover_result(
 /// the ciphertext — exactly the predictable-message weakness §III-D's
 /// brute-force discussion warns about. Provided for the scheme ablation.
 pub fn encrypt_result_convergent(
-    func: &FuncIdentity,
-    input: &[u8],
+    digest: &CompDigest,
     result: &[u8],
     rng: &mut SystemRng,
 ) -> Record {
-    let key = convergent_key(func, input);
+    let key = digest.convergent_key();
     let nonce = rng.gen_nonce();
     let cipher = AesGcm128::new(&key);
     let boxed_result = cipher.seal(&nonce, RESULT_AAD, result);
@@ -107,22 +106,15 @@ pub fn encrypt_result_convergent(
 /// Returns [`CoreError::VerificationFailed`] if the caller does not own
 /// the identical `(func, m)` or the ciphertext was tampered with.
 pub fn recover_result_convergent(
-    func: &FuncIdentity,
-    input: &[u8],
+    digest: &CompDigest,
     record: &Record,
 ) -> Result<Vec<u8>, CoreError> {
-    let key = convergent_key(func, input);
+    let key = digest.convergent_key();
     let cipher = AesGcm128::new(&key);
     let nonce = Nonce::from_bytes(record.nonce);
     cipher
         .open(&nonce, RESULT_AAD, &record.boxed_result)
         .map_err(|_| CoreError::VerificationFailed)
-}
-
-fn convergent_key(func: &FuncIdentity, input: &[u8]) -> Key128 {
-    let digest =
-        speed_crypto::Sha256::digest_parts(&[b"convergent-key", func.as_bytes(), input]);
-    Key128::from_bytes(digest.truncate16())
 }
 
 /// Encrypts a result under a fixed system-wide key (the basic design of
@@ -163,7 +155,8 @@ pub fn recover_result_single_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{FuncDesc, LibraryRegistry, TrustedLibrary};
+    use crate::func::{FuncDesc, FuncIdentity, LibraryRegistry, TrustedLibrary};
+    use crate::tag::comp_digest;
 
     /// Random byte string of length `0..=max`, for the seeded property
     /// loops below (deterministic replacements for proptest generators).
@@ -183,88 +176,92 @@ mod tests {
 
     #[test]
     fn same_computation_recovers_result() {
-        let func = identity(b"code");
+        let d = comp_digest(&identity(b"code"), b"input");
         let mut rng = SystemRng::seeded(1);
-        let record = encrypt_result(&func, b"input", b"the result", &mut rng);
-        assert_eq!(recover_result(&func, b"input", &record).unwrap(), b"the result");
+        let record = encrypt_result(&d, b"the result", &mut rng);
+        assert_eq!(recover_result(&d, &record).unwrap(), b"the result");
     }
 
     #[test]
     fn wrong_input_fails_verification() {
         let func = identity(b"code");
         let mut rng = SystemRng::seeded(1);
-        let record = encrypt_result(&func, b"input", b"the result", &mut rng);
+        let record =
+            encrypt_result(&comp_digest(&func, b"input"), b"the result", &mut rng);
         assert!(matches!(
-            recover_result(&func, b"other input", &record),
+            recover_result(&comp_digest(&func, b"other input"), &record),
             Err(CoreError::VerificationFailed)
         ));
     }
 
     #[test]
     fn wrong_code_fails_verification() {
-        let alice = identity(b"real code");
-        let mallory = identity(b"fake code");
+        let alice = comp_digest(&identity(b"real code"), b"input");
+        let mallory = comp_digest(&identity(b"fake code"), b"input");
         let mut rng = SystemRng::seeded(1);
-        let record = encrypt_result(&alice, b"input", b"secret result", &mut rng);
+        let record = encrypt_result(&alice, b"secret result", &mut rng);
         assert!(matches!(
-            recover_result(&mallory, b"input", &record),
+            recover_result(&mallory, &record),
             Err(CoreError::VerificationFailed)
         ));
     }
 
     #[test]
     fn tampered_record_fields_fail() {
-        let func = identity(b"code");
+        let d = comp_digest(&identity(b"code"), b"m");
         let mut rng = SystemRng::seeded(2);
-        let record = encrypt_result(&func, b"m", b"res", &mut rng);
+        let record = encrypt_result(&d, b"res", &mut rng);
 
         let mut tampered = record.clone();
         tampered.boxed_result[0] ^= 1;
-        assert!(recover_result(&func, b"m", &tampered).is_err());
+        assert!(recover_result(&d, &tampered).is_err());
 
         let mut tampered = record.clone();
         tampered.wrapped_key[0] ^= 1;
-        assert!(recover_result(&func, b"m", &tampered).is_err());
+        assert!(recover_result(&d, &tampered).is_err());
 
         let mut tampered = record.clone();
         tampered.challenge[0] ^= 1;
-        assert!(recover_result(&func, b"m", &tampered).is_err());
+        assert!(recover_result(&d, &tampered).is_err());
 
         let mut tampered = record;
         tampered.nonce[0] ^= 1;
-        assert!(recover_result(&func, b"m", &tampered).is_err());
+        assert!(recover_result(&d, &tampered).is_err());
     }
 
     #[test]
     fn encryptions_are_randomized() {
         // RCE is a *randomized* MLE: same computation, different ciphertexts.
-        let func = identity(b"code");
+        let d = comp_digest(&identity(b"code"), b"m");
         let mut rng = SystemRng::seeded(3);
-        let r1 = encrypt_result(&func, b"m", b"res", &mut rng);
-        let r2 = encrypt_result(&func, b"m", b"res", &mut rng);
+        let r1 = encrypt_result(&d, b"res", &mut rng);
+        let r2 = encrypt_result(&d, b"res", &mut rng);
         assert_ne!(r1.boxed_result, r2.boxed_result);
         assert_ne!(r1.challenge, r2.challenge);
         // Both decrypt to the same result for eligible applications.
-        assert_eq!(recover_result(&func, b"m", &r1).unwrap(), b"res");
-        assert_eq!(recover_result(&func, b"m", &r2).unwrap(), b"res");
+        assert_eq!(recover_result(&d, &r1).unwrap(), b"res");
+        assert_eq!(recover_result(&d, &r2).unwrap(), b"res");
     }
 
     #[test]
     fn empty_result_roundtrips() {
-        let func = identity(b"code");
+        let d = comp_digest(&identity(b"code"), b"m");
         let mut rng = SystemRng::seeded(4);
-        let record = encrypt_result(&func, b"m", b"", &mut rng);
-        assert_eq!(recover_result(&func, b"m", &record).unwrap(), b"");
+        let record = encrypt_result(&d, b"", &mut rng);
+        assert_eq!(recover_result(&d, &record).unwrap(), b"");
     }
 
     #[test]
     fn convergent_mode_roundtrips() {
         let func = identity(b"code");
+        let d = comp_digest(&func, b"m");
         let mut rng = SystemRng::seeded(11);
-        let record = encrypt_result_convergent(&func, b"m", b"res", &mut rng);
-        assert_eq!(recover_result_convergent(&func, b"m", &record).unwrap(), b"res");
-        assert!(recover_result_convergent(&func, b"other", &record).is_err());
-        assert!(recover_result_convergent(&identity(b"bad"), b"m", &record).is_err());
+        let record = encrypt_result_convergent(&d, b"res", &mut rng);
+        assert_eq!(recover_result_convergent(&d, &record).unwrap(), b"res");
+        let other = comp_digest(&func, b"other");
+        assert!(recover_result_convergent(&other, &record).is_err());
+        let bad = comp_digest(&identity(b"bad"), b"m");
+        assert!(recover_result_convergent(&bad, &record).is_err());
     }
 
     #[test]
@@ -272,16 +269,20 @@ mod tests {
         // The security-relevant distinction: CE keys repeat across
         // encryptions of the same computation; RCE keys are fresh.
         let func = identity(b"code");
+        let d = comp_digest(&func, b"m");
         let mut rng = SystemRng::seeded(12);
-        let ce1 = encrypt_result_convergent(&func, b"m", b"res", &mut rng);
-        let ce2 = encrypt_result_convergent(&func, b"m", b"res", &mut rng);
+        let ce1 = encrypt_result_convergent(&d, b"res", &mut rng);
+        let ce2 = encrypt_result_convergent(&d, b"res", &mut rng);
         // Same key, different nonce ⇒ ciphertexts differ but an attacker
         // testing a guessed (func, m) derives the SAME key both times.
-        assert_eq!(convergent_key(&func, b"m"), convergent_key(&func, b"m"));
+        assert_eq!(
+            comp_digest(&func, b"m").convergent_key(),
+            comp_digest(&func, b"m").convergent_key()
+        );
         assert_ne!(ce1.boxed_result, ce2.boxed_result); // nonce still random
 
-        let rce1 = encrypt_result(&func, b"m", b"res", &mut rng);
-        let rce2 = encrypt_result(&func, b"m", b"res", &mut rng);
+        let rce1 = encrypt_result(&d, b"res", &mut rng);
+        let rce2 = encrypt_result(&d, b"res", &mut rng);
         assert_ne!(rce1.challenge, rce2.challenge);
         assert_ne!(rce1.wrapped_key, rce2.wrapped_key);
     }
@@ -313,8 +314,9 @@ mod tests {
         for _ in 0..64 {
             let input = arb_bytes(&mut rng, 256);
             let result = arb_bytes(&mut rng, 256);
-            let record = encrypt_result(&func, &input, &result, &mut rng);
-            assert_eq!(recover_result(&func, &input, &record).unwrap(), result);
+            let d = comp_digest(&func, &input);
+            let record = encrypt_result(&d, &result, &mut rng);
+            assert_eq!(recover_result(&d, &record).unwrap(), result);
         }
     }
 
@@ -329,18 +331,18 @@ mod tests {
                 other.push(0xFF);
             }
             let result = arb_bytes(&mut rng, 128);
-            let record = encrypt_result(&func, &input, &result, &mut rng);
-            assert!(recover_result(&func, &other, &record).is_err());
+            let record = encrypt_result(&comp_digest(&func, &input), &result, &mut rng);
+            assert!(recover_result(&comp_digest(&func, &other), &record).is_err());
         }
     }
 
     #[test]
     fn prop_ciphertext_leaks_only_length() {
-        let func = identity(b"code");
+        let d = comp_digest(&identity(b"code"), b"m");
         let mut rng = SystemRng::seeded(0x9CE3);
         for _ in 0..64 {
             let result = arb_bytes(&mut rng, 512);
-            let record = encrypt_result(&func, b"m", &result, &mut rng);
+            let record = encrypt_result(&d, &result, &mut rng);
             // GCM ciphertext length = plaintext length + 16-byte tag.
             assert_eq!(record.boxed_result.len(), result.len() + 16);
         }

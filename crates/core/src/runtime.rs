@@ -30,7 +30,7 @@ use crate::resilience::{
     Connector, ReplayQueue, ResilienceConfig, ResilienceStats, ResilientClient,
 };
 use crate::result_bytes::ResultBytes;
-use crate::tag::tag_for;
+use crate::tag::{comp_digest, CompDigest};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 ///
@@ -51,7 +51,8 @@ pub enum DedupMode {
     /// single compromise exposes everything — kept for the ablation
     /// experiments.
     SingleKey(Key128),
-    /// Classic deterministic convergent encryption (`k = H(func, m)`).
+    /// Classic deterministic convergent encryption (`k = H(d)`, with `d`
+    /// the computation digest `H(func, m)`).
     /// Cheaper than RCE by one hash and the key wrap, but offline
     /// brute-force confirmable for predictable computations — see
     /// [`crate::rce::encrypt_result_convergent`]. For the scheme ablation.
@@ -131,8 +132,9 @@ struct Planned<'a> {
     /// The adaptive policy sent the call straight to its compute.
     bypass: bool,
     prefilter: Option<u64>,
-    /// The full comp-tag, derived on first use.
-    tag: Option<CompTag>,
+    /// The secret digest and the full comp-tag, derived together on first
+    /// use: the item's one pass over its input.
+    derived: Option<(CompDigest, CompTag)>,
     /// The negative filter proved no stored result exists.
     filtered: bool,
     /// The record the store returned.
@@ -154,7 +156,7 @@ impl<'a> Planned<'a> {
             compute,
             bypass: false,
             prefilter: None,
-            tag: None,
+            derived: None,
             filtered: false,
             found: None,
             compute_ns: None,
@@ -314,7 +316,7 @@ impl RuntimeTelemetry {
             ),
             tag_derive: reg.histogram(
                 names::TAG_DERIVE_DURATION_NS,
-                "Deriving the tag Hash(func, m) inside the enclave",
+                "Deriving the digest Hash(func, m) and its tag inside the enclave",
             ),
             rce_recover: reg.histogram(
                 names::RCE_RECOVER_DURATION_NS,
@@ -1119,7 +1121,7 @@ impl DedupRuntime {
                     self.telemetry.prefilter_cache_skips.inc();
                     return true;
                 }
-                let tag = self.full_tag(item);
+                let tag = self.derive(item).1;
                 match self.telemetry.hotcache_lookup.time(|| cache.get(&tag)) {
                     Some(result) => {
                         let result = ResultBytes::from_shared(result);
@@ -1159,7 +1161,7 @@ impl DedupRuntime {
             let gets = pending
                 .iter()
                 .map(|&i| {
-                    let tag = self.full_tag(&mut items[i]);
+                    let tag = self.derive(&mut items[i]).1;
                     match items[i].prefilter {
                         Some(prefilter) => BatchItem::GetPrefiltered { tag, prefilter },
                         None => BatchItem::Get { tag },
@@ -1207,11 +1209,11 @@ impl DedupRuntime {
             }
             if let Some(record) = item.found.take() {
                 self.enclave.charge_boundary_bytes(record.wire_size());
-                match self.recover(&item.identity, item.input, &record) {
+                match self.recover(&self.derive(item).0, &record) {
                     Ok(result) => {
                         let result = ResultBytes::new(result);
                         self.count_reuse(&self.stats.hits, &result);
-                        let tag = self.full_tag(item);
+                        let tag = self.derive(item).1;
                         self.remember(tag, &result, item.prefilter);
                         item.answer = Some((result, DedupOutcome::Hit));
                         continue;
@@ -1245,11 +1247,11 @@ impl DedupRuntime {
                 self.stats.degraded_calls.add(1);
             }
             let Some(result) = item.run() else { continue };
-            let tag = self.full_tag(item);
+            let tag = self.derive(item).1;
             self.remember(tag, &result, item.prefilter);
             // With the filter tier enabled the PUT carries the prefilter tag
             // so the store can keep its negative filters complete.
-            let record = self.encrypt(&item.identity, item.input, &result);
+            let record = self.encrypt(&self.derive(item).0, &result);
             puts.push(match item.prefilter {
                 Some(prefilter) => BatchItem::PutPrefiltered { tag, prefilter, record },
                 None => BatchItem::Put { tag, record },
@@ -1326,43 +1328,43 @@ impl DedupRuntime {
         }
     }
 
-    /// An item's full comp-tag `Hash(func, m)`, derived on first use.
-    fn full_tag(&self, item: &mut Planned<'_>) -> CompTag {
+    /// An item's secret digest `d = Hash(func, m)` and full comp-tag
+    /// `Hash(d)`, derived on first use: the only pass over its input.
+    fn derive<'p>(&self, item: &'p mut Planned<'_>) -> &'p (CompDigest, CompTag) {
         let (identity, input) = (&item.identity, item.input);
-        *item.tag.get_or_insert_with(|| {
-            self.telemetry.tag_derive.time(|| tag_for(identity, input))
+        item.derived.get_or_insert_with(|| {
+            self.telemetry.tag_derive.time(|| {
+                let digest = comp_digest(identity, input);
+                let tag = digest.tag();
+                (digest, tag)
+            })
         })
     }
 
     /// Recovers and verifies a stored record under the runtime's mode.
     fn recover(
         &self,
-        identity: &FuncIdentity,
-        input: &[u8],
+        digest: &CompDigest,
         record: &Record,
     ) -> Result<Vec<u8>, CoreError> {
         self.telemetry.rce_recover.time(|| match &self.mode {
-            DedupMode::CrossApp => rce::recover_result(identity, input, record),
+            DedupMode::CrossApp => rce::recover_result(digest, record),
             DedupMode::SingleKey(key) => rce::recover_result_single_key(key, record),
-            DedupMode::Convergent => {
-                rce::recover_result_convergent(identity, input, record)
-            }
+            DedupMode::Convergent => rce::recover_result_convergent(digest, record),
         })
     }
 
     /// Encrypts a fresh result for publishing under the runtime's mode.
-    fn encrypt(&self, identity: &FuncIdentity, input: &[u8], result: &[u8]) -> Record {
+    fn encrypt(&self, digest: &CompDigest, result: &[u8]) -> Record {
         self.telemetry.rce_encrypt.time(|| {
             let mut rng = lock_recover(&self.rng);
             match &self.mode {
-                DedupMode::CrossApp => {
-                    rce::encrypt_result(identity, input, result, &mut rng)
-                }
+                DedupMode::CrossApp => rce::encrypt_result(digest, result, &mut rng),
                 DedupMode::SingleKey(key) => {
                     rce::encrypt_result_single_key(key, result, &mut rng)
                 }
                 DedupMode::Convergent => {
-                    rce::encrypt_result_convergent(identity, input, result, &mut rng)
+                    rce::encrypt_result_convergent(digest, result, &mut rng)
                 }
             }
         })

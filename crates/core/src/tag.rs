@@ -1,28 +1,81 @@
-//! Tag and secondary-key derivation (Algorithm 1 lines 1 and 6).
+//! The computation digest and everything derived from it (Algorithm 1
+//! lines 1 and 6, Algorithm 2 line 4).
+//!
+//! Algorithms 1 and 2 hash the input twice: `t ← Hash(func, m)` for the
+//! duplicate check, then `h ← Hash(func, m, r)` for the key wrap. Here the
+//! enclave reads the input once, into a secret digest
+//!
+//! ```text
+//! d ← Hash("comp", func, m)            // never leaves the enclave
+//! t ← Hash("comp-tag", d)              // public duplicate-checking tag
+//! h ← Hash("secondary-key", d, r)      // RCE secondary key
+//! k ← Hash("convergent-key", d)        // convergent-encryption key
+//! ```
+//!
+//! and every later value is a domain-separated hash of `d`. Computing `d`
+//! requires `(func, m)`, and `d` has no wire encoding and no printable
+//! form, so `t` and `r` together still reveal nothing of `h` (DESIGN.md,
+//! "Security properties carried over").
 
 // hot-path: deny-clone
 
-use speed_crypto::Sha256;
+use std::fmt;
+
+use speed_crypto::{Key128, Sha256, DIGEST_LEN};
 use speed_wire::CompTag;
 
 use crate::func::FuncIdentity;
 
-/// Derives the duplicate-checking tag `t ← Hash(func, m)`.
+/// The secret digest `d = Hash("comp", func, m)` of one computation: the
+/// only value derived from the input itself.
 ///
-/// Two computations are considered duplicates iff their tags are equal, so
-/// the tag binds both the verified function identity and the serialized
-/// input (length-prefixed to rule out concatenation ambiguity).
-pub fn tag_for(func: &FuncIdentity, input: &[u8]) -> CompTag {
-    let digest = Sha256::digest_parts(&[b"comp-tag", func.as_bytes(), input]);
-    CompTag::from_bytes(digest.into_bytes())
+/// It has no wire encoding and its `Debug` output is redacted; the tag,
+/// the secondary key and the convergent key are derived from it.
+#[derive(Clone)]
+pub struct CompDigest([u8; DIGEST_LEN]);
+
+impl fmt::Debug for CompDigest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("CompDigest(<redacted>)")
+    }
 }
 
-/// Derives the secondary key `h ← Hash(func, m, r)` that wraps the random
-/// result-encryption key. Truncated to 16 bytes to match the AES-128 key it
-/// pads (Algorithm 1 line 6, Algorithm 2 line 4).
-pub fn secondary_key(func: &FuncIdentity, input: &[u8], challenge: &[u8]) -> [u8; 16] {
-    Sha256::digest_parts(&[b"secondary-key", func.as_bytes(), input, challenge])
-        .truncate16()
+/// Derives the computation digest `d ← Hash("comp", func, m)`: the one
+/// pass over the input a call makes.
+///
+/// The digest binds both the verified function identity and the serialized
+/// input (each length-prefixed to rule out concatenation ambiguity).
+pub fn comp_digest(func: &FuncIdentity, input: &[u8]) -> CompDigest {
+    CompDigest(Sha256::digest_parts(&[b"comp", func.as_bytes(), input]).into_bytes())
+}
+
+impl CompDigest {
+    /// The duplicate-checking tag `t ← Hash("comp-tag", d)`. Two
+    /// computations are considered duplicates iff their tags are equal.
+    pub fn tag(&self) -> CompTag {
+        CompTag::from_bytes(Sha256::digest_parts(&[b"comp-tag", &self.0]).into_bytes())
+    }
+
+    /// The secondary key `h ← Hash("secondary-key", d, r)` that wraps the
+    /// random result-encryption key, truncated to 16 bytes to match the
+    /// AES-128 key it pads.
+    pub fn secondary_key(&self, challenge: &[u8]) -> [u8; 16] {
+        Sha256::digest_parts(&[b"secondary-key", &self.0, challenge]).truncate16()
+    }
+
+    /// The deterministic key `Hash("convergent-key", d)` of classic
+    /// convergent encryption, truncated to an AES-128 key.
+    pub fn convergent_key(&self) -> Key128 {
+        Key128::from_bytes(
+            Sha256::digest_parts(&[b"convergent-key", &self.0]).truncate16(),
+        )
+    }
+}
+
+/// Derives the duplicate-checking tag `t` of `(func, m)`: the tag a
+/// runtime sends for this computation.
+pub fn tag_for(func: &FuncIdentity, input: &[u8]) -> CompTag {
+    comp_digest(func, input).tag()
 }
 
 #[cfg(test)]
@@ -38,10 +91,15 @@ mod tests {
         registry.resolve(&FuncDesc::new("lib", "1", "f()")).unwrap()
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn same_func_same_input_same_tag() {
         let f = identity(b"code");
         assert_eq!(tag_for(&f, b"input"), tag_for(&f, b"input"));
+        assert_eq!(tag_for(&f, b"input"), comp_digest(&f, b"input").tag());
     }
 
     #[test]
@@ -60,10 +118,8 @@ mod tests {
 
     #[test]
     fn secondary_key_depends_on_challenge() {
-        let f = identity(b"code");
-        let h1 = secondary_key(&f, b"input", b"challenge-1");
-        let h2 = secondary_key(&f, b"input", b"challenge-2");
-        assert_ne!(h1, h2);
+        let d = comp_digest(&identity(b"code"), b"input");
+        assert_ne!(d.secondary_key(b"challenge-1"), d.secondary_key(b"challenge-2"));
     }
 
     #[test]
@@ -71,16 +127,60 @@ mod tests {
         let f = identity(b"code");
         let g = identity(b"other");
         let r = b"challenge";
-        assert_ne!(secondary_key(&f, b"input", r), secondary_key(&g, b"input", r));
-        assert_ne!(secondary_key(&f, b"a", r), secondary_key(&f, b"b", r));
+        assert_ne!(
+            comp_digest(&f, b"input").secondary_key(r),
+            comp_digest(&g, b"input").secondary_key(r)
+        );
+        assert_ne!(
+            comp_digest(&f, b"a").secondary_key(r),
+            comp_digest(&f, b"b").secondary_key(r)
+        );
     }
 
     #[test]
     fn tag_and_secondary_key_are_domain_separated() {
-        // Even with identical material, the tag and h must differ.
-        let f = identity(b"code");
-        let tag = tag_for(&f, b"m");
-        let h = secondary_key(&f, b"m", b"");
-        assert_ne!(&tag.as_bytes()[..16], &h);
+        // Even with identical material, the digest, the tag, h and the
+        // convergent key must all differ.
+        let d = comp_digest(&identity(b"code"), b"m");
+        let tag = d.tag();
+        let h = d.secondary_key(b"");
+        let convergent = *d.convergent_key().as_bytes();
+        let prefixes = [&tag.as_bytes()[..16], &h, &convergent, &d.0[..16]];
+        for (i, a) in prefixes.iter().enumerate() {
+            for b in &prefixes[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        assert_ne!(tag.as_bytes(), &d.0);
+    }
+
+    #[test]
+    fn digest_debug_shows_no_byte_of_d() {
+        let d = comp_digest(&identity(b"code"), b"secret input");
+        let shown = format!("{d:?}");
+        assert!(shown.contains("redacted"), "{shown}");
+        // The output is independent of the digest, so it carries no byte.
+        assert_eq!(shown, format!("{:?}", comp_digest(&identity(b"code"), b"other")));
+        for window in d.0.windows(3) {
+            assert!(!shown.contains(&hex(window)), "{shown}");
+        }
+        assert!(!shown.contains(&format!("{}, {}", d.0[0], d.0[1])), "{shown}");
+    }
+
+    /// Pins the derivation: a change to a domain label, the field order or
+    /// the hash changes these bytes, and with them every stored tag. The
+    /// values were computed apart from this crate, with Python's `hashlib`
+    /// over the same length-prefixed parts (`Sha256::digest_parts`).
+    #[test]
+    fn derivation_known_answer() {
+        let d = comp_digest(&identity(b"code"), b"known input");
+        assert_eq!(
+            hex(d.tag().as_bytes()),
+            "5451fa396c472c88335db65743d7b9be31430d10deb7494a1901b7326696b06b"
+        );
+        assert_eq!(
+            hex(&d.secondary_key(b"known challenge")),
+            "23c5e79da9e06e841c7433cafd9781e9"
+        );
     }
 }

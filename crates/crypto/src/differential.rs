@@ -102,6 +102,47 @@ fn gcm_backends_agree_on_seal_open_and_tampering() {
     }
 }
 
+/// Lengths around the GHASH block (16 bytes) and four-block group (64
+/// bytes) boundaries.
+const GHASH_EDGE_LENGTHS: [usize; 16] =
+    [0, 1, 15, 16, 17, 48, 63, 64, 65, 80, 127, 128, 129, 255, 256, 257];
+
+#[test]
+fn gcm_backends_agree_at_every_ghash_group_boundary_pair() {
+    let probe = AesGcm128::backends(&Key128::from_bytes([0; 16]));
+    note_if_portable_only(probe.len(), "AES-NI or PCLMULQDQ");
+    let mut rng = SystemRng::seeded(0xD1FF_64A4);
+    for aad_len in GHASH_EDGE_LENGTHS {
+        for len in GHASH_EDGE_LENGTHS {
+            let ciphers = AesGcm128::backends(&rng.gen_key());
+            let nonce = rng.gen_nonce();
+            let (pt_offset, aad_offset) =
+                (rng.range_usize(1, 16), rng.range_usize(1, 16));
+            let plaintext = misaligned(&mut rng, pt_offset, len);
+            let aad = misaligned(&mut rng, aad_offset, aad_len);
+            let (plaintext, aad) = (&plaintext[pt_offset..], &aad[aad_offset..]);
+
+            let boxed = ciphers[0].seal(&nonce, aad, plaintext);
+            let box_offset = rng.range_usize(1, 16);
+            let mut boxed_copy = vec![0u8; box_offset];
+            boxed_copy.extend_from_slice(&boxed);
+            let boxed_copy = &boxed_copy[box_offset..];
+            // A flipped tag bit: caught by GHASH of every backend alike.
+            let mut tampered = boxed.clone();
+            tampered[len + rng.range_usize(0, 16)] ^= 1 << rng.range_usize(0, 8);
+            for cipher in &ciphers {
+                let context = format!("aad {aad_len}, length {len}, {cipher:?}");
+                assert_eq!(cipher.seal(&nonce, aad, plaintext), boxed, "{context}");
+                let opened = cipher.open(&nonce, aad, boxed_copy);
+                assert_eq!(opened.as_deref(), Ok(plaintext), "{context}");
+                assert_eq!(cipher.verify(&nonce, aad, boxed_copy), Ok(()), "{context}");
+                let failed = Err(CryptoError::AuthenticationFailed);
+                assert_eq!(cipher.verify(&nonce, aad, &tampered), failed, "{context}");
+            }
+        }
+    }
+}
+
 #[test]
 fn ctr_wraps_inside_an_eight_block_batch_like_the_portable_code() {
     let mut rng = SystemRng::seeded(0xD1FF_C7E0);

@@ -49,11 +49,14 @@ pub const DEDUP_FILTERED_MISSES_TOTAL: &str = "dedup_filtered_misses_total";
 pub const DEDUP_CALL_DURATION_NS: &str = "dedup_call_duration_ns";
 /// Histogram (ns): end-to-end latency of one `execute_batch` invocation.
 pub const DEDUP_BATCH_DURATION_NS: &str = "dedup_batch_duration_ns";
-/// Histogram (ns): deriving the tag `t ← Hash(func, m)` inside the enclave.
+/// Histogram (ns): deriving the digest `d ← Hash(func, m)` and the tag
+/// `t ← Hash(d)` inside the enclave: a call's one pass over its input.
 pub const TAG_DERIVE_DURATION_NS: &str = "tag_derive_duration_ns";
-/// Histogram (ns): RCE key recovery + result decryption + verification.
+/// Histogram (ns): RCE key recovery + result decryption + verification,
+/// from the digest (no pass over the input).
 pub const RCE_RECOVER_DURATION_NS: &str = "rce_recover_duration_ns";
-/// Histogram (ns): RCE result encryption before publishing.
+/// Histogram (ns): RCE result encryption before publishing, from the
+/// digest (no pass over the input).
 pub const RCE_ENCRYPT_DURATION_NS: &str = "rce_encrypt_duration_ns";
 /// Histogram (ns): in-enclave hot-tag cache lookup (hit or miss).
 pub const HOTCACHE_LOOKUP_DURATION_NS: &str = "hotcache_lookup_duration_ns";

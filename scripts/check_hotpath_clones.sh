@@ -31,13 +31,17 @@ while IFS= read -r file; do
 done < <(grep -rl --include='*.rs' '^// hot-path: deny-clone$' crates src 2>/dev/null)
 
 # Files that must NEVER lose their marker: the streaming chunk path moves
-# every chunk result as a shared `ResultBytes`, and the hardware crypto
-# modules run over every hashed or sealed byte; a quiet marker removal
-# would let per-chunk or per-block copies back in unseen.
+# every chunk result as a shared `ResultBytes`, the digest derivation and
+# result protection read every input and result byte of a call, and the
+# hardware crypto modules run over every hashed or sealed byte; a quiet
+# marker removal would let per-call, per-chunk or per-block copies back in
+# unseen.
 required_markers=(
     crates/core/src/chunker.rs
     crates/core/src/stream.rs
     crates/core/src/result_bytes.rs
+    crates/core/src/tag.rs
+    crates/core/src/rce.rs
     crates/crypto/src/gcm_ni.rs
     crates/crypto/src/sha256_ni.rs
 )

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use speed_core::rce::{encrypt_result, recover_result};
 use speed_core::{
-    tag_for, DedupRuntime, FaultConfig, FaultInjector, FuncDesc, FuncIdentity,
-    HotCacheConfig, TrustedLibrary,
+    comp_digest, tag_for, DedupRuntime, FaultConfig, FaultInjector, FuncDesc,
+    FuncIdentity, HotCacheConfig, TrustedLibrary,
 };
 use speed_crypto::SystemRng;
 use speed_enclave::{CostModel, Platform};
@@ -55,13 +55,13 @@ fn rce_roundtrip_recovers_exact_result() {
         |rng| (rng.bytes(32), rng.bytes(64), rng.bytes(128), rng.next_u64()),
         |case: &(Vec<u8>, Vec<u8>, Vec<u8>, u64)| {
             let (code, input, result, crypto_seed) = case;
-            let func = identity(code);
+            let digest = comp_digest(&identity(code), input);
             let mut rng = SystemRng::seeded(*crypto_seed);
-            let record_a = encrypt_result(&func, input, result, &mut rng);
-            let record_b = encrypt_result(&func, input, result, &mut rng);
+            let record_a = encrypt_result(&digest, result, &mut rng);
+            let record_b = encrypt_result(&digest, result, &mut rng);
             // Independent challenges, both recoverable by the rightful owner.
-            assert_eq!(recover_result(&func, input, &record_a).unwrap(), *result);
-            assert_eq!(recover_result(&func, input, &record_b).unwrap(), *result);
+            assert_eq!(recover_result(&digest, &record_a).unwrap(), *result);
+            assert_eq!(recover_result(&digest, &record_b).unwrap(), *result);
             // The per-record randomness actually differs.
             assert_ne!(record_a.challenge, record_b.challenge, "challenge reuse");
         },
@@ -88,9 +88,9 @@ fn any_flipped_record_bit_fails_recovery() {
         },
         |case: &(Vec<u8>, Vec<u8>, Vec<u8>, u64, u64, u8)| {
             let (code, input, result, crypto_seed, position, bit) = case;
-            let func = identity(code);
+            let digest = comp_digest(&identity(code), input);
             let mut rng = SystemRng::seeded(*crypto_seed);
-            let mut record = encrypt_result(&func, input, result, &mut rng);
+            let mut record = encrypt_result(&digest, result, &mut rng);
             let total = record.challenge.len()
                 + record.wrapped_key.len()
                 + record.nonce.len()
@@ -114,7 +114,7 @@ fn any_flipped_record_bit_fails_recovery() {
                 }
             }
             assert!(
-                recover_result(&func, input, &record).is_err(),
+                recover_result(&digest, &record).is_err(),
                 "tampered record recovered"
             );
         },
@@ -138,15 +138,15 @@ fn wrong_identity_or_input_cannot_recover() {
             let (code, other_code, input, result, crypto_seed) = case;
             let ids = identities(&[code.clone(), other_code.clone()]);
             let mut rng = SystemRng::seeded(*crypto_seed);
-            let record = encrypt_result(&ids[0], input, result, &mut rng);
+            let record = encrypt_result(&comp_digest(&ids[0], input), result, &mut rng);
             assert!(
-                recover_result(&ids[1], input, &record).is_err(),
+                recover_result(&comp_digest(&ids[1], input), &record).is_err(),
                 "foreign function recovered the result"
             );
             let mut other_input = input.clone();
             other_input.push(0);
             assert!(
-                recover_result(&ids[0], &other_input, &record).is_err(),
+                recover_result(&comp_digest(&ids[0], &other_input), &record).is_err(),
                 "foreign input recovered the result"
             );
         },
@@ -175,6 +175,7 @@ fn tags_are_deterministic_and_collision_free() {
                 for input in inputs {
                     let tag = tag_for(func, input);
                     assert_eq!(tag, tag_for(func, input), "tag not deterministic");
+                    assert_eq!(tag, comp_digest(func, input).tag(), "tag not from d");
                     if let Some(previous) = seen.insert(tag, (func_index, input.clone()))
                     {
                         assert_eq!(

@@ -4,10 +4,13 @@
 
 use std::sync::Arc;
 
-use speed_core::{DedupOutcome, DedupRuntime, FuncDesc, TrustedLibrary};
+use speed_core::rce::recover_result;
+use speed_core::{
+    comp_digest, tag_for, CoreError, DedupOutcome, DedupRuntime, FuncDesc, TrustedLibrary,
+};
 use speed_enclave::{BlobId, CostModel, Platform};
 use speed_store::{ResultStore, StoreConfig};
-use speed_wire::{AppId, CompTag, Message, SessionAuthority};
+use speed_wire::{AppId, CompTag, Message, Record, SessionAuthority};
 
 struct World {
     platform: Arc<Platform>,
@@ -74,8 +77,8 @@ fn tampered_ciphertext_is_detected_not_consumed() {
 
 /// The query-forging attack (§III-D): an application that knows the *tag*
 /// of someone else's computation can fetch `(r, [k], [res])` but cannot
-/// decrypt, because it cannot recompute `h = H(func, m, r)` without owning
-/// the same code and input.
+/// decrypt, because it cannot recompute `h = H(d, r)` without the digest
+/// `d = H(func, m)`, which takes owning the same code and input.
 #[test]
 fn query_forging_attacker_cannot_decrypt() {
     let world = world();
@@ -86,7 +89,7 @@ fn query_forging_attacker_cannot_decrypt() {
 
     // The attacker somehow learned the tag (leakage setting) and queries
     // the store directly, getting the full record.
-    let tag = speed_core::tag_for(&identity, &secret_input);
+    let tag = tag_for(&identity, &secret_input);
     let response = world.store.handle(Message::GetRequest { app: AppId(666), tag });
     let record = match response {
         Message::GetResponse(body) => body.record.expect("record leaked to attacker"),
@@ -97,15 +100,14 @@ fn query_forging_attacker_cannot_decrypt() {
     // different function identity (attacker's own code)…
     let attacker = runtime(&world, b"attacker-app", b"attacker code");
     let attacker_identity = attacker.resolve(&desc()).unwrap();
-    assert!(speed_core::rce::recover_result(&attacker_identity, &secret_input, &record)
-        .is_err());
-    // …and with the right code but a guessed input.
     assert!(
-        speed_core::rce::recover_result(&identity, b"guessed input", &record).is_err()
+        recover_result(&comp_digest(&attacker_identity, &secret_input), &record).is_err()
     );
+    // …and with the right code but a guessed input.
+    assert!(recover_result(&comp_digest(&identity, b"guessed input"), &record).is_err());
     // The eligible party still recovers fine.
     assert_eq!(
-        speed_core::rce::recover_result(&identity, &secret_input, &record).unwrap(),
+        recover_result(&comp_digest(&identity, &secret_input), &record).unwrap(),
         b"secret result"
     );
 }
@@ -207,8 +209,8 @@ fn code_identity_separates_tag_spaces() {
     let trojaned = runtime(&world, b"app-2", b"trojan code");
     let input = b"same input".to_vec();
 
-    let genuine_tag = speed_core::tag_for(&genuine.resolve(&desc()).unwrap(), &input);
-    let trojan_tag = speed_core::tag_for(&trojaned.resolve(&desc()).unwrap(), &input);
+    let genuine_tag = tag_for(&genuine.resolve(&desc()).unwrap(), &input);
+    let trojan_tag = tag_for(&trojaned.resolve(&desc()).unwrap(), &input);
     assert_ne!(genuine_tag, trojan_tag);
 }
 
@@ -248,4 +250,98 @@ fn sealed_state_bound_to_enclave_identity() {
         &sealed
     )
     .is_err());
+}
+
+// Record-format guard. A version-1 runtime derived the tag as
+// H("comp-tag", func, m) and the secondary key as H("secondary-key", func,
+// m, r), under result AAD "speed-result-v1". The constants below are one
+// such entry, made with that code for `library(b"genuine")` resolved through
+// a runtime of app code `V1_APP`: `V1_TAG` is `tag_for(&identity, V1_INPUT)`
+// and the record is `rce::encrypt_result(&identity, V1_INPUT, V1_MARKER,
+// &mut SystemRng::seeded(0x5EED_0001))`. No compute below returns the
+// marker, so seeing it means a version-1 record was decrypted.
+
+const V1_APP: &[u8] = b"format-app";
+const V1_INPUT: &[u8] = b"record written before the digest change";
+const V1_MARKER: &[u8] = b"v1 result";
+const V1_TAG: &str = "40a34bace772bdd83b429cbcd960dc835f80456e07f7519a843f26b0561f9d69";
+const V1_CHALLENGE: &str =
+    "1e535fa56274f5ce05f7ceb6a975aa9c47f6e2d99decc19821af929b8ad36186";
+const V1_WRAPPED_KEY: &str = "ea646308f7efc818c8297a4709c318ee";
+const V1_NONCE: &str = "0afb39c3a050fc39ac9e4a02";
+const V1_BOXED: &str = "21e2dac3251e3f2f720088d2354e0e2436c898c0cdcc7ad5f6";
+
+fn unhex<const N: usize>(hex: &str) -> [u8; N] {
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    bytes.try_into().unwrap()
+}
+
+fn v1_tag() -> CompTag {
+    CompTag::from_bytes(unhex(V1_TAG))
+}
+
+fn v1_record() -> Record {
+    Record {
+        challenge: unhex::<32>(V1_CHALLENGE).to_vec(),
+        wrapped_key: unhex(V1_WRAPPED_KEY),
+        nonce: unhex(V1_NONCE),
+        boxed_result: unhex::<25>(V1_BOXED).to_vec(),
+    }
+}
+
+/// Stores `record` under `tag`, as a version-1 runtime's PUT would have.
+fn preload(world: &World, tag: CompTag, record: Record) {
+    let response = world.store.handle(Message::PutRequest { app: AppId(1), tag, record });
+    assert!(matches!(response, Message::PutResponse(body) if body.accepted));
+}
+
+#[test]
+fn v1_tag_is_not_the_current_tag() {
+    let world = world();
+    let identity = runtime(&world, V1_APP, b"genuine").resolve(&desc()).unwrap();
+    assert_ne!(tag_for(&identity, V1_INPUT), v1_tag());
+}
+
+/// A version-1 entry under its own tag is never addressed again: the call
+/// is a plain miss and publishes a second entry.
+#[test]
+fn v1_entry_under_its_v1_tag_is_a_miss() {
+    let world = world();
+    preload(&world, v1_tag(), v1_record());
+    let rt = runtime(&world, V1_APP, b"genuine");
+    let identity = rt.resolve(&desc()).unwrap();
+    let (result, outcome) =
+        rt.execute_raw(&identity, V1_INPUT, |_| b"computed".to_vec()).unwrap();
+    assert_eq!(outcome, DedupOutcome::Miss);
+    assert_eq!(result, b"computed");
+    assert_eq!(world.store.stats().entries, 2);
+}
+
+/// A version-1 record placed under the current tag fails verification: the
+/// call recomputes, and the marker is never returned.
+#[test]
+fn v1_record_under_the_current_tag_fails_verification() {
+    let world = world();
+    let rt = runtime(&world, V1_APP, b"genuine");
+    let identity = rt.resolve(&desc()).unwrap();
+    preload(&world, tag_for(&identity, V1_INPUT), v1_record());
+    let (result, outcome) =
+        rt.execute_raw(&identity, V1_INPUT, |_| b"computed".to_vec()).unwrap();
+    assert_eq!(outcome, DedupOutcome::MissAfterFailedVerify);
+    assert_eq!(rt.stats().verify_failures, 1);
+    assert_eq!(result, b"computed");
+    assert_ne!(result, V1_MARKER);
+}
+
+#[test]
+fn v1_record_never_decrypts_under_the_digest() {
+    let world = world();
+    let identity = runtime(&world, V1_APP, b"genuine").resolve(&desc()).unwrap();
+    assert!(matches!(
+        recover_result(&comp_digest(&identity, V1_INPUT), &v1_record()),
+        Err(CoreError::VerificationFailed)
+    ));
 }
