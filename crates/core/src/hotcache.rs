@@ -1,12 +1,19 @@
 //! Bounded in-enclave hot-tag cache.
 //!
-//! A marked computation whose tag was recently resolved — from the store or
-//! by local execution — can be answered again without any enclave
-//! transition or network round-trip at all: the plaintext result never
-//! leaves the application enclave, so caching it inside is safe. The cache
-//! is strictly bounded (entries and bytes) because it competes with the
+//! A marked computation that was recently resolved — from the store or by
+//! local execution — can be answered again without any enclave transition
+//! or network round-trip at all: the plaintext result never leaves the
+//! application enclave, so caching it inside is safe. The cache is
+//! strictly bounded (entries and bytes) because it competes with the
 //! application for scarce EPC; its pages are charged against the enclave's
 //! memory budget the same way the store's metadata heap is.
+//!
+//! Entries are keyed by the computation's secret [`Fingerprint`]
+//! `fp = E_K(GHASH_H(func, m))` under the runtime's own keys, not by the
+//! SHA-256 comp-tag: a hit makes one GHASH pass over its input and runs
+//! no SHA-256 (see [`crate::tag`]). The cache never decides what the store
+//! returns; a wrong hit needs an fp collision (DESIGN.md, "Security
+//! properties carried over").
 //!
 //! Entries hold their result behind a shared [`Arc`] buffer: a hit hands
 //! back another reference to the same allocation instead of copying the
@@ -14,18 +21,20 @@
 //!
 //! The cache also keeps a count-multiset of its entries' 64-bit prefilter
 //! tags ([`crate::prefilter::prefilter_tag`]). [`HotTagCache::may_contain`]
-//! answers "could this prefilter tag be cached?" without deriving the full
-//! SHA-256 comp-tag — the first rung of the tiered tag pipeline. The answer
-//! is conservative: entries cached without a known prefilter tag are
-//! tracked in a separate counter that forces `may_contain` to `true`.
+//! answers "could this prefilter tag be cached?" without computing the
+//! fingerprint — the first rung of the tiered tag pipeline. The answer is
+//! conservative: entries cached without a known prefilter tag are tracked
+//! in a separate counter that forces `may_contain` to `true`.
 
 // hot-path: deny-clone
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::Arc;
 
 use speed_enclave::Enclave;
-use speed_wire::CompTag;
+
+use crate::tag::Fingerprint;
 
 /// Size limits for the in-enclave hot-tag cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,10 +54,9 @@ impl Default for HotCacheConfig {
 }
 
 /// Fixed bookkeeping overhead charged per entry on top of the result bytes
-/// (tag key, LRU index node, map slots).
+/// (key, LRU index node, map slots).
 const ENTRY_OVERHEAD: usize = 32 + 64;
 
-#[derive(Debug)]
 struct CacheEntry {
     result: Arc<Vec<u8>>,
     prefilter: Option<u64>,
@@ -56,12 +64,12 @@ struct CacheEntry {
 }
 
 /// The cache proper. Callers hold it behind a `Mutex`; all methods take
-/// `&mut self`.
-#[derive(Debug)]
+/// `&mut self`. `Debug` shows the occupancy and the bounds, never a key or
+/// a cached result.
 pub(crate) struct HotTagCache {
     config: HotCacheConfig,
-    entries: HashMap<CompTag, CacheEntry>,
-    lru: BTreeMap<u64, CompTag>,
+    entries: HashMap<Fingerprint, CacheEntry>,
+    lru: BTreeMap<u64, Fingerprint>,
     seq: u64,
     bytes: usize,
     /// EPC bytes currently committed for the cache (page granularity).
@@ -72,6 +80,16 @@ pub(crate) struct HotTagCache {
     /// Live entries cached without a known prefilter tag. While non-zero,
     /// `may_contain` conservatively answers `true` for every key.
     unknown_prefilters: u32,
+}
+
+impl fmt::Debug for HotTagCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HotTagCache")
+            .field("entries", &self.entries.len())
+            .field("bytes", &self.bytes)
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
 }
 
 impl HotTagCache {
@@ -88,27 +106,27 @@ impl HotTagCache {
         }
     }
 
-    /// Looks up `tag`, bumping its recency. Returns a shared reference to
+    /// Looks up `fp`, bumping its recency. Returns a shared reference to
     /// the cached buffer — no bytes are copied on a hit.
-    pub(crate) fn get(&mut self, tag: &CompTag) -> Option<Arc<Vec<u8>>> {
+    pub(crate) fn get(&mut self, fp: &Fingerprint) -> Option<Arc<Vec<u8>>> {
         let seq = self.seq;
         self.seq += 1;
-        let entry = self.entries.get_mut(tag)?;
+        let entry = self.entries.get_mut(fp)?;
         self.lru.remove(&entry.lru_seq);
         entry.lru_seq = seq;
-        self.lru.insert(seq, *tag);
+        self.lru.insert(seq, *fp);
         Some(Arc::clone(&entry.result)) // allow-clone: Arc refcount bump, not a byte copy
     }
 
     /// Whether an entry with this prefilter tag *may* be cached: `false`
-    /// proves no cached entry can match, so the caller can skip deriving
-    /// the full comp-tag for the cache probe. Conservative — entries with
+    /// proves no cached entry can match, so the caller can skip computing
+    /// the fingerprint for the cache probe. Conservative — entries with
     /// unknown prefilter tags force `true`.
     pub(crate) fn may_contain(&self, prefilter: u64) -> bool {
         self.unknown_prefilters > 0 || self.prefilters.contains_key(&prefilter)
     }
 
-    /// Caches `result` under `tag`, evicting LRU entries as needed to stay
+    /// Caches `result` under `fp`, evicting LRU entries as needed to stay
     /// within the configured bounds, and charging the enclave's memory
     /// budget for the pages the cache occupies. The buffer is shared, not
     /// copied; `prefilter` feeds the negative-lookup multiset (pass `None`
@@ -120,7 +138,7 @@ impl HotTagCache {
     pub(crate) fn insert(
         &mut self,
         enclave: &Enclave,
-        tag: CompTag,
+        fp: Fingerprint,
         result: &Arc<Vec<u8>>,
         prefilter: Option<u64>,
     ) {
@@ -128,9 +146,10 @@ impl HotTagCache {
         if footprint > self.config.max_bytes || self.config.max_entries == 0 {
             return;
         }
-        if self.entries.contains_key(&tag) {
-            // Already cached (results for a tag are immutable); just bump.
-            let _ = self.get(&tag);
+        if self.entries.contains_key(&fp) {
+            // Already cached (the result of a computation is immutable);
+            // just bump.
+            let _ = self.get(&fp);
             return;
         }
         while self.entries.len() >= self.config.max_entries
@@ -155,14 +174,14 @@ impl HotTagCache {
         self.seq += 1;
         self.bytes += footprint;
         self.entries.insert(
-            tag,
+            fp,
             CacheEntry {
                 result: Arc::clone(result), // allow-clone: Arc refcount bump, not a byte copy
                 prefilter,
                 lru_seq: seq,
             },
         );
-        self.lru.insert(seq, tag);
+        self.lru.insert(seq, fp);
     }
 
     /// Number of cached results.
@@ -176,11 +195,11 @@ impl HotTagCache {
     }
 
     fn evict_lru(&mut self, enclave: &Enclave) -> bool {
-        let Some((&seq, &tag)) = self.lru.iter().next() else {
+        let Some((&seq, &fp)) = self.lru.iter().next() else {
             return false;
         };
         self.lru.remove(&seq);
-        if let Some(entry) = self.entries.remove(&tag) {
+        if let Some(entry) = self.entries.remove(&fp) {
             match entry.prefilter {
                 Some(key) => {
                     if let Some(count) = self.prefilters.get_mut(&key) {
@@ -232,8 +251,8 @@ mod tests {
     use super::*;
     use speed_enclave::{CostModel, Platform};
 
-    fn tag(n: u8) -> CompTag {
-        CompTag::from_bytes([n; 32])
+    fn fp(n: u8) -> Fingerprint {
+        Fingerprint::from_bytes([n; 16])
     }
 
     fn enclave() -> std::sync::Arc<Enclave> {
@@ -248,10 +267,10 @@ mod tests {
     fn get_miss_then_insert_then_hit() {
         let enclave = enclave();
         let mut cache = HotTagCache::new(HotCacheConfig::default());
-        assert_eq!(cache.get(&tag(1)), None);
-        cache.insert(&enclave, tag(1), &shared(b"result"), None);
+        assert_eq!(cache.get(&fp(1)), None);
+        cache.insert(&enclave, fp(1), &shared(b"result"), None);
         assert_eq!(
-            cache.get(&tag(1)).as_deref().map(Vec::as_slice),
+            cache.get(&fp(1)).as_deref().map(Vec::as_slice),
             Some(b"result".as_slice())
         );
     }
@@ -261,9 +280,9 @@ mod tests {
         let enclave = enclave();
         let mut cache = HotTagCache::new(HotCacheConfig::default());
         let buffer = shared(&[7u8; 4096]);
-        cache.insert(&enclave, tag(1), &buffer, Some(42));
-        let first = cache.get(&tag(1)).unwrap();
-        let second = cache.get(&tag(1)).unwrap();
+        cache.insert(&enclave, fp(1), &buffer, Some(42));
+        let first = cache.get(&fp(1)).unwrap();
+        let second = cache.get(&fp(1)).unwrap();
         assert_eq!(first.as_ptr(), buffer.as_ptr(), "hit must alias the insert buffer");
         assert_eq!(second.as_ptr(), buffer.as_ptr());
     }
@@ -274,13 +293,13 @@ mod tests {
         let mut cache =
             HotTagCache::new(HotCacheConfig { max_entries: 2, max_bytes: 1 << 20 });
         assert!(!cache.may_contain(10));
-        cache.insert(&enclave, tag(1), &shared(b"a"), Some(10));
-        cache.insert(&enclave, tag(2), &shared(b"b"), Some(20));
+        cache.insert(&enclave, fp(1), &shared(b"a"), Some(10));
+        cache.insert(&enclave, fp(2), &shared(b"b"), Some(20));
         assert!(cache.may_contain(10));
         assert!(cache.may_contain(20));
         assert!(!cache.may_contain(30));
-        // Evicting tag(1) (LRU) removes its prefilter from the multiset.
-        cache.insert(&enclave, tag(3), &shared(b"c"), Some(30));
+        // Evicting fp(1) (LRU) removes its prefilter from the multiset.
+        cache.insert(&enclave, fp(3), &shared(b"c"), Some(30));
         assert!(!cache.may_contain(10));
         assert!(cache.may_contain(30));
     }
@@ -290,11 +309,11 @@ mod tests {
         let enclave = enclave();
         let mut cache =
             HotTagCache::new(HotCacheConfig { max_entries: 2, max_bytes: 1 << 20 });
-        cache.insert(&enclave, tag(1), &shared(b"a"), None);
+        cache.insert(&enclave, fp(1), &shared(b"a"), None);
         assert!(cache.may_contain(999), "unknown prefilter must answer maybe");
         // Evict the unknown-prefilter entry; exact answers resume.
-        cache.insert(&enclave, tag(2), &shared(b"b"), Some(5));
-        cache.insert(&enclave, tag(3), &shared(b"c"), Some(6));
+        cache.insert(&enclave, fp(2), &shared(b"b"), Some(5));
+        cache.insert(&enclave, fp(3), &shared(b"c"), Some(6));
         assert!(!cache.may_contain(999));
         assert!(cache.may_contain(5));
     }
@@ -304,15 +323,15 @@ mod tests {
         let enclave = enclave();
         let mut cache =
             HotTagCache::new(HotCacheConfig { max_entries: 2, max_bytes: 1 << 20 });
-        cache.insert(&enclave, tag(1), &shared(b"a"), None);
-        cache.insert(&enclave, tag(2), &shared(b"b"), None);
+        cache.insert(&enclave, fp(1), &shared(b"a"), None);
+        cache.insert(&enclave, fp(2), &shared(b"b"), None);
         // Touch 1 so 2 becomes LRU.
-        cache.get(&tag(1));
-        cache.insert(&enclave, tag(3), &shared(b"c"), None);
+        cache.get(&fp(1));
+        cache.insert(&enclave, fp(3), &shared(b"c"), None);
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&tag(1)).is_some());
-        assert!(cache.get(&tag(2)).is_none());
-        assert!(cache.get(&tag(3)).is_some());
+        assert!(cache.get(&fp(1)).is_some());
+        assert!(cache.get(&fp(2)).is_none());
+        assert!(cache.get(&fp(3)).is_some());
     }
 
     #[test]
@@ -323,12 +342,12 @@ mod tests {
             max_bytes: 3 * (100 + ENTRY_OVERHEAD),
         });
         for n in 1..=3u8 {
-            cache.insert(&enclave, tag(n), &shared(&[n; 100]), None);
+            cache.insert(&enclave, fp(n), &shared(&[n; 100]), None);
         }
         assert_eq!(cache.len(), 3);
-        cache.insert(&enclave, tag(4), &shared(&[4u8; 100]), None);
+        cache.insert(&enclave, fp(4), &shared(&[4u8; 100]), None);
         assert_eq!(cache.len(), 3);
-        assert!(cache.get(&tag(1)).is_none(), "oldest entry evicted");
+        assert!(cache.get(&fp(1)).is_none(), "oldest entry evicted");
     }
 
     #[test]
@@ -336,7 +355,7 @@ mod tests {
         let enclave = enclave();
         let mut cache =
             HotTagCache::new(HotCacheConfig { max_entries: 8, max_bytes: 64 });
-        cache.insert(&enclave, tag(1), &shared(&[0u8; 1024]), Some(1));
+        cache.insert(&enclave, fp(1), &shared(&[0u8; 1024]), Some(1));
         assert_eq!(cache.len(), 0);
         assert!(!cache.may_contain(1), "uncached entry must not poison the multiset");
     }
@@ -345,8 +364,8 @@ mod tests {
     fn duplicate_insert_keeps_single_entry() {
         let enclave = enclave();
         let mut cache = HotTagCache::new(HotCacheConfig::default());
-        cache.insert(&enclave, tag(1), &shared(b"r"), Some(4));
-        cache.insert(&enclave, tag(1), &shared(b"r"), Some(4));
+        cache.insert(&enclave, fp(1), &shared(b"r"), Some(4));
+        cache.insert(&enclave, fp(1), &shared(b"r"), Some(4));
         assert_eq!(cache.len(), 1);
         // Evicting the single entry clears the multiset exactly once.
         assert!(cache.may_contain(4));
@@ -359,12 +378,12 @@ mod tests {
         let mut cache =
             HotTagCache::new(HotCacheConfig { max_entries: 4, max_bytes: 1 << 20 });
         for n in 1..=4u8 {
-            cache.insert(&enclave, tag(n), &shared(&vec![n; 8 * 1024]), None);
+            cache.insert(&enclave, fp(n), &shared(&vec![n; 8 * 1024]), None);
         }
         assert!(enclave.committed_bytes() > before);
         // Evict everything by inserting over the entry bound.
         for n in 5..=8u8 {
-            cache.insert(&enclave, tag(n), &shared(&[n]), None);
+            cache.insert(&enclave, fp(n), &shared(&[n]), None);
         }
         assert!(enclave.committed_bytes() < before + 64 * 1024);
     }
@@ -397,7 +416,7 @@ mod tests {
                 };
                 for (index, &(is_get, tag_seed, len)) in ops.iter().enumerate() {
                     if is_get {
-                        let got = cache.get(&tag(tag_seed));
+                        let got = cache.get(&fp(tag_seed));
                         let expected = model.get(&tag_seed);
                         assert_eq!(
                             got.as_deref(),
@@ -409,14 +428,14 @@ mod tests {
                             lru.push(tag_seed);
                         }
                     } else {
-                        // The result is a function of the tag, as in the
-                        // runtime (results for a tag are immutable).
+                        // The result is a function of the key, as in the
+                        // runtime (a computation's result is immutable).
                         let result = vec![tag_seed; usize::from(len % 100)];
                         // Prefilter tags are a function of the input too.
                         let prefilter = u64::from(tag_seed) * 1000;
                         cache.insert(
                             &enclave,
-                            tag(tag_seed),
+                            fp(tag_seed),
                             &Arc::new(result.clone()),
                             Some(prefilter),
                         );

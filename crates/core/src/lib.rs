@@ -8,11 +8,15 @@
 //!   function (library family, version, signature) from which the runtime
 //!   derives "a universally unique value for function identification" after
 //!   verifying the application actually owns the code.
-//! - [`comp_digest`] — the one pass over a call's input: the secret digest
-//!   `d ← Hash(func, m)`, which never leaves the enclave. The
-//!   duplicate-checking tag `t` ([`CompDigest::tag`], [`tag_for`]) and the
-//!   secondary key `h` ([`CompDigest::secondary_key`]) are domain-separated
-//!   hashes of `d`, where Algorithms 1 and 2 hash `(func, m)` twice.
+//! - [`comp_digest`] — the one SHA-256 pass over the input of a call that
+//!   reaches the store: the secret digest `d ← Hash(func, m)`, which never
+//!   leaves the enclave. The duplicate-checking tag `t` ([`CompDigest::tag`],
+//!   [`tag_for`]) and the secondary key `h` ([`CompDigest::secondary_key`])
+//!   are domain-separated hashes of `d`, where Algorithms 1 and 2 hash
+//!   `(func, m)` twice.
+//! - [`fingerprint`] — the key of the in-enclave hot cache: a secret
+//!   [`Fingerprint`] `E_K(GHASH_H(func, m))` under keys each runtime draws
+//!   in its enclave. A hot-cache hit computes it and runs no SHA-256.
 //! - [`rce`] — the randomized-convergent-encryption result protection:
 //!   random key `k`, secondary key `h ← Hash(d, r)`, wrapped key
 //!   `[k] ← k ⊕ h`, ciphertext `[res] ← AES.Enc(k, res)`, and the Fig. 3
@@ -102,4 +106,4 @@ pub use runtime::{
     RuntimeBuilder, RuntimeStats,
 };
 pub use stream::{StreamConfig, StreamOutcome, StreamSession, StreamStats};
-pub use tag::{comp_digest, tag_for, CompDigest};
+pub use tag::{comp_digest, fingerprint, tag_for, CompDigest, Fingerprint};

@@ -17,12 +17,15 @@
 //!   function — an FNV-1a accumulation finished with a splitmix64 mix.
 //! - **Approximate**: *different* inputs may collide (same length, same
 //!   sampled bytes). A collision only costs a wasted fall-through to the
-//!   full-tag path; the full comp-tag remains the sole correctness
-//!   authority.
+//!   next tier: the hot cache's fingerprint probe, or the full comp-tag
+//!   and a GET. The full comp-tag remains the sole correctness authority.
 //!
 //! The prefilter tag is consulted against the in-enclave hot cache and the
-//! store's negative filters ([`speed_wire::NegativeFilter`]) before any
-//! SHA-256 or store round-trip is spent.
+//! store's negative filters ([`speed_wire::NegativeFilter`]) before the
+//! hot-cache fingerprint (one GHASH pass over the input), any SHA-256 or a
+//! store round-trip is spent. A hot-cache skip saves only the fingerprint,
+//! and only for a `lookup` probe that then misses: a call that resolves
+//! computes the fingerprint anyway, to cache its result.
 
 // hot-path: deny-clone
 
@@ -43,8 +46,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// Derives the 64-bit prefilter tag for `(func, input)`.
 ///
 /// See the module docs for the contract: deterministic, O(1) bytes
-/// touched, collisions allowed (they only cost a fall-through to the full
-/// SHA-256 comp-tag).
+/// touched, collisions allowed (they only cost a fall-through to the next
+/// tier).
 pub fn prefilter_tag(func: &FuncIdentity, input: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &byte in func.as_bytes() {

@@ -10,7 +10,7 @@
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
-use speed_crypto::{Key128, SystemRng};
+use speed_crypto::{GhashPrf, Key128, SystemRng};
 use speed_enclave::{Enclave, Platform};
 use speed_store::ResultStore;
 use speed_telemetry::{names, Counter, Histogram};
@@ -30,7 +30,7 @@ use crate::resilience::{
     Connector, ReplayQueue, ResilienceConfig, ResilienceStats, ResilientClient,
 };
 use crate::result_bytes::ResultBytes;
-use crate::tag::{comp_digest, CompDigest};
+use crate::tag::{comp_digest, fingerprint, CompDigest, Fingerprint};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 ///
@@ -132,8 +132,12 @@ struct Planned<'a> {
     /// The adaptive policy sent the call straight to its compute.
     bypass: bool,
     prefilter: Option<u64>,
+    /// The secret hot-cache fingerprint, computed on first use: the one
+    /// pass over its input of an item the hot cache answers.
+    fp: Option<Fingerprint>,
     /// The secret digest and the full comp-tag, derived together on first
-    /// use: the item's one pass over its input.
+    /// use: the one SHA-256 pass over its input of an item that reaches
+    /// the store.
     derived: Option<(CompDigest, CompTag)>,
     /// The negative filter proved no stored result exists.
     filtered: bool,
@@ -156,6 +160,7 @@ impl<'a> Planned<'a> {
             compute,
             bypass: false,
             prefilter: None,
+            fp: None,
             derived: None,
             filtered: false,
             found: None,
@@ -288,6 +293,7 @@ pub(crate) struct RuntimeTelemetry {
     call_duration: Histogram,
     batch_duration: Histogram,
     tag_derive: Histogram,
+    tag_fingerprint: Histogram,
     rce_recover: Histogram,
     rce_encrypt: Histogram,
     hotcache_lookup: Histogram,
@@ -316,7 +322,12 @@ impl RuntimeTelemetry {
             ),
             tag_derive: reg.histogram(
                 names::TAG_DERIVE_DURATION_NS,
-                "Deriving the digest Hash(func, m) and its tag inside the enclave",
+                "Deriving the digest Hash(func, m) and its tag inside the enclave \
+                 for a call that reaches the store; a hot-cache hit does not",
+            ),
+            tag_fingerprint: reg.histogram(
+                names::TAG_FINGERPRINT_DURATION_NS,
+                "Computing the secret hot-cache fingerprint E_K(GHASH_H(func, m))",
             ),
             rce_recover: reg.histogram(
                 names::RCE_RECOVER_DURATION_NS,
@@ -336,7 +347,8 @@ impl RuntimeTelemetry {
             ),
             prefilter_cache_skips: reg.counter(
                 names::TAG_PREFILTER_CACHE_SKIPS_TOTAL,
-                "Hot-cache probes skipped because the prefilter proved absence",
+                "Hot-cache probes skipped because the prefilter proved absence, \
+                 each saving a fingerprint",
             ),
             prefilter_store_skips: reg.counter(
                 names::TAG_PREFILTER_STORE_SKIPS_TOTAL,
@@ -380,8 +392,8 @@ struct ResilienceHandles {
 /// Configuration for the tiered tag pipeline ([`RuntimeBuilder::prefilter`]).
 ///
 /// When enabled, every marked call derives a cheap 64-bit
-/// [`prefilter tag`](crate::prefilter::prefilter_tag) before the full
-/// SHA-256 comp-tag and consults it against the in-enclave hot cache and a
+/// [`prefilter tag`](crate::prefilter::prefilter_tag) before any pass over
+/// its input and consults it against the in-enclave hot cache and a
 /// merged snapshot of the store's per-shard negative filters. A *definite
 /// miss* skips the store GET round-trip; [`DedupRuntime::lookup`] skips the
 /// full SHA-256 as well. The filters are conservative (never a false
@@ -715,8 +727,10 @@ impl RuntimeBuilder {
     }
 
     /// Enables the bounded in-enclave hot-tag cache: a result recently
-    /// resolved for a tag — reused from the store or computed locally — is
-    /// answered again with no enclave transition and no store round-trip.
+    /// resolved — reused from the store or computed locally — is answered
+    /// again with no enclave transition, no store round-trip and no
+    /// SHA-256. The cache is keyed by a secret [`Fingerprint`] under keys
+    /// the runtime draws from its RNG in [`build`](RuntimeBuilder::build).
     /// Off by default because the cache competes with the application for
     /// EPC; its pages are charged against the enclave's memory budget.
     pub fn hot_cache(mut self, config: HotCacheConfig) -> Self {
@@ -812,10 +826,14 @@ impl RuntimeBuilder {
         };
 
         let app_id = AppId(self.app_id.unwrap_or_else(|| enclave.id()));
-        let rng = match self.rng_seed {
+        let mut rng = match self.rng_seed {
             Some(seed) => SystemRng::seeded(seed),
             None => SystemRng::new(),
         };
+        let hot_cache = self.hot_cache.map(|config| HotCache {
+            prf: GhashPrf::new(&mut rng),
+            entries: Mutex::new(HotTagCache::new(config)),
+        });
 
         Ok(Arc::new(DedupRuntime {
             enclave,
@@ -830,7 +848,7 @@ impl RuntimeBuilder {
             telemetry: RuntimeTelemetry::from_global(),
             async_putter,
             resilience: resilience_handles,
-            hot_cache: self.hot_cache.map(|c| Mutex::new(HotTagCache::new(c))),
+            hot_cache,
             prefilter: self.prefilter.map(|config| {
                 Mutex::new(ClientFilter {
                     merged: None,
@@ -904,8 +922,17 @@ pub struct DedupRuntime {
     telemetry: RuntimeTelemetry,
     async_putter: Option<AsyncPutter>,
     resilience: Option<ResilienceHandles>,
-    hot_cache: Option<Mutex<HotTagCache>>,
+    hot_cache: Option<HotCache>,
     prefilter: Option<Mutex<ClientFilter>>,
+}
+
+/// The in-enclave hot cache and the secret PRF whose fingerprints key it.
+/// The runtime draws the PRF's keys from its RNG when it is built, and no
+/// path takes them, or a fingerprint, out of the enclave.
+#[derive(Debug)]
+struct HotCache {
+    prf: GhashPrf,
+    entries: Mutex<HotTagCache>,
 }
 
 impl DedupRuntime {
@@ -1042,12 +1069,13 @@ impl DedupRuntime {
     /// Probes the tiered tag pipeline for an already-stored result without
     /// ever executing or publishing anything.
     ///
-    /// The ladder runs cheapest-first: prefilter-gated hot-cache probe,
+    /// The ladder runs cheapest-first: the prefilter-gated hot-cache probe,
+    /// keyed by the secret fingerprint (one GHASH pass over the input),
     /// then the merged negative filter, then the full comp-tag and a store
-    /// GET. On a filter-proven miss the probe returns `Ok(None)` *without
-    /// computing the full SHA-256 at all* — for large inputs that is the
-    /// dominant cost of a negative lookup. A record that fails verification
-    /// also yields `Ok(None)`. A probe is not a call: it is not counted in
+    /// GET. A hot-cache hit or a filter-proven miss returns *without
+    /// computing the SHA-256 at all* — for large inputs that is the
+    /// dominant cost of a lookup. A record that fails verification also
+    /// yields `Ok(None)`. A probe is not a call: it is not counted in
     /// [`RuntimeStats::calls`].
     ///
     /// # Errors
@@ -1065,11 +1093,13 @@ impl DedupRuntime {
 
     /// Algorithm 1 over a batch of items, in one ECALL: adaptive policy →
     /// prefilter → hot cache → negative filter → one batched GET → RCE
-    /// recover or compute → one batched PUT, degrading item by item. An
-    /// item without a compute is a [`lookup`](DedupRuntime::lookup) probe:
-    /// it derives the full tag only when a tier needs it, never computes or
-    /// publishes, and is not counted as a call. Returns each item's result
-    /// in order; a probe that found nothing yields `None`.
+    /// recover or compute → one batched PUT, degrading item by item. Each
+    /// item computes its secret fingerprint only for the hot cache, and its
+    /// SHA-256 digest and tag only if it reaches the GET, `recover` or
+    /// `encrypt`, so a hot-cache hit runs no SHA-256. An item without a
+    /// compute is a [`lookup`](DedupRuntime::lookup) probe: it never
+    /// computes or publishes, and is not counted as a call. Returns each
+    /// item's result in order; a probe that found nothing yields `None`.
     fn plan(
         &self,
         items: Vec<Planned<'_>>,
@@ -1111,18 +1141,19 @@ impl DedupRuntime {
             (0..items.len()).filter(|&i| !items[i].bypass).collect();
 
         // Tier 1 — hot-tag cache: a recently resolved result is answered
-        // without leaving the enclave. The prefilter multiset gates the
-        // probe: a definite "not cached" skips the full-tag derivation.
-        if let Some(cache) = &self.hot_cache {
-            let mut cache = lock_recover(cache);
+        // without leaving the enclave. The probe is keyed by the secret
+        // fingerprint, so a hit runs no SHA-256. The prefilter multiset
+        // gates it: a definite "not cached" skips the fingerprint.
+        if let Some(hot) = &self.hot_cache {
+            let mut cache = lock_recover(&hot.entries);
             pending.retain(|&i| {
                 let item = &mut items[i];
                 if item.prefilter.is_some_and(|p| !cache.may_contain(p)) {
                     self.telemetry.prefilter_cache_skips.inc();
                     return true;
                 }
-                let tag = self.derive(item).1;
-                match self.telemetry.hotcache_lookup.time(|| cache.get(&tag)) {
+                let fp = self.fingerprint(&hot.prf, item);
+                match self.telemetry.hotcache_lookup.time(|| cache.get(&fp)) {
                     Some(result) => {
                         let result = ResultBytes::from_shared(result);
                         self.count_reuse(&self.stats.cache_hits, &result);
@@ -1213,8 +1244,7 @@ impl DedupRuntime {
                     Ok(result) => {
                         let result = ResultBytes::new(result);
                         self.count_reuse(&self.stats.hits, &result);
-                        let tag = self.derive(item).1;
-                        self.remember(tag, &result, item.prefilter);
+                        self.remember(item, &result);
                         item.answer = Some((result, DedupOutcome::Hit));
                         continue;
                     }
@@ -1247,8 +1277,8 @@ impl DedupRuntime {
                 self.stats.degraded_calls.add(1);
             }
             let Some(result) = item.run() else { continue };
+            self.remember(item, &result);
             let tag = self.derive(item).1;
-            self.remember(tag, &result, item.prefilter);
             // With the filter tier enabled the PUT carries the prefilter tag
             // so the store can keep its negative filters complete.
             let record = self.encrypt(&self.derive(item).0, &result);
@@ -1329,7 +1359,8 @@ impl DedupRuntime {
     }
 
     /// An item's secret digest `d = Hash(func, m)` and full comp-tag
-    /// `Hash(d)`, derived on first use: the only pass over its input.
+    /// `Hash(d)`, derived on first use: its one SHA-256 pass over its input,
+    /// made only when the item reaches the store, `recover` or `encrypt`.
     fn derive<'p>(&self, item: &'p mut Planned<'_>) -> &'p (CompDigest, CompTag) {
         let (identity, input) = (&item.identity, item.input);
         item.derived.get_or_insert_with(|| {
@@ -1338,6 +1369,16 @@ impl DedupRuntime {
                 let tag = digest.tag();
                 (digest, tag)
             })
+        })
+    }
+
+    /// An item's secret fingerprint `fp = E_K(GHASH_H(func, m))` under the
+    /// hot cache's PRF, computed on first use: one GHASH pass over its
+    /// input, the only pass a hot-cache hit makes.
+    fn fingerprint(&self, prf: &GhashPrf, item: &mut Planned<'_>) -> Fingerprint {
+        let (identity, input) = (&item.identity, item.input);
+        *item.fp.get_or_insert_with(|| {
+            self.telemetry.tag_fingerprint.time(|| fingerprint(prf, identity, input))
         })
     }
 
@@ -1376,10 +1417,17 @@ impl DedupRuntime {
         self.stats.reused_bytes.add(result.len() as u64);
     }
 
-    /// Keeps a resolved result in the hot-tag cache, when enabled.
-    fn remember(&self, tag: CompTag, result: &ResultBytes, prefilter: Option<u64>) {
-        if let Some(cache) = &self.hot_cache {
-            lock_recover(cache).insert(&self.enclave, tag, result.shared(), prefilter);
+    /// Keeps a resolved result in the hot-tag cache under the item's
+    /// fingerprint, when the cache is enabled.
+    fn remember(&self, item: &mut Planned<'_>, result: &ResultBytes) {
+        if let Some(hot) = &self.hot_cache {
+            let fp = self.fingerprint(&hot.prf, item);
+            lock_recover(&hot.entries).insert(
+                &self.enclave,
+                fp,
+                result.shared(),
+                item.prefilter,
+            );
         }
     }
 
@@ -1423,8 +1471,8 @@ impl DedupRuntime {
     /// when the cache is disabled. Exposed so harnesses and operators can
     /// check the configured bounds are actually respected.
     pub fn hot_cache_usage(&self) -> Option<(usize, usize)> {
-        self.hot_cache.as_ref().map(|cache| {
-            let cache = cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        self.hot_cache.as_ref().map(|hot| {
+            let cache = lock_recover(&hot.entries);
             (cache.len(), cache.bytes())
         })
     }
@@ -2393,7 +2441,7 @@ mod tests {
             .unwrap();
 
         // Cold call: the cache's prefilter multiset proves "not cached", so
-        // the probe (and its full-tag derivation) is skipped entirely —
+        // the probe (and its fingerprint) is skipped entirely —
         // cache_misses stays zero because no probe ever ran.
         let (_, outcome) = rt.execute(&desc_double(), b"g", |i| i.to_vec()).unwrap();
         assert_eq!(outcome, DedupOutcome::MissFiltered);

@@ -16,12 +16,23 @@
 //! requires `(func, m)`, and `d` has no wire encoding and no printable
 //! form, so `t` and `r` together still reveal nothing of `h` (DESIGN.md,
 //! "Security properties carried over").
+//!
+//! Only the store needs `t`. The in-enclave hot cache is keyed by a
+//! fingerprint under a secret PRF that each runtime draws in its enclave,
+//!
+//! ```text
+//! fp ← E_K(GHASH_H(func, m))           // never leaves the enclave
+//! ```
+//!
+//! one GHASH pass over the input and one AES block. A hot-cache hit
+//! computes `fp` and no SHA-256; `d` is derived only for calls that reach
+//! the store. Like `d`, `fp` has no wire encoding and no printable form.
 
 // hot-path: deny-clone
 
 use std::fmt;
 
-use speed_crypto::{Key128, Sha256, DIGEST_LEN};
+use speed_crypto::{GhashPrf, Key128, Sha256, DIGEST_LEN, PRF_LEN};
 use speed_wire::CompTag;
 
 use crate::func::FuncIdentity;
@@ -76,6 +87,35 @@ impl CompDigest {
 /// runtime sends for this computation.
 pub fn tag_for(func: &FuncIdentity, input: &[u8]) -> CompTag {
     comp_digest(func, input).tag()
+}
+
+/// The secret fingerprint `fp = E_K(GHASH_H(func, m))` of one computation
+/// under a runtime's [`GhashPrf`]: the key of its in-enclave hot cache.
+///
+/// It has no wire encoding and its `Debug` output is redacted. It is no
+/// duplicate check between runtimes: each runtime draws its own keys, and
+/// the comp-tag stays the store's only correctness authority.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Fingerprint([u8; PRF_LEN]);
+
+impl fmt::Debug for Fingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Fingerprint(<redacted>)")
+    }
+}
+
+/// Computes the fingerprint `fp ← F(func, m)` under `prf`: one GHASH pass
+/// over the input and one AES block, with no SHA-256.
+pub fn fingerprint(prf: &GhashPrf, func: &FuncIdentity, input: &[u8]) -> Fingerprint {
+    Fingerprint(prf.eval(func.as_bytes(), input))
+}
+
+#[cfg(test)]
+impl Fingerprint {
+    /// A fingerprint with the given bytes, for cache tests.
+    pub(crate) fn from_bytes(bytes: [u8; PRF_LEN]) -> Self {
+        Fingerprint(bytes)
+    }
 }
 
 #[cfg(test)]
@@ -165,6 +205,17 @@ mod tests {
             assert!(!shown.contains(&hex(window)), "{shown}");
         }
         assert!(!shown.contains(&format!("{}, {}", d.0[0], d.0[1])), "{shown}");
+    }
+
+    #[test]
+    fn fingerprint_binds_func_and_input_under_its_keys() {
+        let prf = GhashPrf::new(&mut speed_crypto::SystemRng::seeded(5));
+        let (f, g) = (identity(b"code"), identity(b"other"));
+        assert_eq!(fingerprint(&prf, &f, b"m"), fingerprint(&prf, &f, b"m"));
+        assert_ne!(fingerprint(&prf, &f, b"m"), fingerprint(&prf, &f, b"n"));
+        assert_ne!(fingerprint(&prf, &f, b"m"), fingerprint(&prf, &g, b"m"));
+        let other = GhashPrf::new(&mut speed_crypto::SystemRng::seeded(6));
+        assert_ne!(fingerprint(&prf, &f, b"m"), fingerprint(&other, &f, b"m"));
     }
 
     /// Pins the derivation: a change to a domain label, the field order or

@@ -6,7 +6,7 @@
 
 use crate::aes::{Aes128, BLOCK_LEN};
 use crate::rng::SystemRng;
-use crate::{AesGcm128, CryptoError, Key128, Sha256};
+use crate::{AesGcm128, CryptoError, GhashPrf, Key128, Sha256};
 
 fn note_if_portable_only(backends: usize, features: &str) {
     if backends < 2 {
@@ -138,6 +138,40 @@ fn gcm_backends_agree_at_every_ghash_group_boundary_pair() {
                 assert_eq!(cipher.verify(&nonce, aad, boxed_copy), Ok(()), "{context}");
                 let failed = Err(CryptoError::AuthenticationFailed);
                 assert_eq!(cipher.verify(&nonce, aad, &tampered), failed, "{context}");
+            }
+        }
+    }
+}
+
+#[test]
+fn ghash_prf_backends_agree_at_every_ghash_group_boundary_pair() {
+    let zero = Key128::from_bytes([0; 16]);
+    note_if_portable_only(GhashPrf::backends(&zero, &zero).len(), "AES-NI or PCLMULQDQ");
+    let mut rng = SystemRng::seeded(0xD1FF_F9F0);
+    for a_len in GHASH_EDGE_LENGTHS {
+        for m_len in GHASH_EDGE_LENGTHS {
+            let (k_h, k) = (rng.gen_key(), rng.gen_key());
+            let prfs = GhashPrf::backends(&k_h, &k);
+            let (a_offset, m_offset) = (rng.range_usize(1, 16), rng.range_usize(1, 16));
+            let a = misaligned(&mut rng, a_offset, a_len);
+            let m = misaligned(&mut rng, m_offset, m_len);
+            let (a, m) = (&a[a_offset..], &m[m_offset..]);
+            let context = |prf: &GhashPrf| {
+                format!("a {a_len}, m {m_len}, hardware: {}", prf.is_hardware())
+            };
+            let reference = prfs[0].eval(a, m);
+            for prf in &prfs {
+                assert_eq!(prf.eval(a, m), reference, "{}", context(prf));
+            }
+            // Either key alone changes the output, on every backend. The
+            // one exception is K_h on empty (a, m), whose GHASH is 0 · H.
+            let other = rng.gen_key();
+            let mut rekeyed = GhashPrf::backends(&k_h, &other);
+            if a_len + m_len > 0 {
+                rekeyed.extend(GhashPrf::backends(&other, &k));
+            }
+            for prf in &rekeyed {
+                assert_ne!(prf.eval(a, m), reference, "{}", context(prf));
             }
         }
     }

@@ -182,7 +182,9 @@ impl AesGcm128 {
         AuthTag::from_bytes(tag)
     }
 
-    fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> u128 {
+    /// GHASH under `H = E(K, 0¹²⁸)` over `aad`, `ciphertext` and their bit
+    /// lengths, as the big-endian value of the result block.
+    pub(crate) fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> u128 {
         match &self.backend {
             Backend::Soft { h, .. } => ghash(*h, aad, ciphertext),
             #[cfg(target_arch = "x86_64")]

@@ -12,6 +12,8 @@
 //! - [`hmac::HmacSha256`] — RFC 2104 HMAC over SHA-256.
 //! - [`hkdf`] — RFC 5869 HKDF for session-key derivation in the secure
 //!   channel.
+//! - [`GhashPrf`] — a secret keyed PRF, `E_K(GHASH_H(a, m))`, built from
+//!   the AES-GCM code: one GHASH pass over its input.
 //! - [`ct_eq`] — constant-time comparison for tags and MACs.
 //! - [`SystemRng`] — CSPRNG handle used for keys, nonces, and the RCE
 //!   challenge message `r`.
@@ -62,6 +64,7 @@ mod gcm;
 mod gcm_ni;
 pub mod hkdf;
 pub mod hmac;
+mod prf;
 mod rng;
 mod sha256;
 #[cfg(target_arch = "x86_64")]
@@ -71,6 +74,7 @@ mod types;
 pub use ct::ct_eq;
 pub use error::CryptoError;
 pub use gcm::AesGcm128;
+pub use prf::{GhashPrf, PRF_LEN};
 pub use rng::{fill_random, random_key, random_nonce, SystemRng};
 pub use sha256::{Digest, Sha256, DIGEST_LEN};
 pub use types::{AuthTag, Key128, Nonce, KEY_LEN, NONCE_LEN, TAG_LEN};

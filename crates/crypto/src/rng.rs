@@ -83,7 +83,9 @@ fn os_entropy() -> [u8; 32] {
 /// A cryptographically seeded PRNG handle.
 ///
 /// [`SystemRng::new`] seeds from OS entropy; [`SystemRng::seeded`] creates a
-/// deterministic instance for reproducible tests and benchmarks.
+/// deterministic instance for reproducible tests and benchmarks. `Debug`
+/// prints no state: the ChaCha20 key and the buffered keystream predict
+/// every later key, nonce and challenge.
 ///
 /// # Example
 ///
@@ -96,7 +98,7 @@ fn os_entropy() -> [u8; 32] {
 /// assert_ne!(key.as_bytes(), &[0u8; 16]);
 /// let _ = nonce;
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SystemRng {
     /// ChaCha20 input state: constants, key, 64-bit counter, 64-bit nonce.
     state: [u32; BLOCK_WORDS],
@@ -104,6 +106,12 @@ pub struct SystemRng {
     block: [u8; BLOCK_BYTES],
     /// Next unread byte in `block` (`BLOCK_BYTES` = exhausted).
     cursor: usize,
+}
+
+impl std::fmt::Debug for SystemRng {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SystemRng(<state redacted>)")
+    }
 }
 
 impl SystemRng {

@@ -50,8 +50,13 @@ pub const DEDUP_CALL_DURATION_NS: &str = "dedup_call_duration_ns";
 /// Histogram (ns): end-to-end latency of one `execute_batch` invocation.
 pub const DEDUP_BATCH_DURATION_NS: &str = "dedup_batch_duration_ns";
 /// Histogram (ns): deriving the digest `d ← Hash(func, m)` and the tag
-/// `t ← Hash(d)` inside the enclave: a call's one pass over its input.
+/// `t ← Hash(d)` inside the enclave: the one SHA-256 pass over its input of
+/// a call that reaches the store. A hot-cache hit does not record it.
 pub const TAG_DERIVE_DURATION_NS: &str = "tag_derive_duration_ns";
+/// Histogram (ns): computing the secret hot-cache fingerprint
+/// `fp ← E_K(GHASH_H(func, m))` inside the enclave: one GHASH pass over
+/// the input, the only one a hot-cache hit makes.
+pub const TAG_FINGERPRINT_DURATION_NS: &str = "tag_fingerprint_duration_ns";
 /// Histogram (ns): RCE key recovery + result decryption + verification,
 /// from the digest (no pass over the input).
 pub const RCE_RECOVER_DURATION_NS: &str = "rce_recover_duration_ns";
@@ -67,7 +72,7 @@ pub const HOTCACHE_LOOKUP_DURATION_NS: &str = "hotcache_lookup_duration_ns";
 /// sparse-sampled short hash) before any full SHA-256 work.
 pub const TAG_PREFILTER_DERIVE_DURATION_NS: &str = "tag_prefilter_derive_duration_ns";
 /// Counter: hot-cache probes skipped because the cache's prefilter set
-/// proved the tag could not be resident.
+/// proved the computation could not be resident; each saves a fingerprint.
 pub const TAG_PREFILTER_CACHE_SKIPS_TOTAL: &str = "tag_prefilter_cache_skips_total";
 /// Counter: store round trips (and, on the lookup path, full SHA-256 tag
 /// derivations) skipped because the client's negative filter proved absence.
@@ -268,6 +273,7 @@ pub const ALL: &[&str] = &[
     DEDUP_CALL_DURATION_NS,
     DEDUP_BATCH_DURATION_NS,
     TAG_DERIVE_DURATION_NS,
+    TAG_FINGERPRINT_DURATION_NS,
     RCE_RECOVER_DURATION_NS,
     RCE_ENCRYPT_DURATION_NS,
     HOTCACHE_LOOKUP_DURATION_NS,

@@ -32,16 +32,19 @@ done < <(grep -rl --include='*.rs' '^// hot-path: deny-clone$' crates src 2>/dev
 
 # Files that must NEVER lose their marker: the streaming chunk path moves
 # every chunk result as a shared `ResultBytes`, the digest derivation and
-# result protection read every input and result byte of a call, and the
-# hardware crypto modules run over every hashed or sealed byte; a quiet
-# marker removal would let per-call, per-chunk or per-block copies back in
-# unseen.
+# result protection read every input and result byte of a call, the
+# hot-cache fingerprint and the cache it keys read every input byte of a
+# hot-cache hit, and the hardware crypto modules run over every hashed or
+# sealed byte; a quiet marker removal would let per-call, per-chunk or
+# per-block copies back in unseen.
 required_markers=(
     crates/core/src/chunker.rs
     crates/core/src/stream.rs
     crates/core/src/result_bytes.rs
     crates/core/src/tag.rs
     crates/core/src/rce.rs
+    crates/core/src/hotcache.rs
+    crates/crypto/src/prf.rs
     crates/crypto/src/gcm_ni.rs
     crates/crypto/src/sha256_ni.rs
 )

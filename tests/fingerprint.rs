@@ -1,0 +1,82 @@
+//! A hot-cache hit runs no SHA-256: the hot cache is keyed by the secret
+//! fingerprint `fp = E_K(GHASH_H(func, m))`, and only a call that reaches
+//! the store derives the digest and the comp-tag.
+//!
+//! The binary holds a single test, so the global registry's tag histograms
+//! move only with the calls it makes.
+
+use std::sync::Arc;
+
+use speed_core::{DedupOutcome, DedupRuntime, FuncDesc, HotCacheConfig, TrustedLibrary};
+use speed_enclave::{CostModel, Platform};
+use speed_store::{ResultStore, StoreConfig};
+use speed_telemetry::{names, MetricValue};
+use speed_wire::SessionAuthority;
+
+/// Observations of the histogram `name` so far, 0 before it is registered.
+fn observations(name: &str) -> u64 {
+    let snapshot = speed_telemetry::global().snapshot();
+    snapshot.metrics.iter().find(|m| m.name == name).map_or(0, |m| match m.value {
+        MetricValue::Histogram { count, .. } => count,
+        ref other => panic!("{name} is not a histogram: {other:?}"),
+    })
+}
+
+/// (SHA-256 tag derivations, fingerprints) recorded so far.
+fn passes() -> (u64, u64) {
+    (
+        observations(names::TAG_DERIVE_DURATION_NS),
+        observations(names::TAG_FINGERPRINT_DURATION_NS),
+    )
+}
+
+fn reverse(input: &[u8]) -> Vec<u8> {
+    input.iter().rev().copied().collect()
+}
+
+fn not_computed(_: &[u8]) -> Vec<u8> {
+    panic!("a reused result runs no compute")
+}
+
+#[test]
+fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
+    let platform = Platform::new(CostModel::no_sgx());
+    let store = Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
+    let authority = Arc::new(SessionAuthority::new());
+    let runtime = |app: &[u8]| {
+        let mut library = TrustedLibrary::new("fplib", "1.0");
+        library.register("bytes reverse(bytes)", b"reverse code");
+        DedupRuntime::builder(Arc::clone(&platform), app)
+            .in_process_store(Arc::clone(&store), Arc::clone(&authority))
+            .trusted_library(library)
+            .hot_cache(HotCacheConfig::default())
+            .build()
+            .unwrap()
+    };
+    let desc = FuncDesc::new("fplib", "1.0", "bytes reverse(bytes)");
+    let input: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 7 % 251) as u8).collect();
+
+    // A miss derives the tag for its PUT and computes fp to cache its result.
+    let warm = runtime(b"warm-app");
+    let identity = warm.resolve(&desc).unwrap();
+    let before = passes();
+    let (_, outcome) = warm.execute_raw(&identity, &input, reverse).unwrap();
+    assert_eq!(outcome, DedupOutcome::Miss);
+    assert_eq!(passes(), (before.0 + 1, before.1 + 1), "miss");
+
+    let before = passes();
+    let (result, outcome) = warm.execute_raw(&identity, &input, not_computed).unwrap();
+    assert_eq!(outcome, DedupOutcome::HitLocalCache);
+    assert_eq!(result, reverse(&input));
+    assert_eq!(passes(), (before.0, before.1 + 1), "a hot-cache hit runs no SHA-256");
+
+    // Another application's first call is a store hit: one tag for the GET
+    // and the RCE recovery, and one fp for both its probe and its insert.
+    let other = runtime(b"other-app");
+    let identity = other.resolve(&desc).unwrap();
+    let before = passes();
+    let (result, outcome) = other.execute_raw(&identity, &input, not_computed).unwrap();
+    assert_eq!(outcome, DedupOutcome::Hit);
+    assert_eq!(result, reverse(&input));
+    assert_eq!(passes(), (before.0 + 1, before.1 + 1), "store hit");
+}

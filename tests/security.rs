@@ -6,8 +6,10 @@ use std::sync::Arc;
 
 use speed_core::rce::recover_result;
 use speed_core::{
-    comp_digest, tag_for, CoreError, DedupOutcome, DedupRuntime, FuncDesc, TrustedLibrary,
+    comp_digest, fingerprint, tag_for, CoreError, DedupOutcome, DedupRuntime, FuncDesc,
+    HotCacheConfig, TrustedLibrary,
 };
+use speed_crypto::{GhashPrf, SystemRng};
 use speed_enclave::{BlobId, CostModel, Platform};
 use speed_store::{ResultStore, StoreConfig};
 use speed_wire::{AppId, CompTag, Message, Record, SessionAuthority};
@@ -132,6 +134,59 @@ fn untrusted_memory_never_sees_plaintext() {
             );
         }
     }
+}
+
+/// The RNG's `Debug` prints no state: its ChaCha20 key and buffered
+/// keystream predict every later challenge `r`, result key and hot-cache
+/// key of the runtime that owns it.
+#[test]
+fn rng_debug_shows_no_state() {
+    assert_eq!(
+        format!("{:?}", SystemRng::seeded(1)),
+        format!("{:?}", SystemRng::seeded(2))
+    );
+}
+
+/// The hot cache's PRF and its fingerprints print nothing that depends on
+/// the keys or the fingerprint's value.
+#[test]
+fn fingerprint_debug_shows_no_key_or_value() {
+    let world = world();
+    let identity = runtime(&world, b"fp-app", b"genuine").resolve(&desc()).unwrap();
+    let a = GhashPrf::new(&mut SystemRng::seeded(1));
+    let b = GhashPrf::new(&mut SystemRng::seeded(2));
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    let (x, y) = (fingerprint(&a, &identity, b"one"), fingerprint(&b, &identity, b"two"));
+    assert_ne!(x, y);
+    assert_eq!(format!("{x:?}"), format!("{y:?}"));
+}
+
+/// A runtime's `Debug` output carries neither a hot-cached plaintext result
+/// nor its RNG state.
+#[test]
+fn runtime_debug_shows_no_cached_result() {
+    let world = world();
+    let rt = DedupRuntime::builder(Arc::clone(&world.platform), b"debug-app")
+        .in_process_store(Arc::clone(&world.store), Arc::clone(&world.authority))
+        .trusted_library(library(b"genuine"))
+        .hot_cache(HotCacheConfig::default())
+        .build()
+        .unwrap();
+    let identity = rt.resolve(&desc()).unwrap();
+    // Distinct large byte values: no counter, id or length prints these.
+    let result: Vec<u8> = (0..32u8).map(|i| 0x9D ^ i.wrapping_mul(37)).collect();
+    rt.execute_raw(&identity, b"debug input", |_| result.clone()).unwrap();
+    let (_, outcome) =
+        rt.execute_raw(&identity, b"debug input", |_| b"recomputed".to_vec()).unwrap();
+    assert_eq!(outcome, DedupOutcome::HitLocalCache, "the result is hot-cached");
+
+    let shown = format!("{rt:?}");
+    for window in result.windows(3) {
+        let rendered = format!("{window:?}");
+        let rendered = rendered.trim_start_matches('[').trim_end_matches(']');
+        assert!(!shown.contains(rendered), "result bytes {rendered} in {shown}");
+    }
+    assert!(!shown.contains("SystemRng {"), "RNG state in {shown}");
 }
 
 /// DoS mitigation (§III-D): a malicious application flooding PUTs is
