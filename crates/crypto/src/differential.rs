@@ -1,18 +1,31 @@
 //! Differential tests: every hardware backend against the portable one,
 //! byte for byte.
 //!
-//! On a CPU without the hardware features only the portable backend runs,
-//! and each test says so on stderr.
+//! Each test runs the backends this CPU has and lists them on stderr, so a
+//! log from a CPU without some hardware path shows that the path went
+//! unchecked there.
 
 use crate::aes::{Aes128, BLOCK_LEN};
 use crate::rng::SystemRng;
 use crate::{AesGcm128, CryptoError, GhashPrf, Key128, Sha256};
 
-fn note_if_portable_only(backends: usize, features: &str) {
-    if backends < 2 {
-        eprintln!(
-            "note: this CPU lacks {features}; only the portable backend was checked"
-        );
+fn note_backends_checked(test: &str, backends: &[&str]) {
+    eprintln!("note: {test} checked the backends this CPU runs: {}", backends.join(", "));
+}
+
+/// The AES-GCM backends `AesGcm128::backends` gives on this CPU.
+fn gcm_backend_names() -> Vec<&'static str> {
+    AesGcm128::backends(&Key128::from_bytes([0; 16]))
+        .iter()
+        .map(AesGcm128::backend_name)
+        .collect()
+}
+
+fn sha256_backend_name(hasher: &Sha256) -> &'static str {
+    if hasher.is_hardware() {
+        "sha-ni"
+    } else {
+        "soft"
     }
 }
 
@@ -37,7 +50,11 @@ fn update_in_random_splits(hasher: &mut Sha256, mut data: &[u8], rng: &mut Syste
 #[test]
 fn sha256_backends_agree_at_every_length_offset_and_split() {
     let backends = Sha256::backends();
-    note_if_portable_only(backends.len(), "SHA-NI");
+    let names: Vec<_> = backends.iter().map(sha256_backend_name).collect();
+    note_backends_checked(
+        "sha256_backends_agree_at_every_length_offset_and_split",
+        &names,
+    );
     let mut rng = SystemRng::seeded(0xD1FF_5A25);
     let largest = 64 * 1024 + 7;
     let buffer = misaligned(&mut rng, 15, largest);
@@ -53,8 +70,8 @@ fn sha256_backends_agree_at_every_length_offset_and_split() {
                 assert_eq!(
                     hasher.finalize(),
                     reference,
-                    "length {len}, offset {offset}, hardware: {}",
-                    backend.is_hardware()
+                    "length {len}, offset {offset}, {}",
+                    sha256_backend_name(backend)
                 );
             }
         }
@@ -63,8 +80,10 @@ fn sha256_backends_agree_at_every_length_offset_and_split() {
 
 #[test]
 fn gcm_backends_agree_on_seal_open_and_tampering() {
-    let probe = AesGcm128::backends(&Key128::from_bytes([0; 16]));
-    note_if_portable_only(probe.len(), "AES-NI or PCLMULQDQ");
+    note_backends_checked(
+        "gcm_backends_agree_on_seal_open_and_tampering",
+        &gcm_backend_names(),
+    );
     let mut rng = SystemRng::seeded(0xD1FF_6C4D);
     for len in (0..=600).chain([25_000, 65_543]) {
         let ciphers = AesGcm128::backends(&rng.gen_key());
@@ -102,15 +121,21 @@ fn gcm_backends_agree_on_seal_open_and_tampering() {
     }
 }
 
-/// Lengths around the GHASH block (16 bytes) and four-block group (64
-/// bytes) boundaries.
-const GHASH_EDGE_LENGTHS: [usize; 16] =
-    [0, 1, 15, 16, 17, 48, 63, 64, 65, 80, 127, 128, 129, 255, 256, 257];
+/// Lengths around the GHASH block (16 bytes), four-block group (64 bytes)
+/// and 32-block group (512 bytes) boundaries: zero, one and two 32-block
+/// groups, each followed by four-block, single-block and partial-block
+/// remainders.
+const GHASH_EDGE_LENGTHS: [usize; 23] = [
+    0, 1, 15, 16, 17, 48, 63, 64, 65, 80, 127, 128, 129, 255, 256, 257, 511, 512, 513,
+    527, 1023, 1024, 1025,
+];
 
 #[test]
 fn gcm_backends_agree_at_every_ghash_group_boundary_pair() {
-    let probe = AesGcm128::backends(&Key128::from_bytes([0; 16]));
-    note_if_portable_only(probe.len(), "AES-NI or PCLMULQDQ");
+    note_backends_checked(
+        "gcm_backends_agree_at_every_ghash_group_boundary_pair",
+        &gcm_backend_names(),
+    );
     let mut rng = SystemRng::seeded(0xD1FF_64A4);
     for aad_len in GHASH_EDGE_LENGTHS {
         for len in GHASH_EDGE_LENGTHS {
@@ -146,7 +171,12 @@ fn gcm_backends_agree_at_every_ghash_group_boundary_pair() {
 #[test]
 fn ghash_prf_backends_agree_at_every_ghash_group_boundary_pair() {
     let zero = Key128::from_bytes([0; 16]);
-    note_if_portable_only(GhashPrf::backends(&zero, &zero).len(), "AES-NI or PCLMULQDQ");
+    let names: Vec<_> =
+        GhashPrf::backends(&zero, &zero).iter().map(GhashPrf::backend_name).collect();
+    note_backends_checked(
+        "ghash_prf_backends_agree_at_every_ghash_group_boundary_pair",
+        &names,
+    );
     let mut rng = SystemRng::seeded(0xD1FF_F9F0);
     for a_len in GHASH_EDGE_LENGTHS {
         for m_len in GHASH_EDGE_LENGTHS {
@@ -156,9 +186,8 @@ fn ghash_prf_backends_agree_at_every_ghash_group_boundary_pair() {
             let a = misaligned(&mut rng, a_offset, a_len);
             let m = misaligned(&mut rng, m_offset, m_len);
             let (a, m) = (&a[a_offset..], &m[m_offset..]);
-            let context = |prf: &GhashPrf| {
-                format!("a {a_len}, m {m_len}, hardware: {}", prf.is_hardware())
-            };
+            let context =
+                |prf: &GhashPrf| format!("a {a_len}, m {m_len}, {}", prf.backend_name());
             let reference = prfs[0].eval(a, m);
             for prf in &prfs {
                 assert_eq!(prf.eval(a, m), reference, "{}", context(prf));
@@ -182,7 +211,10 @@ fn ctr_wraps_inside_an_eight_block_batch_like_the_portable_code() {
     let mut rng = SystemRng::seeded(0xD1FF_C7E0);
     let key = rng.gen_key();
     let ciphers = AesGcm128::backends(&key);
-    note_if_portable_only(ciphers.len(), "AES-NI");
+    note_backends_checked(
+        "ctr_wraps_inside_an_eight_block_batch_like_the_portable_code",
+        &gcm_backend_names(),
+    );
     let data = misaligned(&mut rng, 0, 3 * 8 * BLOCK_LEN + 5);
     // Counter blocks ending 0xffff_fff0..=0xffff_ffff put the 32-bit wrap at
     // each lane of the first batch of eight blocks, and past it.
@@ -224,9 +256,18 @@ fn detection_selects_the_hardware_backends() {
     let aes = common
         && is_x86_feature_detected!("aes")
         && is_x86_feature_detected!("pclmulqdq");
+    // Every feature the 32-block GHASH enables beyond the AES-NI code's.
+    let wide = aes
+        && is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("vpclmulqdq");
     assert_eq!(Sha256::new().is_hardware(), sha);
     let cipher = AesGcm128::new(&Key128::from_bytes([0x5a; 16]));
-    assert_eq!(cipher.is_hardware(), aes);
-    let shown = format!("{cipher:?}");
-    assert!(shown.ends_with("<key redacted>)"), "{shown}");
+    let expected = match (aes, wide) {
+        (_, true) => "aes-ni+vpclmulqdq",
+        (true, false) => "aes-ni",
+        (false, false) => "soft",
+    };
+    assert_eq!(cipher.backend_name(), expected);
+    assert_eq!(format!("{cipher:?}"), format!("AesGcm128({expected}, <key redacted>)"));
 }

@@ -39,7 +39,9 @@ enum Backend {
     /// CPUs without AES-NI, and the reference the differential tests
     /// compare against. `h` is the GHASH subkey `H = E(K, 0¹²⁸)`.
     Soft { cipher: Aes128, h: u128 },
-    /// The AES-NI and PCLMULQDQ code in [`crate::gcm_ni`].
+    /// The AES-NI code in [`crate::gcm_ni`], with the four-block
+    /// PCLMULQDQ GHASH or, on CPUs with AVX-512 and VPCLMULQDQ, the
+    /// 32-block one.
     #[cfg(target_arch = "x86_64")]
     Ni(crate::gcm_ni::GcmNi),
 }
@@ -55,12 +57,7 @@ impl Backend {
 
 impl std::fmt::Debug for AesGcm128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match self.backend {
-            Backend::Soft { .. } => "soft",
-            #[cfg(target_arch = "x86_64")]
-            Backend::Ni(_) => "aes-ni",
-        };
-        write!(f, "AesGcm128({backend}, <key redacted>)")
+        write!(f, "AesGcm128({}, <key redacted>)", self.backend_name())
     }
 }
 
@@ -138,6 +135,18 @@ impl AesGcm128 {
         Ok(())
     }
 
+    /// The implementation this cipher runs: `soft`, `aes-ni` (four-block
+    /// GHASH) or `aes-ni+vpclmulqdq` (32-block GHASH).
+    pub(crate) fn backend_name(&self) -> &'static str {
+        match &self.backend {
+            Backend::Soft { .. } => "soft",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(ni) if ni.has_wide_ghash() => "aes-ni+vpclmulqdq",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Ni(_) => "aes-ni",
+        }
+    }
+
     fn j0(&self, nonce: &Nonce) -> [u8; BLOCK_LEN] {
         // 96-bit IV fast path: J0 = IV || 0^31 || 1.
         let mut j0 = [0u8; BLOCK_LEN];
@@ -196,19 +205,16 @@ impl AesGcm128 {
 #[cfg(test)]
 impl AesGcm128 {
     /// One cipher for `key` per implementation this CPU runs, the portable
-    /// one first.
+    /// one first, then AES-NI with each GHASH width it runs.
     pub(crate) fn backends(key: &Key128) -> Vec<AesGcm128> {
         let mut backends = vec![AesGcm128 { backend: Backend::soft(key) }];
         #[cfg(target_arch = "x86_64")]
-        if let Some(ni) = crate::gcm_ni::GcmNi::new(key) {
-            backends.push(AesGcm128 { backend: Backend::Ni(ni) });
-        }
+        backends.extend(
+            crate::gcm_ni::GcmNi::ghash_widths(key)
+                .into_iter()
+                .map(|ni| AesGcm128 { backend: Backend::Ni(ni) }),
+        );
         backends
-    }
-
-    /// Whether this cipher runs a hardware implementation.
-    pub(crate) fn is_hardware(&self) -> bool {
-        !matches!(self.backend, Backend::Soft { .. })
     }
 }
 
@@ -344,6 +350,41 @@ mod tests {
                 "{cipher:?}"
             );
             assert_eq!(cipher.open(&nonce, &aad, &boxed).unwrap(), plaintext);
+        }
+    }
+
+    /// The key and nonce of NIST case 3/4 with a 517-byte AAD and a
+    /// 1,125-byte plaintext, so GHASH crosses a 32-block group and a
+    /// partial block of AAD, then two groups, a four-block group, a single
+    /// block and a partial block of ciphertext. The expected values were
+    /// computed apart from this crate with Python's `cryptography` (AESGCM,
+    /// and GHASH as the tag XOR `E(K, J0)`) and checked against a
+    /// pure-Python GHASH.
+    #[test]
+    fn known_answer_over_a_long_input() {
+        let key = key_from_hex("feffe9928665731c6d6a8f9467308308");
+        let nonce = nonce_from_hex("cafebabefacedbaddecaf888");
+        let aad: Vec<u8> = (0..517u32).map(|i| (i * 7 + 3) as u8).collect();
+        let plaintext: Vec<u8> = (0..1125u32).map(|i| (i * 13 + 1) as u8).collect();
+        for cipher in AesGcm128::backends(&key) {
+            let boxed = cipher.seal(&nonce, &aad, &plaintext);
+            let (ciphertext, tag) = boxed.split_at(plaintext.len());
+            assert_eq!(tag, from_hex("a582f331fca8d5db75831a35beeb4210"), "{cipher:?}");
+            assert_eq!(
+                crate::Sha256::digest(ciphertext).to_hex(),
+                "f529d57d69922f848649c248cf00a891152ab47a3d02b4409355da7df8b322de",
+                "{cipher:?}"
+            );
+            assert_eq!(
+                cipher.ghash(&aad, ciphertext),
+                0x97c5eb7ac0e7bc7f383fc81d3950f608,
+                "{cipher:?}"
+            );
+            assert_eq!(
+                cipher.open(&nonce, &aad, &boxed).unwrap(),
+                plaintext,
+                "{cipher:?}"
+            );
         }
     }
 

@@ -21,9 +21,13 @@
 //! SHA-256 and AES-GCM each have two implementations, chosen by CPU
 //! detection when a hasher or cipher is created, with no option to pick
 //! one: portable Rust, and on x86_64 CPUs with the instructions, SHA-NI
-//! block compression and AES-NI/PCLMULQDQ AES-GCM. Every caller above
-//! (tags, RCE, the secure channel, sealing, the WAL) gets the same bytes
-//! from either. The hardware code is the only `unsafe` code in the crate;
+//! block compression and AES-NI/PCLMULQDQ AES-GCM. The hardware AES-GCM
+//! has two GHASH widths, in the same private module and picked the same
+//! way: four blocks per reduction with PCLMULQDQ, and 32 blocks per
+//! reduction, four per instruction, on CPUs that also have AVX-512F,
+//! AVX-512BW and VPCLMULQDQ. Every caller above (tags, RCE, the hot-cache
+//! fingerprint, the secure channel, sealing, the WAL) gets the same bytes
+//! from each. The hardware code is the only `unsafe` code in the crate;
 //! it lives in two private modules whose types can only be created after
 //! detection succeeded. The portable code is the only path on other CPUs
 //! and the reference the differential tests compare the hardware code
@@ -31,7 +35,9 @@
 //!
 //! All primitives are validated against published test vectors (FIPS 180-4,
 //! FIPS 197, NIST GCM, RFC 4231, RFC 5869) in the unit tests, on every
-//! implementation the CPU runs.
+//! implementation the CPU runs. AES-GCM and [`GhashPrf`] are also checked
+//! on an input long enough to cross the 32-block GHASH groups, against
+//! values computed with an implementation outside this crate.
 //!
 //! # Example
 //!
