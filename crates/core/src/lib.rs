@@ -16,7 +16,8 @@
 //!   `(func, m)` twice.
 //! - [`fingerprint`] — the key of the in-enclave hot cache: a secret
 //!   [`Fingerprint`] `E_K(GHASH_H(func, m))` under keys each runtime draws
-//!   in its enclave. A hot-cache hit computes it and runs no SHA-256.
+//!   in its enclave. A hot-cache hit computes it and runs no SHA-256, and
+//!   neither does a call whose digest the cache remembers.
 //! - [`rce`] — the randomized-convergent-encryption result protection:
 //!   random key `k`, secondary key `h ← Hash(d, r)`, wrapped key
 //!   `[k] ← k ⊕ h`, ciphertext `[res] ← AES.Enc(k, res)`, and the Fig. 3

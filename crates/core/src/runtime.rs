@@ -22,7 +22,7 @@ use speed_wire::{
 use crate::client::{InProcessClient, StoreClient, TcpClient};
 use crate::error::CoreError;
 use crate::func::{FuncDesc, FuncIdentity, LibraryRegistry, TrustedLibrary};
-use crate::hotcache::{HotCacheConfig, HotTagCache};
+use crate::hotcache::{HotCacheConfig, HotTagCache, Probe};
 use crate::policy::{AdaptiveProfiler, DedupPolicy, PolicyDecision};
 use crate::prefilter::prefilter_tag;
 use crate::rce;
@@ -136,8 +136,8 @@ struct Planned<'a> {
     /// pass over its input of an item the hot cache answers.
     fp: Option<Fingerprint>,
     /// The secret digest and the full comp-tag, derived together on first
-    /// use: the one SHA-256 pass over its input of an item that reaches
-    /// the store.
+    /// use — the one SHA-256 pass over its input of an item that reaches
+    /// the store — or supplied by the hot cache, which remembers them.
     derived: Option<(CompDigest, CompTag)>,
     /// The negative filter proved no stored result exists.
     filtered: bool,
@@ -211,7 +211,8 @@ pub struct RuntimeStats {
     /// Calls satisfied by the in-enclave hot-tag cache (no store
     /// round-trip). Always zero unless the cache is enabled.
     pub cache_hits: u64,
-    /// Hot-tag cache lookups that missed. Always zero unless the cache is
+    /// Hot-cache probes that found no cached result, including those that
+    /// supplied a remembered digest. Always zero unless the cache is
     /// enabled.
     pub cache_misses: u64,
     /// Misses whose GET round-trip was skipped because the negative filter
@@ -276,7 +277,7 @@ impl AtomicStats {
             ),
             cache_misses: reg.counter(
                 names::DEDUP_CACHE_MISSES_TOTAL,
-                "Hot-tag cache lookups that missed",
+                "Hot-cache probes that found no cached result, digest reuses included",
             ),
             filtered_misses: reg.counter(
                 names::DEDUP_FILTERED_MISSES_TOTAL,
@@ -297,6 +298,8 @@ pub(crate) struct RuntimeTelemetry {
     rce_recover: Histogram,
     rce_encrypt: Histogram,
     hotcache_lookup: Histogram,
+    hotcache_digest_reuses: Counter,
+    hotcache_admissions_refused: Counter,
     prefilter_derive: Histogram,
     prefilter_cache_skips: Counter,
     prefilter_store_skips: Counter,
@@ -323,11 +326,13 @@ impl RuntimeTelemetry {
             tag_derive: reg.histogram(
                 names::TAG_DERIVE_DURATION_NS,
                 "Deriving the digest Hash(func, m) and its tag inside the enclave \
-                 for a call that reaches the store; a hot-cache hit does not",
+                 for a call that reaches the store and that the hot cache does not \
+                 remember; a hot-cache hit or digest reuse does not",
             ),
             tag_fingerprint: reg.histogram(
                 names::TAG_FINGERPRINT_DURATION_NS,
-                "Computing the secret hot-cache fingerprint E_K(GHASH_H(func, m))",
+                "Computing the secret hot-cache fingerprint E_K(GHASH_H(func, m)) \
+                 that keys a probe or remembers a resolved call",
             ),
             rce_recover: reg.histogram(
                 names::RCE_RECOVER_DURATION_NS,
@@ -341,14 +346,25 @@ impl RuntimeTelemetry {
                 names::HOTCACHE_LOOKUP_DURATION_NS,
                 "In-enclave hot-tag cache lookup (hit or miss)",
             ),
+            hotcache_digest_reuses: reg.counter(
+                names::HOTCACHE_DIGEST_REUSES_TOTAL,
+                "Hot-cache probes that supplied a remembered digest and tag, \
+                 each saving a SHA-256 pass over the input",
+            ),
+            hotcache_admissions_refused: reg.counter(
+                names::HOTCACHE_ADMISSIONS_REFUSED_TOTAL,
+                "Resolved results the hot cache did not keep, refused by frequency \
+                 admission or too large; the computation stays remembered by its \
+                 digest where the table has room",
+            ),
             prefilter_derive: reg.histogram(
                 names::TAG_PREFILTER_DERIVE_DURATION_NS,
                 "Deriving the sampled 64-bit prefilter tag",
             ),
             prefilter_cache_skips: reg.counter(
                 names::TAG_PREFILTER_CACHE_SKIPS_TOTAL,
-                "Hot-cache probes skipped because the prefilter proved absence, \
-                 each saving a fingerprint",
+                "Hot-cache probes skipped because the prefilter proved no entry \
+                 is remembered for the input, each saving a fingerprint",
             ),
             prefilter_store_skips: reg.counter(
                 names::TAG_PREFILTER_STORE_SKIPS_TOTAL,
@@ -726,13 +742,16 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables the bounded in-enclave hot-tag cache: a result recently
+    /// Enables the bounded in-enclave hot cache: a result recently
     /// resolved — reused from the store or computed locally — is answered
     /// again with no enclave transition, no store round-trip and no
-    /// SHA-256. The cache is keyed by a secret [`Fingerprint`] under keys
-    /// the runtime draws from its RNG in [`build`](RuntimeBuilder::build).
-    /// Off by default because the cache competes with the application for
-    /// EPC; its pages are charged against the enclave's memory budget.
+    /// SHA-256. The cache also remembers each recent computation's digest,
+    /// so a repeat whose result was not kept (results are admitted by
+    /// frequency) reaches the store without a SHA-256 pass. It is keyed by
+    /// a secret [`Fingerprint`] under keys the runtime draws from its RNG
+    /// in [`build`](RuntimeBuilder::build). Off by default because the
+    /// cache competes with the application for EPC; its pages are charged
+    /// against the enclave's memory budget.
     pub fn hot_cache(mut self, config: HotCacheConfig) -> Self {
         self.hot_cache = Some(config);
         self
@@ -1074,7 +1093,10 @@ impl DedupRuntime {
     /// then the merged negative filter, then the full comp-tag and a store
     /// GET. A hot-cache hit or a filter-proven miss returns *without
     /// computing the SHA-256 at all* — for large inputs that is the
-    /// dominant cost of a lookup. A record that fails verification also
+    /// dominant cost of a lookup — and a computation the hot cache
+    /// remembers reaches the GET with its remembered digest, also without
+    /// one. A probe that finds nothing remembers nothing; a verified store
+    /// hit is remembered like a call's. A record that fails verification also
     /// yields `Ok(None)`. A probe is not a call: it is not counted in
     /// [`RuntimeStats::calls`].
     ///
@@ -1096,7 +1118,8 @@ impl DedupRuntime {
     /// recover or compute → one batched PUT, degrading item by item. Each
     /// item computes its secret fingerprint only for the hot cache, and its
     /// SHA-256 digest and tag only if it reaches the GET, `recover` or
-    /// `encrypt`, so a hot-cache hit runs no SHA-256. An item without a
+    /// `encrypt` and the hot cache did not supply them, so a hot-cache hit
+    /// or a remembered computation runs no SHA-256. An item without a
     /// compute is a [`lookup`](DedupRuntime::lookup) probe: it never
     /// computes or publishes, and is not counted as a call. Returns each
     /// item's result in order; a probe that found nothing yields `None`.
@@ -1140,10 +1163,12 @@ impl DedupRuntime {
         let mut pending: Vec<usize> =
             (0..items.len()).filter(|&i| !items[i].bypass).collect();
 
-        // Tier 1 — hot-tag cache: a recently resolved result is answered
-        // without leaving the enclave. The probe is keyed by the secret
-        // fingerprint, so a hit runs no SHA-256. The prefilter multiset
-        // gates it: a definite "not cached" skips the fingerprint.
+        // Tier 1 — hot cache: a recently resolved result is answered
+        // without leaving the enclave, and a remembered computation whose
+        // result is not cached hands over its digest and tag, so the tiers
+        // below run no SHA-256 for it. The probe is keyed by the secret
+        // fingerprint. The prefilter multiset gates it: a definite "not
+        // remembered" skips the fingerprint.
         if let Some(hot) = &self.hot_cache {
             let mut cache = lock_recover(&hot.entries);
             pending.retain(|&i| {
@@ -1154,17 +1179,20 @@ impl DedupRuntime {
                 }
                 let fp = self.fingerprint(&hot.prf, item);
                 match self.telemetry.hotcache_lookup.time(|| cache.get(&fp)) {
-                    Some(result) => {
+                    Probe::Result(result) => {
                         let result = ResultBytes::from_shared(result);
                         self.count_reuse(&self.stats.cache_hits, &result);
                         item.answer = Some((result, DedupOutcome::HitLocalCache));
-                        false
+                        return false;
                     }
-                    None => {
-                        self.stats.cache_misses.add(1);
-                        true
+                    Probe::Digest(digest, tag) => {
+                        self.telemetry.hotcache_digest_reuses.inc();
+                        item.derived = Some((digest, tag));
                     }
+                    Probe::Miss => {}
                 }
+                self.stats.cache_misses.add(1);
+                true
             });
         }
 
@@ -1277,11 +1305,11 @@ impl DedupRuntime {
                 self.stats.degraded_calls.add(1);
             }
             let Some(result) = item.run() else { continue };
-            self.remember(item, &result);
             let tag = self.derive(item).1;
             // With the filter tier enabled the PUT carries the prefilter tag
             // so the store can keep its negative filters complete.
             let record = self.encrypt(&self.derive(item).0, &result);
+            self.remember(item, &result);
             puts.push(match item.prefilter {
                 Some(prefilter) => BatchItem::PutPrefiltered { tag, prefilter, record },
                 None => BatchItem::Put { tag, record },
@@ -1360,7 +1388,8 @@ impl DedupRuntime {
 
     /// An item's secret digest `d = Hash(func, m)` and full comp-tag
     /// `Hash(d)`, derived on first use: its one SHA-256 pass over its input,
-    /// made only when the item reaches the store, `recover` or `encrypt`.
+    /// made only when the item reaches the store, `recover` or `encrypt`
+    /// and the hot cache did not supply them.
     fn derive<'p>(&self, item: &'p mut Planned<'_>) -> &'p (CompDigest, CompTag) {
         let (identity, input) = (&item.identity, item.input);
         item.derived.get_or_insert_with(|| {
@@ -1417,17 +1446,26 @@ impl DedupRuntime {
         self.stats.reused_bytes.add(result.len() as u64);
     }
 
-    /// Keeps a resolved result in the hot-tag cache under the item's
-    /// fingerprint, when the cache is enabled.
+    /// Remembers a resolved item in the hot cache under its fingerprint,
+    /// with the digest and tag it derived from `(func, m)` — after a
+    /// verified store hit or a computed miss — and offers its result to the
+    /// cache's admission test, when the cache is enabled.
     fn remember(&self, item: &mut Planned<'_>, result: &ResultBytes) {
         if let Some(hot) = &self.hot_cache {
             let fp = self.fingerprint(&hot.prf, item);
-            lock_recover(&hot.entries).insert(
+            let prefilter = item.prefilter;
+            let (digest, tag) = self.derive(item);
+            let kept = lock_recover(&hot.entries).insert(
                 &self.enclave,
                 fp,
+                digest,
+                *tag,
                 result.shared(),
-                item.prefilter,
+                prefilter,
             );
+            if !kept {
+                self.telemetry.hotcache_admissions_refused.inc();
+            }
         }
     }
 
@@ -1467,9 +1505,10 @@ impl DedupRuntime {
         }
     }
 
-    /// Current hot-tag cache occupancy as `(entries, bytes)`, or `None`
-    /// when the cache is disabled. Exposed so harnesses and operators can
-    /// check the configured bounds are actually respected.
+    /// Current hot-cache occupancy as `(entries, bytes)` — remembered
+    /// computations, with or without a cached result, and accounted bytes —
+    /// or `None` when the cache is disabled. Exposed so harnesses and
+    /// operators can check the configured bounds are actually respected.
     pub fn hot_cache_usage(&self) -> Option<(usize, usize)> {
         self.hot_cache.as_ref().map(|hot| {
             let cache = lock_recover(&hot.entries);
@@ -2491,9 +2530,9 @@ mod tests {
         rt.execute(&desc_double(), b"u2", |_| vec![2u8; 500]).unwrap();
         let (entries, bytes) = rt.hot_cache_usage().unwrap();
         assert_eq!(entries, 2);
-        // Result bytes plus the fixed per-entry bookkeeping overhead —
-        // each buffer charged exactly once.
-        assert!((1500..1500 + 2 * 128).contains(&bytes), "bytes = {bytes}");
+        // Result bytes plus the fixed per-entry charge — each buffer
+        // charged exactly once.
+        assert_eq!(bytes, 1500 + 2 * crate::hotcache::ENTRY_OVERHEAD);
 
         // Hits hand out references to the same buffers; usage accounting
         // must not drift while callers hold (or drop) those references.

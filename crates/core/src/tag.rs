@@ -26,7 +26,9 @@
 //!
 //! one GHASH pass over the input and one AES block. A hot-cache hit
 //! computes `fp` and no SHA-256; `d` is derived only for calls that reach
-//! the store. Like `d`, `fp` has no wire encoding and no printable form.
+//! the store, and the hot cache remembers it for recent computations, so a
+//! repeat whose result was not cached reuses it instead of hashing again.
+//! Like `d`, `fp` has no wire encoding and no printable form.
 
 // hot-path: deny-clone
 
@@ -115,6 +117,19 @@ impl Fingerprint {
     /// A fingerprint with the given bytes, for cache tests.
     pub(crate) fn from_bytes(bytes: [u8; PRF_LEN]) -> Self {
         Fingerprint(bytes)
+    }
+}
+
+#[cfg(test)]
+impl CompDigest {
+    /// A digest with the given bytes, for cache tests.
+    pub(crate) fn from_bytes(bytes: [u8; DIGEST_LEN]) -> Self {
+        CompDigest(bytes)
+    }
+
+    /// The digest's bytes, for cache tests.
+    pub(crate) fn as_bytes(&self) -> &[u8; DIGEST_LEN] {
+        &self.0
     }
 }
 

@@ -39,7 +39,8 @@ pub const DEDUP_REUSED_BYTES_TOTAL: &str = "dedup_reused_bytes_total";
 pub const DEDUP_DEGRADED_CALLS_TOTAL: &str = "dedup_degraded_calls_total";
 /// Counter: lookups answered by the in-enclave hot-tag cache.
 pub const DEDUP_CACHE_HITS_TOTAL: &str = "dedup_cache_hits_total";
-/// Counter: hot-tag cache lookups that missed.
+/// Counter: hot-cache probes that found no cached result, including those
+/// that supplied a remembered digest (`hotcache_digest_reuses_total`).
 pub const DEDUP_CACHE_MISSES_TOTAL: &str = "dedup_cache_misses_total";
 /// Counter: misses whose store GET was skipped because the negative filter
 /// proved no stored result exists (also counted in `dedup_misses_total`).
@@ -51,11 +52,13 @@ pub const DEDUP_CALL_DURATION_NS: &str = "dedup_call_duration_ns";
 pub const DEDUP_BATCH_DURATION_NS: &str = "dedup_batch_duration_ns";
 /// Histogram (ns): deriving the digest `d ← Hash(func, m)` and the tag
 /// `t ← Hash(d)` inside the enclave: the one SHA-256 pass over its input of
-/// a call that reaches the store. A hot-cache hit does not record it.
+/// a call that reaches the store and that the hot cache does not remember.
+/// A hot-cache hit or a digest reuse does not record it.
 pub const TAG_DERIVE_DURATION_NS: &str = "tag_derive_duration_ns";
 /// Histogram (ns): computing the secret hot-cache fingerprint
 /// `fp ← E_K(GHASH_H(func, m))` inside the enclave: one GHASH pass over
-/// the input, the only one a hot-cache hit makes.
+/// the input, which keys the probe or remembers a resolved call. It is the
+/// only pass a hot-cache hit or a digest reuse makes.
 pub const TAG_FINGERPRINT_DURATION_NS: &str = "tag_fingerprint_duration_ns";
 /// Histogram (ns): RCE key recovery + result decryption + verification,
 /// from the digest (no pass over the input).
@@ -65,6 +68,14 @@ pub const RCE_RECOVER_DURATION_NS: &str = "rce_recover_duration_ns";
 pub const RCE_ENCRYPT_DURATION_NS: &str = "rce_encrypt_duration_ns";
 /// Histogram (ns): in-enclave hot-tag cache lookup (hit or miss).
 pub const HOTCACHE_LOOKUP_DURATION_NS: &str = "hotcache_lookup_duration_ns";
+/// Counter: hot-cache probes that found a remembered computation without
+/// its result and supplied its digest and tag, so the call's store GET,
+/// RCE recovery and any PUT ran without a SHA-256 pass over its input.
+pub const HOTCACHE_DIGEST_REUSES_TOTAL: &str = "hotcache_digest_reuses_total";
+/// Counter: resolved results the hot cache did not keep — frequency
+/// admission refused them or they were too large. The computation stays
+/// remembered by its digest where the entry table has room.
+pub const HOTCACHE_ADMISSIONS_REFUSED_TOTAL: &str = "hotcache_admissions_refused_total";
 
 // --- speed-core: tiered tag pipeline (prefilter + negative filters) ---
 
@@ -72,7 +83,8 @@ pub const HOTCACHE_LOOKUP_DURATION_NS: &str = "hotcache_lookup_duration_ns";
 /// sparse-sampled short hash) before any full SHA-256 work.
 pub const TAG_PREFILTER_DERIVE_DURATION_NS: &str = "tag_prefilter_derive_duration_ns";
 /// Counter: hot-cache probes skipped because the cache's prefilter set
-/// proved the computation could not be resident; each saves a fingerprint.
+/// proved no entry is remembered for the computation, with or without a
+/// result; each saves a fingerprint.
 pub const TAG_PREFILTER_CACHE_SKIPS_TOTAL: &str = "tag_prefilter_cache_skips_total";
 /// Counter: store round trips (and, on the lookup path, full SHA-256 tag
 /// derivations) skipped because the client's negative filter proved absence.
@@ -277,6 +289,8 @@ pub const ALL: &[&str] = &[
     RCE_RECOVER_DURATION_NS,
     RCE_ENCRYPT_DURATION_NS,
     HOTCACHE_LOOKUP_DURATION_NS,
+    HOTCACHE_DIGEST_REUSES_TOTAL,
+    HOTCACHE_ADMISSIONS_REFUSED_TOTAL,
     TAG_PREFILTER_DERIVE_DURATION_NS,
     TAG_PREFILTER_CACHE_SKIPS_TOTAL,
     TAG_PREFILTER_STORE_SKIPS_TOTAL,

@@ -1,9 +1,10 @@
 //! A hot-cache hit runs no SHA-256: the hot cache is keyed by the secret
 //! fingerprint `fp = E_K(GHASH_H(func, m))`, and only a call that reaches
-//! the store derives the digest and the comp-tag.
+//! the store derives the digest and the comp-tag — unless the hot cache
+//! remembers the computation without its result, and hands over the digest.
 //!
 //! The binary holds a single test, so the global registry's tag histograms
-//! move only with the calls it makes.
+//! and hot-cache counters move only with the calls it makes.
 
 use std::sync::Arc;
 
@@ -20,6 +21,11 @@ fn observations(name: &str) -> u64 {
         MetricValue::Histogram { count, .. } => count,
         ref other => panic!("{name} is not a histogram: {other:?}"),
     })
+}
+
+/// The counter `name` so far, 0 before it is registered.
+fn counter(name: &str) -> u64 {
+    speed_telemetry::global().snapshot().scalar_sum(name)
 }
 
 /// (SHA-256 tag derivations, fingerprints) recorded so far.
@@ -43,13 +49,13 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
     let platform = Platform::new(CostModel::no_sgx());
     let store = Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
     let authority = Arc::new(SessionAuthority::new());
-    let runtime = |app: &[u8]| {
+    let runtime = |app: &[u8], cache: HotCacheConfig| {
         let mut library = TrustedLibrary::new("fplib", "1.0");
         library.register("bytes reverse(bytes)", b"reverse code");
         DedupRuntime::builder(Arc::clone(&platform), app)
             .in_process_store(Arc::clone(&store), Arc::clone(&authority))
             .trusted_library(library)
-            .hot_cache(HotCacheConfig::default())
+            .hot_cache(cache)
             .build()
             .unwrap()
     };
@@ -57,7 +63,7 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
     let input: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 7 % 251) as u8).collect();
 
     // A miss derives the tag for its PUT and computes fp to cache its result.
-    let warm = runtime(b"warm-app");
+    let warm = runtime(b"warm-app", HotCacheConfig::default());
     let identity = warm.resolve(&desc).unwrap();
     let before = passes();
     let (_, outcome) = warm.execute_raw(&identity, &input, reverse).unwrap();
@@ -72,11 +78,32 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
 
     // Another application's first call is a store hit: one tag for the GET
     // and the RCE recovery, and one fp for both its probe and its insert.
-    let other = runtime(b"other-app");
+    let other = runtime(b"other-app", HotCacheConfig::default());
     let identity = other.resolve(&desc).unwrap();
     let before = passes();
     let (result, outcome) = other.execute_raw(&identity, &input, not_computed).unwrap();
     assert_eq!(outcome, DedupOutcome::Hit);
     assert_eq!(result, reverse(&input));
     assert_eq!(passes(), (before.0 + 1, before.1 + 1), "store hit");
+
+    // A runtime whose byte budget is below the result size never caches
+    // the result, but remembers the computation by its digest: its repeat
+    // is a store hit with no SHA-256 pass, and one fp for the probe.
+    let small = runtime(
+        b"small-app",
+        HotCacheConfig { max_bytes: 32 * 1024, ..HotCacheConfig::default() },
+    );
+    let identity = small.resolve(&desc).unwrap();
+    let (before, refused) = (passes(), counter(names::HOTCACHE_ADMISSIONS_REFUSED_TOTAL));
+    let (_, outcome) = small.execute_raw(&identity, &input, not_computed).unwrap();
+    assert_eq!(outcome, DedupOutcome::Hit);
+    assert_eq!(passes(), (before.0 + 1, before.1 + 1), "first store hit");
+    assert_eq!(counter(names::HOTCACHE_ADMISSIONS_REFUSED_TOTAL), refused + 1);
+
+    let (before, reuses) = (passes(), counter(names::HOTCACHE_DIGEST_REUSES_TOTAL));
+    let (result, outcome) = small.execute_raw(&identity, &input, not_computed).unwrap();
+    assert_eq!(outcome, DedupOutcome::Hit);
+    assert_eq!(result, reverse(&input));
+    assert_eq!(passes(), (before.0, before.1 + 1), "a remembered digest runs no SHA-256");
+    assert_eq!(counter(names::HOTCACHE_DIGEST_REUSES_TOTAL), reuses + 1);
 }
