@@ -11,9 +11,8 @@
 //!    deployment cost per GET?
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use speed_core::{AdaptiveConfig, DedupMode, DedupOutcome, DedupPolicy};
+use speed_core::{DedupMode, DedupOutcome};
 use speed_crypto::Key128;
 use speed_enclave::{CostModel, Platform};
 use speed_store::server::{StoreServer, TcpStoreClient};
@@ -21,24 +20,24 @@ use speed_store::{ResultStore, StoreConfig};
 use speed_wire::{AppId, CompTag, Message, Record, SessionAuthority};
 
 use crate::apps::{App, DedupEnv};
-use crate::harness::{fmt_duration, measure, render_table};
+use crate::harness::{measure, render_timings, Timing};
 
 /// Result of the protection-scheme ablation.
 #[derive(Clone, Debug)]
 pub struct RceAblation {
     /// Mean initial-computation time under cross-app RCE.
-    pub rce_initial: Duration,
+    pub rce_initial: Timing,
     /// Mean subsequent-computation time under cross-app RCE.
-    pub rce_subsequent: Duration,
+    pub rce_subsequent: Timing,
     /// Mean initial-computation time under the single-key scheme.
-    pub single_initial: Duration,
+    pub single_initial: Timing,
     /// Mean subsequent-computation time under the single-key scheme.
-    pub single_subsequent: Duration,
+    pub single_subsequent: Timing,
     /// Mean initial-computation time under deterministic convergent
     /// encryption.
-    pub convergent_initial: Duration,
+    pub convergent_initial: Timing,
     /// Mean subsequent-computation time under convergent encryption.
-    pub convergent_subsequent: Duration,
+    pub convergent_subsequent: Timing,
 }
 
 /// Measures RCE vs single-key per-call cost on the compression app.
@@ -46,12 +45,12 @@ pub fn rce_vs_single_key(trials: usize) -> RceAblation {
     let app = App::Deflate;
     let size = 256 << 10;
 
-    let run_mode = |mode: DedupMode| -> (Duration, Duration) {
+    let run_mode = |mode: DedupMode| -> (Timing, Timing) {
         let env = DedupEnv::new(CostModel::default_sgx());
         let runtime = env.runtime_with(b"ablation-rce", mode, false);
         let identity = runtime.resolve(&app.desc()).expect("registered");
-        let mut initial = Duration::ZERO;
-        let mut subsequent = Duration::ZERO;
+        let mut initial = Timing::default();
+        let mut subsequent = Timing::default();
         for t in 0..trials {
             let input = app.generate_input(size, 0xAB << 8 | t as u64);
             let (_, init_elapsed) = measure(&env.platform, || {
@@ -88,26 +87,20 @@ pub fn rce_vs_single_key(trials: usize) -> RceAblation {
 
 /// Renders the RCE ablation.
 pub fn render_rce(result: &RceAblation) -> String {
-    let rows = vec![
-        vec![
-            "cross-app RCE".to_string(),
-            fmt_duration(result.rce_initial),
-            fmt_duration(result.rce_subsequent),
-        ],
-        vec![
-            "convergent (CE)".to_string(),
-            fmt_duration(result.convergent_initial),
-            fmt_duration(result.convergent_subsequent),
-        ],
-        vec![
-            "single key".to_string(),
-            fmt_duration(result.single_initial),
-            fmt_duration(result.single_subsequent),
-        ],
+    let schemes = [
+        ("cross-app RCE", result.rce_initial, result.rce_subsequent),
+        ("convergent (CE)", result.convergent_initial, result.convergent_subsequent),
+        ("single key", result.single_initial, result.single_subsequent),
     ];
+    let mut rows = Vec::new();
+    for (scheme, initial, subsequent) in schemes {
+        for (case, timing) in [("Init. Comp.", initial), ("Subsq. Comp.", subsequent)] {
+            rows.push((vec![scheme.to_string(), case.to_string()], timing, Vec::new()));
+        }
+    }
     format!(
         "Ablation — result protection scheme (compression, 256KB)\n{}",
-        render_table(&["scheme", "Init. Comp.", "Subsq. Comp."], &rows)
+        render_timings(&["scheme", "case"], &[], rows)
     )
 }
 
@@ -115,11 +108,11 @@ pub fn render_rce(result: &RceAblation) -> String {
 #[derive(Clone, Debug)]
 pub struct AsyncAblation {
     /// Mean initial-computation latency with synchronous PUT.
-    pub sync_initial: Duration,
+    pub sync_initial: Timing,
     /// Mean initial-computation latency with the async PUT worker.
-    pub async_initial: Duration,
+    pub async_initial: Timing,
     /// Raw (baseline) computation time, for reference.
-    pub baseline: Duration,
+    pub baseline: Timing,
 }
 
 /// Measures initial-computation latency with and without the async PUT
@@ -129,11 +122,11 @@ pub fn sync_vs_async_put(trials: usize) -> AsyncAblation {
     let app = App::Deflate;
     let size = 4 << 20;
 
-    let run_config = |async_put: bool| -> Duration {
+    let run_config = |async_put: bool| -> Timing {
         let env = DedupEnv::new(CostModel::default_sgx());
         let runtime = env.runtime_with(b"ablation-async", DedupMode::CrossApp, async_put);
         let identity = runtime.resolve(&app.desc()).expect("registered");
-        let mut total = Duration::ZERO;
+        let mut total = Timing::default();
         for t in 0..trials {
             let input = app.generate_input(size, 0xA5 << 8 | t as u64);
             let (_, elapsed) = measure(&env.platform, || {
@@ -150,7 +143,7 @@ pub fn sync_vs_async_put(trials: usize) -> AsyncAblation {
     let baseline = {
         let env = DedupEnv::new(CostModel::default_sgx());
         let enclave = env.platform.create_enclave(b"ablation-baseline").expect("epc");
-        let mut total = Duration::ZERO;
+        let mut total = Timing::default();
         for t in 0..trials {
             let input = app.generate_input(size, 0xA5 << 8 | t as u64);
             let (_, elapsed) = measure(&env.platform, || {
@@ -168,27 +161,23 @@ pub fn sync_vs_async_put(trials: usize) -> AsyncAblation {
     }
 }
 
-/// Renders the async ablation.
+/// Renders the async ablation; "vs baseline" compares SGX estimates.
 pub fn render_async(result: &AsyncAblation) -> String {
-    let rel = |d: Duration| {
-        format!("{:.1}%", d.as_secs_f64() / result.baseline.as_secs_f64() * 100.0)
-    };
-    let rows = vec![
-        vec!["baseline (no SPEED)".to_string(), fmt_duration(result.baseline), "100%".into()],
-        vec![
-            "sync PUT".to_string(),
-            fmt_duration(result.sync_initial),
-            rel(result.sync_initial),
-        ],
-        vec![
-            "async PUT".to_string(),
-            fmt_duration(result.async_initial),
-            rel(result.async_initial),
-        ],
-    ];
+    let baseline = result.baseline.sgx_estimate().as_secs_f64();
+    let rows = [
+        ("baseline (no SPEED)", result.baseline),
+        ("sync PUT", result.sync_initial),
+        ("async PUT", result.async_initial),
+    ]
+    .into_iter()
+    .map(|(configuration, timing)| {
+        let relative = timing.sgx_estimate().as_secs_f64() / baseline * 100.0;
+        (vec![configuration.to_string()], timing, vec![format!("{relative:.1}%")])
+    })
+    .collect();
     format!(
         "Ablation — initial computation with sync vs async PUT (compression, 4MB)\n{}",
-        render_table(&["configuration", "Init. Comp.", "vs baseline"], &rows)
+        render_timings(&["configuration"], &["vs baseline"], rows)
     )
 }
 
@@ -198,7 +187,7 @@ pub struct SwitchPoint {
     /// Multiplier applied to the default ECALL/OCALL costs.
     pub multiplier: u64,
     /// Time for 100 1 KB GETs at that cost.
-    pub get_time: Duration,
+    pub get_time: Timing,
 }
 
 /// Sweeps ECALL/OCALL cost multipliers (0, 1, 4, 16×) and measures 1 KB
@@ -245,13 +234,13 @@ pub fn switch_cost_sensitivity() -> Vec<SwitchPoint> {
 
 /// Renders the switch-cost sweep.
 pub fn render_switch(points: &[SwitchPoint]) -> String {
-    let rows: Vec<Vec<String>> = points
+    let rows = points
         .iter()
-        .map(|p| vec![format!("{}x", p.multiplier), fmt_duration(p.get_time)])
+        .map(|p| (vec![format!("{}x", p.multiplier)], p.get_time, Vec::new()))
         .collect();
     format!(
-        "Ablation — world-switch cost sensitivity (100 GETs, 1KB)\n{}",
-        render_table(&["ECALL/OCALL cost", "GET batch time"], &rows)
+        "Ablation — world-switch cost sensitivity (time per 100 GETs, 1KB)\n{}",
+        render_timings(&["ECALL/OCALL cost"], &[], rows)
     )
 }
 
@@ -259,10 +248,10 @@ pub fn render_switch(points: &[SwitchPoint]) -> String {
 #[derive(Clone, Debug)]
 pub struct TransportAblation {
     /// Mean per-GET latency through the in-process secure channel.
-    pub in_process: Duration,
+    pub in_process: Timing,
     /// Mean per-GET latency over loopback TCP (attested handshake, sealed
     /// frames).
-    pub tcp: Duration,
+    pub tcp: Timing,
 }
 
 /// Measures in-process vs TCP GET latency (1 KB records, 100 ops each).
@@ -349,126 +338,33 @@ pub fn transport_comparison() -> TransportAblation {
 /// Renders the transport ablation.
 pub fn render_transport(result: &TransportAblation) -> String {
     let rows = vec![
-        vec!["in-process".to_string(), fmt_duration(result.in_process)],
-        vec!["TCP loopback".to_string(), fmt_duration(result.tcp)],
+        (vec!["in-process".to_string()], result.in_process, Vec::new()),
+        (vec!["TCP loopback".to_string()], result.tcp, Vec::new()),
     ];
     format!(
-        "Ablation — store transport (per 1KB GET)\n{}",
-        render_table(&["transport", "latency"], &rows)
-    )
-}
-
-/// Result of the adaptive-policy ablation (§VII future work).
-#[derive(Clone, Debug)]
-pub struct AdaptiveAblation {
-    /// Total time for the low-redundancy cheap workload under
-    /// always-dedup.
-    pub always: Duration,
-    /// Same workload under the adaptive policy.
-    pub adaptive: Duration,
-    /// Same workload with no SPEED at all (the floor).
-    pub baseline: Duration,
-    /// How many of the adaptive runtime's calls were bypassed.
-    pub bypassed: u64,
-}
-
-/// A worst case for always-on deduplication: a *cheap* function over
-/// all-distinct inputs (zero redundancy), where every call pays the dedup
-/// overhead and never collects a hit. The adaptive policy detects this and
-/// bypasses the store.
-pub fn adaptive_policy(calls: usize) -> AdaptiveAblation {
-    let app = App::Deflate;
-    let size = 8 << 10; // small input: compression is fast, overhead matters
-
-    let run_policy = |policy: Option<DedupPolicy>| -> (Duration, u64) {
-        let env = DedupEnv::new(CostModel::default_sgx());
-        match policy {
-            None => {
-                let enclave =
-                    env.platform.create_enclave(b"adaptive-baseline").expect("epc");
-                let mut total = Duration::ZERO;
-                for i in 0..calls {
-                    let input = app.generate_input(size, 0xADA0 + i as u64);
-                    let (_, elapsed) = measure(&env.platform, || {
-                        enclave.ecall("app_main", || app.compute(&input))
-                    });
-                    total += elapsed;
-                }
-                (total, 0)
-            }
-            Some(policy) => {
-                let mut builder = speed_core::DedupRuntime::builder(
-                    Arc::clone(&env.platform),
-                    b"adaptive-ablation",
-                )
-                .in_process_store(Arc::clone(&env.store), Arc::clone(&env.authority))
-                .policy(policy);
-                for library in DedupEnv::trusted_libraries() {
-                    builder = builder.trusted_library(library);
-                }
-                let runtime = builder.build().expect("runtime");
-                let identity = runtime.resolve(&app.desc()).expect("registered");
-                let mut total = Duration::ZERO;
-                for i in 0..calls {
-                    let input = app.generate_input(size, 0xADA0 + i as u64);
-                    let (_, elapsed) = measure(&env.platform, || {
-                        runtime
-                            .execute_raw(&identity, &input, |bytes| app.compute(bytes))
-                            .expect("store reachable")
-                    });
-                    total += elapsed;
-                }
-                (total, runtime.stats().bypasses)
-            }
-        }
-    };
-
-    let (baseline, _) = run_policy(None);
-    let (always, _) = run_policy(Some(DedupPolicy::Always));
-    let (adaptive, bypassed) = run_policy(Some(DedupPolicy::Adaptive(AdaptiveConfig {
-        min_speedup: 1.0,
-        warmup_calls: 3,
-        probe_interval: 16,
-        ewma_alpha: 0.3,
-    })));
-    AdaptiveAblation { always, adaptive, baseline, bypassed }
-}
-
-/// Renders the adaptive ablation.
-pub fn render_adaptive(result: &AdaptiveAblation, calls: usize) -> String {
-    let rows = vec![
-        vec!["no SPEED".to_string(), fmt_duration(result.baseline), "-".into()],
-        vec!["always dedup".to_string(), fmt_duration(result.always), "0".into()],
-        vec![
-            "adaptive".to_string(),
-            fmt_duration(result.adaptive),
-            result.bypassed.to_string(),
-        ],
-    ];
-    format!(
-        "Ablation — adaptive policy on a zero-redundancy cheap workload \
-         ({calls} calls, 8KB compression)\n{}",
-        render_table(&["policy", "total time", "bypassed"], &rows)
+        "Ablation — store transport (latency per 1KB GET)\n{}",
+        render_timings(&["transport"], &[], rows)
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn switch_cost_is_monotonic() {
         let points = switch_cost_sensitivity();
         assert_eq!(points.len(), 4);
         // 16x switches must cost more than 0x.
-        assert!(points[3].get_time > points[0].get_time);
+        assert!(points[3].get_time.sgx_estimate() > points[0].get_time.sgx_estimate());
     }
 
     #[test]
     fn transport_comparison_runs() {
         let result = transport_comparison();
-        assert!(result.tcp > Duration::ZERO);
-        assert!(result.in_process > Duration::ZERO);
+        assert!(result.tcp.sgx_estimate() > Duration::ZERO);
+        assert!(result.in_process.sgx_estimate() > Duration::ZERO);
     }
 
     #[test]
@@ -476,8 +372,8 @@ mod tests {
         let result = sync_vs_async_put(2);
         // Async hides PUT latency; allow generous noise margin.
         assert!(
-            result.async_initial
-                < result.sync_initial + Duration::from_millis(200),
+            result.async_initial.sgx_estimate()
+                < result.sync_initial.sgx_estimate() + Duration::from_millis(200),
             "async {:?} vs sync {:?}",
             result.async_initial,
             result.sync_initial

@@ -112,7 +112,8 @@ impl App {
         match self {
             App::Sift => {
                 let image = images::image_from_bytes(input).expect("valid image input");
-                let features = speed_sift::sift(&image, &speed_sift::SiftParams::default());
+                let features =
+                    speed_sift::sift(&image, &speed_sift::SiftParams::default());
                 speed_sift::features_to_bytes(&features)
             }
             App::Deflate => speed_deflate::compress(input, speed_deflate::Level::Default),
@@ -143,8 +144,8 @@ impl App {
             App::Bow => {
                 let mut docs = Vec::new();
                 if input.len() >= 4 {
-                    let count =
-                        u32::from_le_bytes(input[..4].try_into().expect("sized")) as usize;
+                    let count = u32::from_le_bytes(input[..4].try_into().expect("sized"))
+                        as usize;
                     let mut pos = 4usize;
                     for _ in 0..count {
                         if pos + 4 > input.len() {
@@ -276,9 +277,8 @@ mod tests {
                 .unwrap();
             assert_eq!(outcome1, DedupOutcome::Miss, "{app:?}");
 
-            let (result2, outcome2) = runtime
-                .execute_raw(&identity, &input, |_| panic!("must dedup"))
-                .unwrap();
+            let (result2, outcome2) =
+                runtime.execute_raw(&identity, &input, |_| panic!("must dedup")).unwrap();
             assert_eq!(outcome2, DedupOutcome::Hit, "{app:?}");
             assert_eq!(result1, result2, "{app:?}");
         }

@@ -23,8 +23,7 @@ fn usage() -> ! {
            ablation-async                  sync vs async PUT\n\
            ablation-switch                 world-switch cost sensitivity\n\
            ablation-transport              in-process vs TCP store\n\
-           ablation-adaptive               adaptive dedup policy (§VII)\n\
-           ablations                       all five ablations\n\
+           ablations                       all four ablations\n\
            all                             everything above"
     );
     std::process::exit(2)
@@ -44,17 +43,13 @@ fn run_ablations(trials: usize) {
     println!("{}", ablations::render_switch(&ablations::switch_cost_sensitivity()));
     println!();
     println!("{}", ablations::render_transport(&ablations::transport_comparison()));
-    println!();
-    println!("{}", ablations::render_adaptive(&ablations::adaptive_policy(60), 60));
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let experiment = args.first().map(String::as_str).unwrap_or("all");
-    let trials: usize = args
-        .get(1)
-        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(3);
+    let trials: usize =
+        args.get(1).map(|s| s.parse().unwrap_or_else(|_| usage())).unwrap_or(3);
 
     match experiment {
         "fig5a" => run_fig5(App::Sift, trials),
@@ -71,10 +66,9 @@ fn main() {
         "ablation-rce" => {
             println!("{}", ablations::render_rce(&ablations::rce_vs_single_key(trials)))
         }
-        "ablation-async" => println!(
-            "{}",
-            ablations::render_async(&ablations::sync_vs_async_put(trials))
-        ),
+        "ablation-async" => {
+            println!("{}", ablations::render_async(&ablations::sync_vs_async_put(trials)))
+        }
         "ablation-switch" => println!(
             "{}",
             ablations::render_switch(&ablations::switch_cost_sensitivity())
@@ -82,10 +76,6 @@ fn main() {
         "ablation-transport" => println!(
             "{}",
             ablations::render_transport(&ablations::transport_comparison())
-        ),
-        "ablation-adaptive" => println!(
-            "{}",
-            ablations::render_adaptive(&ablations::adaptive_policy(60), 60)
         ),
         "ablations" => run_ablations(trials),
         "all" => {

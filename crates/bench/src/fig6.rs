@@ -7,14 +7,12 @@
 //! sized result […] and the gap is getting smaller with the growth of
 //! result size."
 
-use std::time::Duration;
-
 use speed_enclave::CostModel;
 use speed_store::StoreConfig;
 use speed_wire::{AppId, CompTag, Message, Record};
 
 use crate::apps::DedupEnv;
-use crate::harness::{fmt_bytes, fmt_duration, measure, render_table};
+use crate::harness::{fmt_bytes, fmt_duration, measure, render_timings, Timing};
 
 /// The paper's result sizes.
 pub const SIZES: [usize; 4] = [1 << 10, 10 << 10, 100 << 10, 1 << 20];
@@ -28,13 +26,18 @@ pub struct Fig6Row {
     /// Result size in bytes.
     pub size: usize,
     /// Time for 100 PUTs with SGX.
-    pub put_sgx: Duration,
+    pub put_sgx: Timing,
     /// Time for 100 GETs with SGX.
-    pub get_sgx: Duration,
+    pub get_sgx: Timing,
     /// Time for 100 PUTs without SGX.
-    pub put_plain: Duration,
+    pub put_plain: Timing,
     /// Time for 100 GETs without SGX.
-    pub get_plain: Duration,
+    pub get_plain: Timing,
+}
+
+/// How many times slower the SGX run is, by SGX estimates.
+fn overhead(sgx: Timing, plain: Timing) -> f64 {
+    sgx.sgx_estimate().as_secs_f64() / plain.sgx_estimate().as_secs_f64().max(1e-12)
 }
 
 fn record_of(size: usize, fill: u8) -> Record {
@@ -52,7 +55,7 @@ fn tag_of(i: usize, round: u8) -> CompTag {
     CompTag::from_bytes(bytes)
 }
 
-fn run_one(model: CostModel, size: usize) -> (Duration, Duration) {
+fn run_one(model: CostModel, size: usize) -> (Timing, Timing) {
     let env = DedupEnv::with_store_config(model, StoreConfig::default());
     let store = &env.store;
 
@@ -91,45 +94,32 @@ pub fn run() -> Vec<Fig6Row> {
         .collect()
 }
 
-/// Renders the figure data (time per 100 operations).
+/// Renders the figure data (time per 100 operations): one row per size and
+/// operation, with the SGX run's wall, modeled and SGX-estimate times, the
+/// run without SGX (which accrues no modeled time), and the overhead.
 pub fn render(rows: &[Fig6Row]) -> String {
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|row| {
-            let overhead = |sgx: Duration, plain: Duration| {
-                format!("{:.2}x", sgx.as_secs_f64() / plain.as_secs_f64().max(1e-12))
-            };
-            vec![
-                fmt_bytes(row.size),
-                fmt_duration(row.put_sgx),
-                fmt_duration(row.put_plain),
-                overhead(row.put_sgx, row.put_plain),
-                fmt_duration(row.get_sgx),
-                fmt_duration(row.get_plain),
-                overhead(row.get_sgx, row.get_plain),
-            ]
-        })
-        .collect();
+    let mut table_rows = Vec::new();
+    for row in rows {
+        for (op, sgx, plain) in
+            [("PUT", row.put_sgx, row.put_plain), ("GET", row.get_sgx, row.get_plain)]
+        {
+            let extra = vec![
+                fmt_duration(plain.sgx_estimate()),
+                format!("{:.2}x", overhead(sgx, plain)),
+            ];
+            table_rows.push((vec![fmt_bytes(row.size), op.to_string()], sgx, extra));
+        }
+    }
     format!(
-        "Fig. 6 — ResultStore: time per {OPS} operations\n{}",
-        render_table(
-            &[
-                "size",
-                "PUT (SGX)",
-                "PUT (no SGX)",
-                "PUT ovh",
-                "GET (SGX)",
-                "GET (no SGX)",
-                "GET ovh",
-            ],
-            &table_rows,
-        )
+        "Fig. 6 — ResultStore: time per {OPS} operations (SGX run: wall, modeled, SGX est.)\n{}",
+        render_timings(&["size", "op"], &["no SGX", "overhead"], table_rows)
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn sgx_is_slower_and_gap_narrows() {
@@ -139,8 +129,8 @@ mod tests {
             Fig6Row { size: 1 << 10, put_sgx, get_sgx, put_plain, get_plain }
         };
         // With SGX both ops carry world-switch cost.
-        assert!(small.put_sgx > small.put_plain);
-        assert!(small.get_sgx > small.get_plain);
+        assert!(small.put_sgx.sgx_estimate() > small.put_plain.sgx_estimate());
+        assert!(small.get_sgx.sgx_estimate() > small.get_plain.sgx_estimate());
 
         let large = {
             let (put_sgx, get_sgx) = run_one(CostModel::default_sgx(), 1 << 20);
@@ -148,7 +138,7 @@ mod tests {
             Fig6Row { size: 1 << 20, put_sgx, get_sgx, put_plain, get_plain }
         };
         // Relative gap narrows as the result grows (paper's observation).
-        let rel = |row: &Fig6Row| row.get_sgx.as_secs_f64() / row.get_plain.as_secs_f64();
+        let rel = |row: &Fig6Row| overhead(row.get_sgx, row.get_plain);
         assert!(
             rel(&large) < rel(&small),
             "gap did not narrow: small {:.2} large {:.2}",
@@ -159,15 +149,21 @@ mod tests {
 
     #[test]
     fn render_mentions_all_sizes() {
+        let wall =
+            |us| Timing { wall: Duration::from_micros(us), modeled: Duration::ZERO };
         let rows = vec![Fig6Row {
             size: 1 << 10,
-            put_sgx: Duration::from_millis(2),
-            get_sgx: Duration::from_millis(1),
-            put_plain: Duration::from_micros(500),
-            get_plain: Duration::from_micros(300),
+            put_sgx: Timing {
+                wall: Duration::from_micros(1500),
+                modeled: Duration::from_micros(500),
+            },
+            get_sgx: wall(1000),
+            put_plain: wall(500),
+            get_plain: wall(300),
         }];
         let text = render(&rows);
         assert!(text.contains("1KB"));
-        assert!(text.contains("PUT (SGX)"));
+        assert!(text.contains("PUT"));
+        assert!(text.contains("4.00x"));
     }
 }

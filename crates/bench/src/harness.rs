@@ -1,36 +1,53 @@
 //! Timing utilities shared by all experiments.
 
-use std::sync::Arc;
+use std::ops::{AddAssign, Div};
 use std::time::{Duration, Instant};
 
 use speed_enclave::Platform;
 
-/// Measures `f`, returning its output and the elapsed *total* time:
-/// wall-clock plus the simulated SGX overhead accrued on `platform`'s
-/// clock during the call.
-pub fn measure<R>(platform: &Platform, f: impl FnOnce() -> R) -> (R, Duration) {
+/// The two parts of one measurement, kept apart: real wall-clock time, and
+/// the simulated SGX overhead (world switches, boundary copies, paging)
+/// that the platform clock accrued meanwhile.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Timing {
+    /// Real elapsed time.
+    pub wall: Duration,
+    /// Simulated SGX overhead charged to the platform clock.
+    pub modeled: Duration,
+}
+
+impl Timing {
+    /// The SGX estimate, `wall + modeled`: what the measured work would
+    /// cost on SGX hardware.
+    pub fn sgx_estimate(&self) -> Duration {
+        self.wall + self.modeled
+    }
+}
+
+impl AddAssign for Timing {
+    fn add_assign(&mut self, other: Timing) {
+        self.wall += other.wall;
+        self.modeled += other.modeled;
+    }
+}
+
+impl Div<u32> for Timing {
+    type Output = Timing;
+
+    fn div(self, n: u32) -> Timing {
+        Timing { wall: self.wall / n, modeled: self.modeled / n }
+    }
+}
+
+/// Measures `f`, returning its output, its wall-clock time and the
+/// simulated SGX overhead it accrued on `platform`'s clock.
+pub fn measure<R>(platform: &Platform, f: impl FnOnce() -> R) -> (R, Timing) {
     let sim_before = platform.clock().total_ns();
     let start = Instant::now();
     let result = f();
     let wall = start.elapsed();
-    let sim = platform.clock().total_ns() - sim_before;
-    (result, wall + Duration::from_nanos(sim))
-}
-
-/// Runs `f` `trials` times and returns the mean duration (the paper
-/// reports the mean of 10 trials).
-pub fn mean_duration(
-    platform: &Platform,
-    trials: usize,
-    mut f: impl FnMut(),
-) -> Duration {
-    assert!(trials > 0);
-    let mut total = Duration::ZERO;
-    for _ in 0..trials {
-        let (_, elapsed) = measure(platform, &mut f);
-        total += elapsed;
-    }
-    total / trials as u32
+    let modeled = Duration::from_nanos(platform.clock().total_ns() - sim_before);
+    (result, Timing { wall, modeled })
 }
 
 /// Pretty-prints a duration in adaptive units.
@@ -90,6 +107,29 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// One row of [`render_timings`]: leading label cells, a timing, and
+/// trailing cells.
+pub type TimingRow = (Vec<String>, Timing, Vec<String>);
+
+/// Renders a table whose `labels` columns are followed by each row's wall,
+/// modeled and SGX-estimate times, then the `extra` columns.
+pub fn render_timings(labels: &[&str], extra: &[&str], rows: Vec<TimingRow>) -> String {
+    let mut header = labels.to_vec();
+    header.extend(["wall", "modeled", "SGX est."]);
+    header.extend(extra);
+    let rows: Vec<Vec<String>> = rows
+        .into_iter()
+        .map(|(mut cells, timing, extra)| {
+            cells.push(fmt_duration(timing.wall));
+            cells.push(fmt_duration(timing.modeled));
+            cells.push(fmt_duration(timing.sgx_estimate()));
+            cells.extend(extra);
+            cells
+        })
+        .collect();
+    render_table(&header, &rows)
+}
+
 /// Renders horizontal ASCII bars: one row per `(label, value)`, scaled so
 /// `full_scale` occupies `width` characters. Values beyond full scale are
 /// clipped with a `>` marker.
@@ -110,34 +150,6 @@ pub fn render_bars(rows: &[(String, f64)], full_scale: f64, width: usize) -> Str
     out
 }
 
-/// A platform pair for experiments: one hosting applications, one hosting
-/// the store (the paper's two-machine setup collapses onto one platform
-/// when `colocated`).
-pub struct TestBed {
-    /// Platform the application enclaves run on.
-    pub app_platform: Arc<Platform>,
-    /// Platform the store enclave runs on (same as `app_platform` when
-    /// co-located).
-    pub store_platform: Arc<Platform>,
-}
-
-impl TestBed {
-    /// A co-located deployment with the given cost model.
-    pub fn colocated(model: speed_enclave::CostModel) -> TestBed {
-        let platform = Platform::new(model);
-        TestBed { app_platform: Arc::clone(&platform), store_platform: platform }
-    }
-
-    /// Total simulated overhead across both platforms.
-    pub fn simulated_ns(&self) -> u64 {
-        if Arc::ptr_eq(&self.app_platform, &self.store_platform) {
-            self.app_platform.clock().total_ns()
-        } else {
-            self.app_platform.clock().total_ns() + self.store_platform.clock().total_ns()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,19 +159,12 @@ mod tests {
     fn measure_includes_simulated_time() {
         let platform = Platform::new(CostModel::default_sgx());
         let enclave = platform.create_enclave(b"t").unwrap();
-        let (_, with_sim) = measure(&platform, || {
+        let (_, timing) = measure(&platform, || {
             enclave.ecall("x", || {});
         });
-        assert!(with_sim >= Duration::from_nanos(CostModel::default_sgx().ecall_ns));
-    }
-
-    #[test]
-    fn mean_of_trials() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let mean = mean_duration(&platform, 5, || {
-            std::hint::black_box(42 + 1);
-        });
-        assert!(mean < Duration::from_millis(50));
+        assert!(
+            timing.modeled >= Duration::from_nanos(CostModel::default_sgx().ecall_ns)
+        );
     }
 
     #[test]

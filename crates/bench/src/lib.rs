@@ -3,17 +3,19 @@
 //!
 //! | Paper artefact | Module | Regeneration |
 //! |---|---|---|
-//! | Fig. 5a–d (relative runtime of 4 apps) | [`fig5`] | `cargo run -p speed-bench --bin repro -- fig5a` … `fig5d` |
-//! | Table I (crypto op latency) | [`table1`] | `… -- table1` and `cargo bench -p speed-bench --bench crypto_ops` |
-//! | Fig. 6 (store throughput, SGX vs no SGX) | [`fig6`] | `… -- fig6` and `cargo bench -p speed-bench --bench store_throughput` |
+//! | Fig. 5a–d (relative runtime of 4 apps) | [`fig5`] | `cargo run --release -p speed-bench --bin repro -- fig5a` … `fig5d` |
+//! | Table I (crypto op latency) | [`table1`] | `… -- table1` |
+//! | Fig. 6 (store throughput, SGX vs no SGX) | [`fig6`] | `… -- fig6` |
 //! | Ablations (RCE vs single key, async PUT, switch cost, transport) | [`ablations`] | `… -- ablation-…` |
 //!
 //! Timing model: real computation runs natively; SGX-specific overheads
 //! (world switches, boundary copies, paging) accrue on the platform's
-//! simulated clock. Every measurement below reports
-//! `wall-clock elapsed + simulated overhead accrued`, so the *shape* of the
-//! paper's results (who wins, by what factor, where the crossover sits)
-//! reproduces even though absolute numbers come from different hardware.
+//! simulated clock. Every measurement in Fig. 5, Fig. 6 and the ablations
+//! reports its wall-clock time and that modeled time side by side, next to
+//! their sum, the SGX estimate ([`harness::Timing`]). Ratios compare SGX
+//! estimates, so the *shape* of the paper's results (who wins, by what
+//! factor, where the crossover sits) reproduces even though absolute
+//! numbers come from different hardware.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

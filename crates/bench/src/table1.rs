@@ -143,21 +143,26 @@ mod tests {
     fn operations_scale_with_input() {
         let rows = run(3);
         assert_eq!(rows.len(), 4);
-        // Hash-based ops grow ~linearly: 1 MB ≫ 1 KB.
+        // The passes over the input or the result grow ~linearly: 1 MB ≫ 1 KB.
         let first = &rows[0];
         let last = &rows[3];
         assert!(last.tag_gen > first.tag_gen * 20);
-        assert!(last.key_gen > first.key_gen * 20);
-        assert!(last.key_rec > first.key_rec * 20);
         assert!(last.result_enc > first.result_enc * 20);
+        assert!(last.result_dec > first.result_dec * 20);
+        // Key generation and recovery hash the 32-byte digest `d`, not the
+        // input, so their cost does not grow with it.
+        assert!(last.key_gen * 20 < last.tag_gen, "key gen {:?}", last.key_gen);
+        assert!(last.key_rec * 20 < last.tag_gen, "key rec {:?}", last.key_rec);
     }
 
     #[test]
     fn enc_dec_faster_than_tag_gen_at_scale() {
         // The paper: "result encryption and decryption … are even faster
-        // with the same sized input, literally an order of magnitude" —
-        // our from-scratch AES is slower than AES-NI, but decryption must
-        // at least not exceed tag generation by much at 100 KB+.
+        // with the same sized input, literally an order of magnitude".
+        // The ratio here depends on the CPU: SHA-256 and AES-GCM each run
+        // on hardware extensions when present and in software otherwise,
+        // so this only checks that decryption stays within 10× of tag
+        // generation at 100 KB.
         let rows = run(3);
         let big = &rows[2];
         assert!(

@@ -67,24 +67,6 @@ impl InProcessClient {
             authority.establish((platform, app_enclave), (platform, store.enclave()))?;
         Ok(InProcessClient { store, app_channel, store_channel })
     }
-
-    /// Establishes a channel for a cross-platform (two-machine) deployment
-    /// where the store lives on `store_platform`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Channel`] if attestation fails.
-    pub fn connect_remote(
-        store: Arc<ResultStore>,
-        authority: &SessionAuthority,
-        app_platform: &Platform,
-        app_enclave: &Enclave,
-        store_platform: &Platform,
-    ) -> Result<Self, CoreError> {
-        let (app_channel, store_channel) = authority
-            .establish((app_platform, app_enclave), (store_platform, store.enclave()))?;
-        Ok(InProcessClient { store, app_channel, store_channel })
-    }
 }
 
 impl StoreClient for InProcessClient {
@@ -152,25 +134,5 @@ mod tests {
             })
             .unwrap();
         assert!(matches!(response, Message::GetResponse(b) if !b.found));
-    }
-
-    #[test]
-    fn cross_platform_roundtrip() {
-        let app_platform = Platform::new(CostModel::no_sgx());
-        let store_platform = Platform::new(CostModel::no_sgx());
-        let store =
-            Arc::new(ResultStore::new(&store_platform, StoreConfig::default()).unwrap());
-        let authority = SessionAuthority::with_seed(4);
-        let enclave = app_platform.create_enclave(b"app").unwrap();
-        let mut client = InProcessClient::connect_remote(
-            store,
-            &authority,
-            &app_platform,
-            &enclave,
-            &store_platform,
-        )
-        .unwrap();
-        let response = client.roundtrip(&Message::StatsRequest).unwrap();
-        assert!(matches!(response, Message::StatsResponse(_)));
     }
 }

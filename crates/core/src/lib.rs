@@ -73,7 +73,6 @@ mod deduplicable;
 mod error;
 mod func;
 mod hotcache;
-mod policy;
 mod prefilter;
 pub mod rce;
 pub mod resilience;
@@ -95,7 +94,6 @@ pub use deduplicable::Deduplicable;
 pub use error::CoreError;
 pub use func::{FuncDesc, FuncIdentity, TrustedLibrary};
 pub use hotcache::HotCacheConfig;
-pub use policy::{AdaptiveConfig, AdaptiveProfiler, DedupPolicy, PolicyDecision};
 pub use prefilter::prefilter_tag;
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, Connector, Deadline, ReplayQueue,

@@ -23,7 +23,6 @@ use crate::client::{InProcessClient, StoreClient, TcpClient};
 use crate::error::CoreError;
 use crate::func::{FuncDesc, FuncIdentity, LibraryRegistry, TrustedLibrary};
 use crate::hotcache::{HotCacheConfig, HotTagCache, Probe};
-use crate::policy::{AdaptiveProfiler, DedupPolicy, PolicyDecision};
 use crate::prefilter::prefilter_tag;
 use crate::rce;
 use crate::resilience::{
@@ -70,9 +69,6 @@ pub enum DedupOutcome {
     /// code/input binding or tampering); the function was executed locally
     /// and nothing was published.
     MissAfterFailedVerify,
-    /// The adaptive policy decided deduplication cannot pay off for this
-    /// function; it was executed directly without consulting the store.
-    BypassedByPolicy,
     /// The result was served from the in-enclave hot-tag cache: no enclave
     /// transition for the lookup, no store round-trip at all. Only occurs
     /// when [`RuntimeBuilder::hot_cache`] is enabled.
@@ -129,8 +125,6 @@ struct Planned<'a> {
     compute: Option<BatchCompute<'a>>,
     /// A call rather than a probe (its compute may already have run).
     call: bool,
-    /// The adaptive policy sent the call straight to its compute.
-    bypass: bool,
     prefilter: Option<u64>,
     /// The secret hot-cache fingerprint, computed on first use: the one
     /// pass over its input of an item the hot cache answers.
@@ -143,7 +137,6 @@ struct Planned<'a> {
     filtered: bool,
     /// The record the store returned.
     found: Option<Record>,
-    compute_ns: Option<u64>,
     answer: Option<(ResultBytes, DedupOutcome)>,
 }
 
@@ -158,25 +151,19 @@ impl<'a> Planned<'a> {
             input,
             call: compute.is_some(),
             compute,
-            bypass: false,
             prefilter: None,
             fp: None,
             derived: None,
             filtered: false,
             found: None,
-            compute_ns: None,
             answer: None,
         }
     }
 
-    /// Runs the compute fallback (a probe has none), timing it for the
-    /// adaptive profiler.
+    /// Runs the compute fallback (a probe has none).
     fn run(&mut self) -> Option<ResultBytes> {
         let compute = self.compute.take()?;
-        let started = std::time::Instant::now();
-        let result = ResultBytes::new(compute(self.input));
-        self.compute_ns = Some(started.elapsed().as_nanos() as u64);
-        Some(result)
+        Some(ResultBytes::new(compute(self.input)))
     }
 }
 
@@ -195,9 +182,6 @@ pub struct RuntimeStats {
     pub rejected_puts: u64,
     /// Plaintext result bytes reused instead of recomputed.
     pub reused_bytes: u64,
-    /// Calls executed directly because the adaptive policy bypassed
-    /// deduplication.
-    pub bypasses: u64,
     /// Calls that fell back to local execution (or queued their PUT for
     /// replay) because the store was unreachable. Always zero without the
     /// resilience layer.
@@ -231,7 +215,6 @@ struct AtomicStats {
     verify_failures: Counter,
     rejected_puts: Counter,
     reused_bytes: Counter,
-    bypasses: Counter,
     degraded_calls: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
@@ -262,10 +245,6 @@ impl AtomicStats {
             reused_bytes: reg.counter(
                 names::DEDUP_REUSED_BYTES_TOTAL,
                 "Plaintext result bytes reused instead of recomputed",
-            ),
-            bypasses: reg.counter(
-                names::DEDUP_BYPASSES_TOTAL,
-                "Calls executed directly because the adaptive policy bypassed dedup",
             ),
             degraded_calls: reg.counter(
                 names::DEDUP_DEGRADED_CALLS_TOTAL,
@@ -563,19 +542,8 @@ impl Drop for AsyncPutter {
 }
 
 enum ClientSpec {
-    InProcess {
-        store: Arc<ResultStore>,
-        authority: Arc<SessionAuthority>,
-    },
-    InProcessRemote {
-        store: Arc<ResultStore>,
-        authority: Arc<SessionAuthority>,
-        store_platform: Arc<Platform>,
-    },
-    Tcp {
-        addr: std::net::SocketAddr,
-        authority: Arc<SessionAuthority>,
-    },
+    InProcess { store: Arc<ResultStore>, authority: Arc<SessionAuthority> },
+    Tcp { addr: std::net::SocketAddr, authority: Arc<SessionAuthority> },
     // The Mutex cell makes the spec Sync so reconnect closures can share
     // it; the client is taken out (once) at build time.
     Custom(Mutex<Option<Box<dyn StoreClient>>>),
@@ -586,7 +554,6 @@ impl std::fmt::Debug for ClientSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             ClientSpec::InProcess { .. } => "InProcess",
-            ClientSpec::InProcessRemote { .. } => "InProcessRemote",
             ClientSpec::Tcp { .. } => "Tcp",
             ClientSpec::Custom(_) => "Custom",
             ClientSpec::Factory(_) => "Factory",
@@ -603,7 +570,6 @@ pub struct RuntimeBuilder {
     client_spec: Option<ClientSpec>,
     registry: LibraryRegistry,
     mode: DedupMode,
-    policy: DedupPolicy,
     async_put: bool,
     app_id: Option<u64>,
     rng_seed: Option<u64>,
@@ -620,7 +586,6 @@ impl RuntimeBuilder {
             client_spec: None,
             registry: LibraryRegistry::new(),
             mode: DedupMode::CrossApp,
-            policy: DedupPolicy::Always,
             async_put: false,
             app_id: None,
             rng_seed: None,
@@ -637,19 +602,6 @@ impl RuntimeBuilder {
         authority: Arc<SessionAuthority>,
     ) -> Self {
         self.client_spec = Some(ClientSpec::InProcess { store, authority });
-        self
-    }
-
-    /// Connects to a store whose enclave lives on another platform (the
-    /// two-machine deployment) without going through TCP.
-    pub fn remote_store(
-        mut self,
-        store: Arc<ResultStore>,
-        authority: Arc<SessionAuthority>,
-        store_platform: Arc<Platform>,
-    ) -> Self {
-        self.client_spec =
-            Some(ClientSpec::InProcessRemote { store, authority, store_platform });
         self
     }
 
@@ -712,15 +664,6 @@ impl RuntimeBuilder {
     /// Selects the result-protection mode (default: [`DedupMode::CrossApp`]).
     pub fn mode(mut self, mode: DedupMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Selects the deduplication policy (default: [`DedupPolicy::Always`]).
-    /// [`DedupPolicy::Adaptive`] implements the paper's §VII future
-    /// direction: per-function dynamic analysis of whether deduplication
-    /// pays off.
-    pub fn policy(mut self, policy: DedupPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -860,8 +803,6 @@ impl RuntimeBuilder {
             registry: self.registry,
             client: Mutex::new(main_client),
             mode: self.mode,
-            policy: self.policy,
-            profiler: AdaptiveProfiler::new(),
             rng: Mutex::new(rng),
             stats,
             telemetry: RuntimeTelemetry::from_global(),
@@ -906,15 +847,6 @@ impl RuntimeBuilder {
                     enclave,
                 )?))
             }
-            ClientSpec::InProcessRemote { store, authority, store_platform } => {
-                Ok(Box::new(InProcessClient::connect_remote(
-                    Arc::clone(store),
-                    authority,
-                    platform,
-                    enclave,
-                    store_platform,
-                )?))
-            }
             ClientSpec::Tcp { addr, authority } => {
                 Ok(Box::new(TcpClient::connect(*addr, platform, enclave, authority)?))
             }
@@ -934,8 +866,6 @@ pub struct DedupRuntime {
     registry: LibraryRegistry,
     client: Mutex<Box<dyn StoreClient>>,
     mode: DedupMode,
-    policy: DedupPolicy,
-    profiler: AdaptiveProfiler,
     rng: Mutex<SystemRng>,
     stats: Arc<AtomicStats>,
     telemetry: RuntimeTelemetry,
@@ -1044,10 +974,6 @@ impl DedupRuntime {
     /// an individual `PUT_REQUEST`, so partial replay capacity still saves
     /// the newest results.
     ///
-    /// The adaptive policy decides per item: a bypassed item is computed
-    /// inside the batch ECALL and reported as
-    /// [`DedupOutcome::BypassedByPolicy`].
-    ///
     /// # Errors
     ///
     /// Returns [`CoreError`] on store/transport failures when no resilience
@@ -1113,9 +1039,9 @@ impl DedupRuntime {
         Ok(self.plan(vec![probe])?.pop().flatten().map(|(result, _)| result))
     }
 
-    /// Algorithm 1 over a batch of items, in one ECALL: adaptive policy →
-    /// prefilter → hot cache → negative filter → one batched GET → RCE
-    /// recover or compute → one batched PUT, degrading item by item. Each
+    /// Algorithm 1 over a batch of items, in one ECALL: prefilter → hot
+    /// cache → negative filter → one batched GET → RCE recover or compute
+    /// → one batched PUT, degrading item by item. Each
     /// item computes its secret fingerprint only for the hot cache, and its
     /// SHA-256 digest and tag only if it reaches the GET, `recover` or
     /// `encrypt` and the hot cache did not supply them, so a hot-cache hit
@@ -1137,21 +1063,10 @@ impl DedupRuntime {
         &self,
         mut items: Vec<Planned<'_>>,
     ) -> Result<Vec<Option<(ResultBytes, DedupOutcome)>>, CoreError> {
-        let started = std::time::Instant::now();
-        let adaptive = match &self.policy {
-            DedupPolicy::Always => None,
-            DedupPolicy::Adaptive(config) => Some(config),
-        };
-
-        // Tier 0: the adaptive policy (§VII future work) bypasses the store
-        // for calls where deduplication cannot pay off; every other item
-        // derives the cheap sampled prefilter tag (when enabled).
-        for item in &mut items {
-            if let (Some(config), true) = (adaptive, item.call) {
-                item.bypass = self.profiler.decide(&item.identity, config)
-                    == PolicyDecision::Bypass;
-            }
-            if !item.bypass && self.prefilter.is_some() {
+        // Tier 0: every item derives the cheap sampled prefilter tag (when
+        // enabled).
+        if self.prefilter.is_some() {
+            for item in &mut items {
                 let (identity, input) = (&item.identity, item.input);
                 item.prefilter = Some(
                     self.telemetry
@@ -1160,8 +1075,7 @@ impl DedupRuntime {
                 );
             }
         }
-        let mut pending: Vec<usize> =
-            (0..items.len()).filter(|&i| !items[i].bypass).collect();
+        let mut pending: Vec<usize> = (0..items.len()).collect();
 
         // Tier 1 — hot cache: a recently resolved result is answered
         // without leaving the enclave, and a remembered computation whose
@@ -1256,13 +1170,6 @@ impl DedupRuntime {
         // Verify hits, compute misses, collect the PUTs.
         let mut puts: Vec<BatchItem> = Vec::new();
         for item in &mut items {
-            if item.bypass {
-                if let Some(result) = item.run() {
-                    self.stats.bypasses.add(1);
-                    item.answer = Some((result, DedupOutcome::BypassedByPolicy));
-                }
-                continue;
-            }
             if item.answer.is_some() {
                 continue; // answered by the hot cache
             }
@@ -1331,24 +1238,6 @@ impl DedupRuntime {
                     park(&handles.replay, self.app_id, puts);
                 }
                 _ => self.publish(puts)?,
-            }
-        }
-
-        // Each executed item feeds its compute time to the profiler; each
-        // call that went through the store shares the batch's dedup
-        // overhead (the wall time not spent computing).
-        if let Some(config) = adaptive {
-            let deduped = items.iter().filter(|item| item.call && !item.bypass).count();
-            let computed: u64 = items.iter().filter_map(|item| item.compute_ns).sum();
-            let overhead = (started.elapsed().as_nanos() as u64).saturating_sub(computed)
-                / deduped.max(1) as u64;
-            for item in &items {
-                if let Some(ns) = item.compute_ns {
-                    self.profiler.record_compute(&item.identity, ns, config);
-                }
-                if item.call && !item.bypass {
-                    self.profiler.record_dedup_overhead(&item.identity, overhead, config);
-                }
             }
         }
         Ok(items.into_iter().map(|item| item.answer).collect())
@@ -1534,7 +1423,6 @@ impl DedupRuntime {
             verify_failures: stats.verify_failures.get(),
             rejected_puts: stats.rejected_puts.get(),
             reused_bytes: stats.reused_bytes.get(),
-            bypasses: stats.bypasses.get(),
             degraded_calls: stats.degraded_calls.get(),
             retries,
             breaker_transitions,
@@ -1574,12 +1462,6 @@ impl DedupRuntime {
     /// during an outage. Zero when the resilience layer is not configured.
     pub fn dropped_replays(&self) -> u64 {
         self.resilience.as_ref().map_or(0, |handles| handles.replay.dropped())
-    }
-
-    /// The adaptive profiler's `(compute_ns, dedup_overhead_ns)` estimates
-    /// for a function, once both have been observed.
-    pub fn profile_estimates(&self, identity: &FuncIdentity) -> Option<(f64, f64)> {
-        self.profiler.estimates(identity)
     }
 }
 
@@ -1810,97 +1692,6 @@ mod tests {
         // Hit path: one ECALL, one OCALL (GET only).
         assert_eq!(hit_stats.ecalls - after.ecalls, 1);
         assert_eq!(hit_stats.ocalls - after.ocalls, 1);
-    }
-
-    #[test]
-    fn adaptive_policy_bypasses_cheap_function() {
-        let (platform, store, authority) = setup();
-        let adaptive_runtime = |code: &[u8]| {
-            DedupRuntime::builder(Arc::clone(&platform), code)
-                .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-                .trusted_library(library())
-                .policy(DedupPolicy::Adaptive(crate::AdaptiveConfig {
-                    min_speedup: 1.0,
-                    warmup_calls: 2,
-                    probe_interval: 100,
-                    ewma_alpha: 0.5,
-                }))
-                .build()
-                .unwrap()
-        };
-        let rt = adaptive_runtime(b"adaptive-app");
-        let identity = rt.resolve(&desc_double()).unwrap();
-
-        // A trivially cheap function with all-distinct inputs: every dedup
-        // attempt is a miss, so overhead dominates and the policy should
-        // start bypassing.
-        let mut bypassed = false;
-        for i in 0..40u32 {
-            let input = i.to_le_bytes();
-            let (_, outcome) = rt.execute_raw(&identity, &input, |d| d.to_vec()).unwrap();
-            if outcome == DedupOutcome::BypassedByPolicy {
-                bypassed = true;
-            }
-        }
-        assert!(bypassed, "cheap function never got bypassed");
-        assert!(rt.stats().bypasses > 0);
-        let (compute, overhead) = rt.profile_estimates(&identity).unwrap();
-        assert!(compute < overhead, "compute {compute} overhead {overhead}");
-
-        // Batches consult the same policy, item by item: groups of distinct
-        // inputs are all misses, so the batch path starts bypassing too.
-        let rt = adaptive_runtime(b"adaptive-batch-app");
-        let identity = rt.resolve(&desc_double()).unwrap();
-        let mut bypassed = false;
-        for group in 0..20u32 {
-            let inputs: Vec<[u8; 4]> =
-                (0..4).map(|i| (1_000 + group * 4 + i).to_le_bytes()).collect();
-            let calls = inputs
-                .iter()
-                .map(|input| BatchCall::new(identity, input.as_slice(), |d| d.to_vec()))
-                .collect();
-            for (i, (result, outcome)) in
-                rt.execute_batch(calls).unwrap().into_iter().enumerate()
-            {
-                assert_eq!(result, inputs[i].to_vec(), "group {group} item {i}");
-                bypassed |= outcome == DedupOutcome::BypassedByPolicy;
-            }
-        }
-        assert!(bypassed, "cheap function never got bypassed in a batch");
-        assert!(rt.stats().bypasses > 0);
-        let (compute, overhead) = rt.profile_estimates(&identity).unwrap();
-        assert!(compute < overhead, "batch: compute {compute} overhead {overhead}");
-    }
-
-    #[test]
-    fn adaptive_policy_keeps_dedup_for_expensive_function() {
-        let (platform, store, authority) = setup();
-        let rt = DedupRuntime::builder(Arc::clone(&platform), b"adaptive-slow")
-            .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-            .trusted_library(library())
-            .policy(DedupPolicy::Adaptive(crate::AdaptiveConfig::default()))
-            .build()
-            .unwrap();
-        let identity = rt.resolve(&desc_double()).unwrap();
-
-        // Expensive compute (2 ms busy loop): dedup overhead is tiny in
-        // comparison, so the policy must keep deduplicating.
-        let slow = |input: &[u8]| {
-            let start = std::time::Instant::now();
-            while start.elapsed() < std::time::Duration::from_millis(2) {
-                std::hint::black_box(0u8);
-            }
-            input.to_vec()
-        };
-        for i in 0..10u32 {
-            let (_, outcome) = rt.execute_raw(&identity, &i.to_le_bytes(), slow).unwrap();
-            assert_ne!(outcome, DedupOutcome::BypassedByPolicy, "call {i}");
-        }
-        // And repeated inputs still hit.
-        let (_, outcome) =
-            rt.execute_raw(&identity, &0u32.to_le_bytes(), |_| panic!("hit")).unwrap();
-        assert_eq!(outcome, DedupOutcome::Hit);
-        assert_eq!(rt.stats().bypasses, 0);
     }
 
     /// A factory-built in-process client whose availability is switched by

@@ -29,8 +29,6 @@ pub const DEDUP_HITS_TOTAL: &str = "dedup_hits_total";
 pub const DEDUP_MISSES_TOTAL: &str = "dedup_misses_total";
 /// Counter: records that failed the Fig. 3 verification protocol.
 pub const DEDUP_VERIFY_FAILURES_TOTAL: &str = "dedup_verify_failures_total";
-/// Counter: calls the adaptive policy executed without consulting the store.
-pub const DEDUP_BYPASSES_TOTAL: &str = "dedup_bypasses_total";
 /// Counter: PUTs the store rejected (quota, enclave memory, races).
 pub const DEDUP_REJECTED_PUTS_TOTAL: &str = "dedup_rejected_puts_total";
 /// Counter: plaintext result bytes reused instead of recomputed.
@@ -275,7 +273,6 @@ pub const ALL: &[&str] = &[
     DEDUP_HITS_TOTAL,
     DEDUP_MISSES_TOTAL,
     DEDUP_VERIFY_FAILURES_TOTAL,
-    DEDUP_BYPASSES_TOTAL,
     DEDUP_REJECTED_PUTS_TOTAL,
     DEDUP_REUSED_BYTES_TOTAL,
     DEDUP_DEGRADED_CALLS_TOTAL,

@@ -3,7 +3,7 @@
 //! failover re-attestation. `docs/CLUSTER.md` is the spec these scenarios
 //! are written against.
 //!
-//! The headline invariant (the CI `cluster` job's acceptance criterion):
+//! The headline invariant (the CI `cluster` job's pass condition):
 //! a 3-node cluster survives a seeded kill-one-node chaos run with ZERO
 //! lost acknowledged PUTs — every acknowledged record stays readable
 //! throughout the outage and, once the node rejoins and hinted handoff

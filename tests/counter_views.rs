@@ -93,7 +93,6 @@ fn every_stats_view_field_equals_its_registry_series() {
     assert_eq!(runtime.verify_failures, series(names::DEDUP_VERIFY_FAILURES_TOTAL));
     assert_eq!(runtime.rejected_puts, series(names::DEDUP_REJECTED_PUTS_TOTAL));
     assert_eq!(runtime.reused_bytes, series(names::DEDUP_REUSED_BYTES_TOTAL));
-    assert_eq!(runtime.bypasses, series(names::DEDUP_BYPASSES_TOTAL));
     assert_eq!(runtime.degraded_calls, series(names::DEDUP_DEGRADED_CALLS_TOTAL));
     assert_eq!(runtime.cache_hits, series(names::DEDUP_CACHE_HITS_TOTAL));
     assert_eq!(runtime.cache_misses, series(names::DEDUP_CACHE_MISSES_TOTAL));

@@ -1,12 +1,10 @@
 //! Integration tests for the extension features beyond the paper's
-//! prototype: adaptive deduplication policy (§VII future work), sealed
-//! store persistence, and controlled deduplication (§III-D authorization).
+//! prototype: sealed store persistence and controlled deduplication
+//! (§III-D authorization).
 
 use std::sync::Arc;
 
-use speed_core::{
-    AdaptiveConfig, DedupOutcome, DedupPolicy, DedupRuntime, FuncDesc, TrustedLibrary,
-};
+use speed_core::{DedupOutcome, DedupRuntime, FuncDesc, TrustedLibrary};
 use speed_enclave::{CostModel, Platform};
 use speed_store::{persist, AccessControl, ResultStore, StoreConfig};
 use speed_wire::SessionAuthority;
@@ -94,41 +92,4 @@ fn unauthorized_app_cannot_even_query() {
     let identity = unauthorized.resolve(&desc()).unwrap();
     let result = unauthorized.execute_raw(&identity, b"data", |d| d.to_vec());
     assert!(result.is_err());
-}
-
-#[test]
-fn adaptive_policy_full_stack() {
-    let platform = Platform::new(CostModel::default_sgx());
-    let authority = Arc::new(SessionAuthority::new());
-    let store = Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
-    let rt = DedupRuntime::builder(Arc::clone(&platform), b"adaptive-integration")
-        .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-        .trusted_library(library())
-        .policy(DedupPolicy::Adaptive(AdaptiveConfig {
-            min_speedup: 1.0,
-            warmup_calls: 2,
-            probe_interval: 8,
-            ewma_alpha: 0.4,
-        }))
-        .build()
-        .unwrap();
-    let identity = rt.resolve(&desc()).unwrap();
-
-    // Phase 1: cheap + distinct inputs → policy learns to bypass.
-    for i in 0..30u32 {
-        rt.execute_raw(&identity, &i.to_le_bytes(), |d| d.to_vec()).unwrap();
-    }
-    let bypasses_phase1 = rt.stats().bypasses;
-    assert!(bypasses_phase1 > 0, "policy never bypassed a cheap function");
-
-    // The store was spared most of the useless puts.
-    assert!(store.stats().puts < 30);
-
-    // Phase 2: despite bypassing, probes keep the runtime correct: a
-    // repeated input through a probe call still round-trips properly.
-    for _ in 0..20 {
-        let (result, _) =
-            rt.execute_raw(&identity, b"stable-input", |d| d.to_vec()).unwrap();
-        assert_eq!(result, b"stable-input");
-    }
 }

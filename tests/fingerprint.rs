@@ -2,13 +2,16 @@
 //! fingerprint `fp = E_K(GHASH_H(func, m))`, and only a call that reaches
 //! the store derives the digest and the comp-tag — unless the hot cache
 //! remembers the computation without its result, and hands over the digest.
+//! A `lookup` that the negative filter proves absent runs no hash at all.
 //!
 //! The binary holds a single test, so the global registry's tag histograms
 //! and hot-cache counters move only with the calls it makes.
 
 use std::sync::Arc;
 
-use speed_core::{DedupOutcome, DedupRuntime, FuncDesc, HotCacheConfig, TrustedLibrary};
+use speed_core::{
+    DedupOutcome, DedupRuntime, FuncDesc, HotCacheConfig, PrefilterConfig, TrustedLibrary,
+};
 use speed_enclave::{CostModel, Platform};
 use speed_store::{ResultStore, StoreConfig};
 use speed_telemetry::{names, MetricValue};
@@ -36,6 +39,12 @@ fn passes() -> (u64, u64) {
     )
 }
 
+fn library() -> TrustedLibrary {
+    let mut library = TrustedLibrary::new("fplib", "1.0");
+    library.register("bytes reverse(bytes)", b"reverse code");
+    library
+}
+
 fn reverse(input: &[u8]) -> Vec<u8> {
     input.iter().rev().copied().collect()
 }
@@ -50,11 +59,9 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
     let store = Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
     let authority = Arc::new(SessionAuthority::new());
     let runtime = |app: &[u8], cache: HotCacheConfig| {
-        let mut library = TrustedLibrary::new("fplib", "1.0");
-        library.register("bytes reverse(bytes)", b"reverse code");
         DedupRuntime::builder(Arc::clone(&platform), app)
             .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-            .trusted_library(library)
+            .trusted_library(library())
             .hot_cache(cache)
             .build()
             .unwrap()
@@ -106,4 +113,32 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
     assert_eq!(result, reverse(&input));
     assert_eq!(passes(), (before.0, before.1 + 1), "a remembered digest runs no SHA-256");
     assert_eq!(counter(names::HOTCACHE_DIGEST_REUSES_TOTAL), reuses + 1);
+
+    // A lookup of an input the store's negative filter proves absent runs
+    // no hash at all: the hot cache's prefilter multiset skips the
+    // fingerprint, and the filter skips the GET and its SHA-256. The store
+    // is fresh, so every PUT it holds carried its prefilter tag and its
+    // filter is complete.
+    let filtered_store =
+        Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
+    let filtered = DedupRuntime::builder(Arc::clone(&platform), b"filtered-app")
+        .in_process_store(filtered_store, Arc::clone(&authority))
+        .trusted_library(library())
+        .hot_cache(HotCacheConfig::default())
+        .prefilter(PrefilterConfig::default())
+        .build()
+        .unwrap();
+    let identity = filtered.resolve(&desc).unwrap();
+    let (_, outcome) = filtered.execute_raw(&identity, &input, reverse).unwrap();
+    assert_eq!(outcome, DedupOutcome::MissFiltered);
+    let unseen: Vec<u8> = input.iter().map(|b| b ^ 0x5A).collect();
+    let before = passes();
+    let skips = (
+        counter(names::TAG_PREFILTER_CACHE_SKIPS_TOTAL),
+        counter(names::TAG_PREFILTER_STORE_SKIPS_TOTAL),
+    );
+    assert!(filtered.lookup(&identity, &unseen).unwrap().is_none());
+    assert_eq!(passes(), before, "a filter-proven lookup runs no SHA-256 and no fp");
+    assert_eq!(counter(names::TAG_PREFILTER_CACHE_SKIPS_TOTAL), skips.0 + 1);
+    assert_eq!(counter(names::TAG_PREFILTER_STORE_SKIPS_TOTAL), skips.1 + 1);
 }
