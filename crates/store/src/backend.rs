@@ -4,10 +4,8 @@
 //! in-enclave metadata dictionary stays the authoritative working state.
 //! A [`StoreBackend`] only decides what happens *underneath* it:
 //!
-//! - [`MemoryBackend`] — the original behavior. Nothing is persisted by
-//!   the backend itself; durability, if any, comes from explicit sealed
-//!   snapshots via [`crate::persist`]. A crash loses everything since the
-//!   last snapshot.
+//! - [`MemoryBackend`] — the original behavior. Nothing is persisted; a
+//!   restart loses the whole store.
 //! - [`LogBackend`](crate::LogBackend) — crash-safe log-structured
 //!   persistence: every accepted mutation is sealed, checksummed, and
 //!   appended to a write-ahead segment file before the request is

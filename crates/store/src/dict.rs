@@ -33,8 +33,9 @@ pub struct DictEntry {
     pub blob: BlobId,
     /// Length of the ciphertext blob in bytes.
     pub boxed_len: u32,
-    /// Application that published the entry (for quota reclamation).
-    pub owner: AppId,
+    /// Application whose quota the entry is charged to (for reclamation);
+    /// `None` for an imported entry, which charges no quota.
+    pub owner: Option<AppId>,
     /// Logical-millisecond timestamp of insertion (drives TTL expiry).
     pub created_ms: u64,
     /// The entry's 64-bit prefilter tag when the publisher supplied one
@@ -165,7 +166,7 @@ impl MetadataDict {
         nonce: [u8; 12],
         blob: BlobId,
         boxed_len: u32,
-        owner: AppId,
+        owner: Option<AppId>,
         created_ms: u64,
         prefilter: Option<u64>,
     ) -> Option<BlobId> {
@@ -233,7 +234,7 @@ impl MetadataDict {
         }
     }
 
-    /// Overwrites the hit counter of an entry (snapshot restore). Returns
+    /// Overwrites the hit counter of an entry (entry import). Returns
     /// `false` if the tag is absent.
     pub fn restore_hits(&self, tag: &CompTag, hits: u64) -> bool {
         match self.entries.get(tag) {
@@ -280,7 +281,7 @@ mod tests {
             [n; 12],
             BlobId::from_raw(u64::from(n)),
             len,
-            AppId(1),
+            Some(AppId(1)),
             0,
             Some(u64::from(n)),
         )
@@ -328,7 +329,7 @@ mod tests {
             [2; 12],
             BlobId::from_raw(99),
             20,
-            AppId(2),
+            Some(AppId(2)),
             0,
             None,
         );

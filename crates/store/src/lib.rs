@@ -19,8 +19,8 @@
 //!   mechanism sketched in §III-D to stop a malicious application from
 //!   polluting the store with useless results.
 //! - **Master-store synchronization** ([`sync`]): the §IV-B Remark — a
-//!   dedicated master store periodically pulls popular entries from
-//!   machine-local stores; tags are deterministic so only one ciphertext
+//!   master store periodically pulls popular entries from other stores in
+//!   the same process; tags are deterministic so only one ciphertext
 //!   version is ever kept.
 //! - **TCP deployment** ([`server::StoreServer`]): a framed, attested,
 //!   AES-GCM-protected network front end.

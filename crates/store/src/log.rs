@@ -7,10 +7,11 @@
 //!   are routed to one of [`LogConfig::logs`] shard logs by tag so hot
 //!   shards don't serialize on one file, while a global sequence number per
 //!   record merges the logs back into a single mutation order on replay.
-//! - `checkpoint.snap` holds a sealed full-store image (the PR 5 snapshot
-//!   payload wrapped with the sequence number it covers). A checkpoint
-//!   bounds replay length: records at or below its sequence are collapsed
-//!   into it, and the segments they occupied are deleted.
+//! - `checkpoint.snap` holds a sealed full-store image (the
+//!   [`crate::persist`] payload, wrapped with the sequence number it
+//!   covers). A checkpoint bounds replay length: records at or below its
+//!   sequence are collapsed into it, and the segments they occupied are
+//!   deleted.
 //!
 //! Recovery on open: sweep leftover `*.tmp` files, load the checkpoint
 //! (quarantining a corrupt one to `*.corrupt`), scan every segment with
@@ -57,8 +58,8 @@ use crate::StoreError;
 /// Magic prefix of the checkpoint file, ahead of the sealed payload.
 const CKPT_MAGIC: &[u8; 8] = b"SPDCKPT1";
 
-/// Sealing AAD for checkpoints. Distinct from both the WAL-record AAD and
-/// the standalone-snapshot AAD so sealed blobs can never cross roles.
+/// Sealing AAD for checkpoints. Distinct from the WAL-record AAD so sealed
+/// blobs can never cross roles.
 const CHECKPOINT_AAD: &[u8] = b"speed-store-checkpoint-v1";
 
 /// Tuning for the [`LogBackend`].
@@ -196,7 +197,7 @@ impl LogTelemetry {
             ),
             quarantined: registry.counter(
                 names::STORE_SNAPSHOT_QUARANTINED_TOTAL,
-                "corrupt snapshots/checkpoints quarantined to *.corrupt",
+                "corrupt checkpoints quarantined to *.corrupt",
             ),
             recovery: registry.histogram(
                 names::STORE_RECOVERY_DURATION_NS,
@@ -937,10 +938,10 @@ impl StoreBackend for LogBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::TestVfs;
     use speed_enclave::CostModel;
     use speed_wire::Record;
-    use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::Ordering;
 
     fn context() -> (Arc<Platform>, Arc<Enclave>) {
         // Seeded: reopening after a "restart" must model the same machine,
@@ -1166,59 +1167,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A [`Vfs`] whose `fsync` fails while a flag is raised.
-    #[derive(Debug)]
-    struct FlakyFsync {
-        fail: AtomicBool,
-    }
-
-    impl Vfs for FlakyFsync {
-        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            StdVfs.read(path)
-        }
-        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            StdVfs.write(path, bytes)
-        }
-        fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            StdVfs.append(path, bytes)
-        }
-        fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-            StdVfs.truncate(path, len)
-        }
-        fn fsync(&self, path: &Path) -> io::Result<()> {
-            if self.fail.load(Ordering::Relaxed) {
-                return Err(io::Error::other("injected fsync failure"));
-            }
-            StdVfs.fsync(path)
-        }
-        fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
-            StdVfs.fsync_dir(dir)
-        }
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            StdVfs.rename(from, to)
-        }
-        fn remove_file(&self, path: &Path) -> io::Result<()> {
-            StdVfs.remove_file(path)
-        }
-        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-            StdVfs.create_dir_all(dir)
-        }
-        fn list_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-            StdVfs.list_dir(dir)
-        }
-        fn file_len(&self, path: &Path) -> io::Result<u64> {
-            StdVfs.file_len(path)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            StdVfs.exists(path)
-        }
-    }
-
     #[test]
     fn fsync_failure_degrades_read_only_and_drops_unsynced_records() {
         let dir = scratch("degrade");
         let (platform, enclave) = context();
-        let vfs = Arc::new(FlakyFsync { fail: AtomicBool::new(false) });
+        let vfs = Arc::new(TestVfs::default());
         let backend =
             LogBackend::with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>, LogConfig::new(&dir));
         backend.open(&platform, &enclave).unwrap();
@@ -1227,7 +1180,7 @@ mod tests {
         backend.flush().unwrap();
 
         backend.record_put(&entry(2)).unwrap();
-        vfs.fail.store(true, Ordering::Relaxed);
+        vfs.fail_fsync.store(true, Ordering::Relaxed);
         assert!(backend.flush().is_err(), "fsync failure must surface");
         assert!(backend.read_only().is_some());
         // Mutations are rejected while degraded; the reason is reported.

@@ -1,33 +1,23 @@
-//! Store persistence via enclave sealing.
+//! The store image a [`crate::LogBackend`] checkpoint seals.
 //!
-//! A `ResultStore` restart would otherwise lose every cached result. This
-//! module snapshots the dictionary *and* the referenced ciphertexts into a
-//! single blob sealed under the store enclave's identity
-//! ([`SealPolicy::MrEnclave`]): only a store enclave running the identical
-//! code on the same platform can restore it. Records inside are themselves
-//! RCE-protected, so sealing here adds rollback/integrity protection for
-//! the snapshot as a whole rather than confidentiality of individual
-//! results.
+//! A checkpoint holds the dictionary *and* the referenced ciphertexts with
+//! their hit counts, one section per store shard. The backend seals it
+//! under the store enclave's identity ([`SealPolicy::MrEnclave`]): only a
+//! store enclave running the identical code on the same platform can load
+//! it. Records inside are themselves RCE-protected, so sealing adds
+//! rollback/integrity protection for the image as a whole rather than
+//! confidentiality of individual results.
 //!
-//! A store persists across restarts through [`crate::LogBackend`], whose
-//! checkpoint file wraps this same sealed payload; [`snapshot`] and
-//! [`restore`] move a whole store in memory.
+//! The payload opens with a `u32::MAX` sentinel and a version byte (2).
+//! The headerless version 1 predates checkpoints and is no longer read.
+//!
+//! [`SealPolicy::MrEnclave`]: speed_enclave::sealing::SealPolicy::MrEnclave
 
-use speed_enclave::sealing::{seal, unseal, SealPolicy, SealedData};
-use speed_enclave::Platform;
 use speed_wire::{Reader, SyncEntry, WireDecode, WireEncode, WireError, Writer};
 
-use crate::store::{ResultStore, StoreConfig};
 use crate::StoreError;
 
-/// Sealing AAD. Unchanged across payload versions — an AAD bump would make
-/// every pre-existing snapshot unreadable (unsealing authenticates the
-/// AAD), so the payload carries its own version discriminator instead.
-const SNAPSHOT_AAD: &[u8] = b"speed-store-snapshot-v1";
-
-/// Leading `u32` marking a versioned (v2+) payload. A v1 payload starts
-/// with its entry count, which can never reach `u32::MAX` (`encode_entries`
-/// rejects such stores), so the sentinel is unambiguous.
+/// Leading `u32` of every payload, ahead of the version byte.
 const VERSIONED_SENTINEL: u32 = u32::MAX;
 
 /// Current payload version: per-shard sections.
@@ -36,33 +26,15 @@ const SNAPSHOT_VERSION: u8 = 2;
 fn encode_count(len: usize, writer: &mut Writer) -> Result<(), StoreError> {
     let count = u32::try_from(len).map_err(|_| {
         StoreError::Protocol(format!(
-            "snapshot too large: {len} entries exceed the u32 wire limit"
+            "checkpoint too large: {len} entries exceed the u32 wire limit"
         ))
     })?;
-    if count == VERSIONED_SENTINEL {
-        return Err(StoreError::Protocol(
-            "snapshot too large: entry count collides with the version sentinel".into(),
-        ));
-    }
     count.encode(writer);
     Ok(())
 }
 
-/// Encodes the legacy v1 payload: a flat entry list. Kept (test-only) so
-/// the checked-in v1 fixture can be verified against the original encoder.
-#[cfg(test)]
-fn encode_entries(entries: &[SyncEntry]) -> Result<Vec<u8>, StoreError> {
-    let mut writer = Writer::new();
-    encode_count(entries.len(), &mut writer)?;
-    for entry in entries {
-        entry.encode(&mut writer);
-    }
-    Ok(writer.into_bytes())
-}
-
-/// Encodes the v2 payload: sentinel, version byte, then one section per
-/// store shard so a large restore can be processed section by section.
-/// Shared with the log backend, whose checkpoint wraps this same payload.
+/// Encodes the payload: sentinel, version byte, then one section per store
+/// shard.
 pub(crate) fn encode_shard_sections(
     sections: &[Vec<SyncEntry>],
 ) -> Result<Vec<u8>, StoreError> {
@@ -79,84 +51,28 @@ pub(crate) fn encode_shard_sections(
     Ok(writer.into_bytes())
 }
 
-fn decode_entry_list(reader: &mut Reader<'_>) -> Result<Vec<SyncEntry>, WireError> {
-    let count = u32::decode(reader)? as usize;
-    let mut entries = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        entries.push(SyncEntry::decode(reader)?);
-    }
-    Ok(entries)
-}
-
-/// Decodes any known payload version into a flat entry list. Entries route
-/// to shards by tag on import, so a snapshot written with one shard count
-/// restores correctly into a store with any other.
+/// Decodes a payload into a flat entry list. Entries route to shards by
+/// tag on import, so a checkpoint written with one shard count loads
+/// correctly into a store with any other.
 pub(crate) fn decode_payload(bytes: &[u8]) -> Result<Vec<SyncEntry>, WireError> {
     let mut reader = Reader::new(bytes);
-    let head = u32::decode(&mut reader)?;
-    let entries = if head == VERSIONED_SENTINEL {
-        let version = u8::decode(&mut reader)?;
-        if version != SNAPSHOT_VERSION {
-            // Future/unknown version byte: refuse rather than misparse.
-            return Err(WireError::InvalidTag(version));
-        }
-        let sections = u32::decode(&mut reader)? as usize;
-        let mut entries = Vec::new();
-        for _ in 0..sections {
-            entries.extend(decode_entry_list(&mut reader)?);
-        }
-        entries
-    } else {
-        // v1: `head` is the flat entry count.
-        let count = head as usize;
-        let mut entries = Vec::with_capacity(count.min(4096));
+    let sentinel = u32::decode(&mut reader)?;
+    let version = u8::decode(&mut reader)?;
+    if sentinel != VERSIONED_SENTINEL || version != SNAPSHOT_VERSION {
+        // Headerless or unknown version: refuse rather than misparse.
+        return Err(WireError::InvalidTag(version));
+    }
+    let sections = u32::decode(&mut reader)?;
+    let mut entries = Vec::new();
+    for _ in 0..sections {
+        let count = u32::decode(&mut reader)? as usize;
+        entries.reserve(count.min(4096));
         for _ in 0..count {
             entries.push(SyncEntry::decode(&mut reader)?);
         }
-        entries
-    };
+    }
     reader.finish()?;
     Ok(entries)
-}
-
-/// Snapshots the entire store (metadata + ciphertexts + hit counts) into a
-/// blob sealed to the store enclave's identity. Written in the v2 per-shard
-/// section format; [`restore`] also reads legacy v1 (flat-list) snapshots.
-///
-/// # Errors
-///
-/// - [`StoreError::Protocol`] if the store holds more entries than the
-///   snapshot wire format can describe (more than `u32::MAX`).
-pub fn snapshot(platform: &Platform, store: &ResultStore) -> Result<Vec<u8>, StoreError> {
-    let sections = store.export_shards();
-    let payload = encode_shard_sections(&sections)?;
-    Ok(seal(platform, store.enclave(), &SealPolicy::MrEnclave, SNAPSHOT_AAD, &payload)
-        .to_bytes())
-}
-
-/// Restores a store from a sealed snapshot, preserving hit counts. Accepts
-/// both the current v2 (per-shard) and legacy v1 (flat-list) payloads;
-/// entries re-route to shards by tag, so the snapshot's shard layout need
-/// not match `config.shards`.
-///
-/// # Errors
-///
-/// - [`StoreError::Enclave`] if unsealing fails (snapshot from a different
-///   store code version or platform, or tampered bytes).
-/// - [`StoreError::Protocol`] if the payload is malformed.
-pub fn restore(
-    platform: &Platform,
-    config: StoreConfig,
-    sealed_bytes: &[u8],
-) -> Result<ResultStore, StoreError> {
-    let store = ResultStore::new(platform, config)?;
-    let sealed = SealedData::from_bytes(sealed_bytes)?;
-    let payload =
-        unseal(platform, store.enclave(), &SealPolicy::MrEnclave, SNAPSHOT_AAD, &sealed)?;
-    let entries =
-        decode_payload(&payload).map_err(|e| StoreError::Protocol(e.to_string()))?;
-    store.import_entries(entries);
-    Ok(store)
 }
 
 /// How a backend's recovery obtained its checkpoint, reported in
@@ -176,281 +92,180 @@ pub enum SnapshotLoad {
 
 #[cfg(test)]
 mod tests {
+    use std::path::{Path, PathBuf};
+    use std::sync::Arc;
+
     use super::*;
     use crate::backend::StoreBackend;
-    use crate::vfs::Vfs;
-    use speed_enclave::CostModel;
+    use crate::segment::CHECKPOINT_FILE;
+    use crate::vfs::TestVfs;
+    use crate::{LogBackend, LogConfig, RecoveryReport, ResultStore, StoreConfig};
+    use speed_enclave::{CostModel, Platform};
     use speed_wire::{AppId, CompTag, Message, Record};
 
     fn tag(n: u8) -> CompTag {
         CompTag::from_bytes([n; 32])
     }
 
-    fn record(n: u8) -> Record {
-        Record {
+    fn put(store: &ResultStore, n: u8) {
+        let record = Record {
             challenge: vec![n; 32],
             wrapped_key: [n; 16],
             nonce: [n; 12],
             boxed_result: vec![n; 40],
-        }
+        };
+        let response =
+            store.handle(Message::PutRequest { app: AppId(1), tag: tag(n), record });
+        assert!(matches!(response, Message::PutResponse(body) if body.accepted));
     }
 
-    fn populated_store(platform: &Platform) -> ResultStore {
-        let store = ResultStore::new(platform, StoreConfig::default()).unwrap();
+    /// Puts entries 1..=5 and gives entry 1 three hits.
+    fn populate(store: &ResultStore) {
         for n in 1..=5u8 {
-            store.handle(Message::PutRequest {
-                app: AppId(1),
-                tag: tag(n),
-                record: record(n),
-            });
+            put(store, n);
         }
-        // Give entry 1 some popularity.
         for _ in 0..3 {
             store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
         }
-        store
     }
 
-    /// The checked-in legacy payload: 3 entries written by the v1 (flat
-    /// list) encoder — tags `[n; 32]`, records `record(n)`, hits `2n` for
-    /// `n` in 1..=3. Regenerate with `encode_entries` if the fixture must
-    /// ever change.
-    const V1_PAYLOAD: &[u8] = include_bytes!("../tests/fixtures/snapshot_v1_payload.bin");
+    /// A platform with a fixed fuse secret: a reopen models a restart of
+    /// the same machine, and a different `seed` another machine.
+    fn platform(seed: u64) -> Arc<Platform> {
+        Platform::with_seed(CostModel::no_sgx(), Some(seed))
+    }
 
-    #[test]
-    fn v1_snapshot_migrates_to_sharded_store() {
-        // Sealing is platform-bound, so the fixture holds the raw payload;
-        // sealing it here reproduces exactly what a v1-era store wrote.
-        let platform = Platform::new(CostModel::no_sgx());
-        let v1_store = ResultStore::new(&platform, StoreConfig::default()).unwrap();
-        let sealed = seal(
-            &platform,
-            v1_store.enclave(),
-            &SealPolicy::MrEnclave,
-            SNAPSHOT_AAD,
-            V1_PAYLOAD,
-        )
-        .to_bytes();
-        drop(v1_store);
+    fn scratch(label: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("speed-store-persist-{label}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
-        let restored = restore(&platform, StoreConfig::default(), &sealed).unwrap();
-        assert_eq!(restored.stats().entries, 3);
-        // Hit counts survive the migration: tag 3 carried 6 hits.
-        let popular = restored.export_popular(6);
-        assert_eq!(popular.len(), 1);
-        assert_eq!(popular[0].tag, tag(3));
-        assert_eq!(popular[0].hits, 6);
-        // Record bytes intact.
-        match restored.handle(Message::GetRequest { app: AppId(1), tag: tag(2) }) {
-            Message::GetResponse(body) => {
-                assert_eq!(body.record.unwrap().boxed_result, vec![2u8; 40]);
-            }
-            other => panic!("unexpected {other:?}"),
+    fn open(
+        platform: &Arc<Platform>,
+        dir: &Path,
+        config: StoreConfig,
+    ) -> (ResultStore, RecoveryReport) {
+        let backend = Arc::new(LogBackend::new(LogConfig::new(dir)));
+        ResultStore::open(platform, config, backend).unwrap()
+    }
+
+    /// A store directory on `platform` holding entry 1 in its checkpoint
+    /// and entry 2 only in the WAL after it.
+    fn checkpoint_then_put(platform: &Arc<Platform>, label: &str) -> PathBuf {
+        let dir = scratch(label);
+        let (store, _) = open(platform, &dir, StoreConfig::default());
+        put(&store, 1);
+        store.checkpoint().unwrap();
+        put(&store, 2);
+        dir
+    }
+
+    /// Reopens `dir` and asserts its checkpoint was quarantined while the
+    /// WAL still replayed entry 2. Returns why the checkpoint was refused.
+    fn reopen_quarantined(platform: &Arc<Platform>, dir: &Path) -> String {
+        let (store, report) = open(platform, dir, StoreConfig::default());
+        assert!(report.quarantined_checkpoint, "{report:?}");
+        let tags: Vec<CompTag> = store.export_popular(0).iter().map(|e| e.tag).collect();
+        assert_eq!(tags, vec![tag(2)], "only the WAL's entry survives");
+        match report.checkpoint {
+            SnapshotLoad::FreshUnreadable(reason) => reason,
+            other => panic!("checkpoint loaded as {other:?}"),
         }
-    }
-
-    #[test]
-    fn fixture_matches_v1_encoder() {
-        // Guards the fixture against drift: the in-tree v1 encoder still
-        // produces byte-identical output for the documented contents.
-        let entries: Vec<SyncEntry> = (1..=3u8)
-            .map(|n| SyncEntry { tag: tag(n), record: record(n), hits: u64::from(n) * 2 })
-            .collect();
-        assert_eq!(encode_entries(&entries).unwrap(), V1_PAYLOAD);
     }
 
     #[test]
     fn v2_snapshot_restores_across_shard_counts() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let store = populated_store(&platform);
-        let sealed = snapshot(&platform, &store).unwrap();
+        // A checkpointed store reopens under another shard count with every
+        // entry, its record bytes and its hit count: entries re-route by tag.
+        let platform = platform(1);
+        let dir = scratch("shards");
+        let (store, _) = open(&platform, &dir, StoreConfig::default());
+        populate(&store);
+        store.checkpoint().unwrap();
+        let exported = store.export_popular(0);
         drop(store);
-        // Restore into a store with a different shard layout: entries
-        // re-route by tag.
-        let restored =
-            restore(&platform, StoreConfig::default().with_shards(3), &sealed).unwrap();
-        assert_eq!(restored.shard_count(), 3);
-        assert_eq!(restored.stats().entries, 5);
-        let popular = restored.export_popular(3);
-        assert_eq!(popular.len(), 1);
-        assert_eq!(popular[0].tag, tag(1));
+
+        let (reopened, report) =
+            open(&platform, &dir, StoreConfig::default().with_shards(3));
+        assert_eq!(report.checkpoint, SnapshotLoad::Restored);
+        assert_eq!(report.checkpoint_entries, 5);
+        assert_eq!(reopened.shard_count(), 3);
+        assert_eq!(reopened.export_popular(0), exported);
+        assert_eq!(exported[0].hits, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn unknown_snapshot_version_rejected() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let store = ResultStore::new(&platform, StoreConfig::default()).unwrap();
-        let mut payload = Vec::new();
         let mut writer = Writer::new();
         VERSIONED_SENTINEL.encode(&mut writer);
         99u8.encode(&mut writer); // far-future version
-        payload.extend(writer.into_bytes());
-        let sealed = seal(
-            &platform,
-            store.enclave(),
-            &SealPolicy::MrEnclave,
-            SNAPSHOT_AAD,
-            &payload,
-        )
-        .to_bytes();
-        let result = restore(&platform, StoreConfig::default(), &sealed);
-        assert!(matches!(result, Err(StoreError::Protocol(_))));
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let store = populated_store(&platform);
-        let sealed = snapshot(&platform, &store).unwrap();
-        drop(store);
-
-        let restored = restore(&platform, StoreConfig::default(), &sealed).unwrap();
-        assert_eq!(restored.stats().entries, 5);
-        // Data intact.
-        let response =
-            restored.handle(Message::GetRequest { app: AppId(2), tag: tag(3) });
-        match response {
-            Message::GetResponse(body) => {
-                assert_eq!(body.record.unwrap().boxed_result, vec![3u8; 40]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Popularity preserved: entry 1 still syncs as popular.
-        let popular = restored.export_popular(3);
-        assert_eq!(popular.len(), 1);
-        assert_eq!(popular[0].tag, tag(1));
+        assert_eq!(decode_payload(&writer.into_bytes()), Err(WireError::InvalidTag(99)));
     }
 
     #[test]
     fn tampered_snapshot_rejected() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let store = populated_store(&platform);
-        let mut sealed = snapshot(&platform, &store).unwrap();
-        let mid = sealed.len() / 2;
-        sealed[mid] ^= 0xFF;
-        assert!(restore(&platform, StoreConfig::default(), &sealed).is_err());
+        // A flipped byte under a recomputed checksum passes the torn-write
+        // check (header: 8 magic, 8 sequence, 4 CRC bytes), so unsealing
+        // must refuse it.
+        let platform = platform(1);
+        let dir = checkpoint_then_put(&platform, "tampered");
+        let path = dir.join(CHECKPOINT_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = 20 + (bytes.len() - 20) / 2;
+        bytes[mid] ^= 0xFF;
+        let crc = crate::wal::crc32(&bytes[20..]);
+        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(reopen_quarantined(&platform, &dir).contains("unseal"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn snapshot_bound_to_platform() {
-        let platform_a = Platform::new(CostModel::no_sgx());
-        let platform_b = Platform::new(CostModel::no_sgx());
-        let store = populated_store(&platform_a);
-        let sealed = snapshot(&platform_a, &store).unwrap();
-        assert!(restore(&platform_b, StoreConfig::default(), &sealed).is_err());
+        // A checkpoint sealed on another machine is quarantined, and the
+        // WAL this machine wrote still replays.
+        let here = platform(1);
+        let dir = checkpoint_then_put(&here, "platform-here");
+        let foreign = checkpoint_then_put(&platform(2), "platform-foreign");
+        std::fs::copy(foreign.join(CHECKPOINT_FILE), dir.join(CHECKPOINT_FILE)).unwrap();
+        assert!(reopen_quarantined(&here, &dir).contains("unseal"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&foreign);
     }
 
     #[test]
     fn empty_store_snapshots_fine() {
-        let platform = Platform::new(CostModel::no_sgx());
-        let store = ResultStore::new(&platform, StoreConfig::default()).unwrap();
-        let sealed = snapshot(&platform, &store).unwrap();
-        let restored = restore(&platform, StoreConfig::default(), &sealed).unwrap();
-        assert_eq!(restored.stats().entries, 0);
-    }
-
-    #[test]
-    fn results_recoverable_after_restore() {
-        // Full-stack check: an RCE-protected record still decrypts after a
-        // seal/restore cycle (the record bytes must be bit-identical).
-        let platform = Platform::new(CostModel::no_sgx());
-        let store = populated_store(&platform);
-        let original =
-            match store.handle(Message::GetRequest { app: AppId(1), tag: tag(2) }) {
-                Message::GetResponse(body) => body.record.unwrap(),
-                other => panic!("unexpected {other:?}"),
-            };
-        let sealed = snapshot(&platform, &store).unwrap();
-        let restored = restore(&platform, StoreConfig::default(), &sealed).unwrap();
-        let recovered =
-            match restored.handle(Message::GetRequest { app: AppId(9), tag: tag(2) }) {
-                Message::GetResponse(body) => body.record.unwrap(),
-                other => panic!("unexpected {other:?}"),
-            };
-        assert_eq!(original, recovered);
+        let platform = platform(1);
+        let dir = scratch("empty");
+        let (store, _) = open(&platform, &dir, StoreConfig::default());
+        store.checkpoint().unwrap();
+        drop(store);
+        let (reopened, report) = open(&platform, &dir, StoreConfig::default());
+        assert_eq!(report.checkpoint, SnapshotLoad::Restored);
+        assert_eq!(reopened.stats().entries, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_snapshot_never_loads_at_any_truncation_point() {
-        // Simulates a crash mid-write: every strict prefix of a valid
-        // snapshot must fail to restore — never panic, never import a
-        // partial store.
-        let platform = Platform::new(CostModel::no_sgx());
-        let store = populated_store(&platform);
-        let full = snapshot(&platform, &store).unwrap();
-        drop(store);
+        // A crash mid-write: every strict prefix of a checkpoint is
+        // quarantined — never a panic, never a partial import.
+        let platform = platform(1);
+        let dir = checkpoint_then_put(&platform, "torn");
+        let path = dir.join(CHECKPOINT_FILE);
+        let full = std::fs::read(&path).unwrap();
         // Cover the header, the sealed-container boundary, and a spread of
         // interior points.
-        let mut cuts: Vec<usize> = (0..16.min(full.len())).collect();
-        cuts.extend((16..full.len()).step_by(37));
+        let mut cuts: Vec<usize> = (0..24).collect();
+        cuts.extend((24..full.len()).step_by(37));
         for cut in cuts {
-            assert!(
-                restore(&platform, StoreConfig::default(), &full[..cut]).is_err(),
-                "prefix of {cut} bytes unexpectedly loaded"
-            );
+            std::fs::write(&path, &full[..cut]).unwrap();
+            reopen_quarantined(&platform, &dir);
         }
-    }
-
-    /// A [`Vfs`] that records the order of durability-relevant operations.
-    #[derive(Debug, Default)]
-    struct RecordingVfs {
-        ops: std::sync::Mutex<Vec<String>>,
-    }
-
-    impl RecordingVfs {
-        fn log(&self, op: String) {
-            self.ops.lock().unwrap().push(op);
-        }
-    }
-
-    impl Vfs for RecordingVfs {
-        fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
-            std::fs::read(path)
-        }
-        fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-            self.log(format!("write {}", path.display()));
-            std::fs::write(path, bytes)
-        }
-        fn append(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-            crate::vfs::StdVfs.append(path, bytes)
-        }
-        fn truncate(&self, path: &std::path::Path, len: u64) -> std::io::Result<()> {
-            crate::vfs::StdVfs.truncate(path, len)
-        }
-        fn fsync(&self, path: &std::path::Path) -> std::io::Result<()> {
-            self.log(format!("fsync {}", path.display()));
-            crate::vfs::StdVfs.fsync(path)
-        }
-        fn fsync_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
-            self.log(format!("fsync_dir {}", dir.display()));
-            crate::vfs::StdVfs.fsync_dir(dir)
-        }
-        fn rename(
-            &self,
-            from: &std::path::Path,
-            to: &std::path::Path,
-        ) -> std::io::Result<()> {
-            self.log(format!("rename {}", to.display()));
-            std::fs::rename(from, to)
-        }
-        fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-            std::fs::remove_file(path)
-        }
-        fn create_dir_all(&self, dir: &std::path::Path) -> std::io::Result<()> {
-            std::fs::create_dir_all(dir)
-        }
-        fn list_dir(
-            &self,
-            dir: &std::path::Path,
-        ) -> std::io::Result<Vec<std::path::PathBuf>> {
-            crate::vfs::StdVfs.list_dir(dir)
-        }
-        fn file_len(&self, path: &std::path::Path) -> std::io::Result<u64> {
-            crate::vfs::StdVfs.file_len(path)
-        }
-        fn exists(&self, path: &std::path::Path) -> bool {
-            path.exists()
-        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -459,20 +274,18 @@ mod tests {
         // disk. Without the directory fsync a power cut after the
         // checkpoint returned can roll the rename back, losing a write the
         // caller was told succeeded (and the segments it let go).
-        let platform = Platform::new(CostModel::no_sgx());
+        let platform = platform(1);
         let enclave = platform.create_enclave(b"dirsync").unwrap();
-        let dir = std::env::temp_dir()
-            .join(format!("speed-store-persist-dirsync-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let vfs = std::sync::Arc::new(RecordingVfs::default());
-        let backend =
-            crate::LogBackend::with_vfs(vfs.clone(), crate::LogConfig::new(&dir));
+        let dir = scratch("dirsync");
+        let vfs = Arc::new(TestVfs::default());
+        let backend = LogBackend::with_vfs(vfs.clone(), LogConfig::new(&dir));
         backend.open(&platform, &enclave).unwrap();
-        let store = populated_store(&platform);
+        let store = ResultStore::new(&platform, StoreConfig::default()).unwrap();
+        populate(&store);
         vfs.ops.lock().unwrap().clear();
         backend.checkpoint(&|| store.export_shards()).unwrap();
         let ops = vfs.ops.lock().unwrap().clone();
-        let checkpoint = dir.join(crate::segment::CHECKPOINT_FILE);
+        let checkpoint = dir.join(CHECKPOINT_FILE);
         let tmp = crate::segment::tmp_sibling(&checkpoint);
         assert_eq!(
             ops[..4],

@@ -586,8 +586,8 @@ impl ResultStore {
     /// enclave (the caller decoded the message), then the request is
     /// delegated to an ECALL that marshals data across the boundary and
     /// touches the in-enclave dictionary shard the tag routes to. Every
-    /// data-plane message is served by [`handle_batch`](Self::handle_batch):
-    /// a standalone GET or PUT is a batch of one, at the same boundary
+    /// data-plane message is served by one batch ECALL: a standalone GET
+    /// or PUT is a batch of one, at the same boundary
     /// charge (32 B in and 128 B out per GET, the entry metadata in and one
     /// byte out per PUT).
     pub fn handle(&self, message: Message) -> Message {
@@ -627,25 +627,6 @@ impl ResultStore {
                 })
             }
             Message::RingRequest => Message::RingResponse(self.topology()),
-            Message::SyncPull { min_hits } => {
-                Message::SyncBatch(self.export_popular(min_hits))
-            }
-            Message::SyncBatch(entries) => {
-                let items = entries
-                    .into_iter()
-                    .map(|entry| BatchItem::Put { tag: entry.tag, record: entry.record })
-                    .collect();
-                let accepted = self
-                    .handle_batch(AppId(u64::MAX), items)
-                    .iter()
-                    .filter(|result| result.status == BatchStatus::Accepted)
-                    .count();
-                self.maintain();
-                Message::PutResponse(PutResponseBody {
-                    accepted: true,
-                    reason: Some(format!("merged {accepted} entries")),
-                })
-            }
             other => Message::Error(format!("unexpected message: {other:?}")),
         }
     }
@@ -664,7 +645,7 @@ impl ResultStore {
         let writes = items.iter().any(|item| {
             matches!(item, BatchItem::Put { .. } | BatchItem::PutPrefiltered { .. })
         });
-        let response = reply(self.handle_batch(app, items));
+        let response = reply(self.handle_batch(Some(app), items));
         if writes {
             self.maintain();
         }
@@ -692,9 +673,12 @@ impl ResultStore {
     /// the batch). Results are returned in request order. A quota denial or
     /// enclave memory failure rejects only the affected item, never the
     /// batch.
-    pub fn handle_batch(
+    ///
+    /// PUTs are charged to `owner`'s quota. Imported entries have no owner
+    /// (`None`): each already passed its owner's quota at its first PUT.
+    fn handle_batch(
         &self,
-        app: AppId,
+        owner: Option<AppId>,
         items: Vec<BatchItem>,
     ) -> Vec<BatchItemResult> {
         if items.is_empty() {
@@ -765,8 +749,9 @@ impl ResultStore {
                         continue;
                     }
                     let boxed_len = record.boxed_result.len() as u64;
-                    let decision = self.quota.check_put(app, boxed_len, now_ms);
-                    if let QuotaDecision::Deny(reason) = decision {
+                    let decision =
+                        owner.map(|app| self.quota.check_put(app, boxed_len, now_ms));
+                    if let Some(QuotaDecision::Deny(reason)) = decision {
                         plans.push(BatchPlan::Denied { reason });
                         continue;
                     }
@@ -828,7 +813,7 @@ impl ResultStore {
                         let mut dict = shard.dict_write();
                         for &index in indices {
                             outcomes[index] = Some(self.settle_item(
-                                app,
+                                owner,
                                 &plans[index],
                                 shard,
                                 &mut dict,
@@ -868,7 +853,7 @@ impl ResultStore {
                 BatchOutcome::GetMiss => results.push(BatchItemResult::not_found()),
                 BatchOutcome::GetExpired(entry) => {
                     self.untrusted.remove(entry.blob);
-                    self.quota.release(entry.owner, u64::from(entry.boxed_len));
+                    self.release_quota(entry.owner, u64::from(entry.boxed_len));
                     if let Some(tag) = plan.tag() {
                         self.release_entry_memory(self.shard(tag), &entry);
                         // Best-effort: a lost expiry record only resurrects
@@ -935,7 +920,7 @@ impl ResultStore {
                         };
                         if let Err(e) = logged {
                             results.push(
-                                self.rollback_batch_put(app, &tag, blob, boxed_len, e),
+                                self.rollback_batch_put(owner, &tag, blob, boxed_len, e),
                             );
                             continue;
                         }
@@ -948,7 +933,7 @@ impl ResultStore {
                     // First writer won: free the new blob and refund quota.
                     self.untrusted.remove(orphan);
                     if let BatchPlan::Put { boxed_len, .. } = plan {
-                        self.quota.release(app, boxed_len);
+                        self.release_quota(owner, boxed_len);
                     }
                     if durable {
                         // A deduplicated PUT is one more reference to the
@@ -971,7 +956,7 @@ impl ResultStore {
                 BatchOutcome::PutFailed(reason) => {
                     if let BatchPlan::Put { blob, boxed_len, .. } = plan {
                         self.untrusted.remove(blob);
-                        self.quota.release(app, boxed_len);
+                        self.release_quota(owner, boxed_len);
                     }
                     results.push(self.reject(reason));
                 }
@@ -1002,7 +987,7 @@ impl ResultStore {
             if let Err(e) = self.backend.flush() {
                 for (index, tag, blob, boxed_len, _) in inserted.drain(..) {
                     results[index] =
-                        self.rollback_batch_put(app, &tag, blob, boxed_len, e.clone());
+                        self.rollback_batch_put(owner, &tag, blob, boxed_len, e.clone());
                 }
                 for index in referenced {
                     results[index] = self.reject(e.to_string());
@@ -1023,6 +1008,13 @@ impl ResultStore {
         results
     }
 
+    /// Returns `bytes` of quota to `owner`; imported entries charged none.
+    fn release_quota(&self, owner: Option<AppId>, bytes: u64) {
+        if let Some(app) = owner {
+            self.quota.release(app, bytes);
+        }
+    }
+
     /// Counts one rejected PUT and returns its batch result.
     fn reject(&self, reason: impl Into<String>) -> BatchItemResult {
         self.telemetry.rejected_puts.inc();
@@ -1034,7 +1026,7 @@ impl ResultStore {
     /// rejects it: an acknowledged PUT must survive a crash.
     fn rollback_batch_put(
         &self,
-        app: AppId,
+        owner: Option<AppId>,
         tag: &CompTag,
         blob: BlobId,
         boxed_len: u64,
@@ -1048,14 +1040,14 @@ impl ResultStore {
             }
         });
         self.untrusted.remove(blob);
-        self.quota.release(app, boxed_len);
+        self.release_quota(owner, boxed_len);
         self.reject(error.to_string())
     }
 
     /// Settles one batch item against its (write-locked) shard dictionary.
     fn settle_item(
         &self,
-        app: AppId,
+        owner: Option<AppId>,
         plan: &BatchPlan,
         shard: &Shard,
         dict: &mut MetadataDict,
@@ -1107,7 +1099,7 @@ impl ResultStore {
                     *nonce,
                     *blob,
                     *boxed_len as u32,
-                    app,
+                    owner,
                     *now_ms,
                     *prefilter,
                 );
@@ -1158,7 +1150,7 @@ impl ResultStore {
                     shard.evictions.inc();
                     self.telemetry.evictions.inc();
                     self.untrusted.remove(entry.blob);
-                    self.quota.release(entry.owner, u64::from(entry.boxed_len));
+                    self.release_quota(entry.owner, u64::from(entry.boxed_len));
                     self.release_entry_memory(shard, &entry);
                     // Best-effort: a lost eviction record resurrects an
                     // evicted entry on restart, which capacity enforcement
@@ -1216,9 +1208,9 @@ impl ResultStore {
 
     /// Rebuilds every shard's negative filter from the dictionary index:
     /// entries with known prefilter tags are re-inserted; any entry without
-    /// one leaves its shard's filter incomplete. Called after snapshot/WAL
-    /// recovery (recovered entries never carry prefilter tags, but emptied
-    /// shards regain their vacuously complete absence proofs).
+    /// one leaves its shard's filter incomplete. Called after recovery on
+    /// [`open`](Self::open) (recovered entries never carry prefilter tags,
+    /// but emptied shards regain their vacuously complete absence proofs).
     pub fn rebuild_filters(&self) {
         for shard in self.shards.iter() {
             let mut filter = lock_recover(&shard.filter);
@@ -1235,17 +1227,19 @@ impl ResultStore {
         self.filter_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Imports entries wholesale (snapshot restore), preserving hit counts.
-    /// Entries route to shards by tag, so snapshots restore correctly into
-    /// a store with any shard count. Returns how many entries were
-    /// imported.
+    /// Imports entries wholesale, preserving hit counts: recovery on
+    /// [`open`](Self::open) and master-store sync ([`crate::sync`]) both
+    /// land here. Imports charge no application's quota, but capacity
+    /// eviction still applies. Entries route to shards by tag, so they
+    /// import correctly into a store with any shard count. Returns how many
+    /// entries were accepted (a tag the store already held counts).
     pub fn import_entries(&self, entries: Vec<SyncEntry>) -> usize {
         let mut imported = 0usize;
         for entry in entries {
             let hits = entry.hits;
             let tag = entry.tag;
             let item = BatchItem::Put { tag, record: entry.record };
-            let results = self.handle_batch(AppId(u64::MAX), vec![item]);
+            let results = self.handle_batch(None, vec![item]);
             if results.iter().all(|result| result.status == BatchStatus::Accepted) {
                 self.enclave.ecall("store_restore_hits", || {
                     self.shard(&tag).dict_read().restore_hits(&tag, hits);
@@ -1253,6 +1247,7 @@ impl ResultStore {
                 imported += 1;
             }
         }
+        self.maintain();
         imported
     }
 
@@ -1286,7 +1281,7 @@ impl ResultStore {
             .collect()
     }
 
-    /// Exports every entry grouped by owning shard (snapshot sections).
+    /// Exports every entry grouped by owning shard (checkpoint sections).
     /// Entries whose ciphertext blob vanished from untrusted memory are
     /// skipped, matching [`export_popular`](Self::export_popular).
     pub fn export_shards(&self) -> Vec<Vec<SyncEntry>> {
@@ -1715,15 +1710,10 @@ mod tests {
         for _ in 0..3 {
             store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
         }
-        let response = store.handle(Message::SyncPull { min_hits: 2 });
-        match response {
-            Message::SyncBatch(entries) => {
-                assert_eq!(entries.len(), 1);
-                assert_eq!(entries[0].tag, tag(1));
-                assert!(entries[0].hits >= 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let entries = store.export_popular(2);
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].tag, tag(1));
+        assert!(entries[0].hits >= 2);
     }
 
     #[test]
@@ -1768,23 +1758,6 @@ mod tests {
                 assert_eq!(store.shard_for_tag(&entry.tag), shard_index);
             }
         }
-    }
-
-    #[test]
-    fn sync_batch_merges_entries() {
-        let (_p, source) = store();
-        let (_p2, target) = store();
-        source.handle(Message::PutRequest {
-            app: AppId(1),
-            tag: tag(1),
-            record: record(10, 1),
-        });
-        source.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
-        let batch = source.export_popular(1);
-        assert_eq!(batch.len(), 1);
-        target.handle(Message::SyncBatch(batch));
-        let hit = target.handle(Message::GetRequest { app: AppId(9), tag: tag(1) });
-        assert!(matches!(hit, Message::GetResponse(b) if b.found));
     }
 
     #[test]
@@ -1876,6 +1849,33 @@ mod tests {
         let popular = store.export_popular(7);
         assert_eq!(popular.len(), 1);
         assert_eq!(popular[0].hits, 7);
+    }
+
+    #[test]
+    fn sync_batch_merges_entries() {
+        // A sync batch merges whole, past any per-app quota: two apps hold 3
+        // entries each under a 4-entry quota, and the import charges no app,
+        // so all 6 reach the target with their hit counts.
+        let platform = Platform::new(CostModel::default_sgx());
+        let config = || StoreConfig {
+            quota: QuotaPolicy { max_entries_per_app: 4, ..QuotaPolicy::default() },
+            ..StoreConfig::default()
+        };
+        let source = ResultStore::new(&platform, config()).unwrap();
+        let target = ResultStore::new(&platform, config()).unwrap();
+        for n in 1..=6u8 {
+            let app = AppId(u64::from(n % 2));
+            let put = source.handle(Message::PutRequest {
+                app,
+                tag: tag(n),
+                record: record(8, n),
+            });
+            assert!(matches!(put, Message::PutResponse(b) if b.accepted));
+        }
+        source.handle(Message::GetRequest { app: AppId(1), tag: tag(3) });
+        assert_eq!(crate::sync::sync_once(&source, &target, 0), 6);
+        assert_eq!(target.stats().entries, 6, "sync dropped entries past a quota");
+        assert_eq!(target.export_popular(0), source.export_popular(0));
     }
 
     #[test]
@@ -2219,7 +2219,7 @@ mod tests {
         assert!(!store.filter_snapshot().shards[shard].is_complete());
         // Batch puts through the prefiltered item keep other shards exact.
         let results = store.handle_batch(
-            AppId(1),
+            Some(AppId(1)),
             vec![BatchItem::PutPrefiltered {
                 tag: tag(4),
                 prefilter: 44,

@@ -5,29 +5,27 @@
 //! results from different machines. […] the tags of underlying computations
 //! are deterministic and only one version of result ciphertext […] needs to
 //! be stored."
+//!
+//! Sync runs in-process, between [`ResultStore`] handles: it has no wire
+//! message. The source's [`ResultStore::export_popular`] feeds the
+//! target's [`ResultStore::import_entries`], which keeps each entry's hit
+//! count and charges no application's quota.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use speed_wire::Message;
-
 use crate::store::ResultStore;
 
 /// Pulls entries with at least `min_hits` hits from `source` and merges
-/// them into `target`. Returns how many entries the batch carried.
+/// them into `target`. Returns how many entries the target accepted.
 ///
 /// Duplicate tags are harmless: the target keeps its first version, and
 /// eligible applications can decrypt either copy because both were produced
 /// from the same `(func, m)`.
 pub fn sync_once(source: &ResultStore, target: &ResultStore, min_hits: u64) -> usize {
-    let batch = source.export_popular(min_hits);
-    let count = batch.len();
-    if count > 0 {
-        target.handle(Message::SyncBatch(batch));
-    }
-    count
+    target.import_entries(source.export_popular(min_hits))
 }
 
 /// A background daemon that periodically syncs several machine-local
@@ -99,7 +97,7 @@ mod tests {
     use super::*;
     use crate::store::StoreConfig;
     use speed_enclave::{CostModel, Platform};
-    use speed_wire::{AppId, CompTag, Record};
+    use speed_wire::{AppId, CompTag, Message, Record};
 
     fn new_store() -> Arc<ResultStore> {
         let platform = Platform::new(CostModel::no_sgx());

@@ -1,13 +1,12 @@
 //! A minimal virtual filesystem seam for the store's durability paths.
 //!
-//! Every byte the store persists — sealed snapshots, checkpoint files, and
-//! write-ahead-log segments — flows through the [`Vfs`] trait instead of
-//! calling `std::fs` directly. Production code uses [`StdVfs`] (a thin
-//! pass-through); the crash harness in `speed-testkit` substitutes a
-//! fault-injecting implementation that fails `fsync`/`rename`/appends at
-//! chosen points and simulates a full disk, so every recovery path in
-//! [`crate::persist`] and [`crate::LogBackend`] is exercised under
-//! deterministic filesystem failure.
+//! Every byte the store persists — checkpoint files and write-ahead-log
+//! segments — flows through the [`Vfs`] trait instead of calling `std::fs`
+//! directly. Production code uses [`StdVfs`] (a thin pass-through); the
+//! crash harness in `speed-testkit` substitutes a fault-injecting
+//! implementation that fails `fsync`/`rename`/appends at chosen points and
+//! simulates a full disk, so every recovery path in [`crate::LogBackend`]
+//! is exercised under deterministic filesystem failure.
 //!
 //! The API is path-based (no open handles): each call opens, acts, and
 //! closes. That keeps fault injection exact — an injected failure maps to
@@ -176,6 +175,70 @@ impl Vfs for StdVfs {
 
     fn exists(&self, path: &Path) -> bool {
         path.exists()
+    }
+}
+
+/// The unit tests' [`Vfs`]: [`StdVfs`] that logs each durability step
+/// (`write`, `fsync`, `rename` target, `fsync_dir`) and fails `fsync` while
+/// `fail_fsync` is raised.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct TestVfs {
+    pub(crate) ops: std::sync::Mutex<Vec<String>>,
+    pub(crate) fail_fsync: std::sync::atomic::AtomicBool,
+}
+
+#[cfg(test)]
+impl TestVfs {
+    fn log(&self, op: &str, path: &Path) {
+        self.ops.lock().unwrap().push(format!("{op} {}", path.display()));
+    }
+}
+
+#[cfg(test)]
+impl Vfs for TestVfs {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        StdVfs.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.log("write", path);
+        StdVfs.write(path, bytes)
+    }
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        StdVfs.append(path, bytes)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        StdVfs.truncate(path, len)
+    }
+    fn fsync(&self, path: &Path) -> io::Result<()> {
+        self.log("fsync", path);
+        if self.fail_fsync.load(std::sync::atomic::Ordering::Relaxed) {
+            return Err(io::Error::other("injected fsync failure"));
+        }
+        StdVfs.fsync(path)
+    }
+    fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.log("fsync_dir", dir);
+        StdVfs.fsync_dir(dir)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.log("rename", to);
+        StdVfs.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        StdVfs.remove_file(path)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        StdVfs.create_dir_all(dir)
+    }
+    fn list_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        StdVfs.list_dir(dir)
+    }
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        StdVfs.file_len(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        StdVfs.exists(path)
     }
 }
 

@@ -25,8 +25,8 @@ use speed_wire::{CompTag, Reader, SyncEntry, WireDecode, WireEncode, Writer};
 
 use crate::StoreError;
 
-/// Sealing AAD for WAL records. Versioned independently of the snapshot
-/// AAD so a WAL record can never be replayed as a snapshot or vice versa.
+/// Sealing AAD for WAL records. Versioned independently of the checkpoint
+/// AAD so a WAL record can never be replayed as a checkpoint or vice versa.
 pub const WAL_AAD: &[u8] = b"speed-store-wal-v1";
 
 /// Upper bound on one sealed record. A length prefix above this is treated

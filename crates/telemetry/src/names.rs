@@ -211,7 +211,7 @@ pub const STORE_COMPACTION_RECLAIMED_BYTES_TOTAL: &str =
     "store_compaction_reclaimed_bytes_total";
 /// Histogram (ns): one backend open/recovery pass (checkpoint + replay).
 pub const STORE_RECOVERY_DURATION_NS: &str = "store_recovery_duration_ns";
-/// Counter: corrupt snapshots/checkpoints quarantined to `*.corrupt`.
+/// Counter: corrupt checkpoints quarantined to `*.corrupt`.
 pub const STORE_SNAPSHOT_QUARANTINED_TOTAL: &str = "store_snapshot_quarantined_total";
 /// Gauge: 1 while the store is degraded to read-only after a durability
 /// failure (failed append/fsync, disk full), 0 otherwise.

@@ -8,7 +8,7 @@
 use speed_wire::{
     AppId, BatchItem, BatchItemResult, CompTag, FilterBody, GetResponseBody, Message,
     MetricsFormat, NegativeFilter, PutResponseBody, Record, RingBody, RingNodeBody,
-    ShardStatsBody, StatsBody, SyncEntry, COMP_TAG_LEN,
+    ShardStatsBody, StatsBody, COMP_TAG_LEN,
 };
 
 use crate::rng::TestRng;
@@ -140,18 +140,9 @@ pub fn ring_body(rng: &mut TestRng) -> RingBody {
     }
 }
 
-/// A random master-store sync entry.
-pub fn sync_entry(rng: &mut TestRng, max_record_len: usize) -> SyncEntry {
-    SyncEntry {
-        tag: comp_tag(rng),
-        record: record(rng, max_record_len),
-        hits: rng.range_u64(0, 1 << 32),
-    }
-}
-
 /// Number of distinct [`Message`] shapes [`message`] can produce (used by
 /// coverage assertions).
-pub const MESSAGE_SHAPES: u64 = 20;
+pub const MESSAGE_SHAPES: u64 = 18;
 
 /// A random protocol message covering every variant, including both
 /// found/not-found GET responses and both metrics formats. `max_record_len`
@@ -176,44 +167,37 @@ pub fn message(rng: &mut TestRng, max_record_len: usize) -> Message {
         }),
         6 => Message::StatsRequest,
         7 => Message::StatsResponse(stats_body(rng)),
-        8 => Message::SyncPull { min_hits: rng.next_u64() },
+        8 => Message::Error(rng.ascii(64)),
         9 => {
-            let count = rng.range_usize(0, 4);
-            Message::SyncBatch(
-                (0..count).map(|_| sync_entry(rng, max_record_len)).collect(),
-            )
-        }
-        10 => Message::Error(rng.ascii(64)),
-        11 => {
             let count = rng.range_usize(0, 6);
             Message::BatchRequest {
                 app: app_id(rng),
                 items: (0..count).map(|_| batch_item(rng, max_record_len)).collect(),
             }
         }
-        12 => {
+        10 => {
             let count = rng.range_usize(0, 6);
             Message::BatchResponse(
                 (0..count).map(|_| batch_item_result(rng, max_record_len)).collect(),
             )
         }
-        13 => Message::MetricsRequest {
+        11 => Message::MetricsRequest {
             format: if rng.chance(0.5) {
                 MetricsFormat::Prometheus
             } else {
                 MetricsFormat::Jsonl
             },
         },
-        14 => Message::MetricsResponse(rng.ascii(128)),
-        15 => Message::FilterRequest,
-        16 => Message::FilterResponse(filter_body(rng)),
-        17 => Message::PutPrefiltered {
+        12 => Message::MetricsResponse(rng.ascii(128)),
+        13 => Message::FilterRequest,
+        14 => Message::FilterResponse(filter_body(rng)),
+        15 => Message::PutPrefiltered {
             app: app_id(rng),
             tag: comp_tag(rng),
             prefilter: rng.next_u64(),
             record: record(rng, max_record_len),
         },
-        18 => Message::RingRequest,
+        16 => Message::RingRequest,
         _ => Message::RingResponse(ring_body(rng)),
     }
 }
@@ -236,19 +220,17 @@ mod tests {
                 Message::PutResponse(_) => 5,
                 Message::StatsRequest => 6,
                 Message::StatsResponse(_) => 7,
-                Message::SyncPull { .. } => 8,
-                Message::SyncBatch(_) => 9,
-                Message::Error(_) => 10,
-                Message::BatchRequest { .. } => 11,
-                Message::BatchResponse(_) => 12,
-                Message::MetricsRequest { .. } => 13,
-                Message::MetricsResponse(_) => 14,
-                Message::FilterRequest => 15,
-                Message::FilterResponse(_) => 16,
-                Message::PutPrefiltered { .. } => 17,
-                Message::RingRequest => 18,
-                Message::RingResponse(_) => 19,
-                _ => 20,
+                Message::Error(_) => 8,
+                Message::BatchRequest { .. } => 9,
+                Message::BatchResponse(_) => 10,
+                Message::MetricsRequest { .. } => 11,
+                Message::MetricsResponse(_) => 12,
+                Message::FilterRequest => 13,
+                Message::FilterResponse(_) => 14,
+                Message::PutPrefiltered { .. } => 15,
+                Message::RingRequest => 16,
+                Message::RingResponse(_) => 17,
+                _ => 18,
             };
             discriminants.insert(shape);
         }

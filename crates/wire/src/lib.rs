@@ -11,8 +11,8 @@
 //!   every protocol type; application developers implement them to make
 //!   custom inputs/outputs deduplicable.
 //! - [`Message`] — the protocol envelope: `GET_REQUEST`, `GET_RESPONSE`,
-//!   `PUT_REQUEST`, `PUT_RESPONSE` (§IV-B), plus stats and master-store
-//!   synchronization messages.
+//!   `PUT_REQUEST`, `PUT_RESPONSE` (§IV-B), plus batch, stats, metrics,
+//!   filter and ring messages.
 //! - [`frame`] — length-prefixed framing for stream transports.
 //! - [`SecureChannel`] — the attested, AES-GCM-protected channel over which
 //!   tags and records travel ("the tag is sent to the encrypted ResultStore

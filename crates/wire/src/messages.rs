@@ -211,7 +211,8 @@ impl WireDecode for MetricsFormat {
     }
 }
 
-/// One entry in a master-store synchronization batch (§IV-B Remark).
+/// One exported store entry: the unit of a checkpoint, a WAL PUT record,
+/// and master-store sync (§IV-B Remark).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SyncEntry {
     /// The computation tag.
@@ -530,13 +531,6 @@ pub enum Message {
     StatsRequest,
     /// Response to [`Message::StatsRequest`].
     StatsResponse(StatsBody),
-    /// Master-store sync: request entries with at least `min_hits`.
-    SyncPull {
-        /// Popularity threshold.
-        min_hits: u64,
-    },
-    /// Master-store sync: a batch of entries.
-    SyncBatch(Vec<SyncEntry>),
     /// Protocol-level error (unknown message, malformed body).
     Error(String),
     /// N GET/PUT operations served in one roundtrip and one enclave entry.
@@ -585,8 +579,8 @@ const TAG_PUT_REQUEST: u8 = 3;
 const TAG_PUT_RESPONSE: u8 = 4;
 const TAG_STATS_REQUEST: u8 = 5;
 const TAG_STATS_RESPONSE: u8 = 6;
-const TAG_SYNC_PULL: u8 = 7;
-const TAG_SYNC_BATCH: u8 = 8;
+// Tags 7 and 8 carried the retired master-sync messages; they decode as
+// `InvalidTag` and must not be reused.
 const TAG_ERROR: u8 = 9;
 const TAG_BATCH_REQUEST: u8 = 10;
 const TAG_BATCH_RESPONSE: u8 = 11;
@@ -652,14 +646,6 @@ impl WireEncode for Message {
                 body.stored_bytes.encode(writer);
                 body.evictions.encode(writer);
                 encode_seq(&body.shards, writer);
-            }
-            Message::SyncPull { min_hits } => {
-                TAG_SYNC_PULL.encode(writer);
-                min_hits.encode(writer);
-            }
-            Message::SyncBatch(entries) => {
-                TAG_SYNC_BATCH.encode(writer);
-                encode_seq(entries, writer);
             }
             Message::Error(msg) => {
                 TAG_ERROR.encode(writer);
@@ -735,8 +721,6 @@ impl WireDecode for Message {
                 evictions: u64::decode(reader)?,
                 shards: decode_seq(reader)?,
             })),
-            TAG_SYNC_PULL => Ok(Message::SyncPull { min_hits: u64::decode(reader)? }),
-            TAG_SYNC_BATCH => Ok(Message::SyncBatch(decode_seq(reader)?)),
             TAG_ERROR => Ok(Message::Error(String::decode(reader)?)),
             TAG_BATCH_REQUEST => Ok(Message::BatchRequest {
                 app: AppId::decode(reader)?,
@@ -817,12 +801,6 @@ mod tests {
                     ShardStatsBody::default(),
                 ],
             }),
-            Message::SyncPull { min_hits: 10 },
-            Message::SyncBatch(vec![SyncEntry {
-                tag: CompTag::from_bytes([5; 32]),
-                record: sample_record(),
-                hits: 3,
-            }]),
             Message::Error("boom".into()),
             Message::BatchRequest {
                 app: AppId(3),
@@ -881,7 +859,10 @@ mod tests {
 
     #[test]
     fn unknown_discriminant_fails() {
-        assert_eq!(from_bytes::<Message>(&[200]), Err(WireError::InvalidTag(200)));
+        // 7 and 8 are the retired master-sync tags.
+        for tag in [7, 8, 200] {
+            assert_eq!(from_bytes::<Message>(&[tag]), Err(WireError::InvalidTag(tag)));
+        }
     }
 
     #[test]

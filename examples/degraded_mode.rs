@@ -2,8 +2,8 @@
 //!
 //! Starts a TCP `StoreServer`, runs a deduplicated workload against it,
 //! kills the server mid-run (computations keep succeeding locally, PUTs
-//! queue for replay), then restarts it from a sealed snapshot and watches
-//! the replay queue drain and the hits come back.
+//! queue for replay), then reopens it from its `LogBackend` directory and
+//! watches the replay queue drain and the hits come back.
 //!
 //! ```text
 //! cargo run --release --example degraded_mode
@@ -18,13 +18,21 @@ use speed_core::{
 };
 use speed_enclave::{CostModel, Platform};
 use speed_store::server::StoreServer;
-use speed_store::{persist, ResultStore, StoreConfig};
+use speed_store::{LogBackend, LogConfig, ResultStore, StoreConfig};
 use speed_wire::SessionAuthority;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let platform = Platform::new(CostModel::default_sgx());
     let authority = Arc::new(SessionAuthority::with_seed(42));
-    let store = Arc::new(ResultStore::new(&platform, StoreConfig::default())?);
+    let dir = std::env::temp_dir().join(format!("speed-degraded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The store persists every acknowledged PUT to a write-ahead log in
+    // `dir`, so a restart reopens it with nothing lost.
+    let open = || -> Result<Arc<ResultStore>, Box<dyn std::error::Error>> {
+        let backend = Arc::new(LogBackend::new(LogConfig::new(&dir)));
+        Ok(Arc::new(ResultStore::open(&platform, StoreConfig::default(), backend)?.0))
+    };
+    let store = open()?;
 
     let server = StoreServer::spawn(
         Arc::clone(&store),
@@ -84,8 +92,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n--- killing the store mid-workload ---");
-    let sealed = persist::snapshot(&platform, &store)?;
     server.shutdown();
+    drop(store);
     for x in [5u64, 6, 7] {
         let (result, outcome) =
             runtime.execute_raw(&identity, &x.to_le_bytes(), square)?;
@@ -101,9 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         runtime.pending_replays()
     );
 
-    println!("\n--- restarting the store from its sealed snapshot ---");
-    let restored =
-        Arc::new(persist::restore(&platform, StoreConfig::default(), &sealed)?);
+    println!("\n--- reopening the store from its log directory ---");
+    let restored = open()?;
     let server = StoreServer::spawn(
         Arc::clone(&restored),
         Arc::clone(&platform),
@@ -136,5 +143,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("square({x}) = {y:<4} [{outcome:?}]");
     }
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Fault-injection integration tests: the full TCP stack (attested
 //! handshake, framed secure channel, `StoreServer`) driven through a
 //! deterministic `FaultInjector`, plus a mid-workload kill-and-restart of
-//! the store recovered from a sealed snapshot.
+//! the store recovered from its `LogBackend` directory.
 //!
 //! The invariant under test is the SPEED degradation contract: the store is
 //! an *optimization*, so no store outage, dropped frame, corrupt response,
@@ -9,6 +9,7 @@
 //! call must return the same result the fault-free execution would.
 
 use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -21,7 +22,7 @@ use speed_core::{
 use speed_crypto::SystemRng;
 use speed_enclave::{CostModel, Platform};
 use speed_store::server::StoreServer;
-use speed_store::{persist, ResultStore, StoreConfig};
+use speed_store::{LogBackend, LogConfig, ResultStore, StoreConfig};
 use speed_wire::SessionAuthority;
 
 fn library() -> TrustedLibrary {
@@ -54,6 +55,13 @@ fn spawn_server(
         "127.0.0.1:0",
     )
     .expect("spawn store server")
+}
+
+/// Opens the store on a `LogBackend` in `dir`, recovering whatever an
+/// earlier instance acknowledged there.
+fn open_store(platform: &Arc<Platform>, dir: &Path) -> Arc<ResultStore> {
+    let backend = Arc::new(LogBackend::new(LogConfig::new(dir)));
+    Arc::new(ResultStore::open(platform, StoreConfig::default(), backend).unwrap().0)
 }
 
 /// A connector that dials whatever address is currently in `addr` (the
@@ -100,7 +108,9 @@ fn resilience() -> ResilienceConfig {
 fn workload_survives_faults_and_store_restart() {
     let platform = Platform::new(CostModel::default_sgx());
     let authority = Arc::new(SessionAuthority::with_seed(77));
-    let store = Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
+    let dir = std::env::temp_dir().join(format!("speed-chaos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = open_store(&platform, &dir);
     let server = spawn_server(&platform, &store, &authority);
     let addr = Arc::new(Mutex::new(server.addr()));
 
@@ -157,10 +167,9 @@ fn workload_survives_faults_and_store_restart() {
     // Dedup still pays off: strictly fewer executions than calls.
     assert!(executions.load(Ordering::Relaxed) < 150);
 
-    // Phase B: kill the store mid-workload. Snapshot first (sealed to the
-    // store enclave), then take the server down and leave it down.
-    let sealed = persist::snapshot(&platform, &store).unwrap();
+    // Phase B: kill the store mid-workload and leave it down.
     server.shutdown();
+    drop(store);
     injector.set_enabled(false); // outage failures now come from the dead TCP endpoint
     let outage_inputs: Vec<Vec<u8>> =
         (0..10u8).map(|i| vec![0xB0 | 1, i, i, i]).collect();
@@ -184,10 +193,9 @@ fn workload_survives_faults_and_store_restart() {
         "a dead store must trip the circuit breaker"
     );
 
-    // Phase C: restart the store from the sealed snapshot on a fresh
-    // ephemeral port; the resilient client re-attests against it.
-    let restored =
-        Arc::new(persist::restore(&platform, StoreConfig::default(), &sealed).unwrap());
+    // Phase C: reopen the store from its directory on a fresh ephemeral
+    // port; the resilient client re-attests against it.
+    let restored = open_store(&platform, &dir);
     let server2 = spawn_server(&platform, &restored, &authority);
     *addr.lock().unwrap() = server2.addr();
 
@@ -222,6 +230,7 @@ fn workload_survives_faults_and_store_restart() {
     }
     assert!(rt.stats().hits >= 50, "hit rate must converge once faults stop");
     server2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

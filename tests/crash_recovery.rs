@@ -472,6 +472,33 @@ fn checkpoint_rename_fault_loses_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovery re-imports every acknowledged PUT, however many its app owns:
+/// each entry passed its owner's quota at its first PUT, so the import
+/// charges no quota (`roomy_config` alone would hide this).
+#[test]
+fn recovery_keeps_entries_past_one_apps_quota() {
+    let platform = platform();
+    let dir = scratch("quota");
+    let mut config = roomy_config();
+    config.quota.max_entries_per_app = 4;
+    let open = || {
+        let backend = Arc::new(LogBackend::new(LogConfig::new(&dir)));
+        ResultStore::open(&platform, config.clone(), backend).unwrap().0
+    };
+    let store = open();
+    for seed in 0..6u8 {
+        let response = store.handle(Message::PutRequest {
+            app: AppId(u64::from(seed % 2)),
+            tag: tag_of(seed),
+            record: record_of(seed),
+        });
+        assert!(matches!(response, Message::PutResponse(b) if b.accepted));
+    }
+    drop(store);
+    assert_eq!(open().stats().entries, 6, "recovery dropped acknowledged PUTs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // ENOSPC: disk-full degradation and recovery on a bigger disk.
 // ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 //! Integration tests for the extension features beyond the paper's
-//! prototype: sealed store persistence and controlled deduplication
+//! prototype: durable store persistence and controlled deduplication
 //! (§III-D authorization).
 
 use std::sync::Arc;
 
 use speed_core::{DedupOutcome, DedupRuntime, FuncDesc, TrustedLibrary};
 use speed_enclave::{CostModel, Platform};
-use speed_store::{persist, AccessControl, ResultStore, StoreConfig};
+use speed_store::{AccessControl, LogBackend, LogConfig, ResultStore, StoreConfig};
 use speed_wire::SessionAuthority;
 
 fn library() -> TrustedLibrary {
@@ -20,15 +20,21 @@ fn desc() -> FuncDesc {
 }
 
 #[test]
-fn store_survives_restart_via_sealed_snapshot() {
+fn store_survives_restart_via_log_backend() {
     let platform = Platform::new(CostModel::default_sgx());
     let authority = Arc::new(SessionAuthority::new());
     let input = b"document to survive a restart".to_vec();
+    let dir =
+        std::env::temp_dir().join(format!("speed-ext-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let backend = Arc::new(LogBackend::new(LogConfig::new(&dir)));
+        Arc::new(ResultStore::open(&platform, StoreConfig::default(), backend).unwrap().0)
+    };
 
-    // Day 1: compute and publish, then snapshot and "shut down".
-    let sealed = {
-        let store =
-            Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
+    // Day 1: compute and publish, then "shut down".
+    {
+        let store = open();
         let rt = DedupRuntime::builder(Arc::clone(&platform), b"persist-app")
             .in_process_store(Arc::clone(&store), Arc::clone(&authority))
             .trusted_library(library())
@@ -39,13 +45,11 @@ fn store_survives_restart_via_sealed_snapshot() {
             speed_deflate::compress(d, speed_deflate::Level::Default)
         })
         .unwrap();
-        persist::snapshot(&platform, &store).unwrap()
-    };
+    }
 
-    // Day 2: restore into a fresh store and reuse the result — without
-    // ever recomputing.
-    let restored =
-        Arc::new(persist::restore(&platform, StoreConfig::default(), &sealed).unwrap());
+    // Day 2: reopen the store from its directory and reuse the result —
+    // without ever recomputing.
+    let restored = open();
     let rt = DedupRuntime::builder(Arc::clone(&platform), b"persist-app-reborn")
         .in_process_store(Arc::clone(&restored), Arc::clone(&authority))
         .trusted_library(library())
@@ -57,6 +61,7 @@ fn store_survives_restart_via_sealed_snapshot() {
         .unwrap();
     assert_eq!(outcome, DedupOutcome::Hit);
     assert_eq!(speed_deflate::decompress(&result).unwrap(), input);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -240,6 +240,31 @@ fn protocol_errors_drop_one_connection_and_spare_the_rest() {
         .roundtrip(&Message::PutRequest { app: AppId(9), tag, record: sample_record() })
         .unwrap();
     assert!(matches!(put, Message::PutResponse(b) if b.accepted));
+
+    // 4. The retired master-sync messages, hand-encoded: a pull (tag 7,
+    //    `min_hits` 0) once returned every record, and a one-entry batch
+    //    (tag 8) once inserted its entry. Both now close only their own
+    //    connection, with no reply.
+    let entries = store.stats().entries;
+    let pull = [&[7u8][..], &0u64.to_le_bytes()].concat();
+    let batch = [
+        &[8u8][..],
+        &1u32.to_le_bytes(),
+        &to_bytes(&CompTag::from_bytes([25u8; 32])),
+        &to_bytes(&sample_record()),
+        &0u64.to_le_bytes(), // hits
+    ]
+    .concat();
+    for (n, request) in [pull, batch].into_iter().enumerate() {
+        let name = format!("sync-client-{n}");
+        let (mut stream, mut channel) =
+            manual_handshake(&server, &platform, &authority, name.as_bytes());
+        write_frame(&mut stream, &channel.seal_message(&request)).unwrap();
+        assert!(read_frame(&mut stream).is_err(), "tag {} got a reply", request[0]);
+        assert!(eventually(|| server.stats().protocol_errors >= baseline + 4 + n as u64));
+    }
+    assert_eq!(store.stats().entries, entries, "no entry may arrive by sync");
+    bystander.roundtrip(&Message::StatsRequest).unwrap();
     server.shutdown();
 }
 

@@ -2,16 +2,15 @@
 //!
 //! A flat `BTreeMap` plus an explicit LRU list is the *reference model*:
 //! simple enough to be obviously correct. Random operation sequences —
-//! single GET/PUT, batches, quota-limited PUTs, and snapshot save/load in
-//! the middle of a sequence — run against both the real store and the
-//! model, and every response and every counter must agree. A divergence
+//! single GET/PUT, batches, quota-limited PUTs, and reloads into a fresh
+//! store in the middle of a sequence — run against both the real store and
+//! the model, and every response and every counter must agree. A divergence
 //! shrinks to a short op list and prints a `SPEED_TESTKIT_SEED=…`
 //! reproducer (see docs/TESTING.md).
 
 use std::collections::BTreeMap;
 
 use speed_enclave::{CostModel, Platform};
-use speed_store::persist::{restore, snapshot};
 use speed_store::{QuotaPolicy, ResultStore, StoreConfig};
 use speed_testkit::{check, Shrink, TestRng};
 use speed_wire::{
@@ -285,10 +284,10 @@ impl Model {
         }
     }
 
-    /// Mirrors a snapshot save/restore: entries and hits survive, but the
-    /// LRU order resets to the snapshot's export order (hits descending,
-    /// tag ascending — the `popular(0)` ordering), and the new store's
-    /// eviction counter starts at zero.
+    /// Mirrors a reload: entries and hits survive, but the LRU order
+    /// resets to the export order (hits descending, tag ascending — the
+    /// `popular(0)` ordering), and the new store's eviction counter starts
+    /// at zero.
     fn reload(&mut self) {
         let mut order: Vec<[u8; COMP_TAG_LEN]> = self.entries.keys().copied().collect();
         order.sort_by(|a, b| {
@@ -446,14 +445,15 @@ fn apply_op(
             }
         }
         Op::Reload => {
-            let sealed = snapshot(platform, &store).expect("snapshot");
+            // What a checkpoint moves, minus the sealing its tests cover.
+            let entries = store.export_shards().into_iter().flatten().collect();
             drop(store);
-            let restored = restore(
+            let restored = ResultStore::new(
                 platform,
                 StoreConfig::with_capacity(MAX_ENTRIES, MAX_BYTES),
-                &sealed,
             )
-            .expect("restore");
+            .expect("fresh store");
+            restored.import_entries(entries);
             model.reload();
             // Restored entries import with unknown prefilters (shards go
             // incomplete), so the oracle restarts with the generation.
@@ -467,7 +467,7 @@ fn apply_op(
 }
 
 /// The main differential property: store == model for every response and
-/// counter, across GET/PUT/batch and mid-sequence snapshot reloads, under
+/// counter, across GET/PUT/batch and mid-sequence reloads, under
 /// eviction pressure.
 #[test]
 fn store_matches_reference_model() {

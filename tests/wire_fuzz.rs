@@ -189,9 +189,9 @@ fn regenerate_corpus() {
     overflow[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     corpus::save(&dir, "length_overflow.bin", &overflow).unwrap();
 
-    // A SyncBatch claiming a huge entry count with no entries behind it.
-    let sync = to_bytes(&Message::SyncBatch(vec![wiregen::sync_entry(&mut rng, 16)]));
-    let mut hostile_count = sync.clone();
+    // A BatchResponse claiming a huge result count with none behind it.
+    let mut hostile_count =
+        to_bytes(&Message::BatchResponse(vec![wiregen::batch_item_result(&mut rng, 16)]));
     hostile_count[1..5].copy_from_slice(&0xFFFF_FF00u32.to_le_bytes());
     corpus::save(&dir, "hostile_seq_count.bin", &hostile_count).unwrap();
 
