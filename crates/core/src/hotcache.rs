@@ -5,19 +5,24 @@
 //! by its secret [`Fingerprint`] `fp = E_K(GHASH_H(func, m))` under the
 //! runtime's own keys. Every remembered computation keeps its secret
 //! digest `d`, its comp-tag, its prefilter tag and a small hit count; only
-//! some also keep their plaintext result. A probe therefore answers one of
-//! three ways ([`Probe`]):
+//! some also keep their plaintext result, and some keep the RCE record
+//! their last verified store hit returned. A probe therefore answers one
+//! of three ways ([`Probe`]):
 //!
 //! - the result: a hot hit, with no enclave transition, no store round
 //!   trip and no SHA-256 (one GHASH pass over the input computes `fp`);
-//! - the digest and tag: the store GET, RCE recovery and any PUT of the
-//!   call run without the SHA-256 pass over its input (see [`crate::tag`]);
+//! - the digest and tag, with the kept record if there is one: the caller
+//!   opens the record under `d` in the enclave, with no store round trip,
+//!   or else its store GET, RCE recovery and any PUT run without the
+//!   SHA-256 pass over its input (see [`crate::tag`]);
 //! - nothing.
 //!
-//! Neither value ever leaves the enclave, and the cache never decides what
-//! the store returns: a wrong hit or a wrong digest needs an fp collision
-//! between two remembered computations (DESIGN.md, "Security properties
-//! carried over").
+//! Neither the digest nor a result ever leaves the enclave, and the cache
+//! never decides what the store returns: a wrong hit or a wrong digest
+//! needs an fp collision between two remembered computations (DESIGN.md,
+//! "Security properties carried over"). A kept record is the store's own
+//! AES-GCM ciphertext; the caller verifies it under `d` on every use, as
+//! it verifies a store hit.
 //!
 //! Results are admitted by frequency, as in TinyLFU (Einziger, Friedman and
 //! Manes, ACM TOS 2017), with exact counts kept in the remembered entries
@@ -42,9 +47,17 @@
 //! are charged against the enclave's memory budget page by page, the same
 //! way the store's metadata heap is.
 //!
+//! Kept records live in the application's untrusted memory, as the store
+//! keeps its ciphertext outside its enclave, and are not charged to EPC.
+//! Their wire bytes have a budget of their own, `16 × max_bytes` (64 MiB at
+//! the default): a new record drops the records of the least-recent
+//! entries until it fits, and a record larger than the whole budget is not
+//! kept. Removing or recycling an entry frees its record.
+//!
 //! Entries hold their result behind a shared [`Arc`] buffer: a hit hands
 //! back another reference to the same allocation instead of copying the
-//! bytes, which makes the hit path O(1) regardless of result size.
+//! bytes, which makes the hit path O(1) regardless of result size. A kept
+//! record is shared the same way.
 //!
 //! The cache also keeps a count-multiset of its entries' 64-bit prefilter
 //! tags ([`crate::prefilter::prefilter_tag`]), with or without a result.
@@ -61,7 +74,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use speed_enclave::{Enclave, EnclaveError, PAGE_SIZE};
-use speed_wire::CompTag;
+use speed_wire::{CompTag, Record};
 
 use crate::tag::{CompDigest, Fingerprint};
 
@@ -72,7 +85,8 @@ pub struct HotCacheConfig {
     pub max_entries: usize,
     /// Maximum accounted in-enclave bytes: cached result bytes plus a fixed
     /// charge of 160 B per remembered computation (its key, digest, tag,
-    /// recency node and map slots).
+    /// recency nodes and map slots). Kept RCE records, outside the enclave,
+    /// have a budget of 16 × this.
     pub max_bytes: usize,
 }
 
@@ -85,8 +99,12 @@ impl Default for HotCacheConfig {
 }
 
 /// Fixed bookkeeping charged per remembered computation on top of its
-/// result bytes: key and map slots, recency index node, digest and tag.
+/// result bytes: key and map slots, recency index nodes, digest and tag.
 pub(crate) const ENTRY_OVERHEAD: usize = 32 + 64 + 64;
+
+/// Kept records may hold `RECORD_BUDGET_FACTOR × max_bytes` wire bytes of
+/// untrusted memory.
+const RECORD_BUDGET_FACTOR: usize = 16;
 
 /// Largest hit count: TinyLFU's 4-bit counters. A small ceiling bounds how
 /// long a formerly popular result outlives its popularity.
@@ -100,8 +118,9 @@ pub(crate) enum Probe {
     /// The cached result, as another reference to the shared buffer.
     Result(Arc<Vec<u8>>),
     /// A remembered computation without a cached result: its secret digest
-    /// and comp-tag, so the call needs no SHA-256 pass over its input.
-    Digest(CompDigest, CompTag),
+    /// and comp-tag, so the call needs no SHA-256 pass over its input, and
+    /// the RCE record of its last verified store hit if the cache kept it.
+    Digest(CompDigest, CompTag, Option<Arc<Record>>),
     /// Nothing is remembered under this fingerprint.
     Miss,
 }
@@ -113,14 +132,31 @@ struct Entry {
     /// Probes that found this entry (its first sighting counts as one),
     /// halved every aging window.
     count: u8,
-    /// Key of the entry in its recency list.
+    /// Key of the entry in its recency list, and in the record list when
+    /// it keeps a record.
     seq: u64,
     result: Option<Arc<Vec<u8>>>,
+    /// The RCE record of the last verified store hit, in untrusted memory.
+    record: Option<Arc<Record>>,
+}
+
+/// Re-keys `entry`, whose recency just moved from `old` to `entry.seq`, in
+/// the record list if it keeps a record.
+fn move_record(
+    records: &mut BTreeMap<u64, Fingerprint>,
+    fp: Fingerprint,
+    entry: &Entry,
+    old: u64,
+) {
+    if entry.record.is_some() {
+        records.remove(&old);
+        records.insert(entry.seq, fp);
+    }
 }
 
 /// The cache proper. Callers hold it behind a `Mutex`; all methods take
 /// `&mut self`. `Debug` shows the occupancy and the bounds, never a key, a
-/// digest or a cached result.
+/// digest, a cached result or a kept record.
 pub(crate) struct HotTagCache {
     config: HotCacheConfig,
     /// Entries the table may hold: `max_entries`, fewer when their charge
@@ -134,6 +170,12 @@ pub(crate) struct HotTagCache {
     results: BTreeMap<u64, Fingerprint>,
     /// Digest-only entries, least recent first.
     digests: BTreeMap<u64, Fingerprint>,
+    /// Entries keeping a record, least recent first.
+    records: BTreeMap<u64, Fingerprint>,
+    /// Wire bytes the kept records may hold: `16 × max_bytes`.
+    record_budget: usize,
+    /// Wire bytes of the kept records.
+    record_bytes: usize,
     seq: u64,
     /// Probes since the counts last halved.
     probes: usize,
@@ -154,6 +196,8 @@ impl fmt::Debug for HotTagCache {
             .field("entries", &self.entries.len())
             .field("results", &self.results.len())
             .field("bytes", &self.bytes())
+            .field("records", &self.records.len())
+            .field("record_bytes", &self.record_bytes)
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -169,6 +213,9 @@ impl HotTagCache {
             entries: HashMap::new(),
             results: BTreeMap::new(),
             digests: BTreeMap::new(),
+            records: BTreeMap::new(),
+            record_budget: config.max_bytes.saturating_mul(RECORD_BUDGET_FACTOR),
+            record_bytes: 0,
             seq: 0,
             probes: 0,
             result_bytes: 0,
@@ -179,9 +226,9 @@ impl HotTagCache {
     }
 
     /// Probes for `fp`, counting the probe toward the aging window. A found
-    /// entry's count rises and it becomes the most recent of its list. A
-    /// cached result is returned as a shared reference — no bytes are
-    /// copied.
+    /// entry's count rises and it becomes the most recent of its lists. A
+    /// cached result or a kept record is returned as a shared reference —
+    /// no bytes are copied.
     pub(crate) fn get(&mut self, fp: &Fingerprint) -> Probe {
         self.probes += 1;
         if self.probes >= AGING_FACTOR * self.config.max_entries {
@@ -199,14 +246,16 @@ impl HotTagCache {
             Some(_) => &mut self.results,
             None => &mut self.digests,
         };
-        list.remove(&entry.seq);
+        let old = std::mem::replace(&mut entry.seq, seq);
+        list.remove(&old);
         list.insert(seq, *fp);
-        entry.seq = seq;
+        move_record(&mut self.records, *fp, entry, old);
         match &entry.result {
             Some(result) => Probe::Result(Arc::clone(result)), // allow-clone: Arc refcount bump, not a byte copy
             None => {
                 let digest = entry.digest.clone(); // allow-clone: 32 bytes that spare a SHA-256 pass
-                Probe::Digest(digest, entry.tag)
+                let record = entry.record.as_ref().map(Arc::clone); // allow-clone: Arc refcount bump, not a byte copy
+                Probe::Digest(digest, entry.tag, record)
             }
         }
     }
@@ -222,32 +271,47 @@ impl HotTagCache {
     /// Remembers the computation `fp`, whose digest and tag the caller
     /// derived from `(func, m)` itself, and offers its resolved `result`.
     /// Returns whether the result is now cached; when it is not, the entry
-    /// still supplies the digest to the next probe.
+    /// still supplies the digest to the next probe. A `record` — the one a
+    /// verified store hit returned — replaces the record the entry kept;
+    /// `None` leaves it as it is.
     ///
     /// A new entry starts at count 1. When the table is full it recycles
     /// the least-recent digest-only entry; with none, it displaces the
     /// least-recent result only if that count has aged to 0, and is
-    /// otherwise not remembered. The result is admitted as the module doc
-    /// describes. The buffer is shared, not copied; `prefilter` feeds the
-    /// negative-lookup multiset (pass `None` when unknown — the cache stays
-    /// correct, just less skippable). Pages the enclave cannot commit
-    /// (EPC exhausted) leave the entry or the result out — the cache is an
-    /// accelerator, never a correctness dependency.
+    /// otherwise not remembered. The result is admitted, and the record
+    /// kept, as the module doc describes. Buffers are shared, not copied;
+    /// `prefilter` feeds the negative-lookup multiset (pass `None` when
+    /// unknown — the cache stays correct, just less skippable). Pages the
+    /// enclave cannot commit (EPC exhausted) leave the entry or the result
+    /// out — the cache is an accelerator, never a correctness dependency.
     pub(crate) fn insert(
         &mut self,
         enclave: &Enclave,
         fp: Fingerprint,
-        digest: &CompDigest,
-        tag: CompTag,
+        derived: &(CompDigest, CompTag),
         result: &Arc<Vec<u8>>,
+        record: Option<Arc<Record>>,
         prefilter: Option<u64>,
     ) -> bool {
         if !self.entries.contains_key(&fp)
-            && !self.add_entry(enclave, fp, digest, tag, prefilter)
+            && !self.add_entry(enclave, fp, derived, prefilter)
         {
             return false;
         }
-        self.admit(enclave, fp, result)
+        let cached = self.admit(enclave, fp, result);
+        if let Some(record) = record {
+            self.keep_record(fp, record);
+        }
+        cached
+    }
+
+    /// Drops the record the entry `fp` keeps, if it is still `record`: the
+    /// caller found that it fails verification.
+    pub(crate) fn forget_record(&mut self, fp: &Fingerprint, record: &Arc<Record>) {
+        let held = self.entries.get(fp).and_then(|entry| entry.record.as_ref());
+        if held.is_some_and(|held| Arc::ptr_eq(held, record)) {
+            self.drop_record(fp);
+        }
     }
 
     /// Number of remembered computations, with or without a result.
@@ -256,8 +320,14 @@ impl HotTagCache {
     }
 
     /// Accounted in-enclave bytes: result bytes plus the per-entry charge.
+    /// Kept records are outside the enclave and not counted.
     pub(crate) fn bytes(&self) -> usize {
         self.entries.len() * ENTRY_OVERHEAD + self.result_bytes
+    }
+
+    /// Kept records and their wire bytes, in untrusted memory.
+    pub(crate) fn record_usage(&self) -> (usize, usize) {
+        (self.records.len(), self.record_bytes)
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -269,8 +339,7 @@ impl HotTagCache {
         &mut self,
         enclave: &Enclave,
         fp: Fingerprint,
-        digest: &CompDigest,
-        tag: CompTag,
+        (digest, tag): &(CompDigest, CompTag),
         prefilter: Option<u64>,
     ) -> bool {
         if self.entries.len() >= self.slots {
@@ -297,11 +366,12 @@ impl HotTagCache {
             fp,
             Entry {
                 digest: digest.clone(), // allow-clone: the entry's own 32-byte digest copy
-                tag,
+                tag: *tag,
                 prefilter,
                 count: 1,
                 seq,
                 result: None,
+                record: None,
             },
         );
         true
@@ -345,25 +415,56 @@ impl HotTagCache {
         // Displaced results keep their entries, as the most recent
         // digest-only ones.
         for _ in 0..displaced {
-            let (_, victim) =
+            let (old, victim) =
                 self.results.pop_first().expect("planned victims are listed");
             let seq = self.next_seq();
             let entry = self.entries.get_mut(&victim).expect("listed entries exist");
             self.result_bytes -= entry.result.take().map_or(0, |r| r.len());
             entry.seq = seq;
             self.digests.insert(seq, victim);
+            move_record(&mut self.records, victim, entry, old);
         }
         let seq = self.next_seq();
         let entry = self.entries.get_mut(&fp).expect("admitted entry exists");
-        self.digests.remove(&entry.seq);
+        let old = std::mem::replace(&mut entry.seq, seq);
+        self.digests.remove(&old);
         self.results.insert(seq, fp);
-        entry.seq = seq;
+        move_record(&mut self.records, fp, entry, old);
         entry.result = Some(Arc::clone(result)); // allow-clone: Arc refcount bump, not a byte copy
         self.result_bytes += len;
         true
     }
 
+    /// Keeps `record` with the remembered entry `fp` in place of the one it
+    /// held, dropping the least-recent kept records until the budget has
+    /// room. A record larger than the whole budget is not kept.
+    fn keep_record(&mut self, fp: Fingerprint, record: Arc<Record>) {
+        self.drop_record(&fp);
+        let size = record.wire_size();
+        if size > self.record_budget {
+            return;
+        }
+        while self.record_bytes + size > self.record_budget {
+            let Some((_, victim)) = self.records.pop_first() else { break };
+            let entry = self.entries.get_mut(&victim).expect("listed entries exist");
+            self.record_bytes -= entry.record.take().map_or(0, |r| r.wire_size());
+        }
+        let entry = self.entries.get_mut(&fp).expect("the record's entry exists");
+        self.records.insert(entry.seq, fp);
+        self.record_bytes += size;
+        entry.record = Some(record);
+    }
+
+    fn drop_record(&mut self, fp: &Fingerprint) {
+        let Some(entry) = self.entries.get_mut(fp) else { return };
+        if let Some(record) = entry.record.take() {
+            self.records.remove(&entry.seq);
+            self.record_bytes -= record.wire_size();
+        }
+    }
+
     fn remove(&mut self, enclave: &Enclave, fp: &Fingerprint) {
+        self.drop_record(fp);
         let Some(entry) = self.entries.remove(fp) else { return };
         match entry.result {
             Some(result) => {
@@ -409,6 +510,16 @@ mod tests {
     use speed_enclave::{CostModel, Platform};
     use std::collections::BTreeMap;
 
+    impl HotTagCache {
+        /// The record the entry `fp` keeps, for tests that tamper with it.
+        pub(crate) fn kept_record_mut(
+            &mut self,
+            fp: &Fingerprint,
+        ) -> Option<&mut Arc<Record>> {
+            self.entries.get_mut(fp)?.record.as_mut()
+        }
+    }
+
     fn fp(n: u8) -> Fingerprint {
         Fingerprint::from_bytes([n; 16])
     }
@@ -429,6 +540,20 @@ mod tests {
         Arc::new(bytes.to_vec())
     }
 
+    /// A record for computation `n` whose ciphertext is `len` bytes: its
+    /// wire size is `len + RECORD_FIXED`.
+    fn record(n: u8, len: usize) -> Arc<Record> {
+        Arc::new(Record {
+            challenge: Vec::new(),
+            wrapped_key: [n; 16],
+            nonce: [n; 12],
+            boxed_result: vec![n; len],
+        })
+    }
+
+    /// Wire bytes of a record with an empty challenge and no ciphertext.
+    const RECORD_FIXED: usize = 4 + 16 + 12 + 4;
+
     /// Remembers computation `n`, with the digest and tag made from `n`.
     fn remember(
         cache: &mut HotTagCache,
@@ -437,7 +562,20 @@ mod tests {
         result: &Arc<Vec<u8>>,
         prefilter: Option<u64>,
     ) -> bool {
-        cache.insert(enclave, fp(n), &digest(n), tag(n), result, prefilter)
+        cache.insert(enclave, fp(n), &(digest(n), tag(n)), result, None, prefilter)
+    }
+
+    /// Remembers computation `n` after a store hit that returned a record
+    /// with `len` bytes of ciphertext.
+    fn remember_hit(
+        cache: &mut HotTagCache,
+        enclave: &Enclave,
+        n: u8,
+        result: &Arc<Vec<u8>>,
+        len: usize,
+    ) -> bool {
+        let derived = (digest(n), tag(n));
+        cache.insert(enclave, fp(n), &derived, result, Some(record(n, len)), None)
     }
 
     /// What a probe answered, in a comparable form.
@@ -445,17 +583,25 @@ mod tests {
     enum Answer {
         Result(Vec<u8>),
         Digest(u8),
+        /// A digest with its kept record, by ciphertext length.
+        Record(u8, usize),
         Miss,
     }
 
     fn probe(cache: &mut HotTagCache, n: u8) -> Answer {
         match cache.get(&fp(n)) {
             Probe::Result(result) => Answer::Result(result.to_vec()),
-            Probe::Digest(d, t) => {
+            Probe::Digest(d, t, kept) => {
                 let id = d.as_bytes()[0];
                 assert_eq!(d.as_bytes(), &[id; 32], "a digest comes back whole");
                 assert_eq!(t, tag(id), "the digest and its tag stay paired");
-                Answer::Digest(id)
+                match kept {
+                    Some(kept) => {
+                        assert_eq!(kept.nonce, [id; 12], "a record stays with its entry");
+                        Answer::Record(id, kept.boxed_result.len())
+                    }
+                    None => Answer::Digest(id),
+                }
             }
             Probe::Miss => Answer::Miss,
         }
@@ -681,13 +827,14 @@ mod tests {
         cache.insert(
             &enclave,
             fp(0xD7),
-            &secret,
-            CompTag::from_bytes([0xD7; 32]),
+            &(secret, CompTag::from_bytes([0xD7; 32])),
             &shared(&[0xD7; 8]),
+            Some(record(0xD7, 8)),
             Some(0xD7D7),
         );
         let shown = format!("{cache:?}");
         assert!(shown.contains("entries: 1") && shown.contains("results: 1"), "{shown}");
+        assert!(shown.contains("records: 1"), "{shown}");
         for needle in ["d7", "D7", "215", "55255"] {
             assert!(!shown.contains(needle), "{needle} in {shown}");
         }
@@ -775,7 +922,8 @@ mod tests {
                 Probe::Result(_) => hits += 1,
                 _ => {
                     let n = k as u8;
-                    cache.insert(&enclave, key(k), &digest(n), tag(n), &results[k], None);
+                    let derived = (digest(n), tag(n));
+                    cache.insert(&enclave, key(k), &derived, &results[k], None, None);
                 }
             }
         }
@@ -783,18 +931,96 @@ mod tests {
         assert!(ratio >= 0.75, "hit ratio {ratio:.4}");
     }
 
+    #[test]
+    fn a_kept_record_comes_back_with_its_digest_until_its_entry_goes() {
+        let enclave = enclave();
+        // Two entries and 320 bytes of results: a 1000-byte result is never
+        // cached, and records may hold 16 × 640 bytes.
+        let config = HotCacheConfig { max_entries: 2, max_bytes: 4 * ENTRY_OVERHEAD };
+        let mut cache = HotTagCache::new(config);
+        let result = shared(&[1; 1000]);
+        assert!(!remember_hit(&mut cache, &enclave, 1, &result, 1000));
+        assert_eq!(probe(&mut cache, 1), Answer::Record(1, 1000));
+        assert_eq!(cache.record_usage(), (1, 1000 + RECORD_FIXED));
+        assert_eq!(cache.bytes(), ENTRY_OVERHEAD, "a kept record is not charged to EPC");
+        // An insert without a record keeps it; a store hit's record replaces it.
+        remember(&mut cache, &enclave, 1, &result, None);
+        assert_eq!(probe(&mut cache, 1), Answer::Record(1, 1000));
+        remember_hit(&mut cache, &enclave, 1, &result, 900);
+        assert_eq!(probe(&mut cache, 1), Answer::Record(1, 900));
+        assert_eq!(cache.record_usage(), (1, 900 + RECORD_FIXED));
+        // `forget_record` drops the record it is handed, not an equal one.
+        let Probe::Digest(_, _, Some(kept)) = cache.get(&fp(1)) else {
+            panic!("the record is kept")
+        };
+        cache.forget_record(&fp(1), &record(1, 900));
+        assert_eq!(cache.record_usage().0, 1, "an equal record is another record");
+        cache.forget_record(&fp(1), &kept);
+        assert_eq!(probe(&mut cache, 1), Answer::Digest(1));
+        assert_eq!(cache.record_usage(), (0, 0));
+        // Recycling an entry frees its record.
+        remember_hit(&mut cache, &enclave, 1, &result, 1000);
+        remember_hit(&mut cache, &enclave, 2, &result, 1000);
+        assert_eq!(cache.record_usage().0, 2);
+        remember(&mut cache, &enclave, 3, &result, None);
+        assert_eq!(probe(&mut cache, 1), Answer::Miss, "the least-recent entry went");
+        assert_eq!(cache.record_usage(), (1, 1000 + RECORD_FIXED));
+    }
+
+    #[test]
+    fn the_record_budget_drops_the_least_recent_records_first() {
+        let enclave = enclave();
+        // Eight entries, 1280 bytes of results, and 16 × 2560 bytes of
+        // records: four of `len` fill the budget exactly.
+        let config = HotCacheConfig { max_entries: 8, max_bytes: 16 * ENTRY_OVERHEAD };
+        let budget = RECORD_BUDGET_FACTOR * config.max_bytes;
+        let len = budget / 4 - RECORD_FIXED;
+        let result = shared(&[0; 4096]);
+        let mut cache = HotTagCache::new(config);
+        for n in 1..=4u8 {
+            remember_hit(&mut cache, &enclave, n, &result, len);
+        }
+        assert_eq!(cache.record_usage(), (4, budget));
+        // A probe makes 1 the most recent, so a fifth record drops 2's.
+        assert_eq!(probe(&mut cache, 1), Answer::Record(1, len));
+        remember_hit(&mut cache, &enclave, 5, &result, len);
+        assert_eq!(probe(&mut cache, 2), Answer::Digest(2));
+        for n in [1, 3, 4, 5] {
+            assert_eq!(probe(&mut cache, n), Answer::Record(n, len));
+        }
+        assert_eq!(cache.record_usage(), (4, budget));
+        // A record larger than the whole budget is not kept and drops none.
+        remember_hit(&mut cache, &enclave, 6, &result, budget);
+        assert_eq!(probe(&mut cache, 6), Answer::Digest(6));
+        assert_eq!(cache.record_usage(), (4, budget));
+        // A record twice the size drops the two least recent, 1 and 3.
+        remember_hit(&mut cache, &enclave, 7, &result, 2 * len + RECORD_FIXED);
+        assert_eq!(probe(&mut cache, 1), Answer::Digest(1));
+        assert_eq!(probe(&mut cache, 3), Answer::Digest(3));
+        assert_eq!(probe(&mut cache, 4), Answer::Record(4, len));
+        assert_eq!(probe(&mut cache, 7), Answer::Record(7, 2 * len + RECORD_FIXED));
+        assert_eq!(cache.record_usage(), (3, budget));
+        assert_eq!(cache.bytes(), 7 * ENTRY_OVERHEAD, "records never touch EPC");
+    }
+
     /// The reference model: a map with counts, two recency lists (least
-    /// recent first) and the admission rule, written as plainly as
-    /// possible.
+    /// recent first), one recency list over all entries that orders the
+    /// kept records, and the admission and record rules, written as plainly
+    /// as possible.
     struct Model {
         slots: usize,
         result_budget: usize,
+        record_budget: usize,
         window: usize,
         probes: usize,
         /// key → (count, cached result)
         entries: BTreeMap<u8, (u8, Option<Vec<u8>>)>,
         results: Vec<u8>,
         digests: Vec<u8>,
+        /// Every entry, least recent first.
+        recency: Vec<u8>,
+        /// key → ciphertext length of the record it keeps
+        kept: BTreeMap<u8, usize>,
     }
 
     impl Model {
@@ -803,11 +1029,14 @@ mod tests {
             Model {
                 slots,
                 result_budget: config.max_bytes - slots * ENTRY_OVERHEAD,
+                record_budget: 16 * config.max_bytes,
                 window: 10 * config.max_entries,
                 probes: 0,
                 entries: BTreeMap::new(),
                 results: Vec::new(),
                 digests: Vec::new(),
+                recency: Vec::new(),
+                kept: BTreeMap::new(),
             }
         }
 
@@ -819,13 +1048,25 @@ mod tests {
             self.entries.len() * ENTRY_OVERHEAD + self.result_bytes()
         }
 
+        fn record_bytes(&self) -> usize {
+            self.kept.values().map(|len| len + RECORD_FIXED).sum()
+        }
+
         fn count(&self, key: u8) -> u8 {
             self.entries[&key].0
         }
 
-        fn to_back(list: &mut Vec<u8>, key: u8) {
-            list.retain(|k| *k != key);
-            list.push(key);
+        /// Makes `key` the most recent entry, and the most recent of
+        /// `results` or `digests` by whether it has a result.
+        fn bump(&mut self, key: u8) {
+            for list in [&mut self.results, &mut self.digests, &mut self.recency] {
+                list.retain(|k| *k != key);
+            }
+            match self.entries[&key].1 {
+                Some(_) => self.results.push(key),
+                None => self.digests.push(key),
+            }
+            self.recency.push(key);
         }
 
         fn get(&mut self, key: u8) -> Answer {
@@ -840,20 +1081,16 @@ mod tests {
                 return Answer::Miss;
             };
             *count = (*count + 1).min(15);
-            match result {
-                Some(result) => {
-                    let answer = Answer::Result(result.clone());
-                    Self::to_back(&mut self.results, key);
-                    answer
-                }
-                None => {
-                    Self::to_back(&mut self.digests, key);
-                    Answer::Digest(key)
-                }
-            }
+            let answer = match (result, self.kept.get(&key)) {
+                (Some(result), _) => Answer::Result(result.clone()),
+                (None, Some(&len)) => Answer::Record(key, len),
+                (None, None) => Answer::Digest(key),
+            };
+            self.bump(key);
+            answer
         }
 
-        fn insert(&mut self, key: u8, result: Vec<u8>) -> bool {
+        fn insert(&mut self, key: u8, result: Vec<u8>, record: Option<usize>) -> bool {
             if !self.entries.contains_key(&key) {
                 if self.entries.len() >= self.slots {
                     let victim = if let Some(&victim) = self.digests.first() {
@@ -864,12 +1101,23 @@ mod tests {
                         return false;
                     };
                     self.entries.remove(&victim);
-                    self.results.retain(|k| *k != victim);
-                    self.digests.retain(|k| *k != victim);
+                    self.kept.remove(&victim);
+                    for list in [&mut self.results, &mut self.digests, &mut self.recency]
+                    {
+                        list.retain(|k| *k != victim);
+                    }
                 }
                 self.entries.insert(key, (1, None));
-                self.digests.push(key);
+                self.bump(key);
             }
+            let cached = self.admit(key, result);
+            if let Some(len) = record {
+                self.keep(key, len);
+            }
+            cached
+        }
+
+        fn admit(&mut self, key: u8, result: Vec<u8>) -> bool {
             let (count, cached) = &self.entries[&key];
             if cached.is_some() {
                 return true;
@@ -887,25 +1135,38 @@ mod tests {
             }
             for victim in self.results.drain(..victims).collect::<Vec<_>>() {
                 self.entries.get_mut(&victim).unwrap().1 = None;
-                self.digests.push(victim);
+                self.bump(victim);
             }
             self.entries.get_mut(&key).unwrap().1 = Some(result);
-            self.digests.retain(|k| *k != key);
-            self.results.push(key);
+            self.bump(key);
             true
+        }
+
+        fn keep(&mut self, key: u8, len: usize) {
+            self.kept.remove(&key);
+            if len + RECORD_FIXED > self.record_budget {
+                return;
+            }
+            while self.record_bytes() + len + RECORD_FIXED > self.record_budget {
+                let victim =
+                    *self.recency.iter().find(|k| self.kept.contains_key(k)).unwrap();
+                self.kept.remove(&victim);
+            }
+            self.kept.insert(key, len);
         }
     }
 
     /// Differential property: the cache behaves exactly like the reference
-    /// model for any stream of probes and inserts — the same result,
-    /// digest or miss, the same admission answer, entry count and
-    /// accounted bytes — never exceeds its configured bounds, and its
-    /// prefilter multiset answers `may_contain` exactly for the remembered
-    /// entries.
+    /// model for any stream of probes and inserts, with and without a
+    /// store hit's record — the same result, record, digest or miss, the
+    /// same admission answer, entry count, accounted bytes and kept record
+    /// bytes — never exceeds its configured bounds, and its prefilter
+    /// multiset answers `may_contain` exactly for the remembered entries.
     #[test]
     fn cache_matches_reference_model_under_random_ops() {
         // Four entries and 640 bytes of results among eight keys, with
         // results up to 510 bytes: both bounds bind, and long streams age.
+        // Records of up to 25,500 bytes meet a 20,480-byte budget.
         const CONFIG: HotCacheConfig = HotCacheConfig { max_entries: 4, max_bytes: 1280 };
         // Key 7 is remembered without a prefilter; the others use key × 1000.
         let prefilter = |key: u8| (key != 7).then_some(u64::from(key) * 1000);
@@ -916,31 +1177,35 @@ mod tests {
             |rng| {
                 let len = rng.range_usize(0, 200);
                 (0..len)
-                    .map(|_| (rng.chance(0.5), rng.byte() % 8, rng.byte()))
-                    .collect::<Vec<(bool, u8, u8)>>()
+                    .map(|_| {
+                        (rng.chance(0.5), rng.byte() % 8, rng.byte(), rng.chance(0.5))
+                    })
+                    .collect::<Vec<(bool, u8, u8, bool)>>()
             },
-            |ops: &Vec<(bool, u8, u8)>| {
+            |ops: &Vec<(bool, u8, u8, bool)>| {
                 let enclave = enclave();
                 let mut cache = HotTagCache::new(CONFIG);
                 let mut model = Model::new(CONFIG);
-                for (index, &(is_get, key, len)) in ops.iter().enumerate() {
+                for (index, &(is_get, key, len, hit)) in ops.iter().enumerate() {
                     if is_get {
                         let got = probe(&mut cache, key);
                         assert_eq!(got, model.get(key), "op {index}: probe divergence");
                     } else {
-                        // Sizes vary per insert so the byte bound sees many;
+                        // Sizes vary per insert so the byte bounds see many;
                         // both keep the first result they admit.
                         let result = vec![key; 2 * usize::from(len)];
-                        let kept = remember(
-                            &mut cache,
+                        let record_len = hit.then_some(100 * usize::from(len));
+                        let kept = cache.insert(
                             &enclave,
-                            key,
+                            fp(key),
+                            &(digest(key), tag(key)),
                             &Arc::new(result.clone()),
+                            record_len.map(|record_len| record(key, record_len)),
                             prefilter(key),
                         );
                         assert_eq!(
                             kept,
-                            model.insert(key, result),
+                            model.insert(key, result, record_len),
                             "op {index}: admission"
                         );
                     }
@@ -954,8 +1219,17 @@ mod tests {
                         model.bytes(),
                         "op {index}: accounted bytes"
                     );
+                    assert_eq!(
+                        cache.record_usage(),
+                        (model.kept.len(), model.record_bytes()),
+                        "op {index}: kept records"
+                    );
                     assert!(cache.len() <= CONFIG.max_entries, "op {index}: entry bound");
                     assert!(cache.bytes() <= CONFIG.max_bytes, "op {index}: byte bound");
+                    assert!(
+                        cache.record_usage().1 <= 16 * CONFIG.max_bytes,
+                        "op {index}: record budget"
+                    );
                     // The multiset answers exactly for every remembered
                     // entry, with or without a result; an entry without a
                     // prefilter makes every answer "maybe".

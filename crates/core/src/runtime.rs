@@ -69,9 +69,11 @@ pub enum DedupOutcome {
     /// code/input binding or tampering); the function was executed locally
     /// and nothing was published.
     MissAfterFailedVerify,
-    /// The result was served from the in-enclave hot-tag cache: no enclave
-    /// transition for the lookup, no store round-trip at all. Only occurs
-    /// when [`RuntimeBuilder::hot_cache`] is enabled.
+    /// The result was served from the in-enclave hot-tag cache — its
+    /// plaintext, or the RCE record the cache kept from the last verified
+    /// store hit, verified and opened in the enclave: no OCALL, no store
+    /// round-trip at all. Only occurs when [`RuntimeBuilder::hot_cache`] is
+    /// enabled.
     HitLocalCache,
     /// The negative filter proved no stored result exists, so the GET
     /// round-trip was skipped entirely: the function executed and its
@@ -193,11 +195,12 @@ pub struct RuntimeStats {
     /// Queued PUTs delivered after the store recovered.
     pub replayed_puts: u64,
     /// Calls satisfied by the in-enclave hot-tag cache (no store
-    /// round-trip). Always zero unless the cache is enabled.
+    /// round-trip), from a cached result or a kept record. Always zero
+    /// unless the cache is enabled.
     pub cache_hits: u64,
-    /// Hot-cache probes that found no cached result, including those that
-    /// supplied a remembered digest. Always zero unless the cache is
-    /// enabled.
+    /// Hot-cache probes that found neither a cached result nor a kept
+    /// record that verified, including those that supplied a remembered
+    /// digest. Always zero unless the cache is enabled.
     pub cache_misses: u64,
     /// Misses whose GET round-trip was skipped because the negative filter
     /// proved no stored result exists. Always zero unless the prefilter
@@ -256,7 +259,8 @@ impl AtomicStats {
             ),
             cache_misses: reg.counter(
                 names::DEDUP_CACHE_MISSES_TOTAL,
-                "Hot-cache probes that found no cached result, digest reuses included",
+                "Hot-cache probes answered neither by a cached result nor by a kept \
+                 record, digest reuses included",
             ),
             filtered_misses: reg.counter(
                 names::DEDUP_FILTERED_MISSES_TOTAL,
@@ -278,6 +282,7 @@ pub(crate) struct RuntimeTelemetry {
     rce_encrypt: Histogram,
     hotcache_lookup: Histogram,
     hotcache_digest_reuses: Counter,
+    hotcache_record_hits: Counter,
     hotcache_admissions_refused: Counter,
     prefilter_derive: Histogram,
     prefilter_cache_skips: Counter,
@@ -329,6 +334,12 @@ impl RuntimeTelemetry {
                 names::HOTCACHE_DIGEST_REUSES_TOTAL,
                 "Hot-cache probes that supplied a remembered digest and tag, \
                  each saving a SHA-256 pass over the input",
+            ),
+            hotcache_record_hits: reg.counter(
+                names::HOTCACHE_RECORD_HITS_TOTAL,
+                "Hot-cache probes answered by verifying and opening the RCE record \
+                 kept from the computation's last store hit, with no OCALL and no \
+                 store GET",
             ),
             hotcache_admissions_refused: reg.counter(
                 names::HOTCACHE_ADMISSIONS_REFUSED_TOTAL,
@@ -689,8 +700,10 @@ impl RuntimeBuilder {
     /// resolved — reused from the store or computed locally — is answered
     /// again with no enclave transition, no store round-trip and no
     /// SHA-256. The cache also remembers each recent computation's digest,
-    /// so a repeat whose result was not kept (results are admitted by
-    /// frequency) reaches the store without a SHA-256 pass. It is keyed by
+    /// and the RCE record of its last store hit in untrusted memory, so a
+    /// repeat whose result was not kept (results are admitted by frequency)
+    /// opens that record in the enclave, or reaches the store, without a
+    /// SHA-256 pass over its input. It is keyed by
     /// a secret [`Fingerprint`] under keys the runtime draws from its RNG
     /// in [`build`](RuntimeBuilder::build). Off by default because the
     /// cache competes with the application for EPC; its pages are charged
@@ -1020,8 +1033,8 @@ impl DedupRuntime {
     /// GET. A hot-cache hit or a filter-proven miss returns *without
     /// computing the SHA-256 at all* — for large inputs that is the
     /// dominant cost of a lookup — and a computation the hot cache
-    /// remembers reaches the GET with its remembered digest, also without
-    /// one. A probe that finds nothing remembers nothing; a verified store
+    /// remembers opens its kept record, or reaches the GET with its
+    /// remembered digest, also without one. A probe that finds nothing remembers nothing; a verified store
     /// hit is remembered like a call's. A record that fails verification also
     /// yields `Ok(None)`. A probe is not a call: it is not counted in
     /// [`RuntimeStats::calls`].
@@ -1080,10 +1093,12 @@ impl DedupRuntime {
         // Tier 1 — hot cache: a recently resolved result is answered
         // without leaving the enclave, and a remembered computation whose
         // result is not cached hands over its digest and tag, so the tiers
-        // below run no SHA-256 for it. The probe is keyed by the secret
+        // below run no SHA-256 for it, and the record of its last store hit
+        // if the cache kept one. The probe is keyed by the secret
         // fingerprint. The prefilter multiset gates it: a definite "not
         // remembered" skips the fingerprint.
         if let Some(hot) = &self.hot_cache {
+            let mut kept = Vec::new();
             let mut cache = lock_recover(&hot.entries);
             pending.retain(|&i| {
                 let item = &mut items[i];
@@ -1099,15 +1114,28 @@ impl DedupRuntime {
                         item.answer = Some((result, DedupOutcome::HitLocalCache));
                         return false;
                     }
-                    Probe::Digest(digest, tag) => {
+                    Probe::Digest(digest, tag, record) => {
                         self.telemetry.hotcache_digest_reuses.inc();
                         item.derived = Some((digest, tag));
+                        if let Some(record) = record {
+                            kept.push((i, record));
+                            return true; // counted once its record is opened
+                        }
                     }
                     Probe::Miss => {}
                 }
                 self.stats.cache_misses.add(1);
                 true
             });
+            drop(cache);
+            // Kept records are verified and opened under each item's
+            // digest with the cache unlocked, in this ECALL: no OCALL, no
+            // GET. One that fails verification is dropped, and its item
+            // goes on to the store GET with its digest.
+            for (i, record) in kept {
+                self.open_kept(hot, &mut items[i], &record)?;
+            }
+            pending.retain(|&i| items[i].answer.is_none());
         }
 
         // Tier 2 — the store's negative filter: a complete merged filter
@@ -1179,7 +1207,7 @@ impl DedupRuntime {
                     Ok(result) => {
                         let result = ResultBytes::new(result);
                         self.count_reuse(&self.stats.hits, &result);
-                        self.remember(item, &result);
+                        self.remember(item, &result, Some(record));
                         item.answer = Some((result, DedupOutcome::Hit));
                         continue;
                     }
@@ -1216,7 +1244,7 @@ impl DedupRuntime {
             // With the filter tier enabled the PUT carries the prefilter tag
             // so the store can keep its negative filters complete.
             let record = self.encrypt(&self.derive(item).0, &result);
-            self.remember(item, &result);
+            self.remember(item, &result, None);
             puts.push(match item.prefilter {
                 Some(prefilter) => BatchItem::PutPrefiltered { tag, prefilter, record },
                 None => BatchItem::Put { tag, record },
@@ -1335,21 +1363,58 @@ impl DedupRuntime {
         self.stats.reused_bytes.add(result.len() as u64);
     }
 
+    /// Answers a remembered item from the RCE record the hot cache kept for
+    /// it, verified and opened under its remembered digest like a store
+    /// hit's record, and offers the result to the cache's admission test.
+    /// A record that fails verification is dropped from the cache and
+    /// counted; the item is then a cache miss and goes on to the store.
+    fn open_kept(
+        &self,
+        hot: &HotCache,
+        item: &mut Planned<'_>,
+        record: &Arc<Record>,
+    ) -> Result<(), CoreError> {
+        self.enclave.charge_boundary_bytes(record.wire_size());
+        match self.recover(&self.derive(item).0, record) {
+            Ok(result) => {
+                let result = ResultBytes::new(result);
+                self.count_reuse(&self.stats.cache_hits, &result);
+                self.telemetry.hotcache_record_hits.inc();
+                self.remember(item, &result, None);
+                item.answer = Some((result, DedupOutcome::HitLocalCache));
+            }
+            Err(CoreError::VerificationFailed) => {
+                self.stats.verify_failures.add(1);
+                self.stats.cache_misses.add(1);
+                let fp = self.fingerprint(&hot.prf, item);
+                lock_recover(&hot.entries).forget_record(&fp, record);
+            }
+            Err(other) => return Err(other),
+        }
+        Ok(())
+    }
+
     /// Remembers a resolved item in the hot cache under its fingerprint,
     /// with the digest and tag it derived from `(func, m)` — after a
     /// verified store hit or a computed miss — and offers its result to the
-    /// cache's admission test, when the cache is enabled.
-    fn remember(&self, item: &mut Planned<'_>, result: &ResultBytes) {
+    /// cache's admission test, when the cache is enabled. A store hit hands
+    /// over its verified `record`, which the cache keeps in place of any
+    /// older one, moved and not copied.
+    fn remember(
+        &self,
+        item: &mut Planned<'_>,
+        result: &ResultBytes,
+        record: Option<Record>,
+    ) {
         if let Some(hot) = &self.hot_cache {
             let fp = self.fingerprint(&hot.prf, item);
             let prefilter = item.prefilter;
-            let (digest, tag) = self.derive(item);
             let kept = lock_recover(&hot.entries).insert(
                 &self.enclave,
                 fp,
-                digest,
-                *tag,
+                self.derive(item),
                 result.shared(),
+                record.map(Arc::new),
                 prefilter,
             );
             if !kept {
@@ -1403,6 +1468,14 @@ impl DedupRuntime {
             let cache = lock_recover(&hot.entries);
             (cache.len(), cache.bytes())
         })
+    }
+
+    /// The RCE records the hot cache keeps in untrusted memory, as
+    /// `(records, wire bytes)`, or `None` when the cache is disabled. They
+    /// are not in [`hot_cache_usage`](DedupRuntime::hot_cache_usage)'s EPC
+    /// bytes, and their bytes stay within 16 × `max_bytes`.
+    pub fn hot_cache_records(&self) -> Option<(usize, usize)> {
+        self.hot_cache.as_ref().map(|hot| lock_recover(&hot.entries).record_usage())
     }
 
     /// A snapshot of the runtime counters.
@@ -2024,6 +2097,111 @@ mod tests {
         let stats = rt.stats();
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.reused_bytes, 4);
+    }
+
+    /// A runtime whose hot cache has two entries and 320 bytes of
+    /// results: a 1000-byte result is never cached, so the repeat of a
+    /// store hit reads the kept record.
+    fn record_keeping_runtime(
+        platform: &Arc<Platform>,
+        store: &Arc<ResultStore>,
+        authority: &Arc<SessionAuthority>,
+    ) -> Arc<DedupRuntime> {
+        DedupRuntime::builder(Arc::clone(platform), b"record-app")
+            .in_process_store(Arc::clone(store), Arc::clone(authority))
+            .trusted_library(library())
+            .hot_cache(HotCacheConfig {
+                max_entries: 2,
+                max_bytes: 4 * crate::hotcache::ENTRY_OVERHEAD,
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// The record `rt`'s hot cache keeps for `input`; `tamper` edits it
+    /// in place first.
+    fn kept_record(
+        rt: &DedupRuntime,
+        input: &[u8],
+        tamper: impl FnOnce(&mut Record),
+    ) -> Option<Record> {
+        let hot = rt.hot_cache.as_ref().expect("cache enabled");
+        let identity = rt.resolve(&desc_double()).unwrap();
+        let fp = fingerprint(&hot.prf, &identity, input);
+        let mut cache = lock_recover(&hot.entries);
+        let record = Arc::make_mut(cache.kept_record_mut(&fp)?);
+        tamper(record);
+        Some(record.clone())
+    }
+
+    /// Flips one bit of the field `field` of a record.
+    fn flip(field: &str) -> impl FnOnce(&mut Record) + '_ {
+        move |record| match field {
+            "boxed_result" => record.boxed_result[7] ^= 0x10,
+            _ => record.wrapped_key[3] ^= 0x01,
+        }
+    }
+
+    /// A kept record that fails verification is dropped and never
+    /// answers: the repeat gets its bytes from the store, and the entry
+    /// keeps the store's fresh record, which answers the next repeat.
+    #[test]
+    fn a_tampered_kept_record_fails_over_to_the_store() {
+        for field in ["boxed_result", "wrapped_key"] {
+            let (platform, store, authority) = setup();
+            let result = vec![0x42u8; 1000];
+            runtime(&platform, &store, &authority, b"tamper-seed")
+                .execute(&desc_double(), b"tamper", |_| result.clone())
+                .unwrap();
+            let rt = record_keeping_runtime(&platform, &store, &authority);
+            let repeat = || rt.execute(&desc_double(), b"tamper", |_| panic!("stored"));
+            assert_eq!(repeat().unwrap().1, DedupOutcome::Hit, "{field}");
+            let stored = kept_record(&rt, b"tamper", |_| {}).expect("record kept");
+            kept_record(&rt, b"tamper", flip(field));
+
+            let gets = store.stats().gets;
+            let (got, outcome) = repeat().unwrap();
+            assert_eq!((got.to_vec(), outcome), (result.clone(), DedupOutcome::Hit));
+            assert_eq!(store.stats().gets, gets + 1, "{field}: read from the store");
+            assert_eq!(rt.stats().verify_failures, 1, "{field}");
+            let fresh = kept_record(&rt, b"tamper", |_| {});
+            assert_eq!(fresh, Some(stored), "{field}: the store's record is kept");
+
+            let before = rt.enclave().stats();
+            let (got, outcome) = repeat().unwrap();
+            assert_eq!((got.to_vec(), outcome), (result, DedupOutcome::HitLocalCache));
+            assert_eq!(rt.enclave().stats().ocalls, before.ocalls, "{field}");
+            assert_eq!(store.stats().gets, gets + 1, "{field}");
+            let stats = rt.stats();
+            assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2), "{field}");
+        }
+    }
+
+    /// A kept record that fails verification is dropped even when the
+    /// store no longer holds the result: the repeat computes it, and the
+    /// entry is left with no record rather than the bad one.
+    #[test]
+    fn a_failed_kept_record_is_dropped_when_the_store_forgot_it() {
+        let platform = Platform::new(CostModel::default_sgx());
+        let config = StoreConfig { max_entries: 1, shards: 1, ..StoreConfig::default() };
+        let store = Arc::new(ResultStore::new(&platform, config).unwrap());
+        let authority = Arc::new(SessionAuthority::with_seed(5));
+        let seeder = runtime(&platform, &store, &authority, b"forgot-seed");
+        let result = vec![0x42u8; 1000];
+        seeder.execute(&desc_double(), b"first", |_| result.clone()).unwrap();
+        let rt = record_keeping_runtime(&platform, &store, &authority);
+        let (_, outcome) = rt.execute(&desc_double(), b"first", |_| panic!()).unwrap();
+        assert_eq!(outcome, DedupOutcome::Hit);
+        // A second result takes the store's only slot.
+        seeder.execute(&desc_double(), b"second", |_| vec![2]).unwrap();
+        kept_record(&rt, b"first", flip("boxed_result")).expect("record kept");
+
+        let (got, outcome) =
+            rt.execute(&desc_double(), b"first", |_| result.clone()).unwrap();
+        assert_eq!((got.to_vec(), outcome), (result, DedupOutcome::Miss));
+        assert_eq!(rt.stats().verify_failures, 1);
+        assert_eq!(kept_record(&rt, b"first", |_| {}), None, "the bad record is gone");
+        assert_eq!(rt.hot_cache_records(), Some((0, 0)));
     }
 
     #[test]

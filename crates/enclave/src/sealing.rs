@@ -9,6 +9,9 @@
 //!   platform can unseal.
 //! - [`SealPolicy::MrSigner`] — any enclave from the same "signer" can
 //!   unseal (modelled with an explicit signer label).
+//!
+//! [`seal`] and [`unseal`] derive the key for every blob. A [`Sealer`]
+//! derives it once, for a caller that seals many blobs under one identity.
 
 use speed_crypto::{hkdf, AesGcm128, Key128, Nonce, SystemRng};
 
@@ -79,6 +82,63 @@ fn seal_key(platform: &Platform, enclave: &Enclave, policy: &SealPolicy) -> Key1
     Key128::from_slice(&okm).expect("hkdf produced 16 bytes")
 }
 
+fn open(
+    cipher: &AesGcm128,
+    aad: &[u8],
+    sealed: &SealedData,
+) -> Result<Vec<u8>, EnclaveError> {
+    let nonce = Nonce::from_bytes(sealed.nonce);
+    cipher.open(&nonce, aad, &sealed.boxed).map_err(|_| EnclaveError::UnsealFailed)
+}
+
+/// A sealing key derived once for one enclave and policy, with its own
+/// nonce generator: it seals and unseals exactly as [`seal`] and [`unseal`]
+/// do, without the key derivation, the cipher setup and the read of OS
+/// entropy that each of their calls makes. Nonces stay random 96-bit
+/// values, from a ChaCha20 generator seeded once from OS entropy. `Debug`
+/// prints neither the key nor the generator's state.
+pub struct Sealer {
+    cipher: AesGcm128,
+    nonces: SystemRng,
+}
+
+impl std::fmt::Debug for Sealer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Sealer(<key redacted>)")
+    }
+}
+
+impl Sealer {
+    /// Derives the sealing key of `enclave` on `platform` under `policy`.
+    pub fn new(platform: &Platform, enclave: &Enclave, policy: &SealPolicy) -> Self {
+        Sealer {
+            cipher: AesGcm128::new(&seal_key(platform, enclave, policy)),
+            nonces: SystemRng::new(),
+        }
+    }
+
+    /// Seals `plaintext` under a fresh random nonce.
+    pub fn seal(&mut self, aad: &[u8], plaintext: &[u8]) -> SealedData {
+        let nonce = self.nonces.gen_nonce();
+        let boxed = self.cipher.seal(&nonce, aad, plaintext);
+        SealedData { nonce: *nonce.as_bytes(), boxed }
+    }
+
+    /// Unseals data sealed under this key, by a `Sealer` or by [`seal`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EnclaveError::UnsealFailed`] if the data was sealed under
+    /// another key or AAD, or was tampered with.
+    pub fn unseal(
+        &self,
+        aad: &[u8],
+        sealed: &SealedData,
+    ) -> Result<Vec<u8>, EnclaveError> {
+        open(&self.cipher, aad, sealed)
+    }
+}
+
 /// Seals `plaintext` for later recovery under `policy`.
 pub fn seal(
     platform: &Platform,
@@ -87,12 +147,7 @@ pub fn seal(
     aad: &[u8],
     plaintext: &[u8],
 ) -> SealedData {
-    let key = seal_key(platform, enclave, policy);
-    let cipher = AesGcm128::new(&key);
-    let mut rng = SystemRng::new();
-    let nonce = rng.gen_nonce();
-    let boxed = cipher.seal(&nonce, aad, plaintext);
-    SealedData { nonce: *nonce.as_bytes(), boxed }
+    Sealer::new(platform, enclave, policy).seal(aad, plaintext)
 }
 
 /// Unseals data previously produced by [`seal`].
@@ -109,10 +164,7 @@ pub fn unseal(
     aad: &[u8],
     sealed: &SealedData,
 ) -> Result<Vec<u8>, EnclaveError> {
-    let key = seal_key(platform, enclave, policy);
-    let cipher = AesGcm128::new(&key);
-    let nonce = Nonce::from_bytes(sealed.nonce);
-    cipher.open(&nonce, aad, &sealed.boxed).map_err(|_| EnclaveError::UnsealFailed)
+    open(&AesGcm128::new(&seal_key(platform, enclave, policy)), aad, sealed)
 }
 
 #[cfg(test)]
@@ -196,6 +248,52 @@ mod tests {
         let parsed = SealedData::from_bytes(&sealed.to_bytes()).unwrap();
         assert_eq!(parsed, sealed);
         assert!(SealedData::from_bytes(&[0u8; 5]).is_err());
+    }
+
+    #[test]
+    fn sealer_output_matches_seal_and_unseal() {
+        let platform = Platform::new(CostModel::no_sgx());
+        let enclave = platform.create_enclave(b"app").unwrap();
+        let policy = SealPolicy::MrEnclave;
+        let mut sealer = Sealer::new(&platform, &enclave, &policy);
+        let sealed = sealer.seal(b"aad", b"from the sealer");
+        assert_eq!(
+            unseal(&platform, &enclave, &policy, b"aad", &sealed).unwrap(),
+            b"from the sealer"
+        );
+        let sealed = seal(&platform, &enclave, &policy, b"aad", b"from seal");
+        assert_eq!(sealer.unseal(b"aad", &sealed).unwrap(), b"from seal");
+        assert!(sealer.unseal(b"other aad", &sealed).is_err());
+        let other = platform.create_enclave(b"other app").unwrap();
+        let foreign = Sealer::new(&platform, &other, &policy).seal(b"aad", b"x");
+        assert_eq!(sealer.unseal(b"aad", &foreign), Err(EnclaveError::UnsealFailed));
+    }
+
+    #[test]
+    fn sealer_never_repeats_a_nonce() {
+        let platform = Platform::new(CostModel::no_sgx());
+        let enclave = platform.create_enclave(b"app").unwrap();
+        let mut sealer = Sealer::new(&platform, &enclave, &SealPolicy::MrEnclave);
+        let nonces: std::collections::HashSet<[u8; 12]> =
+            (0..10_000).map(|_| sealer.seal(b"", b"same plaintext").nonce).collect();
+        assert_eq!(nonces.len(), 10_000);
+    }
+
+    #[test]
+    fn sealer_debug_is_redacted() {
+        let platform = Platform::new(CostModel::no_sgx());
+        let a = Sealer::new(
+            &platform,
+            &platform.create_enclave(b"a").unwrap(),
+            &SealPolicy::MrEnclave,
+        );
+        let b = Sealer::new(
+            &platform,
+            &platform.create_enclave(b"b").unwrap(),
+            &SealPolicy::MrEnclave,
+        );
+        assert_eq!(format!("{a:?}"), "Sealer(<key redacted>)");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use speed_enclave::sealing::{seal, unseal, SealPolicy, SealedData};
+use speed_enclave::sealing::{SealPolicy, SealedData, Sealer};
 use speed_enclave::{Enclave, Platform};
 use speed_telemetry::{names, Counter, Gauge, Histogram};
 use speed_wire::{CompTag, SyncEntry};
@@ -102,18 +102,6 @@ fn log_of(tag: &CompTag, logs: usize) -> usize {
     usize::from(tag.as_bytes()[0]) % logs.max(1)
 }
 
-#[derive(Clone)]
-struct Ctx {
-    platform: Arc<Platform>,
-    enclave: Arc<Enclave>,
-}
-
-impl std::fmt::Debug for Ctx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Ctx")
-    }
-}
-
 /// Bookkeeping for one segment file currently on disk.
 #[derive(Debug, Default)]
 struct SegmentState {
@@ -142,7 +130,9 @@ struct IndexEntry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    ctx: Option<Ctx>,
+    /// The store enclave's sealing key, derived once per open: every WAL
+    /// record and checkpoint is sealed and opened with it, under the lock.
+    sealer: Option<Sealer>,
     /// Next sequence number to assign (1-based; 0 = nothing ever logged).
     next_seq: u64,
     checkpoint_seq: u64,
@@ -151,6 +141,14 @@ struct Inner {
     segments: HashMap<PathBuf, SegmentState>,
     index: HashMap<CompTag, IndexEntry>,
     read_only: Option<String>,
+}
+
+impl Inner {
+    fn sealer(&mut self) -> Result<&mut Sealer, StoreError> {
+        self.sealer
+            .as_mut()
+            .ok_or_else(|| StoreError::Protocol("log backend not opened".into()))
+    }
 }
 
 #[derive(Debug)]
@@ -259,7 +257,7 @@ impl LogBackend {
         StoreError::Io(reason)
     }
 
-    fn load_checkpoint(&self, ctx: &Ctx, path: &Path) -> CkptLoad {
+    fn load_checkpoint(&self, sealer: &Sealer, path: &Path) -> CkptLoad {
         let bytes = match self.vfs.read(path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -280,13 +278,7 @@ impl LogBackend {
             Ok(sealed) => sealed,
             Err(e) => return CkptLoad::Bad(format!("checkpoint container: {e}")),
         };
-        let payload = match unseal(
-            &ctx.platform,
-            &ctx.enclave,
-            &SealPolicy::MrEnclave,
-            CHECKPOINT_AAD,
-            &sealed,
-        ) {
+        let payload = match sealer.unseal(CHECKPOINT_AAD, &sealed) {
             Ok(payload) => payload,
             Err(e) => return CkptLoad::Bad(format!("checkpoint unseal: {e}")),
         };
@@ -303,13 +295,9 @@ impl LogBackend {
         if let Some(reason) = &inner.read_only {
             return Err(StoreError::Io(format!("store is read-only: {reason}")));
         }
-        let ctx = inner
-            .ctx
-            .clone()
-            .ok_or_else(|| StoreError::Protocol("log backend not opened".into()))?;
         let seq = inner.next_seq.max(1);
         let record = WalRecord { seq, op };
-        let frame = encode_record(&ctx.platform, &ctx.enclave, &record)?;
+        let frame = encode_record(inner.sealer()?, &record)?;
         let log = log_of(record.tag(), self.config.logs);
         let path = inner.actives[log].clone();
         if let Err(e) = self.vfs.append(&path, &frame) {
@@ -422,7 +410,7 @@ impl StoreBackend for LogBackend {
         let dir = self.config.dir.clone();
         self.vfs.create_dir_all(&dir)?;
         let swept = sweep_tmp_files(self.vfs.as_ref(), &dir);
-        let ctx = Ctx { platform: Arc::clone(platform), enclave: Arc::clone(enclave) };
+        let sealer = Sealer::new(platform, enclave, &SealPolicy::MrEnclave);
 
         let mut report = RecoveryReport {
             backend: "log",
@@ -434,7 +422,7 @@ impl StoreBackend for LogBackend {
         let cp_path = self.checkpoint_path();
         let mut checkpoint_seq = 0u64;
         let mut checkpoint_entries: Vec<SyncEntry> = Vec::new();
-        match self.load_checkpoint(&ctx, &cp_path) {
+        match self.load_checkpoint(&sealer, &cp_path) {
             CkptLoad::Missing => report.checkpoint = SnapshotLoad::FreshMissing,
             CkptLoad::Loaded(seq, entries) => {
                 checkpoint_seq = seq;
@@ -471,7 +459,7 @@ impl StoreBackend for LogBackend {
                     continue;
                 }
             };
-            let scan = scan_segment(&ctx.platform, &ctx.enclave, &bytes);
+            let scan = scan_segment(&sealer, &bytes);
             if scan.torn {
                 // Cut the tail so post-recovery appends can never land
                 // after garbage bytes.
@@ -614,7 +602,7 @@ impl StoreBackend for LogBackend {
 
         let mut inner = self.lock();
         *inner = Inner {
-            ctx: Some(ctx),
+            sealer: Some(sealer),
             next_seq,
             checkpoint_seq,
             records_since_checkpoint: max_seq_seen - checkpoint_seq,
@@ -699,23 +687,13 @@ impl StoreBackend for LogBackend {
         export: &dyn Fn() -> Vec<Vec<SyncEntry>>,
     ) -> Result<(), StoreError> {
         let mut inner = self.lock();
-        let ctx = inner
-            .ctx
-            .clone()
-            .ok_or_else(|| StoreError::Protocol("log backend not opened".into()))?;
-        // Export under the lock, before reading the mark: a mutation the
-        // export misses cannot have appended its record yet, so the record
-        // lands above `seq_mark`, in a segment this checkpoint keeps.
+        inner.sealer()?; // refuse before open, without exporting
+                         // Export under the lock, before reading the mark: a mutation the
+                         // export misses cannot have appended its record yet, so the record
+                         // lands above `seq_mark`, in a segment this checkpoint keeps.
         let payload = crate::persist::encode_shard_sections(&export())?;
         let seq_mark = inner.next_seq.saturating_sub(1);
-        let sealed = seal(
-            &ctx.platform,
-            &ctx.enclave,
-            &SealPolicy::MrEnclave,
-            CHECKPOINT_AAD,
-            &payload,
-        )
-        .to_bytes();
+        let sealed = inner.sealer()?.seal(CHECKPOINT_AAD, &payload).to_bytes();
         let mut bytes = Vec::with_capacity(20 + sealed.len());
         bytes.extend_from_slice(CKPT_MAGIC);
         bytes.extend_from_slice(&seq_mark.to_le_bytes());
@@ -773,10 +751,7 @@ impl StoreBackend for LogBackend {
         if let Some(reason) = &inner.read_only {
             return Err(StoreError::Io(format!("store is read-only: {reason}")));
         }
-        let ctx = inner
-            .ctx
-            .clone()
-            .ok_or_else(|| StoreError::Protocol("log backend not opened".into()))?;
+        inner.sealer()?; // refuse before open
         let actives = inner.actives.clone();
         let candidate = inner
             .segments
@@ -794,7 +769,7 @@ impl StoreBackend for LogBackend {
         };
 
         let bytes = self.vfs.read(&source)?;
-        let scan = scan_segment(&ctx.platform, &ctx.enclave, &bytes);
+        let scan = scan_segment(inner.sealer()?, &bytes);
         let source_log = inner.segments.get(&source).map_or(0, |s| s.log);
         let target = inner.actives[source_log % self.config.logs.max(1)].clone();
         // Copy surviving frames verbatim (already sealed — no re-encrypt):

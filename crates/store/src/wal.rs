@@ -10,7 +10,8 @@
 //! where the payload is *sealed per record* under the store enclave's
 //! identity ([`SealPolicy::MrEnclave`]) — the storage data path stays
 //! protected without trusting the filesystem, and sealing one small record
-//! at a time keeps the sealed path cheap enough for the hot write path.
+//! at a time, with a [`Sealer`] whose key is derived once per backend
+//! open, keeps the sealed path cheap enough for the hot write path.
 //! The CRC covers the sealed bytes: recovery can cut a torn tail without
 //! paying an unseal attempt per corrupt candidate record.
 //!
@@ -18,9 +19,10 @@
 //! that is short, fails its CRC, fails to unseal, or fails to decode — the
 //! classic torn-tail rule. Everything before the stop point is trusted
 //! (CRC + AEAD tag both passed); everything after is discarded.
+//!
+//! [`SealPolicy::MrEnclave`]: speed_enclave::sealing::SealPolicy::MrEnclave
 
-use speed_enclave::sealing::{seal, unseal, SealPolicy, SealedData};
-use speed_enclave::{Enclave, Platform};
+use speed_enclave::sealing::{SealedData, Sealer};
 use speed_wire::{CompTag, Reader, SyncEntry, WireDecode, WireEncode, Writer};
 
 use crate::StoreError;
@@ -118,15 +120,16 @@ fn decode_plain(bytes: &[u8]) -> Option<WalRecord> {
     Some(WalRecord { seq, op })
 }
 
-/// Seals and frames one record for appending to a segment file.
+/// Seals and frames one record for appending to a segment file. `sealer`
+/// holds the store enclave's [`SealPolicy::MrEnclave`] key.
+///
+/// [`SealPolicy::MrEnclave`]: speed_enclave::sealing::SealPolicy::MrEnclave
 pub fn encode_record(
-    platform: &Platform,
-    enclave: &Enclave,
+    sealer: &mut Sealer,
     record: &WalRecord,
 ) -> Result<Vec<u8>, StoreError> {
     let plain = encode_plain(record);
-    let sealed =
-        seal(platform, enclave, &SealPolicy::MrEnclave, WAL_AAD, &plain).to_bytes();
+    let sealed = sealer.seal(WAL_AAD, &plain).to_bytes();
     let len = u32::try_from(sealed.len()).map_err(|_| {
         StoreError::Protocol("WAL record exceeds the u32 frame limit".into())
     })?;
@@ -158,8 +161,9 @@ pub struct SegmentScan {
 }
 
 /// Scans a segment's bytes, stopping at the first short, corrupt,
-/// unsealable, or undecodable record (the torn-tail rule).
-pub fn scan_segment(platform: &Platform, enclave: &Enclave, bytes: &[u8]) -> SegmentScan {
+/// unsealable, or undecodable record (the torn-tail rule). `sealer` holds
+/// the key the records were sealed under.
+pub fn scan_segment(sealer: &Sealer, bytes: &[u8]) -> SegmentScan {
     let mut records = Vec::new();
     let mut offsets = vec![0u64];
     let mut pos = 0usize;
@@ -178,11 +182,7 @@ pub fn scan_segment(platform: &Platform, enclave: &Enclave, bytes: &[u8]) -> Seg
             break;
         }
         let Ok(sealed) = SealedData::from_bytes(sealed_bytes) else { break };
-        let Ok(plain) =
-            unseal(platform, enclave, &SealPolicy::MrEnclave, WAL_AAD, &sealed)
-        else {
-            break;
-        };
+        let Ok(plain) = sealer.unseal(WAL_AAD, &sealed) else { break };
         let Some(record) = decode_plain(&plain) else { break };
         records.push(record);
         pos += 8 + len;
@@ -192,19 +192,35 @@ pub fn scan_segment(platform: &Platform, enclave: &Enclave, bytes: &[u8]) -> Seg
     SegmentScan { records, offsets, valid_len: pos as u64, torn }
 }
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
+/// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8: eight table
+/// lookups fold eight input bytes per step, and the bytes after the last
+/// full step go one at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const TABLES: [[u32; 256]; 8] = crc32_tables();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let index = (crc ^ u32::from(b)) & 0xFF;
-        crc = (crc >> 8) ^ TABLE[index as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let low = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let high = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = TABLES[7][(low & 0xFF) as usize]
+            ^ TABLES[6][((low >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((low >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(low >> 24) as usize]
+            ^ TABLES[3][(high & 0xFF) as usize]
+            ^ TABLES[2][((high >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((high >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(high >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `tables[0]` is the bytewise table; `tables[k][i]` is the CRC of byte `i`
+/// followed by `k` zero bytes, which lets one step fold eight bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -213,22 +229,34 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use speed_enclave::CostModel;
+    use speed_enclave::sealing::SealPolicy;
+    use speed_enclave::{CostModel, Platform};
     use speed_wire::{CompTag, Record};
 
-    fn context() -> (std::sync::Arc<Platform>, std::sync::Arc<Enclave>) {
+    /// A sealer for a test store enclave on a fresh platform.
+    fn sealer() -> Sealer {
         let platform = Platform::new(CostModel::no_sgx());
         let enclave = platform.create_enclave(b"wal-test-enclave").unwrap();
-        (platform, enclave)
+        Sealer::new(&platform, &enclave, &SealPolicy::MrEnclave)
     }
 
     fn put_record(seq: u64, fill: u8) -> WalRecord {
@@ -254,9 +282,34 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// The plain byte-at-a-time table loop: the oracle for [`crc32`].
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        const TABLE: [u32; 256] = crc32_tables()[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_oracle_at_every_length_and_offset() {
+        let mut rng = speed_crypto::SystemRng::seeded(0xC3C3);
+        let mut bytes = vec![0u8; 65_543 + 8];
+        rng.fill(&mut bytes);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let lengths = (0..=1024).chain([25_000, 65_543]);
+        for len in lengths {
+            for offset in 0..=7 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "len {len} at {offset}");
+            }
+        }
+    }
+
     #[test]
     fn records_roundtrip_through_a_segment() {
-        let (platform, enclave) = context();
+        let mut sealer = sealer();
         let mut segment = Vec::new();
         let originals = vec![
             put_record(1, 7),
@@ -265,9 +318,9 @@ mod tests {
             WalRecord { seq: 4, op: WalOp::Delete(CompTag::from_bytes([7; 32])) },
         ];
         for record in &originals {
-            segment.extend(encode_record(&platform, &enclave, record).unwrap());
+            segment.extend(encode_record(&mut sealer, record).unwrap());
         }
-        let scan = scan_segment(&platform, &enclave, &segment);
+        let scan = scan_segment(&sealer, &segment);
         assert_eq!(scan.records, originals);
         assert!(!scan.torn);
         assert_eq!(scan.valid_len, segment.len() as u64);
@@ -276,16 +329,15 @@ mod tests {
 
     #[test]
     fn torn_tail_truncates_at_every_offset() {
-        let (platform, enclave) = context();
+        let mut sealer = sealer();
         let mut segment = Vec::new();
         let mut boundaries = vec![0usize];
         for seq in 1..=3u64 {
-            segment
-                .extend(encode_record(&platform, &enclave, &put_record(seq, 9)).unwrap());
+            segment.extend(encode_record(&mut sealer, &put_record(seq, 9)).unwrap());
             boundaries.push(segment.len());
         }
         for cut in 0..segment.len() {
-            let scan = scan_segment(&platform, &enclave, &segment[..cut]);
+            let scan = scan_segment(&sealer, &segment[..cut]);
             // Recovered records = complete frames strictly below the cut.
             let complete = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
             assert_eq!(scan.records.len(), complete, "cut={cut}");
@@ -295,38 +347,36 @@ mod tests {
 
     #[test]
     fn corrupt_byte_stops_the_scan() {
-        let (platform, enclave) = context();
+        let mut sealer = sealer();
         let mut segment = Vec::new();
         for seq in 1..=3u64 {
-            segment
-                .extend(encode_record(&platform, &enclave, &put_record(seq, 3)).unwrap());
+            segment.extend(encode_record(&mut sealer, &put_record(seq, 3)).unwrap());
         }
         let record_len = segment.len() / 3;
         // Flip a byte in the second record's sealed payload.
         segment[record_len + 12] ^= 0xFF;
-        let scan = scan_segment(&platform, &enclave, &segment);
+        let scan = scan_segment(&sealer, &segment);
         assert_eq!(scan.records.len(), 1);
         assert!(scan.torn);
     }
 
     #[test]
     fn foreign_enclave_records_are_rejected() {
-        let (platform, enclave) = context();
-        let other_platform = Platform::new(CostModel::no_sgx());
-        let other = other_platform.create_enclave(b"wal-test-enclave").unwrap();
-        let frame = encode_record(&platform, &enclave, &put_record(1, 1)).unwrap();
-        let scan = scan_segment(&other_platform, &other, &frame);
+        let mut sealer = sealer();
+        let other = self::sealer();
+        let frame = encode_record(&mut sealer, &put_record(1, 1)).unwrap();
+        let scan = scan_segment(&other, &frame);
         assert!(scan.records.is_empty());
         assert!(scan.torn);
     }
 
     #[test]
     fn hostile_length_prefix_is_corruption_not_allocation() {
-        let (platform, enclave) = context();
+        let sealer = sealer();
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 100]);
-        let scan = scan_segment(&platform, &enclave, &bytes);
+        let scan = scan_segment(&sealer, &bytes);
         assert!(scan.records.is_empty());
         assert_eq!(scan.valid_len, 0);
     }

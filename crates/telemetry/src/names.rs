@@ -67,9 +67,14 @@ pub const RCE_ENCRYPT_DURATION_NS: &str = "rce_encrypt_duration_ns";
 /// Histogram (ns): in-enclave hot-tag cache lookup (hit or miss).
 pub const HOTCACHE_LOOKUP_DURATION_NS: &str = "hotcache_lookup_duration_ns";
 /// Counter: hot-cache probes that found a remembered computation without
-/// its result and supplied its digest and tag, so the call's store GET,
-/// RCE recovery and any PUT ran without a SHA-256 pass over its input.
+/// its result and supplied its digest and tag, so the call's opening of a
+/// kept record, or its store GET, RCE recovery and any PUT, ran without a
+/// SHA-256 pass over its input.
 pub const HOTCACHE_DIGEST_REUSES_TOTAL: &str = "hotcache_digest_reuses_total";
+/// Counter: hot-cache probes answered by verifying and opening the RCE
+/// record the cache kept from the computation's last verified store hit,
+/// with no OCALL and no store GET. Also counted in the cache hits.
+pub const HOTCACHE_RECORD_HITS_TOTAL: &str = "hotcache_record_hits_total";
 /// Counter: resolved results the hot cache did not keep — frequency
 /// admission refused them or they were too large. The computation stays
 /// remembered by its digest where the entry table has room.
@@ -287,6 +292,7 @@ pub const ALL: &[&str] = &[
     RCE_ENCRYPT_DURATION_NS,
     HOTCACHE_LOOKUP_DURATION_NS,
     HOTCACHE_DIGEST_REUSES_TOTAL,
+    HOTCACHE_RECORD_HITS_TOTAL,
     HOTCACHE_ADMISSIONS_REFUSED_TOTAL,
     TAG_PREFILTER_DERIVE_DURATION_NS,
     TAG_PREFILTER_CACHE_SKIPS_TOTAL,

@@ -13,7 +13,9 @@ use std::io::{self, Read, Write};
 /// chunked by the application.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
-/// Writes one frame to `writer`.
+/// Writes one frame to `writer`, header and payload in one `write_all`:
+/// on a `TCP_NODELAY` socket a frame leaves as one segment and, unless the
+/// socket takes it short, one syscall.
 ///
 /// A mutable reference to any `Write` works as well (`&mut stream`).
 ///
@@ -21,25 +23,14 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 ///
 /// Returns an I/O error from the underlying writer, or
 /// [`io::ErrorKind::InvalidInput`] if `payload` exceeds [`MAX_FRAME_LEN`].
-pub fn write_frame<W: Write>(mut writer: W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds limit", payload.len()),
-        ));
-    }
-    let len = payload.len() as u32;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
-    writer.flush()
+pub fn write_frame<W: Write>(writer: W, payload: &[u8]) -> io::Result<()> {
+    write_frame_vectored(writer, &[payload])
 }
 
-/// Writes one frame whose payload is the concatenation of `parts`, without
-/// building an intermediate contiguous buffer.
-///
-/// This is the vectored sibling of [`write_frame`] for callers that hold a
-/// response as header + body slices: the length prefix covers the summed
-/// part lengths and each part is streamed in order.
+/// Writes one frame whose payload is the concatenation of `parts`: the
+/// length prefix covers the summed part lengths, and the frame is assembled
+/// in one buffer and written with one `write_all`, as [`write_frame`]
+/// writes it.
 ///
 /// # Errors
 ///
@@ -54,10 +45,12 @@ pub fn write_frame_vectored<W: Write>(mut writer: W, parts: &[&[u8]]) -> io::Res
             format!("frame of {total} bytes exceeds limit"),
         ));
     }
-    writer.write_all(&(total as u32).to_le_bytes())?;
+    let mut frame = Vec::with_capacity(4 + total);
+    frame.extend_from_slice(&(total as u32).to_le_bytes());
     for part in parts {
-        writer.write_all(part)?;
+        frame.extend_from_slice(part);
     }
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -80,21 +73,20 @@ pub fn read_frame<R: Read>(mut reader: R) -> io::Result<Vec<u8>> {
     }
     // Grow in bounded chunks instead of trusting the header with one big
     // allocation: a hostile 4-byte prefix declaring MAX_FRAME_LEN would
-    // otherwise cost 64 MiB before the stream proves it has the bytes.
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK_LEN));
-    let mut chunk = [0u8; READ_CHUNK_LEN];
-    let mut remaining = len;
-    while remaining > 0 {
-        let want = remaining.min(READ_CHUNK_LEN);
-        reader.read_exact(&mut chunk[..want])?;
-        payload.extend_from_slice(&chunk[..want]);
-        remaining -= want;
+    // otherwise cost 64 MiB before the stream proves it has the bytes. Each
+    // chunk is read straight into the payload.
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(len.min(filled + READ_CHUNK_LEN), 0);
+        reader.read_exact(&mut payload[filled..])?;
     }
     Ok(payload)
 }
 
-/// Chunk size for incremental frame reads: allocation grows only as fast as
-/// the peer actually supplies bytes.
+/// Chunk size for incremental frame reads: a payload buffer is never more
+/// than this many bytes longer than what the peer has supplied, so
+/// allocation grows only as fast as the bytes arrive.
 const READ_CHUNK_LEN: usize = 64 * 1024;
 
 /// Outcome of one [`FrameReader::poll`] call against a non-blocking stream.
@@ -123,7 +115,10 @@ pub struct FrameReader {
     header_filled: usize,
     /// Declared payload length once the header is complete.
     want: Option<usize>,
+    /// The payload so far: `filled` bytes read, then at most
+    /// [`READ_CHUNK_LEN`] zeroed bytes that the next reads fill.
     payload: Vec<u8>,
+    filled: usize,
 }
 
 impl FrameReader {
@@ -172,9 +167,6 @@ impl FrameReader {
                             ));
                         }
                         self.want = Some(len);
-                        // Bounded first reservation — growth tracks the
-                        // bytes the peer actually delivers.
-                        self.payload = Vec::with_capacity(len.min(READ_CHUNK_LEN));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -185,20 +177,22 @@ impl FrameReader {
             }
         }
 
-        // Phase 2: accumulate the payload in bounded chunks.
+        // Phase 2: read the payload straight into its buffer, which grows
+        // one bounded chunk ahead of the bytes that have arrived.
         let want = self.want.unwrap_or(0);
-        while self.payload.len() < want {
-            let remaining = want - self.payload.len();
-            let mut chunk = [0u8; READ_CHUNK_LEN];
-            let take = remaining.min(READ_CHUNK_LEN);
-            match reader.read(&mut chunk[..take]) {
+        while self.filled < want {
+            let end = want.min(self.filled + READ_CHUNK_LEN);
+            if self.payload.len() < end {
+                self.payload.resize(end, 0);
+            }
+            match reader.read(&mut self.payload[self.filled..end]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "peer closed mid-payload",
                     ))
                 }
-                Ok(n) => self.payload.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.filled += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     return Ok(FrameProgress::Pending)
                 }
@@ -209,6 +203,7 @@ impl FrameReader {
 
         self.header_filled = 0;
         self.want = None;
+        self.filled = 0;
         Ok(FrameProgress::Frame(std::mem::take(&mut self.payload)))
     }
 }
@@ -375,6 +370,70 @@ mod tests {
         let buf = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
         let err = read_frame(Cursor::new(buf)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A `Write` that counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        out: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut writer = CountingWriter::default();
+        let payload = vec![7u8; 25_000];
+        write_frame(&mut writer, &payload).unwrap();
+        assert_eq!(writer.writes, 1);
+        write_frame(&mut writer, b"").unwrap();
+        assert_eq!(writer.writes, 2);
+        write_frame_vectored(&mut writer, &[b"head", &payload]).unwrap();
+        assert_eq!(writer.writes, 3);
+        let mut cursor = Cursor::new(writer.out);
+        assert_eq!(read_frame(&mut cursor).unwrap(), payload);
+        assert_eq!(read_frame(&mut cursor).unwrap(), b"");
+        assert_eq!(read_frame(&mut cursor).unwrap()[4..], payload[..]);
+    }
+
+    /// A frame that arrives a few bytes per read, across chunk boundaries,
+    /// comes out whole, and the buffer never runs more than one chunk
+    /// ahead of the bytes that arrived.
+    #[test]
+    fn frame_reader_reads_a_multi_chunk_payload_in_pieces() {
+        let payload: Vec<u8> =
+            (0..READ_CHUNK_LEN * 2 + 17).map(|i| (i % 251) as u8).collect();
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &payload).unwrap();
+        let mut steps = Vec::new();
+        for piece in framed.chunks(40_000) {
+            steps.extend([None, Some(piece)]);
+        }
+        let mut stream = Scripted::new(steps);
+        let mut reader = FrameReader::new();
+        loop {
+            match reader.poll(&mut stream).unwrap() {
+                FrameProgress::Frame(got) => {
+                    assert_eq!(got, payload);
+                    break;
+                }
+                FrameProgress::Pending => {
+                    assert!(reader.payload.len() <= reader.filled + READ_CHUNK_LEN);
+                }
+                FrameProgress::Closed => panic!("closed mid-frame"),
+            }
+        }
+        assert!(matches!(reader.poll(&mut stream).unwrap(), FrameProgress::Closed));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! A hot-cache hit runs no SHA-256: the hot cache is keyed by the secret
 //! fingerprint `fp = E_K(GHASH_H(func, m))`, and only a call that reaches
 //! the store derives the digest and the comp-tag — unless the hot cache
-//! remembers the computation without its result, and hands over the digest.
-//! A `lookup` that the negative filter proves absent runs no hash at all.
+//! remembers the computation without its result, and hands over the digest
+//! with the record of its last store hit, which the call opens without a
+//! store GET. A `lookup` that the negative filter proves absent runs no
+//! hash at all.
 //!
 //! The binary holds a single test, so the global registry's tag histograms
 //! and hot-cache counters move only with the calls it makes.
@@ -94,8 +96,10 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
     assert_eq!(passes(), (before.0 + 1, before.1 + 1), "store hit");
 
     // A runtime whose byte budget is below the result size never caches
-    // the result, but remembers the computation by its digest: its repeat
-    // is a store hit with no SHA-256 pass, and one fp for the probe.
+    // the result, but remembers the computation by its digest and keeps
+    // the store hit's record outside the enclave: its repeat opens that
+    // record under the digest, with no store GET, no SHA-256 pass and one
+    // fp for the probe.
     let small = runtime(
         b"small-app",
         HotCacheConfig { max_bytes: 32 * 1024, ..HotCacheConfig::default() },
@@ -107,12 +111,19 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
     assert_eq!(passes(), (before.0 + 1, before.1 + 1), "first store hit");
     assert_eq!(counter(names::HOTCACHE_ADMISSIONS_REFUSED_TOTAL), refused + 1);
 
-    let (before, reuses) = (passes(), counter(names::HOTCACHE_DIGEST_REUSES_TOTAL));
+    let (before, reuses, record_hits, gets) = (
+        passes(),
+        counter(names::HOTCACHE_DIGEST_REUSES_TOTAL),
+        counter(names::HOTCACHE_RECORD_HITS_TOTAL),
+        store.stats().gets,
+    );
     let (result, outcome) = small.execute_raw(&identity, &input, not_computed).unwrap();
-    assert_eq!(outcome, DedupOutcome::Hit);
+    assert_eq!(outcome, DedupOutcome::HitLocalCache);
     assert_eq!(result, reverse(&input));
+    assert_eq!(store.stats().gets, gets, "a kept record needs no store GET");
     assert_eq!(passes(), (before.0, before.1 + 1), "a remembered digest runs no SHA-256");
     assert_eq!(counter(names::HOTCACHE_DIGEST_REUSES_TOTAL), reuses + 1);
+    assert_eq!(counter(names::HOTCACHE_RECORD_HITS_TOTAL), record_hits + 1);
 
     // A lookup of an input the store's negative filter proves absent runs
     // no hash at all: the hot cache's prefilter multiset skips the

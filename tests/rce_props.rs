@@ -238,6 +238,14 @@ fn hot_cache_respects_bounds_under_random_streams() {
                     bytes <= CACHE.max_bytes,
                     "op {index}: {bytes} accounted bytes exceed bound"
                 );
+                // Kept records live outside the enclave, within their own
+                // budget of 16 × max_bytes.
+                let (_, record_bytes) =
+                    rt.hot_cache_records().expect("hot cache enabled");
+                assert!(
+                    record_bytes <= 16 * CACHE.max_bytes,
+                    "op {index}: {record_bytes} kept record bytes exceed the budget"
+                );
             }
         },
     );

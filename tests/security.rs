@@ -161,8 +161,8 @@ fn fingerprint_debug_shows_no_key_or_value() {
     assert_eq!(format!("{x:?}"), format!("{y:?}"));
 }
 
-/// A runtime's `Debug` output carries neither a hot-cached plaintext result
-/// nor its RNG state.
+/// A runtime's `Debug` output carries neither a hot-cached plaintext result,
+/// nor a byte of the RCE record the hot cache kept, nor its RNG state.
 #[test]
 fn runtime_debug_shows_no_cached_result() {
     let world = world();
@@ -175,16 +175,33 @@ fn runtime_debug_shows_no_cached_result() {
     let identity = rt.resolve(&desc()).unwrap();
     // Distinct large byte values: no counter, id or length prints these.
     let result: Vec<u8> = (0..32u8).map(|i| 0x9D ^ i.wrapping_mul(37)).collect();
-    rt.execute_raw(&identity, b"debug input", |_| result.clone()).unwrap();
+    // Another application publishes the result, so this runtime's first
+    // call is a store hit: the cache keeps its record and its result.
+    runtime(&world, b"debug-publisher", b"genuine")
+        .execute_raw(&identity, b"debug input", |_| result.clone())
+        .unwrap();
+    let (_, outcome) =
+        rt.execute_raw(&identity, b"debug input", |_| b"recomputed".to_vec()).unwrap();
+    assert_eq!(outcome, DedupOutcome::Hit);
     let (_, outcome) =
         rt.execute_raw(&identity, b"debug input", |_| b"recomputed".to_vec()).unwrap();
     assert_eq!(outcome, DedupOutcome::HitLocalCache, "the result is hot-cached");
+    let tag = tag_for(&identity, b"debug input");
+    let record = match world.store.handle(Message::GetRequest { app: AppId(1), tag }) {
+        Message::GetResponse(body) => body.record.expect("the result is stored"),
+        other => panic!("unexpected {other:?}"),
+    };
+    assert_eq!(rt.hot_cache_records(), Some((1, record.wire_size())), "record kept");
 
     let shown = format!("{rt:?}");
-    for window in result.windows(3) {
-        let rendered = format!("{window:?}");
-        let rendered = rendered.trim_start_matches('[').trim_end_matches(']');
-        assert!(!shown.contains(rendered), "result bytes {rendered} in {shown}");
+    let kept: [&[u8]; 4] =
+        [&record.challenge, &record.wrapped_key, &record.nonce, &record.boxed_result];
+    for bytes in std::iter::once(&result[..]).chain(kept) {
+        for window in bytes.windows(3) {
+            let rendered = format!("{window:?}");
+            let rendered = rendered.trim_start_matches('[').trim_end_matches(']');
+            assert!(!shown.contains(rendered), "bytes {rendered} in {shown}");
+        }
     }
     assert!(!shown.contains("SystemRng {"), "RNG state in {shown}");
 }
