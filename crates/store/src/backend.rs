@@ -8,9 +8,9 @@
 //!   restart loses the whole store.
 //! - [`LogBackend`](crate::LogBackend) — crash-safe log-structured
 //!   persistence: every accepted mutation is sealed, checksummed, and
-//!   appended to a write-ahead segment file before the request is
-//!   acknowledged, periodic checkpoints bound replay length, and
-//!   compaction/GC reclaims dead log space.
+//!   appended to one write-ahead log file before the request is
+//!   acknowledged, and periodic checkpoints bound replay length and
+//!   reclaim the log's space.
 //!
 //! The store invokes the backend *after* the in-memory mutation succeeds
 //! and *before* acknowledging the request; a backend failure rolls the
@@ -74,17 +74,6 @@ impl Default for RecoveryReport {
     }
 }
 
-/// Result of one compaction pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompactionStats {
-    /// Segment files rewritten and removed.
-    pub segments_compacted: usize,
-    /// Net bytes of dead log space reclaimed.
-    pub reclaimed_bytes: u64,
-    /// Live records carried over into the active segment.
-    pub live_records_rewritten: u64,
-}
-
 /// Point-in-time durability counters for a backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackendStats {
@@ -96,7 +85,7 @@ pub struct BackendStats {
     pub segment_files: usize,
     /// WAL bytes currently on disk.
     pub wal_bytes: u64,
-    /// Bytes reclaimed by checkpoint truncation + compaction since open.
+    /// Log bytes reclaimed by checkpoints since open.
     pub reclaimed_bytes: u64,
     /// Records appended since the last checkpoint (replay debt).
     pub records_since_checkpoint: u64,
@@ -191,22 +180,9 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
         export: &dyn Fn() -> Vec<Vec<SyncEntry>>,
     ) -> Result<(), StoreError>;
 
-    /// Rewrites at most one mostly-dead sealed segment, reclaiming its
-    /// dead space.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if rewriting failed; the source segment is kept.
-    fn compact(&self) -> Result<CompactionStats, StoreError>;
-
     /// Whether enough records accumulated since the last checkpoint that
     /// the store should checkpoint now.
     fn wants_checkpoint(&self) -> bool {
-        false
-    }
-
-    /// Whether a sealed segment currently qualifies for compaction.
-    fn wants_compaction(&self) -> bool {
         false
     }
 
@@ -273,9 +249,5 @@ impl StoreBackend for MemoryBackend {
         _export: &dyn Fn() -> Vec<Vec<SyncEntry>>,
     ) -> Result<(), StoreError> {
         Ok(())
-    }
-
-    fn compact(&self) -> Result<CompactionStats, StoreError> {
-        Ok(CompactionStats::default())
     }
 }

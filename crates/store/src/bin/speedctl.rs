@@ -48,6 +48,11 @@ fn usage() -> ! {
            --data-dir enables the crash-safe log-structured backend: the\n\
            store recovers its contents from PATH on start and makes every\n\
            acknowledged PUT durable (see docs/OPERATIONS.md)\n\
+           --checkpoint-every N checkpoints the store every N WAL records\n\
+           (default 4096). A checkpoint deletes the WAL files it covers and\n\
+           is the only thing that reclaims WAL space: with 0 (no automatic\n\
+           checkpoint) the WAL grows for as long as PATH is used, and every\n\
+           start replays all of it\n\
            --node-id/--peers advertise a cluster membership ring that\n\
            ClusterClient callers fetch with `ring` (see docs/CLUSTER.md);\n\
            every member must be started with the same member list"

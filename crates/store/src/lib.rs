@@ -75,9 +75,7 @@ pub mod sync;
 pub mod vfs;
 pub mod wal;
 
-pub use backend::{
-    BackendStats, CompactionStats, MemoryBackend, Recovery, RecoveryReport, StoreBackend,
-};
+pub use backend::{BackendStats, MemoryBackend, Recovery, RecoveryReport, StoreBackend};
 pub use dict::{DictEntry, MetadataDict};
 pub use error::StoreError;
 pub use log::{LogBackend, LogConfig};

@@ -2,36 +2,39 @@
 //!
 //! Durable state lives in one directory:
 //!
-//! - WAL segment files (`wal-<log>-<first_seq>.log`, see [`crate::segment`])
-//!   hold sealed, checksummed mutation records ([`crate::wal`]). Mutations
-//!   are routed to one of [`LogConfig::logs`] shard logs by tag so hot
-//!   shards don't serialize on one file, while a global sequence number per
-//!   record merges the logs back into a single mutation order on replay.
+//! - One WAL segment file (`wal-00-<first_seq>.log`, see [`crate::segment`])
+//!   holds every sealed, checksummed mutation record ([`crate::wal`])
+//!   appended since the last checkpoint. Each open and each checkpoint
+//!   start a fresh file, and a file is never rotated.
 //! - `checkpoint.snap` holds a sealed full-store image (the
 //!   [`crate::persist`] payload, wrapped with the sequence number it
 //!   covers). A checkpoint bounds replay length: records at or below its
-//!   sequence are collapsed into it, and the segments they occupied are
-//!   deleted.
+//!   sequence are collapsed into it, and every segment file is deleted.
+//!   Checkpoints are the only way WAL space is reclaimed.
 //!
 //! Recovery on open: sweep leftover `*.tmp` files, load the checkpoint
 //! (quarantining a corrupt one to `*.corrupt`), scan every segment with
 //! the torn-tail rule (truncating the first corrupt/short record and
-//! everything after it), merge records above the checkpoint sequence in
-//! sequence order, and rebuild the in-memory index — entry liveness,
-//! reference counts, and which segment holds each live record.
+//! everything after it), and replay the records above the checkpoint
+//! sequence in sequence order. The files scanned stay on disk, never
+//! appended again, until the next checkpoint deletes them.
 //!
-//! Compaction rewrites one mostly-dead sealed segment at a time: live PUT
-//! frames and still-replayable control frames are copied verbatim into the
-//! active segment (already sealed — no re-encryption), then the source file
-//! is deleted. A crash between the copy and the delete leaves duplicate
-//! records, which replay tolerates: duplicate PUTs are recognized by equal
-//! sequence numbers and duplicated Ref/Unref pairs cancel out.
+//! Replay also reads directories written by earlier versions of this
+//! backend, which routed records over several shard logs (`wal-01-…` and
+//! up), rotated segments, and compacted: compaction copied live frames
+//! verbatim into another file, so a crash could leave one PUT in two files
+//! under the same sequence number. Records from every file merge into one
+//! order by their global sequence numbers, a PUT whose sequence equals the
+//! live entry's is skipped as a duplicate, and Ref/Unref records keep a
+//! per-entry reference count (the entry dies at zero), so duplicated
+//! Ref/Unref pairs cancel out.
 //!
 //! Any failed append or fsync degrades the backend to **read-only**: the
 //! store keeps serving GETs but rejects further mutations rather than
 //! acknowledging writes it cannot make durable (the disk-full contract).
-//! Read-write operation resumes on restart once the underlying condition
-//! clears.
+//! The WAL file is cut back to its last synced length first, so no record
+//! of a rejected request replays. Read-write operation resumes on restart
+//! once the underlying condition clears.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -43,9 +46,7 @@ use speed_enclave::{Enclave, Platform};
 use speed_telemetry::{names, Counter, Gauge, Histogram};
 use speed_wire::{CompTag, SyncEntry};
 
-use crate::backend::{
-    BackendStats, CompactionStats, Recovery, RecoveryReport, StoreBackend,
-};
+use crate::backend::{BackendStats, Recovery, RecoveryReport, StoreBackend};
 use crate::persist::SnapshotLoad;
 use crate::segment::{
     corrupt_sibling, list_segments, segment_file_name, sweep_tmp_files, tmp_sibling,
@@ -67,65 +68,33 @@ const CHECKPOINT_AAD: &[u8] = b"speed-store-checkpoint-v1";
 pub struct LogConfig {
     /// Directory holding segments and the checkpoint. Created on open.
     pub dir: PathBuf,
-    /// Number of shard logs mutations are routed across by tag.
-    pub logs: usize,
-    /// Rotate a shard log's active segment once it reaches this many bytes.
-    pub segment_bytes: u64,
     /// Records between automatic checkpoints (replay-length bound);
-    /// 0 disables automatic checkpointing.
+    /// 0 disables automatic checkpointing, and the WAL file then grows
+    /// until an explicit [`ResultStore::checkpoint`](crate::ResultStore::checkpoint).
     pub checkpoint_every: u64,
     /// Fsync appended records before acknowledging a request. Disable only
     /// for benchmarking — a power cut may then lose acknowledged writes.
     pub fsync: bool,
-    /// Only compact a sealed segment carrying at least this many dead
-    /// bytes (and at least half dead overall).
-    pub compact_min_dead_bytes: u64,
 }
 
 impl LogConfig {
-    /// Defaults rooted at `dir`: 4 shard logs, 1 MiB segments, a checkpoint
-    /// every 4096 records, fsync on, 4 KiB compaction floor.
+    /// Defaults rooted at `dir`: a checkpoint every 4096 records, fsync on.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        LogConfig {
-            dir: dir.into(),
-            logs: 4,
-            segment_bytes: 1024 * 1024,
-            checkpoint_every: 4096,
-            fsync: true,
-            compact_min_dead_bytes: 4096,
-        }
+        LogConfig { dir: dir.into(), checkpoint_every: 4096, fsync: true }
     }
 }
 
-/// Which shard log a tag's mutations append to.
-fn log_of(tag: &CompTag, logs: usize) -> usize {
-    usize::from(tag.as_bytes()[0]) % logs.max(1)
-}
-
-/// Bookkeeping for one segment file currently on disk.
+/// Bookkeeping for one segment file.
 #[derive(Debug, Default)]
-struct SegmentState {
-    log: usize,
+struct Segment {
+    path: PathBuf,
     len: u64,
     /// Prefix known durable (covered by a successful fsync). On a failed
     /// flush the file is truncated back to this point so records the
     /// caller reports as failed can never resurface on replay.
     synced_len: u64,
-    live_bytes: u64,
-    live_records: u64,
-    max_seq: u64,
     dirty: bool,
     synced_dir: bool,
-}
-
-/// Where one live entry's durable PUT record resides.
-#[derive(Debug)]
-struct IndexEntry {
-    refcount: u32,
-    put_seq: u64,
-    /// `None` when the entry is represented by the checkpoint.
-    segment: Option<PathBuf>,
-    frame_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -135,11 +104,12 @@ struct Inner {
     sealer: Option<Sealer>,
     /// Next sequence number to assign (1-based; 0 = nothing ever logged).
     next_seq: u64,
-    checkpoint_seq: u64,
     records_since_checkpoint: u64,
-    actives: Vec<PathBuf>,
-    segments: HashMap<PathBuf, SegmentState>,
-    index: HashMap<CompTag, IndexEntry>,
+    /// The file every append goes to: a fresh `wal-00-<next_seq>.log`
+    /// after each open and checkpoint, created by its first append.
+    active: Segment,
+    /// The segments recovery scanned; the next checkpoint deletes them.
+    older: Vec<Segment>,
     read_only: Option<String>,
 }
 
@@ -148,6 +118,10 @@ impl Inner {
         self.sealer
             .as_mut()
             .ok_or_else(|| StoreError::Protocol("log backend not opened".into()))
+    }
+
+    fn segments(&self) -> impl Iterator<Item = &Segment> {
+        self.older.iter().chain(std::iter::once(&self.active))
     }
 }
 
@@ -158,7 +132,6 @@ struct LogTelemetry {
     replayed: Counter,
     torn: Counter,
     checkpoints: Counter,
-    compactions: Counter,
     reclaimed: Counter,
     quarantined: Counter,
     recovery: Histogram,
@@ -185,13 +158,9 @@ impl LogTelemetry {
             ),
             checkpoints: registry
                 .counter(names::STORE_CHECKPOINTS_TOTAL, "checkpoints written"),
-            compactions: registry.counter(
-                names::STORE_COMPACTIONS_TOTAL,
-                "compaction passes that rewrote a segment",
-            ),
             reclaimed: registry.counter(
                 names::STORE_COMPACTION_RECLAIMED_BYTES_TOTAL,
-                "dead log bytes reclaimed by checkpoints and compaction",
+                "dead log bytes reclaimed by checkpoints",
             ),
             quarantined: registry.counter(
                 names::STORE_SNAPSHOT_QUARANTINED_TOTAL,
@@ -249,7 +218,25 @@ impl LogBackend {
         self.config.dir.join(CHECKPOINT_FILE)
     }
 
+    /// The not-yet-created segment whose first record is `next_seq`.
+    fn fresh_segment(&self, next_seq: u64) -> Segment {
+        Segment {
+            path: self.config.dir.join(segment_file_name(0, next_seq)),
+            ..Segment::default()
+        }
+    }
+
+    /// Degrades to read-only after a failed append or fsync. The active
+    /// file is first cut back to its synced prefix: every record past it
+    /// belongs to a request that is about to be rejected, and none may
+    /// resurface as a phantom entry on replay.
     fn degrade(&self, inner: &mut Inner, reason: String) -> StoreError {
+        let keep = inner.active.synced_len;
+        inner.active.dirty = false;
+        if self.vfs.truncate(&inner.active.path, keep).is_ok() {
+            let _ = self.vfs.fsync(&inner.active.path);
+            inner.active.len = keep;
+        }
         if inner.read_only.is_none() {
             inner.read_only = Some(reason.clone());
             self.telemetry.read_only.set(1);
@@ -288,107 +275,35 @@ impl LogBackend {
         }
     }
 
-    /// Appends one sequenced record, updating the index and segment
-    /// bookkeeping, rotating the shard log if it grew past the limit.
+    /// Appends one sequenced record to the active segment.
     fn append_op(&self, op: WalOp) -> Result<(), StoreError> {
         let mut inner = self.lock();
         if let Some(reason) = &inner.read_only {
             return Err(StoreError::Io(format!("store is read-only: {reason}")));
         }
         let seq = inner.next_seq.max(1);
-        let record = WalRecord { seq, op };
-        let frame = encode_record(inner.sealer()?, &record)?;
-        let log = log_of(record.tag(), self.config.logs);
-        let path = inner.actives[log].clone();
-        if let Err(e) = self.vfs.append(&path, &frame) {
+        let frame = encode_record(inner.sealer()?, &WalRecord { seq, op })?;
+        if let Err(e) = self.vfs.append(&inner.active.path, &frame) {
             return Err(self.degrade(&mut inner, format!("WAL append failed: {e}")));
         }
-        let frame_len = frame.len() as u64;
-        let dir = self.config.dir.clone();
-        let state = inner.segments.entry(path.clone()).or_default();
-        state.log = log;
-        if !state.synced_dir {
+        if !inner.active.synced_dir {
             // First bytes of a fresh segment: the file's directory entry
             // must survive power loss too.
-            if let Err(e) = self.vfs.fsync_dir(&dir) {
+            if let Err(e) = self.vfs.fsync_dir(&self.config.dir) {
                 return Err(
                     self.degrade(&mut inner, format!("WAL directory fsync failed: {e}"))
                 );
             }
-            let state = inner.segments.get_mut(&path).expect("just inserted");
-            state.synced_dir = true;
+            inner.active.synced_dir = true;
         }
-        let state = inner.segments.get_mut(&path).expect("just inserted");
-        state.len += frame_len;
-        state.max_seq = seq;
-        state.dirty = true;
-        let rotate = state.len >= self.config.segment_bytes;
+        let frame_len = frame.len() as u64;
+        inner.active.len += frame_len;
+        inner.active.dirty = true;
         inner.next_seq = seq + 1;
         inner.records_since_checkpoint += 1;
         self.telemetry.appends.inc();
         self.telemetry.appended_bytes.add(frame_len);
-        match &record.op {
-            WalOp::Put(entry) => {
-                let previous = inner.index.insert(
-                    entry.tag,
-                    IndexEntry {
-                        refcount: 1,
-                        put_seq: seq,
-                        segment: Some(path.clone()),
-                        frame_bytes: frame_len,
-                    },
-                );
-                if let Some(previous) = previous {
-                    Self::forget_frame(&mut inner.segments, &previous);
-                }
-                let state = inner.segments.get_mut(&path).expect("active exists");
-                state.live_bytes += frame_len;
-                state.live_records += 1;
-            }
-            WalOp::Ref(tag) => {
-                if let Some(entry) = inner.index.get_mut(tag) {
-                    entry.refcount = entry.refcount.saturating_add(1);
-                }
-            }
-            WalOp::Unref(tag) => {
-                let dead = match inner.index.get_mut(tag) {
-                    Some(entry) => {
-                        entry.refcount = entry.refcount.saturating_sub(1);
-                        entry.refcount == 0
-                    }
-                    None => false,
-                };
-                if dead {
-                    if let Some(entry) = inner.index.remove(tag) {
-                        Self::forget_frame(&mut inner.segments, &entry);
-                    }
-                }
-            }
-            WalOp::Delete(tag) => {
-                if let Some(entry) = inner.index.remove(tag) {
-                    Self::forget_frame(&mut inner.segments, &entry);
-                }
-            }
-        }
-        if rotate {
-            let next = self.config.dir.join(segment_file_name(log, inner.next_seq));
-            inner.actives[log] = next.clone();
-            inner
-                .segments
-                .entry(next)
-                .or_insert_with(|| SegmentState { log, ..SegmentState::default() });
-        }
         Ok(())
-    }
-
-    /// Drops a dead PUT frame from its segment's live accounting.
-    fn forget_frame(segments: &mut HashMap<PathBuf, SegmentState>, entry: &IndexEntry) {
-        if let Some(path) = &entry.segment {
-            if let Some(state) = segments.get_mut(path) {
-                state.live_bytes = state.live_bytes.saturating_sub(entry.frame_bytes);
-                state.live_records = state.live_records.saturating_sub(1);
-            }
-        }
     }
 }
 
@@ -444,10 +359,10 @@ impl StoreBackend for LogBackend {
         // Phase 2: scan segments, cutting torn tails.
         let files = list_segments(self.vfs.as_ref(), &dir)?;
         report.wal_segments = files.len();
-        let mut all: Vec<(WalRecord, PathBuf, u64)> = Vec::new();
-        let mut segments: HashMap<PathBuf, SegmentState> = HashMap::new();
+        let mut all: Vec<WalRecord> = Vec::new();
+        let mut older = Vec::with_capacity(files.len());
         let mut max_seq_seen = checkpoint_seq;
-        for file in &files {
+        for file in files {
             let bytes = match self.vfs.read(&file.path) {
                 Ok(bytes) => bytes,
                 Err(_) => {
@@ -461,90 +376,68 @@ impl StoreBackend for LogBackend {
             };
             let scan = scan_segment(&sealer, &bytes);
             if scan.torn {
-                // Cut the tail so post-recovery appends can never land
-                // after garbage bytes.
+                // Cut the tail: no append may land after garbage bytes,
+                // and the fresh active segment may take this file's name when
+                // none of its records survived.
                 let _ = self.vfs.truncate(&file.path, scan.valid_len);
                 report.torn_segments += 1;
                 self.telemetry.torn.inc();
             }
-            let mut state = SegmentState {
-                log: file.log,
-                len: scan.valid_len,
-                synced_len: scan.valid_len,
-                synced_dir: true,
-                ..SegmentState::default()
-            };
-            for (i, record) in scan.records.into_iter().enumerate() {
-                let frame = scan.offsets[i + 1] - scan.offsets[i];
-                state.max_seq = state.max_seq.max(record.seq);
+            for record in scan.records {
                 max_seq_seen = max_seq_seen.max(record.seq);
-                all.push((record, file.path.clone(), frame));
+                all.push(record);
             }
-            segments.insert(file.path.clone(), state);
+            older.push(Segment {
+                path: file.path,
+                len: scan.valid_len,
+                ..Segment::default()
+            });
         }
-        // Merge the shard logs back into one global mutation order. The
-        // sort is stable, so compaction duplicates (equal seqs) keep their
-        // file order and the dedup rule below sees the original first.
-        all.sort_by_key(|(record, _, _)| record.seq);
+        // Merge the files into one global mutation order. The sort is
+        // stable, so a compaction duplicate (equal seqs) keeps its file
+        // order and the dedup rule below sees the original first.
+        all.sort_by_key(|record| record.seq);
 
         // Phase 3: replay above the checkpoint onto the live map.
-        struct LiveEntry {
+        struct Live {
             entry: SyncEntry,
-            index: IndexEntry,
-            order: (u8, u64),
+            refcount: u32,
+            /// Sequence number of the PUT that made it live; 0 for an
+            /// entry restored from the checkpoint.
+            put_seq: u64,
+            /// Position in the checkpoint (0 for WAL entries).
+            position: usize,
         }
-        let mut live: HashMap<CompTag, LiveEntry> = HashMap::new();
-        for (i, entry) in checkpoint_entries.into_iter().enumerate() {
-            live.insert(
-                entry.tag,
-                LiveEntry {
-                    index: IndexEntry {
-                        refcount: 1,
-                        put_seq: 0,
-                        segment: None,
-                        frame_bytes: 0,
-                    },
-                    order: (0, i as u64),
-                    entry,
-                },
-            );
+        let mut live: HashMap<CompTag, Live> = HashMap::new();
+        for (position, entry) in checkpoint_entries.into_iter().enumerate() {
+            live.insert(entry.tag, Live { entry, refcount: 1, put_seq: 0, position });
         }
-        for (record, path, frame) in all {
+        for record in all {
             if record.seq <= checkpoint_seq {
                 continue; // collapsed into the checkpoint
             }
             report.wal_records_replayed += 1;
             match record.op {
                 WalOp::Put(entry) => {
-                    let duplicate = live
-                        .get(&entry.tag)
-                        .is_some_and(|l| l.index.put_seq == record.seq);
+                    let duplicate =
+                        live.get(&entry.tag).is_some_and(|l| l.put_seq == record.seq);
                     if !duplicate {
                         live.insert(
                             entry.tag,
-                            LiveEntry {
-                                index: IndexEntry {
-                                    refcount: 1,
-                                    put_seq: record.seq,
-                                    segment: Some(path),
-                                    frame_bytes: frame,
-                                },
-                                order: (1, record.seq),
-                                entry,
-                            },
+                            Live { entry, refcount: 1, put_seq: record.seq, position: 0 },
                         );
                     }
                 }
                 WalOp::Ref(tag) => {
                     if let Some(l) = live.get_mut(&tag) {
-                        l.index.refcount = l.index.refcount.saturating_add(1);
+                        l.refcount = l.refcount.saturating_add(1);
                     }
                 }
                 WalOp::Unref(tag) => {
                     let dead = match live.get_mut(&tag) {
                         Some(l) => {
-                            l.index.refcount = l.index.refcount.saturating_sub(1);
-                            l.index.refcount == 0
+                            l.refcount = l.refcount.saturating_sub(1);
+                            l.refcount == 0
                         }
                         None => false,
                     };
@@ -558,57 +451,20 @@ impl StoreBackend for LogBackend {
             }
         }
         self.telemetry.replayed.add(report.wal_records_replayed);
+        // Checkpoint entries first, in checkpoint order, then WAL entries
+        // in sequence order.
+        let mut live: Vec<Live> = live.into_values().collect();
+        live.sort_by_key(|l| (l.put_seq, l.position));
+        let entries = live.into_iter().map(|l| l.entry).collect();
 
-        // Phase 4: rebuild per-segment live accounting and the index.
-        let mut ordered: Vec<(&CompTag, &LiveEntry)> = live.iter().collect();
-        ordered.sort_by_key(|(_, l)| l.order);
-        let entries: Vec<SyncEntry> =
-            ordered.iter().map(|(_, l)| l.entry.clone()).collect();
-        drop(ordered);
-        let mut index = HashMap::with_capacity(live.len());
-        for (tag, l) in live {
-            if let Some(path) = &l.index.segment {
-                if let Some(state) = segments.get_mut(path) {
-                    state.live_bytes += l.index.frame_bytes;
-                    state.live_records += 1;
-                }
-            }
-            index.insert(tag, l.index);
-        }
-
-        // Phase 5: pick the newest segment of each shard log as its active
-        // file; fresh logs get a name but no file until the first append.
         let next_seq = max_seq_seen + 1;
-        let mut actives = Vec::with_capacity(self.config.logs);
-        for log in 0..self.config.logs {
-            let newest = files
-                .iter()
-                .filter(|f| f.log == log)
-                .max_by_key(|f| f.first_seq)
-                .map(|f| f.path.clone());
-            let path = match newest {
-                Some(path) => path,
-                None => {
-                    let path = dir.join(segment_file_name(log, next_seq));
-                    segments.insert(
-                        path.clone(),
-                        SegmentState { log, ..SegmentState::default() },
-                    );
-                    path
-                }
-            };
-            actives.push(path);
-        }
-
         let mut inner = self.lock();
         *inner = Inner {
             sealer: Some(sealer),
             next_seq,
-            checkpoint_seq,
             records_since_checkpoint: max_seq_seen - checkpoint_seq,
-            actives,
-            segments,
-            index,
+            active: self.fresh_segment(next_seq),
+            older,
             read_only: None,
         };
         drop(inner);
@@ -641,44 +497,17 @@ impl StoreBackend for LogBackend {
         if let Some(reason) = &inner.read_only {
             return Err(StoreError::Io(format!("store is read-only: {reason}")));
         }
-        let dirty: Vec<PathBuf> = inner
-            .segments
-            .iter()
-            .filter(|(_, s)| s.dirty)
-            .map(|(p, _)| p.clone())
-            .collect();
+        if !inner.active.dirty {
+            return Ok(());
+        }
         if self.config.fsync {
-            let mut failed = None;
-            for path in &dirty {
-                if let Err(e) = self.vfs.fsync(path) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-            if let Some(e) = failed {
+            if let Err(e) = self.vfs.fsync(&inner.active.path) {
                 // The caller will reject the writes covered by this flush.
-                // Cut every un-synced suffix (even of segments whose fsync
-                // succeeded just now) so a rejected record can never
-                // resurface as a phantom entry on replay.
-                for path in &dirty {
-                    let Some(state) = inner.segments.get_mut(path) else { continue };
-                    let keep = state.synced_len;
-                    state.dirty = false;
-                    if self.vfs.truncate(path, keep).is_ok() {
-                        let _ = self.vfs.fsync(path);
-                        let state = inner.segments.get_mut(path).expect("still present");
-                        state.len = keep;
-                    }
-                }
                 return Err(self.degrade(&mut inner, format!("WAL fsync failed: {e}")));
             }
         }
-        for path in &dirty {
-            if let Some(state) = inner.segments.get_mut(path) {
-                state.dirty = false;
-                state.synced_len = state.len;
-            }
-        }
+        inner.active.dirty = false;
+        inner.active.synced_len = inner.active.len;
         Ok(())
     }
 
@@ -687,10 +516,11 @@ impl StoreBackend for LogBackend {
         export: &dyn Fn() -> Vec<Vec<SyncEntry>>,
     ) -> Result<(), StoreError> {
         let mut inner = self.lock();
-        inner.sealer()?; // refuse before open, without exporting
-                         // Export under the lock, before reading the mark: a mutation the
-                         // export misses cannot have appended its record yet, so the record
-                         // lands above `seq_mark`, in a segment this checkpoint keeps.
+        // Refuse before open, without exporting.
+        inner.sealer()?;
+        // Export under the lock, before reading the mark: a mutation the
+        // export misses cannot have appended its record yet, so the record
+        // lands above `seq_mark`, in the segment this checkpoint starts.
         let payload = crate::persist::encode_shard_sections(&export())?;
         let seq_mark = inner.next_seq.saturating_sub(1);
         let sealed = inner.sealer()?.seal(CHECKPOINT_AAD, &payload).to_bytes();
@@ -716,159 +546,22 @@ impl StoreBackend for LogBackend {
         }
 
         // The checkpoint now covers every record on disk (the lock was held
-        // throughout): delete the segments and start fresh actives.
-        inner.checkpoint_seq = seq_mark;
+        // throughout): delete every segment and start a fresh active file.
         inner.records_since_checkpoint = 0;
-        let old: Vec<(PathBuf, u64)> =
-            inner.segments.iter().map(|(p, s)| (p.clone(), s.len)).collect();
-        inner.segments.clear();
-        for (path, len) in old {
-            if len == 0 || self.vfs.remove_file(&path).is_ok() {
-                self.telemetry.reclaimed.add(len);
-            }
+        let fresh = self.fresh_segment(inner.next_seq);
+        let active = std::mem::replace(&mut inner.active, fresh);
+        for segment in std::mem::take(&mut inner.older).into_iter().chain([active]) {
             // A segment whose removal failed stays on disk harmlessly: its
             // records are all at or below the checkpoint sequence and are
-            // skipped on replay.
+            // skipped on replay. An active file never appended to does not
+            // exist, and its failed removal reclaims nothing.
+            if self.vfs.remove_file(&segment.path).is_ok() {
+                self.telemetry.reclaimed.add(segment.len);
+            }
         }
         let _ = self.vfs.fsync_dir(&self.config.dir);
-        for entry in inner.index.values_mut() {
-            entry.segment = None;
-            entry.frame_bytes = 0;
-        }
-        let next_seq = inner.next_seq;
-        inner.actives.clear();
-        for log in 0..self.config.logs {
-            let path = self.config.dir.join(segment_file_name(log, next_seq));
-            inner.actives.push(path.clone());
-            inner.segments.insert(path, SegmentState { log, ..SegmentState::default() });
-        }
         self.telemetry.checkpoints.inc();
         Ok(())
-    }
-
-    fn compact(&self) -> Result<CompactionStats, StoreError> {
-        let mut inner = self.lock();
-        if let Some(reason) = &inner.read_only {
-            return Err(StoreError::Io(format!("store is read-only: {reason}")));
-        }
-        inner.sealer()?; // refuse before open
-        let actives = inner.actives.clone();
-        let candidate = inner
-            .segments
-            .iter()
-            .filter(|(path, state)| {
-                !actives.contains(path)
-                    && state.len > 0
-                    && state.live_bytes * 2 <= state.len
-                    && state.len - state.live_bytes >= self.config.compact_min_dead_bytes
-            })
-            .max_by_key(|(_, state)| state.len - state.live_bytes)
-            .map(|(path, _)| path.clone());
-        let Some(source) = candidate else {
-            return Ok(CompactionStats::default());
-        };
-
-        let bytes = self.vfs.read(&source)?;
-        let scan = scan_segment(inner.sealer()?, &bytes);
-        let source_log = inner.segments.get(&source).map_or(0, |s| s.log);
-        let target = inner.actives[source_log % self.config.logs.max(1)].clone();
-        // Copy surviving frames verbatim (already sealed — no re-encrypt):
-        // live PUT frames move with their index pointer; control frames
-        // (Ref/Unref/Delete) above the checkpoint are still replayable and
-        // must be carried; everything at or below the checkpoint sequence
-        // is collapsed into it and dropped.
-        let mut kept = Vec::new();
-        let mut moved: Vec<(CompTag, u64)> = Vec::new();
-        let mut kept_live_bytes = 0u64;
-        let mut kept_records = 0u64;
-        let mut kept_max_seq = 0u64;
-        let checkpoint_seq = inner.checkpoint_seq;
-        for (i, record) in scan.records.iter().enumerate() {
-            if record.seq <= checkpoint_seq {
-                continue;
-            }
-            let frame_len = scan.offsets[i + 1] - scan.offsets[i];
-            let keep = match &record.op {
-                WalOp::Put(entry) => {
-                    let live = inner.index.get(&entry.tag).is_some_and(|e| {
-                        e.put_seq == record.seq && e.segment.as_deref() == Some(&source)
-                    });
-                    if live {
-                        moved.push((entry.tag, frame_len));
-                        kept_live_bytes += frame_len;
-                        kept_records += 1;
-                    }
-                    live
-                }
-                WalOp::Ref(_) | WalOp::Unref(_) | WalOp::Delete(_) => true,
-            };
-            if keep {
-                let start = scan.offsets[i] as usize;
-                let end = (scan.offsets[i] + frame_len) as usize;
-                kept.extend_from_slice(&bytes[start..end]);
-                kept_max_seq = kept_max_seq.max(record.seq);
-            }
-        }
-
-        if !kept.is_empty() {
-            // A torn append here would leave garbage mid-active-segment,
-            // cutting off every later record at replay — degrade rather
-            // than risk acknowledging writes behind a corrupt prefix.
-            if let Err(e) = self.vfs.append(&target, &kept) {
-                return Err(
-                    self.degrade(&mut inner, format!("compaction append failed: {e}"))
-                );
-            }
-            if let Err(e) = self.vfs.fsync(&target) {
-                return Err(
-                    self.degrade(&mut inner, format!("compaction fsync failed: {e}"))
-                );
-            }
-            let dir = self.config.dir.clone();
-            let target_log = source_log % self.config.logs.max(1);
-            let state = inner.segments.entry(target.clone()).or_default();
-            state.log = target_log;
-            if !state.synced_dir {
-                if let Err(e) = self.vfs.fsync_dir(&dir) {
-                    return Err(self.degrade(
-                        &mut inner,
-                        format!("compaction dir fsync failed: {e}"),
-                    ));
-                }
-                let state = inner.segments.get_mut(&target).expect("just inserted");
-                state.synced_dir = true;
-            }
-            let state = inner.segments.get_mut(&target).expect("just inserted");
-            state.len += kept.len() as u64;
-            state.synced_len = state.len;
-            state.live_bytes += kept_live_bytes;
-            state.live_records += kept_records;
-            state.max_seq = state.max_seq.max(kept_max_seq);
-            for (tag, frame_len) in &moved {
-                if let Some(entry) = inner.index.get_mut(tag) {
-                    entry.segment = Some(target.clone());
-                    entry.frame_bytes = *frame_len;
-                }
-            }
-        }
-
-        let source_len = inner.segments.get(&source).map_or(0, |s| s.len);
-        let mut stats = CompactionStats {
-            segments_compacted: 1,
-            reclaimed_bytes: source_len.saturating_sub(kept.len() as u64),
-            live_records_rewritten: kept_records,
-        };
-        // If the source file survives removal, replay still converges:
-        // duplicate PUTs dedup by sequence number and duplicated
-        // Ref/Unref pairs cancel out.
-        if self.vfs.remove_file(&source).is_err() {
-            stats.reclaimed_bytes = 0;
-        }
-        inner.segments.remove(&source);
-        let _ = self.vfs.fsync_dir(&self.config.dir);
-        self.telemetry.compactions.inc();
-        self.telemetry.reclaimed.add(stats.reclaimed_bytes);
-        Ok(stats)
     }
 
     fn wants_checkpoint(&self) -> bool {
@@ -880,19 +573,6 @@ impl StoreBackend for LogBackend {
             && inner.records_since_checkpoint >= self.config.checkpoint_every
     }
 
-    fn wants_compaction(&self) -> bool {
-        let inner = self.lock();
-        if inner.read_only.is_some() {
-            return false;
-        }
-        inner.segments.iter().any(|(path, state)| {
-            !inner.actives.contains(path)
-                && state.len > 0
-                && state.live_bytes * 2 <= state.len
-                && state.len - state.live_bytes >= self.config.compact_min_dead_bytes
-        })
-    }
-
     fn read_only(&self) -> Option<String> {
         self.lock().read_only.clone()
     }
@@ -902,8 +582,8 @@ impl StoreBackend for LogBackend {
         BackendStats {
             appended_records: self.telemetry.appends.get(),
             appended_bytes: self.telemetry.appended_bytes.get(),
-            segment_files: inner.segments.values().filter(|s| s.len > 0).count(),
-            wal_bytes: inner.segments.values().map(|s| s.len).sum(),
+            segment_files: inner.segments().filter(|s| s.len > 0).count(),
+            wal_bytes: inner.segments().map(|s| s.len).sum(),
             reclaimed_bytes: self.telemetry.reclaimed.get(),
             records_since_checkpoint: inner.records_since_checkpoint,
         }
@@ -1095,50 +775,76 @@ mod tests {
     }
 
     #[test]
-    fn compaction_reclaims_dead_segment() {
-        let dir = scratch("compact");
-        let mut config = LogConfig::new(&dir);
-        config.logs = 1;
-        config.segment_bytes = 1; // every record seals its segment
-        config.compact_min_dead_bytes = 1;
-        let (backend, _) = open_on(&dir, config.clone());
-        backend.record_put(&entry(1)).unwrap();
-        backend.record_put(&entry(2)).unwrap();
-        backend.record_delete(&entry(1).tag).unwrap();
-        backend.flush().unwrap();
-        assert!(backend.wants_compaction());
-        let stats = backend.compact().unwrap();
-        assert_eq!(stats.segments_compacted, 1);
-        assert!(stats.reclaimed_bytes > 0);
-        drop(backend);
+    fn legacy_multi_log_directory_replays_and_checkpoints_away() {
+        use crate::wal::encode_record;
 
-        let (_backend, recovery) = open_on(&dir, config);
-        assert_eq!(recovery.entries.len(), 1);
-        assert_eq!(recovery.entries[0].tag, entry(2).tag);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_moves_live_put_and_survives_reopen() {
-        let dir = scratch("compact-live");
-        let mut config = LogConfig::new(&dir);
-        config.logs = 1;
-        config.segment_bytes = 1;
-        config.compact_min_dead_bytes = 1;
-        let (backend, _) = open_on(&dir, config.clone());
-        backend.record_put(&entry(1)).unwrap();
-        backend.record_put(&entry(2)).unwrap();
-        backend.record_put(&entry(2)).unwrap(); // dedup by seq keeps newest
-        backend.record_delete(&entry(1).tag).unwrap();
-        backend.flush().unwrap();
-        while backend.wants_compaction() {
-            backend.compact().unwrap();
+        // A directory as earlier versions wrote it: PUTs routed over shard
+        // logs 0-3, a rotated second segment of log 0, a Ref and an Unref,
+        // and a compaction duplicate (the frame of PUT 1, at its sequence
+        // number, copied into log 0's newer segment before the crash that
+        // kept the original file).
+        let dir = scratch("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (platform, enclave) = context();
+        let mut sealer = Sealer::new(&platform, &enclave, &SealPolicy::MrEnclave);
+        let mut frame = |seq: u64, op: WalOp| {
+            encode_record(&mut sealer, &WalRecord { seq, op }).unwrap()
+        };
+        let put = |fill: u8| WalOp::Put(entry(fill));
+        let put_1 = frame(1, put(1));
+        let unref_2 = frame(8, WalOp::Unref(entry(2).tag));
+        // (log, first_seq, bytes)
+        let files = [
+            (0, 1, [put_1.clone(), frame(5, put(5))].concat()),
+            (1, 1, [frame(2, put(2)), frame(6, WalOp::Ref(entry(2).tag))].concat()),
+            (2, 1, frame(3, put(3))),
+            (3, 1, frame(4, put(4))),
+            (0, 7, [frame(7, put(7)), put_1, unref_2].concat()),
+        ];
+        let mut legacy = Vec::new();
+        for (log, first_seq, bytes) in &files {
+            let path = dir.join(segment_file_name(*log, *first_seq));
+            std::fs::write(&path, bytes).unwrap();
+            legacy.push((path, bytes.len() as u64));
         }
+        let expected = |extra: &[u8]| {
+            let mut all: Vec<SyncEntry> =
+                [1, 2, 3, 4, 5, 7].iter().chain(extra).map(|&fill| entry(fill)).collect();
+            all.sort_by_key(|e| e.tag);
+            all
+        };
+        let sorted = |mut entries: Vec<SyncEntry>| {
+            entries.sort_by_key(|e| e.tag);
+            entries
+        };
+
+        let (backend, recovery) = open_on(&dir, LogConfig::new(&dir));
+        assert_eq!(recovery.report.wal_segments, 5);
+        assert_eq!(recovery.report.torn_segments, 0);
+        assert_eq!(recovery.report.wal_records_replayed, 9, "the duplicate is read too");
+        // Every entry comes back with its record and hit count; entry 2
+        // survives its Unref because the Ref raised its count to 2.
+        assert_eq!(sorted(recovery.entries), expected(&[]));
+
+        // The next append starts a fresh log-0 file; no legacy file grows.
+        backend.record_put(&entry(9)).unwrap();
+        backend.flush().unwrap();
+        let fresh = dir.join(segment_file_name(0, 9));
+        assert!(std::fs::metadata(&fresh).unwrap().len() > 0);
+        for (path, len) in &legacy {
+            assert_eq!(std::fs::metadata(path).unwrap().len(), *len, "{path:?} grew");
+        }
+
+        // A checkpoint deletes every segment, the legacy ones included.
+        backend.checkpoint(&|| vec![expected(&[9])]).unwrap();
+        assert!(list_segments(&StdVfs, &dir).unwrap().is_empty());
+        assert_eq!(backend.stats().wal_bytes, 0);
         drop(backend);
 
-        let (_backend, recovery) = open_on(&dir, config);
-        assert_eq!(recovery.entries.len(), 1);
-        assert_eq!(recovery.entries[0].tag, entry(2).tag);
+        let (_backend, recovery) = open_on(&dir, LogConfig::new(&dir));
+        assert_eq!(recovery.report.checkpoint, SnapshotLoad::Restored);
+        assert_eq!(recovery.report.wal_records_replayed, 0);
+        assert_eq!(sorted(recovery.entries), expected(&[9]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,10 +2,12 @@
 //!
 //! A backend directory contains:
 //!
-//! - `wal-<log>-<first_seq>.log` — append-only WAL segment files. `<log>`
-//!   is the shard-log index (two hex digits) and `<first_seq>` the global
-//!   sequence number active when the segment was created (sixteen hex
-//!   digits), so lexicographic file order equals creation order.
+//! - `wal-<log>-<first_seq>.log` — append-only WAL segment files.
+//!   `<first_seq>` is the global sequence number active when the segment
+//!   was created (sixteen hex digits), so lexicographic file order equals
+//!   creation order. `<log>` (two hex digits) is always `00` in new files;
+//!   directories written by earlier versions, which routed records over
+//!   several shard logs, also hold `01` and up, and still parse.
 //! - `checkpoint.snap` — the sealed checkpoint that bounds replay length.
 //! - `*.tmp` — in-flight atomic writes; leftovers mean a crash landed
 //!   between tmp write and rename and are swept on open.
@@ -29,14 +31,15 @@ pub const CORRUPT_SUFFIX: &str = ".corrupt";
 pub struct SegmentFile {
     /// Full path of the segment.
     pub path: PathBuf,
-    /// Which shard log the segment belongs to.
+    /// The shard log an earlier version routed the segment to (0 in new
+    /// files).
     pub log: usize,
     /// Global sequence number current when the segment was created.
     pub first_seq: u64,
 }
 
-/// The file name for a new segment of shard log `log` starting at
-/// `first_seq`.
+/// The file name of a segment of shard log `log` starting at `first_seq`
+/// (new segments use log 0).
 pub fn segment_file_name(log: usize, first_seq: u64) -> String {
     format!("wal-{log:02x}-{first_seq:016x}.log")
 }

@@ -1337,7 +1337,6 @@ mod tests {
         let mut client =
             TcpStoreClient::connect(server.addr(), &platform, &enclave, &authority)
                 .unwrap();
-        // Warm up: the resident workers' entry ECALLs land before this.
         let tag = CompTag::from_bytes([9u8; 32]);
         client
             .roundtrip(&Message::PutRequest {
@@ -1346,6 +1345,14 @@ mod tests {
                 record: sample_record(),
             })
             .unwrap();
+        // Each resident worker enters with one ECALL. The PUT above reached
+        // only this connection's worker, so wait for the others too.
+        let workers = server.thread_count() - ServerConfig::default().io_threads;
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while store.enclave().stats().ecalls != workers as u64 {
+            assert!(Instant::now() < deadline, "resident workers never entered");
+            std::thread::sleep(Duration::from_micros(200));
+        }
 
         let before = store.enclave().stats();
         let ops = 25u64;

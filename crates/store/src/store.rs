@@ -525,19 +525,12 @@ impl ResultStore {
         self.backend.checkpoint(&|| self.export_shards())
     }
 
-    /// Runs at most one due maintenance step: a checkpoint when enough
-    /// records accumulated since the last one, else one compaction pass
-    /// when a sealed segment is mostly dead. Failures are swallowed — both
-    /// operations are retried on a later request and neither affects data
-    /// already acknowledged.
+    /// Checkpoints when enough records accumulated since the last one. A
+    /// failure is swallowed: the checkpoint is retried on a later request
+    /// and the WAL still holds everything already acknowledged.
     fn maintain(&self) {
-        if !self.durable() {
-            return;
-        }
-        if self.backend.wants_checkpoint() {
+        if self.durable() && self.backend.wants_checkpoint() {
             let _ = self.checkpoint();
-        } else if self.backend.wants_compaction() {
-            let _ = self.backend.compact();
         }
     }
 
@@ -2299,10 +2292,6 @@ mod tests {
                 assert!(matches!(put, Message::PutResponse(body) if body.accepted));
             }
             self.log.checkpoint(export)
-        }
-
-        fn compact(&self) -> Result<crate::backend::CompactionStats, StoreError> {
-            self.log.compact()
         }
     }
 

@@ -1,7 +1,7 @@
 //! Write-ahead-log record format for the log-structured store backend.
 //!
 //! Each durable mutation becomes one WAL record appended to the active
-//! segment file of the shard it routes to. The on-disk frame is
+//! segment file. The on-disk frame is
 //!
 //! ```text
 //! [len: u32 LE][crc32: u32 LE][sealed payload: len bytes]
@@ -50,25 +50,15 @@ pub enum WalOp {
     Delete(CompTag),
 }
 
-/// A sequenced WAL record. Sequence numbers are global across all shard
-/// logs and strictly increasing, so replay can merge per-shard segment
-/// files back into one mutation order.
+/// A sequenced WAL record. Sequence numbers are global and strictly
+/// increasing, so replay can merge segment files into one mutation order,
+/// including the several shard logs that earlier versions wrote.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalRecord {
     /// Global sequence number (1-based; 0 means "nothing logged yet").
     pub seq: u64,
     /// The mutation.
     pub op: WalOp,
-}
-
-impl WalRecord {
-    /// The tag this record concerns.
-    pub fn tag(&self) -> &CompTag {
-        match &self.op {
-            WalOp::Put(entry) => &entry.tag,
-            WalOp::Ref(tag) | WalOp::Unref(tag) | WalOp::Delete(tag) => tag,
-        }
-    }
 }
 
 const OP_PUT: u8 = 1;
@@ -149,7 +139,8 @@ pub fn encode_record(
 #[derive(Debug)]
 pub struct SegmentScan {
     /// Records recovered, in file order (their `seq`s are increasing
-    /// within one file, except for records re-appended by compaction).
+    /// within one file, except for records that an earlier version's
+    /// compaction re-appended).
     pub records: Vec<WalRecord>,
     /// Byte offsets at which each recovered record's frame starts, plus a
     /// final entry equal to `valid_len` — i.e. the record boundaries.

@@ -209,9 +209,7 @@ pub const STORE_WAL_REPLAY_RECORDS_TOTAL: &str = "store_wal_replay_records_total
 pub const STORE_WAL_TORN_SEGMENTS_TOTAL: &str = "store_wal_torn_segments_total";
 /// Counter: checkpoints written by the log backend.
 pub const STORE_CHECKPOINTS_TOTAL: &str = "store_checkpoints_total";
-/// Counter: compaction passes that rewrote a segment.
-pub const STORE_COMPACTIONS_TOTAL: &str = "store_compactions_total";
-/// Counter: dead log bytes reclaimed by checkpoints and compaction.
+/// Counter: dead log bytes reclaimed by checkpoints.
 pub const STORE_COMPACTION_RECLAIMED_BYTES_TOTAL: &str =
     "store_compaction_reclaimed_bytes_total";
 /// Histogram (ns): one backend open/recovery pass (checkpoint + replay).
@@ -339,7 +337,6 @@ pub const ALL: &[&str] = &[
     STORE_WAL_REPLAY_RECORDS_TOTAL,
     STORE_WAL_TORN_SEGMENTS_TOTAL,
     STORE_CHECKPOINTS_TOTAL,
-    STORE_COMPACTIONS_TOTAL,
     STORE_COMPACTION_RECLAIMED_BYTES_TOTAL,
     STORE_RECOVERY_DURATION_NS,
     STORE_SNAPSHOT_QUARANTINED_TOTAL,

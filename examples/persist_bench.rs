@@ -1,7 +1,7 @@
 //! Benchmarks the crash-safe log-structured store backend and emits
 //! `BENCH_persist.json`.
 //!
-//! Three questions, one phase each:
+//! Two questions, one phase each:
 //!
 //! 1. **Append throughput** — what does durability cost on the PUT path?
 //!    The same PUT stream runs against the in-memory backend, the log
@@ -12,8 +12,6 @@
 //!    and a checkpoint bounds it. The bench reopens stores behind WALs of
 //!    increasing length, then checkpoints the longest one and shows the
 //!    reopen time collapsing.
-//! 3. **Compaction** — after deleting most entries, how many dead WAL
-//!    bytes do compaction passes reclaim?
 //!
 //! ```text
 //! cargo run --release --example persist_bench            # full run
@@ -24,16 +22,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use speed_enclave::{CostModel, Platform};
-use speed_store::{
-    LogBackend, LogConfig, QuotaPolicy, ResultStore, StoreBackend, StoreConfig,
-};
+use speed_store::{LogBackend, LogConfig, QuotaPolicy, ResultStore, StoreConfig};
 use speed_wire::{AppId, CompTag, Message, Record};
 
 const RECORD_LEN: usize = 256;
 
 fn tag(i: u64) -> CompTag {
     let mut bytes = [0u8; 32];
-    bytes[0] = (i % 251) as u8; // spread across shard logs
+    bytes[0] = (i % 251) as u8; // spread across store shards
     bytes[1..9].copy_from_slice(&i.to_le_bytes());
     CompTag::from_bytes(bytes)
 }
@@ -177,7 +173,6 @@ fn main() -> std::io::Result<()> {
     let durable_puts: u64 = if smoke { 300 } else { 3_000 };
     let wal_lengths: &[u64] =
         if smoke { &[100, 200, 400] } else { &[500, 1_000, 2_000, 4_000] };
-    let compact_entries: u64 = if smoke { 400 } else { 4_000 };
 
     println!(
         "persist bench: {durable_puts} PUTs of {RECORD_LEN} B{}",
@@ -235,52 +230,6 @@ fn main() -> std::io::Result<()> {
     let bounded = recovery.last().expect("checkpoint point");
     assert_eq!(bounded.replayed, 0, "checkpoint must bound replay to zero");
 
-    // ---- Phase 3: compaction -------------------------------------------
-    let dir = scratch("compact");
-    let backend = Arc::new(LogBackend::new(LogConfig {
-        checkpoint_every: 0,
-        logs: 1,                  // one log => segments seal at smoke scale too
-        segment_bytes: 16 * 1024, // many sealed segments to compact
-        compact_min_dead_bytes: 1024,
-        ..LogConfig::new(&dir)
-    }));
-    let (store, _) = ResultStore::open(
-        &platform,
-        store_config(),
-        Arc::clone(&backend) as Arc<dyn StoreBackend>,
-    )
-    .expect("open");
-    for i in 0..compact_entries {
-        store.handle(Message::PutRequest {
-            app: AppId(1),
-            tag: tag(i),
-            record: record(i),
-        });
-    }
-    // Kill 75% of the entries straight through the backend (the store has
-    // no client-facing delete; production deaths come from eviction and
-    // TTL expiry, which log the same record), then compact until no
-    // candidate segment remains.
-    for i in (0..compact_entries).filter(|i| i % 4 != 0) {
-        backend.record_delete(&tag(i)).expect("delete");
-    }
-    backend.flush().expect("flush");
-    let before = backend.stats().wal_bytes;
-    let mut passes = 0u64;
-    while backend.wants_compaction() {
-        backend.compact().expect("compact");
-        passes += 1;
-    }
-    let after = backend.stats().wal_bytes;
-    let reclaimed = backend.stats().reclaimed_bytes;
-    println!(
-        "  compaction: {before} B -> {after} B in {passes} passes \
-         ({reclaimed} B reclaimed)"
-    );
-    assert!(after < before, "compaction must shrink the WAL");
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-
     // ---- Emit ----------------------------------------------------------
     let json = format!(
         concat!(
@@ -288,9 +237,7 @@ fn main() -> std::io::Result<()> {
             "  \"bench\": \"persist\",\n",
             "  \"config\": {{\"record_len\": {}, \"durable_puts\": {}, \"smoke\": {}}},\n",
             "  \"append_throughput\": [\n{}\n  ],\n",
-            "  \"recovery\": [\n{}\n  ],\n",
-            "  \"compaction\": {{\"entries\": {}, \"wal_bytes_before\": {}, ",
-            "\"wal_bytes_after\": {}, \"passes\": {}, \"reclaimed_bytes\": {}}}\n",
+            "  \"recovery\": [\n{}\n  ]\n",
             "}}\n"
         ),
         RECORD_LEN,
@@ -298,11 +245,6 @@ fn main() -> std::io::Result<()> {
         smoke,
         throughputs.iter().map(Throughput::to_json).collect::<Vec<_>>().join(",\n"),
         recovery.iter().map(RecoveryPoint::to_json).collect::<Vec<_>>().join(",\n"),
-        compact_entries,
-        before,
-        after,
-        passes,
-        reclaimed,
     );
     std::fs::write("BENCH_persist.json", &json)?;
     println!("wrote BENCH_persist.json");

@@ -176,9 +176,7 @@ fn apply_to_backend(backend: &LogBackend, op: WalOp) {
 
 fn single_log_config(dir: &std::path::Path) -> LogConfig {
     let mut config = LogConfig::new(dir);
-    config.logs = 1; // one WAL file: byte offsets map 1:1 to op history
-    config.segment_bytes = u64::MAX; // never rotate
-    config.checkpoint_every = 0;
+    config.checkpoint_every = 0; // one WAL file: byte offsets map 1:1 to op history
     config
 }
 
@@ -445,6 +443,46 @@ fn duplicate_put_with_undurable_ref_is_rejected_in_both_shapes() {
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// A batch whose later append fails (or whose new WAL file's directory
+/// fsync fails) is rejected, and so must the records it already appended
+/// be: after a restart the store holds exactly the acknowledged PUTs.
+#[test]
+fn rejected_batch_puts_never_resurface_after_an_append_fault() {
+    let platform = platform();
+    for (fault, n) in [(FaultOp::Append, 1), (FaultOp::FsyncDir, 0)] {
+        let dir = scratch(&format!("batch-phantom-{fault:?}"));
+        let vfs = FaultVfs::new();
+        let backend = Arc::new(LogBackend::with_vfs(
+            vfs.clone() as Arc<dyn Vfs>,
+            LogConfig::new(&dir),
+        ));
+        let (store, _report) =
+            ResultStore::open(&platform, roomy_config(), backend).unwrap();
+        vfs.fail_nth(fault, n, FailMode::Once);
+        let items = (1..=3u8)
+            .map(|seed| BatchItem::Put { tag: tag_of(seed), record: record_of(seed) })
+            .collect();
+        let acked: BTreeMap<[u8; COMP_TAG_LEN], Record> =
+            match store.handle(Message::BatchRequest { app: AppId(1), items }) {
+                Message::BatchResponse(results) => (1..=3u8)
+                    .zip(&results)
+                    .filter(|(_, result)| result.status == BatchStatus::Accepted)
+                    .map(|(seed, _)| (*tag_of(seed).as_bytes(), record_of(seed)))
+                    .collect(),
+                other => panic!("unexpected batch response {other:?}"),
+            };
+        assert_eq!(vfs.injected_failures(), 1, "{fault:?}: the fault fired");
+        assert!(acked.len() < 3, "{fault:?}: the fault rejected nothing");
+        drop(store);
+        assert_eq!(
+            recover_store(&platform, &dir),
+            acked,
+            "{fault:?}: recovered entries diverge from the acknowledged set"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
