@@ -409,10 +409,7 @@ fn unavailable(why: &str) -> CoreError {
 
 fn item_tag(item: &BatchItem) -> &CompTag {
     match item {
-        BatchItem::Get { tag }
-        | BatchItem::GetPrefiltered { tag, .. }
-        | BatchItem::Put { tag, .. }
-        | BatchItem::PutPrefiltered { tag, .. } => tag,
+        BatchItem::Get { tag } | BatchItem::Put { tag, .. } => tag,
     }
 }
 
@@ -423,15 +420,7 @@ fn put_message_of(app: AppId, item: &BatchItem) -> Option<Message> {
         BatchItem::Put { tag, record } => {
             Some(Message::PutRequest { app, tag: *tag, record: record.clone() })
         }
-        BatchItem::PutPrefiltered { tag, prefilter, record } => {
-            Some(Message::PutPrefiltered {
-                app,
-                tag: *tag,
-                prefilter: *prefilter,
-                record: record.clone(),
-            })
-        }
-        BatchItem::Get { .. } | BatchItem::GetPrefiltered { .. } => None,
+        BatchItem::Get { .. } => None,
     }
 }
 
@@ -445,9 +434,7 @@ fn put_response(result: BatchItemResult) -> Message {
 
 fn message_tag(message: &Message) -> Option<&CompTag> {
     match message {
-        Message::PutRequest { tag, .. } | Message::PutPrefiltered { tag, .. } => {
-            Some(tag)
-        }
+        Message::PutRequest { tag, .. } => Some(tag),
         _ => None,
     }
 }
@@ -558,7 +545,7 @@ impl ClusterShared {
         // doomed send.
         let mut secondary: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (i, item) in items.iter().enumerate() {
-            if matches!(item, BatchItem::Get { .. } | BatchItem::GetPrefiltered { .. })
+            if matches!(item, BatchItem::Get { .. })
                 || results[i].status != BatchStatus::Accepted
             {
                 continue;
@@ -611,10 +598,11 @@ impl ClusterShared {
     /// Fans a `FILTER_REQUEST` to every member and concatenates the shard
     /// filters. The union keeps the no-false-negative contract: a tag
     /// stored on node k is inserted in node k's filter, which is one of
-    /// the shards the client merges. Any unreachable member fails the
-    /// whole refresh, so the caller keeps its previous (stale but
-    /// conservative) view rather than adopting a filter that silently
-    /// omits a node.
+    /// the shards the client merges. Members whose filters are sized
+    /// differently do not merge, and the client then keeps no filter. Any
+    /// unreachable member fails the whole refresh, so the caller keeps its
+    /// previous (stale but conservative) view rather than adopting a filter
+    /// that silently omits a node.
     fn fanout_filters(&self) -> Result<Message, CoreError> {
         let (ring, handles) = self.view();
         if ring.is_empty() {
@@ -982,16 +970,11 @@ impl StoreClient for ClusterClient {
                     record: result.record,
                 }))
             }
-            Message::PutRequest { app, tag, record } => {
+            // The retired prefilter of a `PutPrefiltered` is dropped, as
+            // the store would ignore it.
+            Message::PutRequest { app, tag, record }
+            | Message::PutPrefiltered { app, tag, record, .. } => {
                 let item = BatchItem::Put { tag: *tag, record: record.clone() };
-                Ok(put_response(self.shared.route_one(*app, item)?))
-            }
-            Message::PutPrefiltered { app, tag, prefilter, record } => {
-                let item = BatchItem::PutPrefiltered {
-                    tag: *tag,
-                    prefilter: *prefilter,
-                    record: record.clone(),
-                };
                 Ok(put_response(self.shared.route_one(*app, item)?))
             }
             Message::BatchRequest { app, items } => {

@@ -4,10 +4,10 @@
 //! local execution — is remembered inside the application enclave, keyed
 //! by its secret [`Fingerprint`] `fp = E_K(GHASH_H(func, m))` under the
 //! runtime's own keys. Every remembered computation keeps its secret
-//! digest `d`, its comp-tag, its prefilter tag and a small hit count; only
-//! some also keep their plaintext result, and some keep the RCE record
-//! their last verified store hit returned. A probe therefore answers one
-//! of three ways ([`Probe`]):
+//! digest `d`, its comp-tag and a small hit count; only some also keep
+//! their plaintext result, and some keep the RCE record their last
+//! verified store hit returned. A probe therefore answers one of three
+//! ways ([`Probe`]):
 //!
 //! - the result: a hot hit, with no enclave transition, no store round
 //!   trip and no SHA-256 (one GHASH pass over the input computes `fp`);
@@ -58,14 +58,6 @@
 //! back another reference to the same allocation instead of copying the
 //! bytes, which makes the hit path O(1) regardless of result size. A kept
 //! record is shared the same way.
-//!
-//! The cache also keeps a count-multiset of its entries' 64-bit prefilter
-//! tags ([`crate::prefilter::prefilter_tag`]), with or without a result.
-//! [`HotTagCache::may_contain`] answers "could this prefilter tag be
-//! remembered?" without computing the fingerprint — the first rung of the
-//! tiered tag pipeline. The answer is conservative: entries remembered
-//! without a known prefilter tag are tracked in a separate counter that
-//! forces `may_contain` to `true`.
 
 // hot-path: deny-clone
 
@@ -128,7 +120,6 @@ pub(crate) enum Probe {
 struct Entry {
     digest: CompDigest,
     tag: CompTag,
-    prefilter: Option<u64>,
     /// Probes that found this entry (its first sighting counts as one),
     /// halved every aging window.
     count: u8,
@@ -182,12 +173,6 @@ pub(crate) struct HotTagCache {
     result_bytes: usize,
     /// EPC bytes currently committed for the cache (page granularity).
     committed: usize,
-    /// Count-multiset of remembered entries' prefilter tags; counts
-    /// decrement on removal so `may_contain` tracks exactly the entries.
-    prefilters: HashMap<u64, u32>,
-    /// Entries remembered without a known prefilter tag. While non-zero,
-    /// `may_contain` conservatively answers `true` for every key.
-    unknown_prefilters: u32,
 }
 
 impl fmt::Debug for HotTagCache {
@@ -220,8 +205,6 @@ impl HotTagCache {
             probes: 0,
             result_bytes: 0,
             committed: 0,
-            prefilters: HashMap::new(),
-            unknown_prefilters: 0,
         }
     }
 
@@ -260,14 +243,6 @@ impl HotTagCache {
         }
     }
 
-    /// Whether an entry with this prefilter tag *may* be remembered:
-    /// `false` proves no entry can match, so the caller can skip computing
-    /// the fingerprint for the cache probe. Conservative — entries with
-    /// unknown prefilter tags force `true`.
-    pub(crate) fn may_contain(&self, prefilter: u64) -> bool {
-        self.unknown_prefilters > 0 || self.prefilters.contains_key(&prefilter)
-    }
-
     /// Remembers the computation `fp`, whose digest and tag the caller
     /// derived from `(func, m)` itself, and offers its resolved `result`.
     /// Returns whether the result is now cached; when it is not, the entry
@@ -279,11 +254,10 @@ impl HotTagCache {
     /// the least-recent digest-only entry; with none, it displaces the
     /// least-recent result only if that count has aged to 0, and is
     /// otherwise not remembered. The result is admitted, and the record
-    /// kept, as the module doc describes. Buffers are shared, not copied;
-    /// `prefilter` feeds the negative-lookup multiset (pass `None` when
-    /// unknown — the cache stays correct, just less skippable). Pages the
-    /// enclave cannot commit (EPC exhausted) leave the entry or the result
-    /// out — the cache is an accelerator, never a correctness dependency.
+    /// kept, as the module doc describes. Buffers are shared, not copied.
+    /// Pages the enclave cannot commit (EPC exhausted) leave the entry or
+    /// the result out — the cache is an accelerator, never a correctness
+    /// dependency.
     pub(crate) fn insert(
         &mut self,
         enclave: &Enclave,
@@ -291,11 +265,8 @@ impl HotTagCache {
         derived: &(CompDigest, CompTag),
         result: &Arc<Vec<u8>>,
         record: Option<Arc<Record>>,
-        prefilter: Option<u64>,
     ) -> bool {
-        if !self.entries.contains_key(&fp)
-            && !self.add_entry(enclave, fp, derived, prefilter)
-        {
+        if !self.entries.contains_key(&fp) && !self.add_entry(enclave, fp, derived) {
             return false;
         }
         let cached = self.admit(enclave, fp, result);
@@ -340,7 +311,6 @@ impl HotTagCache {
         enclave: &Enclave,
         fp: Fingerprint,
         (digest, tag): &(CompDigest, CompTag),
-        prefilter: Option<u64>,
     ) -> bool {
         if self.entries.len() >= self.slots {
             // A digest-only entry holds nothing costly; a result goes only
@@ -356,10 +326,6 @@ impl HotTagCache {
         if self.charge(enclave, self.bytes() + ENTRY_OVERHEAD).is_err() {
             return false;
         }
-        match prefilter {
-            Some(key) => *self.prefilters.entry(key).or_insert(0) += 1,
-            None => self.unknown_prefilters += 1,
-        }
         let seq = self.next_seq();
         self.digests.insert(seq, fp);
         self.entries.insert(
@@ -367,7 +333,6 @@ impl HotTagCache {
             Entry {
                 digest: digest.clone(), // allow-clone: the entry's own 32-byte digest copy
                 tag: *tag,
-                prefilter,
                 count: 1,
                 seq,
                 result: None,
@@ -475,17 +440,6 @@ impl HotTagCache {
                 self.digests.remove(&entry.seq);
             }
         }
-        match entry.prefilter {
-            Some(key) => {
-                if let Some(count) = self.prefilters.get_mut(&key) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.prefilters.remove(&key);
-                    }
-                }
-            }
-            None => self.unknown_prefilters = self.unknown_prefilters.saturating_sub(1),
-        }
         let _ = self.charge(enclave, self.bytes());
     }
 
@@ -560,9 +514,8 @@ mod tests {
         enclave: &Enclave,
         n: u8,
         result: &Arc<Vec<u8>>,
-        prefilter: Option<u64>,
     ) -> bool {
-        cache.insert(enclave, fp(n), &(digest(n), tag(n)), result, None, prefilter)
+        cache.insert(enclave, fp(n), &(digest(n), tag(n)), result, None)
     }
 
     /// Remembers computation `n` after a store hit that returned a record
@@ -575,7 +528,7 @@ mod tests {
         len: usize,
     ) -> bool {
         let derived = (digest(n), tag(n));
-        cache.insert(enclave, fp(n), &derived, result, Some(record(n, len)), None)
+        cache.insert(enclave, fp(n), &derived, result, Some(record(n, len)))
     }
 
     /// What a probe answered, in a comparable form.
@@ -618,7 +571,7 @@ mod tests {
         match probe(cache, n) {
             Answer::Result(_) => true,
             _ => {
-                remember(cache, enclave, n, result, Some(n.into()));
+                remember(cache, enclave, n, result);
                 false
             }
         }
@@ -633,7 +586,7 @@ mod tests {
         let enclave = enclave();
         let mut cache = HotTagCache::new(HotCacheConfig::default());
         assert_eq!(probe(&mut cache, 1), Answer::Miss);
-        assert!(remember(&mut cache, &enclave, 1, &shared(b"result"), None));
+        assert!(remember(&mut cache, &enclave, 1, &shared(b"result")));
         assert_eq!(probe(&mut cache, 1), Answer::Result(b"result".to_vec()));
     }
 
@@ -642,55 +595,11 @@ mod tests {
         let enclave = enclave();
         let mut cache = HotTagCache::new(HotCacheConfig::default());
         let buffer = shared(&[7u8; 4096]);
-        remember(&mut cache, &enclave, 1, &buffer, Some(42));
+        remember(&mut cache, &enclave, 1, &buffer);
         for _ in 0..2 {
             let Probe::Result(hit) = cache.get(&fp(1)) else { panic!("not cached") };
             assert_eq!(hit.as_ptr(), buffer.as_ptr(), "hit must alias the insert buffer");
         }
-    }
-
-    #[test]
-    fn prefilter_multiset_tracks_live_entries() {
-        let enclave = enclave();
-        // Two entries; room for one 200-byte result.
-        let mut cache = HotTagCache::new(HotCacheConfig {
-            max_entries: 2,
-            max_bytes: 4 * ENTRY_OVERHEAD,
-        });
-        assert!(!cache.may_contain(10));
-        assert!(remember(&mut cache, &enclave, 1, &shared(&[1; 200]), Some(10)));
-        // A digest-only entry counts as much as one with a result.
-        assert!(!remember(&mut cache, &enclave, 2, &shared(&[2; 200]), Some(20)));
-        assert_eq!(probe(&mut cache, 2), Answer::Digest(2));
-        assert!(cache.may_contain(10));
-        assert!(cache.may_contain(20));
-        assert!(!cache.may_contain(30));
-        // A full table recycles the least-recent digest-only entry, fp(2),
-        // and its prefilter leaves the multiset with it.
-        remember(&mut cache, &enclave, 3, &shared(&[3; 200]), Some(30));
-        assert_eq!(probe(&mut cache, 2), Answer::Miss);
-        assert!(!cache.may_contain(20));
-        assert!(cache.may_contain(10));
-        assert!(cache.may_contain(30));
-    }
-
-    #[test]
-    fn unknown_prefilter_forces_conservative_answers() {
-        let enclave = enclave();
-        let mut cache = HotTagCache::new(HotCacheConfig {
-            max_entries: 2,
-            max_bytes: 4 * ENTRY_OVERHEAD,
-        });
-        // Remembered without a prefilter and too big to cache: digest-only.
-        assert!(!remember(&mut cache, &enclave, 1, &shared(&[1; 1000]), None));
-        assert!(cache.may_contain(999), "unknown prefilter must answer maybe");
-        remember(&mut cache, &enclave, 2, &shared(b"b"), Some(5));
-        // The full table recycles the unknown entry; exact answers resume.
-        remember(&mut cache, &enclave, 3, &shared(b"c"), Some(6));
-        assert_eq!(probe(&mut cache, 1), Answer::Miss);
-        assert!(!cache.may_contain(999));
-        assert!(cache.may_contain(5));
-        assert!(cache.may_contain(6));
     }
 
     #[test]
@@ -702,12 +611,12 @@ mod tests {
             max_bytes: 6 * ENTRY_OVERHEAD,
         });
         let result = shared(&[0; 400]);
-        assert!(remember(&mut cache, &enclave, 1, &result, None));
-        assert!(!remember(&mut cache, &enclave, 2, &result, None));
-        assert!(!remember(&mut cache, &enclave, 3, &result, None));
+        assert!(remember(&mut cache, &enclave, 1, &result));
+        assert!(!remember(&mut cache, &enclave, 2, &result));
+        assert!(!remember(&mut cache, &enclave, 3, &result));
         // Touch 2 so 3 becomes the least-recent digest-only entry.
         assert_eq!(probe(&mut cache, 2), Answer::Digest(2));
-        remember(&mut cache, &enclave, 4, &result, None);
+        remember(&mut cache, &enclave, 4, &result);
         assert_eq!(cache.len(), 3);
         assert_eq!(probe(&mut cache, 3), Answer::Miss);
         assert_eq!(probe(&mut cache, 2), Answer::Digest(2));
@@ -720,14 +629,14 @@ mod tests {
         // only once its count has aged to 0.
         let mut cache =
             HotTagCache::new(HotCacheConfig { max_entries: 2, max_bytes: 1 << 20 });
-        remember(&mut cache, &enclave, 1, &shared(b"a"), None);
-        remember(&mut cache, &enclave, 2, &shared(b"b"), None);
-        assert!(!remember(&mut cache, &enclave, 3, &shared(b"c"), None));
+        remember(&mut cache, &enclave, 1, &shared(b"a"));
+        remember(&mut cache, &enclave, 2, &shared(b"b"));
+        assert!(!remember(&mut cache, &enclave, 3, &shared(b"c")));
         assert_eq!((cache.len(), probe(&mut cache, 3)), (2, Answer::Miss));
         for _ in 0..AGING_FACTOR * 2 {
             cache.get(&fp(9));
         }
-        assert!(remember(&mut cache, &enclave, 3, &shared(b"c"), None));
+        assert!(remember(&mut cache, &enclave, 3, &shared(b"c")));
         assert_eq!(probe(&mut cache, 1), Answer::Miss);
         assert_eq!(probe(&mut cache, 2), Answer::Result(b"b".to_vec()));
         assert_eq!(probe(&mut cache, 3), Answer::Result(b"c".to_vec()));
@@ -741,16 +650,16 @@ mod tests {
             HotCacheConfig { max_entries: 8, max_bytes: 8 * ENTRY_OVERHEAD + 3000 };
         let mut cache = HotTagCache::new(config);
         for n in 1..=3u8 {
-            assert!(remember(&mut cache, &enclave, n, &shared(&[n; 1000]), None));
+            assert!(remember(&mut cache, &enclave, n, &shared(&[n; 1000])));
         }
         // A first sighting does not displace a result of equal count.
         let big = shared(&[9; 2000]);
-        assert!(!remember(&mut cache, &enclave, 9, &big, None));
+        assert!(!remember(&mut cache, &enclave, 9, &big));
         assert_eq!(cache.bytes(), 4 * ENTRY_OVERHEAD + 3000);
         // Seen twice more, it displaces the two least-recent results.
         assert_eq!(probe(&mut cache, 9), Answer::Digest(9));
         assert_eq!(probe(&mut cache, 9), Answer::Digest(9));
-        assert!(remember(&mut cache, &enclave, 9, &big, None));
+        assert!(remember(&mut cache, &enclave, 9, &big));
         assert_eq!(probe(&mut cache, 1), Answer::Digest(1), "oldest result evicted");
         assert_eq!(probe(&mut cache, 2), Answer::Digest(2));
         assert_eq!(probe(&mut cache, 3), Answer::Result(vec![3; 1000]));
@@ -765,10 +674,9 @@ mod tests {
             max_entries: 8,
             max_bytes: 16 * ENTRY_OVERHEAD,
         });
-        assert!(!remember(&mut cache, &enclave, 1, &shared(&[0u8; 4096]), Some(1)));
-        // It still leaves its digest entry, and the gate admits its probe.
+        assert!(!remember(&mut cache, &enclave, 1, &shared(&[0u8; 4096])));
+        // It still leaves its digest entry.
         assert_eq!((cache.len(), cache.bytes()), (1, ENTRY_OVERHEAD));
-        assert!(cache.may_contain(1));
         assert_eq!(probe(&mut cache, 1), Answer::Digest(1));
     }
 
@@ -776,10 +684,9 @@ mod tests {
     fn duplicate_insert_keeps_single_entry() {
         let enclave = enclave();
         let mut cache = HotTagCache::new(HotCacheConfig::default());
-        remember(&mut cache, &enclave, 1, &shared(b"r"), Some(4));
-        assert!(remember(&mut cache, &enclave, 1, &shared(b"r"), Some(4)));
+        remember(&mut cache, &enclave, 1, &shared(b"r"));
+        assert!(remember(&mut cache, &enclave, 1, &shared(b"r")));
         assert_eq!((cache.len(), cache.bytes()), (1, ENTRY_OVERHEAD + 1));
-        assert!(cache.may_contain(4));
     }
 
     #[test]
@@ -789,7 +696,7 @@ mod tests {
         let mut cache =
             HotTagCache::new(HotCacheConfig { max_entries: 4, max_bytes: 1 << 20 });
         for n in 1..=4u8 {
-            remember(&mut cache, &enclave, n, &shared(&vec![n; 8 * 1024]), None);
+            remember(&mut cache, &enclave, n, &shared(&vec![n; 8 * 1024]));
         }
         assert!(enclave.committed_bytes() >= before + 32 * 1024);
         // Age every count to 0, then displace all four by the entry bound.
@@ -797,7 +704,7 @@ mod tests {
             cache.get(&fp(99));
         }
         for n in 5..=8u8 {
-            assert!(remember(&mut cache, &enclave, n, &shared(&[n]), None));
+            assert!(remember(&mut cache, &enclave, n, &shared(&[n])));
         }
         assert_eq!(cache.bytes(), 4 * (ENTRY_OVERHEAD + 1));
         assert_eq!(enclave.committed_bytes(), before + PAGE_SIZE as u64);
@@ -809,12 +716,12 @@ mod tests {
         let mut cache = HotTagCache::new(FOUR_RESULTS);
         let result = shared(&[5; 400]);
         for n in 1..=4u8 {
-            assert!(remember(&mut cache, &enclave, n, &result, None));
+            assert!(remember(&mut cache, &enclave, n, &result));
         }
         assert_eq!(probe(&mut cache, 9), Answer::Miss);
-        assert!(!remember(&mut cache, &enclave, 9, &result, None));
+        assert!(!remember(&mut cache, &enclave, 9, &result));
         assert_eq!(probe(&mut cache, 9), Answer::Digest(9));
-        assert!(remember(&mut cache, &enclave, 9, &result, None));
+        assert!(remember(&mut cache, &enclave, 9, &result));
         assert_eq!(probe(&mut cache, 1), Answer::Digest(1));
         assert_eq!(cache.len(), 5);
     }
@@ -830,12 +737,11 @@ mod tests {
             &(secret, CompTag::from_bytes([0xD7; 32])),
             &shared(&[0xD7; 8]),
             Some(record(0xD7, 8)),
-            Some(0xD7D7),
         );
         let shown = format!("{cache:?}");
         assert!(shown.contains("entries: 1") && shown.contains("results: 1"), "{shown}");
         assert!(shown.contains("records: 1"), "{shown}");
-        for needle in ["d7", "D7", "215", "55255"] {
+        for needle in ["d7", "D7", "215"] {
             assert!(!shown.contains(needle), "{needle} in {shown}");
         }
     }
@@ -847,7 +753,7 @@ mod tests {
         let result = shared(&[1; 400]);
         // The warm set fills the byte budget, each result hit once: count 2.
         for n in 0..4u8 {
-            assert!(remember(&mut cache, &enclave, n, &result, Some(n.into())));
+            assert!(remember(&mut cache, &enclave, n, &result));
             assert_eq!(probe(&mut cache, n), Answer::Result(vec![1; 400]));
         }
         for n in 100..100 + FOUR_RESULTS.max_entries as u8 {
@@ -923,7 +829,7 @@ mod tests {
                 _ => {
                     let n = k as u8;
                     let derived = (digest(n), tag(n));
-                    cache.insert(&enclave, key(k), &derived, &results[k], None, None);
+                    cache.insert(&enclave, key(k), &derived, &results[k], None);
                 }
             }
         }
@@ -944,7 +850,7 @@ mod tests {
         assert_eq!(cache.record_usage(), (1, 1000 + RECORD_FIXED));
         assert_eq!(cache.bytes(), ENTRY_OVERHEAD, "a kept record is not charged to EPC");
         // An insert without a record keeps it; a store hit's record replaces it.
-        remember(&mut cache, &enclave, 1, &result, None);
+        remember(&mut cache, &enclave, 1, &result);
         assert_eq!(probe(&mut cache, 1), Answer::Record(1, 1000));
         remember_hit(&mut cache, &enclave, 1, &result, 900);
         assert_eq!(probe(&mut cache, 1), Answer::Record(1, 900));
@@ -962,7 +868,7 @@ mod tests {
         remember_hit(&mut cache, &enclave, 1, &result, 1000);
         remember_hit(&mut cache, &enclave, 2, &result, 1000);
         assert_eq!(cache.record_usage().0, 2);
-        remember(&mut cache, &enclave, 3, &result, None);
+        remember(&mut cache, &enclave, 3, &result);
         assert_eq!(probe(&mut cache, 1), Answer::Miss, "the least-recent entry went");
         assert_eq!(cache.record_usage(), (1, 1000 + RECORD_FIXED));
     }
@@ -1160,16 +1066,13 @@ mod tests {
     /// model for any stream of probes and inserts, with and without a
     /// store hit's record — the same result, record, digest or miss, the
     /// same admission answer, entry count, accounted bytes and kept record
-    /// bytes — never exceeds its configured bounds, and its prefilter
-    /// multiset answers `may_contain` exactly for the remembered entries.
+    /// bytes — and never exceeds its configured bounds.
     #[test]
     fn cache_matches_reference_model_under_random_ops() {
         // Four entries and 640 bytes of results among eight keys, with
         // results up to 510 bytes: both bounds bind, and long streams age.
         // Records of up to 25,500 bytes meet a 20,480-byte budget.
         const CONFIG: HotCacheConfig = HotCacheConfig { max_entries: 4, max_bytes: 1280 };
-        // Key 7 is remembered without a prefilter; the others use key × 1000.
-        let prefilter = |key: u8| (key != 7).then_some(u64::from(key) * 1000);
 
         speed_testkit::check(
             "cache_matches_reference_model_under_random_ops",
@@ -1201,7 +1104,6 @@ mod tests {
                             &(digest(key), tag(key)),
                             &Arc::new(result.clone()),
                             record_len.map(|record_len| record(key, record_len)),
-                            prefilter(key),
                         );
                         assert_eq!(
                             kept,
@@ -1230,17 +1132,6 @@ mod tests {
                         cache.record_usage().1 <= 16 * CONFIG.max_bytes,
                         "op {index}: record budget"
                     );
-                    // The multiset answers exactly for every remembered
-                    // entry, with or without a result; an entry without a
-                    // prefilter makes every answer "maybe".
-                    let unknown = model.entries.contains_key(&7);
-                    for seed in 0..8u8 {
-                        assert_eq!(
-                            cache.may_contain(u64::from(seed) * 1000),
-                            unknown || (seed != 7 && model.entries.contains_key(&seed)),
-                            "op {index}: may_contain divergence for seed {seed}"
-                        );
-                    }
                 }
             },
         );

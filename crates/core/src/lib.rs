@@ -73,7 +73,6 @@ mod deduplicable;
 mod error;
 mod func;
 mod hotcache;
-mod prefilter;
 pub mod rce;
 pub mod resilience;
 mod result_bytes;
@@ -94,7 +93,6 @@ pub use deduplicable::Deduplicable;
 pub use error::CoreError;
 pub use func::{FuncDesc, FuncIdentity, TrustedLibrary};
 pub use hotcache::HotCacheConfig;
-pub use prefilter::prefilter_tag;
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, Connector, Deadline, ReplayQueue,
     ResilienceConfig, ResilienceStats, ResilientClient, RetryPolicy,

@@ -23,7 +23,6 @@ use crate::client::{InProcessClient, StoreClient, TcpClient};
 use crate::error::CoreError;
 use crate::func::{FuncDesc, FuncIdentity, LibraryRegistry, TrustedLibrary};
 use crate::hotcache::{HotCacheConfig, HotTagCache, Probe};
-use crate::prefilter::prefilter_tag;
 use crate::rce;
 use crate::resilience::{
     Connector, ReplayQueue, ResilienceConfig, ResilienceStats, ResilientClient,
@@ -127,13 +126,13 @@ struct Planned<'a> {
     compute: Option<BatchCompute<'a>>,
     /// A call rather than a probe (its compute may already have run).
     call: bool,
-    prefilter: Option<u64>,
     /// The secret hot-cache fingerprint, computed on first use: the one
     /// pass over its input of an item the hot cache answers.
     fp: Option<Fingerprint>,
     /// The secret digest and the full comp-tag, derived together on first
     /// use — the one SHA-256 pass over its input of an item that reaches
-    /// the store — or supplied by the hot cache, which remembers them.
+    /// the negative filter or the store — or supplied by the hot cache,
+    /// which remembers them.
     derived: Option<(CompDigest, CompTag)>,
     /// The negative filter proved no stored result exists.
     filtered: bool,
@@ -153,7 +152,6 @@ impl<'a> Planned<'a> {
             input,
             call: compute.is_some(),
             compute,
-            prefilter: None,
             fp: None,
             derived: None,
             filtered: false,
@@ -203,8 +201,8 @@ pub struct RuntimeStats {
     /// digest. Always zero unless the cache is enabled.
     pub cache_misses: u64,
     /// Misses whose GET round-trip was skipped because the negative filter
-    /// proved no stored result exists. Always zero unless the prefilter
-    /// tier is enabled. These calls are also counted in `misses`.
+    /// proved no stored result exists. Always zero unless the filter tier
+    /// is enabled. These calls are also counted in `misses`.
     pub filtered_misses: u64,
 }
 
@@ -284,10 +282,8 @@ pub(crate) struct RuntimeTelemetry {
     hotcache_digest_reuses: Counter,
     hotcache_record_hits: Counter,
     hotcache_admissions_refused: Counter,
-    prefilter_derive: Histogram,
-    prefilter_cache_skips: Counter,
-    prefilter_store_skips: Counter,
-    prefilter_refreshes: Counter,
+    filter_store_skips: Counter,
+    filter_refreshes: Counter,
     pub(crate) stream_chunks: Counter,
     pub(crate) stream_chunk_hits: Counter,
     pub(crate) stream_bytes: Counter,
@@ -347,22 +343,14 @@ impl RuntimeTelemetry {
                  admission or too large; the computation stays remembered by its \
                  digest where the table has room",
             ),
-            prefilter_derive: reg.histogram(
-                names::TAG_PREFILTER_DERIVE_DURATION_NS,
-                "Deriving the sampled 64-bit prefilter tag",
-            ),
-            prefilter_cache_skips: reg.counter(
-                names::TAG_PREFILTER_CACHE_SKIPS_TOTAL,
-                "Hot-cache probes skipped because the prefilter proved no entry \
-                 is remembered for the input, each saving a fingerprint",
-            ),
-            prefilter_store_skips: reg.counter(
+            filter_store_skips: reg.counter(
                 names::TAG_PREFILTER_STORE_SKIPS_TOTAL,
-                "Store GETs skipped because the negative filter proved absence",
+                "Store GETs skipped because the store's comp-tag negative filter \
+                 proved the tag absent",
             ),
-            prefilter_refreshes: reg.counter(
+            filter_refreshes: reg.counter(
                 names::TAG_PREFILTER_REFRESHES_TOTAL,
-                "Negative-filter snapshots fetched from the store",
+                "Comp-tag negative-filter snapshots fetched from the store",
             ),
             stream_chunks: reg.counter(
                 names::STREAM_CHUNKS_TOTAL,
@@ -395,15 +383,13 @@ struct ResilienceHandles {
     replay: Arc<ReplayQueue>,
 }
 
-/// Configuration for the tiered tag pipeline ([`RuntimeBuilder::prefilter`]).
+/// Configuration for the negative-filter tier ([`RuntimeBuilder::prefilter`]).
 ///
-/// When enabled, every marked call derives a cheap 64-bit
-/// [`prefilter tag`](crate::prefilter::prefilter_tag) before any pass over
-/// its input and consults it against the in-enclave hot cache and a
-/// merged snapshot of the store's per-shard negative filters. A *definite
-/// miss* skips the store GET round-trip; [`DedupRuntime::lookup`] skips the
-/// full SHA-256 as well. The filters are conservative (never a false
-/// negative), so the full comp-tag remains the sole correctness authority.
+/// When enabled, every item the hot cache does not answer consults its
+/// comp-tag against a merged snapshot of the store's per-shard negative
+/// filters, which are keyed by that tag. A *definite miss* skips the store
+/// GET round-trip. The filters are conservative (never a false negative),
+/// so the store remains the sole authority on what it holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrefilterConfig {
     /// The staleness budget: refresh the merged negative filter from the
@@ -424,26 +410,24 @@ impl Default for PrefilterConfig {
 /// ORed into one, refreshed from the store on the staleness budget.
 #[derive(Debug)]
 struct ClientFilter {
-    /// The merged filter, `None` until the first successful refresh (which
-    /// conservatively proves nothing absent).
+    /// The merged filter: `None` before the first successful refresh and
+    /// after one whose shard shapes disagree. Either way it proves nothing
+    /// absent.
     merged: Option<NegativeFilter>,
-    /// Store epoch of the last snapshot (observability only).
-    epoch: u64,
+    /// Store epoch of the last snapshot, `None` until a refresh succeeds.
+    epoch: Option<u64>,
     /// Consults since the last refresh attempt.
     ops_since_refresh: u64,
     config: PrefilterConfig,
 }
 
-/// ORs the store's per-shard filters into one client-side view. Shard
-/// shapes always agree (the store sizes them identically), but a mismatch
-/// just marks the merge incomplete — conservative, never wrong.
+/// ORs the store's per-shard filters into one client-side view. A store
+/// sizes its shards alike, but cluster members sized differently do not
+/// merge: shapes that disagree yield no filter, which proves nothing.
 fn merge_shard_filters(shards: Vec<NegativeFilter>) -> Option<NegativeFilter> {
     let mut iter = shards.into_iter();
-    let mut merged = iter.next()?;
-    for shard in iter {
-        merged.merge_from(&shard);
-    }
-    Some(merged)
+    let first = iter.next()?;
+    iter.try_fold(first, |mut merged, shard| merged.merge_from(&shard).then_some(merged))
 }
 
 /// Parks failed PUT items in the replay queue, one standalone PUT message
@@ -452,15 +436,10 @@ fn merge_shard_filters(shards: Vec<NegativeFilter>) -> Option<NegativeFilter> {
 fn park(replay: &ReplayQueue, app: AppId, items: Vec<BatchItem>) -> u64 {
     let mut parked = 0;
     for item in items {
-        let message = match item {
-            BatchItem::Put { tag, record } => Message::PutRequest { app, tag, record },
-            BatchItem::PutPrefiltered { tag, prefilter, record } => {
-                Message::PutPrefiltered { app, tag, prefilter, record }
-            }
-            BatchItem::Get { .. } | BatchItem::GetPrefiltered { .. } => continue,
-        };
-        replay.push(message);
-        parked += 1;
+        if let BatchItem::Put { tag, record } = item {
+            replay.push(Message::PutRequest { app, tag, record });
+            parked += 1;
+        }
     }
     parked
 }
@@ -713,12 +692,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables the tiered tag pipeline: a cheap sampled prefilter tag gates
-    /// the hot-cache probe, and a merged snapshot of the store's negative
-    /// filters lets definite-miss calls skip the GET round-trip (and lets
-    /// [`DedupRuntime::lookup`] skip the full SHA-256 entirely). Off by
-    /// default: the extra tier changes the per-call transition profile, so
-    /// existing deployments opt in explicitly.
+    /// Turns on the negative-filter tier: a merged snapshot of the store's
+    /// per-shard filters, keyed by the comp-tag, lets an item the hot cache
+    /// did not answer skip the GET round-trip when the filter proves its
+    /// tag absent ([`DedupOutcome::MissFiltered`]). Off by default: the
+    /// extra tier changes the per-call transition profile, so existing
+    /// deployments opt in explicitly.
     pub fn prefilter(mut self, config: PrefilterConfig) -> Self {
         self.prefilter = Some(config);
         self
@@ -822,10 +801,10 @@ impl RuntimeBuilder {
             async_putter,
             resilience: resilience_handles,
             hot_cache,
-            prefilter: self.prefilter.map(|config| {
+            filter: self.prefilter.map(|config| {
                 Mutex::new(ClientFilter {
                     merged: None,
-                    epoch: 0,
+                    epoch: None,
                     ops_since_refresh: 0,
                     config,
                 })
@@ -885,7 +864,7 @@ pub struct DedupRuntime {
     async_putter: Option<AsyncPutter>,
     resilience: Option<ResilienceHandles>,
     hot_cache: Option<HotCache>,
-    prefilter: Option<Mutex<ClientFilter>>,
+    filter: Option<Mutex<ClientFilter>>,
 }
 
 /// The in-enclave hot cache and the secret PRF whose fingerprints key it.
@@ -934,11 +913,10 @@ impl DedupRuntime {
     /// Implements Algorithms 1 and 2: derives the tag inside the enclave,
     /// queries the store through an OCALL, reuses the result on a verified
     /// hit, otherwise executes `compute` and publishes the encrypted
-    /// result. With [`RuntimeBuilder::prefilter`] enabled the tag pipeline
-    /// is tiered: a cheap sampled prefilter tag gates the hot-cache probe,
-    /// and the store's negative filter lets definite misses skip the GET
-    /// round-trip ([`DedupOutcome::MissFiltered`]). The call is a batch of
-    /// one through the same pipeline as
+    /// result. With [`RuntimeBuilder::prefilter`] enabled the store's
+    /// negative filter, keyed by the comp-tag, lets definite misses skip
+    /// the GET round-trip ([`DedupOutcome::MissFiltered`]). The call is a
+    /// batch of one through the same pipeline as
     /// [`execute_batch`](DedupRuntime::execute_batch), at the same cost:
     /// one ECALL plus a GET and a PUT OCALL on a miss.
     ///
@@ -1027,15 +1005,16 @@ impl DedupRuntime {
     /// Probes the tiered tag pipeline for an already-stored result without
     /// ever executing or publishing anything.
     ///
-    /// The ladder runs cheapest-first: the prefilter-gated hot-cache probe,
-    /// keyed by the secret fingerprint (one GHASH pass over the input),
-    /// then the merged negative filter, then the full comp-tag and a store
-    /// GET. A hot-cache hit or a filter-proven miss returns *without
-    /// computing the SHA-256 at all* — for large inputs that is the
-    /// dominant cost of a lookup — and a computation the hot cache
-    /// remembers opens its kept record, or reaches the GET with its
-    /// remembered digest, also without one. A probe that finds nothing remembers nothing; a verified store
-    /// hit is remembered like a call's. A record that fails verification also
+    /// The ladder runs cheapest-first: the hot-cache probe, keyed by the
+    /// secret fingerprint (one GHASH pass over the input), then the full
+    /// comp-tag (one SHA-256 pass) against the merged negative filter, then
+    /// a store GET. A hot-cache hit returns *without computing the SHA-256
+    /// at all*, and a computation the hot cache remembers opens its kept
+    /// record, or reaches the filter and the GET with its remembered
+    /// digest, also without one. An unseen input the filter proves absent
+    /// costs one fingerprint and one SHA-256, and no store round trip. A
+    /// probe that finds nothing remembers nothing; a verified store hit is
+    /// remembered like a call's. A record that fails verification also
     /// yields `Ok(None)`. A probe is not a call: it is not counted in
     /// [`RuntimeStats::calls`].
     ///
@@ -1052,13 +1031,13 @@ impl DedupRuntime {
         Ok(self.plan(vec![probe])?.pop().flatten().map(|(result, _)| result))
     }
 
-    /// Algorithm 1 over a batch of items, in one ECALL: prefilter → hot
-    /// cache → negative filter → one batched GET → RCE recover or compute
-    /// → one batched PUT, degrading item by item. Each
-    /// item computes its secret fingerprint only for the hot cache, and its
-    /// SHA-256 digest and tag only if it reaches the GET, `recover` or
-    /// `encrypt` and the hot cache did not supply them, so a hot-cache hit
-    /// or a remembered computation runs no SHA-256. An item without a
+    /// Algorithm 1 over a batch of items, in one ECALL: hot cache →
+    /// negative filter → one batched GET → RCE recover or compute → one
+    /// batched PUT, degrading item by item. Each item computes its secret
+    /// fingerprint only for the hot cache, and its SHA-256 digest and tag
+    /// only if it reaches the filter, the GET, `recover` or `encrypt` and
+    /// the hot cache did not supply them, so a hot-cache hit or a
+    /// remembered computation runs no SHA-256. An item without a
     /// compute is a [`lookup`](DedupRuntime::lookup) probe: it never
     /// computes or publishes, and is not counted as a call. Returns each
     /// item's result in order; a probe that found nothing yields `None`.
@@ -1076,18 +1055,6 @@ impl DedupRuntime {
         &self,
         mut items: Vec<Planned<'_>>,
     ) -> Result<Vec<Option<(ResultBytes, DedupOutcome)>>, CoreError> {
-        // Tier 0: every item derives the cheap sampled prefilter tag (when
-        // enabled).
-        if self.prefilter.is_some() {
-            for item in &mut items {
-                let (identity, input) = (&item.identity, item.input);
-                item.prefilter = Some(
-                    self.telemetry
-                        .prefilter_derive
-                        .time(|| prefilter_tag(identity, input)),
-                );
-            }
-        }
         let mut pending: Vec<usize> = (0..items.len()).collect();
 
         // Tier 1 — hot cache: a recently resolved result is answered
@@ -1095,17 +1062,12 @@ impl DedupRuntime {
         // result is not cached hands over its digest and tag, so the tiers
         // below run no SHA-256 for it, and the record of its last store hit
         // if the cache kept one. The probe is keyed by the secret
-        // fingerprint. The prefilter multiset gates it: a definite "not
-        // remembered" skips the fingerprint.
+        // fingerprint.
         if let Some(hot) = &self.hot_cache {
             let mut kept = Vec::new();
             let mut cache = lock_recover(&hot.entries);
             pending.retain(|&i| {
                 let item = &mut items[i];
-                if item.prefilter.is_some_and(|p| !cache.may_contain(p)) {
-                    self.telemetry.prefilter_cache_skips.inc();
-                    return true;
-                }
                 let fp = self.fingerprint(&hot.prf, item);
                 match self.telemetry.hotcache_lookup.time(|| cache.get(&fp)) {
                     Probe::Result(result) => {
@@ -1138,36 +1100,32 @@ impl DedupRuntime {
             pending.retain(|&i| items[i].answer.is_none());
         }
 
-        // Tier 2 — the store's negative filter: a complete merged filter
-        // that lacks the prefilter tag *proves* no stored result exists,
-        // so the GET round-trip is pure waste.
-        for &i in &pending {
-            let item = &mut items[i];
-            if item.prefilter.is_some_and(|p| self.filter_proves_absent(p)) {
-                self.telemetry.prefilter_store_skips.inc();
-                item.filtered = true;
-                if item.call {
-                    self.stats.filtered_misses.add(1);
+        // Tier 2 — the store's negative filter: a merged filter that lacks
+        // the item's comp-tag *proves* no stored result exists, so the GET
+        // round-trip is pure waste. The tag is derived here, or taken from
+        // the hot cache, and serves the GET or the PUT that follows.
+        if self.filter.is_some() {
+            for &i in &pending {
+                let item = &mut items[i];
+                let tag = self.derive(item).1;
+                if self.filter_proves_absent(&tag) {
+                    self.telemetry.filter_store_skips.inc();
+                    item.filtered = true;
+                    if item.call {
+                        self.stats.filtered_misses.add(1);
+                    }
                 }
             }
         }
 
         // OCALL: ONE synchronous GET round-trip resolves every remaining
-        // tag. With the filter tier enabled the GETs carry their prefilter
-        // tags, so the store can answer definite misses straight from its
-        // (authoritative, never stale) shard filters.
+        // tag.
         pending.retain(|&i| !items[i].filtered);
         let mut degraded = false;
         if !pending.is_empty() {
             let gets = pending
                 .iter()
-                .map(|&i| {
-                    let tag = self.derive(&mut items[i]).1;
-                    match items[i].prefilter {
-                        Some(prefilter) => BatchItem::GetPrefiltered { tag, prefilter },
-                        None => BatchItem::Get { tag },
-                    }
-                })
+                .map(|&i| BatchItem::Get { tag: self.derive(&mut items[i]).1 })
                 .collect();
             let request = Message::BatchRequest { app: self.app_id, items: gets };
             let response = self.enclave.ocall_with_bytes(
@@ -1241,14 +1199,9 @@ impl DedupRuntime {
             }
             let Some(result) = item.run() else { continue };
             let tag = self.derive(item).1;
-            // With the filter tier enabled the PUT carries the prefilter tag
-            // so the store can keep its negative filters complete.
             let record = self.encrypt(&self.derive(item).0, &result);
             self.remember(item, &result, None);
-            puts.push(match item.prefilter {
-                Some(prefilter) => BatchItem::PutPrefiltered { tag, prefilter, record },
-                None => BatchItem::Put { tag, record },
-            });
+            puts.push(BatchItem::Put { tag, record });
             let outcome = if item.filtered {
                 DedupOutcome::MissFiltered
             } else {
@@ -1305,8 +1258,8 @@ impl DedupRuntime {
 
     /// An item's secret digest `d = Hash(func, m)` and full comp-tag
     /// `Hash(d)`, derived on first use: its one SHA-256 pass over its input,
-    /// made only when the item reaches the store, `recover` or `encrypt`
-    /// and the hot cache did not supply them.
+    /// made only when the item reaches the negative filter, the store,
+    /// `recover` or `encrypt` and the hot cache did not supply them.
     fn derive<'p>(&self, item: &'p mut Planned<'_>) -> &'p (CompDigest, CompTag) {
         let (identity, input) = (&item.identity, item.input);
         item.derived.get_or_insert_with(|| {
@@ -1408,14 +1361,12 @@ impl DedupRuntime {
     ) {
         if let Some(hot) = &self.hot_cache {
             let fp = self.fingerprint(&hot.prf, item);
-            let prefilter = item.prefilter;
             let kept = lock_recover(&hot.entries).insert(
                 &self.enclave,
                 fp,
                 self.derive(item),
                 result.shared(),
                 record.map(Arc::new),
-                prefilter,
             );
             if !kept {
                 self.telemetry.hotcache_admissions_refused.inc();
@@ -1424,31 +1375,27 @@ impl DedupRuntime {
     }
 
     /// Consults (and lazily refreshes) the merged client-side negative
-    /// filter. `true` means *proof* of absence: the filter is complete and
-    /// does not contain the prefilter tag. Refresh failures silently keep
-    /// the stale view — the filter is an accelerator, never a correctness
-    /// dependency.
-    fn filter_proves_absent(&self, prefilter: u64) -> bool {
-        let Some(cell) = &self.prefilter else { return false };
+    /// filter. `true` means *proof* of absence: the filter does not contain
+    /// the tag. Refresh failures silently keep the stale view — the filter
+    /// is an accelerator, never a correctness dependency.
+    fn filter_proves_absent(&self, tag: &CompTag) -> bool {
+        let Some(cell) = &self.filter else { return false };
         let mut state = lock_recover(cell);
         let stale =
-            state.merged.is_none() || state.ops_since_refresh >= state.config.refresh_ops;
+            state.epoch.is_none() || state.ops_since_refresh >= state.config.refresh_ops;
         if stale {
             state.ops_since_refresh = 0;
             let response = self.enclave.ocall_with_bytes("filter_request", 1, 0, || {
                 lock_recover(&self.client).roundtrip(&Message::FilterRequest)
             });
             if let Ok(Message::FilterResponse(body)) = response {
-                self.telemetry.prefilter_refreshes.inc();
-                state.epoch = body.epoch;
+                self.telemetry.filter_refreshes.inc();
+                state.epoch = Some(body.epoch);
                 state.merged = merge_shard_filters(body.shards);
             }
         }
         state.ops_since_refresh += 1;
-        match &state.merged {
-            Some(filter) => !filter.may_contain(prefilter),
-            None => false,
-        }
+        state.merged.as_ref().is_some_and(|filter| !filter.may_contain(tag))
     }
 
     /// Waits until all asynchronous PUTs submitted so far have completed.
@@ -2337,7 +2284,7 @@ mod tests {
         assert_eq!(stats.shards.iter().map(|s| s.entries).sum::<u64>(), 1);
     }
 
-    fn prefilter_runtime(
+    fn filter_runtime(
         platform: &Arc<Platform>,
         store: &Arc<ResultStore>,
         authority: &Arc<SessionAuthority>,
@@ -2355,7 +2302,7 @@ mod tests {
     #[test]
     fn filtered_miss_skips_the_get_round_trip() {
         let (platform, store, authority) = setup();
-        let rt = prefilter_runtime(
+        let rt = filter_runtime(
             &platform,
             &store,
             &authority,
@@ -2393,7 +2340,7 @@ mod tests {
         let (platform, store, authority) = setup();
         // refresh_ops: 1 ⇒ every consult refetches the snapshot, so the
         // client always sees the store's latest filter.
-        let rt = prefilter_runtime(
+        let rt = filter_runtime(
             &platform,
             &store,
             &authority,
@@ -2404,8 +2351,8 @@ mod tests {
         let (_, outcome) = rt.execute(&desc_double(), b"m", |i| i.to_vec()).unwrap();
         assert_eq!(outcome, DedupOutcome::MissFiltered);
 
-        // The PUT carried the prefilter tag; the refreshed filter now says
-        // "maybe present", so the call falls through to the GET and hits.
+        // The store inserted the PUT's comp-tag; the refreshed filter now
+        // says "maybe present", so the call falls through to the GET and hits.
         // No false negative: a published result is always reachable.
         let (result, outcome) =
             rt.execute(&desc_double(), b"m", |_| panic!("must dedup")).unwrap();
@@ -2417,7 +2364,7 @@ mod tests {
     #[test]
     fn filter_refresh_honors_the_staleness_budget() {
         let (platform, store, authority) = setup();
-        let rt = prefilter_runtime(
+        let rt = filter_runtime(
             &platform,
             &store,
             &authority,
@@ -2435,35 +2382,6 @@ mod tests {
         // Consult 1 refreshes (cold), consult 2 rides the snapshot, consult
         // 3 crosses the budget and refreshes again.
         assert_eq!(ocalls, vec![2, 1, 2]);
-    }
-
-    #[test]
-    fn prefilter_gates_the_hot_cache_probe() {
-        let (platform, store, authority) = setup();
-        let rt = DedupRuntime::builder(Arc::clone(&platform), b"gate-app")
-            .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-            .trusted_library(library())
-            .hot_cache(HotCacheConfig::default())
-            .prefilter(PrefilterConfig::default())
-            .build()
-            .unwrap();
-
-        // Cold call: the cache's prefilter multiset proves "not cached", so
-        // the probe (and its fingerprint) is skipped entirely —
-        // cache_misses stays zero because no probe ever ran.
-        let (_, outcome) = rt.execute(&desc_double(), b"g", |i| i.to_vec()).unwrap();
-        assert_eq!(outcome, DedupOutcome::MissFiltered);
-        assert_eq!(rt.stats().cache_misses, 0);
-
-        // Warm call: the multiset admits the prefilter, the probe runs and
-        // hits without leaving the enclave.
-        let before = rt.enclave().stats();
-        let (_, outcome) =
-            rt.execute(&desc_double(), b"g", |_| panic!("cached")).unwrap();
-        let after = rt.enclave().stats();
-        assert_eq!(outcome, DedupOutcome::HitLocalCache);
-        assert_eq!(rt.stats().cache_hits, 1);
-        assert_eq!(after.ocalls - before.ocalls, 0);
     }
 
     #[test]
@@ -2516,7 +2434,7 @@ mod tests {
     #[test]
     fn lookup_probes_without_computing_or_publishing() {
         let (platform, store, authority) = setup();
-        let rt = prefilter_runtime(
+        let rt = filter_runtime(
             &platform,
             &store,
             &authority,
@@ -2525,8 +2443,8 @@ mod tests {
         );
         let identity = rt.resolve(&desc_double()).unwrap();
 
-        // Absent, cold filter: the refresh OCALL runs, proves absence, and
-        // the probe returns before deriving the full SHA-256 or GETting.
+        // Absent, cold filter: the refresh OCALL runs, proves the tag
+        // absent, and the probe returns without a GET.
         let before = rt.enclave().stats();
         assert_eq!(rt.lookup(&identity, b"absent-1").unwrap(), None);
         let after = rt.enclave().stats();
@@ -2550,7 +2468,7 @@ mod tests {
         // find it (the stale client filter is refreshed on budget, so use
         // a fresh runtime whose first consult fetches the latest filter).
         rt.execute_raw(&identity, b"present", |i| i.to_vec()).unwrap();
-        let rt2 = prefilter_runtime(
+        let rt2 = filter_runtime(
             &platform,
             &store,
             &authority,
@@ -2566,7 +2484,7 @@ mod tests {
     #[test]
     fn batch_filtered_misses_skip_the_batch_get() {
         let (platform, store, authority) = setup();
-        let rt = prefilter_runtime(
+        let rt = filter_runtime(
             &platform,
             &store,
             &authority,
@@ -2594,7 +2512,7 @@ mod tests {
 
         // A fresh runtime (cold filter ⇒ first consult sees the published
         // tags) resolves the same batch as hits through the batch GET.
-        let rt2 = prefilter_runtime(
+        let rt2 = filter_runtime(
             &platform,
             &store,
             &authority,

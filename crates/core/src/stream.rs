@@ -3,8 +3,8 @@
 //!
 //! A session splits an incoming byte stream into content-defined chunks
 //! (see [`crate::chunker`]) and runs each chunk through the full dedup
-//! ladder as its own marked call: prefilter tag, hot-cache probe, merged
-//! negative filter, batched store GET, RCE recovery, batched PUT. Chunks
+//! ladder as its own marked call: hot-cache probe, comp-tag against the
+//! merged negative filter, batched store GET, RCE recovery, batched PUT. Chunks
 //! are flushed in batches over [`DedupRuntime::execute_batch`], so a
 //! session inherits everything the batch path already provides — O(1)
 //! enclave transitions per flush, cluster routing, and per-item outage

@@ -121,28 +121,13 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
         enclave: &Arc<Enclave>,
     ) -> Result<Recovery, StoreError>;
 
-    /// A new entry became live (reference count 1).
+    /// A new entry became live.
     ///
     /// # Errors
     ///
     /// Returns an error if the record could not be made durable; the
     /// caller must roll back the in-memory insert.
     fn record_put(&self, entry: &SyncEntry) -> Result<(), StoreError>;
-
-    /// A duplicate PUT deduplicated against an existing entry
-    /// (reference count +1).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the record could not be made durable.
-    fn record_ref(&self, tag: &CompTag) -> Result<(), StoreError>;
-
-    /// One reference released; the entry dies at zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the record could not be made durable.
-    fn record_unref(&self, tag: &CompTag) -> Result<(), StoreError>;
 
     /// The entry was removed outright (eviction, expiry, dangling blob).
     ///
@@ -225,14 +210,6 @@ impl StoreBackend for MemoryBackend {
     }
 
     fn record_put(&self, _entry: &SyncEntry) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn record_ref(&self, _tag: &CompTag) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn record_unref(&self, _tag: &CompTag) -> Result<(), StoreError> {
         Ok(())
     }
 

@@ -38,11 +38,6 @@ pub struct DictEntry {
     pub owner: Option<AppId>,
     /// Logical-millisecond timestamp of insertion (drives TTL expiry).
     pub created_ms: u64,
-    /// The entry's 64-bit prefilter tag when the publisher supplied one
-    /// (prefiltered PUT variants). In-memory only — not persisted — so
-    /// entries recovered from disk come back as `None` and conservatively
-    /// mark the shard's negative filter incomplete.
-    pub prefilter: Option<u64>,
     /// Times this entry satisfied a GET (atomic so the read path never
     /// needs an exclusive borrow).
     hits: AtomicU64,
@@ -64,7 +59,6 @@ impl Clone for DictEntry {
             boxed_len: self.boxed_len,
             owner: self.owner,
             created_ms: self.created_ms,
-            prefilter: self.prefilter,
             hits: AtomicU64::new(self.hits()),
             last_touch: AtomicU64::new(self.last_touch.load(Ordering::Relaxed)),
             lru_seq: self.lru_seq,
@@ -168,7 +162,6 @@ impl MetadataDict {
         boxed_len: u32,
         owner: Option<AppId>,
         created_ms: u64,
-        prefilter: Option<u64>,
     ) -> Option<BlobId> {
         if self.entries.contains_key(&tag) {
             // First writer wins; reject the new blob.
@@ -187,7 +180,6 @@ impl MetadataDict {
                 boxed_len,
                 owner,
                 created_ms,
-                prefilter,
                 hits: AtomicU64::new(0),
                 last_touch: AtomicU64::new(seq),
                 lru_seq: seq,
@@ -283,7 +275,6 @@ mod tests {
             len,
             Some(AppId(1)),
             0,
-            Some(u64::from(n)),
         )
     }
 
@@ -331,7 +322,6 @@ mod tests {
             20,
             Some(AppId(2)),
             0,
-            None,
         );
         assert_eq!(rejected, Some(BlobId::from_raw(99)));
         assert_eq!(dict.peek(&tag(1)).unwrap().challenge, vec![1; 32]);

@@ -24,10 +24,10 @@
 //! up), rotated segments, and compacted: compaction copied live frames
 //! verbatim into another file, so a crash could leave one PUT in two files
 //! under the same sequence number. Records from every file merge into one
-//! order by their global sequence numbers, a PUT whose sequence equals the
-//! live entry's is skipped as a duplicate, and Ref/Unref records keep a
-//! per-entry reference count (the entry dies at zero), so duplicated
-//! Ref/Unref pairs cancel out.
+//! order by their global sequence numbers, and a PUT whose sequence equals
+//! the live entry's is skipped as a duplicate. Earlier versions also logged
+//! a `Ref` record for every duplicate PUT; `Ref` and `Unref` records still
+//! decode, and replay as no-ops.
 //!
 //! Any failed append or fsync degrades the backend to **read-only**: the
 //! store keeps serving GETs but rejects further mutations rather than
@@ -401,7 +401,6 @@ impl StoreBackend for LogBackend {
         // Phase 3: replay above the checkpoint onto the live map.
         struct Live {
             entry: SyncEntry,
-            refcount: u32,
             /// Sequence number of the PUT that made it live; 0 for an
             /// entry restored from the checkpoint.
             put_seq: u64,
@@ -410,7 +409,7 @@ impl StoreBackend for LogBackend {
         }
         let mut live: HashMap<CompTag, Live> = HashMap::new();
         for (position, entry) in checkpoint_entries.into_iter().enumerate() {
-            live.insert(entry.tag, Live { entry, refcount: 1, put_seq: 0, position });
+            live.insert(entry.tag, Live { entry, put_seq: 0, position });
         }
         for record in all {
             if record.seq <= checkpoint_seq {
@@ -424,27 +423,13 @@ impl StoreBackend for LogBackend {
                     if !duplicate {
                         live.insert(
                             entry.tag,
-                            Live { entry, refcount: 1, put_seq: record.seq, position: 0 },
+                            Live { entry, put_seq: record.seq, position: 0 },
                         );
                     }
                 }
-                WalOp::Ref(tag) => {
-                    if let Some(l) = live.get_mut(&tag) {
-                        l.refcount = l.refcount.saturating_add(1);
-                    }
-                }
-                WalOp::Unref(tag) => {
-                    let dead = match live.get_mut(&tag) {
-                        Some(l) => {
-                            l.refcount = l.refcount.saturating_sub(1);
-                            l.refcount == 0
-                        }
-                        None => false,
-                    };
-                    if dead {
-                        live.remove(&tag);
-                    }
-                }
+                // Written by earlier versions; no reader ever used the
+                // reference counts they kept.
+                WalOp::Ref(_) | WalOp::Unref(_) => {}
                 WalOp::Delete(tag) => {
                     live.remove(&tag);
                 }
@@ -478,14 +463,6 @@ impl StoreBackend for LogBackend {
 
     fn record_put(&self, entry: &SyncEntry) -> Result<(), StoreError> {
         self.append_op(WalOp::Put(entry.clone()))
-    }
-
-    fn record_ref(&self, tag: &CompTag) -> Result<(), StoreError> {
-        self.append_op(WalOp::Ref(*tag))
-    }
-
-    fn record_unref(&self, tag: &CompTag) -> Result<(), StoreError> {
-        self.append_op(WalOp::Unref(*tag))
     }
 
     fn record_delete(&self, tag: &CompTag) -> Result<(), StoreError> {
@@ -643,14 +620,12 @@ mod tests {
         backend.record_put(&entry(1)).unwrap();
         backend.record_put(&entry(2)).unwrap();
         backend.record_put(&entry(3)).unwrap();
-        backend.record_ref(&entry(2).tag).unwrap();
-        backend.record_unref(&entry(2).tag).unwrap(); // back to rc 1, stays live
         backend.record_delete(&entry(3).tag).unwrap();
         backend.flush().unwrap();
         drop(backend);
 
         let (_backend, recovery) = open_on(&dir, LogConfig::new(&dir));
-        assert_eq!(recovery.report.wal_records_replayed, 6);
+        assert_eq!(recovery.report.wal_records_replayed, 4);
         assert_eq!(recovery.report.torn_segments, 0);
         let mut tags: Vec<u8> =
             recovery.entries.iter().map(|e| e.tag.as_bytes()[0]).collect();
@@ -658,20 +633,6 @@ mod tests {
         assert_eq!(tags, vec![1, 2]);
         let survivor = recovery.entries.iter().find(|e| e.tag == entry(2).tag).unwrap();
         assert_eq!(survivor.record, entry(2).record);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unref_to_zero_removes_entry_across_reopen() {
-        let dir = scratch("unref");
-        let (backend, _) = open_on(&dir, LogConfig::new(&dir));
-        backend.record_put(&entry(7)).unwrap();
-        backend.record_unref(&entry(7).tag).unwrap();
-        backend.flush().unwrap();
-        drop(backend);
-
-        let (_backend, recovery) = open_on(&dir, LogConfig::new(&dir));
-        assert!(recovery.entries.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -822,8 +783,8 @@ mod tests {
         assert_eq!(recovery.report.wal_segments, 5);
         assert_eq!(recovery.report.torn_segments, 0);
         assert_eq!(recovery.report.wal_records_replayed, 9, "the duplicate is read too");
-        // Every entry comes back with its record and hit count; entry 2
-        // survives its Unref because the Ref raised its count to 2.
+        // Every entry comes back with its record and hit count; the Ref and
+        // the Unref of entry 2 replay as no-ops.
         assert_eq!(sorted(recovery.entries), expected(&[]));
 
         // The next append starts a fresh log-0 file; no legacy file grows.

@@ -31,11 +31,15 @@
 //!    from the [`SessionAuthority`]'s attestation service on its own
 //!    platform)
 //! 2. server → client: `server_quote` bytes — **or** a plaintext
-//!    [`Message::Error`] busy frame when the connection budget is
-//!    saturated, so clients can tell "busy" from "attestation failed"
-//!    and retry.
+//!    [`Message::Error`] frame instead: the busy frame when the connection
+//!    budget is saturated, so clients can tell "busy" from "attestation
+//!    failed" and retry, or a refusal naming both protocol versions when
+//!    the client's quote attests another [`PROTOCOL_VERSION`].
 //!
-//! Both sides then derive the session key from the verified quote pair.
+//! Each quote attests the [`PROTOCOL_VERSION`] of its side in the first
+//! four bytes of its report data, and each side refuses a peer of another
+//! version before any data-plane frame. Both sides then derive the session
+//! key from the verified quote pair.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,13 +49,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use speed_enclave::attestation::{create_report, Quote, REPORT_DATA_LEN};
+use speed_enclave::attestation::{create_report, Quote};
 use speed_enclave::Platform;
 use speed_telemetry::{names, Counter, Gauge};
 use speed_wire::frame::{
     read_frame, write_frame, FrameProgress, FrameReader, FrameWriter,
 };
-use speed_wire::{from_bytes, to_bytes, Message, Role, SecureChannel, SessionAuthority};
+use speed_wire::{
+    attested_version, from_bytes, handshake_report_data, to_bytes, Message, Role,
+    SecureChannel, SessionAuthority, PROTOCOL_VERSION,
+};
 
 use crate::poller::{poll, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::store::ResultStore;
@@ -62,9 +69,14 @@ use crate::StoreError;
 /// sends before closing (clients map it to [`StoreError::Busy`]).
 pub const SERVER_BUSY_REASON: &str = "server busy: connection budget saturated";
 
-/// How long a busy-rejected connection may take to drain its busy frame
-/// before the server gives up and closes it anyway.
+/// How long a refused connection may take to drain its plaintext error
+/// frame before the server gives up and closes it anyway.
 const BUSY_LINGER: Duration = Duration::from_secs(1);
+
+/// Why a handshake between peers of two protocol versions fails.
+fn version_mismatch(client: u32, server: u32) -> String {
+    format!("protocol version mismatch: client speaks {client}, server speaks {server}")
+}
 
 /// Default per-frame deadline (also bounds the handshake and one
 /// switchless round-trip).
@@ -616,22 +628,27 @@ impl IoThread {
         }
     }
 
-    /// Queues the plaintext busy frame and keeps the connection just long
-    /// enough to drain it — the client gets a definite "busy, retry"
-    /// instead of an unexplained reset.
+    /// Refuses a connection with the plaintext busy frame — the client
+    /// gets a definite "busy, retry" instead of an unexplained reset.
     fn busy_reject(&mut self, stream: TcpStream) {
         self.shared.counters.rejected.inc();
         let slot = self.install(stream, false);
-        if let Some(conn) = self.conns[slot].as_mut() {
-            conn.state = ConnState::Closing;
-            conn.deadline = Some(Instant::now() + BUSY_LINGER);
-            let busy = to_bytes(&Message::Error(SERVER_BUSY_REASON.to_string()));
-            if conn.writer.queue(&busy).is_err() {
-                self.close(slot, CloseReason::Normal);
-                return;
-            }
-            self.flush_writer(slot);
+        self.refuse(slot, SERVER_BUSY_REASON);
+    }
+
+    /// Queues a plaintext error frame in place of the server's quote and
+    /// keeps the connection just long enough to drain it. Returns false
+    /// when the connection was closed.
+    fn refuse(&mut self, slot: usize, reason: &str) -> bool {
+        let Some(conn) = self.conns[slot].as_mut() else { return false };
+        conn.state = ConnState::Closing;
+        conn.deadline = Some(Instant::now() + BUSY_LINGER);
+        if conn.writer.queue(&to_bytes(&Message::Error(reason.to_string()))).is_err() {
+            self.close(slot, CloseReason::Normal);
+            return false;
         }
+        self.flush_writer(slot);
+        self.conns[slot].is_some()
     }
 
     fn install(&mut self, stream: TcpStream, counted: bool) -> usize {
@@ -760,16 +777,27 @@ impl IoThread {
 
     fn finish_handshake(&mut self, slot: usize, frame: &[u8]) -> bool {
         let shared = Arc::clone(&self.shared);
+        let client_quote = match Quote::from_bytes(frame) {
+            Ok(quote) if shared.authority.service().verify_quote(&quote).is_ok() => quote,
+            _ => {
+                self.close(slot, CloseReason::Protocol);
+                return false;
+            }
+        };
+        // A peer of another protocol version would misread the data plane:
+        // refuse it, naming both versions, before any sealed frame.
+        let client_version = attested_version(&client_quote);
+        if client_version != PROTOCOL_VERSION {
+            shared.counters.protocol_errors.inc();
+            return self
+                .refuse(slot, &version_mismatch(client_version, PROTOCOL_VERSION));
+        }
         let handshake = (|| -> Result<(SecureChannel, Vec<u8>), String> {
-            let client_quote = Quote::from_bytes(frame).map_err(|e| e.to_string())?;
-            shared
-                .authority
-                .service()
-                .verify_quote(&client_quote)
-                .map_err(|e| format!("client attestation: {e}"))?;
-            let report_data = [0u8; REPORT_DATA_LEN];
-            let server_report =
-                create_report(&shared.platform, shared.store.enclave(), &report_data);
+            let server_report = create_report(
+                &shared.platform,
+                shared.store.enclave(),
+                &handshake_report_data(),
+            );
             let server_quote = shared
                 .authority
                 .service()
@@ -960,7 +988,8 @@ impl TcpStoreClient {
     /// Returns [`StoreError::Io`] on connection failure,
     /// [`StoreError::Busy`] when the server refuses with a busy frame
     /// (transient — retry after a backoff), or [`StoreError::Protocol`]
-    /// if attestation fails.
+    /// if attestation fails or the two sides speak different
+    /// [`PROTOCOL_VERSION`]s (the message names both).
     pub fn connect(
         addr: SocketAddr,
         platform: &Platform,
@@ -974,8 +1003,7 @@ impl TcpStoreClient {
         // a client blocked forever.
         stream.set_read_timeout(Some(DEFAULT_FRAME_TIMEOUT)).ok();
 
-        let report_data = [0u8; REPORT_DATA_LEN];
-        let client_report = create_report(platform, identity, &report_data);
+        let client_report = create_report(platform, identity, &handshake_report_data());
         let client_quote = authority
             .service()
             .quote(platform, &client_report)
@@ -985,11 +1013,14 @@ impl TcpStoreClient {
         let server_quote_bytes = read_frame(&mut stream)?;
         let server_quote = match Quote::from_bytes(&server_quote_bytes) {
             Ok(quote) => quote,
-            // Not a quote: a saturated server answers the handshake with
-            // a plaintext busy frame instead of its quote.
+            // Not a quote: the server refused the handshake with a
+            // plaintext error frame. Only the busy frame is transient.
             Err(quote_err) => {
                 return Err(match from_bytes::<Message>(&server_quote_bytes) {
-                    Ok(Message::Error(reason)) => StoreError::Busy(reason),
+                    Ok(Message::Error(reason)) if reason == SERVER_BUSY_REASON => {
+                        StoreError::Busy(reason)
+                    }
+                    Ok(Message::Error(reason)) => StoreError::Protocol(reason),
                     _ => StoreError::Protocol(quote_err.to_string()),
                 });
             }
@@ -998,6 +1029,13 @@ impl TcpStoreClient {
             .service()
             .verify_quote(&server_quote)
             .map_err(|e| StoreError::Protocol(format!("server attestation: {e}")))?;
+        let server_version = attested_version(&server_quote);
+        if server_version != PROTOCOL_VERSION {
+            return Err(StoreError::Protocol(version_mismatch(
+                PROTOCOL_VERSION,
+                server_version,
+            )));
+        }
 
         let key = authority
             .session_key(&client_quote, &server_quote)
@@ -1031,6 +1069,7 @@ impl TcpStoreClient {
 mod tests {
     use super::*;
     use crate::store::StoreConfig;
+    use speed_enclave::attestation::REPORT_DATA_LEN;
     use speed_enclave::CostModel;
     use speed_wire::{AppId, BatchItem, CompTag, Record};
 
@@ -1331,6 +1370,80 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_of_another_protocol_version_gets_no_session() {
+        let (platform, _store, authority, server) = setup();
+        // A client from before the version field attests all-zero report
+        // data: it gets a refusal naming both versions instead of a quote,
+        // so it never derives a session key, and the server hangs up.
+        let enclave = platform.create_enclave(b"old-client").unwrap();
+        let report = create_report(&platform, &enclave, &[0u8; REPORT_DATA_LEN]);
+        let quote = authority.service().quote(&platform, &report).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut stream, &quote.to_bytes()).unwrap();
+        let reply = read_frame(&mut stream).unwrap();
+        assert!(Quote::from_bytes(&reply).is_err(), "no server quote");
+        match from_bytes::<Message>(&reply) {
+            Ok(Message::Error(reason)) => assert_eq!(
+                reason,
+                format!(
+                    "protocol version mismatch: client speaks 0, server speaks \
+                     {PROTOCOL_VERSION}"
+                )
+            ),
+            other => panic!("expected a version refusal, got {other:?}"),
+        }
+        assert!(read_frame(&mut stream).is_err(), "the server hangs up");
+        assert_eq!(server.stats().protocol_errors, 1);
+
+        // A current client still connects and is served.
+        let enclave = platform.create_enclave(b"current-client").unwrap();
+        let mut client =
+            TcpStoreClient::connect(server.addr(), &platform, &enclave, &authority)
+                .unwrap();
+        assert!(matches!(
+            client.roundtrip(&Message::StatsRequest),
+            Ok(Message::StatsResponse(_))
+        ));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_client_refuses_a_server_of_another_protocol_version() {
+        let platform = Platform::new(CostModel::default_sgx());
+        let authority = SessionAuthority::with_seed(12);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let enclave = platform.create_enclave(b"old-server").unwrap();
+        let old_quote = authority
+            .service()
+            .quote(&platform, &create_report(&platform, &enclave, &[0; REPORT_DATA_LEN]))
+            .unwrap()
+            .to_bytes();
+        let newer = version_mismatch(PROTOCOL_VERSION, PROTOCOL_VERSION + 1);
+        // A server from before the version field answers with its quote; a
+        // newer one refuses with a plaintext error. Neither reads as busy.
+        let replies = [old_quote, to_bytes(&Message::Error(newer.clone()))];
+        let peer = std::thread::spawn(move || {
+            for reply in replies {
+                let (mut stream, _) = listener.accept().unwrap();
+                let quote = Quote::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();
+                assert_eq!(attested_version(&quote), PROTOCOL_VERSION);
+                write_frame(&mut stream, &reply).unwrap();
+            }
+        });
+        let client = platform.create_enclave(b"current-client").unwrap();
+        let expected = [version_mismatch(PROTOCOL_VERSION, 0), newer];
+        for reason in expected {
+            match TcpStoreClient::connect(addr, &platform, &client, &authority) {
+                Err(StoreError::Protocol(got)) => assert_eq!(got, reason),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+        peer.join().unwrap();
+    }
+
+    #[test]
     fn switchless_hot_path_crosses_zero_transitions() {
         let (platform, store, authority, server) = setup();
         let enclave = platform.create_enclave(b"switchless-client").unwrap();
@@ -1361,13 +1474,12 @@ mod tests {
                 client.roundtrip(&Message::GetRequest { app: AppId(1), tag }).unwrap();
             assert!(matches!(hit, Message::GetResponse(b) if b.found));
         }
-        // Replayed and hinted PUTs arrive as standalone prefiltered PUTs;
-        // they ride the rings like every other data-plane request.
+        // Replayed and hinted PUTs arrive as standalone PUT requests; they
+        // ride the rings like every other data-plane request.
         let put = client
-            .roundtrip(&Message::PutPrefiltered {
+            .roundtrip(&Message::PutRequest {
                 app: AppId(1),
                 tag: CompTag::from_bytes([10u8; 32]),
-                prefilter: 0x77,
                 record: sample_record(),
             })
             .unwrap();

@@ -138,9 +138,6 @@ struct StoreTelemetry {
     request_duration: Histogram,
     filter_requests: Counter,
     filter_inserts: Counter,
-    filter_incomplete: Counter,
-    filter_rebuilds: Counter,
-    filter_batch_skips: Counter,
 }
 
 impl StoreTelemetry {
@@ -179,21 +176,8 @@ impl StoreTelemetry {
             ),
             filter_inserts: registry.counter(
                 names::STORE_FILTER_INSERTS_TOTAL,
-                "Prefilter tags inserted into per-shard negative filters",
-            ),
-            filter_incomplete: registry.counter(
-                names::STORE_FILTER_INCOMPLETE_TOTAL,
-                "Insertions without a prefilter tag that degraded a shard filter \
-                 to incomplete",
-            ),
-            filter_rebuilds: registry.counter(
-                names::STORE_FILTER_REBUILDS_TOTAL,
-                "Negative-filter rebuilds from the dictionary index",
-            ),
-            filter_batch_skips: registry.counter(
-                names::STORE_FILTER_BATCH_SKIPS_TOTAL,
-                "Prefiltered batch GETs answered not-found straight from the \
-                 shard's negative filter",
+                "Comp-tags inserted into per-shard negative filters, one per entry \
+                 the store takes",
             ),
         }
     }
@@ -275,10 +259,9 @@ impl<G> Drop for Timed<'_, G> {
 struct Shard {
     dict: RwLock<MetadataDict>,
     meta_heap: Mutex<MetaHeap>,
-    /// Negative-lookup filter over the prefilter tags of this shard's live
-    /// entries. Bits are only set, never cleared, while entries live
-    /// (eviction/expiry leave stale bits — false positives only); any insert
-    /// without a known prefilter marks it incomplete.
+    /// Negative-lookup filter over the comp-tags of every entry this shard
+    /// took. Bits are only set, never cleared (eviction and expiry leave
+    /// stale bits — false positives only).
     filter: Mutex<NegativeFilter>,
     evictions: Counter,
     contention: Counter,
@@ -374,24 +357,18 @@ enum BatchPlan {
         blob: BlobId,
         boxed_len: u64,
         now_ms: u64,
-        /// Client-supplied prefilter tag (`None` for legacy PUT items, which
-        /// degrade the shard's negative filter to incomplete on insert).
-        prefilter: Option<u64>,
     },
     /// Denied host-side (quota); never enters the enclave.
     Denied {
         reason: String,
     },
-    /// A prefiltered GET the shard's negative filter proved absent,
-    /// answered host-side without any dictionary-lock work in the ECALL.
-    FilteredMiss,
 }
 
 impl BatchPlan {
     fn tag(&self) -> Option<&CompTag> {
         match self {
             BatchPlan::Get { tag, .. } | BatchPlan::Put { tag, .. } => Some(tag),
-            BatchPlan::Denied { .. } | BatchPlan::FilteredMiss => None,
+            BatchPlan::Denied { .. } => None,
         }
     }
 }
@@ -494,10 +471,6 @@ impl ResultStore {
         store.backend_logging.store(false, Ordering::Relaxed);
         store.import_entries(recovery.entries);
         store.backend_logging.store(true, Ordering::Relaxed);
-        // Recovered entries carry no prefilter tags, so the import left the
-        // filters incomplete; rebuild them from the index so empty shards
-        // regain their (vacuously complete) absence proofs.
-        store.rebuild_filters();
         Ok((store, recovery.report))
     }
 
@@ -582,7 +555,8 @@ impl ResultStore {
     /// data-plane message is served by one batch ECALL: a standalone GET
     /// or PUT is a batch of one, at the same boundary
     /// charge (32 B in and 128 B out per GET, the entry metadata in and one
-    /// byte out per PUT).
+    /// byte out per PUT). A `PutPrefiltered` is served as a `PutRequest`;
+    /// its prefilter is ignored.
     pub fn handle(&self, message: Message) -> Message {
         let _request_span = self.telemetry.request_duration.start_span();
         match message {
@@ -595,14 +569,10 @@ impl ResultStore {
                     })
                 })
             }
-            Message::PutRequest { app, tag, record } => {
+            Message::PutRequest { app, tag, record }
+            | Message::PutPrefiltered { app, tag, record, .. } => {
                 self.serve(app, vec![BatchItem::Put { tag, record }], Self::put_response)
             }
-            Message::PutPrefiltered { app, tag, prefilter, record } => self.serve(
-                app,
-                vec![BatchItem::PutPrefiltered { tag, prefilter, record }],
-                Self::put_response,
-            ),
             Message::BatchRequest { app, items } => {
                 self.serve(app, items, Message::BatchResponse)
             }
@@ -635,9 +605,7 @@ impl ResultStore {
         if !self.config.access.permits(app) {
             return Message::Error(format!("app {} not authorized", app.0));
         }
-        let writes = items.iter().any(|item| {
-            matches!(item, BatchItem::Put { .. } | BatchItem::PutPrefiltered { .. })
-        });
+        let writes = items.iter().any(|item| matches!(item, BatchItem::Put { .. }));
         let response = reply(self.handle_batch(Some(app), items));
         if writes {
             self.maintain();
@@ -683,12 +651,6 @@ impl ResultStore {
         let mut plans = Vec::with_capacity(items.len());
         let mut args_len = 0usize;
         let mut ret_len = 0usize;
-        // Tags written by earlier items of THIS batch: the filter probe
-        // below reads state from before the batch mutates, so a
-        // prefiltered GET behind an intra-batch PUT of the same tag must
-        // take the real dictionary path.
-        let mut batch_put_tags: std::collections::HashSet<CompTag> =
-            std::collections::HashSet::new();
         for item in items {
             let now_ms = self.tick();
             match item {
@@ -698,41 +660,8 @@ impl ResultStore {
                     ret_len += 128;
                     plans.push(BatchPlan::Get { tag, now_ms });
                 }
-                BatchItem::GetPrefiltered { tag, prefilter } => {
-                    self.telemetry.gets.inc();
-                    // Filter-aware batch GET planning: a complete shard
-                    // filter that does not contain the prefilter tag proves
-                    // the tag is absent (the filter never yields a false
-                    // negative), so the item is settled right here — it
-                    // never joins a shard group inside the batch ECALL and
-                    // costs no dictionary-lock time.
-                    let proven_absent = !batch_put_tags.contains(&tag) && {
-                        let filter = lock_recover(&self.shard(&tag).filter);
-                        filter.is_complete() && !filter.may_contain(prefilter)
-                    };
-                    if proven_absent {
-                        self.telemetry.filter_batch_skips.inc();
-                        plans.push(BatchPlan::FilteredMiss);
-                    } else {
-                        args_len += 32;
-                        ret_len += 128;
-                        plans.push(BatchPlan::Get { tag, now_ms });
-                    }
-                }
-                BatchItem::Put { .. } | BatchItem::PutPrefiltered { .. } => {
-                    let (tag, record, prefilter) = match item {
-                        BatchItem::Put { tag, record } => (tag, record, None),
-                        BatchItem::PutPrefiltered { tag, prefilter, record } => {
-                            (tag, record, Some(prefilter))
-                        }
-                        BatchItem::Get { .. } | BatchItem::GetPrefiltered { .. } => {
-                            unreachable!("matched above")
-                        }
-                    };
+                BatchItem::Put { tag, record } => {
                     self.telemetry.puts.inc();
-                    // Conservative: recorded even if the PUT is denied below
-                    // (skipping the shortcut never changes an answer).
-                    batch_put_tags.insert(tag);
                     // Degraded durability rejects writes up front: the store
                     // must not acknowledge a PUT it cannot make crash-safe.
                     if let Some(reason) = self.backend.read_only() {
@@ -759,7 +688,6 @@ impl ResultStore {
                         blob,
                         boxed_len,
                         now_ms,
-                        prefilter,
                     });
                 }
             }
@@ -775,20 +703,13 @@ impl ResultStore {
                     plans.iter().map(|_| None).collect();
                 let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
                 for (index, plan) in plans.iter().enumerate() {
-                    match plan.tag() {
-                        Some(tag) => by_shard[self.shard_for_tag(tag)].push(index),
-                        None => match plan {
-                            BatchPlan::Denied { reason } => {
-                                outcomes[index] =
-                                    Some(BatchOutcome::Denied(reason.clone()));
-                            }
-                            BatchPlan::FilteredMiss => {
-                                outcomes[index] = Some(BatchOutcome::GetMiss);
-                            }
-                            BatchPlan::Get { .. } | BatchPlan::Put { .. } => {
-                                unreachable!("tagged plans route to a shard")
-                            }
-                        },
+                    match plan {
+                        BatchPlan::Denied { reason } => {
+                            outcomes[index] = Some(BatchOutcome::Denied(reason.clone()));
+                        }
+                        BatchPlan::Get { tag, .. } | BatchPlan::Put { tag, .. } => {
+                            by_shard[self.shard_for_tag(tag)].push(index);
+                        }
                     }
                 }
                 for (shard_index, indices) in by_shard.iter().enumerate() {
@@ -836,9 +757,10 @@ impl ResultStore {
         let mut dangling: Vec<CompTag> = Vec::new();
         // Inserted PUTs, acknowledged only once the final flush succeeds:
         // the result index plus everything needed to roll the item back.
-        let mut inserted: Vec<(usize, CompTag, BlobId, u64, Option<u64>)> = Vec::new();
-        // Duplicate PUTs whose `Ref` record also awaits that flush.
-        let mut referenced: Vec<usize> = Vec::new();
+        let mut inserted: Vec<(usize, CompTag, BlobId, u64)> = Vec::new();
+        // Duplicate PUTs, acknowledged only once that flush succeeds too:
+        // the entry they name may still await its own group commit.
+        let mut duplicates: Vec<usize> = Vec::new();
         let mut wal_touched = false;
         for (outcome, plan) in outcomes.into_iter().zip(plans) {
             match outcome {
@@ -888,7 +810,6 @@ impl ResultStore {
                         nonce,
                         blob,
                         boxed_len,
-                        prefilter,
                         ..
                     } = plan
                     else {
@@ -919,7 +840,7 @@ impl ResultStore {
                         }
                         wal_touched = true;
                     }
-                    inserted.push((results.len(), tag, blob, boxed_len, prefilter));
+                    inserted.push((results.len(), tag, blob, boxed_len));
                     results.push(BatchItemResult::accepted());
                 }
                 BatchOutcome::PutDuplicate { orphan } => {
@@ -929,16 +850,7 @@ impl ResultStore {
                         self.release_quota(owner, boxed_len);
                     }
                     if durable {
-                        // A deduplicated PUT is one more reference to the
-                        // surviving entry; the count must be durable too.
-                        if let Some(tag) = plan.tag() {
-                            if let Err(e) = self.backend.record_ref(tag) {
-                                results.push(self.reject(e.to_string()));
-                                continue;
-                            }
-                            wal_touched = true;
-                            referenced.push(results.len());
-                        }
+                        duplicates.push(results.len());
                     }
                     results.push(BatchItemResult {
                         status: BatchStatus::Accepted,
@@ -973,24 +885,25 @@ impl ResultStore {
                 }
             }
         }
-        // Group commit: one fsync covers every record this batch appended.
-        // If it fails, the PUTs acknowledged optimistically in `results`
-        // are not durable — roll each insert back and reject every one.
-        if wal_touched {
+        // Group commit: one fsync covers every record this batch appended,
+        // and a duplicate PUT logs nothing but still waits for it. If it
+        // fails, the PUTs acknowledged optimistically in `results` are not
+        // durable — roll each insert back and reject every one.
+        if wal_touched || !duplicates.is_empty() {
             if let Err(e) = self.backend.flush() {
-                for (index, tag, blob, boxed_len, _) in inserted.drain(..) {
+                for (index, tag, blob, boxed_len) in inserted.drain(..) {
                     results[index] =
                         self.rollback_batch_put(owner, &tag, blob, boxed_len, e.clone());
                 }
-                for index in referenced {
+                for index in duplicates {
                     results[index] = self.reject(e.to_string());
                 }
             }
         }
         let mut inserted_shards = vec![false; self.shards.len()];
-        for (_, tag, _, _, prefilter) in &inserted {
+        for (_, tag, _, _) in &inserted {
             let shard = self.shard_for_tag(tag);
-            self.note_filter_insert(&self.shards[shard], *prefilter);
+            self.note_filter_insert(&self.shards[shard], tag);
             inserted_shards[shard] = true;
         }
         for (shard_index, inserted) in inserted_shards.iter().enumerate() {
@@ -1047,7 +960,6 @@ impl ResultStore {
     ) -> BatchOutcome {
         match plan {
             BatchPlan::Denied { reason } => BatchOutcome::Denied(reason.clone()),
-            BatchPlan::FilteredMiss => BatchOutcome::GetMiss,
             BatchPlan::Get { tag, now_ms } => {
                 if let Some(ttl) = self.config.ttl_ms {
                     let is_expired = dict.peek(tag).is_some_and(|entry| {
@@ -1078,7 +990,6 @@ impl ResultStore {
                 blob,
                 boxed_len,
                 now_ms,
-                prefilter,
             } => {
                 let entry_footprint = 32 + challenge.len() + 120;
                 let mut meta_heap = lock_recover(&shard.meta_heap);
@@ -1094,7 +1005,6 @@ impl ResultStore {
                     *boxed_len as u32,
                     owner,
                     *now_ms,
-                    *prefilter,
                 );
                 match rejected {
                     Some(orphan) => {
@@ -1165,24 +1075,11 @@ impl ResultStore {
         lock_recover(&shard.meta_heap).release(&self.enclave, footprint);
     }
 
-    /// Records a freshly inserted entry in its shard's negative filter: the
-    /// prefilter tag when the client supplied one, otherwise a conservative
-    /// downgrade to incomplete (the filter then answers "maybe" for every
-    /// key until rebuilt).
-    fn note_filter_insert(&self, shard: &Shard, prefilter: Option<u64>) {
-        {
-            let mut filter = lock_recover(&shard.filter);
-            match prefilter {
-                Some(tag) => {
-                    filter.insert(tag);
-                    self.telemetry.filter_inserts.inc();
-                }
-                None => {
-                    filter.mark_incomplete();
-                    self.telemetry.filter_incomplete.inc();
-                }
-            }
-        }
+    /// Records a freshly inserted entry's comp-tag in its shard's negative
+    /// filter.
+    fn note_filter_insert(&self, shard: &Shard, tag: &CompTag) {
+        lock_recover(&shard.filter).insert(tag);
+        self.telemetry.filter_inserts.inc();
         self.filter_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1199,31 +1096,11 @@ impl ResultStore {
         }
     }
 
-    /// Rebuilds every shard's negative filter from the dictionary index:
-    /// entries with known prefilter tags are re-inserted; any entry without
-    /// one leaves its shard's filter incomplete. Called after recovery on
-    /// [`open`](Self::open) (recovered entries never carry prefilter tags,
-    /// but emptied shards regain their vacuously complete absence proofs).
-    pub fn rebuild_filters(&self) {
-        for shard in self.shards.iter() {
-            let mut filter = lock_recover(&shard.filter);
-            filter.clear();
-            let dict = shard.dict_observe();
-            for (_tag, entry) in dict.iter() {
-                match entry.prefilter {
-                    Some(tag) => filter.insert(tag),
-                    None => filter.mark_incomplete(),
-                }
-            }
-        }
-        self.telemetry.filter_rebuilds.inc();
-        self.filter_epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Imports entries wholesale, preserving hit counts: recovery on
     /// [`open`](Self::open) and master-store sync ([`crate::sync`]) both
     /// land here. Imports charge no application's quota, but capacity
-    /// eviction still applies. Entries route to shards by tag, so they
+    /// eviction still applies, and each imported tag enters its shard's
+    /// negative filter like a PUT's. Entries route to shards by tag, so they
     /// import correctly into a store with any shard count. Returns how many
     /// entries were accepted (a tag the store already held counts).
     pub fn import_entries(&self, entries: Vec<SyncEntry>) -> usize {
@@ -2131,11 +2008,11 @@ mod tests {
         let (_p, store) = store();
         let before = store.filter_snapshot();
         assert_eq!(before.shards.len(), store.shard_count());
-        assert!(before.shards.iter().all(NegativeFilter::is_complete));
         let shard = store.shard_for_tag(&tag(1));
-        // Empty complete filter proves absence outright.
-        assert!(!before.shards[shard].may_contain(0xAB));
+        // An empty filter proves absence outright.
+        assert!(!before.shards[shard].may_contain(&tag(1)));
 
+        // The retired prefilter is ignored: the filter is keyed by the tag.
         let put = store.handle(Message::PutPrefiltered {
             app: AppId(1),
             tag: tag(1),
@@ -2146,23 +2023,34 @@ mod tests {
 
         let after = store.filter_snapshot();
         assert!(after.epoch > before.epoch);
-        assert!(after.shards[shard].is_complete());
-        assert!(after.shards[shard].may_contain(0xAB));
+        assert!(after.shards[shard].may_contain(&tag(1)));
+        assert_eq!(after.shards[shard].entries(), 1);
     }
 
     #[test]
-    fn legacy_put_degrades_its_shard_filter_to_incomplete() {
+    fn plain_puts_feed_the_negative_filter() {
         let (_p, store) = store();
         store.handle(Message::PutRequest {
             app: AppId(1),
             tag: tag(2),
             record: record(64, 4),
         });
+        let results = store.handle_batch(
+            Some(AppId(1)),
+            vec![BatchItem::Put { tag: tag(3), record: record(16, 5) }],
+        );
+        assert!(matches!(results[0].status, BatchStatus::Accepted));
         let snap = store.filter_snapshot();
-        let shard = store.shard_for_tag(&tag(2));
-        assert!(!snap.shards[shard].is_complete());
-        // An incomplete filter answers "maybe" for everything.
-        assert!(snap.shards[shard].may_contain(0xFFFF));
+        for n in [2, 3] {
+            assert!(snap.shards[store.shard_for_tag(&tag(n))].may_contain(&tag(n)));
+        }
+        // A duplicate inserts nothing.
+        store.handle(Message::PutRequest {
+            app: AppId(1),
+            tag: tag(2),
+            record: record(64, 4),
+        });
+        assert_eq!(store.filter_snapshot().epoch, snap.epoch);
     }
 
     #[test]
@@ -2182,55 +2070,34 @@ mod tests {
         let store =
             ResultStore::new(&platform, StoreConfig::with_capacity(2, u64::MAX)).unwrap();
         for n in 1..=3u8 {
-            let put = store.handle(Message::PutPrefiltered {
+            let put = store.handle(Message::PutRequest {
                 app: AppId(1),
                 tag: tag(n),
-                prefilter: u64::from(n),
                 record: record(16, n),
             });
             assert!(matches!(put, Message::PutResponse(body) if body.accepted));
         }
         assert!(store.evictions() >= 1);
         let snap = store.filter_snapshot();
-        // The evicted entry's bits stay set (false positives only) and the
-        // filter stays complete: no absence claim ever turns false-negative.
-        assert!(snap.shards[0].is_complete());
-        for n in 1..=3u64 {
-            assert!(snap.shards[0].may_contain(n));
+        // The evicted entry's bits stay set (false positives only): no
+        // absence claim ever turns false-negative.
+        for n in 1..=3u8 {
+            assert!(snap.shards[0].may_contain(&tag(n)));
         }
     }
 
     #[test]
-    fn rebuild_restores_complete_filters_for_emptied_shards() {
+    fn imported_entries_feed_the_negative_filter() {
         let (_p, store) = store();
-        store.handle(Message::PutRequest {
-            app: AppId(1),
-            tag: tag(3),
-            record: record(16, 5),
-        });
-        let shard = store.shard_for_tag(&tag(3));
-        assert!(!store.filter_snapshot().shards[shard].is_complete());
-        // Batch puts through the prefiltered item keep other shards exact.
-        let results = store.handle_batch(
-            Some(AppId(1)),
-            vec![BatchItem::PutPrefiltered {
-                tag: tag(4),
-                prefilter: 44,
-                record: record(16, 6),
-            }],
-        );
-        assert!(matches!(results[0].status, BatchStatus::Accepted));
-
-        // Rebuild from the index: the legacy entry still has no prefilter,
-        // so its shard stays incomplete; the prefiltered one is re-inserted.
-        store.rebuild_filters();
+        let entries = (4..8u8)
+            .map(|n| SyncEntry { tag: tag(n), record: record(16, n), hits: 2 })
+            .collect();
+        assert_eq!(store.import_entries(entries), 4);
         let snap = store.filter_snapshot();
-        assert!(!snap.shards[shard].is_complete());
-        let other = store.shard_for_tag(&tag(4));
-        if other != shard {
-            assert!(snap.shards[other].is_complete());
-            assert!(snap.shards[other].may_contain(44));
+        for n in 4..8u8 {
+            assert!(snap.shards[store.shard_for_tag(&tag(n))].may_contain(&tag(n)));
         }
+        assert_eq!(snap.shards.iter().map(NegativeFilter::entries).sum::<u64>(), 4);
     }
 
     /// A `LogBackend` whose checkpoint first lets one PUT through the
@@ -2262,14 +2129,6 @@ mod tests {
 
         fn record_put(&self, entry: &SyncEntry) -> Result<(), StoreError> {
             self.log.record_put(entry)
-        }
-
-        fn record_ref(&self, tag: &CompTag) -> Result<(), StoreError> {
-            self.log.record_ref(tag)
-        }
-
-        fn record_unref(&self, tag: &CompTag) -> Result<(), StoreError> {
-            self.log.record_unref(tag)
         }
 
         fn record_delete(&self, tag: &CompTag) -> Result<(), StoreError> {

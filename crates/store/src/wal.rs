@@ -38,15 +38,15 @@ pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 /// One logical mutation in the log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalOp {
-    /// A new entry became live (reference count starts at 1).
+    /// A new entry became live.
     Put(SyncEntry),
-    /// An additional reference to an existing entry (a duplicate PUT whose
-    /// ciphertext was deduplicated against the first writer's record).
+    /// A duplicate PUT of an existing entry. Only earlier versions wrote
+    /// it; it still decodes, and replays as a no-op.
     Ref(CompTag),
-    /// One reference released; the entry dies when the count reaches zero.
+    /// A released reference. No version of the store ever wrote it
+    /// outside tests; it still decodes, and replays as a no-op.
     Unref(CompTag),
-    /// The entry was removed outright (eviction, TTL expiry, dangling-blob
-    /// cleanup) regardless of its reference count.
+    /// The entry was removed (eviction, TTL expiry, dangling-blob cleanup).
     Delete(CompTag),
 }
 

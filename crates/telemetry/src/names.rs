@@ -80,20 +80,17 @@ pub const HOTCACHE_RECORD_HITS_TOTAL: &str = "hotcache_record_hits_total";
 /// remembered by its digest where the entry table has room.
 pub const HOTCACHE_ADMISSIONS_REFUSED_TOTAL: &str = "hotcache_admissions_refused_total";
 
-// --- speed-core: tiered tag pipeline (prefilter + negative filters) ---
+// --- speed-core: the negative-filter tier (comp-tag filters) ---
 
-/// Histogram (ns): deriving the cheap 64-bit prefilter tag (length +
-/// sparse-sampled short hash) before any full SHA-256 work.
+/// Retired: nothing records it; read only by speedbench until ROADMAP item 1.
 pub const TAG_PREFILTER_DERIVE_DURATION_NS: &str = "tag_prefilter_derive_duration_ns";
-/// Counter: hot-cache probes skipped because the cache's prefilter set
-/// proved no entry is remembered for the computation, with or without a
-/// result; each saves a fingerprint.
+/// Retired: nothing records it; read only by speedbench until ROADMAP item 1.
 pub const TAG_PREFILTER_CACHE_SKIPS_TOTAL: &str = "tag_prefilter_cache_skips_total";
-/// Counter: store round trips (and, on the lookup path, full SHA-256 tag
-/// derivations) skipped because the client's negative filter proved absence.
+/// Counter: store round trips skipped because the client's merged negative
+/// filter proved the item's comp-tag absent.
 pub const TAG_PREFILTER_STORE_SKIPS_TOTAL: &str = "tag_prefilter_store_skips_total";
-/// Counter: negative-filter snapshots fetched from the store (staleness
-/// budget refreshes).
+/// Counter: comp-tag negative-filter snapshots fetched from the store
+/// (staleness budget refreshes).
 pub const TAG_PREFILTER_REFRESHES_TOTAL: &str = "tag_prefilter_refreshes_total";
 
 // --- speed-core: streaming chunked dedup (StreamSession + chunker) ---
@@ -185,16 +182,10 @@ pub const STORE_REQUEST_DURATION_NS: &str = "store_request_duration_ns";
 
 /// Counter: `FILTER_REQUEST` messages served (filter snapshots shipped).
 pub const STORE_FILTER_REQUESTS_TOTAL: &str = "store_filter_requests_total";
-/// Counter: prefilter tags inserted into a shard's negative filter.
+/// Counter: comp-tags inserted into a shard's negative filter, one per
+/// entry the store takes (a PUT, an import, or an entry recovered at open).
 pub const STORE_FILTER_INSERTS_TOTAL: &str = "store_filter_inserts_total";
-/// Counter: insertions whose prefilter tag was unknown, marking the shard's
-/// filter incomplete (it answers "maybe" until rebuilt).
-pub const STORE_FILTER_INCOMPLETE_TOTAL: &str = "store_filter_incomplete_total";
-/// Counter: filter rebuilds from the live index (on open / after import).
-pub const STORE_FILTER_REBUILDS_TOTAL: &str = "store_filter_rebuilds_total";
-/// Counter: prefiltered batch-GET items answered "not found" straight from
-/// the shard's negative filter, without entering the batch ECALL's shard
-/// groups (filter-aware batch GET planning).
+/// Retired: nothing records it; read only by speedbench until ROADMAP item 1.
 pub const STORE_FILTER_BATCH_SKIPS_TOTAL: &str = "store_filter_batch_skips_total";
 
 // --- speed-store durability: log backend, checkpoints, snapshots ---
@@ -292,8 +283,6 @@ pub const ALL: &[&str] = &[
     HOTCACHE_DIGEST_REUSES_TOTAL,
     HOTCACHE_RECORD_HITS_TOTAL,
     HOTCACHE_ADMISSIONS_REFUSED_TOTAL,
-    TAG_PREFILTER_DERIVE_DURATION_NS,
-    TAG_PREFILTER_CACHE_SKIPS_TOTAL,
     TAG_PREFILTER_STORE_SKIPS_TOTAL,
     TAG_PREFILTER_REFRESHES_TOTAL,
     STREAM_CHUNKS_TOTAL,
@@ -329,9 +318,6 @@ pub const ALL: &[&str] = &[
     STORE_REQUEST_DURATION_NS,
     STORE_FILTER_REQUESTS_TOTAL,
     STORE_FILTER_INSERTS_TOTAL,
-    STORE_FILTER_INCOMPLETE_TOTAL,
-    STORE_FILTER_REBUILDS_TOTAL,
-    STORE_FILTER_BATCH_SKIPS_TOTAL,
     STORE_WAL_APPENDS_TOTAL,
     STORE_WAL_APPENDED_BYTES_TOTAL,
     STORE_WAL_REPLAY_RECORDS_TOTAL,

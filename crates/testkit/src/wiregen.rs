@@ -49,30 +49,20 @@ pub fn record(rng: &mut TestRng, max_len: usize) -> Record {
     }
 }
 
-/// A random batch item (GET, prefilter-carrying GET, PUT, or
-/// prefilter-carrying PUT).
+/// A random batch item (GET or PUT).
 pub fn batch_item(rng: &mut TestRng, max_record_len: usize) -> BatchItem {
-    match rng.range_u64(0, 3) {
-        0 => BatchItem::Get { tag: comp_tag(rng) },
-        1 => BatchItem::GetPrefiltered { tag: comp_tag(rng), prefilter: rng.next_u64() },
-        2 => BatchItem::Put { tag: comp_tag(rng), record: record(rng, max_record_len) },
-        _ => BatchItem::PutPrefiltered {
-            tag: comp_tag(rng),
-            prefilter: rng.next_u64(),
-            record: record(rng, max_record_len),
-        },
+    if rng.chance(0.5) {
+        BatchItem::Get { tag: comp_tag(rng) }
+    } else {
+        BatchItem::Put { tag: comp_tag(rng), record: record(rng, max_record_len) }
     }
 }
 
-/// A random negative filter: bounded size, random fill, sometimes marked
-/// incomplete (both completeness states reachable).
+/// A random negative filter: bounded size and random fill.
 pub fn negative_filter(rng: &mut TestRng) -> NegativeFilter {
     let mut filter = NegativeFilter::new(rng.range_usize(64, 4096), rng.byte() % 8 + 1);
     for _ in 0..rng.range_usize(0, 32) {
-        filter.insert(rng.next_u64());
-    }
-    if rng.chance(0.25) {
-        filter.mark_incomplete();
+        filter.insert(&comp_tag(rng));
     }
     filter
 }
@@ -244,13 +234,11 @@ mod tests {
         for _ in 0..200 {
             let shape = match batch_item(&mut rng, 32) {
                 BatchItem::Get { .. } => 0,
-                BatchItem::GetPrefiltered { .. } => 1,
-                BatchItem::Put { .. } => 2,
-                BatchItem::PutPrefiltered { .. } => 3,
+                BatchItem::Put { .. } => 1,
             };
             shapes.insert(shape);
         }
-        assert_eq!(shapes.len(), 4, "batch_item must cover all four shapes");
+        assert_eq!(shapes.len(), 2, "batch_item must cover both shapes");
     }
 
     #[test]

@@ -19,6 +19,28 @@ use speed_enclave::attestation::{
 };
 use speed_enclave::{Enclave, EnclaveError, Platform};
 
+/// Version of the wire protocol: the message set and what each body means.
+///
+/// The TCP handshake attests it ([`handshake_report_data`]), and each side
+/// refuses a peer that attests another version before any data-plane
+/// frame. Version 1 keys the negative filters by the comp-tag and drops the
+/// prefilter-carrying batch items.
+pub const PROTOCOL_VERSION: u32 = 1;
+
+/// The report data each side of a handshake attests: [`PROTOCOL_VERSION`],
+/// little-endian, in the first four bytes.
+pub fn handshake_report_data() -> [u8; REPORT_DATA_LEN] {
+    let mut data = [0u8; REPORT_DATA_LEN];
+    data[..4].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    data
+}
+
+/// The protocol version a quote attests: 0 for a peer that predates the
+/// field and attests all-zero report data.
+pub fn attested_version(quote: &Quote) -> u32 {
+    u32::from_le_bytes(quote.report_data[..4].try_into().expect("4 bytes"))
+}
+
 /// Errors from secure-channel establishment or record protection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]

@@ -1,30 +1,27 @@
 //! Negative-lookup filters for the tiered tag pipeline.
 //!
-//! A [`NegativeFilter`] is a classic Bloom filter over 64-bit prefilter tags,
-//! maintained per shard by the `ResultStore` and shipped to clients in a
-//! [`FilterBody`]. Clients consult it *before* computing
-//! the full SHA-256 comp-tag: when a complete filter proves a prefilter tag
-//! absent, the input definitely has no stored result, so the client can skip
-//! both the full hash and the store round trip.
+//! A [`NegativeFilter`] is a classic Bloom filter over comp-tags, the key a
+//! GET carries (`t = Hash(d)`, Algorithm 1), maintained per shard by the
+//! `ResultStore` and shipped to clients in a [`FilterBody`]. A client
+//! consults it once it holds `t`: when the filter proves `t` absent, the
+//! input definitely has no stored result, so the client skips the store
+//! round trip. A membership test needs `t`, and `t` needs the whole input,
+//! so the bits tell a client nothing a GET would not. This module is the
+//! one place that knows how a tag becomes a key: its first 8 bytes.
 //!
 //! The only invariant that matters for correctness is **conservatism**: a
 //! filter may claim "maybe present" for an absent key (false positive — the
-//! client just falls through to the normal tagged lookup), but it must never
-//! claim "absent" for a present key (false negative — that would silently
-//! disable deduplication or, worse, publish a duplicate). Two mechanisms
-//! enforce this:
-//!
-//! - Bloom bits are only ever set, never cleared, while entries live; evicted
-//!   or expired entries leave stale bits behind, which can only cause false
-//!   positives.
-//! - Any insertion whose prefilter tag is unknown (a legacy `PUT_REQUEST`, an
-//!   entry recovered from disk) marks the filter *incomplete*;
-//!   [`NegativeFilter::may_contain`] answers `true` for everything until the
-//!   filter is rebuilt.
+//! client just falls through to the GET), but it must never claim "absent"
+//! for a present key (false negative — that would silently disable
+//! deduplication). The store inserts the tag of every entry it takes, from
+//! a PUT, an import or recovery, so a filter is complete by construction;
+//! bits are only ever set, never cleared, so evicted or expired entries
+//! leave stale bits behind, which can only cause false positives.
 
 // hot-path: deny-clone
 
 use crate::codec::{Reader, WireDecode, WireEncode, WireError, Writer};
+use crate::messages::CompTag;
 
 /// Smallest permitted filter size in bytes (512 bits).
 pub const MIN_FILTER_BYTES: usize = 64;
@@ -42,7 +39,7 @@ pub const DEFAULT_FILTER_HASHES: u8 = 4;
 
 const TARGET_BITS_PER_ENTRY: u64 = 10;
 
-/// A conservative Bloom filter over 64-bit prefilter tags.
+/// A conservative Bloom filter over comp-tags.
 ///
 /// See the [module docs](self) for the no-false-negative contract.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,17 +49,14 @@ pub struct NegativeFilter {
     bits: Vec<u8>,
     /// Number of hash probes per key.
     hashes: u8,
-    /// Whether every live entry's prefilter tag has been inserted. While
-    /// `false`, the filter answers "maybe" for every key.
-    complete: bool,
-    /// Number of keys inserted since the filter was created or cleared.
+    /// Number of keys inserted since the filter was created.
     entries: u64,
 }
 
 impl NegativeFilter {
-    /// Creates an empty, complete filter with at least `bit_count` bits
-    /// (rounded up to a power-of-two byte length and clamped to the
-    /// permitted size range) and `hashes` probes per key (clamped to
+    /// Creates an empty filter with at least `bit_count` bits (rounded up
+    /// to a power-of-two byte length and clamped to the permitted size
+    /// range) and `hashes` probes per key (clamped to
     /// `1..=`[`MAX_FILTER_HASHES`]).
     pub fn new(bit_count: usize, hashes: u8) -> Self {
         let bytes = bit_count
@@ -72,7 +66,6 @@ impl NegativeFilter {
         NegativeFilter {
             bits: vec![0u8; bytes],
             hashes: hashes.clamp(1, MAX_FILTER_HASHES),
-            complete: true,
             entries: 0,
         }
     }
@@ -86,10 +79,10 @@ impl NegativeFilter {
         NegativeFilter::new(bits, DEFAULT_FILTER_HASHES)
     }
 
-    /// Inserts a prefilter tag.
-    pub fn insert(&mut self, key: u64) {
+    /// Inserts a comp-tag.
+    pub fn insert(&mut self, tag: &CompTag) {
         let mask = self.bits.len() * 8 - 1;
-        let (h1, h2) = probe_pair(key);
+        let (h1, h2) = probe_pair(tag);
         for i in 0..self.hashes as u64 {
             let bit = (h1.wrapping_add(i.wrapping_mul(h2)) as usize) & mask;
             self.bits[bit / 8] |= 1 << (bit % 8);
@@ -97,35 +90,18 @@ impl NegativeFilter {
         self.entries = self.entries.saturating_add(1);
     }
 
-    /// Answers whether `key` may be present.
-    ///
-    /// `false` means *definitely absent* (valid only because the filter is
-    /// complete); `true` means "maybe" — an incomplete filter answers `true`
-    /// for every key.
-    pub fn may_contain(&self, key: u64) -> bool {
-        if !self.complete {
-            return true;
-        }
+    /// Answers whether `tag` may be present: `false` means *definitely
+    /// absent*, `true` means "maybe".
+    pub fn may_contain(&self, tag: &CompTag) -> bool {
         let mask = self.bits.len() * 8 - 1;
-        let (h1, h2) = probe_pair(key);
+        let (h1, h2) = probe_pair(tag);
         (0..self.hashes as u64).all(|i| {
             let bit = (h1.wrapping_add(i.wrapping_mul(h2)) as usize) & mask;
             self.bits[bit / 8] & (1 << (bit % 8)) != 0
         })
     }
 
-    /// Marks the filter incomplete: some live entry's prefilter tag is
-    /// unknown, so no absence claim can be made until a rebuild.
-    pub fn mark_incomplete(&mut self) {
-        self.complete = false;
-    }
-
-    /// Whether every live entry's prefilter tag is represented.
-    pub fn is_complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Number of keys inserted since creation or the last [`clear`][Self::clear].
+    /// Number of keys inserted since creation.
     pub fn entries(&self) -> u64 {
         self.entries
     }
@@ -135,38 +111,32 @@ impl NegativeFilter {
         self.bits.len() * 8
     }
 
-    /// Resets to an empty, complete filter of the same shape.
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-        self.complete = true;
-        self.entries = 0;
-    }
-
     /// ORs `other` into `self`, producing a filter that answers "maybe" for
-    /// any key either side might contain. The merge is complete only if both
-    /// sides are.
+    /// any key either side might contain.
     ///
-    /// Returns `false` (after conservatively marking `self` incomplete) if
-    /// the two filters have different shapes and cannot be merged bit-wise.
+    /// Returns `false`, leaving `self` unchanged, if the two filters have
+    /// different shapes and cannot be merged bit-wise. The caller must then
+    /// drop the merge: neither filter proves anything about the other's
+    /// keys.
     pub fn merge_from(&mut self, other: &NegativeFilter) -> bool {
         if self.bits.len() != other.bits.len() || self.hashes != other.hashes {
-            self.complete = false;
             return false;
         }
         for (a, b) in self.bits.iter_mut().zip(other.bits.iter()) {
             *a |= b;
         }
-        self.complete &= other.complete;
         self.entries = self.entries.saturating_add(other.entries);
         true
     }
 }
 
-/// Derives the two independent hash values used for double hashing.
+/// Derives the two independent hash values used for double hashing from
+/// the tag's first 8 bytes.
 ///
 /// `h2` is forced odd so that for the power-of-two bit count the probe
 /// sequence `h1 + i*h2` walks distinct positions.
-fn probe_pair(key: u64) -> (u64, u64) {
+fn probe_pair(tag: &CompTag) -> (u64, u64) {
+    let key = u64::from_le_bytes(tag.as_bytes()[..8].try_into().expect("8 bytes"));
     let h1 = splitmix64(key);
     let h2 = splitmix64(key ^ 0x9E37_79B9_7F4A_7C15) | 1;
     (h1, h2)
@@ -184,7 +154,6 @@ impl WireEncode for NegativeFilter {
     fn encode(&self, writer: &mut Writer) {
         self.bits.encode(writer);
         self.hashes.encode(writer);
-        self.complete.encode(writer);
         self.entries.encode(writer);
     }
 }
@@ -202,9 +171,8 @@ impl WireDecode for NegativeFilter {
         if hashes == 0 || hashes > MAX_FILTER_HASHES {
             return Err(WireError::InvalidTag(hashes));
         }
-        let complete = bool::decode(reader)?;
         let entries = u64::decode(reader)?;
-        Ok(NegativeFilter { bits, hashes, complete, entries })
+        Ok(NegativeFilter { bits, hashes, entries })
     }
 }
 
@@ -246,86 +214,84 @@ impl WireDecode for FilterBody {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::COMP_TAG_LEN;
     use crate::{from_bytes, to_bytes};
+
+    /// A tag whose first 8 bytes are `n`'s SplitMix64 mix.
+    fn key(n: u64) -> CompTag {
+        let mut bytes = [0u8; COMP_TAG_LEN];
+        bytes[..8].copy_from_slice(&splitmix64(n).to_le_bytes());
+        CompTag::from_bytes(bytes)
+    }
 
     #[test]
     fn inserted_keys_are_always_maybe_present() {
         let mut f = NegativeFilter::new(1 << 12, 4);
-        for key in 0..10_000u64 {
-            f.insert(key.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        for n in 0..10_000u64 {
+            f.insert(&key(n));
         }
-        for key in 0..10_000u64 {
-            assert!(f.may_contain(key.wrapping_mul(0x2545_F491_4F6C_DD1D)));
+        for n in 0..10_000u64 {
+            assert!(f.may_contain(&key(n)));
         }
     }
 
     #[test]
     fn empty_complete_filter_proves_absence() {
         let f = NegativeFilter::new(1 << 12, 4);
-        assert!(!f.may_contain(42));
-        assert!(f.is_complete());
-    }
-
-    #[test]
-    fn incomplete_filter_never_proves_absence() {
-        let mut f = NegativeFilter::new(1 << 12, 4);
-        f.mark_incomplete();
-        assert!(f.may_contain(42));
-        assert!(f.may_contain(0));
+        assert!(!f.may_contain(&key(42)));
     }
 
     #[test]
     fn false_positive_rate_is_bounded_at_design_load() {
         let mut f = NegativeFilter::with_capacity(10_000);
-        for key in 0..10_000u64 {
-            f.insert(splitmix64(key));
+        for n in 0..10_000u64 {
+            f.insert(&key(n));
         }
-        let fp =
-            (0..100_000u64).filter(|k| f.may_contain(splitmix64(k + 1_000_000))).count();
+        let fp = (0..100_000u64).filter(|n| f.may_contain(&key(n + 1_000_000))).count();
         // ~10 bits/entry, k=4 gives ~1.2% theoretical; allow generous slack.
         assert!(fp < 5_000, "false positive rate too high: {fp}/100000");
     }
 
     #[test]
-    fn merge_unions_and_propagates_incompleteness() {
+    fn the_key_is_the_tags_first_eight_bytes() {
+        let mut f = NegativeFilter::new(1 << 12, 4);
+        f.insert(&CompTag::from_bytes([1; COMP_TAG_LEN]));
+        let mut tail = [1; COMP_TAG_LEN];
+        tail[8..].fill(2);
+        assert!(f.may_contain(&CompTag::from_bytes(tail)));
+        let mut head = [1; COMP_TAG_LEN];
+        head[7] = 2;
+        assert!(!f.may_contain(&CompTag::from_bytes(head)));
+    }
+
+    #[test]
+    fn merge_unions_the_bits() {
         let mut a = NegativeFilter::new(1 << 12, 4);
         let mut b = NegativeFilter::new(1 << 12, 4);
-        a.insert(1);
-        b.insert(2);
+        a.insert(&key(1));
+        b.insert(&key(2));
         assert!(a.merge_from(&b));
-        assert!(a.may_contain(1));
-        assert!(a.may_contain(2));
-        assert!(a.is_complete());
-        b.mark_incomplete();
-        assert!(a.merge_from(&b));
-        assert!(!a.is_complete());
+        assert!(a.may_contain(&key(1)));
+        assert!(a.may_contain(&key(2)));
+        assert!(!a.may_contain(&key(3)));
+        assert_eq!(a.entries(), 2);
     }
 
     #[test]
-    fn merge_of_mismatched_shapes_degrades_to_incomplete() {
+    fn merge_of_mismatched_shapes_is_refused() {
         let mut a = NegativeFilter::new(1 << 12, 4);
-        let b = NegativeFilter::new(1 << 14, 4);
+        let mut b = NegativeFilter::new(1 << 14, 4);
+        b.insert(&key(7));
+        let before = a.clone();
         assert!(!a.merge_from(&b));
-        assert!(!a.is_complete());
-        assert!(a.may_contain(7));
-    }
-
-    #[test]
-    fn clear_restores_empty_complete_state() {
-        let mut f = NegativeFilter::new(1 << 12, 4);
-        f.insert(9);
-        f.mark_incomplete();
-        f.clear();
-        assert!(f.is_complete());
-        assert_eq!(f.entries(), 0);
-        assert!(!f.may_contain(9));
+        assert_eq!(a, before, "a refused merge leaves the filter as it was");
+        assert!(!a.merge_from(&NegativeFilter::new(1 << 12, 5)));
     }
 
     #[test]
     fn wire_roundtrip() {
         let mut f = NegativeFilter::new(1 << 12, 4);
-        f.insert(0xDEAD_BEEF);
-        f.mark_incomplete();
+        f.insert(&key(0xDEAD_BEEF));
         let body =
             FilterBody { epoch: 7, shards: vec![f.clone(), NegativeFilter::new(64, 1)] };
         let bytes = to_bytes(&body);
@@ -336,7 +302,7 @@ mod tests {
     #[test]
     fn decode_rejects_bad_shapes() {
         let mut f = NegativeFilter::new(1 << 12, 4);
-        f.insert(1);
+        f.insert(&key(1));
         let good = to_bytes(&f);
         // Truncations error rather than panic.
         for cut in 0..good.len() {
@@ -346,14 +312,12 @@ mod tests {
         let mut w = Writer::new();
         vec![0u8; 65].encode(&mut w);
         4u8.encode(&mut w);
-        true.encode(&mut w);
         0u64.encode(&mut w);
         assert!(from_bytes::<NegativeFilter>(&w.into_bytes()).is_err());
         // Zero hash probes are rejected.
         let mut w = Writer::new();
         vec![0u8; 64].encode(&mut w);
         0u8.encode(&mut w);
-        true.encode(&mut w);
         0u64.encode(&mut w);
         assert!(from_bytes::<NegativeFilter>(&w.into_bytes()).is_err());
     }

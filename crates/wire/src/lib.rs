@@ -27,7 +27,10 @@ pub mod filter;
 pub mod frame;
 mod messages;
 
-pub use channel::{ChannelError, Role, SecureChannel, SessionAuthority};
+pub use channel::{
+    attested_version, handshake_report_data, ChannelError, Role, SecureChannel,
+    SessionAuthority, PROTOCOL_VERSION,
+};
 pub use codec::{Reader, WireDecode, WireEncode, WireError, Writer};
 pub use filter::{FilterBody, NegativeFilter};
 pub use messages::{

@@ -310,32 +310,10 @@ pub enum BatchItem {
         /// The computation tag.
         tag: CompTag,
     },
-    /// Duplicate check for one tag, carrying its cheap 64-bit prefilter
-    /// tag so the store can answer a definite miss straight from the
-    /// shard's negative filter — without touching the shard's dictionary
-    /// lock inside the batch ECALL. Semantically identical to
-    /// [`BatchItem::Get`]; the prefilter is purely an accelerator.
-    GetPrefiltered {
-        /// The computation tag.
-        tag: CompTag,
-        /// The cheap prefilter tag of the same computation.
-        prefilter: u64,
-    },
     /// Publish one freshly computed record.
     Put {
         /// The computation tag.
         tag: CompTag,
-        /// The encrypted record.
-        record: Record,
-    },
-    /// Publish one freshly computed record together with its 64-bit
-    /// prefilter tag, so the store can keep its negative-lookup filters
-    /// complete (see [`crate::NegativeFilter`]).
-    PutPrefiltered {
-        /// The computation tag.
-        tag: CompTag,
-        /// The cheap prefilter tag of the same computation.
-        prefilter: u64,
         /// The encrypted record.
         record: Record,
     },
@@ -346,19 +324,15 @@ impl BatchItem {
     pub fn wire_size(&self) -> usize {
         match self {
             BatchItem::Get { .. } => 1 + COMP_TAG_LEN,
-            BatchItem::GetPrefiltered { .. } => 1 + COMP_TAG_LEN + 8,
             BatchItem::Put { record, .. } => 1 + COMP_TAG_LEN + record.wire_size(),
-            BatchItem::PutPrefiltered { record, .. } => {
-                1 + COMP_TAG_LEN + 8 + record.wire_size()
-            }
         }
     }
 }
 
 const BATCH_ITEM_GET: u8 = 0;
 const BATCH_ITEM_PUT: u8 = 1;
-const BATCH_ITEM_PUT_PREFILTERED: u8 = 2;
-const BATCH_ITEM_GET_PREFILTERED: u8 = 3;
+// Codes 2 and 3 carried the retired prefilter-carrying PUT and GET items;
+// they decode as `InvalidTag` and must not be reused.
 
 impl WireEncode for BatchItem {
     fn encode(&self, writer: &mut Writer) {
@@ -367,20 +341,9 @@ impl WireEncode for BatchItem {
                 BATCH_ITEM_GET.encode(writer);
                 tag.encode(writer);
             }
-            BatchItem::GetPrefiltered { tag, prefilter } => {
-                BATCH_ITEM_GET_PREFILTERED.encode(writer);
-                tag.encode(writer);
-                prefilter.encode(writer);
-            }
             BatchItem::Put { tag, record } => {
                 BATCH_ITEM_PUT.encode(writer);
                 tag.encode(writer);
-                record.encode(writer);
-            }
-            BatchItem::PutPrefiltered { tag, prefilter, record } => {
-                BATCH_ITEM_PUT_PREFILTERED.encode(writer);
-                tag.encode(writer);
-                prefilter.encode(writer);
                 record.encode(writer);
             }
         }
@@ -391,17 +354,8 @@ impl WireDecode for BatchItem {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         match u8::decode(reader)? {
             BATCH_ITEM_GET => Ok(BatchItem::Get { tag: CompTag::decode(reader)? }),
-            BATCH_ITEM_GET_PREFILTERED => Ok(BatchItem::GetPrefiltered {
-                tag: CompTag::decode(reader)?,
-                prefilter: u64::decode(reader)?,
-            }),
             BATCH_ITEM_PUT => Ok(BatchItem::Put {
                 tag: CompTag::decode(reader)?,
-                record: Record::decode(reader)?,
-            }),
-            BATCH_ITEM_PUT_PREFILTERED => Ok(BatchItem::PutPrefiltered {
-                tag: CompTag::decode(reader)?,
-                prefilter: u64::decode(reader)?,
                 record: Record::decode(reader)?,
             }),
             other => Err(WireError::InvalidTag(other)),
@@ -554,14 +508,15 @@ pub enum Message {
     FilterRequest,
     /// Response to [`Message::FilterRequest`].
     FilterResponse(FilterBody),
-    /// Like [`Message::PutRequest`], but also carries the computation's
-    /// 64-bit prefilter tag so the store's negative filters stay complete.
+    /// A [`Message::PutRequest`] with a retired 64-bit prefilter field. No
+    /// client sends it any more; the store serves it exactly as a
+    /// `PutRequest` and ignores the prefilter.
     PutPrefiltered {
         /// Publishing application.
         app: AppId,
         /// The computation tag.
         tag: CompTag,
-        /// The cheap prefilter tag of the same computation.
+        /// Ignored by the store.
         prefilter: u64,
         /// The encrypted record.
         record: Record,
@@ -833,14 +788,6 @@ mod tests {
                 prefilter: 0xFEED_FACE_CAFE_BEEF,
                 record: sample_record(),
             },
-            Message::BatchRequest {
-                app: AppId(12),
-                items: vec![BatchItem::PutPrefiltered {
-                    tag: CompTag::from_bytes([9; 32]),
-                    prefilter: 77,
-                    record: sample_record(),
-                }],
-            },
             Message::RingRequest,
             Message::RingResponse(RingBody::default()),
             Message::RingResponse(RingBody {
@@ -886,18 +833,18 @@ mod tests {
         let put =
             BatchItem::Put { tag: CompTag::from_bytes([2; 32]), record: sample_record() };
         assert_eq!(put.wire_size(), to_bytes(&put).len());
-        let prefiltered = BatchItem::PutPrefiltered {
-            tag: CompTag::from_bytes([3; 32]),
-            prefilter: 0xABCD,
-            record: sample_record(),
-        };
-        assert_eq!(prefiltered.wire_size(), to_bytes(&prefiltered).len());
     }
 
     #[test]
     fn batch_status_rejects_junk_codes() {
         assert_eq!(from_bytes::<BatchStatus>(&[9]), Err(WireError::InvalidTag(9)));
-        assert_eq!(from_bytes::<BatchItem>(&[7]), Err(WireError::InvalidTag(7)));
+        // 2 and 3 are the retired prefilter-carrying items.
+        for code in [2, 3, 7] {
+            assert_eq!(
+                from_bytes::<BatchItem>(&[code]),
+                Err(WireError::InvalidTag(code))
+            );
+        }
     }
 
     #[test]

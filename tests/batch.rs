@@ -310,7 +310,7 @@ fn guard_compute(input: &[u8]) -> Vec<u8> {
 #[derive(Clone, Copy, Debug)]
 struct Tiers {
     hot_cache: bool,
-    prefilter: bool,
+    filter: bool,
     async_put: bool,
 }
 
@@ -333,7 +333,7 @@ fn run_guard(groups: &[Vec<u8>], tiers: Tiers, batched: bool) -> GuardRun {
     if tiers.hot_cache {
         builder = builder.hot_cache(speed_core::HotCacheConfig::default());
     }
-    if tiers.prefilter {
+    if tiers.filter {
         builder = builder.prefilter(speed_core::PrefilterConfig { refresh_ops: 1 });
     }
     let rt = builder.build().unwrap();
@@ -369,7 +369,7 @@ fn run_guard(groups: &[Vec<u8>], tiers: Tiers, batched: bool) -> GuardRun {
 /// input and once as one `execute_batch` per group, each on its own fresh
 /// store, must yield the same outcomes, result bytes, runtime counters and
 /// store counters — under every combination of the hot-cache and
-/// prefilter tiers, with synchronous and asynchronous PUTs.
+/// negative-filter tiers, with synchronous and asynchronous PUTs.
 #[test]
 fn single_and_batched_calls_agree_on_seeded_sequences() {
     speed_testkit::check(
@@ -378,10 +378,10 @@ fn single_and_batched_calls_agree_on_seeded_sequences() {
         gen_groups,
         |groups: &Vec<Vec<u8>>| {
             for async_put in [false, true] {
-                for (hot_cache, prefilter) in
+                for (hot_cache, filter) in
                     [(false, false), (true, false), (false, true), (true, true)]
                 {
-                    let tiers = Tiers { hot_cache, prefilter, async_put };
+                    let tiers = Tiers { hot_cache, filter, async_put };
                     let single = run_guard(groups, tiers, false);
                     let batched = run_guard(groups, tiers, true);
                     assert_eq!(single.0, batched.0, "{tiers:?}: outcomes or bytes");

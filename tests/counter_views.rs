@@ -4,8 +4,8 @@
 //!
 //! The binary holds a single test, so the global registry sees only the
 //! instances it builds: one `ResultStore` on a `LogBackend`, one
-//! `StoreServer`, and one runtime with the hot cache and the prefilter over
-//! TCP.
+//! `StoreServer`, and one runtime with the hot cache and the negative-filter
+//! tier over TCP.
 
 use std::sync::Arc;
 

@@ -101,8 +101,6 @@ fn seed(default: u64) -> u64 {
 #[derive(Clone, Copy, Debug)]
 enum WalOp {
     Put(u8),
-    Ref(u8),
-    Unref(u8),
     Delete(u8),
 }
 
@@ -111,26 +109,24 @@ fn entry_of(seed: u8) -> SyncEntry {
 }
 
 /// Generates the seeded 200-op mutation sequence the acceptance criteria
-/// name. Tags collide (pool of 24) so puts overwrite, refs/unrefs land on
-/// live entries, and deletes hit real state.
+/// name. Tags collide (pool of 24) so puts overwrite and deletes hit real
+/// state.
 fn gen_wal_ops(rng: &mut TestRng, count: usize) -> Vec<WalOp> {
     (0..count)
         .map(|_| {
             let tag = rng.byte() % 24;
-            match rng.range_usize(0, 9) {
+            match rng.range_usize(0, 6) {
                 0..=4 => WalOp::Put(tag),
-                5 | 6 => WalOp::Ref(tag),
-                7 => WalOp::Unref(tag),
                 _ => WalOp::Delete(tag),
             }
         })
         .collect()
 }
 
-/// Reference refcount semantics, mirrored from the backend's replay rules.
+/// The live entries after each op, mirrored from the backend's replay rules.
 #[derive(Clone, Default)]
 struct WalModel {
-    live: BTreeMap<[u8; COMP_TAG_LEN], (u32, SyncEntry)>,
+    live: BTreeMap<[u8; COMP_TAG_LEN], SyncEntry>,
 }
 
 impl WalModel {
@@ -138,21 +134,7 @@ impl WalModel {
         match op {
             WalOp::Put(seed) => {
                 let entry = entry_of(seed);
-                self.live.insert(*entry.tag.as_bytes(), (1, entry));
-            }
-            WalOp::Ref(seed) => {
-                if let Some((rc, _)) = self.live.get_mut(tag_of(seed).as_bytes()) {
-                    *rc += 1;
-                }
-            }
-            WalOp::Unref(seed) => {
-                let key = *tag_of(seed).as_bytes();
-                if let Some((rc, _)) = self.live.get_mut(&key) {
-                    *rc -= 1;
-                    if *rc == 0 {
-                        self.live.remove(&key);
-                    }
-                }
+                self.live.insert(*entry.tag.as_bytes(), entry);
             }
             WalOp::Delete(seed) => {
                 self.live.remove(tag_of(seed).as_bytes());
@@ -161,15 +143,13 @@ impl WalModel {
     }
 
     fn entries(&self) -> BTreeMap<[u8; COMP_TAG_LEN], SyncEntry> {
-        self.live.iter().map(|(k, (_, e))| (*k, e.clone())).collect()
+        self.live.clone()
     }
 }
 
 fn apply_to_backend(backend: &LogBackend, op: WalOp) {
     match op {
         WalOp::Put(seed) => backend.record_put(&entry_of(seed)).unwrap(),
-        WalOp::Ref(seed) => backend.record_ref(&tag_of(seed)).unwrap(),
-        WalOp::Unref(seed) => backend.record_unref(&tag_of(seed)).unwrap(),
         WalOp::Delete(seed) => backend.record_delete(&tag_of(seed)).unwrap(),
     }
 }
@@ -282,7 +262,7 @@ fn truncation_matrix_recovers_exact_acked_prefix() {
 // ---------------------------------------------------------------------------
 
 /// The seeded PUT/GET sequence the fault-point matrix replays. Tags repeat
-/// (pool of 20) so duplicate PUTs exercise the Ref path too.
+/// (pool of 20) so duplicate PUTs exercise the duplicate path too.
 fn gen_store_ops(rng: &mut TestRng, count: usize) -> Vec<(bool, u8)> {
     (0..count).map(|_| (rng.chance(0.7), rng.byte() % 20)).collect()
 }
@@ -392,58 +372,53 @@ fn fsync_fault_point_matrix_preserves_ack_contract() {
     }
 }
 
-/// A duplicate PUT is one more reference to the surviving entry, and the
-/// reference count must be as durable as the entry: when the `Ref` record
-/// cannot be appended, or its fsync fails, the PUT is rejected and counted
-/// — as a standalone `PUT_REQUEST` and as a batch item alike.
+/// A duplicate PUT appends no WAL record, but its acknowledgement still
+/// waits on its batch's group commit: the entry it names may be awaiting
+/// that very fsync. When the flush fails, the duplicate is rejected and
+/// counted along with the batch's new PUT, and only the entry acknowledged
+/// before survives a restart.
 #[test]
-fn duplicate_put_with_undurable_ref_is_rejected_in_both_shapes() {
+fn duplicate_put_appends_no_record_and_waits_on_its_batch_flush() {
     let platform = platform();
-    for fault in [FaultOp::Append, FaultOp::Fsync] {
-        for batched in [false, true] {
-            let dir = scratch(&format!("dup-ref-{fault:?}-{batched}"));
-            let vfs = FaultVfs::new();
-            let backend = Arc::new(LogBackend::with_vfs(
-                vfs.clone() as Arc<dyn Vfs>,
-                LogConfig::new(&dir),
-            ));
-            let (store, _report) =
-                ResultStore::open(&platform, roomy_config(), backend).unwrap();
-            let put = Message::PutRequest {
-                app: AppId(1),
-                tag: tag_of(7),
-                record: record_of(7),
-            };
-            assert!(
-                matches!(store.handle(put.clone()), Message::PutResponse(b) if b.accepted),
-                "the first PUT is durable and acknowledged"
-            );
+    let dir = scratch("dup-flush");
+    let vfs = FaultVfs::new();
+    let backend =
+        Arc::new(LogBackend::with_vfs(vfs.clone() as Arc<dyn Vfs>, LogConfig::new(&dir)));
+    let (store, _report) =
+        ResultStore::open(&platform, roomy_config(), Arc::clone(&backend) as _).unwrap();
+    let put = |seed: u8| BatchItem::Put { tag: tag_of(seed), record: record_of(seed) };
+    let batch = |items: Vec<BatchItem>| match store
+        .handle(Message::BatchRequest { app: AppId(1), items })
+    {
+        Message::BatchResponse(results) => results,
+        other => panic!("unexpected batch response {other:?}"),
+    };
+    assert_eq!(batch(vec![put(7)])[0].status, BatchStatus::Accepted);
 
-            // The duplicate's only WAL work is its `Ref` record.
-            vfs.fail_nth(fault, 0, FailMode::Once);
-            let (accepted, reason) = if batched {
-                let items = vec![BatchItem::Put { tag: tag_of(7), record: record_of(7) }];
-                match store.handle(Message::BatchRequest { app: AppId(1), items }) {
-                    Message::BatchResponse(results) => (
-                        results[0].status == BatchStatus::Accepted,
-                        results[0].reason.clone(),
-                    ),
-                    other => panic!("unexpected batch response {other:?}"),
-                }
-            } else {
-                match store.handle(put) {
-                    Message::PutResponse(body) => (body.accepted, body.reason),
-                    other => panic!("unexpected PUT response {other:?}"),
-                }
-            };
-            let context = format!("{fault:?} fault, batched = {batched}");
-            assert_eq!(vfs.injected_failures(), 1, "{context}: the fault fired");
-            assert!(!accepted, "{context}: duplicate acknowledged ({reason:?})");
-            assert_eq!(store.stats().rejected_puts, 1, "{context}");
-            drop(store);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+    // Alone, a duplicate appends nothing and needs no fsync.
+    let (records, fsyncs) =
+        (backend.stats().appended_records, vfs.op_count(FaultOp::Fsync));
+    let results = batch(vec![put(7)]);
+    assert_eq!(results[0].status, BatchStatus::Accepted);
+    assert_eq!(backend.stats().appended_records, records, "a duplicate logs no record");
+    assert_eq!(vfs.op_count(FaultOp::Fsync), fsyncs);
+
+    // Beside a new PUT whose fsync fails, it is rejected with it.
+    vfs.fail_nth(FaultOp::Fsync, 0, FailMode::Once);
+    let results = batch(vec![put(8), put(7)]);
+    assert_eq!(vfs.injected_failures(), 1, "the fault fired");
+    for result in &results {
+        assert_eq!(result.status, BatchStatus::Rejected, "{:?}", result.reason);
     }
+    assert_eq!(store.stats().rejected_puts, 2);
+    drop(store);
+    drop(backend);
+    let recovered = recover_store(&platform, &dir);
+    assert_eq!(
+        recovered.keys().copied().collect::<Vec<_>>(),
+        vec![*tag_of(7).as_bytes()]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A batch whose later append fails (or whose new WAL file's directory

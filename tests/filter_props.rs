@@ -1,24 +1,42 @@
-//! Property suite for the tiered tag pipeline's negative-lookup filters.
+//! Property suite for the negative-lookup filters of the filter tier.
 //!
 //! The load-bearing contract is conservatism: a filter may say "maybe" for
-//! an absent key (false positive — wasted recompute), but must NEVER say
-//! "definitely absent" for a present one (false negative — a correctness
-//! bug, because the runtime skips the store round trip on that answer).
-//! These properties drive random key sets, eviction pressure, shard
-//! merging, and crash reloads at the filter, and assert the no-false-
-//! negative side holds unconditionally while the false-positive side stays
-//! within its design budget. Failures shrink and print a
-//! `SPEED_TESTKIT_SEED=…` reproducer (see docs/TESTING.md).
+//! an absent key (false positive — a wasted GET), but must NEVER say
+//! "definitely absent" for a present one (false negative — a wasted
+//! recompute and a duplicate PUT, because the runtime skips the store round
+//! trip on that answer). The filters are keyed by the comp-tag, and a store
+//! inserts the tag of every entry it takes, so these properties drive
+//! random tag sets, eviction pressure, shard merging, and crash reloads at
+//! the filter, and assert the no-false-negative side holds unconditionally
+//! while the false-positive side stays within its design budget. Failures
+//! shrink and print a `SPEED_TESTKIT_SEED=…` reproducer (see
+//! docs/TESTING.md).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use speed_core::{prefilter_tag, DedupRuntime, FuncDesc, FuncIdentity, TrustedLibrary};
+use speed_core::{
+    tag_for, DedupOutcome, DedupRuntime, FuncDesc, FuncIdentity, PrefilterConfig,
+    TrustedLibrary,
+};
 use speed_enclave::{CostModel, Platform};
 use speed_store::{LogBackend, LogConfig, ResultStore, StoreConfig};
-use speed_testkit::{check, TestRng};
+use speed_testkit::{check, wiregen, TestRng};
 use speed_wire::{
     AppId, CompTag, Message, NegativeFilter, Record, SessionAuthority, COMP_TAG_LEN,
 };
+
+/// A fresh scratch directory for one durable store.
+fn scratch_dir(label: &str) -> std::path::PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "speed-filter-props-{label}-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 /// Builds function identities for each code blob via a throwaway runtime
 /// (the only public path from code bytes to a `FuncIdentity`).
@@ -42,6 +60,15 @@ fn identities(codes: &[Vec<u8>]) -> Vec<FuncIdentity> {
         .collect()
 }
 
+/// A tag that repeats `key`'s bytes.
+fn tag_from(key: u64) -> CompTag {
+    let mut bytes = [0u8; COMP_TAG_LEN];
+    for chunk in bytes.chunks_mut(8) {
+        chunk.copy_from_slice(&key.to_le_bytes());
+    }
+    CompTag::from_bytes(bytes)
+}
+
 fn tag_of(seed: u8) -> CompTag {
     CompTag::from_bytes([seed; COMP_TAG_LEN])
 }
@@ -56,14 +83,14 @@ fn record_of(seed: u8, len: usize) -> Record {
 }
 
 /// Merges a store's per-shard filters into the single client-side view the
-/// runtime consults (OR of bits; incomplete if any shard is).
-fn merged_filter(store: &ResultStore) -> Option<NegativeFilter> {
+/// runtime consults (OR of bits).
+fn merged_filter(store: &ResultStore) -> NegativeFilter {
     let mut shards = store.filter_snapshot().shards.into_iter();
-    let mut merged = shards.next()?;
+    let mut merged = shards.next().expect("a store has shards");
     for shard in shards {
-        merged.merge_from(&shard);
+        assert!(merged.merge_from(&shard), "a store's shards share one shape");
     }
-    Some(merged)
+    merged
 }
 
 /// No false negatives, ever: whatever the filter geometry and whatever the
@@ -84,26 +111,26 @@ fn inserted_keys_are_never_denied() {
             let (bits, hashes, keys) = case;
             let mut filter = NegativeFilter::new(*bits, *hashes);
             for &key in keys {
-                filter.insert(key);
+                filter.insert(&tag_from(key));
             }
             for &key in keys {
+                let tag = tag_from(key);
                 assert!(
-                    filter.may_contain(key),
-                    "filter denied inserted key {key:#x} (bits={bits}, hashes={hashes})"
+                    filter.may_contain(&tag),
+                    "filter denied inserted tag {tag:?} (bits={bits}, hashes={hashes})"
                 );
             }
         },
     );
 }
 
-/// The same holds for real prefilter tags: keys produced by
-/// [`prefilter_tag`] over adversarially similar (func, input) pairs are
-/// never denied once inserted — including near-duplicate inputs that only
-/// differ outside the sampled regions.
+/// The same holds for real comp-tags: tags produced by [`tag_for`] over
+/// adversarially similar (func, input) pairs are never denied once
+/// inserted.
 #[test]
-fn prefilter_tags_are_never_denied() {
+fn comp_tags_are_never_denied() {
     check(
-        "prefilter_tags_are_never_denied",
+        "comp_tags_are_never_denied",
         0x5EED_6002,
         |rng| {
             let base_len = rng.range_usize(0, 2048);
@@ -114,8 +141,7 @@ fn prefilter_tags_are_never_denied() {
                     let func = rng.bytes(func_len);
                     let mut input = base.clone();
                     // Perturb one byte so inputs cluster around `base` —
-                    // the regime where a weak sampler would collide or a
-                    // buggy filter would bit-alias.
+                    // the regime where a buggy filter would bit-alias.
                     if !input.is_empty() {
                         let at = rng.range_usize(0, input.len() - 1);
                         input[at] = input[at].wrapping_add(rng.byte());
@@ -130,16 +156,16 @@ fn prefilter_tags_are_never_denied() {
                 &cases.iter().map(|(func, _)| func.clone()).collect::<Vec<_>>(),
             );
             let mut filter = NegativeFilter::with_capacity(cases.len() as u64);
-            let tags: Vec<u64> = cases
+            let tags: Vec<CompTag> = cases
                 .iter()
                 .zip(&funcs)
-                .map(|((_, input), func)| prefilter_tag(func, input))
+                .map(|((_, input), func)| tag_for(func, input))
                 .collect();
-            for &tag in &tags {
+            for tag in &tags {
                 filter.insert(tag);
             }
-            for &tag in &tags {
-                assert!(filter.may_contain(tag), "prefilter tag {tag:#x} denied");
+            for tag in &tags {
+                assert!(filter.may_contain(tag), "comp-tag {tag:?} denied");
             }
         },
     );
@@ -155,18 +181,18 @@ fn false_positive_rate_stays_bounded() {
         let mut filter = NegativeFilter::with_capacity(n);
         let mut inserted = std::collections::HashSet::new();
         while inserted.len() < n as usize {
-            let key = rng.next_u64();
-            filter.insert(key);
-            inserted.insert(key);
+            let tag = wiregen::comp_tag(&mut rng);
+            filter.insert(&tag);
+            inserted.insert(tag);
         }
         let probes = 10_000;
         let mut false_positives = 0u32;
         for _ in 0..probes {
-            let key = rng.next_u64();
-            if inserted.contains(&key) {
+            let tag = wiregen::comp_tag(&mut rng);
+            if inserted.contains(&tag) {
                 continue; // astronomically unlikely; keep the count honest
             }
-            if filter.may_contain(key) {
+            if filter.may_contain(&tag) {
                 false_positives += 1;
             }
         }
@@ -180,10 +206,9 @@ fn false_positive_rate_stays_bounded() {
 }
 
 /// Filter/index agreement under eviction pressure: drive a tiny store with
-/// prefiltered PUTs until entries churn out, and the merged filter must
-/// still answer "maybe" for every prefilter ever inserted this generation
-/// (eviction removes entries but never clears bits), while staying
-/// complete — a store fed only prefiltered PUTs keeps its absence proofs.
+/// PUTs until entries churn out, and the merged filter must still answer
+/// "maybe" for every tag ever inserted (eviction removes entries but never
+/// clears bits).
 #[test]
 fn eviction_never_creates_false_negatives() {
     check(
@@ -204,23 +229,17 @@ fn eviction_never_creates_false_negatives() {
             let app = AppId(7);
             let mut inserted = Vec::new();
             for &(seed, len) in puts {
-                let prefilter = u64::from(seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                store.handle(Message::PutPrefiltered {
+                store.handle(Message::PutRequest {
                     app,
                     tag: tag_of(seed),
-                    prefilter,
                     record: record_of(seed, len),
                 });
-                inserted.push(prefilter);
-                let merged = merged_filter(&store).expect("shards");
-                assert!(
-                    merged.is_complete(),
-                    "prefilter-only traffic must keep every shard complete"
-                );
-                for &tag in &inserted {
+                inserted.push(tag_of(seed));
+                let merged = merged_filter(&store);
+                for tag in &inserted {
                     assert!(
                         merged.may_contain(tag),
-                        "merged filter denies {tag:#x} after eviction churn"
+                        "merged filter denies {tag:?} after eviction churn"
                     );
                 }
             }
@@ -228,16 +247,11 @@ fn eviction_never_creates_false_negatives() {
     );
 }
 
-/// Crash-reload conservatism: prefilter tags are deliberately not
-/// persisted, so a store recovered from checkpoint + WAL rebuilds its
-/// filters as *incomplete* — which must make them answer "maybe" for every
-/// key (recovered entries included), never "definitely absent".
+/// Crash-reload completeness: a store recovered from checkpoint + WAL
+/// inserts every recovered entry's tag as it imports it, so its filters
+/// answer "maybe" for every recovered tag and still prove absences.
 #[test]
 fn reload_rebuilds_filters_conservatively() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static CASE: AtomicU64 = AtomicU64::new(0);
-
     check(
         "reload_rebuilds_filters_conservatively",
         0x5EED_6005,
@@ -248,12 +262,7 @@ fn reload_rebuilds_filters_conservatively() {
         },
         |puts: &Vec<(u8, usize)>| {
             let platform = Platform::with_seed(CostModel::no_sgx(), Some(0xF1_73D));
-            let dir = std::env::temp_dir().join(format!(
-                "speed-filter-props-{}-{}",
-                std::process::id(),
-                CASE.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+            let dir = scratch_dir("reload");
             let open = || {
                 let backend = Arc::new(LogBackend::new(LogConfig::new(&dir)));
                 ResultStore::open(&platform, StoreConfig::default(), backend)
@@ -263,34 +272,79 @@ fn reload_rebuilds_filters_conservatively() {
             let store = open();
             let app = AppId(7);
             for &(seed, len) in puts {
-                store.handle(Message::PutPrefiltered {
+                store.handle(Message::PutRequest {
                     app,
                     tag: tag_of(seed),
-                    prefilter: u64::from(seed) << 17 | 1,
                     record: record_of(seed, len),
                 });
             }
-            assert!(
-                merged_filter(&store).expect("shards").is_complete(),
-                "pre-crash filter should be complete"
-            );
             drop(store);
 
             let restored = open();
-            let merged = merged_filter(&restored).expect("shards");
+            let merged = merged_filter(&restored);
+            assert_eq!(
+                merged.entries(),
+                restored.stats().entries,
+                "one insert per entry"
+            );
             for &(seed, _) in puts {
                 assert!(
-                    merged.may_contain(u64::from(seed) << 17 | 1),
-                    "recovered entry's prefilter denied after reload"
+                    merged.may_contain(&tag_of(seed)),
+                    "recovered entry's tag denied after reload"
                 );
             }
-            // Stronger: an incomplete rebuild answers "maybe" universally.
-            assert!(
-                merged.may_contain(0xDEAD_BEEF_0BAD_F00D),
-                "rebuilt-from-recovery filter must stay conservative for all keys"
-            );
+            // Complete: a tag the store never held is still proven absent.
+            let unseen = CompTag::from_bytes(std::array::from_fn(|i| i as u8));
+            assert!(!merged.may_contain(&unseen), "the reopened filter proves nothing");
             drop(restored);
             let _ = std::fs::remove_dir_all(&dir);
         },
     );
+}
+
+/// End to end: a runtime with the filter tier, against a durable store that
+/// reopened holding entries, gets `MissFiltered` for an input the store
+/// does not hold — no GET — and `Hit` for one it holds.
+#[test]
+fn a_reopened_store_still_proves_absence() {
+    let platform = Platform::with_seed(CostModel::no_sgx(), Some(0xF1_73E));
+    let authority = Arc::new(SessionAuthority::new());
+    let dir = scratch_dir("runtime");
+    let open = || {
+        let backend = Arc::new(LogBackend::new(LogConfig::new(&dir)));
+        Arc::new(ResultStore::open(&platform, StoreConfig::default(), backend).unwrap().0)
+    };
+    let runtime = |store: &Arc<ResultStore>, app: &[u8]| {
+        let mut library = TrustedLibrary::new("lib", "1");
+        library.register("f()", b"copy");
+        let rt = DedupRuntime::builder(Arc::clone(&platform), app)
+            .in_process_store(Arc::clone(store), Arc::clone(&authority))
+            .trusted_library(library)
+            .prefilter(PrefilterConfig::default())
+            .build()
+            .unwrap();
+        let identity = rt.resolve(&FuncDesc::new("lib", "1", "f()")).unwrap();
+        (rt, identity)
+    };
+    let copy = |input: &[u8]| input.to_vec();
+
+    let store = open();
+    let (rt, identity) = runtime(&store, b"before-restart");
+    for n in 0..20u8 {
+        let (_, outcome) = rt.execute_raw(&identity, &[n; 64], copy).unwrap();
+        assert_eq!(outcome, DedupOutcome::MissFiltered, "input {n} on a fresh store");
+    }
+    drop((rt, store));
+
+    let store = open();
+    assert_eq!(store.stats().entries, 20);
+    let (rt, identity) = runtime(&store, b"after-restart");
+    let (_, outcome) = rt.execute_raw(&identity, &[200; 64], copy).unwrap();
+    assert_eq!(outcome, DedupOutcome::MissFiltered, "an unseen input after the reopen");
+    assert_eq!(store.stats().gets, 0, "a filter-proven miss makes no GET");
+    let (result, outcome) =
+        rt.execute_raw(&identity, &[3; 64], |_| panic!("the store holds it")).unwrap();
+    assert_eq!((result.as_ref(), outcome), (&[3u8; 64][..], DedupOutcome::Hit));
+    drop((rt, store));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,8 +3,9 @@
 //! the store derives the digest and the comp-tag — unless the hot cache
 //! remembers the computation without its result, and hands over the digest
 //! with the record of its last store hit, which the call opens without a
-//! store GET. A `lookup` that the negative filter proves absent runs no
-//! hash at all.
+//! store GET. A `lookup` that the negative filter proves absent runs one
+//! fingerprint for its hot-cache probe and one SHA-256 for the comp-tag the
+//! filter is keyed by, and no store GET.
 //!
 //! The binary holds a single test, so the global registry's tag histograms
 //! and hot-cache counters move only with the calls it makes.
@@ -126,14 +127,12 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
     assert_eq!(counter(names::HOTCACHE_RECORD_HITS_TOTAL), record_hits + 1);
 
     // A lookup of an input the store's negative filter proves absent runs
-    // no hash at all: the hot cache's prefilter multiset skips the
-    // fingerprint, and the filter skips the GET and its SHA-256. The store
-    // is fresh, so every PUT it holds carried its prefilter tag and its
-    // filter is complete.
+    // one fingerprint, for its hot-cache probe, and one SHA-256, for the
+    // comp-tag the filter is keyed by, and makes no store GET.
     let filtered_store =
         Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
     let filtered = DedupRuntime::builder(Arc::clone(&platform), b"filtered-app")
-        .in_process_store(filtered_store, Arc::clone(&authority))
+        .in_process_store(Arc::clone(&filtered_store), Arc::clone(&authority))
         .trusted_library(library())
         .hot_cache(HotCacheConfig::default())
         .prefilter(PrefilterConfig::default())
@@ -143,13 +142,13 @@ fn a_hot_cache_hit_derives_no_tag_and_one_fingerprint() {
     let (_, outcome) = filtered.execute_raw(&identity, &input, reverse).unwrap();
     assert_eq!(outcome, DedupOutcome::MissFiltered);
     let unseen: Vec<u8> = input.iter().map(|b| b ^ 0x5A).collect();
-    let before = passes();
-    let skips = (
-        counter(names::TAG_PREFILTER_CACHE_SKIPS_TOTAL),
-        counter(names::TAG_PREFILTER_STORE_SKIPS_TOTAL),
-    );
+    let (before, skips) = (passes(), counter(names::TAG_PREFILTER_STORE_SKIPS_TOTAL));
     assert!(filtered.lookup(&identity, &unseen).unwrap().is_none());
-    assert_eq!(passes(), before, "a filter-proven lookup runs no SHA-256 and no fp");
-    assert_eq!(counter(names::TAG_PREFILTER_CACHE_SKIPS_TOTAL), skips.0 + 1);
-    assert_eq!(counter(names::TAG_PREFILTER_STORE_SKIPS_TOTAL), skips.1 + 1);
+    assert_eq!(
+        passes(),
+        (before.0 + 1, before.1 + 1),
+        "a filter-proven lookup runs one SHA-256 and one fp"
+    );
+    assert_eq!(counter(names::TAG_PREFILTER_STORE_SKIPS_TOTAL), skips + 1);
+    assert_eq!(filtered_store.stats().gets, 0, "and makes no store GET");
 }

@@ -14,7 +14,7 @@ use speed_core::{
     CoreError, ReplayQueue, ResilienceConfig, ResilienceStats, ResilientClient,
     RetryPolicy, StoreClient, TcpClient,
 };
-use speed_enclave::attestation::{create_report, Quote, REPORT_DATA_LEN};
+use speed_enclave::attestation::{create_report, Quote};
 use speed_enclave::{CostModel, Platform};
 use speed_store::server::{ServerConfig, StoreServer, TcpStoreClient};
 use speed_store::{ResultStore, StoreConfig, StoreError};
@@ -68,7 +68,7 @@ fn manual_handshake(
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let enclave = platform.create_enclave(name).unwrap();
-    let report = create_report(platform, &enclave, &[0u8; REPORT_DATA_LEN]);
+    let report = create_report(platform, &enclave, &speed_wire::handshake_report_data());
     let client_quote = authority.service().quote(platform, &report).unwrap();
     write_frame(&mut stream, &client_quote.to_bytes()).unwrap();
     let server_quote = Quote::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();

@@ -14,7 +14,8 @@ use speed_enclave::{CostModel, Platform};
 use speed_store::{QuotaPolicy, ResultStore, StoreConfig};
 use speed_testkit::{check, Shrink, TestRng};
 use speed_wire::{
-    AppId, BatchItem, BatchItemResult, CompTag, Message, Record, COMP_TAG_LEN,
+    AppId, BatchItem, BatchItemResult, CompTag, Message, NegativeFilter, Record,
+    COMP_TAG_LEN,
 };
 
 /// Capacity used by the eviction-heavy differential config: small enough
@@ -35,8 +36,9 @@ enum Op {
         len: u8,
         fill: u8,
     },
-    /// A PUT carrying its prefilter tag (`Message::PutPrefiltered`), which
-    /// feeds the store's negative filter.
+    /// A PUT in the retired prefilter-carrying shape
+    /// (`Message::PutPrefiltered`), which the store must serve exactly as
+    /// `Put`.
     PutPre {
         tag: u8,
         len: u8,
@@ -46,59 +48,39 @@ enum Op {
         items: Vec<Item>,
     },
     /// Fetches the filter snapshot and asserts the no-false-negative
-    /// invariant against every prefilter inserted this store generation.
+    /// invariant against every live tag.
     FilterCheck,
     Reload,
 }
 
 #[derive(Clone, Debug, PartialEq)]
 enum Item {
-    Get {
-        tag: u8,
-    },
-    /// A batch GET carrying its prefilter tag
-    /// (`BatchItem::GetPrefiltered`): semantically identical to `Get` —
-    /// the store may answer it from the negative filter without touching
-    /// the dictionary, and this model holds it to exactly `Get`'s answers.
-    GetPre {
-        tag: u8,
-    },
-    Put {
-        tag: u8,
-        len: u8,
-        fill: u8,
-    },
+    Get { tag: u8 },
+    Put { tag: u8, len: u8, fill: u8 },
 }
 
-/// The deterministic prefilter tag a `PutPre { tag, .. }` op carries.
-fn prefilter_of(tag: u8) -> u64 {
-    u64::from(tag).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
-}
+/// The prefilter a `PutPre` op carries; the store ignores it.
+const IGNORED_PREFILTER: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Tracks which prefilter tags were fed to the current store generation,
-/// and checks the store's merged filter never denies one of them (the
-/// conservative no-false-negative contract — bits are never cleared within
-/// a generation, not even by eviction).
-#[derive(Default)]
-struct FilterOracle {
-    inserted: std::collections::BTreeSet<u64>,
-}
-
-impl FilterOracle {
-    fn check(&self, store: &ResultStore, context: &str) {
-        let snapshot = store.filter_snapshot();
-        let mut shards = snapshot.shards.into_iter();
-        let Some(mut merged) = shards.next() else { return };
-        for shard in shards {
-            merged.merge_from(&shard);
-        }
-        for &prefilter in &self.inserted {
-            assert!(
-                merged.may_contain(prefilter),
-                "{context}: filter denies inserted prefilter {prefilter:#x} \
-                 (false negative)"
-            );
-        }
+/// Asserts the no-false-negative contract: the merged filter of `shards` (a
+/// store's snapshot, or a cluster's fan-out) answers "maybe" for every live
+/// tag. Every insert sets its tag's bits, imports and recovery included, so
+/// the contract holds across reloads too.
+fn check_filter(
+    shards: Vec<NegativeFilter>,
+    live: impl IntoIterator<Item = u8>,
+    context: &str,
+) {
+    let mut shards = shards.into_iter();
+    let Some(mut merged) = shards.next() else { return };
+    for shard in shards {
+        assert!(merged.merge_from(&shard), "{context}: shard shapes differ");
+    }
+    for tag in live {
+        assert!(
+            merged.may_contain(&tag_of(tag)),
+            "{context}: filter denies live tag {tag} (false negative)"
+        );
     }
 }
 
@@ -107,12 +89,6 @@ impl Shrink for Item {
         match *self {
             Item::Get { tag } => {
                 tag.shrink().into_iter().map(|tag| Item::Get { tag }).collect()
-            }
-            Item::GetPre { tag } => {
-                // A prefiltered GET simplifies toward the legacy GET first.
-                let mut out = vec![Item::Get { tag }];
-                out.extend(tag.shrink().into_iter().map(|tag| Item::GetPre { tag }));
-                out
             }
             Item::Put { tag, len, fill } => {
                 let mut out = vec![Item::Get { tag }];
@@ -149,14 +125,14 @@ impl Shrink for Op {
                 .map(item_to_op)
                 .collect(),
             Op::PutPre { tag, len, fill } => {
-                // A prefiltered PUT simplifies toward the legacy PUT first.
+                // A prefiltered PUT simplifies toward the plain PUT first.
                 let mut out = vec![Op::Put { tag: *tag, len: *len, fill: *fill }];
                 out.extend(
                     Item::Put { tag: *tag, len: *len, fill: *fill }
                         .shrink()
                         .into_iter()
                         .map(|item| match item {
-                            Item::Get { tag } | Item::GetPre { tag } => Op::Get { tag },
+                            Item::Get { tag } => Op::Get { tag },
                             Item::Put { tag, len, fill } => Op::PutPre { tag, len, fill },
                         }),
                 );
@@ -176,9 +152,7 @@ impl Shrink for Op {
 
 fn item_to_op(item: Item) -> Op {
     match item {
-        // Single-message GETs have no prefiltered form; the prefiltered
-        // shape only exists inside batches.
-        Item::Get { tag } | Item::GetPre { tag } => Op::Get { tag },
+        Item::Get { tag } => Op::Get { tag },
         Item::Put { tag, len, fill } => Op::Put { tag, len, fill },
     }
 }
@@ -186,11 +160,7 @@ fn item_to_op(item: Item) -> Op {
 fn gen_item(rng: &mut TestRng) -> Item {
     let tag = rng.byte() % TAG_SPACE;
     if rng.chance(0.45) {
-        if rng.chance(0.5) {
-            Item::GetPre { tag }
-        } else {
-            Item::Get { tag }
-        }
+        Item::Get { tag }
     } else {
         Item::Put { tag, len: rng.byte(), fill: rng.byte() }
     }
@@ -208,7 +178,7 @@ fn gen_op(rng: &mut TestRng, with_reload: bool) -> Op {
         return Op::Batch { items: (0..count).map(|_| gen_item(rng)).collect() };
     }
     let op = item_to_op(gen_item(rng));
-    // Half the single PUTs carry their prefilter tag.
+    // Half the single PUTs take the retired prefilter-carrying shape.
     match op {
         Op::Put { tag, len, fill } if rng.chance(0.5) => Op::PutPre { tag, len, fill },
         other => other,
@@ -276,6 +246,11 @@ impl Model {
         self.entries.values().map(|(r, _)| r.boxed_result.len() as u64).sum()
     }
 
+    /// The tags of the live entries.
+    fn live(&self) -> Vec<u8> {
+        self.entries.keys().map(|key| key[0]).collect()
+    }
+
     fn enforce_capacity(&mut self) {
         while self.entries.len() > MAX_ENTRIES || self.stored_bytes() > MAX_BYTES {
             let victim = self.lru.remove(0);
@@ -315,7 +290,6 @@ fn apply_op(
     platform: &Platform,
     store: ResultStore,
     model: &mut Model,
-    oracle: &mut FilterOracle,
     op: &Op,
     index: usize,
 ) -> ResultStore {
@@ -362,17 +336,11 @@ fn apply_op(
             let response = store.handle(Message::PutPrefiltered {
                 app,
                 tag: tag_of(*tag),
-                prefilter: prefilter_of(*tag),
+                prefilter: IGNORED_PREFILTER,
                 record: record_of(*tag, *len, *fill),
             });
             let inserted = model.put(*tag, *len, *fill);
             model.enforce_capacity();
-            // Conservative contract: once a prefilter has been offered to
-            // this generation, the filter may never deny it — duplicates
-            // land on entries whose shard is either already carrying the
-            // bits or marked incomplete (always-maybe), and eviction never
-            // clears bits.
-            oracle.inserted.insert(prefilter_of(*tag));
             match response {
                 Message::PutResponse(body) => {
                     assert!(body.accepted, "op {index}: PUT must be accepted");
@@ -392,17 +360,17 @@ fn apply_op(
             }
         }
         Op::FilterCheck => {
-            oracle.check(&store, &format!("op {index}"));
+            check_filter(
+                store.filter_snapshot().shards,
+                model.live(),
+                &format!("op {index}"),
+            );
         }
         Op::Batch { items } => {
             let wire_items: Vec<BatchItem> = items
                 .iter()
                 .map(|item| match item {
                     Item::Get { tag } => BatchItem::Get { tag: tag_of(*tag) },
-                    Item::GetPre { tag } => BatchItem::GetPrefiltered {
-                        tag: tag_of(*tag),
-                        prefilter: prefilter_of(*tag),
-                    },
                     Item::Put { tag, len, fill } => BatchItem::Put {
                         tag: tag_of(*tag),
                         record: record_of(*tag, *len, *fill),
@@ -416,7 +384,7 @@ fn apply_op(
             let mut inserted_any = false;
             for item in items {
                 match item {
-                    Item::Get { tag } | Item::GetPre { tag } => {
+                    Item::Get { tag } => {
                         expected.push(match model.get(*tag) {
                             Some(record) => BatchItemResult::found(record),
                             None => BatchItemResult::not_found(),
@@ -455,10 +423,9 @@ fn apply_op(
             .expect("fresh store");
             restored.import_entries(entries);
             model.reload();
-            // Restored entries import with unknown prefilters (shards go
-            // incomplete), so the oracle restarts with the generation.
-            oracle.inserted.clear();
-            check_counters(&restored, model, &format!("op {index} (reload)"));
+            let context = format!("op {index} (reload)");
+            check_counters(&restored, model, &context);
+            check_filter(restored.filter_snapshot().shards, model.live(), &context);
             return restored;
         }
     }
@@ -483,9 +450,8 @@ fn store_matches_reference_model() {
             )
             .expect("store");
             let mut model = Model::default();
-            let mut oracle = FilterOracle::default();
             for (index, op) in ops.iter().enumerate() {
-                store = apply_op(&platform, store, &mut model, &mut oracle, op, index);
+                store = apply_op(&platform, store, &mut model, op, index);
             }
         },
     );
@@ -509,14 +475,21 @@ fn shard_count_is_transparent_without_eviction() {
                 ResultStore::new(&platform, roomy(1)).expect("single-shard store");
             let sharded = ResultStore::new(&platform, roomy(8)).expect("sharded store");
             let app = AppId(1);
-            let mut oracle = FilterOracle::default();
+            // Nothing evicts, so every tag ever PUT is live.
+            let mut live = std::collections::BTreeSet::new();
             for (index, op) in ops.iter().enumerate() {
                 if let Op::FilterCheck = op {
                     // Raw filter snapshots are NOT shard-transparent (shape
                     // and false-positive patterns differ by shard count);
                     // only the no-false-negative contract must hold on both.
-                    oracle.check(&single, &format!("op {index} (single)"));
-                    oracle.check(&sharded, &format!("op {index} (sharded)"));
+                    for (store, shape) in [(&single, "single"), (&sharded, "sharded")] {
+                        let context = format!("op {index} ({shape})");
+                        check_filter(
+                            store.filter_snapshot().shards,
+                            live.clone(),
+                            &context,
+                        );
+                    }
                     continue;
                 }
                 let message = |()| match op {
@@ -529,7 +502,7 @@ fn shard_count_is_transparent_without_eviction() {
                     Op::PutPre { tag, len, fill } => Message::PutPrefiltered {
                         app,
                         tag: tag_of(*tag),
-                        prefilter: prefilter_of(*tag),
+                        prefilter: IGNORED_PREFILTER,
                         record: record_of(*tag, *len, *fill),
                     },
                     Op::Batch { items } => Message::BatchRequest {
@@ -538,10 +511,6 @@ fn shard_count_is_transparent_without_eviction() {
                             .iter()
                             .map(|item| match item {
                                 Item::Get { tag } => BatchItem::Get { tag: tag_of(*tag) },
-                                Item::GetPre { tag } => BatchItem::GetPrefiltered {
-                                    tag: tag_of(*tag),
-                                    prefilter: prefilter_of(*tag),
-                                },
                                 Item::Put { tag, len, fill } => BatchItem::Put {
                                     tag: tag_of(*tag),
                                     record: record_of(*tag, *len, *fill),
@@ -553,8 +522,17 @@ fn shard_count_is_transparent_without_eviction() {
                         unreachable!("handled above / disabled for this property")
                     }
                 };
-                if let Op::PutPre { tag, .. } = op {
-                    oracle.inserted.insert(prefilter_of(*tag));
+                match op {
+                    Op::Put { tag, .. } | Op::PutPre { tag, .. } => {
+                        live.insert(*tag);
+                    }
+                    Op::Batch { items } => {
+                        live.extend(items.iter().filter_map(|item| match item {
+                            Item::Put { tag, .. } => Some(*tag),
+                            Item::Get { .. } => None,
+                        }))
+                    }
+                    _ => {}
                 }
                 let a = single.handle(message(()));
                 let b = sharded.handle(message(()));
@@ -607,7 +585,6 @@ fn durable_backend_matches_model_across_crash_reloads() {
             let mut store = open();
             // tag -> first-written record; no eviction, so entries only grow.
             let mut model: BTreeMap<u8, Record> = BTreeMap::new();
-            let mut oracle = FilterOracle::default();
             let app = AppId(1);
             for (index, op) in ops.iter().enumerate() {
                 match op {
@@ -641,7 +618,7 @@ fn durable_backend_matches_model_across_crash_reloads() {
                         let response = store.handle(Message::PutPrefiltered {
                             app,
                             tag: tag_of(*tag),
-                            prefilter: prefilter_of(*tag),
+                            prefilter: IGNORED_PREFILTER,
                             record: record_of(*tag, *len, *fill),
                         });
                         match response {
@@ -651,18 +628,17 @@ fn durable_backend_matches_model_across_crash_reloads() {
                             other => panic!("op {index}: unexpected {other:?}"),
                         }
                         model.entry(*tag).or_insert_with(|| record_of(*tag, *len, *fill));
-                        oracle.inserted.insert(prefilter_of(*tag));
                     }
-                    Op::FilterCheck => oracle.check(&store, &format!("op {index}")),
+                    Op::FilterCheck => check_filter(
+                        store.filter_snapshot().shards,
+                        model.keys().copied(),
+                        &format!("op {index}"),
+                    ),
                     Op::Batch { items } => {
                         let wire_items: Vec<BatchItem> = items
                             .iter()
                             .map(|item| match item {
                                 Item::Get { tag } => BatchItem::Get { tag: tag_of(*tag) },
-                                Item::GetPre { tag } => BatchItem::GetPrefiltered {
-                                    tag: tag_of(*tag),
-                                    prefilter: prefilter_of(*tag),
-                                },
                                 Item::Put { tag, len, fill } => BatchItem::Put {
                                     tag: tag_of(*tag),
                                     record: record_of(*tag, *len, *fill),
@@ -674,7 +650,7 @@ fn durable_backend_matches_model_across_crash_reloads() {
                         let mut expected = Vec::with_capacity(items.len());
                         for item in items {
                             match item {
-                                Item::Get { tag } | Item::GetPre { tag } => {
+                                Item::Get { tag } => {
                                     expected.push(match model.get(tag) {
                                         Some(record) => {
                                             BatchItemResult::found(record.clone())
@@ -707,13 +683,15 @@ fn durable_backend_matches_model_across_crash_reloads() {
                         // Crash-restart: everything not on disk is gone.
                         drop(store);
                         store = open();
-                        // Recovered entries re-enter via rebuild (prefilters
-                        // are not persisted), so the oracle restarts too.
-                        oracle.inserted.clear();
                         assert_eq!(
                             store.stats().entries,
                             model.len() as u64,
                             "op {index}: reload lost or invented entries"
+                        );
+                        check_filter(
+                            store.filter_snapshot().shards,
+                            model.keys().copied(),
+                            &format!("op {index} (reload)"),
                         );
                     }
                 }
@@ -869,7 +847,6 @@ fn cluster_matches_flat_model_across_node_kill_and_rejoin() {
             };
 
             let mut model: BTreeMap<u8, Record> = BTreeMap::new();
-            let mut oracle = FilterOracle::default();
             let mut any_down = false;
             // Between a `Revive` and the next heal, a revived replica may
             // lack hinted PUTs. Its node-local duplicate verdicts can then
@@ -927,15 +904,12 @@ fn cluster_matches_flat_model_across_node_kill_and_rejoin() {
                                 tag: tag_of(*tag),
                                 record: put_record(*tag, *len, *fill),
                             },
-                            _ => {
-                                oracle.inserted.insert(prefilter_of(*tag));
-                                Message::PutPrefiltered {
-                                    app,
-                                    tag: tag_of(*tag),
-                                    prefilter: prefilter_of(*tag),
-                                    record: put_record(*tag, *len, *fill),
-                                }
-                            }
+                            _ => Message::PutPrefiltered {
+                                app,
+                                tag: tag_of(*tag),
+                                prefilter: IGNORED_PREFILTER,
+                                record: put_record(*tag, *len, *fill),
+                            },
                         };
                         let response = client
                             .roundtrip(&request)
@@ -960,22 +934,14 @@ fn cluster_matches_flat_model_across_node_kill_and_rejoin() {
                     Op::FilterCheck => {
                         // The filter fan-out fails closed while a member is
                         // down; the contract is only checkable when whole.
+                        // Every acknowledged tag is on at least one replica,
+                        // and so in the union.
                         match client.roundtrip(&Message::FilterRequest) {
-                            Ok(Message::FilterResponse(body)) => {
-                                let mut shards = body.shards.into_iter();
-                                if let Some(mut merged) = shards.next() {
-                                    for shard in shards {
-                                        merged.merge_from(&shard);
-                                    }
-                                    for &prefilter in &oracle.inserted {
-                                        assert!(
-                                            merged.may_contain(prefilter),
-                                            "op {index}: cluster filter union \
-                                             denies {prefilter:#x}"
-                                        );
-                                    }
-                                }
-                            }
+                            Ok(Message::FilterResponse(body)) => check_filter(
+                                body.shards,
+                                model.keys().copied(),
+                                &format!("op {index}: cluster filter union"),
+                            ),
                             Ok(other) => panic!("op {index}: unexpected {other:?}"),
                             Err(_) => assert!(
                                 any_down,
@@ -988,10 +954,6 @@ fn cluster_matches_flat_model_across_node_kill_and_rejoin() {
                             .iter()
                             .map(|item| match item {
                                 Item::Get { tag } => BatchItem::Get { tag: tag_of(*tag) },
-                                Item::GetPre { tag } => BatchItem::GetPrefiltered {
-                                    tag: tag_of(*tag),
-                                    prefilter: prefilter_of(*tag),
-                                },
                                 Item::Put { tag, len, fill } => BatchItem::Put {
                                     tag: tag_of(*tag),
                                     record: put_record(*tag, *len, *fill),
@@ -1004,7 +966,7 @@ fn cluster_matches_flat_model_across_node_kill_and_rejoin() {
                         let mut expected = Vec::with_capacity(items.len());
                         for item in items {
                             match item {
-                                Item::Get { tag } | Item::GetPre { tag } => {
+                                Item::Get { tag } => {
                                     expected.push(match model.get(tag) {
                                         Some(record) => {
                                             BatchItemResult::found(record.clone())
