@@ -251,7 +251,7 @@ impl Enclave {
     /// [`EnclaveStats::transitions`].
     ///
     /// Call this from *inside* a real [`ecall`](Enclave::ecall) body — the
-    /// worker pays one transition to take up residence, then serves ring
+    /// worker pays one transition to take up residence, then serves its
     /// requests switchlessly.
     pub fn enter_switchless(&self) -> SwitchlessGuard {
         SWITCHLESS_DEPTH.with(|depth| depth.set(depth.get() + 1));

@@ -12,8 +12,10 @@
 //! speedctl put   --addr 127.0.0.1:7700 --secret 42 --tag 0a0a --data "hello"
 //! speedctl get   --addr 127.0.0.1:7700 --secret 42 --tag 0a0a
 //! speedctl stats --addr 127.0.0.1:7700 --secret 42
-//! speedctl bench --addr 127.0.0.1:7700 --secret 42 --ops 200 --size 4096
 //! ```
+//!
+//! Each command takes only the flags its usage line lists; any other flag
+//! is refused with the usage text.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,7 +34,7 @@ fn usage() -> ! {
          commands:\n\
            serve   --addr HOST:PORT --secret N [--no-sgx] [--max-entries N]\n\
                    [--max-bytes N] [--ttl-ms N] [--shards N] [--io-threads N]\n\
-                   [--max-conns N] [--ring-slots N] [--no-switchless]\n\
+                   [--max-conns N] [--no-switchless]\n\
                    [--metrics-jsonl PATH] [--data-dir PATH] [--checkpoint-every N]\n\
                    [--node-id N --peers ID=HOST:PORT[,ID=HOST:PORT...]]\n\
            ping    --addr HOST:PORT --secret N [--count N]\n\
@@ -41,7 +43,6 @@ fn usage() -> ! {
            ring    --addr HOST:PORT --secret N\n\
            get     --addr HOST:PORT --secret N --tag HEX\n\
            put     --addr HOST:PORT --secret N --tag HEX --data STRING\n\
-           bench   --addr HOST:PORT --secret N [--ops N] [--size BYTES]\n\
          notes:\n\
            --secret is the shared deployment secret both sides derive their\n\
            attestation trust from; --tag is zero-padded to 32 bytes\n\
@@ -112,6 +113,32 @@ impl Flags {
     fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
+
+    /// The first flag given that `known` (space-separated names) lacks.
+    fn unknown(&self, known: &str) -> Option<&str> {
+        self.values
+            .keys()
+            .chain(&self.switches)
+            .map(String::as_str)
+            .find(|name| !known.split(' ').any(|flag| flag == *name))
+    }
+}
+
+/// The flags `command` takes, as its usage line lists them, or `None` for
+/// an unknown command.
+fn known_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "serve" => {
+            "addr secret no-sgx max-entries max-bytes ttl-ms shards io-threads \
+             max-conns no-switchless metrics-jsonl data-dir checkpoint-every node-id peers"
+        }
+        "ping" => "addr secret count",
+        "stats" | "ring" => "addr secret",
+        "metrics" => "addr secret json",
+        "get" => "addr secret tag",
+        "put" => "addr secret tag data",
+        _ => return None,
+    })
 }
 
 fn parse_tag(hex: &str) -> CompTag {
@@ -215,7 +242,6 @@ fn cmd_serve(flags: &Flags) {
             .get_parsed("max-conns")
             .unwrap_or(defaults.max_connections),
         switchless: !flags.has("no-switchless"),
-        ring_slots: flags.get_parsed("ring-slots").unwrap_or(defaults.ring_slots),
         ..defaults
     };
 
@@ -478,58 +504,15 @@ fn cmd_put(flags: &Flags) {
     }
 }
 
-fn cmd_bench(flags: &Flags) {
-    let ops: usize = flags.get_parsed("ops").unwrap_or(100);
-    let size: usize = flags.get_parsed("size").unwrap_or(1024);
-    let mut client = connect(flags);
-
-    let record = |i: usize| Record {
-        challenge: vec![0u8; 32],
-        wrapped_key: [0u8; 16],
-        nonce: [0u8; 12],
-        boxed_result: vec![(i % 251) as u8; size],
-    };
-    let tag = |i: usize| {
-        let mut bytes = [0xBEu8; 32];
-        bytes[..8].copy_from_slice(&(i as u64).to_le_bytes());
-        CompTag::from_bytes(bytes)
-    };
-
-    let start = std::time::Instant::now();
-    for i in 0..ops {
-        client
-            .roundtrip(&Message::PutRequest {
-                app: AppId(0xBE7C),
-                tag: tag(i),
-                record: record(i),
-            })
-            .expect("put");
-    }
-    let put_elapsed = start.elapsed();
-
-    let start = std::time::Instant::now();
-    for i in 0..ops {
-        let response = client
-            .roundtrip(&Message::GetRequest { app: AppId(0xBE7C), tag: tag(i) })
-            .expect("get");
-        assert!(matches!(response, Message::GetResponse(b) if b.found));
-    }
-    let get_elapsed = start.elapsed();
-
-    println!(
-        "{ops} PUTs of {size} B: {put_elapsed:?} ({:?}/op)",
-        put_elapsed / ops as u32
-    );
-    println!(
-        "{ops} GETs of {size} B: {get_elapsed:?} ({:?}/op)",
-        get_elapsed / ops as u32
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
+    let Some(known) = known_flags(command) else { usage() };
     let flags = Flags::parse(&args[1..]);
+    if let Some(name) = flags.unknown(known) {
+        eprintln!("`{command}` takes no flag --{name}");
+        usage();
+    }
     match command.as_str() {
         "serve" => cmd_serve(&flags),
         "ping" => cmd_ping(&flags),
@@ -538,7 +521,6 @@ fn main() {
         "ring" => cmd_ring(&flags),
         "get" => cmd_get(&flags),
         "put" => cmd_put(&flags),
-        "bench" => cmd_bench(&flags),
         _ => usage(),
     }
 }

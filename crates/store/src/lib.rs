@@ -66,7 +66,6 @@ mod log;
 pub mod persist;
 mod poller;
 mod quota;
-mod ring;
 pub mod segment;
 pub mod server;
 mod store;

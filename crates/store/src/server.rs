@@ -1,5 +1,5 @@
 //! TCP front end for a [`ResultStore`]: a readiness-driven event loop
-//! with switchless call rings.
+//! with switchless calls.
 //!
 //! Deploys the store on a dedicated endpoint (the paper's two-machine
 //! setup, §V-A). Each connection runs an attested handshake — the client
@@ -18,11 +18,10 @@
 //! O(connections).
 //!
 //! Hot-path requests (GET/PUT/batch) take the *switchless* path: the I/O
-//! thread pushes the decoded request onto its lock-free ring and a
-//! resident in-enclave worker serves it without any ECALL/OCALL world
-//! switch (the `switchless` module). Cold requests — and hot ones that find
-//! the ring full — fall back to the classic ECALL path inline on the I/O
-//! thread.
+//! thread posts the decoded request on its lane and waits while a resident
+//! in-enclave worker serves it without any ECALL/OCALL world switch (the
+//! `switchless` module). Cold requests, and hot ones whose worker is gone,
+//! take the classic ECALL path inline on the I/O thread.
 //!
 //! Handshake wire format (plaintext frames, authenticity provided by the
 //! quotes themselves):
@@ -62,7 +61,7 @@ use speed_wire::{
 
 use crate::poller::{poll, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::store::ResultStore;
-use crate::switchless::SwitchlessEngine;
+use crate::switchless::{spawn_worker, Lane};
 use crate::StoreError;
 
 /// Reason string carried by the plaintext busy frame a saturated server
@@ -78,16 +77,14 @@ fn version_mismatch(client: u32, server: u32) -> String {
     format!("protocol version mismatch: client speaks {client}, server speaks {server}")
 }
 
-/// Default per-frame deadline (also bounds the handshake and one
-/// switchless round-trip).
+/// Default per-frame deadline (also bounds the handshake).
 const DEFAULT_FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Event-loop poll period when no deadline is nearer — a safety net only;
-/// wake pipes pop the loop out of poll for shutdown, routed connections,
-/// and switchless responses.
+/// wake pipes pop the loop out of poll for shutdown and routed connections.
 const IDLE_POLL: Duration = Duration::from_millis(250);
 
-/// Configuration for the server's event loop and switchless rings.
+/// Configuration for the server's event loop and switchless calls.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Event-loop threads multiplexing connections. The server's thread
@@ -98,11 +95,9 @@ pub struct ServerConfig {
     /// connections receive a plaintext busy frame and are closed
     /// (counted in [`ServerStats::rejected`]).
     pub max_connections: usize,
-    /// Serve hot-path requests via switchless rings (zero world switches)
-    /// instead of per-request ECALLs.
+    /// Serve hot-path requests through a resident worker per I/O thread
+    /// (zero world switches) instead of per-request ECALLs.
     pub switchless: bool,
-    /// Slots per switchless request/response ring (per I/O thread).
-    pub ring_slots: usize,
     /// Deadline for completing one frame (and the handshake). A peer
     /// stalling mid-frame longer than this is disconnected, so a
     /// slow-loris client cannot pin a connection slot.
@@ -115,7 +110,6 @@ impl Default for ServerConfig {
             io_threads: 2,
             max_connections: 1024,
             switchless: true,
-            ring_slots: 128,
             frame_timeout: DEFAULT_FRAME_TIMEOUT,
         }
     }
@@ -136,11 +130,10 @@ pub struct ServerStats {
     pub protocol_errors: u64,
     /// Connections dropped by the per-frame deadline.
     pub frame_timeouts: u64,
-    /// Requests served via the switchless rings.
+    /// Requests posted to a resident switchless worker.
     pub switchless_requests: u64,
-    /// Responses drained from the switchless rings.
-    pub switchless_responses: u64,
-    /// Hot-path requests that fell back to the classic ECALL path.
+    /// Hot-path requests served by the classic ECALL path because their
+    /// I/O thread's worker was gone.
     pub switchless_fallbacks: u64,
 }
 
@@ -160,7 +153,6 @@ struct ServerCounters {
     protocol_errors: Counter,
     frame_timeouts: Counter,
     switchless_requests: Counter,
-    switchless_responses: Counter,
     switchless_fallbacks: Counter,
     active_tm: Gauge,
     peak_tm: Gauge,
@@ -203,17 +195,12 @@ impl ServerCounters {
             ),
             switchless_requests: registry.counter_with(
                 names::SWITCHLESS_REQUESTS_TOTAL,
-                "Requests submitted to a switchless ring",
-                labels,
-            ),
-            switchless_responses: registry.counter_with(
-                names::SWITCHLESS_RESPONSES_TOTAL,
-                "Responses drained from a switchless ring",
+                "Requests posted to a resident switchless worker",
                 labels,
             ),
             switchless_fallbacks: registry.counter_with(
                 names::SWITCHLESS_FALLBACKS_TOTAL,
-                "Hot-path requests that fell back to the ECALL path",
+                "Hot-path requests served by ECALL because their worker was gone",
                 labels,
             ),
             active_tm: registry.gauge_with(
@@ -250,12 +237,11 @@ struct Shared {
     platform: Arc<Platform>,
     authority: Arc<SessionAuthority>,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-    counters: Arc<ServerCounters>,
-    engine: Option<Arc<SwitchlessEngine>>,
+    shutdown: AtomicBool,
+    counters: ServerCounters,
     /// Connections the acceptor routed to each I/O thread.
     inboxes: Vec<Mutex<VecDeque<TcpStream>>>,
-    wakers: Vec<Arc<WakePipe>>,
+    wakers: Vec<WakePipe>,
 }
 
 /// A running TCP store server.
@@ -264,11 +250,11 @@ struct Shared {
 #[derive(Debug)]
 pub struct StoreServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     io_handles: Vec<JoinHandle<()>>,
-    engine: Option<Arc<SwitchlessEngine>>,
-    wakers: Vec<Arc<WakePipe>>,
-    counters: Arc<ServerCounters>,
+    /// Resident switchless workers, one per I/O thread (none when
+    /// switchless calls are off).
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl StoreServer {
@@ -298,7 +284,8 @@ impl StoreServer {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if binding fails.
+    /// Returns [`StoreError::Io`] if binding fails or a thread cannot be
+    /// spawned.
     pub fn spawn_with_config(
         store: Arc<ResultStore>,
         platform: Arc<Platform>,
@@ -308,53 +295,61 @@ impl StoreServer {
     ) -> Result<Self, StoreError> {
         config.io_threads = config.io_threads.max(1);
         config.max_connections = config.max_connections.max(1);
-        config.ring_slots = config.ring_slots.max(1);
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let shutdown = Arc::new(AtomicBool::new(false));
         let instance = SERVER_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let counters = Arc::new(ServerCounters::register(instance, config.io_threads));
-        let wakers: Vec<Arc<WakePipe>> = (0..config.io_threads)
-            .map(|_| WakePipe::new().map(Arc::new))
-            .collect::<Result<_, _>>()?;
-        let engine = config.switchless.then(|| {
-            Arc::new(SwitchlessEngine::start(
-                Arc::clone(&store),
-                &wakers,
-                config.ring_slots,
-                Arc::clone(&shutdown),
-            ))
-        });
+        let wakers =
+            (0..config.io_threads).map(|_| WakePipe::new()).collect::<Result<_, _>>()?;
         let shared = Arc::new(Shared {
             store,
             platform,
             authority,
             config,
-            shutdown: Arc::clone(&shutdown),
-            counters: Arc::clone(&counters),
-            engine: engine.clone(),
+            shutdown: AtomicBool::new(false),
+            counters: ServerCounters::register(instance, config.io_threads),
             inboxes: (0..config.io_threads)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
-            wakers: wakers.clone(),
+            wakers,
         });
 
-        let io_handles = (0..config.io_threads)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                // The listener lives on thread 0; it routes accepted
-                // connections round-robin across all I/O threads.
-                let listener = (index == 0).then(|| listener.try_clone()).transpose()?;
-                std::thread::Builder::new()
-                    .name(format!("speed-io-{index}"))
-                    .spawn(move || IoThread::new(index, shared, listener).run())
-                    .map_err(StoreError::from)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        Ok(StoreServer { addr, shutdown, io_handles, engine, wakers, counters })
+        // Built up in place so that an early return joins every thread
+        // already spawned (through `Drop`).
+        let mut server = StoreServer {
+            addr,
+            shared: Arc::clone(&shared),
+            io_handles: Vec::new(),
+            workers: Vec::new(),
+        };
+        for index in 0..config.io_threads {
+            let lane = if config.switchless {
+                let (lane, worker) = spawn_worker(Arc::clone(&shared.store), index)?;
+                server.workers.push(worker);
+                Some(lane)
+            } else {
+                None
+            };
+            let shared = Arc::clone(&shared);
+            // The listener lives on thread 0; it routes accepted
+            // connections round-robin across all I/O threads.
+            let listener = (index == 0).then(|| listener.try_clone()).transpose()?;
+            let io_thread = IoThread {
+                index,
+                shared,
+                listener,
+                lane,
+                conns: Vec::new(),
+                free: Vec::new(),
+                route_next: 0,
+            };
+            let io_thread = std::thread::Builder::new()
+                .name(format!("speed-io-{index}"))
+                .spawn(move || io_thread.run())?;
+            server.io_handles.push(io_thread);
+        }
+        Ok(server)
     }
 
     /// The bound listen address.
@@ -364,7 +359,7 @@ impl StoreServer {
 
     /// Current server counters.
     pub fn stats(&self) -> ServerStats {
-        let counters = &self.counters;
+        let counters = &self.shared.counters;
         ServerStats {
             active: counters.active.load(Ordering::Relaxed),
             peak: counters.peak.load(Ordering::Relaxed),
@@ -373,7 +368,6 @@ impl StoreServer {
             protocol_errors: counters.protocol_errors.get(),
             frame_timeouts: counters.frame_timeouts.get(),
             switchless_requests: counters.switchless_requests.get(),
-            switchless_responses: counters.switchless_responses.get(),
             switchless_fallbacks: counters.switchless_fallbacks.get(),
         }
     }
@@ -382,8 +376,7 @@ impl StoreServer {
     /// Constant for the server's lifetime — the budget the churn test
     /// holds the server to, independent of connection count.
     pub fn thread_count(&self) -> usize {
-        self.io_handles.len()
-            + self.engine.as_ref().map_or(0, |engine| engine.worker_count())
+        self.io_handles.len() + self.workers.len()
     }
 
     /// Signals shutdown and waits for every thread to finish.
@@ -392,15 +385,13 @@ impl StoreServer {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for waker in &self.wakers {
+        self.shared.shutdown.store(true, Ordering::Relaxed);
+        for waker in &self.shared.wakers {
             waker.wake();
         }
-        for handle in self.io_handles.drain(..) {
+        // An I/O thread drops its lane as it exits, which ends its worker.
+        for handle in self.io_handles.drain(..).chain(self.workers.drain(..)) {
             let _ = handle.join();
-        }
-        if let Some(engine) = &self.engine {
-            engine.stop();
         }
     }
 }
@@ -439,15 +430,9 @@ struct Conn {
     state: ConnState,
     reader: FrameReader,
     writer: FrameWriter,
-    /// Armed while a frame (or the handshake, or a switchless round-trip)
-    /// is in progress; expiry closes the connection.
+    /// Armed while a frame (or the handshake) is in progress; expiry
+    /// closes the connection.
     deadline: Option<Instant>,
-    /// A switchless request is in flight — reads pause until the response
-    /// comes back so request/response framing stays ordered.
-    inflight: bool,
-    /// Generation guard for ring tokens: a response for a closed
-    /// connection must not reach the slot's next tenant.
-    generation: u32,
     /// Whether this connection occupies the connection budget (busy
     /// rejects do not).
     counted: bool,
@@ -459,9 +444,11 @@ struct IoThread {
     index: usize,
     shared: Arc<Shared>,
     listener: Option<TcpListener>,
+    /// The call path to this thread's resident worker, when switchless
+    /// calls are on.
+    lane: Option<Lane>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    next_generation: u32,
     /// Round-robin cursor for routing accepted connections (thread 0).
     route_next: usize,
 }
@@ -475,20 +462,9 @@ enum PollSource {
 }
 
 impl IoThread {
-    fn new(index: usize, shared: Arc<Shared>, listener: Option<TcpListener>) -> Self {
-        IoThread {
-            index,
-            shared,
-            listener,
-            conns: Vec::new(),
-            free: Vec::new(),
-            next_generation: 0,
-            route_next: 0,
-        }
-    }
-
     fn run(mut self) {
-        let waker = Arc::clone(&self.shared.wakers[self.index]);
+        let shared = Arc::clone(&self.shared);
+        let waker = &shared.wakers[self.index];
         let mut fds: Vec<PollFd> = Vec::new();
         let mut sources: Vec<PollSource> = Vec::new();
         while !self.shared.shutdown.load(Ordering::Relaxed) {
@@ -502,15 +478,10 @@ impl IoThread {
             }
             for (slot, conn) in self.conns.iter().enumerate() {
                 let Some(conn) = conn else { continue };
-                let mut events = 0i16;
-                // While a switchless response is pending the connection is
-                // write-only; POLLERR/POLLHUP are always reported
-                // regardless. Closing connections stay readable so inbound
-                // bytes are discarded — unread data at close would turn
-                // into an RST that destroys the in-flight busy frame.
-                if !conn.inflight {
-                    events |= POLLIN;
-                }
+                // Closing connections stay readable so inbound bytes are
+                // discarded — unread data at close would turn into an RST
+                // that destroys the in-flight busy frame.
+                let mut events = POLLIN;
                 if conn.writer.has_pending() {
                     events |= POLLOUT;
                 }
@@ -552,7 +523,6 @@ impl IoThread {
                     }
                 }
             }
-            self.drain_switchless_responses();
             self.expire_deadlines();
         }
         // Account every still-open connection before the thread exits so
@@ -653,7 +623,6 @@ impl IoThread {
 
     fn install(&mut self, stream: TcpStream, counted: bool) -> usize {
         let _ = stream.set_nonblocking(true);
-        self.next_generation = self.next_generation.wrapping_add(1);
         let conn = Conn {
             stream,
             state: ConnState::Handshake,
@@ -661,8 +630,6 @@ impl IoThread {
             writer: FrameWriter::new(),
             // The handshake must complete within the frame deadline.
             deadline: Some(Instant::now() + self.shared.config.frame_timeout),
-            inflight: false,
-            generation: self.next_generation,
             counted,
         };
         match self.free.pop() {
@@ -700,7 +667,7 @@ impl IoThread {
         loop {
             let progress = {
                 let Some(conn) = self.conns[slot].as_mut() else { return };
-                if conn.inflight || matches!(conn.state, ConnState::Closing) {
+                if matches!(conn.state, ConnState::Closing) {
                     return;
                 }
                 conn.reader.poll(&mut conn.stream)
@@ -831,8 +798,9 @@ impl IoThread {
         }
     }
 
-    /// Routes a decoded request: hot-path ops ride the switchless ring,
-    /// everything else (or a full ring) takes the classic inline path.
+    /// Serves a decoded request and returns false when the connection was
+    /// closed. A hot-path op is a switchless call on this thread's lane;
+    /// anything else, or a hot op whose worker is gone, is an inline ECALL.
     fn serve_request(&mut self, slot: usize, request: Message) -> bool {
         let hot = matches!(
             request,
@@ -841,31 +809,26 @@ impl IoThread {
                 | Message::PutPrefiltered { .. }
                 | Message::BatchRequest { .. }
         );
-        let engine = self.shared.engine.clone();
-        if hot {
-            if let Some(engine) = engine {
-                let Some(conn) = self.conns[slot].as_mut() else { return false };
-                let token = ((slot as u64) << 32) | u64::from(conn.generation);
-                match engine.try_submit(self.index, token, request) {
-                    Ok(()) => {
-                        self.shared.counters.switchless_requests.inc();
-                        conn.inflight = true;
-                        // Bounds the switchless round-trip: if the worker
-                        // dies, the connection times out instead of
-                        // hanging forever.
-                        conn.deadline =
-                            Some(Instant::now() + self.shared.config.frame_timeout);
-                        return true;
-                    }
-                    Err(request) => {
-                        self.shared.counters.switchless_fallbacks.inc();
-                        let response = self.shared.store.handle(request);
-                        return self.respond(slot, &response);
-                    }
+        let response = match &self.lane {
+            Some(lane) if hot => match lane.call(request) {
+                Ok(Some(response)) => {
+                    self.shared.counters.switchless_requests.inc();
+                    response
                 }
-            }
-        }
-        let response = self.shared.store.handle(request);
+                Ok(None) => {
+                    // The worker died serving it: the request is lost, and
+                    // the client's resilience layer retries it.
+                    self.shared.counters.switchless_requests.inc();
+                    self.close(slot, CloseReason::Normal);
+                    return false;
+                }
+                Err(request) => {
+                    self.shared.counters.switchless_fallbacks.inc();
+                    self.shared.store.handle(request)
+                }
+            },
+            _ => self.shared.store.handle(request),
+        };
         self.respond(slot, &response)
     }
 
@@ -916,32 +879,6 @@ impl IoThread {
                     return;
                 }
             }
-        }
-    }
-
-    fn drain_switchless_responses(&mut self) {
-        let Some(engine) = self.shared.engine.clone() else { return };
-        let mut completed: Vec<(u64, Message)> = Vec::new();
-        engine.drain_responses(self.index, |token, response| {
-            completed.push((token, response));
-        });
-        for (token, response) in completed {
-            let slot = (token >> 32) as usize;
-            let generation = token as u32;
-            let alive = self
-                .conns
-                .get(slot)
-                .and_then(|c| c.as_ref())
-                .is_some_and(|c| c.generation == generation && c.inflight);
-            if !alive {
-                continue; // connection closed while the op was in flight
-            }
-            self.shared.counters.switchless_responses.inc();
-            if let Some(conn) = self.conns[slot].as_mut() {
-                conn.inflight = false;
-                conn.deadline = None;
-            }
-            self.respond(slot, &response);
         }
     }
 
@@ -1080,9 +1017,17 @@ mod tests {
     fn setup_with_config(
         config: ServerConfig,
     ) -> (Arc<Platform>, Arc<ResultStore>, Arc<SessionAuthority>, StoreServer) {
+        setup_on(Arc::new(crate::MemoryBackend), config)
+    }
+
+    fn setup_on(
+        backend: Arc<dyn crate::StoreBackend>,
+        config: ServerConfig,
+    ) -> (Arc<Platform>, Arc<ResultStore>, Arc<SessionAuthority>, StoreServer) {
         let platform = Platform::new(CostModel::default_sgx());
-        let store =
-            Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
+        let (store, _) =
+            ResultStore::open(&platform, StoreConfig::default(), backend).unwrap();
+        let store = Arc::new(store);
         let authority = Arc::new(SessionAuthority::with_seed(11));
         let server = StoreServer::spawn_with_config(
             Arc::clone(&store),
@@ -1475,7 +1420,7 @@ mod tests {
             assert!(matches!(hit, Message::GetResponse(b) if b.found));
         }
         // Replayed and hinted PUTs arrive as standalone PUT requests; they
-        // ride the rings like every other data-plane request.
+        // take the lane like every other data-plane request.
         let put = client
             .roundtrip(&Message::PutRequest {
                 app: AppId(1),
@@ -1500,11 +1445,11 @@ mod tests {
     }
 
     #[test]
-    fn ecall_fallback_serves_when_rings_are_tiny() {
-        // ring_slots = 1 forces frequent fallbacks under concurrency;
-        // correctness must not depend on which path serves a request.
+    fn concurrent_clients_share_one_lane() {
+        // One I/O thread, so one worker serves four clients at once:
+        // correctness must not depend on how their requests interleave.
         let (platform, _store, authority, server) =
-            setup_with_config(ServerConfig { ring_slots: 1, ..ServerConfig::default() });
+            setup_with_config(ServerConfig { io_threads: 1, ..ServerConfig::default() });
         let mut handles = Vec::new();
         for worker in 0..4u8 {
             let addr = server.addr();
@@ -1538,6 +1483,92 @@ mod tests {
         for handle in handles {
             handle.join().unwrap();
         }
+        let stats = server.stats();
+        assert_eq!(stats.switchless_requests, 80);
+        assert_eq!(stats.switchless_fallbacks, 0);
+        server.shutdown();
+    }
+
+    /// A durable backend whose first `record_put` panics, killing the
+    /// switchless worker that serves that PUT.
+    #[derive(Debug, Default)]
+    struct FirstPutPanics(AtomicBool);
+
+    impl crate::StoreBackend for FirstPutPanics {
+        fn name(&self) -> &'static str {
+            "first-put-panics"
+        }
+
+        fn is_durable(&self) -> bool {
+            true
+        }
+
+        fn open(
+            &self,
+            _platform: &Arc<Platform>,
+            _enclave: &Arc<speed_enclave::Enclave>,
+        ) -> Result<crate::Recovery, StoreError> {
+            Ok(crate::Recovery::default())
+        }
+
+        fn record_put(&self, _entry: &speed_wire::SyncEntry) -> Result<(), StoreError> {
+            if !self.0.swap(true, Ordering::Relaxed) {
+                panic!("injected switchless worker death");
+            }
+            Ok(())
+        }
+
+        fn record_delete(&self, _tag: &CompTag) -> Result<(), StoreError> {
+            Ok(())
+        }
+
+        fn flush(&self) -> Result<(), StoreError> {
+            Ok(())
+        }
+
+        fn checkpoint(
+            &self,
+            _export: &dyn Fn() -> Vec<Vec<speed_wire::SyncEntry>>,
+        ) -> Result<(), StoreError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_hot_request_whose_worker_is_gone_is_served_by_ecall() {
+        let (platform, store, authority, server) = setup_on(
+            Arc::new(FirstPutPanics::default()),
+            ServerConfig { io_threads: 1, ..ServerConfig::default() },
+        );
+        let enclave = platform.create_enclave(b"worker-gone-client").unwrap();
+        let put =
+            |tag| Message::PutRequest { app: AppId(1), tag, record: sample_record() };
+
+        // The worker dies serving this PUT: the request is lost and its
+        // connection closed.
+        let mut doomed =
+            TcpStoreClient::connect(server.addr(), &platform, &enclave, &authority)
+                .unwrap();
+        assert!(doomed.roundtrip(&put(CompTag::from_bytes([11u8; 32]))).is_err());
+
+        // Later hot requests on that I/O thread take the classic ECALL.
+        let mut client =
+            TcpStoreClient::connect(server.addr(), &platform, &enclave, &authority)
+                .unwrap();
+        let tag = CompTag::from_bytes([12u8; 32]);
+        let before = store.enclave().stats();
+        let accepted = client.roundtrip(&put(tag)).unwrap();
+        assert!(matches!(accepted, Message::PutResponse(b) if b.accepted));
+        let hit = client.roundtrip(&Message::GetRequest { app: AppId(1), tag }).unwrap();
+        assert!(matches!(hit, Message::GetResponse(b) if b.found));
+        let after = store.enclave().stats();
+        assert!(
+            after.transitions() > before.transitions(),
+            "the fallback pays world switches"
+        );
+        let stats = server.stats();
+        assert_eq!(stats.switchless_requests, 1);
+        assert_eq!(stats.switchless_fallbacks, 2);
         server.shutdown();
     }
 

@@ -83,6 +83,9 @@ pub struct StoreConfig {
     pub shards: usize,
 }
 
+/// Entries one [`ResultStore::import_entries`] batch carries.
+const IMPORT_BATCH: usize = 256;
+
 /// Default shard count: enough partitions that 8–16 concurrent clients
 /// rarely collide, while keeping per-shard budget slices coarse.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -1103,18 +1106,37 @@ impl ResultStore {
     /// negative filter like a PUT's. Entries route to shards by tag, so they
     /// import correctly into a store with any shard count. Returns how many
     /// entries were accepted (a tag the store already held counts).
+    ///
+    /// Entries go in batches of 256: one `store_batch` ECALL and one
+    /// `store_restore_hits` ECALL per batch. Capacity is enforced
+    /// after each batch, and eviction follows insertion order, so the
+    /// entries that survive are those an import of one entry at a time
+    /// would keep: the newest of each shard.
     pub fn import_entries(&self, entries: Vec<SyncEntry>) -> usize {
         let mut imported = 0usize;
-        for entry in entries {
-            let hits = entry.hits;
-            let tag = entry.tag;
-            let item = BatchItem::Put { tag, record: entry.record };
-            let results = self.handle_batch(None, vec![item]);
-            if results.iter().all(|result| result.status == BatchStatus::Accepted) {
+        let mut entries = entries.into_iter().peekable();
+        while entries.peek().is_some() {
+            let batch: Vec<SyncEntry> = entries.by_ref().take(IMPORT_BATCH).collect();
+            let mut hits: Vec<(CompTag, u64)> =
+                batch.iter().map(|entry| (entry.tag, entry.hits)).collect();
+            let items = batch
+                .into_iter()
+                .map(|entry| BatchItem::Put { tag: entry.tag, record: entry.record })
+                .collect();
+            // Results come in item order: keep the accepted entries' counts.
+            let mut results = self.handle_batch(None, items).into_iter();
+            hits.retain(|_| {
+                results
+                    .next()
+                    .is_some_and(|result| result.status == BatchStatus::Accepted)
+            });
+            imported += hits.len();
+            if !hits.is_empty() {
                 self.enclave.ecall("store_restore_hits", || {
-                    self.shard(&tag).dict_read().restore_hits(&tag, hits);
+                    for (tag, hits) in &hits {
+                        self.shard(tag).dict_read().restore_hits(tag, *hits);
+                    }
                 });
-                imported += 1;
             }
         }
         self.maintain();
@@ -1719,6 +1741,51 @@ mod tests {
         let popular = store.export_popular(7);
         assert_eq!(popular.len(), 1);
         assert_eq!(popular[0].hits, 7);
+    }
+
+    #[test]
+    fn a_reopen_imports_in_batches() {
+        let dir = std::env::temp_dir()
+            .join(format!("speed-store-batched-reopen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let platform = Platform::with_seed(CostModel::default_sgx(), Some(0x5eed));
+        let backend = || Arc::new(crate::LogBackend::new(crate::LogConfig::new(&dir)));
+        let open = |config| ResultStore::open(&platform, config, backend()).unwrap().0;
+        let entries = (0..1_000u16).map(|n| {
+            let mut bytes = [0u8; 32];
+            bytes[..2].copy_from_slice(&n.to_le_bytes());
+            SyncEntry {
+                tag: CompTag::from_bytes(bytes),
+                record: record(16, n as u8),
+                hits: u64::from(n % 7),
+            }
+        });
+        let store = open(StoreConfig::default());
+        assert_eq!(store.import_entries(entries.collect()), 1_000);
+        // The checkpoint makes the hit counts durable.
+        store.checkpoint().unwrap();
+        drop(store);
+
+        let reopened = open(StoreConfig::default());
+        let ecalls = reopened.enclave().stats().ecalls;
+        assert_eq!(reopened.stats().entries, 1_000);
+        assert!(ecalls * 10 < 1_000, "{ecalls} store ECALLs to reopen 1,000 entries");
+        drop(reopened);
+
+        // Into ten entries per shard, a reopen keeps the entries, hit
+        // counts and filter bits that importing one entry at a time keeps.
+        let small = StoreConfig { max_entries: 80, ..StoreConfig::default() };
+        let reference = ResultStore::new(&platform, small.clone()).unwrap();
+        let recovery = backend().open(&platform, reference.enclave()).unwrap();
+        for entry in recovery.entries {
+            assert_eq!(reference.import_entries(vec![entry]), 1);
+        }
+        let reopened = open(small);
+        assert_eq!(reopened.stats().entries, 80);
+        assert_eq!(reopened.evictions(), 920);
+        assert_eq!(reopened.export_popular(0), reference.export_popular(0));
+        assert_eq!(reopened.filter_snapshot(), reference.filter_snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,229 +1,78 @@
-//! The switchless call engine: resident in-enclave workers draining
-//! shared-memory request rings.
+//! The switchless call engine: one resident in-enclave worker per I/O
+//! thread, reached through a synchronous [`Lane`].
 //!
 //! Classic flow: every hot-path store op pays an ECALL world switch
 //! (`ResultStore::handle` → `ecall_with_bytes`). Switchless flow: each
-//! I/O thread owns a *lane* — an SPSC request ring and an SPSC response
-//! ring — and a dedicated worker thread enters the enclave **once** (one
-//! real ECALL for residence), then loops inside, popping requests,
-//! serving them, and pushing responses back. Requests and responses still
-//! cross the boundary as bytes (boundary-copy costs are charged), but no
-//! further world switches happen: the enclave's `transitions()` counter
-//! stays flat while `switchless_calls` grows.
-//!
-//! The worker parks on a condvar doorbell when its ring runs dry — the
-//! simulation's stand-in for the pause/futex loop a real switchless
-//! worker spins on — and the I/O thread is woken through its
-//! [`WakePipe`] whenever a response lands.
+//! I/O thread owns a lane to a dedicated worker thread that enters the
+//! enclave **once** (one real ECALL for residence) and then serves every
+//! request from inside. As with an SGX SDK switchless call, the call is
+//! synchronous for its caller: the I/O thread posts the request on its
+//! lane and blocks for the answer, exactly where the classic path blocks
+//! in its inline ECALL. So a lane never holds more than one request.
+//! Requests and responses still cross the boundary as bytes (boundary-copy
+//! costs are charged), but no further world switches happen: the
+//! enclave's `transitions()` counter stays flat while `switchless_calls`
+//! grows.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::io;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use speed_wire::Message;
 
-use crate::poller::WakePipe;
-use crate::ring::SpscRing;
 use crate::store::ResultStore;
 
-/// One queued hot-path request, tagged with the connection token the I/O
-/// thread uses to route the response back.
+/// One I/O thread's call path to its resident worker. Dropping the lane
+/// ends the worker.
 #[derive(Debug)]
-pub(crate) struct RingItem {
-    pub(crate) token: u64,
-    pub(crate) msg: Message,
+pub(crate) struct Lane {
+    requests: Sender<Message>,
+    responses: Receiver<Message>,
 }
 
-/// Wakes a worker parked on an empty ring. The flag absorbs the classic
-/// lost-wakeup race: a doorbell rung between the worker's last `pop` and
-/// its `wait` makes the wait return immediately.
-#[derive(Debug, Default)]
-struct Doorbell {
-    rung: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Doorbell {
-    fn ring(&self) {
-        *lock_unpoisoned(&self.rung) = true;
-        self.cv.notify_one();
-    }
-
-    fn wait(&self, timeout: Duration) {
-        let mut rung = lock_unpoisoned(&self.rung);
-        if !*rung {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(rung, timeout)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            rung = guard;
-        }
-        *rung = false;
-    }
-}
-
-fn lock_unpoisoned<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// One I/O thread's private pair of rings plus its wakeup plumbing.
-#[derive(Debug)]
-struct Lane {
-    requests: SpscRing<RingItem>,
-    responses: SpscRing<RingItem>,
-    doorbell: Doorbell,
-    /// Waker of the I/O thread that owns this lane.
-    io_waker: Arc<WakePipe>,
-}
-
-/// The engine: one lane and one resident enclave worker per I/O thread.
-#[derive(Debug)]
-pub(crate) struct SwitchlessEngine {
-    lanes: Vec<Arc<Lane>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl SwitchlessEngine {
-    /// Spawns one resident worker per entry of `io_wakers`; lane `i`
-    /// belongs to I/O thread `i`. `shutdown` is shared with the server so
-    /// one flag stops everything.
-    pub(crate) fn start(
-        store: Arc<ResultStore>,
-        io_wakers: &[Arc<WakePipe>],
-        ring_slots: usize,
-        shutdown: Arc<AtomicBool>,
-    ) -> Self {
-        let lanes: Vec<Arc<Lane>> = io_wakers
-            .iter()
-            .map(|waker| {
-                Arc::new(Lane {
-                    requests: SpscRing::new(ring_slots),
-                    responses: SpscRing::new(ring_slots),
-                    doorbell: Doorbell::default(),
-                    io_waker: Arc::clone(waker),
-                })
-            })
-            .collect();
-        let workers = lanes
-            .iter()
-            .enumerate()
-            .map(|(index, lane)| {
-                let lane = Arc::clone(lane);
-                let store = Arc::clone(&store);
-                let shutdown = Arc::clone(&shutdown);
-                std::thread::Builder::new()
-                    .name(format!("speed-switchless-{index}"))
-                    .spawn(move || worker_loop(&store, &lane, &shutdown))
-                    .expect("spawn switchless worker")
-            })
-            .collect();
-        SwitchlessEngine { lanes, workers: Mutex::new(workers), shutdown }
-    }
-
-    /// How many resident worker threads the engine runs.
-    pub(crate) fn worker_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Submits a request on `lane`; hands the message back if the ring is
-    /// full so the caller can fall back to the classic ECALL path. Must
-    /// only be called from the I/O thread owning `lane`.
-    // The Err variant IS the unconsumed message — boxing it would add an
-    // allocation to the full-ring fallback for no benefit.
+impl Lane {
+    /// Has the worker serve `request` and waits for its answer.
+    ///
+    /// `Err` hands the request back when the worker is gone, so the caller
+    /// can serve it through the classic ECALL path. `Ok(None)` means the
+    /// worker died while it served the request, which is then lost.
+    // The Err variant IS the unserved request: boxing it would add an
+    // allocation to the fallback for no benefit.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn try_submit(
-        &self,
-        lane: usize,
-        token: u64,
-        msg: Message,
-    ) -> Result<(), Message> {
-        let lane = &self.lanes[lane];
-        match lane.requests.push(RingItem { token, msg }) {
-            Ok(()) => {
-                lane.doorbell.ring();
-                Ok(())
-            }
-            Err(item) => Err(item.msg),
-        }
-    }
-
-    /// Drains every completed response on `lane` into `sink`. Must only
-    /// be called from the I/O thread owning `lane`.
-    pub(crate) fn drain_responses(
-        &self,
-        lane: usize,
-        mut sink: impl FnMut(u64, Message),
-    ) {
-        let lane = &self.lanes[lane];
-        while let Some(item) = lane.responses.pop() {
-            sink(item.token, item.msg);
-        }
-    }
-
-    /// Requests queued but not yet answered on `lane` (approximate).
-    #[cfg(test)]
-    pub(crate) fn lane_depth(&self, lane: usize) -> usize {
-        self.lanes[lane].requests.len()
-    }
-
-    /// Flags shutdown, wakes every parked worker, and joins them. Workers
-    /// finish requests already popped; anything still ringed is dropped.
-    pub(crate) fn stop(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for lane in &self.lanes {
-            lane.doorbell.ring();
-        }
-        for worker in lock_unpoisoned(&self.workers).drain(..) {
-            let _ = worker.join();
-        }
+    pub(crate) fn call(&self, request: Message) -> Result<Option<Message>, Message> {
+        self.requests.send(request).map_err(|unsent| unsent.0)?;
+        Ok(self.responses.recv().ok())
     }
 }
 
-impl Drop for SwitchlessEngine {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// How long a dry worker parks before re-checking its ring — a safety net
-/// only; the doorbell wakes it immediately on submit.
-const PARK_TIMEOUT: Duration = Duration::from_millis(2);
-
-fn worker_loop(store: &ResultStore, lane: &Lane, shutdown: &AtomicBool) {
-    let enclave = store.enclave();
-    // One real ECALL to take up residence; everything below runs
-    // "inside", so the per-request handle() calls are switchless.
-    enclave.ecall("switchless_worker_enter", || {
-        let _resident = enclave.enter_switchless();
-        while !shutdown.load(Ordering::Relaxed) {
-            let mut served = false;
-            while let Some(RingItem { token, msg }) = lane.requests.pop() {
-                served = true;
-                let mut response = RingItem { token, msg: store.handle(msg) };
-                // The response ring can lag when the I/O thread is busy;
-                // nudge it and retry rather than dropping the response.
-                loop {
-                    match lane.responses.push(response) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            if shutdown.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            response = back;
-                            lane.io_waker.wake();
-                            std::thread::yield_now();
-                        }
+/// Spawns the resident worker of lane `index` and returns the lane with
+/// the worker's handle. The worker exits once the lane is dropped.
+pub(crate) fn spawn_worker(
+    store: Arc<ResultStore>,
+    index: usize,
+) -> io::Result<(Lane, JoinHandle<()>)> {
+    let (requests, inbox) = channel::<Message>();
+    let (outbox, responses) = channel();
+    let worker = std::thread::Builder::new()
+        .name(format!("speed-switchless-{index}"))
+        .spawn(move || {
+            let enclave = store.enclave();
+            // One real ECALL to take up residence; everything below runs
+            // "inside", so the per-request handle() calls are switchless.
+            // A panic drops `inbox` (moved into the loop) before `outbox`,
+            // so once a call finds the worker dead, every later call gets
+            // its request handed back.
+            enclave.ecall("switchless_worker_enter", || {
+                let _resident = enclave.enter_switchless();
+                for request in inbox {
+                    if outbox.send(store.handle(request)).is_err() {
+                        return;
                     }
                 }
-                lane.io_waker.wake();
-            }
-            if !served {
-                lane.doorbell.wait(PARK_TIMEOUT);
-            }
-        }
-    });
+            });
+        })?;
+    Ok((Lane { requests, responses }, worker))
 }
 
 #[cfg(test)]
@@ -233,45 +82,16 @@ mod tests {
     use speed_enclave::{CostModel, Platform};
     use speed_wire::{AppId, CompTag, Record};
 
-    fn engine_world() -> (Arc<ResultStore>, SwitchlessEngine, Arc<WakePipe>) {
+    #[test]
+    fn requests_complete_without_transitions() {
         let platform = Platform::new(CostModel::default_sgx());
         let store =
             Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
-        let waker = Arc::new(WakePipe::new().unwrap());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let engine = SwitchlessEngine::start(
-            Arc::clone(&store),
-            std::slice::from_ref(&waker),
-            8,
-            shutdown,
-        );
-        (store, engine, waker)
-    }
-
-    fn collect_responses(
-        engine: &SwitchlessEngine,
-        expected: usize,
-    ) -> Vec<(u64, Message)> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut got = Vec::new();
-        while got.len() < expected {
-            engine.drain_responses(0, |token, msg| got.push((token, msg)));
-            assert!(std::time::Instant::now() < deadline, "worker stalled");
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        got
-    }
-
-    #[test]
-    fn requests_complete_without_transitions() {
-        let (store, engine, _waker) = engine_world();
-        // Let the worker take residence (its single entry ECALL).
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while store.enclave().stats().ecalls == 0 {
-            assert!(std::time::Instant::now() < deadline, "worker never entered");
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        let (lane, worker) = spawn_worker(Arc::clone(&store), 0).unwrap();
+        // A served call shows the worker took residence (its one ECALL).
+        assert!(matches!(lane.call(Message::StatsRequest), Ok(Some(_))));
         let baseline = store.enclave().stats();
+        assert_eq!(baseline.ecalls, 1);
 
         let tag = CompTag::from_bytes([3u8; 32]);
         let record = Record {
@@ -280,20 +100,10 @@ mod tests {
             nonce: [3u8; 12],
             boxed_result: vec![4u8; 16],
         };
-        engine
-            .try_submit(0, 7, Message::PutRequest { app: AppId(1), tag, record })
-            .unwrap();
-        engine.try_submit(0, 8, Message::GetRequest { app: AppId(1), tag }).unwrap();
-
-        let responses = collect_responses(&engine, 2);
-        assert!(matches!(
-            &responses[0],
-            (7, Message::PutResponse(body)) if body.accepted
-        ));
-        assert!(matches!(
-            &responses[1],
-            (8, Message::GetResponse(body)) if body.found
-        ));
+        let put = lane.call(Message::PutRequest { app: AppId(1), tag, record });
+        assert!(matches!(put, Ok(Some(Message::PutResponse(body))) if body.accepted));
+        let get = lane.call(Message::GetRequest { app: AppId(1), tag });
+        assert!(matches!(get, Ok(Some(Message::GetResponse(body))) if body.found));
 
         let after = store.enclave().stats();
         assert_eq!(
@@ -304,46 +114,23 @@ mod tests {
         assert!(after.switchless_calls > baseline.switchless_calls);
         assert!(
             after.boundary_bytes > baseline.boundary_bytes,
-            "ring payloads still pay boundary-copy costs"
+            "lane payloads still pay boundary-copy costs"
         );
-        engine.stop();
+        drop(lane);
+        worker.join().unwrap();
     }
 
     #[test]
-    fn full_ring_hands_the_request_back() {
-        let platform = Platform::new(CostModel::default_sgx());
-        let store =
-            Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
-        let waker = Arc::new(WakePipe::new().unwrap());
-        // Engine with a stopped worker: submissions pile up in the ring.
-        let shutdown = Arc::new(AtomicBool::new(true));
-        let engine = SwitchlessEngine::start(
-            Arc::clone(&store),
-            std::slice::from_ref(&waker),
-            2,
-            shutdown,
-        );
-        engine.stop();
+    fn a_lane_whose_worker_is_gone_hands_the_request_back() {
+        let (requests, inbox) = channel();
+        let (_outbox, responses) = channel();
+        let lane = Lane { requests, responses };
+        drop(inbox);
         let tag = CompTag::from_bytes([4u8; 32]);
-        assert!(engine
-            .try_submit(0, 1, Message::GetRequest { app: AppId(1), tag })
-            .is_ok());
-        assert!(engine
-            .try_submit(0, 2, Message::GetRequest { app: AppId(1), tag })
-            .is_ok());
-        let bounced = engine.try_submit(0, 3, Message::GetRequest { app: AppId(1), tag });
+        let bounced = lane.call(Message::GetRequest { app: AppId(1), tag });
         assert!(
-            matches!(bounced, Err(Message::GetRequest { .. })),
-            "full ring must return the message for the ECALL fallback"
+            matches!(bounced, Err(Message::GetRequest { app: AppId(1), .. })),
+            "the request must come back for the ECALL fallback"
         );
-        assert_eq!(engine.lane_depth(0), 2);
-    }
-
-    #[test]
-    fn stop_joins_workers_promptly() {
-        let (_store, engine, _waker) = engine_world();
-        let start = std::time::Instant::now();
-        engine.stop();
-        assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

@@ -1,5 +1,6 @@
 //! End-to-end exercise of the `speedctl` binary: serve a store, drive it
-//! with `put`/`get`, and scrape it with `metrics` in both formats.
+//! with `put`/`get`, and scrape it with `metrics` in both formats; and
+//! check that a flag a command does not take is refused.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -99,4 +100,35 @@ fn metrics_subcommand_scrapes_a_live_server() {
     }
     assert!(jsonl.contains("\"name\":\"store_puts_total\""));
     assert!(jsonl.contains("\"type\":\"histogram\""));
+}
+
+#[test]
+fn a_flag_the_command_does_not_take_is_refused() {
+    // Held, so that a `serve` that took its flags exits on a failed bind
+    // instead of serving.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["serve", "--addr", &addr, "--secret", SECRET, "--ring-slots", "64"],
+            "--ring-slots",
+        ),
+        (
+            &["serve", "--addr", &addr, "--secret", SECRET, "--checkpoint-evry", "0"],
+            "--checkpoint-evry",
+        ),
+        // A flag of another command is refused too.
+        (&["stats", "--addr", &addr, "--secret", SECRET, "--json"], "--json"),
+    ];
+    for (args, flag) in cases {
+        let output = speedctl(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?} must exit with the usage code: {stderr}"
+        );
+        assert!(stderr.contains(flag), "the refusal must name {flag}: {stderr}");
+        assert!(stderr.contains("usage: speedctl"), "usage text expected: {stderr}");
+    }
 }

@@ -245,14 +245,13 @@ pub const SERVER_PROTOCOL_ERRORS_TOTAL: &str = "server_protocol_errors_total";
 /// handshake) failed to complete within the per-frame deadline.
 pub const SERVER_FRAME_TIMEOUTS_TOTAL: &str = "server_frame_timeouts_total";
 
-// --- speed-store server: switchless call rings ---
+// --- speed-store server: switchless calls ---
 
-/// Counter, label `server`: requests submitted to a switchless ring.
+/// Counter, label `server`: hot-path requests posted to a resident
+/// switchless worker.
 pub const SWITCHLESS_REQUESTS_TOTAL: &str = "switchless_requests_total";
-/// Counter, label `server`: responses drained from a switchless ring.
-pub const SWITCHLESS_RESPONSES_TOTAL: &str = "switchless_responses_total";
-/// Counter, label `server`: hot-path requests that fell back to the
-/// classic ECALL path (ring full or switchless disabled).
+/// Counter, label `server`: hot-path requests served by the classic ECALL
+/// path because their I/O thread's switchless worker was gone.
 pub const SWITCHLESS_FALLBACKS_TOTAL: &str = "switchless_fallbacks_total";
 /// Counter: enclave calls served by a resident switchless worker without
 /// a world switch (boundary-copy bytes are still charged).
@@ -340,7 +339,6 @@ pub const ALL: &[&str] = &[
     SERVER_PROTOCOL_ERRORS_TOTAL,
     SERVER_FRAME_TIMEOUTS_TOTAL,
     SWITCHLESS_REQUESTS_TOTAL,
-    SWITCHLESS_RESPONSES_TOTAL,
     SWITCHLESS_FALLBACKS_TOTAL,
     ENCLAVE_SWITCHLESS_CALLS_TOTAL,
 ];

@@ -139,7 +139,6 @@ fn every_stats_view_field_equals_its_registry_series() {
     assert_eq!(served.protocol_errors, series(names::SERVER_PROTOCOL_ERRORS_TOTAL));
     assert_eq!(served.frame_timeouts, series(names::SERVER_FRAME_TIMEOUTS_TOTAL));
     assert_eq!(served.switchless_requests, series(names::SWITCHLESS_REQUESTS_TOTAL));
-    assert_eq!(served.switchless_responses, series(names::SWITCHLESS_RESPONSES_TOTAL));
     assert_eq!(served.switchless_fallbacks, series(names::SWITCHLESS_FALLBACKS_TOTAL));
 
     let wal = backend.stats();
