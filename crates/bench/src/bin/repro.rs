@@ -6,14 +6,16 @@
 //! cargo run --release -p speed-bench --bin repro -- table1
 //! cargo run --release -p speed-bench --bin repro -- fig6
 //! cargo run --release -p speed-bench --bin repro -- ablation-rce
+//! cargo run --release -p speed-bench --bin repro -- shard [--smoke]
 //! ```
 
 use speed_bench::apps::App;
-use speed_bench::{ablations, fig5, fig6, table1};
+use speed_bench::{ablations, fig5, fig6, persist, shard, switchless, table1};
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment> [trials]\n\
+                repro <bench> [--smoke]\n\
          experiments:\n\
            fig5a | fig5b | fig5c | fig5d   relative runtime of the 4 apps\n\
            fig5                            all four sub-figures\n\
@@ -24,7 +26,11 @@ fn usage() -> ! {
            ablation-switch                 world-switch cost sensitivity\n\
            ablation-transport              in-process vs TCP store\n\
            ablations                       all four ablations\n\
-           all                             everything above"
+           all                             everything above\n\
+         benches (each writes BENCH_<bench>.json):\n\
+           shard                           sharded store vs a single lock\n\
+           persist                         durability cost and recovery\n\
+           switchless                      switchless calls, connection scaling"
     );
     std::process::exit(2)
 }
@@ -48,26 +54,35 @@ fn run_ablations(trials: usize) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let experiment = args.first().map(String::as_str).unwrap_or("all");
-    let trials: usize =
-        args.get(1).map(|s| s.parse().unwrap_or_else(|_| usage())).unwrap_or(3);
+    let trials = || -> usize {
+        args.get(1).map(|s| s.parse().unwrap_or_else(|_| usage())).unwrap_or(3)
+    };
+    let smoke = || match args.get(1).map(String::as_str) {
+        None => false,
+        Some("--smoke") => true,
+        Some(_) => usage(),
+    };
 
     match experiment {
-        "fig5a" => run_fig5(App::Sift, trials),
-        "fig5b" => run_fig5(App::Deflate, trials),
-        "fig5c" => run_fig5(App::Match, trials),
-        "fig5d" => run_fig5(App::Bow, trials),
+        "fig5a" => run_fig5(App::Sift, trials()),
+        "fig5b" => run_fig5(App::Deflate, trials()),
+        "fig5c" => run_fig5(App::Match, trials()),
+        "fig5d" => run_fig5(App::Bow, trials()),
         "fig5" => {
             for app in App::ALL {
-                run_fig5(app, trials);
+                run_fig5(app, trials());
             }
         }
-        "table1" => println!("{}", table1::render(&table1::run(trials.max(5)))),
+        "table1" => println!("{}", table1::render(&table1::run(trials().max(5)))),
         "fig6" => println!("{}", fig6::render(&fig6::run())),
         "ablation-rce" => {
-            println!("{}", ablations::render_rce(&ablations::rce_vs_single_key(trials)))
+            println!("{}", ablations::render_rce(&ablations::rce_vs_single_key(trials())))
         }
         "ablation-async" => {
-            println!("{}", ablations::render_async(&ablations::sync_vs_async_put(trials)))
+            println!(
+                "{}",
+                ablations::render_async(&ablations::sync_vs_async_put(trials()))
+            )
         }
         "ablation-switch" => println!(
             "{}",
@@ -77,16 +92,19 @@ fn main() {
             "{}",
             ablations::render_transport(&ablations::transport_comparison())
         ),
-        "ablations" => run_ablations(trials),
+        "ablations" => run_ablations(trials()),
+        "shard" => shard::run(smoke()),
+        "persist" => persist::run(smoke()),
+        "switchless" => switchless::run(smoke()),
         "all" => {
             for app in App::ALL {
-                run_fig5(app, trials);
+                run_fig5(app, trials());
             }
-            println!("{}", table1::render(&table1::run(trials.max(5))));
+            println!("{}", table1::render(&table1::run(trials().max(5))));
             println!();
             println!("{}", fig6::render(&fig6::run()));
             println!();
-            run_ablations(trials);
+            run_ablations(trials());
         }
         _ => usage(),
     }

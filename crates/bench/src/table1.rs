@@ -110,24 +110,25 @@ pub fn run(trials: usize) -> Vec<Table1Row> {
     rows
 }
 
-/// Renders the table in the paper's layout (times in ms).
+/// Renders the table in the paper's layout, in µs: key generation and
+/// recovery take well under a microsecond, which milliseconds round to 0.
 pub fn render(rows: &[Table1Row]) -> String {
-    let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1_000.0);
+    let us = |d: Duration| format!("{:.2}", d.as_secs_f64() * 1e6);
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
             vec![
                 fmt_bytes(row.input_bytes),
-                ms(row.tag_gen),
-                ms(row.key_gen),
-                ms(row.key_rec),
-                ms(row.result_enc),
-                ms(row.result_dec),
+                us(row.tag_gen),
+                us(row.key_gen),
+                us(row.key_rec),
+                us(row.result_enc),
+                us(row.result_dec),
             ]
         })
         .collect();
     format!(
-        "Table I — cryptographic operations in DedupRuntime (ms)\n{}",
+        "Table I — cryptographic operations in DedupRuntime (µs)\n{}",
         render_table(
             &["input", "Tag Gen.", "Key Gen.", "Key Rec.", "Result Enc.", "Result Dec."],
             &table_rows,

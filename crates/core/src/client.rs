@@ -81,33 +81,14 @@ impl StoreClient for InProcessClient {
     }
 }
 
-/// A TCP client for a remote [`speed_store::server::StoreServer`].
-#[derive(Debug)]
-pub struct TcpClient {
-    inner: TcpStoreClient,
-}
+/// A TCP client for a remote [`speed_store::server::StoreServer`]: the
+/// store's own [`TcpStoreClient`], whose errors convert into
+/// [`CoreError::Store`].
+pub use speed_store::server::TcpStoreClient as TcpClient;
 
-impl TcpClient {
-    /// Connects to the store server at `addr`, presenting `app_enclave`'s
-    /// attestation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Store`] on connection or attestation failure.
-    pub fn connect(
-        addr: std::net::SocketAddr,
-        platform: &Platform,
-        app_enclave: &Enclave,
-        authority: &SessionAuthority,
-    ) -> Result<Self, CoreError> {
-        let inner = TcpStoreClient::connect(addr, platform, app_enclave, authority)?;
-        Ok(TcpClient { inner })
-    }
-}
-
-impl StoreClient for TcpClient {
+impl StoreClient for TcpStoreClient {
     fn roundtrip(&mut self, request: &Message) -> Result<Message, CoreError> {
-        Ok(self.inner.roundtrip(request)?)
+        Ok(TcpStoreClient::roundtrip(self, request)?)
     }
 }
 

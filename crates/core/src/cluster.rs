@@ -1164,25 +1164,32 @@ mod tests {
 
     #[test]
     fn put_replicates_to_r_nodes_and_get_reads_any() {
-        let mut cluster = test_cluster(3);
-        assert!(matches!(
-            put(&mut cluster.client, 7).unwrap(),
-            Message::PutResponse(body) if body.accepted
-        ));
-        // The record lives on exactly R = 2 of the 3 stores.
-        let holders: usize = cluster
-            .stores
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s.handle(Message::GetRequest { app: AppId(1), tag: tag_of(7) }),
-                    Message::GetResponse(body) if body.found
-                )
-            })
-            .count();
-        assert_eq!(holders, 2);
-        assert!(get(&mut cluster.client, 7));
-        assert!(!get(&mut cluster.client, 8));
+        // A PUT costs one node round trip per replica, min(R, nodes) with
+        // R = 2, and a GET costs one on every ring size.
+        for nodes in 1..=3 {
+            let mut cluster = test_cluster(nodes);
+            let replicas = nodes.min(2) as usize;
+            assert!(matches!(
+                put(&mut cluster.client, 7).unwrap(),
+                Message::PutResponse(body) if body.accepted
+            ));
+            assert_eq!(cluster.client.counts().routed, replicas as u64);
+            // The record lives on exactly min(R, nodes) stores.
+            let holders: usize = cluster
+                .stores
+                .iter()
+                .filter(|s| {
+                    matches!(
+                        s.handle(Message::GetRequest { app: AppId(1), tag: tag_of(7) }),
+                        Message::GetResponse(body) if body.found
+                    )
+                })
+                .count();
+            assert_eq!(holders, replicas);
+            assert!(get(&mut cluster.client, 7));
+            assert_eq!(cluster.client.counts().routed, replicas as u64 + 1);
+            assert!(!get(&mut cluster.client, 8));
+        }
     }
 
     #[test]
@@ -1205,8 +1212,12 @@ mod tests {
         // One failed send: the replication step hints the dead primary
         // instead of trying it a second time.
         assert_eq!(cluster.client.counts().failovers, 1);
-        // The GET fails over past the dead primary and still finds it.
+        // The GET fails over past the dead primary and still finds it:
+        // one failed send, then the replica's answer.
+        let before = cluster.client.counts();
         assert!(get(&mut cluster.client, 42));
+        let after = cluster.client.counts();
+        assert_eq!((after.routed - before.routed, after.failovers), (2, 2));
 
         // Rejoin: the next request that touches the node triggers the
         // drain, restoring R-way replication on the revived primary.

@@ -66,6 +66,10 @@ struct Flags {
     switches: Vec<String>,
 }
 
+/// The flags that never take a value: the word after one is an argument
+/// of its own, and so refused.
+const SWITCHES: [&str; 3] = ["no-sgx", "no-switchless", "json"];
+
 impl Flags {
     fn parse(args: &[String]) -> Flags {
         let mut values = HashMap::new();
@@ -74,7 +78,9 @@ impl Flags {
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
+                    Some(next)
+                        if !next.starts_with("--") && !SWITCHES.contains(&name) =>
+                    {
                         values.insert(
                             name.to_string(),
                             iter.next().cloned().expect("peeked"),

@@ -222,7 +222,7 @@ impl MetaHeap {
 
 /// A dictionary guard that attributes its hold time to the shard's
 /// `busy_ns` counter on drop — the shard's serial service time, reported
-/// in [`ShardStatsBody`] and consumed by the `shard_bench` concurrency
+/// in [`ShardStatsBody`] and consumed by the `repro shard` concurrency
 /// model.
 struct Timed<'a, G> {
     inner: G,

@@ -21,11 +21,16 @@ use crate::store::ResultStore;
 /// Pulls entries with at least `min_hits` hits from `source` and merges
 /// them into `target`. Returns how many entries the target accepted.
 ///
+/// The least popular entry is imported first: a target at capacity evicts
+/// in insertion order, so it then keeps the most popular ones.
+///
 /// Duplicate tags are harmless: the target keeps its first version, and
 /// eligible applications can decrypt either copy because both were produced
 /// from the same `(func, m)`.
 pub fn sync_once(source: &ResultStore, target: &ResultStore, min_hits: u64) -> usize {
-    target.import_entries(source.export_popular(min_hits))
+    let mut entries = source.export_popular(min_hits);
+    entries.reverse();
+    target.import_entries(entries)
 }
 
 /// A background daemon that periodically syncs several machine-local
@@ -139,6 +144,28 @@ mod tests {
             tag: CompTag::from_bytes([2; 32]),
         });
         assert!(matches!(miss, Message::GetResponse(b) if !b.found));
+    }
+
+    #[test]
+    fn a_full_master_keeps_the_most_popular_entries() {
+        let source = new_store();
+        for (n, hits) in [(1, 10), (2, 20), (3, 30), (4, 40)] {
+            put_and_hit(&source, n, hits);
+        }
+        let platform = Platform::new(CostModel::no_sgx());
+        let master =
+            ResultStore::new(&platform, StoreConfig::with_capacity(2, u64::MAX)).unwrap();
+        sync_once(&source, &master, 1);
+        let kept: Vec<u8> = (1..=4)
+            .filter(|&n| {
+                let tag = CompTag::from_bytes([n; 32]);
+                matches!(
+                    master.handle(Message::GetRequest { app: AppId(9), tag }),
+                    Message::GetResponse(b) if b.found
+                )
+            })
+            .collect();
+        assert_eq!(kept, [3, 4], "the 30- and 40-hit entries must stay");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end exercise of the `speedctl` binary: serve a store, drive it
 //! with `put`/`get`, and scrape it with `metrics` in both formats; and
-//! check that a flag a command does not take is refused.
+//! check that a flag a command does not take, or a word after a switch,
+//! is refused.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -129,6 +130,26 @@ fn a_flag_the_command_does_not_take_is_refused() {
             "{args:?} must exit with the usage code: {stderr}"
         );
         assert!(stderr.contains(flag), "the refusal must name {flag}: {stderr}");
+        assert!(stderr.contains("usage: speedctl"), "usage text expected: {stderr}");
+    }
+}
+
+#[test]
+fn a_switch_given_a_value_is_refused() {
+    // Held, so that a `serve` that took the word as the switch's value
+    // exits on a failed bind instead of serving.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
+    for switch in ["--no-switchless", "--no-sgx"] {
+        let output =
+            speedctl(&["serve", "--addr", &addr, "--secret", SECRET, switch, "yes"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{switch} yes must be refused: {stderr}"
+        );
+        assert!(stderr.contains("unexpected argument `yes`"), "got: {stderr}");
         assert!(stderr.contains("usage: speedctl"), "usage text expected: {stderr}");
     }
 }

@@ -23,33 +23,16 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 ///
 /// Returns an I/O error from the underlying writer, or
 /// [`io::ErrorKind::InvalidInput`] if `payload` exceeds [`MAX_FRAME_LEN`].
-pub fn write_frame<W: Write>(writer: W, payload: &[u8]) -> io::Result<()> {
-    write_frame_vectored(writer, &[payload])
-}
-
-/// Writes one frame whose payload is the concatenation of `parts`: the
-/// length prefix covers the summed part lengths, and the frame is assembled
-/// in one buffer and written with one `write_all`, as [`write_frame`]
-/// writes it.
-///
-/// # Errors
-///
-/// Returns an I/O error from the underlying writer, or
-/// [`io::ErrorKind::InvalidInput`] if the parts sum to more than
-/// [`MAX_FRAME_LEN`].
-pub fn write_frame_vectored<W: Write>(mut writer: W, parts: &[&[u8]]) -> io::Result<()> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    if total > MAX_FRAME_LEN {
+pub fn write_frame<W: Write>(mut writer: W, payload: &[u8]) -> io::Result<()> {
+    if payload.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame of {total} bytes exceeds limit"),
+            format!("frame of {} bytes exceeds limit", payload.len()),
         ));
     }
-    let mut frame = Vec::with_capacity(4 + total);
-    frame.extend_from_slice(&(total as u32).to_le_bytes());
-    for part in parts {
-        frame.extend_from_slice(part);
-    }
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
     writer.write_all(&frame)?;
     writer.flush()
 }
@@ -256,34 +239,6 @@ impl FrameWriter {
         Ok(())
     }
 
-    /// Queues one frame whose payload is the concatenation of `parts` —
-    /// vectored assembly straight into the send buffer, with no intermediate
-    /// payload `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::ErrorKind::InvalidInput`] if the parts sum to more than
-    /// [`MAX_FRAME_LEN`]; nothing is queued in that case.
-    pub fn queue_vectored(&mut self, parts: &[&[u8]]) -> io::Result<()> {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if total > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("frame of {total} bytes exceeds limit"),
-            ));
-        }
-        if self.sent > 0 {
-            self.buf.drain(..self.sent);
-            self.sent = 0;
-        }
-        self.buf.reserve(4 + total);
-        self.buf.extend_from_slice(&(total as u32).to_le_bytes());
-        for part in parts {
-            self.buf.extend_from_slice(part);
-        }
-        Ok(())
-    }
-
     /// Writes as much buffered data as the stream accepts. Returns `true`
     /// once the buffer is fully drained.
     ///
@@ -398,12 +353,9 @@ mod tests {
         assert_eq!(writer.writes, 1);
         write_frame(&mut writer, b"").unwrap();
         assert_eq!(writer.writes, 2);
-        write_frame_vectored(&mut writer, &[b"head", &payload]).unwrap();
-        assert_eq!(writer.writes, 3);
         let mut cursor = Cursor::new(writer.out);
         assert_eq!(read_frame(&mut cursor).unwrap(), payload);
         assert_eq!(read_frame(&mut cursor).unwrap(), b"");
-        assert_eq!(read_frame(&mut cursor).unwrap()[4..], payload[..]);
     }
 
     /// A frame that arrives a few bytes per read, across chunk boundaries,
@@ -582,44 +534,5 @@ mod tests {
         let err = writer.queue(&vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(!writer.has_pending());
-    }
-
-    #[test]
-    fn vectored_write_matches_concatenated_write() {
-        let parts: [&[u8]; 3] = [b"head", b"", b"tail bytes"];
-        let mut flat = Vec::new();
-        write_frame(&mut flat, b"headtail bytes").unwrap();
-        let mut vectored = Vec::new();
-        write_frame_vectored(&mut vectored, &parts).unwrap();
-        assert_eq!(vectored, flat);
-        assert_eq!(read_frame(Cursor::new(vectored)).unwrap(), b"headtail bytes");
-    }
-
-    #[test]
-    fn queue_vectored_matches_queue() {
-        let mut a = FrameWriter::new();
-        a.queue(b"headtail").unwrap();
-        let mut b = FrameWriter::new();
-        b.queue_vectored(&[b"head", b"tail"]).unwrap();
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        assert!(a.flush(&mut out_a).unwrap());
-        assert!(b.flush(&mut out_b).unwrap());
-        assert_eq!(out_a, out_b);
-    }
-
-    #[test]
-    fn queue_vectored_rejects_oversize_sum() {
-        let big = vec![0u8; MAX_FRAME_LEN];
-        let mut writer = FrameWriter::new();
-        let err = writer.queue_vectored(&[&big, b"x"]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(!writer.has_pending());
-    }
-
-    #[test]
-    fn vectored_write_rejects_oversize_sum() {
-        let big = vec![0u8; MAX_FRAME_LEN];
-        let err = write_frame_vectored(Vec::new(), &[&big, b"x"]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

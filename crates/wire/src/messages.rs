@@ -156,7 +156,7 @@ pub struct ShardStatsBody {
     /// Lock acquisitions that found the shard lock already held.
     pub lock_contention: u64,
     /// Nanoseconds spent holding this shard's dictionary lock (the shard's
-    /// serial service time; drives the concurrency model in `shard_bench`).
+    /// serial service time; drives the concurrency model of `repro shard`).
     pub busy_ns: u64,
 }
 
