@@ -9,9 +9,9 @@
 //!
 //! Properties the chunker guarantees (see `tests/chunker_props.rs`):
 //!
-//! - **Split invariance**: bytes are consumed one at a time from an
-//!   internal buffer, so pushing a stream in any sequence of fragment
-//!   sizes yields byte-identical chunks.
+//! - **Split invariance**: each fragment is scanned for the next cut and
+//!   the hash state carries across fragments, so pushing a stream in any
+//!   sequence of fragment sizes yields byte-identical chunks.
 //! - **Bounds**: every chunk is at least `min` bytes (except a final
 //!   short tail) and at most `max` bytes (a forced cut fires at `max`).
 //! - **Edit locality**: the rolling hash is reset at each chunk start and
@@ -148,7 +148,7 @@ impl Chunker {
             mask: config.mask(),
             config,
             hash: 0,
-            buf: Vec::with_capacity(config.min),
+            buf: Vec::new(),
             stats: ChunkerStats::default(),
         }
     }
@@ -172,19 +172,43 @@ impl Chunker {
     ///
     /// Chunk boundaries depend only on the byte stream, never on how it
     /// is split across `push` calls.
-    pub fn push(&mut self, bytes: &[u8], mut emit: impl FnMut(Vec<u8>)) {
+    pub fn push(&mut self, mut bytes: &[u8], mut emit: impl FnMut(Vec<u8>)) {
         self.stats.bytes += bytes.len() as u64;
-        for &byte in bytes {
-            self.buf.push(byte);
+        while let Some((cut, forced)) = self.next_cut(bytes) {
+            self.buf.extend_from_slice(&bytes[..cut]);
+            bytes = &bytes[cut..];
+            self.stats.forced_cuts += u64::from(forced);
+            emit(self.take_chunk());
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Scans `bytes`, the continuation of the pending chunk, and returns
+    /// the length of the prefix that completes it and whether `max` forced
+    /// the cut; `None` when the chunk goes on past `bytes`.
+    ///
+    /// The hash is reset at each chunk start, first tested at length
+    /// `min`, and a byte's influence expires after [`GEAR_WINDOW`]
+    /// updates, so the bytes before `min - GEAR_WINDOW` are not hashed.
+    fn next_cut(&mut self, bytes: &[u8]) -> Option<(usize, bool)> {
+        let ChunkerConfig { min, max, .. } = self.config;
+        let pending = self.buf.len();
+        // The byte that reaches `max` forces the cut untested.
+        let room = max - pending;
+        let tested_end = bytes.len().min(room - 1);
+        let first_tested = (min - 1).saturating_sub(pending).min(tested_end);
+        let first_hashed =
+            min.saturating_sub(GEAR_WINDOW).saturating_sub(pending).min(first_tested);
+        for &byte in &bytes[first_hashed..first_tested] {
             self.hash = (self.hash << 1).wrapping_add(GEAR[byte as usize]);
-            let len = self.buf.len();
-            if len >= self.config.max {
-                self.stats.forced_cuts += 1;
-                emit(self.take_chunk());
-            } else if len >= self.config.min && self.hash & self.mask == 0 {
-                emit(self.take_chunk());
+        }
+        for (i, &byte) in bytes[..tested_end].iter().enumerate().skip(first_tested) {
+            self.hash = (self.hash << 1).wrapping_add(GEAR[byte as usize]);
+            if self.hash & self.mask == 0 {
+                return Some((i + 1, false));
             }
         }
+        (bytes.len() >= room).then_some((room, true))
     }
 
     /// Flushes the final partial chunk, if any bytes are buffered. The
@@ -200,7 +224,7 @@ impl Chunker {
     fn take_chunk(&mut self) -> Vec<u8> {
         self.stats.chunks += 1;
         self.hash = 0;
-        std::mem::replace(&mut self.buf, Vec::with_capacity(self.config.min))
+        std::mem::take(&mut self.buf)
     }
 }
 
@@ -277,6 +301,55 @@ mod tests {
                 chunks.push(tail);
             }
             assert_eq!(chunks, whole, "split size {split} changed the chunks");
+        }
+    }
+
+    /// The chunker as it was before it scanned fragments: every byte
+    /// pushed, hashed and tested against both bounds.
+    fn byte_at_a_time(config: ChunkerConfig, data: &[u8]) -> (Vec<Vec<u8>>, u64) {
+        let (mut chunks, mut buf, mut hash, mut forced) =
+            (Vec::new(), Vec::new(), 0u64, 0);
+        for &byte in data {
+            buf.push(byte);
+            hash = (hash << 1).wrapping_add(GEAR[byte as usize]);
+            let cut = if buf.len() >= config.max {
+                forced += 1;
+                true
+            } else {
+                buf.len() >= config.min && hash & config.mask() == 0
+            };
+            if cut {
+                chunks.push(std::mem::take(&mut buf));
+                hash = 0;
+            }
+        }
+        if !buf.is_empty() {
+            chunks.push(buf);
+        }
+        (chunks, forced)
+    }
+
+    #[test]
+    fn cuts_match_the_byte_at_a_time_chunker() {
+        let tight = ChunkerConfig { min: 16, avg: 32, max: 80 };
+        let mut data = sample(300_000, 13);
+        data.extend(std::iter::repeat_n(0u8, 70_000));
+        for config in [ChunkerConfig::DEFAULT, ChunkerConfig::SMALL, tight] {
+            let (expected, forced) = byte_at_a_time(config, &data);
+            for split in [1usize, 63, 64, 65, 4096, data.len()] {
+                let mut chunker = Chunker::new(config);
+                let mut chunks = Vec::new();
+                for piece in data.chunks(split) {
+                    chunker.push(piece, |c| chunks.push(c));
+                }
+                chunks.extend(chunker.finish());
+                assert!(chunks == expected, "{config:?} split {split}");
+                assert_eq!(
+                    chunker.stats().forced_cuts,
+                    forced,
+                    "{config:?} split {split}"
+                );
+            }
         }
     }
 

@@ -20,27 +20,28 @@ impl BitWriter {
     pub fn write_bits(&mut self, bits: u32, count: u8) {
         debug_assert!(count <= 32);
         debug_assert!(count == 32 || u64::from(bits) < (1u64 << count));
+        // Fewer than 32 bits are pending, so the buffer never overflows.
         self.bit_buffer |= u64::from(bits) << self.bit_count;
         self.bit_count += count;
-        while self.bit_count >= 8 {
-            self.bytes.push((self.bit_buffer & 0xFF) as u8);
-            self.bit_buffer >>= 8;
-            self.bit_count -= 8;
+        if self.bit_count >= 32 {
+            self.bytes.extend_from_slice(&(self.bit_buffer as u32).to_le_bytes());
+            self.bit_buffer >>= 32;
+            self.bit_count -= 32;
         }
     }
 
-    /// Flushes any partial byte (zero-padded) and returns the bytes.
+    /// Flushes the pending bits (the last byte zero-padded) and returns the
+    /// bytes.
     pub fn into_bytes(mut self) -> Vec<u8> {
-        if self.bit_count > 0 {
-            self.bytes.push((self.bit_buffer & 0xFF) as u8);
-        }
+        let pending = usize::from(self.bit_count.div_ceil(8));
+        self.bytes.extend_from_slice(&self.bit_buffer.to_le_bytes()[..pending]);
         self.bytes
     }
 
     /// Number of bytes the writer would produce if finished now.
     #[cfg(test)]
     pub fn byte_len(&self) -> usize {
-        self.bytes.len() + usize::from(self.bit_count > 0)
+        self.bytes.len() + usize::from(self.bit_count.div_ceil(8))
     }
 }
 
@@ -144,6 +145,32 @@ mod tests {
         assert_eq!(writer.byte_len(), 1);
         writer.write_bits(0xFF, 8);
         assert_eq!(writer.byte_len(), 2);
+    }
+
+    #[test]
+    fn matches_a_byte_at_a_time_writer() {
+        let mut rng = crate::testrand::TestRng::new(0xB175);
+        for _ in 0..32 {
+            let mut writer = BitWriter::new();
+            let (mut expected, mut buffer, mut count) = (Vec::new(), 0u64, 0u8);
+            for _ in 0..rng.below(400) {
+                let width = rng.below(33) as u8;
+                let bits = (rng.next_u64() & ((1u64 << width) - 1)) as u32;
+                writer.write_bits(bits, width);
+                buffer |= u64::from(bits) << count;
+                count += width;
+                while count >= 8 {
+                    expected.push(buffer as u8);
+                    buffer >>= 8;
+                    count -= 8;
+                }
+            }
+            if count > 0 {
+                expected.push(buffer as u8);
+            }
+            assert_eq!(writer.byte_len(), expected.len());
+            assert_eq!(writer.into_bytes(), expected);
+        }
     }
 
     #[test]

@@ -759,7 +759,9 @@ impl IoThread {
             return self
                 .refuse(slot, &version_mismatch(client_version, PROTOCOL_VERSION));
         }
-        let handshake = (|| -> Result<(SecureChannel, Vec<u8>), String> {
+        // The store enclave makes its report and derives the session key
+        // inside one ECALL, as a real enclave would.
+        let handshake = shared.store.enclave().ecall("store_handshake", || {
             let server_report = create_report(
                 &shared.platform,
                 shared.store.enclave(),
@@ -774,11 +776,11 @@ impl IoThread {
                 .authority
                 .session_key(&client_quote, &server_quote)
                 .map_err(|e| e.to_string())?;
-            Ok((
+            Ok::<_, String>((
                 SecureChannel::from_session_key(key, Role::Server),
                 server_quote.to_bytes(),
             ))
-        })();
+        });
         match handshake {
             Ok((channel, quote_bytes)) => {
                 let Some(conn) = self.conns[slot].as_mut() else { return false };
@@ -940,43 +942,49 @@ impl TcpStoreClient {
         // a client blocked forever.
         stream.set_read_timeout(Some(DEFAULT_FRAME_TIMEOUT)).ok();
 
-        let client_report = create_report(platform, identity, &handshake_report_data());
-        let client_quote = authority
-            .service()
-            .quote(platform, &client_report)
-            .map_err(|e| StoreError::Protocol(e.to_string()))?;
-        write_frame(&mut stream, &client_quote.to_bytes())?;
+        // The client enclave runs its side of the handshake, from its
+        // report to the session key, inside one ECALL. The frame exchange
+        // in between stands for the enclave's socket OCALLs, which the
+        // cost model does not charge.
+        let key = identity.ecall("client_handshake", || {
+            let client_report =
+                create_report(platform, identity, &handshake_report_data());
+            let client_quote = authority
+                .service()
+                .quote(platform, &client_report)
+                .map_err(|e| StoreError::Protocol(e.to_string()))?;
+            write_frame(&mut stream, &client_quote.to_bytes())?;
 
-        let server_quote_bytes = read_frame(&mut stream)?;
-        let server_quote = match Quote::from_bytes(&server_quote_bytes) {
-            Ok(quote) => quote,
-            // Not a quote: the server refused the handshake with a
-            // plaintext error frame. Only the busy frame is transient.
-            Err(quote_err) => {
-                return Err(match from_bytes::<Message>(&server_quote_bytes) {
-                    Ok(Message::Error(reason)) if reason == SERVER_BUSY_REASON => {
-                        StoreError::Busy(reason)
-                    }
-                    Ok(Message::Error(reason)) => StoreError::Protocol(reason),
-                    _ => StoreError::Protocol(quote_err.to_string()),
-                });
+            let server_quote_bytes = read_frame(&mut stream)?;
+            let server_quote = match Quote::from_bytes(&server_quote_bytes) {
+                Ok(quote) => quote,
+                // Not a quote: the server refused the handshake with a
+                // plaintext error frame. Only the busy frame is transient.
+                Err(quote_err) => {
+                    return Err(match from_bytes::<Message>(&server_quote_bytes) {
+                        Ok(Message::Error(reason)) if reason == SERVER_BUSY_REASON => {
+                            StoreError::Busy(reason)
+                        }
+                        Ok(Message::Error(reason)) => StoreError::Protocol(reason),
+                        _ => StoreError::Protocol(quote_err.to_string()),
+                    });
+                }
+            };
+            authority
+                .service()
+                .verify_quote(&server_quote)
+                .map_err(|e| StoreError::Protocol(format!("server attestation: {e}")))?;
+            let server_version = attested_version(&server_quote);
+            if server_version != PROTOCOL_VERSION {
+                return Err(StoreError::Protocol(version_mismatch(
+                    PROTOCOL_VERSION,
+                    server_version,
+                )));
             }
-        };
-        authority
-            .service()
-            .verify_quote(&server_quote)
-            .map_err(|e| StoreError::Protocol(format!("server attestation: {e}")))?;
-        let server_version = attested_version(&server_quote);
-        if server_version != PROTOCOL_VERSION {
-            return Err(StoreError::Protocol(version_mismatch(
-                PROTOCOL_VERSION,
-                server_version,
-            )));
-        }
-
-        let key = authority
-            .session_key(&client_quote, &server_quote)
-            .map_err(|e| StoreError::Protocol(e.to_string()))?;
+            authority
+                .session_key(&client_quote, &server_quote)
+                .map_err(|e| StoreError::Protocol(e.to_string()))
+        })?;
         Ok(TcpStoreClient {
             stream,
             channel: SecureChannel::from_session_key(key, Role::Client),
@@ -1403,11 +1411,12 @@ mod tests {
                 record: sample_record(),
             })
             .unwrap();
-        // Each resident worker enters with one ECALL. The PUT above reached
-        // only this connection's worker, so wait for the others too.
+        // Each resident worker enters with one ECALL, and the handshake
+        // took one more. The PUT above reached only this connection's
+        // worker, so wait for the others too.
         let workers = server.thread_count() - ServerConfig::default().io_threads;
         let deadline = Instant::now() + Duration::from_secs(2);
-        while store.enclave().stats().ecalls != workers as u64 {
+        while store.enclave().stats().ecalls != workers as u64 + 1 {
             assert!(Instant::now() < deadline, "resident workers never entered");
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -1569,6 +1578,29 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.switchless_requests, 1);
         assert_eq!(stats.switchless_fallbacks, 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn attested_handshake_enters_both_enclaves() {
+        // No resident workers, whose own entry ECALLs would race the count.
+        let (platform, store, authority, server) = setup_with_config(ServerConfig {
+            switchless: false,
+            ..ServerConfig::default()
+        });
+        let enclave = platform.create_enclave(b"handshake-client").unwrap();
+        let (store_before, client_before) = (store.enclave().stats(), enclave.stats());
+        let modeled_before = platform.clock().total_ns();
+        let _client =
+            TcpStoreClient::connect(server.addr(), &platform, &enclave, &authority)
+                .unwrap();
+        // The server enters before it answers, so its count is settled.
+        assert!(store.enclave().stats().ecalls > store_before.ecalls);
+        assert!(enclave.stats().ecalls > client_before.ecalls);
+        assert!(
+            platform.clock().total_ns() > modeled_before,
+            "a handshake costs modeled time"
+        );
         server.shutdown();
     }
 

@@ -205,15 +205,19 @@ fn scale_arrivals(arrivals_ns: &[u64], factor: f64) -> Vec<u64> {
     arrivals_ns.iter().map(|&a| (a as f64 / factor).round() as u64).collect()
 }
 
-/// Steps the offered rate over the measured service times until the queue
-/// saturates; returns the highest sustained completion throughput (ops/s).
-fn saturation_sweep(arrivals_ns: &[u64], service_ns: &[u64]) -> f64 {
+/// Steps the offered rate over the measured service times, in multiples of
+/// `capacity_factor` (the rescale that offers the measured capacity), up to
+/// 4x capacity; returns the highest sustained completion throughput
+/// (ops/s). Past capacity the queue only grows, so the max is the
+/// saturation plateau.
+fn saturation_sweep(
+    arrivals_ns: &[u64],
+    service_ns: &[u64],
+    capacity_factor: f64,
+) -> f64 {
     let mut best = 0.0f64;
-    // Factors are relative to the schedule's own offered rate; the top
-    // steps push far past any plausible capacity so the max is a true
-    // saturation plateau.
-    for factor in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
-        let scaled = scale_arrivals(arrivals_ns, factor);
+    for multiple in [0.5, 1.0, 1.5, 2.0, 4.0] {
+        let scaled = scale_arrivals(arrivals_ns, multiple * capacity_factor);
         let report = replay_open_loop(&scaled, service_ns, WORKERS);
         best = best.max(report.throughput);
     }
@@ -263,9 +267,18 @@ fn run_one(
         / service_ns.len() as u128;
     let capacity = WORKERS as f64 * 1e9 / mean_service as f64;
     let base = replay_open_loop(&arrivals, &service_ns, WORKERS);
-    let target = scale_arrivals(&arrivals, 0.7 * capacity / base.offered_rate);
+    let capacity_factor = capacity / base.offered_rate;
+    let target = scale_arrivals(&arrivals, 0.7 * capacity_factor);
     let report = replay_open_loop(&target, &service_ns, WORKERS);
-    let saturation = saturation_sweep(&arrivals, &service_ns);
+    let saturation = saturation_sweep(&arrivals, &service_ns, capacity_factor);
+    assert!(
+        saturation >= report.throughput,
+        "{} {topology} hit={hit_ratio}: saturation {:.0}/s below the 0.7x-capacity \
+         point's throughput {:.0}/s",
+        workload.name,
+        saturation,
+        report.throughput,
+    );
 
     Run {
         workload: workload.name,
@@ -415,7 +428,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "measure service time, then the schedule replays through a ",
             "deterministic G/G/c queue so percentiles count queueing delay from ",
             "the scheduled arrival; saturation = max sustained throughput over a ",
-            "rate sweep of the same service times\",\n",
+            "rate sweep of the same service times from 0.5x to 4x the measured ",
+            "capacity (workers / mean service time)\",\n",
             "  \"config\": {{\"seed\": \"0x10AD5EED\", \"requests\": {}, ",
             "\"inputs\": {}, \"workers\": {}, \"smoke\": {}}},\n",
             "  \"runs\": [\n{}\n  ],\n",
