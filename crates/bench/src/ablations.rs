@@ -17,10 +17,11 @@ use speed_crypto::Key128;
 use speed_enclave::{CostModel, Platform};
 use speed_store::server::{StoreServer, TcpStoreClient};
 use speed_store::{ResultStore, StoreConfig};
-use speed_wire::{AppId, CompTag, Message, Record, SessionAuthority};
+use speed_wire::{AppId, BatchItem, BatchStatus, CompTag, Record, SessionAuthority};
 
 use crate::apps::{App, DedupEnv};
 use crate::harness::{measure, render_timings, Timing};
+use crate::report::{one, status};
 
 /// Result of the protection-scheme ablation.
 #[derive(Clone, Debug)]
@@ -206,25 +207,21 @@ pub fn switch_cost_sensitivity() -> Vec<SwitchPoint> {
             for i in 0..100usize {
                 let mut tag = [1u8; 32];
                 tag[..8].copy_from_slice(&(i as u64).to_le_bytes());
-                env.store.handle(Message::PutRequest {
-                    app: AppId(1),
-                    tag: CompTag::from_bytes(tag),
-                    record: Record {
-                        challenge: vec![0; 32],
-                        wrapped_key: [0; 16],
-                        nonce: [0; 12],
-                        boxed_result: vec![7; 1 << 10],
-                    },
-                });
+                let record = Record {
+                    challenge: vec![0; 32],
+                    wrapped_key: [0; 16],
+                    nonce: [0; 12],
+                    boxed_result: vec![7; 1 << 10],
+                };
+                let put = BatchItem::Put { tag: CompTag::from_bytes(tag), record };
+                env.store.handle(one(AppId(1), put));
             }
             let (_, get_time) = measure(&env.platform, || {
                 for i in 0..100usize {
                     let mut tag = [1u8; 32];
                     tag[..8].copy_from_slice(&(i as u64).to_le_bytes());
-                    env.store.handle(Message::GetRequest {
-                        app: AppId(2),
-                        tag: CompTag::from_bytes(tag),
-                    });
+                    let get = BatchItem::Get { tag: CompTag::from_bytes(tag) };
+                    env.store.handle(one(AppId(2), get));
                 }
             });
             SwitchPoint { multiplier, get_time }
@@ -271,11 +268,9 @@ pub fn transport_comparison() -> TransportAblation {
     for i in 0..ops {
         let mut tag = [2u8; 32];
         tag[..8].copy_from_slice(&(i as u64).to_le_bytes());
-        store.handle(Message::PutRequest {
-            app: AppId(1),
-            tag: CompTag::from_bytes(tag),
-            record: record.clone(),
-        });
+        let put =
+            BatchItem::Put { tag: CompTag::from_bytes(tag), record: record.clone() };
+        store.handle(one(AppId(1), put));
     }
 
     // In-process client.
@@ -292,13 +287,11 @@ pub fn transport_comparison() -> TransportAblation {
         for i in 0..ops {
             let mut tag = [2u8; 32];
             tag[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            let get = BatchItem::Get { tag: CompTag::from_bytes(tag) };
             let response = in_proc_client
-                .roundtrip(&Message::GetRequest {
-                    app: AppId(3),
-                    tag: CompTag::from_bytes(tag),
-                })
+                .roundtrip(&one(AppId(3), get))
                 .expect("in-process roundtrip");
-            assert!(matches!(response, Message::GetResponse(b) if b.found));
+            assert_eq!(status(&response), Some(BatchStatus::Found));
         }
     });
 
@@ -318,13 +311,10 @@ pub fn transport_comparison() -> TransportAblation {
         for i in 0..ops {
             let mut tag = [2u8; 32];
             tag[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            let response = tcp_client
-                .roundtrip(&Message::GetRequest {
-                    app: AppId(4),
-                    tag: CompTag::from_bytes(tag),
-                })
-                .expect("tcp roundtrip");
-            assert!(matches!(response, Message::GetResponse(b) if b.found));
+            let get = BatchItem::Get { tag: CompTag::from_bytes(tag) };
+            let response =
+                tcp_client.roundtrip(&one(AppId(4), get)).expect("tcp roundtrip");
+            assert_eq!(status(&response), Some(BatchStatus::Found));
         }
     });
     server.shutdown();

@@ -9,10 +9,11 @@
 
 use speed_enclave::CostModel;
 use speed_store::StoreConfig;
-use speed_wire::{AppId, CompTag, Message, Record};
+use speed_wire::{AppId, BatchItem, BatchStatus, CompTag, Record};
 
 use crate::apps::DedupEnv;
 use crate::harness::{fmt_bytes, fmt_duration, measure, render_timings, Timing};
+use crate::report::{one, status};
 
 /// The paper's result sizes.
 pub const SIZES: [usize; 4] = [1 << 10, 10 << 10, 100 << 10, 1 << 20];
@@ -59,15 +60,15 @@ fn run_one(model: CostModel, size: usize) -> (Timing, Timing) {
     let env = DedupEnv::with_store_config(model, StoreConfig::default());
     let store = &env.store;
 
-    // 100 PUTs of all-different records.
+    // 100 PUTs of all-different records, each a batch of one.
     let (_, put_time) = measure(&env.platform, || {
         for i in 0..OPS {
-            let response = store.handle(Message::PutRequest {
-                app: AppId(1),
+            let put = BatchItem::Put {
                 tag: tag_of(i, 1),
                 record: record_of(size, (i % 251) as u8),
-            });
-            assert!(matches!(response, Message::PutResponse(b) if b.accepted));
+            };
+            let response = store.handle(one(AppId(1), put));
+            assert_eq!(status(&response), Some(BatchStatus::Accepted));
         }
     });
 
@@ -75,8 +76,8 @@ fn run_one(model: CostModel, size: usize) -> (Timing, Timing) {
     let (_, get_time) = measure(&env.platform, || {
         for i in 0..OPS {
             let response =
-                store.handle(Message::GetRequest { app: AppId(2), tag: tag_of(i, 1) });
-            assert!(matches!(response, Message::GetResponse(b) if b.found));
+                store.handle(one(AppId(2), BatchItem::Get { tag: tag_of(i, 1) }));
+            assert_eq!(status(&response), Some(BatchStatus::Found));
         }
     });
     (put_time, get_time)

@@ -17,6 +17,7 @@
 //! deterministic and carry the claims.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use speed_enclave::{CostModel, Enclave, Platform};
 use speed_store::server::{ServerConfig, StoreServer, TcpStoreClient};
@@ -93,10 +94,19 @@ struct HotPath {
 fn hot_path(variant: &'static str, switchless: bool, ops: u64) -> HotPath {
     let world = World::new(switchless, ServerConfig::default().max_connections);
     let mut client = world.client(b"bench-hot-client");
-    // The PUT seeds the entry, and the warm-up GET lands the resident
-    // workers' entry ECALLs before the measured window.
     put(&mut client, AppId(1), 0);
     get(&mut client, AppId(1), 0);
+    // Each resident worker enters with one ECALL of its own, and the
+    // handshake took one more. The PUT and GET above reach only this
+    // connection's worker, so wait for every worker's entry before the
+    // measured window opens.
+    let workers = world.server.thread_count() - ServerConfig::default().io_threads;
+    let entered = workers as u64 + 1;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while switchless && world.store.enclave().stats().ecalls < entered {
+        assert!(Instant::now() < deadline, "resident workers never entered");
+        std::thread::sleep(Duration::from_micros(200));
+    }
 
     let before = world.store.enclave().stats();
     let ((), timing) = measure(&world.platform, || {

@@ -29,7 +29,7 @@
 //! call (`cluster_store`) and keeps its own resilience/replay layer as an
 //! outer line of defence for whole-cluster outages.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -215,85 +215,6 @@ struct ClusterStats {
     failovers: AtomicU64,
 }
 
-/// Bounded FIFO of PUT messages owed to unreachable replicas. Unlike the
-/// per-connection [`ReplayQueue`], hints carry no endpoint identity: the
-/// drain re-routes each message through the ring *current at drain time*,
-/// so a hint queued while node A owned the tag is delivered to whichever
-/// nodes own it now.
-struct HintQueue {
-    inner: Mutex<VecDeque<Message>>,
-    capacity: usize,
-    hinted: Counter,
-    replayed: Counter,
-    dropped: Counter,
-    depth_tm: Gauge,
-}
-
-impl HintQueue {
-    fn new(capacity: usize) -> Self {
-        let reg = speed_telemetry::global();
-        HintQueue {
-            inner: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            hinted: reg.counter(
-                names::CLUSTER_HINTED_PUTS_TOTAL,
-                "Acknowledged PUTs parked as hints because a replica was down",
-            ),
-            replayed: reg.counter(
-                names::CLUSTER_HINTS_REPLAYED_TOTAL,
-                "Hinted PUTs delivered after re-routing through the current ring",
-            ),
-            dropped: reg.counter(
-                names::CLUSTER_HINTS_DROPPED_TOTAL,
-                "Hinted PUTs evicted because the bounded hint queue overflowed",
-            ),
-            depth_tm: reg.gauge(
-                names::CLUSTER_HINT_QUEUE_DEPTH,
-                "PUTs currently parked in the cluster hint queue",
-            ),
-        }
-    }
-
-    fn push(&self, message: Message) {
-        let mut queue = lock_recover(&self.inner);
-        while queue.len() >= self.capacity {
-            queue.pop_front();
-            self.dropped.inc();
-            self.depth_tm.sub(1);
-        }
-        queue.push_back(message);
-        self.hinted.inc();
-        self.depth_tm.add(1);
-    }
-
-    fn push_front(&self, message: Message) {
-        lock_recover(&self.inner).push_front(message);
-        self.depth_tm.add(1);
-    }
-
-    fn pop(&self) -> Option<Message> {
-        let popped = lock_recover(&self.inner).pop_front();
-        if popped.is_some() {
-            self.depth_tm.sub(1);
-        }
-        popped
-    }
-
-    fn len(&self) -> usize {
-        lock_recover(&self.inner).len()
-    }
-}
-
-impl Drop for HintQueue {
-    fn drop(&mut self) {
-        // The depth gauge aggregates every live queue in the process.
-        let remaining = self.len() as u64;
-        if remaining > 0 {
-            self.depth_tm.sub(remaining);
-        }
-    }
-}
-
 /// One member's failure domain: its own resilient (reconnect-and-re-attest)
 /// client, breaker, counters, and `{node=N}` telemetry series.
 struct NodeHandle {
@@ -323,15 +244,14 @@ impl NodeHandle {
         node_config.jitter_seed =
             node_config.jitter_seed.map(|seed| seed ^ u64::from(id.0));
         let stats = Arc::new(ResilienceStats::default());
-        // Hints are cluster-owned; the per-node replay queue stays empty.
-        let replay = Arc::new(ReplayQueue::new(1));
         Arc::new(NodeHandle {
             id,
+            // Hints are cluster-owned, so a member's client parks nothing.
             client: Mutex::new(ResilientClient::new(
                 connector,
                 node_config,
                 Arc::clone(&stats),
-                replay,
+                None,
             )),
             stats,
             was_down: AtomicBool::new(false),
@@ -393,7 +313,13 @@ struct Topology {
 struct ClusterShared {
     config: ClusterConfig,
     topology: RwLock<Topology>,
-    hints: HintQueue,
+    /// PUTs owed to unreachable replicas. Unlike a runtime's replay queue,
+    /// a hint is bound to no endpoint: the drain re-routes it through the
+    /// ring current at drain time, so a hint queued while node A owned the
+    /// tag is delivered to whichever nodes own it now.
+    hints: ReplayQueue,
+    hinted: Counter,
+    hints_replayed: Counter,
     stats: ClusterStats,
     ring_version_tm: Gauge,
     ring_nodes_tm: Gauge,
@@ -413,30 +339,12 @@ fn item_tag(item: &BatchItem) -> &CompTag {
     }
 }
 
-/// The standalone PUT message equivalent to a batch PUT item (hints are
-/// stored as standalone messages so the drain can route them one by one).
-fn put_message_of(app: AppId, item: &BatchItem) -> Option<Message> {
-    match item {
-        BatchItem::Put { tag, record } => {
-            Some(Message::PutRequest { app, tag: *tag, record: record.clone() })
-        }
-        BatchItem::Get { .. } => None,
-    }
-}
-
 /// The `PUT_RESPONSE` equivalent to a routed PUT item's result.
 fn put_response(result: BatchItemResult) -> Message {
     Message::PutResponse(PutResponseBody {
         accepted: result.status == BatchStatus::Accepted,
         reason: result.reason,
     })
-}
-
-fn message_tag(message: &Message) -> Option<&CompTag> {
-    match message {
-        Message::PutRequest { tag, .. } => Some(tag),
-        _ => None,
-    }
 }
 
 impl ClusterShared {
@@ -571,11 +479,8 @@ impl ClusterShared {
                 answered
             };
             if !delivered {
-                for &i in &idxs {
-                    if let Some(hint) = put_message_of(app, &items[i]) {
-                        self.hints.push(hint);
-                    }
-                }
+                let puts = idxs.iter().map(|&i| items[i].clone()).collect();
+                self.hinted.add(self.hints.park(app, puts));
             }
         }
         if recovered {
@@ -688,36 +593,32 @@ impl ClusterShared {
         Err(last_err)
     }
 
-    /// Delivers parked hints, re-routing every message through the ring
-    /// current *now* — the departed node a hint was originally owed to is
-    /// irrelevant. A hint is retired once every current replica of its tag
-    /// answers (duplicate PUTs are idempotent); the first unreachable
-    /// replica stops the drain and the hint goes back to the head.
+    /// Delivers parked hints, each as a one-item batch re-routed through
+    /// the ring current *now* — the departed node a hint was originally
+    /// owed to is irrelevant. A hint is retired once every current replica
+    /// of its tag answers (duplicate PUTs are idempotent); the first
+    /// unreachable replica stops the drain and the hint goes back to the
+    /// head.
     fn drain_hints(&self) -> usize {
         let mut delivered = 0;
-        while let Some(message) = self.hints.pop() {
+        while let Some(hint) = self.hints.pop() {
             let (ring, handles) = self.view();
-            let replicas = match message_tag(&message) {
-                Some(tag) => ring.replicas(tag, self.config.replication.max(1)),
-                None => Vec::new(), // not a PUT; drop it rather than loop
-            };
+            let request = hint.request();
             let mut all_answered = true;
-            for node in &replicas {
+            for node in ring.replicas(&hint.tag, self.config.replication.max(1)) {
                 let Some(handle) = handles.get(&node.0) else { continue };
-                let (sent, _) = self.send(handle, &message);
-                if sent.is_err() {
+                if self.send(handle, &request).0.is_err() {
                     self.note_failover(handle);
                     all_answered = false;
                     break;
                 }
             }
-            if all_answered {
-                self.hints.replayed.inc();
-                delivered += 1;
-            } else {
-                self.hints.push_front(message);
+            if !all_answered {
+                self.hints.push_front(hint);
                 break;
             }
+            self.hints_replayed.inc();
+            delivered += 1;
         }
         delivered
     }
@@ -768,7 +669,25 @@ impl ClusterBuilder {
         }
         let reg = speed_telemetry::global();
         let shared = ClusterShared {
-            hints: HintQueue::new(self.config.hint_capacity),
+            hints: ReplayQueue::with_series(
+                self.config.hint_capacity,
+                reg.counter(
+                    names::CLUSTER_HINTS_DROPPED_TOTAL,
+                    "Hinted PUTs evicted because the bounded hint queue overflowed",
+                ),
+                reg.gauge(
+                    names::CLUSTER_HINT_QUEUE_DEPTH,
+                    "PUTs currently parked in the cluster hint queue",
+                ),
+            ),
+            hinted: reg.counter(
+                names::CLUSTER_HINTED_PUTS_TOTAL,
+                "Acknowledged PUTs parked as hints because a replica was down",
+            ),
+            hints_replayed: reg.counter(
+                names::CLUSTER_HINTS_REPLAYED_TOTAL,
+                "Hinted PUTs delivered after re-routing through the current ring",
+            ),
             stats: ClusterStats::default(),
             ring_version_tm: reg.gauge(
                 names::CLUSTER_RING_VERSION,
@@ -849,9 +768,9 @@ impl ClusterClient {
         ClusterCounts {
             routed: self.shared.stats.routed.load(Ordering::Relaxed),
             failovers: self.shared.stats.failovers.load(Ordering::Relaxed),
-            hinted_puts: self.shared.hints.hinted.get(),
-            hints_replayed: self.shared.hints.replayed.get(),
-            hints_dropped: self.shared.hints.dropped.get(),
+            hinted_puts: self.shared.hinted.get(),
+            hints_replayed: self.shared.hints_replayed.get(),
+            hints_dropped: self.shared.hints.dropped(),
         }
     }
 

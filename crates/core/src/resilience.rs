@@ -12,8 +12,9 @@
 //!   marked call indefinitely.
 //! - [`CircuitBreaker`] — closed → open after N consecutive failures →
 //!   half-open probe, so a dead store is not hammered on every call.
-//! - [`ReplayQueue`] — a bounded queue of `PUT_REQUEST`s that could not be
-//!   delivered; drained automatically once the store answers again.
+//! - [`ReplayQueue`] — a bounded queue of the PUT items that could not be
+//!   delivered; drained automatically, each as a one-item batch, once the
+//!   store answers again.
 //! - [`ResilientClient`] — a [`StoreClient`] wrapper tying it together:
 //!   every reconnect runs the full attestation handshake again (a fresh
 //!   session key from the `SessionAuthority`), so sequence numbers restart
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use speed_crypto::SystemRng;
 use speed_telemetry::{names, Counter, Gauge};
-use speed_wire::Message;
+use speed_wire::{AppId, BatchItem, CompTag, Message, Record};
 
 use crate::client::StoreClient;
 use crate::error::CoreError;
@@ -215,10 +216,29 @@ impl CircuitBreaker {
     }
 }
 
-/// Bounded FIFO of undeliverable `PUT_REQUEST`s. When full, the oldest
-/// entry is evicted (and counted) — fresher results win.
+/// One parked PUT: the app it was published for, its tag and its record.
+#[derive(Debug)]
+pub(crate) struct ParkedPut {
+    pub(crate) app: AppId,
+    pub(crate) tag: CompTag,
+    record: Record,
+}
+
+impl ParkedPut {
+    /// The one-item batch that delivers this PUT.
+    pub(crate) fn request(&self) -> Message {
+        Message::BatchRequest {
+            app: self.app,
+            items: vec![BatchItem::Put { tag: self.tag, record: self.record.clone() }],
+        }
+    }
+}
+
+/// Bounded FIFO of undeliverable PUT items. When full, the oldest entry is
+/// evicted (and counted) — fresher results win. It holds PUTs only, so a
+/// GET cannot be parked.
 pub struct ReplayQueue {
-    inner: Mutex<VecDeque<Message>>,
+    inner: Mutex<VecDeque<ParkedPut>>,
     capacity: usize,
     dropped: Counter,
     depth_tm: Gauge,
@@ -234,69 +254,86 @@ impl fmt::Debug for ReplayQueue {
 }
 
 impl ReplayQueue {
-    /// An empty queue holding at most `capacity` messages.
+    /// An empty queue holding at most `capacity` PUTs, counted under the
+    /// `resilience_replay_*` series.
     pub fn new(capacity: usize) -> Self {
         let reg = speed_telemetry::global();
-        ReplayQueue {
-            inner: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            dropped: reg.counter(
+        ReplayQueue::with_series(
+            capacity,
+            reg.counter(
                 names::RESILIENCE_REPLAY_DROPPED_TOTAL,
                 "Queued PUTs evicted because the bounded replay queue overflowed",
             ),
-            depth_tm: reg.gauge(
+            reg.gauge(
                 names::RESILIENCE_REPLAY_QUEUE_DEPTH,
                 "PUTs currently parked in the replay queue",
             ),
+        )
+    }
+
+    /// An empty queue counted under the given eviction counter and depth
+    /// gauge (the cluster's hint queue passes its `cluster_hint*` cells).
+    pub(crate) fn with_series(
+        capacity: usize,
+        dropped: Counter,
+        depth_tm: Gauge,
+    ) -> Self {
+        ReplayQueue {
+            inner: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
+            dropped,
+            depth_tm,
         }
     }
 
-    /// Enqueues a message for later replay; evicts the oldest entry when
-    /// full. Returns `false` if an eviction occurred.
-    pub fn push(&self, message: Message) -> bool {
-        let mut queue =
-            self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut clean = true;
-        while queue.len() >= self.capacity {
-            queue.pop_front();
-            self.dropped.inc();
-            self.depth_tm.sub(1);
-            clean = false;
-        }
-        queue.push_back(message);
-        self.depth_tm.add(1);
-        clean
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<ParkedPut>> {
+        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Puts a message back at the head (a replay attempt that failed).
-    pub fn push_front(&self, message: Message) {
-        let mut queue =
-            self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    /// Parks the PUT items of `app`'s failed batch, evicting the oldest
+    /// parked PUT whenever the queue is full; GET items are skipped.
+    /// Returns how many it parked.
+    pub fn park(&self, app: AppId, items: Vec<BatchItem>) -> u64 {
+        let mut queue = self.lock();
+        let mut parked = 0;
+        for item in items {
+            let BatchItem::Put { tag, record } = item else { continue };
+            if queue.len() >= self.capacity {
+                queue.pop_front();
+                self.dropped.inc();
+                self.depth_tm.sub(1);
+            }
+            queue.push_back(ParkedPut { app, tag, record });
+            self.depth_tm.add(1);
+            parked += 1;
+        }
+        parked
+    }
+
+    /// Puts a PUT back at the head (a delivery attempt that failed).
+    pub(crate) fn push_front(&self, put: ParkedPut) {
+        let mut queue = self.lock();
         if queue.len() >= self.capacity {
             queue.pop_back();
             self.dropped.inc();
             self.depth_tm.sub(1);
         }
-        queue.push_front(message);
+        queue.push_front(put);
         self.depth_tm.add(1);
     }
 
-    /// Takes the oldest queued message.
-    pub fn pop(&self) -> Option<Message> {
-        let popped = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop_front();
+    /// Takes the oldest parked PUT.
+    pub(crate) fn pop(&self) -> Option<ParkedPut> {
+        let popped = self.lock().pop_front();
         if popped.is_some() {
             self.depth_tm.sub(1);
         }
         popped
     }
 
-    /// Messages currently queued.
+    /// PUTs currently parked.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.lock().len()
     }
 
     /// Whether the queue is empty.
@@ -304,7 +341,7 @@ impl ReplayQueue {
         self.len() == 0
     }
 
-    /// Messages evicted because the queue was full.
+    /// PUTs evicted because the queue was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
     }
@@ -405,8 +442,8 @@ impl Default for ResilienceConfig {
 
 /// A [`StoreClient`] that survives transport faults: retries with backoff,
 /// reconnects (re-attesting from scratch) on every failure, trips a
-/// circuit breaker when the store looks down, and drains the shared
-/// [`ReplayQueue`] as soon as a round-trip succeeds again.
+/// circuit breaker when the store looks down, and drains its shared
+/// [`ReplayQueue`], if it has one, as soon as a round-trip succeeds again.
 ///
 /// All failures surface as [`CoreError::StoreUnavailable`], which the
 /// `DedupRuntime` converts into graceful degradation (local execution for
@@ -419,7 +456,7 @@ pub struct ResilientClient {
     breaker: CircuitBreaker,
     rng: SystemRng,
     stats: Arc<ResilienceStats>,
-    replay: Arc<ReplayQueue>,
+    replay: Option<Arc<ReplayQueue>>,
 }
 
 impl fmt::Debug for ResilientClient {
@@ -433,12 +470,13 @@ impl fmt::Debug for ResilientClient {
 
 impl ResilientClient {
     /// Wraps `connector` with the given policies. `stats` and `replay` may
-    /// be shared with other clients of the same runtime.
+    /// be shared with other clients of the same runtime; a client without a
+    /// queue (a cluster member, whose hints the cluster parks) drains none.
     pub fn new(
         connector: Connector,
         config: ResilienceConfig,
         stats: Arc<ResilienceStats>,
-        replay: Arc<ReplayQueue>,
+        replay: Option<Arc<ReplayQueue>>,
     ) -> Self {
         let rng = match config.jitter_seed {
             Some(seed) => SystemRng::seeded(seed),
@@ -479,20 +517,20 @@ impl ResilientClient {
         self.inner.as_mut().expect("just connected").roundtrip(request)
     }
 
-    /// Delivers queued PUTs through the live connection. Stops at the
-    /// first failure (the message goes back to the head of the queue).
+    /// Delivers parked PUTs through the live connection, each as a one-item
+    /// batch. Stops at the first failure (the PUT goes back to the head of
+    /// the queue).
     fn drain_replay(&mut self) {
-        while let Some(queued) = self.replay.pop() {
+        let Some(replay) = &self.replay else { return };
+        while let Some(parked) = replay.pop() {
             let Some(inner) = self.inner.as_mut() else {
-                self.replay.push_front(queued);
+                replay.push_front(parked);
                 return;
             };
-            match inner.roundtrip(&queued) {
-                Ok(_) => {
-                    self.stats.replayed_puts.inc();
-                }
+            match inner.roundtrip(&parked.request()) {
+                Ok(_) => self.stats.replayed_puts.inc(),
                 Err(_) => {
-                    self.replay.push_front(queued);
+                    replay.push_front(parked);
                     self.inner = None;
                     return;
                 }
@@ -548,7 +586,7 @@ impl StoreClient for ResilientClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use speed_wire::{AppId, CompTag, GetResponseBody};
+    use speed_wire::GetResponseBody;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn get_request() -> Message {
@@ -559,16 +597,29 @@ mod tests {
         Message::GetResponse(GetResponseBody { found: false, record: None })
     }
 
+    fn put_item(byte: u8) -> BatchItem {
+        BatchItem::Put {
+            tag: CompTag::from_bytes([byte; 32]),
+            record: Record {
+                challenge: vec![byte; 32],
+                wrapped_key: [byte; 16],
+                nonce: [byte; 12],
+                boxed_result: vec![byte; 8],
+            },
+        }
+    }
+
     /// A scripted client: each entry is one roundtrip outcome (true = ok).
+    /// It records every request it was sent.
     #[derive(Debug)]
     struct Scripted {
         script: Arc<Mutex<VecDeque<bool>>>,
-        calls: Arc<AtomicUsize>,
+        sent: Arc<Mutex<Vec<Message>>>,
     }
 
     impl StoreClient for Scripted {
-        fn roundtrip(&mut self, _request: &Message) -> Result<Message, CoreError> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
+        fn roundtrip(&mut self, request: &Message) -> Result<Message, CoreError> {
+            self.sent.lock().unwrap().push(request.clone());
             let ok = self.script.lock().unwrap().pop_front().unwrap_or(true);
             if ok {
                 Ok(ok_response())
@@ -578,23 +629,30 @@ mod tests {
         }
     }
 
+    /// A connector of scripted clients, the requests they were sent, and
+    /// how many times it connected.
     fn scripted_connector(
         outcomes: &[bool],
-    ) -> (Connector, Arc<AtomicUsize>, Arc<AtomicUsize>) {
+    ) -> (Connector, Arc<Mutex<Vec<Message>>>, Arc<AtomicUsize>) {
         let script =
             Arc::new(Mutex::new(outcomes.iter().copied().collect::<VecDeque<_>>()));
-        let calls = Arc::new(AtomicUsize::new(0));
+        let sent = Arc::new(Mutex::new(Vec::new()));
         let connects = Arc::new(AtomicUsize::new(0));
-        let calls_out = Arc::clone(&calls);
+        let sent_out = Arc::clone(&sent);
         let connects_out = Arc::clone(&connects);
-        let connector: Connector = Box::new(move || {
-            connects.fetch_add(1, Ordering::Relaxed);
-            Ok(Box::new(Scripted {
-                script: Arc::clone(&script),
-                calls: Arc::clone(&calls),
-            }) as Box<dyn StoreClient>)
-        });
-        (connector, calls_out, connects_out)
+        let connector: Connector =
+            Box::new(move || {
+                connects.fetch_add(1, Ordering::Relaxed);
+                Ok(Box::new(Scripted {
+                    script: Arc::clone(&script),
+                    sent: Arc::clone(&sent),
+                }) as Box<dyn StoreClient>)
+            });
+        (connector, sent_out, connects_out)
+    }
+
+    fn calls(sent: &Mutex<Vec<Message>>) -> usize {
+        sent.lock().unwrap().len()
     }
 
     fn fast_config() -> ResilienceConfig {
@@ -620,7 +678,7 @@ mod tests {
             connector,
             config.clone(),
             Arc::new(ResilienceStats::default()),
-            Arc::new(ReplayQueue::new(config.replay_capacity)),
+            Some(Arc::new(ReplayQueue::new(config.replay_capacity))),
         )
     }
 
@@ -694,11 +752,11 @@ mod tests {
 
     #[test]
     fn retries_until_success() {
-        let (connector, calls, connects) = scripted_connector(&[false, false, true]);
+        let (connector, sent, connects) = scripted_connector(&[false, false, true]);
         let mut client = client(connector, fast_config());
         let response = client.roundtrip(&get_request()).unwrap();
         assert_eq!(response, ok_response());
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(calls(&sent), 3);
         // Each failure forced a fresh handshake: 3 connects total.
         assert_eq!(connects.load(Ordering::Relaxed), 3);
         assert_eq!(client.stats.retries.get(), 2);
@@ -707,11 +765,11 @@ mod tests {
 
     #[test]
     fn gives_up_after_max_attempts() {
-        let (connector, calls, _) = scripted_connector(&[false; 10]);
+        let (connector, sent, _) = scripted_connector(&[false; 10]);
         let mut client = client(connector, fast_config());
         let err = client.roundtrip(&get_request()).unwrap_err();
         assert!(matches!(err, CoreError::StoreUnavailable(_)));
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(calls(&sent), 3);
         assert_eq!(client.stats.giveups.get(), 1);
     }
 
@@ -733,15 +791,15 @@ mod tests {
         let mut config = fast_config();
         config.breaker.failure_threshold = 2; // trips during the first call
         config.breaker.cooldown = Duration::from_secs(60);
-        let (connector, calls, _) = scripted_connector(&[false; 10]);
+        let (connector, sent, _) = scripted_connector(&[false; 10]);
         let mut client = client(connector, config);
         assert!(client.roundtrip(&get_request()).is_err());
         assert_eq!(client.breaker_state(), BreakerState::Open);
-        let calls_before = calls.load(Ordering::Relaxed);
+        let calls_before = calls(&sent);
         // While open, the store is not touched at all.
         let err = client.roundtrip(&get_request()).unwrap_err();
         assert!(matches!(err, CoreError::StoreUnavailable(_)));
-        assert_eq!(calls.load(Ordering::Relaxed), calls_before);
+        assert_eq!(calls(&sent), calls_before);
         assert_eq!(client.stats.fast_fails.get(), 1);
     }
 
@@ -751,20 +809,23 @@ mod tests {
         config.breaker.failure_threshold = 1;
         config.breaker.cooldown = Duration::from_millis(1);
         config.retry = RetryPolicy::none();
-        let (connector, _, _) = scripted_connector(&[false, true, true, true, true]);
+        let (connector, sent, _) = scripted_connector(&[false, true, true, true, true]);
         let stats = Arc::new(ResilienceStats::default());
         let replay = Arc::new(ReplayQueue::new(8));
         let mut client = ResilientClient::new(
             connector,
             config,
             Arc::clone(&stats),
-            Arc::clone(&replay),
+            Some(Arc::clone(&replay)),
         );
 
-        // First call fails and trips the breaker; the PUT goes to replay.
+        // First call fails and trips the breaker; a failed batch's PUTs go
+        // to replay, and its GET cannot.
         assert!(client.roundtrip(&get_request()).is_err());
-        replay.push(get_request());
-        replay.push(get_request());
+        let batch =
+            vec![put_item(1), BatchItem::Get { tag: CompTag::from_bytes([9; 32]) }];
+        assert_eq!(replay.park(AppId(4), batch), 1);
+        assert_eq!(replay.park(AppId(5), vec![put_item(2)]), 1);
         assert_eq!(replay.len(), 2);
 
         std::thread::sleep(Duration::from_millis(2));
@@ -773,18 +834,52 @@ mod tests {
         assert_eq!(client.breaker_state(), BreakerState::Closed);
         assert_eq!(replay.len(), 0);
         assert_eq!(stats.replayed_puts.get(), 2);
+        // Each parked PUT went out as a one-item batch of its own app, in
+        // the order it was parked, after the probe.
+        let sent = sent.lock().unwrap();
+        assert_eq!(
+            sent[2..],
+            [
+                Message::BatchRequest { app: AppId(4), items: vec![put_item(1)] },
+                Message::BatchRequest { app: AppId(5), items: vec![put_item(2)] },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_failed_drain_puts_the_put_back_at_the_head() {
+        let mut config = fast_config();
+        config.retry = RetryPolicy::none();
+        // The call succeeds, then the first replay fails.
+        let (connector, sent, _) = scripted_connector(&[true, false, true, true]);
+        let replay = Arc::new(ReplayQueue::new(8));
+        let mut client = ResilientClient::new(
+            connector,
+            config,
+            Arc::new(ResilienceStats::default()),
+            Some(Arc::clone(&replay)),
+        );
+        replay.park(AppId(1), vec![put_item(1), put_item(2)]);
+        assert!(client.roundtrip(&get_request()).is_ok());
+        assert_eq!(replay.len(), 2, "the drain stopped at its first failure");
+        assert!(client.roundtrip(&get_request()).is_ok());
+        assert!(replay.is_empty());
+        let sent = sent.lock().unwrap();
+        let first = Message::BatchRequest { app: AppId(1), items: vec![put_item(1)] };
+        assert_eq!(sent[1], first);
+        assert_eq!(sent[3], first, "the failed PUT is retried first");
     }
 
     #[test]
     fn replay_queue_bounds_and_eviction() {
         let queue = ReplayQueue::new(2);
-        assert!(queue.push(get_request()));
-        assert!(queue.push(get_request()));
-        assert!(!queue.push(get_request())); // evicts the oldest
+        assert_eq!(queue.park(AppId(1), vec![put_item(1), put_item(2)]), 2);
+        assert_eq!(queue.dropped(), 0);
+        assert_eq!(queue.park(AppId(1), vec![put_item(3)]), 1); // evicts the oldest
         assert_eq!(queue.len(), 2);
         assert_eq!(queue.dropped(), 1);
-        queue.pop().unwrap();
-        queue.pop().unwrap();
+        assert_eq!(queue.pop().unwrap().tag, CompTag::from_bytes([2; 32]));
+        assert_eq!(queue.pop().unwrap().tag, CompTag::from_bytes([3; 32]));
         assert!(queue.pop().is_none());
         assert!(queue.is_empty());
     }

@@ -430,20 +430,6 @@ fn merge_shard_filters(shards: Vec<NegativeFilter>) -> Option<NegativeFilter> {
     iter.try_fold(first, |mut merged, shard| merged.merge_from(&shard).then_some(merged))
 }
 
-/// Parks failed PUT items in the replay queue, one standalone PUT message
-/// each, so partial replay capacity still saves the newest results.
-/// Returns how many items were parked.
-fn park(replay: &ReplayQueue, app: AppId, items: Vec<BatchItem>) -> u64 {
-    let mut parked = 0;
-    for item in items {
-        if let BatchItem::Put { tag, record } = item {
-            replay.push(Message::PutRequest { app, tag, record });
-            parked += 1;
-        }
-    }
-    parked
-}
-
 /// Rejected items of a batched PUT's response.
 fn rejections(results: &[BatchItemResult]) -> u64 {
     results.iter().filter(|r| r.status == BatchStatus::Rejected).count() as u64
@@ -485,7 +471,7 @@ impl AsyncPutter {
                         if let (Some(replay), Message::BatchRequest { app, items }) =
                             (&replay, message)
                         {
-                            stats.degraded_calls.add(park(replay, app, items));
+                            stats.degraded_calls.add(replay.park(app, items));
                         }
                     }
                     _ => {}
@@ -760,7 +746,7 @@ impl RuntimeBuilder {
                                     Self::connector_for(&spec, &self.platform, &enclave),
                                     config,
                                     Arc::clone(&handles.stats),
-                                    Arc::clone(&handles.replay),
+                                    Some(Arc::clone(&handles.replay)),
                                 )))
                             }
                             _ => Self::make_client(&spec, &self.platform, &enclave),
@@ -961,9 +947,9 @@ impl DedupRuntime {
     ///
     /// Degradation is **per item**, matching the resilience layer's
     /// contract: when the store is unreachable, every unresolved item falls
-    /// back to local execution and its PUT is parked in the replay queue as
-    /// an individual `PUT_REQUEST`, so partial replay capacity still saves
-    /// the newest results.
+    /// back to local execution and its PUT item is parked in the replay
+    /// queue on its own, to be delivered as a one-item batch, so partial
+    /// replay capacity still saves the newest results.
     ///
     /// # Errors
     ///
@@ -1216,7 +1202,7 @@ impl DedupRuntime {
         if !puts.is_empty() {
             match &self.resilience {
                 Some(handles) if degraded => {
-                    park(&handles.replay, self.app_id, puts);
+                    handles.replay.park(self.app_id, puts);
                 }
                 _ => self.publish(puts)?,
             }
@@ -1248,7 +1234,7 @@ impl DedupRuntime {
             // degrade item by item into the bounded replay queue.
             (Err(CoreError::StoreUnavailable(_)), Some(handles)) => {
                 if let Message::BatchRequest { app, items } = request {
-                    self.stats.degraded_calls.add(park(&handles.replay, app, items));
+                    self.stats.degraded_calls.add(handles.replay.park(app, items));
                 }
                 Ok(())
             }

@@ -24,8 +24,8 @@ use speed_enclave::{CostModel, Platform};
 use speed_store::server::{ServerConfig, StoreServer, TcpStoreClient};
 use speed_store::{ResultStore, StoreConfig};
 use speed_wire::{
-    AppId, CompTag, Message, MetricsFormat, Record, RingBody, RingNodeBody,
-    SessionAuthority,
+    AppId, BatchItem, BatchItemResult, BatchStatus, CompTag, Message, MetricsFormat,
+    Record, RingBody, RingNodeBody, SessionAuthority,
 };
 
 fn usage() -> ! {
@@ -351,6 +351,34 @@ fn cmd_serve(flags: &Flags) {
     }
 }
 
+/// Sends `request` and returns what `pick` takes from the reply. A failed
+/// request, or a reply `pick` does not take (one of another kind, such as
+/// a refusal), is reported and exits 1.
+fn call<T>(
+    client: &mut TcpStoreClient,
+    request: &Message,
+    pick: impl FnOnce(&Message) -> Option<T>,
+) -> T {
+    let reply = client.roundtrip(request).unwrap_or_else(|e| {
+        eprintln!("request failed: {e}");
+        std::process::exit(1)
+    });
+    pick(&reply).unwrap_or_else(|| {
+        eprintln!("unexpected response: {reply:?}");
+        std::process::exit(1)
+    })
+}
+
+/// Sends one data-plane `item`, for app 3185, as a batch of one and returns
+/// its result.
+fn call_one(flags: &Flags, item: BatchItem) -> BatchItemResult {
+    let request = Message::BatchRequest { app: AppId(0xC71), items: vec![item] };
+    call(&mut connect(flags), &request, |reply| match reply {
+        Message::BatchResponse(results) if results.len() == 1 => Some(results[0].clone()),
+        _ => None,
+    })
+}
+
 fn cmd_ping(flags: &Flags) {
     let count: usize = flags.get_parsed("count").unwrap_or(4).max(1);
     // Connection time includes the attested handshake (quote exchange and
@@ -365,17 +393,9 @@ fn cmd_ping(flags: &Flags) {
     let mut total = std::time::Duration::ZERO;
     for i in 0..count {
         let start = std::time::Instant::now();
-        match client.roundtrip(&Message::StatsRequest) {
-            Ok(Message::StatsResponse(_)) => {}
-            Ok(other) => {
-                eprintln!("unexpected response: {other:?}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("ping {i} failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        call(&mut client, &Message::StatsRequest, |reply| {
+            matches!(reply, Message::StatsResponse(_)).then_some(())
+        });
         let rtt = start.elapsed();
         println!("ping {i}: {rtt:?}");
         worst = worst.max(rtt);
@@ -388,102 +408,75 @@ fn cmd_ping(flags: &Flags) {
 }
 
 fn cmd_stats(flags: &Flags) {
-    let mut client = connect(flags);
-    match client.roundtrip(&Message::StatsRequest) {
-        Ok(Message::StatsResponse(stats)) => {
-            println!("entries:       {}", stats.entries);
-            println!("gets:          {}", stats.gets);
-            println!("hits:          {}", stats.hits);
-            println!("puts:          {}", stats.puts);
-            println!("rejected puts: {}", stats.rejected_puts);
-            println!("stored bytes:  {}", stats.stored_bytes);
-            println!("evictions:     {}", stats.evictions);
-            println!("shards:        {}", stats.shards.len());
-            for (index, shard) in stats.shards.iter().enumerate() {
-                println!(
-                    "  shard {index:>2}: entries={} bytes={} evictions={} \
-                     contention={} busy_ms={:.3}",
-                    shard.entries,
-                    shard.stored_bytes,
-                    shard.evictions,
-                    shard.lock_contention,
-                    shard.busy_ns as f64 / 1e6,
-                );
-            }
-        }
-        Ok(other) => eprintln!("unexpected response: {other:?}"),
-        Err(e) => eprintln!("request failed: {e}"),
+    let stats = call(&mut connect(flags), &Message::StatsRequest, |reply| match reply {
+        Message::StatsResponse(stats) => Some(stats.clone()),
+        _ => None,
+    });
+    println!("entries:       {}", stats.entries);
+    println!("gets:          {}", stats.gets);
+    println!("hits:          {}", stats.hits);
+    println!("puts:          {}", stats.puts);
+    println!("rejected puts: {}", stats.rejected_puts);
+    println!("stored bytes:  {}", stats.stored_bytes);
+    println!("evictions:     {}", stats.evictions);
+    println!("shards:        {}", stats.shards.len());
+    for (index, shard) in stats.shards.iter().enumerate() {
+        println!(
+            "  shard {index:>2}: entries={} bytes={} evictions={} \
+             contention={} busy_ms={:.3}",
+            shard.entries,
+            shard.stored_bytes,
+            shard.evictions,
+            shard.lock_contention,
+            shard.busy_ns as f64 / 1e6,
+        );
     }
 }
 
 fn cmd_metrics(flags: &Flags) {
     let format =
         if flags.has("json") { MetricsFormat::Jsonl } else { MetricsFormat::Prometheus };
-    let mut client = connect(flags);
-    match client.roundtrip(&Message::MetricsRequest { format }) {
-        Ok(Message::MetricsResponse(text)) => print!("{text}"),
-        Ok(other) => {
-            eprintln!("unexpected response: {other:?}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("request failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let request = Message::MetricsRequest { format };
+    let text = call(&mut connect(flags), &request, |reply| match reply {
+        Message::MetricsResponse(text) => Some(text.clone()),
+        _ => None,
+    });
+    print!("{text}");
 }
 
 fn cmd_ring(flags: &Flags) {
-    let mut client = connect(flags);
-    match client.roundtrip(&Message::RingRequest) {
-        Ok(Message::RingResponse(body)) => {
-            if body.nodes.is_empty() {
-                println!("standalone node: no membership ring advertised");
-                return;
-            }
-            println!("ring version {} ({} nodes)", body.version, body.nodes.len());
-            for node in &body.nodes {
-                let addr = if node.addr.is_empty() {
-                    "(in-process)"
-                } else {
-                    node.addr.as_str()
-                };
-                println!("  node {:>3}  weight {}  {addr}", node.id, node.weight);
-            }
-        }
-        Ok(other) => {
-            eprintln!("unexpected response: {other:?}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("request failed: {e}");
-            std::process::exit(1);
-        }
+    let body = call(&mut connect(flags), &Message::RingRequest, |reply| match reply {
+        Message::RingResponse(body) => Some(body.clone()),
+        _ => None,
+    });
+    if body.nodes.is_empty() {
+        println!("standalone node: no membership ring advertised");
+        return;
+    }
+    println!("ring version {} ({} nodes)", body.version, body.nodes.len());
+    for node in &body.nodes {
+        let addr = if node.addr.is_empty() { "(in-process)" } else { node.addr.as_str() };
+        println!("  node {:>3}  weight {}  {addr}", node.id, node.weight);
     }
 }
 
 fn cmd_get(flags: &Flags) {
     let tag = parse_tag(flags.required("tag"));
-    let mut client = connect(flags);
-    match client.roundtrip(&Message::GetRequest { app: AppId(0xC71), tag }) {
-        Ok(Message::GetResponse(body)) => {
-            if let Some(record) = body.record {
-                println!("found: {} ciphertext bytes", record.boxed_result.len());
-                println!("challenge: {} bytes", record.challenge.len());
-            } else {
-                println!("not found");
-                std::process::exit(3);
-            }
+    match call_one(flags, BatchItem::Get { tag }).record {
+        Some(record) => {
+            println!("found: {} ciphertext bytes", record.boxed_result.len());
+            println!("challenge: {} bytes", record.challenge.len());
         }
-        Ok(other) => eprintln!("unexpected response: {other:?}"),
-        Err(e) => eprintln!("request failed: {e}"),
+        None => {
+            println!("not found");
+            std::process::exit(3);
+        }
     }
 }
 
 fn cmd_put(flags: &Flags) {
     let tag = parse_tag(flags.required("tag"));
     let data = flags.required("data").as_bytes().to_vec();
-    let mut client = connect(flags);
     // speedctl stores raw bytes in the record body; real applications go
     // through DedupRuntime, which encrypts. This is an operator tool for
     // smoke-testing a deployment.
@@ -493,20 +486,15 @@ fn cmd_put(flags: &Flags) {
         nonce: [0u8; 12],
         boxed_result: data,
     };
-    match client.roundtrip(&Message::PutRequest { app: AppId(0xC71), tag, record }) {
-        Ok(Message::PutResponse(body)) => {
-            if body.accepted {
-                println!(
-                    "accepted{}",
-                    body.reason.map(|r| format!(" ({r})")).unwrap_or_default()
-                );
-            } else {
-                println!("rejected: {}", body.reason.unwrap_or_default());
-                std::process::exit(4);
-            }
-        }
-        Ok(other) => eprintln!("unexpected response: {other:?}"),
-        Err(e) => eprintln!("request failed: {e}"),
+    let result = call_one(flags, BatchItem::Put { tag, record });
+    if result.status == BatchStatus::Accepted {
+        println!(
+            "accepted{}",
+            result.reason.map(|r| format!(" ({r})")).unwrap_or_default()
+        );
+    } else {
+        println!("rejected: {}", result.reason.unwrap_or_default());
+        std::process::exit(4);
     }
 }
 

@@ -58,6 +58,13 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
+/// A failed handshake or sealed frame is a protocol violation.
+impl From<speed_wire::ChannelError> for StoreError {
+    fn from(e: speed_wire::ChannelError) -> Self {
+        StoreError::Protocol(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

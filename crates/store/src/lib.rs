@@ -30,15 +30,19 @@
 //! ```
 //! use speed_enclave::{CostModel, Platform};
 //! use speed_store::{ResultStore, StoreConfig};
-//! use speed_wire::{AppId, CompTag, Message, Record};
+//! use speed_wire::{AppId, BatchItem, BatchStatus, CompTag, Message, Record};
 //!
 //! let platform = Platform::new(CostModel::default_sgx());
 //! let store = ResultStore::new(&platform, StoreConfig::default()).unwrap();
 //! let tag = CompTag::from_bytes([7u8; 32]);
+//! // A single GET or PUT is a batch of one.
+//! let status = |item| match store.handle(Message::BatchRequest { app: AppId(1), items: vec![item] }) {
+//!     Message::BatchResponse(results) => results[0].status,
+//!     other => panic!("unexpected {other:?}"),
+//! };
 //!
 //! // First lookup misses…
-//! let response = store.handle(Message::GetRequest { app: AppId(1), tag });
-//! assert!(matches!(response, Message::GetResponse(body) if !body.found));
+//! assert_eq!(status(BatchItem::Get { tag }), BatchStatus::NotFound);
 //!
 //! // …after a PUT it hits.
 //! let record = Record {
@@ -47,9 +51,8 @@
 //!     nonce: [0u8; 12],
 //!     boxed_result: vec![1, 2, 3],
 //! };
-//! store.handle(Message::PutRequest { app: AppId(1), tag, record });
-//! let response = store.handle(Message::GetRequest { app: AppId(1), tag });
-//! assert!(matches!(response, Message::GetResponse(body) if body.found));
+//! assert_eq!(status(BatchItem::Put { tag, record }), BatchStatus::Accepted);
+//! assert_eq!(status(BatchItem::Get { tag }), BatchStatus::Found);
 //! ```
 
 // `deny` rather than `forbid`: the event-loop server needs readiness

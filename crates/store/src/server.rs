@@ -26,19 +26,20 @@
 //! Handshake wire format (plaintext frames, authenticity provided by the
 //! quotes themselves):
 //!
-//! 1. client → server: `client_quote` bytes (each side obtains its quote
-//!    from the [`SessionAuthority`]'s attestation service on its own
-//!    platform)
+//! 1. client → server: `client_quote` bytes
 //! 2. server → client: `server_quote` bytes — **or** a plaintext
 //!    [`Message::Error`] frame instead: the busy frame when the connection
 //!    budget is saturated, so clients can tell "busy" from "attestation
 //!    failed" and retry, or a refusal naming both protocol versions when
 //!    the client's quote attests another [`PROTOCOL_VERSION`].
 //!
-//! Each quote attests the [`PROTOCOL_VERSION`] of its side in the first
-//! four bytes of its report data, and each side refuses a peer of another
-//! version before any data-plane frame. Both sides then derive the session
-//! key from the verified quote pair.
+//! Each side runs its half of the one handshake as one ECALL:
+//! [`SessionAuthority::connect`] on the client, [`SessionAuthority::accept`]
+//! on the server. Each quote binds its side's [`PROTOCOL_VERSION`] and 32
+//! fresh random bytes, so every connection gets a key of its own, and each
+//! side refuses a peer of another version before any data-plane frame.
+//!
+//! [`PROTOCOL_VERSION`]: speed_wire::PROTOCOL_VERSION
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -48,15 +49,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use speed_enclave::attestation::{create_report, Quote};
+use speed_enclave::attestation::Quote;
 use speed_enclave::Platform;
 use speed_telemetry::{names, Counter, Gauge};
 use speed_wire::frame::{
     read_frame, write_frame, FrameProgress, FrameReader, FrameWriter,
 };
 use speed_wire::{
-    attested_version, from_bytes, handshake_report_data, to_bytes, Message, Role,
-    SecureChannel, SessionAuthority, PROTOCOL_VERSION,
+    from_bytes, to_bytes, ChannelError, Message, SecureChannel, SessionAuthority,
 };
 
 use crate::poller::{poll, PollFd, WakePipe, POLLIN, POLLOUT};
@@ -71,11 +71,6 @@ pub const SERVER_BUSY_REASON: &str = "server busy: connection budget saturated";
 /// How long a refused connection may take to drain its plaintext error
 /// frame before the server gives up and closes it anyway.
 const BUSY_LINGER: Duration = Duration::from_secs(1);
-
-/// Why a handshake between peers of two protocol versions fails.
-fn version_mismatch(client: u32, server: u32) -> String {
-    format!("protocol version mismatch: client speaks {client}, server speaks {server}")
-}
 
 /// Default per-frame deadline (also bounds the handshake).
 const DEFAULT_FRAME_TIMEOUT: Duration = Duration::from_secs(5);
@@ -744,54 +739,32 @@ impl IoThread {
 
     fn finish_handshake(&mut self, slot: usize, frame: &[u8]) -> bool {
         let shared = Arc::clone(&self.shared);
-        let client_quote = match Quote::from_bytes(frame) {
-            Ok(quote) if shared.authority.service().verify_quote(&quote).is_ok() => quote,
-            _ => {
-                self.close(slot, CloseReason::Protocol);
-                return false;
-            }
-        };
-        // A peer of another protocol version would misread the data plane:
-        // refuse it, naming both versions, before any sealed frame.
-        let client_version = attested_version(&client_quote);
-        if client_version != PROTOCOL_VERSION {
-            shared.counters.protocol_errors.inc();
-            return self
-                .refuse(slot, &version_mismatch(client_version, PROTOCOL_VERSION));
-        }
-        // The store enclave makes its report and derives the session key
-        // inside one ECALL, as a real enclave would.
-        let handshake = shared.store.enclave().ecall("store_handshake", || {
-            let server_report = create_report(
-                &shared.platform,
-                shared.store.enclave(),
-                &handshake_report_data(),
-            );
-            let server_quote = shared
-                .authority
-                .service()
-                .quote(&shared.platform, &server_report)
-                .map_err(|e| format!("server attestation: {e}"))?;
-            let key = shared
-                .authority
-                .session_key(&client_quote, &server_quote)
-                .map_err(|e| e.to_string())?;
-            Ok::<_, String>((
-                SecureChannel::from_session_key(key, Role::Server),
-                server_quote.to_bytes(),
-            ))
-        });
-        match handshake {
-            Ok((channel, quote_bytes)) => {
+        let accepted = Quote::from_bytes(frame).map_err(ChannelError::from).and_then(
+            |client_quote| {
+                shared.authority.accept(
+                    &shared.platform,
+                    shared.store.enclave(),
+                    &client_quote,
+                )
+            },
+        );
+        match accepted {
+            Ok((channel, server_quote)) => {
                 let Some(conn) = self.conns[slot].as_mut() else { return false };
                 conn.state = ConnState::Open(Box::new(channel));
                 conn.deadline = None;
-                if conn.writer.queue(&quote_bytes).is_err() {
+                if conn.writer.queue(&server_quote.to_bytes()).is_err() {
                     self.close(slot, CloseReason::Normal);
                     return false;
                 }
                 self.flush_writer(slot);
                 self.conns[slot].is_some()
+            }
+            // A peer of another protocol version would misread the data
+            // plane: refuse it, naming both versions, before any sealed frame.
+            Err(refusal @ ChannelError::Version { .. }) => {
+                shared.counters.protocol_errors.inc();
+                self.refuse(slot, &refusal.to_string())
             }
             Err(_) => {
                 self.close(slot, CloseReason::Protocol);
@@ -907,8 +880,8 @@ impl IoThread {
     }
 }
 
-/// Client-side connection to a [`StoreServer`]. Lives here (rather than in
-/// `speed-core`) so the handshake logic stays in one module.
+/// Client-side connection to a [`StoreServer`]: the TCP framing around
+/// the client half of the handshake ([`SessionAuthority::connect`]).
 #[derive(Debug)]
 pub struct TcpStoreClient {
     stream: TcpStream,
@@ -928,7 +901,8 @@ impl TcpStoreClient {
     /// [`StoreError::Busy`] when the server refuses with a busy frame
     /// (transient — retry after a backoff), or [`StoreError::Protocol`]
     /// if attestation fails or the two sides speak different
-    /// [`PROTOCOL_VERSION`]s (the message names both).
+    /// [`PROTOCOL_VERSION`](speed_wire::PROTOCOL_VERSION)s (the message
+    /// names both).
     pub fn connect(
         addr: SocketAddr,
         platform: &Platform,
@@ -941,54 +915,22 @@ impl TcpStoreClient {
         // surface as an error the resilience layer can degrade on, not as
         // a client blocked forever.
         stream.set_read_timeout(Some(DEFAULT_FRAME_TIMEOUT)).ok();
-
-        // The client enclave runs its side of the handshake, from its
-        // report to the session key, inside one ECALL. The frame exchange
-        // in between stands for the enclave's socket OCALLs, which the
-        // cost model does not charge.
-        let key = identity.ecall("client_handshake", || {
-            let client_report =
-                create_report(platform, identity, &handshake_report_data());
-            let client_quote = authority
-                .service()
-                .quote(platform, &client_report)
-                .map_err(|e| StoreError::Protocol(e.to_string()))?;
+        let channel = authority.connect(platform, identity, |client_quote| {
             write_frame(&mut stream, &client_quote.to_bytes())?;
-
-            let server_quote_bytes = read_frame(&mut stream)?;
-            let server_quote = match Quote::from_bytes(&server_quote_bytes) {
-                Ok(quote) => quote,
-                // Not a quote: the server refused the handshake with a
-                // plaintext error frame. Only the busy frame is transient.
-                Err(quote_err) => {
-                    return Err(match from_bytes::<Message>(&server_quote_bytes) {
-                        Ok(Message::Error(reason)) if reason == SERVER_BUSY_REASON => {
-                            StoreError::Busy(reason)
-                        }
-                        Ok(Message::Error(reason)) => StoreError::Protocol(reason),
-                        _ => StoreError::Protocol(quote_err.to_string()),
-                    });
+            let reply = read_frame(&mut stream)?;
+            // Not a quote: the server refused the handshake with a plaintext
+            // error frame. Only the busy frame is transient.
+            Quote::from_bytes(&reply).map_err(|quote_err| {
+                match from_bytes::<Message>(&reply) {
+                    Ok(Message::Error(reason)) if reason == SERVER_BUSY_REASON => {
+                        StoreError::Busy(reason)
+                    }
+                    Ok(Message::Error(reason)) => StoreError::Protocol(reason),
+                    _ => StoreError::Protocol(quote_err.to_string()),
                 }
-            };
-            authority
-                .service()
-                .verify_quote(&server_quote)
-                .map_err(|e| StoreError::Protocol(format!("server attestation: {e}")))?;
-            let server_version = attested_version(&server_quote);
-            if server_version != PROTOCOL_VERSION {
-                return Err(StoreError::Protocol(version_mismatch(
-                    PROTOCOL_VERSION,
-                    server_version,
-                )));
-            }
-            authority
-                .session_key(&client_quote, &server_quote)
-                .map_err(|e| StoreError::Protocol(e.to_string()))
+            })
         })?;
-        Ok(TcpStoreClient {
-            stream,
-            channel: SecureChannel::from_session_key(key, Role::Client),
-        })
+        Ok(TcpStoreClient { stream, channel })
     }
 
     /// Sends `request` and waits for the response (synchronous, like the
@@ -1002,10 +944,7 @@ impl TcpStoreClient {
         let sealed = self.channel.seal_message(&to_bytes(request));
         write_frame(&mut self.stream, &sealed)?;
         let sealed_response = read_frame(&mut self.stream)?;
-        let response_bytes = self
-            .channel
-            .open_message(&sealed_response)
-            .map_err(|e| StoreError::Protocol(e.to_string()))?;
+        let response_bytes = self.channel.open_message(&sealed_response)?;
         from_bytes(&response_bytes).map_err(|e| StoreError::Protocol(e.to_string()))
     }
 }
@@ -1014,9 +953,9 @@ impl TcpStoreClient {
 mod tests {
     use super::*;
     use crate::store::StoreConfig;
-    use speed_enclave::attestation::REPORT_DATA_LEN;
+    use speed_enclave::attestation::{create_report, REPORT_DATA_LEN};
     use speed_enclave::CostModel;
-    use speed_wire::{AppId, BatchItem, CompTag, Record};
+    use speed_wire::{AppId, BatchItem, BatchStatus, CompTag, Record, PROTOCOL_VERSION};
 
     fn setup() -> (Arc<Platform>, Arc<ResultStore>, Arc<SessionAuthority>, StoreServer) {
         setup_with_config(ServerConfig::default())
@@ -1373,7 +1312,9 @@ mod tests {
             .quote(&platform, &create_report(&platform, &enclave, &[0; REPORT_DATA_LEN]))
             .unwrap()
             .to_bytes();
-        let newer = version_mismatch(PROTOCOL_VERSION, PROTOCOL_VERSION + 1);
+        let mismatch =
+            |client, server| ChannelError::Version { client, server }.to_string();
+        let newer = mismatch(PROTOCOL_VERSION, PROTOCOL_VERSION + 1);
         // A server from before the version field answers with its quote; a
         // newer one refuses with a plaintext error. Neither reads as busy.
         let replies = [old_quote, to_bytes(&Message::Error(newer.clone()))];
@@ -1381,12 +1322,12 @@ mod tests {
             for reply in replies {
                 let (mut stream, _) = listener.accept().unwrap();
                 let quote = Quote::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();
-                assert_eq!(attested_version(&quote), PROTOCOL_VERSION);
+                assert_eq!(quote.report_data[..4], PROTOCOL_VERSION.to_le_bytes());
                 write_frame(&mut stream, &reply).unwrap();
             }
         });
         let client = platform.create_enclave(b"current-client").unwrap();
-        let expected = [version_mismatch(PROTOCOL_VERSION, 0), newer];
+        let expected = [mismatch(PROTOCOL_VERSION, 0), newer];
         for reason in expected {
             match TcpStoreClient::connect(addr, &platform, &client, &authority) {
                 Err(StoreError::Protocol(got)) => assert_eq!(got, reason),
@@ -1428,16 +1369,20 @@ mod tests {
                 client.roundtrip(&Message::GetRequest { app: AppId(1), tag }).unwrap();
             assert!(matches!(hit, Message::GetResponse(b) if b.found));
         }
-        // Replayed and hinted PUTs arrive as standalone PUT requests; they
-        // take the lane like every other data-plane request.
+        // Replayed and hinted PUTs arrive as one-item batches; they take
+        // the lane like every other data-plane request.
         let put = client
-            .roundtrip(&Message::PutRequest {
+            .roundtrip(&Message::BatchRequest {
                 app: AppId(1),
-                tag: CompTag::from_bytes([10u8; 32]),
-                record: sample_record(),
+                items: vec![BatchItem::Put {
+                    tag: CompTag::from_bytes([10u8; 32]),
+                    record: sample_record(),
+                }],
             })
             .unwrap();
-        assert!(matches!(put, Message::PutResponse(b) if b.accepted));
+        assert!(
+            matches!(put, Message::BatchResponse(r) if r[0].status == BatchStatus::Accepted)
+        );
         let after = store.enclave().stats();
         assert_eq!(
             after.transitions(),
@@ -1595,8 +1540,8 @@ mod tests {
             TcpStoreClient::connect(server.addr(), &platform, &enclave, &authority)
                 .unwrap();
         // The server enters before it answers, so its count is settled.
-        assert!(store.enclave().stats().ecalls > store_before.ecalls);
-        assert!(enclave.stats().ecalls > client_before.ecalls);
+        assert_eq!(store.enclave().stats().ecalls, store_before.ecalls + 1);
+        assert_eq!(enclave.stats().ecalls, client_before.ecalls + 1);
         assert!(
             platform.clock().total_ns() > modeled_before,
             "a handshake costs modeled time"

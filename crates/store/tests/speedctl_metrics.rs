@@ -1,10 +1,19 @@
 //! End-to-end exercise of the `speedctl` binary: serve a store, drive it
-//! with `put`/`get`, and scrape it with `metrics` in both formats; and
-//! check that a flag a command does not take, or a word after a switch,
-//! is refused.
+//! with `put`/`get`, and scrape it with `metrics` in both formats; check
+//! that a refused or failed request exits 1; and check that a flag a
+//! command does not take, or a word after a switch, is refused.
 
 use std::io::{BufRead, BufReader};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
+
+use speed_enclave::attestation::Quote;
+use speed_enclave::{CostModel, Platform};
+use speed_store::server::StoreServer;
+use speed_store::{AccessControl, ResultStore, StoreConfig};
+use speed_wire::frame::{read_frame, write_frame};
+use speed_wire::SessionAuthority;
 
 const SECRET: &str = "4242";
 
@@ -101,6 +110,54 @@ fn metrics_subcommand_scrapes_a_live_server() {
     }
     assert!(jsonl.contains("\"name\":\"store_puts_total\""));
     assert!(jsonl.contains("\"type\":\"histogram\""));
+}
+
+#[test]
+fn a_refused_or_failed_request_exits_1() {
+    let platform = Platform::new(CostModel::no_sgx());
+    let authority = Arc::new(SessionAuthority::with_seed(SECRET.parse().unwrap()));
+
+    // A store whose allowlist omits speedctl's app (3185) refuses its get
+    // and put with an error reply.
+    let config = StoreConfig {
+        access: AccessControl::Allowlist([1u64].into_iter().collect()),
+        ..StoreConfig::default()
+    };
+    let store = Arc::new(ResultStore::new(&platform, config).unwrap());
+    let server = StoreServer::spawn(
+        store,
+        Arc::clone(&platform),
+        Arc::clone(&authority),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let put =
+        ["put", "--addr", &addr, "--secret", SECRET, "--tag", "0c0c", "--data", "x"];
+    let get = ["get", "--addr", &addr, "--secret", SECRET, "--tag", "0c0c"];
+    for args in [&put[..], &get[..]] {
+        let output = speedctl(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("app 3185 not authorized"), "{args:?}: {stderr}");
+    }
+    server.shutdown();
+
+    // A peer that hangs up right after the handshake fails `stats`.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let quote = Quote::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();
+        let enclave = platform.create_enclave(b"hang-up-peer").unwrap();
+        let (_, reply) = authority.accept(&platform, &enclave, &quote).unwrap();
+        write_frame(&mut stream, &reply.to_bytes()).unwrap();
+    });
+    let output = speedctl(&["stats", "--addr", &addr, "--secret", SECRET]);
+    peer.join().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("request failed"), "{stderr}");
 }
 
 #[test]

@@ -5,15 +5,18 @@
 //! deployments run an attested key exchange (e.g. SIGMA over local reports,
 //! or attested TLS for remote stores). Without public-key primitives in
 //! scope, the simulator models the trusted third party that endorses the
-//! exchange: a [`SessionAuthority`] verifies both parties' quotes and issues
-//! the same session key to each side, after which all traffic is protected
-//! with AES-GCM under strictly monotonic sequence-number nonces
+//! exchange, a [`SessionAuthority`]. Every transport runs one handshake:
+//! [`SessionAuthority::connect`] on the client and
+//! [`SessionAuthority::accept`] on the server, each one ECALL. Each quote
+//! binds [`PROTOCOL_VERSION`] and 32 fresh random bytes, and the key hashes
+//! both quotes, so every session gets a key of its own. All traffic is then
+//! protected with AES-GCM under strictly monotonic sequence-number nonces
 //! (anti-replay, anti-reorder).
 
 use std::error::Error;
 use std::fmt;
 
-use speed_crypto::{hkdf, AesGcm128, CryptoError, Key128, Nonce, SystemRng};
+use speed_crypto::{fill_random, hkdf, AesGcm128, CryptoError, Key128, Nonce, SystemRng};
 use speed_enclave::attestation::{
     create_report, AttestationService, Quote, REPORT_DATA_LEN,
 };
@@ -21,24 +24,35 @@ use speed_enclave::{Enclave, EnclaveError, Platform};
 
 /// Version of the wire protocol: the message set and what each body means.
 ///
-/// The TCP handshake attests it ([`handshake_report_data`]), and each side
-/// refuses a peer that attests another version before any data-plane
-/// frame. Version 1 keys the negative filters by the comp-tag and drops the
-/// prefilter-carrying batch items.
+/// Each handshake quote attests it, and each side refuses a peer that
+/// attests another version before any data-plane frame. Version 1 keys the
+/// negative filters by the comp-tag and drops the prefilter-carrying batch
+/// items.
 pub const PROTOCOL_VERSION: u32 = 1;
 
-/// The report data each side of a handshake attests: [`PROTOCOL_VERSION`],
-/// little-endian, in the first four bytes.
-pub fn handshake_report_data() -> [u8; REPORT_DATA_LEN] {
+/// The report data one side of a handshake attests: [`PROTOCOL_VERSION`],
+/// little-endian, in bytes 0–3, then 32 bytes of OS entropy.
+fn handshake_report_data() -> [u8; REPORT_DATA_LEN] {
     let mut data = [0u8; REPORT_DATA_LEN];
     data[..4].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    fill_random(&mut data[4..36]);
     data
 }
 
 /// The protocol version a quote attests: 0 for a peer that predates the
 /// field and attests all-zero report data.
-pub fn attested_version(quote: &Quote) -> u32 {
-    u32::from_le_bytes(quote.report_data[..4].try_into().expect("4 bytes"))
+fn attested_version(quote: &Quote) -> u32 {
+    let [a, b, c, d, ..] = quote.report_data;
+    u32::from_le_bytes([a, b, c, d])
+}
+
+/// Refuses a handshake between peers of two protocol versions.
+fn same_version(client: u32, server: u32) -> Result<(), ChannelError> {
+    if client == server {
+        Ok(())
+    } else {
+        Err(ChannelError::Version { client, server })
+    }
 }
 
 /// Errors from secure-channel establishment or record protection.
@@ -47,6 +61,13 @@ pub fn attested_version(quote: &Quote) -> u32 {
 pub enum ChannelError {
     /// A peer's quote failed verification.
     Attestation(EnclaveError),
+    /// The two sides of a handshake speak different [`PROTOCOL_VERSION`]s.
+    Version {
+        /// The version the client attests.
+        client: u32,
+        /// The version the server attests.
+        server: u32,
+    },
     /// A sealed message failed authentication.
     Crypto(CryptoError),
     /// A message arrived with an out-of-window sequence number (replay or
@@ -65,6 +86,10 @@ impl fmt::Display for ChannelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ChannelError::Attestation(e) => write!(f, "channel attestation failed: {e}"),
+            ChannelError::Version { client, server } => write!(
+                f,
+                "protocol version mismatch: client speaks {client}, server speaks {server}"
+            ),
             ChannelError::Crypto(e) => write!(f, "channel crypto failed: {e}"),
             ChannelError::BadSequence { expected, actual } => {
                 write!(f, "bad sequence number: expected {expected}, got {actual}")
@@ -136,12 +161,6 @@ impl SecureChannel {
         SecureChannel { cipher: AesGcm128::new(&key), role, send_seq: 0, recv_seq: 0 }
     }
 
-    /// Creates a channel endpoint directly from a session key (used by
-    /// transports that run the handshake themselves).
-    pub fn from_session_key(key: Key128, role: Role) -> Self {
-        SecureChannel::new(key, role)
-    }
-
     /// Seals `plaintext` for the peer. The wire format is
     /// `seq (8 bytes LE) || ciphertext+tag`.
     pub fn seal_message(&mut self, plaintext: &[u8]) -> Vec<u8> {
@@ -204,34 +223,13 @@ fn nonce_for(sender: Role, seq: u64) -> Nonce {
 /// The trusted session-establishment authority.
 ///
 /// Stands in for the attested key exchange of a real deployment: it
-/// verifies both endpoints' quotes against an [`AttestationService`] and
+/// verifies each endpoint's quote against an [`AttestationService`] and
 /// derives the shared session key that the attested exchange would have
 /// produced.
 #[derive(Debug)]
 pub struct SessionAuthority {
     service: AttestationService,
     session_secret: [u8; 32],
-    rng: parking_lot_free_rng::RngCell,
-}
-
-// A tiny interior-mutability wrapper so SessionAuthority::establish can take
-// &self; kept private to this module.
-mod parking_lot_free_rng {
-    use speed_crypto::SystemRng;
-    use std::sync::Mutex;
-
-    #[derive(Debug)]
-    pub struct RngCell(Mutex<SystemRng>);
-
-    impl RngCell {
-        pub fn new(rng: SystemRng) -> Self {
-            RngCell(Mutex::new(rng))
-        }
-
-        pub fn fill(&self, buf: &mut [u8]) {
-            self.0.lock().expect("rng lock poisoned").fill(buf);
-        }
-    }
 }
 
 impl SessionAuthority {
@@ -240,7 +238,11 @@ impl SessionAuthority {
         SessionAuthority::from_service(AttestationService::new(), SystemRng::new())
     }
 
-    /// Creates a deterministic authority for tests.
+    /// Creates an authority whose attestation service and key-derivation
+    /// secret derive from `seed`, so that every process built with the same
+    /// seed trusts the others' quotes (`speedctl --secret`). Session keys
+    /// are not deterministic: each handshake quote binds random bytes from
+    /// OS entropy, never from this seed.
     pub fn with_seed(seed: u64) -> Self {
         SessionAuthority::from_service(
             AttestationService::with_seed(seed),
@@ -251,11 +253,7 @@ impl SessionAuthority {
     fn from_service(service: AttestationService, mut rng: SystemRng) -> Self {
         let mut session_secret = [0u8; 32];
         rng.fill(&mut session_secret);
-        SessionAuthority {
-            service,
-            session_secret,
-            rng: parking_lot_free_rng::RngCell::new(rng),
-        }
+        SessionAuthority { service, session_secret }
     }
 
     /// The underlying attestation service (to verify quotes independently).
@@ -263,57 +261,76 @@ impl SessionAuthority {
         &self.service
     }
 
-    /// Runs the full attested establishment between a client enclave and a
-    /// server enclave, possibly on different platforms.
-    ///
-    /// Returns `(client_end, server_end)` sharing a fresh session key.
+    /// The client side of the handshake, in one ECALL (`client_handshake`)
+    /// on `enclave`: quotes it, hands the quote to `exchange` (which carries
+    /// it to the server and returns the server's quote; it stands for the
+    /// socket OCALLs the cost model does not charge), verifies that quote
+    /// and its version, and derives the client's channel end.
     ///
     /// # Errors
     ///
-    /// Returns [`ChannelError::Attestation`] if either quote fails.
-    pub fn establish(
+    /// Whatever `exchange` returns, or [`ChannelError::Attestation`] or
+    /// [`ChannelError::Version`] for the server's quote.
+    pub fn connect<E: From<ChannelError>>(
         &self,
-        client: (&Platform, &Enclave),
-        server: (&Platform, &Enclave),
-    ) -> Result<(SecureChannel, SecureChannel), ChannelError> {
-        let mut client_data = [0u8; REPORT_DATA_LEN];
-        self.rng.fill(&mut client_data[..32]);
-        let mut server_data = [0u8; REPORT_DATA_LEN];
-        self.rng.fill(&mut server_data[..32]);
-
-        let client_report = create_report(client.0, client.1, &client_data);
-        let server_report = create_report(server.0, server.1, &server_data);
-        let client_quote = self.service.quote(client.0, &client_report)?;
-        let server_quote = self.service.quote(server.0, &server_report)?;
-
-        let key = self.session_key(&client_quote, &server_quote)?;
-        Ok((
-            SecureChannel::new(key.clone(), Role::Client),
-            SecureChannel::new(key, Role::Server),
-        ))
+        platform: &Platform,
+        enclave: &Enclave,
+        exchange: impl FnOnce(&Quote) -> Result<Quote, E>,
+    ) -> Result<SecureChannel, E> {
+        enclave.ecall("client_handshake", || {
+            let client_quote = self.quote(platform, enclave)?;
+            let server_quote = exchange(&client_quote)?;
+            self.service.verify_quote(&server_quote).map_err(ChannelError::from)?;
+            same_version(PROTOCOL_VERSION, attested_version(&server_quote))?;
+            let key = self.session_key(&client_quote, &server_quote);
+            Ok(SecureChannel::new(key, Role::Client))
+        })
     }
 
-    /// Derives the session key for two verified quotes — the primitive used
-    /// by stream transports that exchange quotes themselves.
+    /// The server side of the handshake, in one ECALL (`store_handshake`)
+    /// on `enclave`: verifies the client's quote and its version, quotes the
+    /// enclave, and returns the server's channel end and the quote to send
+    /// back.
     ///
     /// # Errors
     ///
-    /// Returns [`ChannelError::Attestation`] if either quote fails
-    /// verification.
-    pub fn session_key(
+    /// [`ChannelError::Attestation`] or [`ChannelError::Version`] for the
+    /// client's quote.
+    pub fn accept(
         &self,
+        platform: &Platform,
+        enclave: &Enclave,
         client_quote: &Quote,
-        server_quote: &Quote,
-    ) -> Result<Key128, ChannelError> {
-        self.service.verify_quote(client_quote)?;
-        self.service.verify_quote(server_quote)?;
+    ) -> Result<(SecureChannel, Quote), ChannelError> {
+        enclave.ecall("store_handshake", || {
+            self.service.verify_quote(client_quote)?;
+            same_version(attested_version(client_quote), PROTOCOL_VERSION)?;
+            let server_quote = self.quote(platform, enclave)?;
+            let key = self.session_key(client_quote, &server_quote);
+            Ok((SecureChannel::new(key, Role::Server), server_quote))
+        })
+    }
+
+    /// Quotes `enclave` over fresh [`handshake_report_data`].
+    fn quote(
+        &self,
+        platform: &Platform,
+        enclave: &Enclave,
+    ) -> Result<Quote, ChannelError> {
+        let report = create_report(platform, enclave, &handshake_report_data());
+        Ok(self.service.quote(platform, &report)?)
+    }
+
+    /// The session key of a verified quote pair: HKDF over both
+    /// measurements and both report data under the authority's secret.
+    fn session_key(&self, client_quote: &Quote, server_quote: &Quote) -> Key128 {
         let mut info = Vec::with_capacity(64 + 2 * REPORT_DATA_LEN);
         info.extend_from_slice(client_quote.measurement.as_bytes());
         info.extend_from_slice(&client_quote.report_data);
         info.extend_from_slice(server_quote.measurement.as_bytes());
         info.extend_from_slice(&server_quote.report_data);
         let okm = hkdf::derive(b"speed-session", &self.session_secret, &info, 16);
-        Ok(Key128::from_slice(&okm).expect("hkdf produced 16 bytes"))
+        Key128::from_slice(&okm).expect("hkdf produced 16 bytes")
     }
 }
 
@@ -328,13 +345,50 @@ mod tests {
     use super::*;
     use speed_enclave::CostModel;
 
+    /// One handshake between `app` and `store` through `connect` and
+    /// `accept`, with the quotes each side sent.
+    fn handshake(
+        authority: &SessionAuthority,
+        (p1, app): (&Platform, &Enclave),
+        (p2, store): (&Platform, &Enclave),
+    ) -> (SecureChannel, SecureChannel, Quote, Quote) {
+        let mut server = None;
+        let client = authority
+            .connect(p1, app, |client_quote| {
+                let (end, server_quote) = authority.accept(p2, store, client_quote)?;
+                server = Some((end, client_quote.clone(), server_quote.clone()));
+                Ok::<_, ChannelError>(server_quote)
+            })
+            .unwrap();
+        let (server, client_quote, server_quote) = server.unwrap();
+        (client, server, client_quote, server_quote)
+    }
+
     fn establish_pair() -> (SecureChannel, SecureChannel) {
         let authority = SessionAuthority::with_seed(9);
         let p1 = Platform::new(CostModel::no_sgx());
         let p2 = Platform::new(CostModel::no_sgx());
         let app = p1.create_enclave(b"app").unwrap();
         let store = p2.create_enclave(b"store").unwrap();
-        authority.establish((&p1, &app), (&p2, &store)).unwrap()
+        let (client, server, _, _) = handshake(&authority, (&p1, &app), (&p2, &store));
+        (client, server)
+    }
+
+    /// The client side as a peer built before the nonce would run it: its
+    /// quote attests version 1 and 32 zero bytes.
+    fn zero_nonce_client(
+        authority: &SessionAuthority,
+        (p1, app): (&Platform, &Enclave),
+        (p2, store): (&Platform, &Enclave),
+    ) -> (SecureChannel, SecureChannel) {
+        let mut data = [0u8; REPORT_DATA_LEN];
+        data[..4].copy_from_slice(&1u32.to_le_bytes());
+        let client_quote =
+            authority.service.quote(p1, &create_report(p1, app, &data)).unwrap();
+        let (server, server_quote) = authority.accept(p2, store, &client_quote).unwrap();
+        authority.service.verify_quote(&server_quote).unwrap();
+        let key = authority.session_key(&client_quote, &server_quote);
+        (SecureChannel::new(key, Role::Client), server)
     }
 
     #[test]
@@ -381,14 +435,81 @@ mod tests {
 
     #[test]
     fn cross_session_frames_fail() {
-        let (mut c1, _s1) = establish_pair();
+        // Two sessions between the same two enclaves under one authority
+        // still get different keys.
         let authority = SessionAuthority::with_seed(1234);
         let p = Platform::new(CostModel::no_sgx());
         let a = p.create_enclave(b"a").unwrap();
         let b = p.create_enclave(b"b").unwrap();
-        let (_c2, mut s2) = authority.establish((&p, &a), (&p, &b)).unwrap();
+        let (mut c1, _s1, _, _) = handshake(&authority, (&p, &a), (&p, &b));
+        let (_c2, mut s2, _, _) = handshake(&authority, (&p, &a), (&p, &b));
         let frame = c1.seal_message(b"hello");
         assert!(matches!(s2.open_message(&frame), Err(ChannelError::Crypto(_))));
+    }
+
+    #[test]
+    fn each_side_is_one_ecall_and_binds_its_version_and_a_fresh_nonce() {
+        let authority = SessionAuthority::with_seed(5);
+        let p = Platform::new(CostModel::default_sgx());
+        let app = p.create_enclave(b"app").unwrap();
+        let store = p.create_enclave(b"store").unwrap();
+        let (app_before, store_before) = (app.stats().ecalls, store.stats().ecalls);
+        let (_, _, client_quote, server_quote) =
+            handshake(&authority, (&p, &app), (&p, &store));
+        assert_eq!(app.stats().ecalls, app_before + 1);
+        assert_eq!(store.stats().ecalls, store_before + 1);
+
+        let (_, _, again, _) = handshake(&authority, (&p, &app), (&p, &store));
+        for quote in [&client_quote, &server_quote, &again] {
+            assert_eq!(attested_version(quote), PROTOCOL_VERSION);
+            assert_ne!(quote.report_data[4..36], [0u8; 32]);
+            assert_eq!(quote.report_data[36..], [0u8; 28]);
+        }
+        assert_ne!(client_quote.report_data, server_quote.report_data);
+        assert_ne!(client_quote.report_data, again.report_data, "a fresh nonce each");
+    }
+
+    #[test]
+    fn a_zero_nonce_peer_still_connects_with_a_fresh_key_per_session() {
+        let authority = SessionAuthority::with_seed(6);
+        let p = Platform::new(CostModel::no_sgx());
+        let app = p.create_enclave(b"old-app").unwrap();
+        let store = p.create_enclave(b"store").unwrap();
+        let (mut c1, mut s1) = zero_nonce_client(&authority, (&p, &app), (&p, &store));
+        let (mut c2, mut s2) = zero_nonce_client(&authority, (&p, &app), (&p, &store));
+        // Each session works both ways...
+        for (client, server) in [(&mut c1, &mut s1), (&mut c2, &mut s2)] {
+            let frame = client.seal_message(b"GET tag");
+            assert_eq!(server.open_message(&frame).unwrap(), b"GET tag");
+            let frame = server.seal_message(b"FOUND record");
+            assert_eq!(client.open_message(&frame).unwrap(), b"FOUND record");
+        }
+        // ...under a key of its own: the same plaintext at the same
+        // sequence number seals to different bytes, and neither session
+        // opens the other's frame.
+        let (f1, f2) = (c1.seal_message(b"x"), c2.seal_message(b"x"));
+        assert_ne!(f1, f2);
+        assert!(matches!(s2.open_message(&f1), Err(ChannelError::Crypto(_))));
+        assert!(matches!(s1.open_message(&f2), Err(ChannelError::Crypto(_))));
+    }
+
+    #[test]
+    fn a_quote_from_another_authority_is_refused() {
+        let (authority, rogue) =
+            (SessionAuthority::with_seed(8), SessionAuthority::with_seed(80));
+        let p = Platform::new(CostModel::no_sgx());
+        let app = p.create_enclave(b"app").unwrap();
+        let store = p.create_enclave(b"store").unwrap();
+        let rogue_quote = rogue.quote(&p, &app).unwrap();
+        assert!(matches!(
+            authority.accept(&p, &store, &rogue_quote),
+            Err(ChannelError::Attestation(_))
+        ));
+        let rogue_quote = rogue.quote(&p, &store).unwrap();
+        assert!(matches!(
+            authority.connect(&p, &app, |_| Ok::<_, ChannelError>(rogue_quote)),
+            Err(ChannelError::Attestation(_))
+        ));
     }
 
     #[test]

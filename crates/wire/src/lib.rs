@@ -28,8 +28,7 @@ pub mod frame;
 mod messages;
 
 pub use channel::{
-    attested_version, handshake_report_data, ChannelError, Role, SecureChannel,
-    SessionAuthority, PROTOCOL_VERSION,
+    ChannelError, Role, SecureChannel, SessionAuthority, PROTOCOL_VERSION,
 };
 pub use codec::{Reader, WireDecode, WireEncode, WireError, Writer};
 pub use filter::{FilterBody, NegativeFilter};

@@ -12,7 +12,7 @@ use speed_core::{
 use speed_crypto::{GhashPrf, SystemRng};
 use speed_enclave::{BlobId, CostModel, Platform};
 use speed_store::{ResultStore, StoreConfig};
-use speed_wire::{AppId, CompTag, Message, Record, SessionAuthority};
+use speed_wire::{AppId, ChannelError, CompTag, Message, Record, SessionAuthority};
 
 struct World {
     platform: Arc<Platform>,
@@ -263,10 +263,20 @@ fn put_flood_is_rate_limited_per_app() {
 fn channel_replay_rejected() {
     let world = world();
     let enclave = world.platform.create_enclave(b"replay-app").unwrap();
-    let (mut client, mut server) = world
+    let mut server = None;
+    let mut client = world
         .authority
-        .establish((&world.platform, &enclave), (&world.platform, world.store.enclave()))
+        .connect(&world.platform, &enclave, |client_quote| {
+            let (end, server_quote) = world.authority.accept(
+                &world.platform,
+                world.store.enclave(),
+                client_quote,
+            )?;
+            server = Some(end);
+            Ok::<_, ChannelError>(server_quote)
+        })
         .unwrap();
+    let mut server = server.unwrap();
     let frame = client.seal_message(b"GET something");
     assert!(server.open_message(&frame).is_ok());
     assert!(server.open_message(&frame).is_err());

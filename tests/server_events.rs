@@ -11,17 +11,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use speed_core::{
-    CoreError, ReplayQueue, ResilienceConfig, ResilienceStats, ResilientClient,
-    RetryPolicy, StoreClient, TcpClient,
+    CoreError, ResilienceConfig, ResilienceStats, ResilientClient, RetryPolicy,
+    StoreClient, TcpClient,
 };
-use speed_enclave::attestation::{create_report, Quote};
+use speed_enclave::attestation::Quote;
 use speed_enclave::{CostModel, Platform};
 use speed_store::server::{ServerConfig, StoreServer, TcpStoreClient};
 use speed_store::{ResultStore, StoreConfig, StoreError};
 use speed_telemetry::{names, MetricValue};
 use speed_wire::frame::{read_frame, write_frame};
 use speed_wire::{
-    from_bytes, to_bytes, AppId, CompTag, Message, Record, Role, SecureChannel,
+    from_bytes, to_bytes, AppId, CompTag, Message, Record, SecureChannel,
     SessionAuthority,
 };
 
@@ -57,8 +57,8 @@ fn sample_record() -> Record {
     }
 }
 
-/// Runs the client side of the attested handshake by hand, returning the
-/// raw stream and channel so tests can inject malformed traffic.
+/// Runs the client side of the attested handshake over a raw stream,
+/// returning the stream and channel so tests can inject malformed traffic.
 fn manual_handshake(
     server: &StoreServer,
     platform: &Platform,
@@ -68,13 +68,13 @@ fn manual_handshake(
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let enclave = platform.create_enclave(name).unwrap();
-    let report = create_report(platform, &enclave, &speed_wire::handshake_report_data());
-    let client_quote = authority.service().quote(platform, &report).unwrap();
-    write_frame(&mut stream, &client_quote.to_bytes()).unwrap();
-    let server_quote = Quote::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();
-    authority.service().verify_quote(&server_quote).unwrap();
-    let key = authority.session_key(&client_quote, &server_quote).unwrap();
-    (stream, SecureChannel::from_session_key(key, Role::Client))
+    let channel = authority
+        .connect(platform, &enclave, |client_quote| {
+            write_frame(&mut stream, &client_quote.to_bytes())?;
+            Ok::<_, StoreError>(Quote::from_bytes(&read_frame(&mut stream)?)?)
+        })
+        .unwrap();
+    (stream, channel)
 }
 
 /// Waits until `predicate` holds or five seconds pass.
@@ -269,6 +269,28 @@ fn protocol_errors_drop_one_connection_and_spare_the_rest() {
 }
 
 #[test]
+fn a_frame_sealed_for_one_session_is_refused_by_the_next() {
+    // Two sessions of the same client code against the same server: a
+    // frame sealed for the first, and never sent on it, must not open as
+    // the second session's first frame.
+    let (platform, store, authority) = world(29);
+    let server = spawn(&store, &platform, &authority, ServerConfig::default());
+    let (_first, mut first) =
+        manual_handshake(&server, &platform, &authority, b"same-client");
+    let (mut stream, mut second) =
+        manual_handshake(&server, &platform, &authority, b"same-client");
+    let request = to_bytes(&Message::StatsRequest);
+    let stolen = first.seal_message(&request);
+    assert_ne!(stolen, second.seal_message(&request), "the sessions share a key");
+
+    let baseline = server.stats().protocol_errors;
+    write_frame(&mut stream, &stolen).unwrap();
+    assert!(read_frame(&mut stream).is_err(), "the stolen frame was answered");
+    assert!(eventually(|| server.stats().protocol_errors > baseline));
+    server.shutdown();
+}
+
+#[test]
 fn busy_rejection_is_retryable_through_the_resilience_layer() {
     let (platform, store, authority) = world(25);
     let server = spawn(
@@ -316,7 +338,7 @@ fn busy_rejection_is_retryable_through_the_resilience_layer() {
             ..ResilienceConfig::default()
         },
         Arc::new(ResilienceStats::default()),
-        Arc::new(ReplayQueue::new(16)),
+        None,
     );
 
     let release = std::thread::spawn(move || {
