@@ -8,7 +8,7 @@
 //!   [`SecureChannel`] so the same bytes are protected as in the remote
 //!   case.
 //! - [`TcpClient`] — store on a dedicated server over TCP (the two-machine
-//!   evaluation setup, and the master-store deployment).
+//!   evaluation setup; applications on several machines may share it).
 
 use std::fmt;
 use std::sync::Arc;

@@ -1217,7 +1217,9 @@ impl DedupRuntime {
         let request = Message::BatchRequest { app: self.app_id, items };
         if let Some(putter) = &self.async_putter {
             // Enqueue and return immediately; the worker thread performs
-            // the OCALL on its own channel.
+            // the OCALL on its own channel. The batch still leaves the
+            // enclave, so its copy is charged here.
+            self.enclave.charge_boundary_bytes(wire_len + 48);
             return putter.submit(request);
         }
         let response =
@@ -1680,6 +1682,24 @@ mod tests {
         // After the flush the result is reusable.
         let (_, outcome) = rt.execute(&desc_double(), b"x", |_| panic!("dedup")).unwrap();
         assert_eq!(outcome, DedupOutcome::Hit);
+    }
+
+    #[test]
+    fn an_async_miss_charges_its_result_copy() {
+        // The worker sends the batch from untrusted memory, so the call that
+        // hands it over pays for copying it out of the enclave.
+        let (platform, store, authority) = setup();
+        let rt = DedupRuntime::builder(Arc::clone(&platform), b"async-copy-app")
+            .in_process_store(Arc::clone(&store), Arc::clone(&authority))
+            .trusted_library(library())
+            .async_put(true)
+            .build()
+            .unwrap();
+        let before = rt.enclave().stats().boundary_bytes;
+        rt.execute(&desc_double(), b"x", |_| vec![7; 100_000]).unwrap();
+        let charged = rt.enclave().stats().boundary_bytes - before;
+        rt.flush();
+        assert!(charged >= 100_000, "an async miss charged {charged} boundary bytes");
     }
 
     #[test]

@@ -54,6 +54,9 @@ fn usage() -> ! {
            is the only thing that reclaims WAL space: with 0 (no automatic\n\
            checkpoint) the WAL grows for as long as PATH is used, and every\n\
            start replays all of it\n\
+           --ttl-ms N expires an entry once the store has served N GET or\n\
+           PUT items since its PUT, counted store-wide: the store's clock\n\
+           counts items, not milliseconds\n\
            --node-id/--peers advertise a cluster membership ring that\n\
            ClusterClient callers fetch with `ring` (see docs/CLUSTER.md);\n\
            every member must be started with the same member list"

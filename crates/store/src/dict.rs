@@ -7,11 +7,11 @@
 //! authentication MAC), and a pointer to the real result ciphertexts that
 //! are kept outside the enclave." (§IV-B)
 //!
-//! Lookups take `&self`: hit counting and recency use interior-mutability
-//! atomics so a shard can serve concurrent readers under a read lock. The
-//! LRU index is only rewritten on the (exclusive) write path; reads stamp a
-//! per-entry recency sequence that [`MetadataDict::evict_lru`] reconciles
-//! lazily before evicting.
+//! Lookups take `&self`: recency is an interior-mutability atomic so a
+//! shard can serve concurrent readers under a read lock. The LRU index is
+//! only rewritten on the (exclusive) write path; reads stamp a per-entry
+//! recency sequence that [`MetadataDict::evict_lru`] reconciles lazily
+//! before evicting.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,12 +36,11 @@ pub struct DictEntry {
     /// Application whose quota the entry is charged to (for reclamation);
     /// `None` for an imported entry, which charges no quota.
     pub owner: Option<AppId>,
-    /// Logical-millisecond timestamp of insertion (drives TTL expiry).
+    /// The store's logical clock at insertion, which counts GET and PUT
+    /// items (drives TTL expiry).
     pub created_ms: u64,
-    /// Times this entry satisfied a GET (atomic so the read path never
-    /// needs an exclusive borrow).
-    hits: AtomicU64,
-    /// Recency sequence of the most recent touch (read-path stamp).
+    /// Recency sequence of the most recent touch (read-path stamp; atomic
+    /// so the read path never needs an exclusive borrow).
     last_touch: AtomicU64,
     /// The key this entry currently occupies in the LRU index. Only the
     /// write path moves entries in the index, so this may lag
@@ -59,7 +58,6 @@ impl Clone for DictEntry {
             boxed_len: self.boxed_len,
             owner: self.owner,
             created_ms: self.created_ms,
-            hits: AtomicU64::new(self.hits()),
             last_touch: AtomicU64::new(self.last_touch.load(Ordering::Relaxed)),
             lru_seq: self.lru_seq,
         }
@@ -75,18 +73,12 @@ impl PartialEq for DictEntry {
             && self.boxed_len == other.boxed_len
             && self.owner == other.owner
             && self.created_ms == other.created_ms
-            && self.hits() == other.hits()
     }
 }
 
 impl Eq for DictEntry {}
 
 impl DictEntry {
-    /// Times this entry satisfied a GET.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
     /// Approximate in-enclave footprint of this entry in bytes, used for
     /// EPC accounting.
     pub fn enclave_footprint(&self) -> usize {
@@ -128,20 +120,19 @@ impl MetadataDict {
         self.stored_bytes
     }
 
-    /// Looks up `tag`, bumping its recency and hit count on success.
+    /// Looks up `tag`, bumping its recency on success.
     ///
-    /// Takes `&self`: the bumps go to per-entry atomics, so concurrent
+    /// Takes `&self`: the bump goes to a per-entry atomic, so concurrent
     /// readers holding a shard's read lock never serialize on the lookup
     /// path. The LRU index catches up on the next eviction.
     pub fn get(&self, tag: &CompTag) -> Option<&DictEntry> {
         let entry = self.entries.get(tag)?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        entry.hits.fetch_add(1, Ordering::Relaxed);
         entry.last_touch.fetch_max(seq, Ordering::Relaxed);
         Some(entry)
     }
 
-    /// Looks up `tag` without touching recency or hit counts (for sync).
+    /// Looks up `tag` without touching its recency.
     pub fn peek(&self, tag: &CompTag) -> Option<&DictEntry> {
         self.entries.get(tag)
     }
@@ -180,7 +171,6 @@ impl MetadataDict {
                 boxed_len,
                 owner,
                 created_ms,
-                hits: AtomicU64::new(0),
                 last_touch: AtomicU64::new(seq),
                 lru_seq: seq,
             },
@@ -226,34 +216,23 @@ impl MetadataDict {
         }
     }
 
-    /// Overwrites the hit counter of an entry (entry import). Returns
-    /// `false` if the tag is absent.
-    pub fn restore_hits(&self, tag: &CompTag, hits: u64) -> bool {
-        match self.entries.get(tag) {
-            Some(entry) => {
-                entry.hits.store(hits, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Iterates over `(tag, entry)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&CompTag, &DictEntry)> {
         self.entries.iter()
     }
 
-    /// Entries with at least `min_hits` hits, most popular first — the
-    /// master-store sync selection.
-    pub fn popular(&self, min_hits: u64) -> Vec<(CompTag, DictEntry)> {
-        let mut selected: Vec<(CompTag, DictEntry)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.hits() >= min_hits)
-            .map(|(t, e)| (*t, e.clone()))
-            .collect();
-        selected.sort_by(|a, b| b.1.hits().cmp(&a.1.hits()).then(a.0.cmp(&b.0)));
-        selected
+    /// Copies of every entry, least recently used first: the order in
+    /// which [`evict_lru`](Self::evict_lru) would drain them. Re-inserting
+    /// them in this order rebuilds the same eviction order.
+    ///
+    /// Sorts by each copy's stamp, which concurrent readers cannot move
+    /// mid-sort as they can the live entries'.
+    pub fn by_recency(&self) -> Vec<(CompTag, DictEntry)> {
+        let mut entries: Vec<(CompTag, DictEntry)> =
+            self.entries.iter().map(|(tag, entry)| (*tag, entry.clone())).collect();
+        entries
+            .sort_unstable_by_key(|(_, entry)| entry.last_touch.load(Ordering::Relaxed));
+        entries
     }
 }
 
@@ -284,7 +263,6 @@ mod tests {
         assert!(insert_basic(&mut dict, 1, 100).is_none());
         let entry = dict.get(&tag(1)).unwrap();
         assert_eq!(entry.challenge, vec![1; 32]);
-        assert_eq!(entry.hits(), 1);
         assert_eq!(dict.len(), 1);
         assert_eq!(dict.stored_bytes(), 100);
     }
@@ -297,16 +275,14 @@ mod tests {
 
     #[test]
     fn get_needs_no_exclusive_borrow() {
-        // Regression for the read-path satellite: a shared reference must
-        // be enough to look up and hit-count, so shard readers can share a
-        // read lock.
+        // A shared reference must be enough to look up and stamp recency,
+        // so shard readers can share a read lock.
         let mut dict = MetadataDict::new();
         insert_basic(&mut dict, 1, 10);
         let shared: &MetadataDict = &dict;
         let first = shared.get(&tag(1)).unwrap();
         let second = shared.get(&tag(1)).unwrap();
         assert_eq!(first.blob, second.blob);
-        assert!(shared.peek(&tag(1)).unwrap().hits() >= 2);
     }
 
     #[test]
@@ -375,29 +351,22 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_bump_hits() {
+    fn by_recency_lists_the_eviction_order() {
         let mut dict = MetadataDict::new();
-        insert_basic(&mut dict, 1, 10);
-        dict.peek(&tag(1));
-        dict.peek(&tag(1));
-        assert_eq!(dict.peek(&tag(1)).unwrap().hits(), 0);
-    }
-
-    #[test]
-    fn popular_sorts_by_hits() {
-        let mut dict = MetadataDict::new();
-        for n in 1..=3 {
-            insert_basic(&mut dict, n, 10);
+        for n in 1..=5 {
+            insert_basic(&mut dict, n, 1);
         }
-        for _ in 0..5 {
-            dict.get(&tag(2));
+        for _ in 0..3 {
+            dict.get(&tag(1));
         }
+        dict.peek(&tag(2)); // a peek must not move entry 2 to the back
         dict.get(&tag(3));
-        let popular = dict.popular(1);
-        assert_eq!(popular.len(), 2);
-        assert_eq!(popular[0].0, tag(2));
-        assert_eq!(popular[1].0, tag(3));
-        assert_eq!(dict.popular(100).len(), 0);
+        let listed: Vec<CompTag> =
+            dict.by_recency().into_iter().map(|(t, _)| t).collect();
+        assert_eq!(listed, vec![tag(2), tag(4), tag(5), tag(1), tag(3)]);
+        let drained: Vec<CompTag> =
+            std::iter::from_fn(|| dict.evict_lru().map(|(t, _)| t)).collect();
+        assert_eq!(listed, drained);
     }
 
     #[test]
@@ -429,15 +398,6 @@ mod tests {
         }
         assert!(dict.peek(&tag(1)).is_some());
         assert_eq!(dict.len(), 1);
-    }
-
-    #[test]
-    fn restore_hits_overwrites() {
-        let mut dict = MetadataDict::new();
-        insert_basic(&mut dict, 1, 10);
-        assert!(dict.restore_hits(&tag(1), 7));
-        assert_eq!(dict.peek(&tag(1)).unwrap().hits(), 7);
-        assert!(!dict.restore_hits(&tag(9), 1));
     }
 
     #[test]

@@ -18,10 +18,6 @@
 //! - **DoS mitigation** ([`QuotaPolicy`]): the rate-limiting / quota
 //!   mechanism sketched in §III-D to stop a malicious application from
 //!   polluting the store with useless results.
-//! - **Master-store synchronization** ([`sync`]): the §IV-B Remark — a
-//!   master store periodically pulls popular entries from other stores in
-//!   the same process; tags are deterministic so only one ciphertext
-//!   version is ever kept.
 //! - **TCP deployment** ([`server::StoreServer`]): a framed, attested,
 //!   AES-GCM-protected network front end.
 //!
@@ -73,7 +69,6 @@ pub mod segment;
 pub mod server;
 mod store;
 mod switchless;
-pub mod sync;
 pub mod vfs;
 pub mod wal;
 

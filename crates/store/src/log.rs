@@ -599,7 +599,6 @@ mod tests {
                 nonce: [fill; 12],
                 boxed_result: vec![fill; 24],
             },
-            hits: u64::from(fill),
         }
     }
 
@@ -783,8 +782,8 @@ mod tests {
         assert_eq!(recovery.report.wal_segments, 5);
         assert_eq!(recovery.report.torn_segments, 0);
         assert_eq!(recovery.report.wal_records_replayed, 9, "the duplicate is read too");
-        // Every entry comes back with its record and hit count; the Ref and
-        // the Unref of entry 2 replay as no-ops.
+        // Every entry comes back with its record; the Ref and the Unref of
+        // entry 2 replay as no-ops.
         assert_eq!(sorted(recovery.entries), expected(&[]));
 
         // The next append starts a fresh log-0 file; no legacy file grows.

@@ -1,12 +1,12 @@
 //! The store image a [`crate::LogBackend`] checkpoint seals.
 //!
-//! A checkpoint holds the dictionary *and* the referenced ciphertexts with
-//! their hit counts, one section per store shard. The backend seals it
-//! under the store enclave's identity ([`SealPolicy::MrEnclave`]): only a
-//! store enclave running the identical code on the same platform can load
-//! it. Records inside are themselves RCE-protected, so sealing adds
-//! rollback/integrity protection for the image as a whole rather than
-//! confidentiality of individual results.
+//! A checkpoint holds the dictionary *and* the referenced ciphertexts, one
+//! section per store shard, each listed least recently used first. The
+//! backend seals it under the store enclave's identity
+//! ([`SealPolicy::MrEnclave`]): only a store enclave running the identical
+//! code on the same platform can load it. Records inside are themselves
+//! RCE-protected, so sealing adds rollback/integrity protection for the
+//! image as a whole rather than confidentiality of individual results.
 //!
 //! The payload opens with a `u32::MAX` sentinel and a version byte (2).
 //! The headerless version 1 predates checkpoints and is no longer read.
@@ -119,14 +119,18 @@ mod tests {
         assert!(matches!(response, Message::PutResponse(body) if body.accepted));
     }
 
-    /// Puts entries 1..=5 and gives entry 1 three hits.
+    /// Puts entries 1..=5.
     fn populate(store: &ResultStore) {
         for n in 1..=5u8 {
             put(store, n);
         }
-        for _ in 0..3 {
-            store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
-        }
+    }
+
+    /// Every entry of `store`, sorted by tag.
+    fn entries(store: &ResultStore) -> Vec<SyncEntry> {
+        let mut entries = store.export_shards().concat();
+        entries.sort_by_key(|entry| entry.tag);
+        entries
     }
 
     /// A platform with a fixed fuse secret: a reopen models a restart of
@@ -167,7 +171,7 @@ mod tests {
     fn reopen_quarantined(platform: &Arc<Platform>, dir: &Path) -> String {
         let (store, report) = open(platform, dir, StoreConfig::default());
         assert!(report.quarantined_checkpoint, "{report:?}");
-        let tags: Vec<CompTag> = store.export_popular(0).iter().map(|e| e.tag).collect();
+        let tags: Vec<CompTag> = entries(&store).iter().map(|e| e.tag).collect();
         assert_eq!(tags, vec![tag(2)], "only the WAL's entry survives");
         match report.checkpoint {
             SnapshotLoad::FreshUnreadable(reason) => reason,
@@ -178,13 +182,13 @@ mod tests {
     #[test]
     fn v2_snapshot_restores_across_shard_counts() {
         // A checkpointed store reopens under another shard count with every
-        // entry, its record bytes and its hit count: entries re-route by tag.
+        // entry and its record bytes: entries re-route by tag.
         let platform = platform(1);
         let dir = scratch("shards");
         let (store, _) = open(&platform, &dir, StoreConfig::default());
         populate(&store);
         store.checkpoint().unwrap();
-        let exported = store.export_popular(0);
+        let exported = entries(&store);
         drop(store);
 
         let (reopened, report) =
@@ -192,8 +196,7 @@ mod tests {
         assert_eq!(report.checkpoint, SnapshotLoad::Restored);
         assert_eq!(report.checkpoint_entries, 5);
         assert_eq!(reopened.shard_count(), 3);
-        assert_eq!(reopened.export_popular(0), exported);
-        assert_eq!(exported[0].hits, 3);
+        assert_eq!(entries(&reopened), exported);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

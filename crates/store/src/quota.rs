@@ -10,15 +10,21 @@ use std::collections::HashMap;
 use speed_wire::AppId;
 
 /// Limits applied to each application.
+///
+/// The rate window runs on the store's logical clock, which advances once
+/// per GET or PUT item, store-wide: `window_ms` counts items, not
+/// milliseconds. One application can therefore put at most `window_ms`
+/// items in a window, so the default cap of 10,000 PUTs per 1,000-item
+/// window never binds; only the entry and byte quotas do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuotaPolicy {
     /// Maximum live entries an application may own.
     pub max_entries_per_app: u64,
     /// Maximum total ciphertext bytes an application may have stored.
     pub max_bytes_per_app: u64,
-    /// Maximum PUT requests per window.
+    /// Maximum PUT items per window.
     pub max_puts_per_window: u64,
-    /// Rate-limit window length in milliseconds.
+    /// Rate-limit window length in store items (GETs and PUTs, store-wide).
     pub window_ms: u64,
 }
 

@@ -73,8 +73,10 @@ pub struct StoreConfig {
     pub quota: QuotaPolicy,
     /// Which applications may use the store.
     pub access: AccessControl,
-    /// Entry time-to-live in logical milliseconds (each request advances
-    /// the logical clock by 1 ms); `None` disables expiry.
+    /// Entry time-to-live on the store's logical clock, which advances by
+    /// one for every GET or PUT item the store serves, store-wide (a batch
+    /// of n items advances it by n). So it counts items, not milliseconds.
+    /// `None` disables expiry.
     pub ttl_ms: Option<u64>,
     /// Number of lock partitions of the metadata dictionary (at least 1).
     /// Requests route by the tag's leading byte; more shards mean more
@@ -831,7 +833,6 @@ impl ResultStore {
                                     nonce,
                                     boxed_result,
                                 },
-                                hits: 0,
                             }),
                             None => Ok(()), // blob raced away; nothing to record
                         };
@@ -1099,102 +1100,61 @@ impl ResultStore {
         }
     }
 
-    /// Imports entries wholesale, preserving hit counts: recovery on
-    /// [`open`](Self::open) and master-store sync ([`crate::sync`]) both
-    /// land here. Imports charge no application's quota, but capacity
-    /// eviction still applies, and each imported tag enters its shard's
-    /// negative filter like a PUT's. Entries route to shards by tag, so they
-    /// import correctly into a store with any shard count. Returns how many
-    /// entries were accepted (a tag the store already held counts).
+    /// Imports entries wholesale: recovery on [`open`](Self::open) lands
+    /// here. Imports charge no application's quota, but capacity eviction
+    /// still applies, and each imported tag enters its shard's negative
+    /// filter like a PUT's. Entries route to shards by tag, so they import
+    /// correctly into a store with any shard count, and each shard takes
+    /// its entries in list order as its least to most recently used.
+    /// Returns how many entries were accepted (a tag the store already held
+    /// counts).
     ///
-    /// Entries go in batches of 256: one `store_batch` ECALL and one
-    /// `store_restore_hits` ECALL per batch. Capacity is enforced
-    /// after each batch, and eviction follows insertion order, so the
-    /// entries that survive are those an import of one entry at a time
-    /// would keep: the newest of each shard.
+    /// Entries go in batches of 256, one `store_batch` ECALL per batch.
+    /// Capacity is enforced after each batch, and eviction follows insertion
+    /// order, so the entries that survive are those an import of one entry
+    /// at a time would keep: the newest of each shard.
     pub fn import_entries(&self, entries: Vec<SyncEntry>) -> usize {
         let mut imported = 0usize;
         let mut entries = entries.into_iter().peekable();
         while entries.peek().is_some() {
-            let batch: Vec<SyncEntry> = entries.by_ref().take(IMPORT_BATCH).collect();
-            let mut hits: Vec<(CompTag, u64)> =
-                batch.iter().map(|entry| (entry.tag, entry.hits)).collect();
-            let items = batch
-                .into_iter()
+            let items = entries
+                .by_ref()
+                .take(IMPORT_BATCH)
                 .map(|entry| BatchItem::Put { tag: entry.tag, record: entry.record })
                 .collect();
-            // Results come in item order: keep the accepted entries' counts.
-            let mut results = self.handle_batch(None, items).into_iter();
-            hits.retain(|_| {
-                results
-                    .next()
-                    .is_some_and(|result| result.status == BatchStatus::Accepted)
-            });
-            imported += hits.len();
-            if !hits.is_empty() {
-                self.enclave.ecall("store_restore_hits", || {
-                    for (tag, hits) in &hits {
-                        self.shard(tag).dict_read().restore_hits(tag, *hits);
-                    }
-                });
-            }
+            imported += self
+                .handle_batch(None, items)
+                .iter()
+                .filter(|result| result.status == BatchStatus::Accepted)
+                .count();
         }
         self.maintain();
         imported
     }
 
-    /// Exports entries with at least `min_hits` hits for master-store sync,
-    /// most popular first across all shards.
-    pub fn export_popular(&self, min_hits: u64) -> Vec<SyncEntry> {
-        let popular = self.enclave.ecall("store_export", || {
-            let mut selected = Vec::new();
-            for shard in self.shards.iter() {
-                selected.extend(shard.dict_read().popular(min_hits));
-            }
-            // Per-shard selections are each sorted; merge to the global
-            // popularity order the single-dict store produced.
-            selected.sort_by(|a, b| b.1.hits().cmp(&a.1.hits()).then(a.0.cmp(&b.0)));
-            selected
-        });
-        popular
-            .into_iter()
-            .filter_map(|(tag, entry)| {
-                self.untrusted.load(entry.blob).map(|boxed_result| SyncEntry {
-                    tag,
-                    record: Record {
-                        challenge: entry.challenge.clone(),
-                        wrapped_key: entry.wrapped_key,
-                        nonce: entry.nonce,
-                        boxed_result,
-                    },
-                    hits: entry.hits(),
-                })
-            })
-            .collect()
-    }
-
-    /// Exports every entry grouped by owning shard (checkpoint sections).
-    /// Entries whose ciphertext blob vanished from untrusted memory are
-    /// skipped, matching [`export_popular`](Self::export_popular).
+    /// Exports every entry grouped by owning shard (checkpoint sections),
+    /// each shard's least recently used first, so that
+    /// [`import_entries`](Self::import_entries) rebuilds each shard's
+    /// eviction order. Entries whose ciphertext blob vanished from
+    /// untrusted memory are skipped.
     pub fn export_shards(&self) -> Vec<Vec<SyncEntry>> {
         self.shards
             .iter()
             .map(|shard| {
                 let entries = self
                     .enclave
-                    .ecall("store_export_shard", || shard.dict_read().popular(0));
+                    .ecall("store_export_shard", || shard.dict_read().by_recency());
                 entries
                     .into_iter()
                     .filter_map(|(tag, entry)| {
                         self.untrusted.load(entry.blob).map(|boxed_result| SyncEntry {
                             tag,
                             record: Record {
-                                challenge: entry.challenge.clone(),
+                                challenge: entry.challenge,
                                 wrapped_key: entry.wrapped_key,
                                 nonce: entry.nonce,
                                 boxed_result,
                             },
-                            hits: entry.hits(),
                         })
                     })
                     .collect()
@@ -1271,8 +1231,9 @@ impl ResultStore {
         self.shards.iter().map(|s| s.evictions.get()).sum()
     }
 
-    /// Advances and returns the logical millisecond clock used for quota
-    /// windows. Each request advances time by 1 ms; tests may rely on this
+    /// Advances and returns the store's logical clock, once per GET or PUT
+    /// item, store-wide. It drives TTL expiry and the quota's PUT-rate
+    /// window, so both count items, not time; tests may rely on this
     /// determinism.
     fn tick(&self) -> u64 {
         self.logical_ms.fetch_add(1, Ordering::Relaxed)
@@ -1586,52 +1547,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_pull_exports_popular_entries() {
-        let (_p, store) = store();
-        store.handle(Message::PutRequest {
-            app: AppId(1),
-            tag: tag(1),
-            record: record(10, 1),
-        });
-        store.handle(Message::PutRequest {
-            app: AppId(1),
-            tag: tag(2),
-            record: record(10, 2),
-        });
-        // Make tag 1 popular.
-        for _ in 0..3 {
-            store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
-        }
-        let entries = store.export_popular(2);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].tag, tag(1));
-        assert!(entries[0].hits >= 2);
-    }
-
-    #[test]
-    fn export_popular_orders_across_shards() {
-        let (_p, store) = store();
-        // Three entries in three different shards with distinct popularity.
-        for n in 1..=3u8 {
-            store.handle(Message::PutRequest {
-                app: AppId(1),
-                tag: tag(n),
-                record: record(10, n),
-            });
-        }
-        for _ in 0..5 {
-            store.handle(Message::GetRequest { app: AppId(1), tag: tag(2) });
-        }
-        for _ in 0..2 {
-            store.handle(Message::GetRequest { app: AppId(1), tag: tag(3) });
-        }
-        store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
-        let exported = store.export_popular(1);
-        let order: Vec<CompTag> = exported.iter().map(|e| e.tag).collect();
-        assert_eq!(order, vec![tag(2), tag(3), tag(1)]);
-    }
-
-    #[test]
     fn export_shards_partitions_by_routing() {
         let (_p, store) = store();
         for n in 1..=4u8 {
@@ -1694,7 +1609,7 @@ mod tests {
             record: record(12, 1),
         });
 
-        // Within TTL (logical clock advances 1 ms per request): hit.
+        // Within TTL (the logical clock advances once per item): hit.
         let hit = store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
         assert!(matches!(hit, Message::GetResponse(b) if b.found));
 
@@ -1725,25 +1640,6 @@ mod tests {
     }
 
     #[test]
-    fn import_entries_preserves_hits() {
-        let (_p, store) = store();
-        let entries = vec![SyncEntry {
-            tag: tag(1),
-            record: Record {
-                challenge: vec![1; 32],
-                wrapped_key: [1; 16],
-                nonce: [1; 12],
-                boxed_result: vec![1; 10],
-            },
-            hits: 7,
-        }];
-        assert_eq!(store.import_entries(entries), 1);
-        let popular = store.export_popular(7);
-        assert_eq!(popular.len(), 1);
-        assert_eq!(popular[0].hits, 7);
-    }
-
-    #[test]
     fn a_reopen_imports_in_batches() {
         let dir = std::env::temp_dir()
             .join(format!("speed-store-batched-reopen-{}", std::process::id()));
@@ -1754,15 +1650,11 @@ mod tests {
         let entries = (0..1_000u16).map(|n| {
             let mut bytes = [0u8; 32];
             bytes[..2].copy_from_slice(&n.to_le_bytes());
-            SyncEntry {
-                tag: CompTag::from_bytes(bytes),
-                record: record(16, n as u8),
-                hits: u64::from(n % 7),
-            }
+            SyncEntry { tag: CompTag::from_bytes(bytes), record: record(16, n as u8) }
         });
         let store = open(StoreConfig::default());
         assert_eq!(store.import_entries(entries.collect()), 1_000);
-        // The checkpoint makes the hit counts durable.
+        // The reopen loads the checkpoint rather than replaying the WAL.
         store.checkpoint().unwrap();
         drop(store);
 
@@ -1772,8 +1664,8 @@ mod tests {
         assert!(ecalls * 10 < 1_000, "{ecalls} store ECALLs to reopen 1,000 entries");
         drop(reopened);
 
-        // Into ten entries per shard, a reopen keeps the entries, hit
-        // counts and filter bits that importing one entry at a time keeps.
+        // Into ten entries per shard, a reopen keeps the entries, their
+        // order and the filter bits that importing one entry at a time keeps.
         let small = StoreConfig { max_entries: 80, ..StoreConfig::default() };
         let reference = ResultStore::new(&platform, small.clone()).unwrap();
         let recovery = backend().open(&platform, reference.enclave()).unwrap();
@@ -1783,36 +1675,96 @@ mod tests {
         let reopened = open(small);
         assert_eq!(reopened.stats().entries, 80);
         assert_eq!(reopened.evictions(), 920);
-        assert_eq!(reopened.export_popular(0), reference.export_popular(0));
+        assert_eq!(reopened.export_shards(), reference.export_shards());
         assert_eq!(reopened.filter_snapshot(), reference.filter_snapshot());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn sync_batch_merges_entries() {
-        // A sync batch merges whole, past any per-app quota: two apps hold 3
-        // entries each under a 4-entry quota, and the import charges no app,
-        // so all 6 reach the target with their hit counts.
+    fn a_reopen_keeps_the_eviction_order() {
+        let dir = std::env::temp_dir()
+            .join(format!("speed-store-reopen-lru-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Seeded, so the reopened store unseals what the first one wrote.
+        let platform = Platform::with_seed(CostModel::no_sgx(), Some(0x5eed));
+        let config = || StoreConfig::with_capacity(3, u64::MAX);
+        let open = || {
+            let backend = Arc::new(crate::LogBackend::new(crate::LogConfig::new(&dir)));
+            ResultStore::open(&platform, config(), backend).unwrap().0
+        };
+        let put = |store: &ResultStore, n: u8| {
+            let put = store.handle(Message::PutRequest {
+                app: AppId(1),
+                tag: tag(n),
+                record: record(8, n),
+            });
+            assert!(matches!(put, Message::PutResponse(body) if body.accepted));
+        };
+        // Entries 1, 2 and 3, then five reads of entry 1: entry 2 is the
+        // least recently used.
+        let fill = |store: &ResultStore| {
+            for n in 1..=3 {
+                put(store, n);
+            }
+            for _ in 0..5 {
+                store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
+            }
+        };
+        let live = |store: &ResultStore| {
+            let mut tags: Vec<CompTag> =
+                store.export_shards().concat().iter().map(|e| e.tag).collect();
+            tags.sort();
+            tags
+        };
+
+        let running = ResultStore::new(&platform, config()).unwrap();
+        fill(&running);
+        put(&running, 4);
+        assert_eq!(live(&running), vec![tag(1), tag(3), tag(4)]);
+
+        let store = open();
+        fill(&store);
+        store.checkpoint().unwrap();
+        drop(store);
+        let reopened = open();
+        put(&reopened, 4);
+        assert_eq!(
+            live(&reopened),
+            vec![tag(1), tag(3), tag(4)],
+            "entry 2 must go first"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_import_charges_no_quota() {
+        // Two apps hold 3 entries each under a 4-entry quota. Imported into
+        // another store, all 6 land, and neither app is charged for them.
         let platform = Platform::new(CostModel::default_sgx());
         let config = || StoreConfig {
             quota: QuotaPolicy { max_entries_per_app: 4, ..QuotaPolicy::default() },
             ..StoreConfig::default()
         };
-        let source = ResultStore::new(&platform, config()).unwrap();
-        let target = ResultStore::new(&platform, config()).unwrap();
-        for n in 1..=6u8 {
-            let app = AppId(u64::from(n % 2));
-            let put = source.handle(Message::PutRequest {
-                app,
+        let put = |store: &ResultStore, app: u64, n: u8| {
+            let put = store.handle(Message::PutRequest {
+                app: AppId(app),
                 tag: tag(n),
                 record: record(8, n),
             });
-            assert!(matches!(put, Message::PutResponse(b) if b.accepted));
+            matches!(put, Message::PutResponse(b) if b.accepted)
+        };
+        let source = ResultStore::new(&platform, config()).unwrap();
+        let target = ResultStore::new(&platform, config()).unwrap();
+        for n in 1..=6u8 {
+            assert!(put(&source, u64::from(n % 2), n));
         }
-        source.handle(Message::GetRequest { app: AppId(1), tag: tag(3) });
-        assert_eq!(crate::sync::sync_once(&source, &target, 0), 6);
-        assert_eq!(target.stats().entries, 6, "sync dropped entries past a quota");
-        assert_eq!(target.export_popular(0), source.export_popular(0));
+        assert_eq!(target.import_entries(source.export_shards().concat()), 6);
+        assert_eq!(target.export_shards(), source.export_shards());
+        // App 0's whole quota is still free in the target.
+        for n in 11..=14u8 {
+            assert!(put(&target, 0, n), "PUT {n} refused");
+        }
+        assert!(!put(&target, 0, 15), "the quota no longer binds");
     }
 
     #[test]
@@ -2156,9 +2108,8 @@ mod tests {
     #[test]
     fn imported_entries_feed_the_negative_filter() {
         let (_p, store) = store();
-        let entries = (4..8u8)
-            .map(|n| SyncEntry { tag: tag(n), record: record(16, n), hits: 2 })
-            .collect();
+        let entries =
+            (4..8u8).map(|n| SyncEntry { tag: tag(n), record: record(16, n) }).collect();
         assert_eq!(store.import_entries(entries), 4);
         let snap = store.filter_snapshot();
         for n in 4..8u8 {

@@ -261,7 +261,6 @@ mod tests {
                     nonce: [fill; 12],
                     boxed_result: vec![fill; 20],
                 },
-                hits: u64::from(fill),
             }),
         }
     }

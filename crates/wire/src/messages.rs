@@ -211,34 +211,34 @@ impl WireDecode for MetricsFormat {
     }
 }
 
-/// One exported store entry: the unit of a checkpoint, a WAL PUT record,
-/// and master-store sync (§IV-B Remark).
+/// One exported store entry: the unit of a checkpoint and of a WAL PUT
+/// record.
+///
+/// The encoding ends with a `u64` slot that once held the entry's hit
+/// count. It is written as 0 and skipped on decode, so records and
+/// checkpoints keep their byte layout in both directions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SyncEntry {
     /// The computation tag.
     pub tag: CompTag,
     /// The stored record.
     pub record: Record,
-    /// How many times this entry has been hit (popularity for sync
-    /// prioritization).
-    pub hits: u64,
 }
 
 impl WireEncode for SyncEntry {
     fn encode(&self, writer: &mut Writer) {
         self.tag.encode(writer);
         self.record.encode(writer);
-        self.hits.encode(writer);
+        0u64.encode(writer);
     }
 }
 
 impl WireDecode for SyncEntry {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SyncEntry {
-            tag: CompTag::decode(reader)?,
-            record: Record::decode(reader)?,
-            hits: u64::decode(reader)?,
-        })
+        let entry =
+            SyncEntry { tag: CompTag::decode(reader)?, record: Record::decode(reader)? };
+        u64::decode(reader)?;
+        Ok(entry)
     }
 }
 
@@ -810,6 +810,28 @@ mod tests {
         for tag in [7, 8, 200] {
             assert_eq!(from_bytes::<Message>(&[tag]), Err(WireError::InvalidTag(tag)));
         }
+    }
+
+    #[test]
+    fn sync_entry_bytes_keep_their_layout() {
+        // The bytes an entry had when its last field was a hit count: tag,
+        // length-prefixed challenge, wrapped key, nonce, length-prefixed
+        // ciphertext, then the count as a little-endian u64.
+        let layout = |hits: u64| {
+            let mut bytes = vec![5u8; 32];
+            bytes.extend_from_slice(&32u32.to_le_bytes());
+            bytes.extend_from_slice(&[1; 32]);
+            bytes.extend_from_slice(&[2; 16]);
+            bytes.extend_from_slice(&[3; 12]);
+            bytes.extend_from_slice(&50u32.to_le_bytes());
+            bytes.extend_from_slice(&[4; 50]);
+            bytes.extend_from_slice(&hits.to_le_bytes());
+            bytes
+        };
+        let entry =
+            SyncEntry { tag: CompTag::from_bytes([5; 32]), record: sample_record() };
+        assert_eq!(from_bytes::<SyncEntry>(&layout(7)), Ok(entry.clone()));
+        assert_eq!(to_bytes(&entry), layout(0));
     }
 
     #[test]

@@ -105,7 +105,7 @@ enum WalOp {
 }
 
 fn entry_of(seed: u8) -> SyncEntry {
-    SyncEntry { tag: tag_of(seed), record: record_of(seed), hits: 0 }
+    SyncEntry { tag: tag_of(seed), record: record_of(seed) }
 }
 
 /// Generates the seeded 200-op mutation sequence the acceptance criteria

@@ -1,13 +1,11 @@
-//! Distributed deployments: TCP store servers, the master-store
-//! synchronization topology (§IV-B Remark), and concurrent applications.
+//! Distributed deployments: TCP store servers shared by applications on
+//! several machines, and concurrent applications.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use speed_core::{DedupOutcome, DedupRuntime, FuncDesc, TrustedLibrary};
 use speed_enclave::{CostModel, Platform};
 use speed_store::server::StoreServer;
-use speed_store::sync::{sync_once, SyncDaemon};
 use speed_store::{ResultStore, StoreConfig};
 use speed_wire::SessionAuthority;
 
@@ -135,89 +133,48 @@ fn two_machine_deployment_over_tcp() {
 }
 
 #[test]
-fn master_store_collects_popular_results_from_machines() {
-    // Two "machines", each with a local store; a master on a third.
+fn runtimes_on_two_machines_share_one_tcp_store() {
+    // Applications on two SGX machines use one store machine. Tags and
+    // result keys derive from the computation alone, never from the
+    // machine, so the second machine reuses the first one's result.
     let machine_1 = Platform::new(CostModel::default_sgx());
     let machine_2 = Platform::new(CostModel::default_sgx());
-    let master_machine = Platform::new(CostModel::default_sgx());
-    let local_1 = Arc::new(ResultStore::new(&machine_1, StoreConfig::default()).unwrap());
-    let local_2 = Arc::new(ResultStore::new(&machine_2, StoreConfig::default()).unwrap());
-    let master =
-        Arc::new(ResultStore::new(&master_machine, StoreConfig::default()).unwrap());
+    let store_machine = Platform::new(CostModel::default_sgx());
+    let store =
+        Arc::new(ResultStore::new(&store_machine, StoreConfig::default()).unwrap());
     let authority = Arc::new(SessionAuthority::new());
+    let server = StoreServer::spawn(
+        Arc::clone(&store),
+        Arc::clone(&store_machine),
+        Arc::clone(&authority),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let runtime = |machine: &Arc<Platform>, code: &[u8]| {
+        DedupRuntime::builder(Arc::clone(machine), code)
+            .tcp_store(server.addr(), Arc::clone(&authority))
+            .trusted_library(library())
+            .build()
+            .unwrap()
+    };
 
-    // Machine 1 computes a popular result (3 hits) and an unpopular one.
-    let rt1 = DedupRuntime::builder(Arc::clone(&machine_1), b"app-m1")
-        .in_process_store(Arc::clone(&local_1), Arc::clone(&authority))
-        .trusted_library(library())
-        .build()
-        .unwrap();
-    let identity = rt1.resolve(&desc()).unwrap();
-    rt1.execute_raw(&identity, b"popular", |d| d.to_vec()).unwrap();
-    for _ in 0..3 {
-        rt1.execute_raw(&identity, b"popular", |_| panic!("hit")).unwrap();
-    }
-    rt1.execute_raw(&identity, b"unpopular", |d| d.to_vec()).unwrap();
+    let rt1 = runtime(&machine_1, b"app-m1");
+    let identity_1 = rt1.resolve(&desc()).unwrap();
+    let (_, outcome) =
+        rt1.execute_raw(&identity_1, b"shared input", |d| d.to_vec()).unwrap();
+    assert_eq!(outcome, DedupOutcome::Miss);
 
-    // Machine 2 computes another popular result.
-    let rt2 = DedupRuntime::builder(Arc::clone(&machine_2), b"app-m2")
-        .in_process_store(Arc::clone(&local_2), Arc::clone(&authority))
-        .trusted_library(library())
-        .build()
-        .unwrap();
+    let rt2 = runtime(&machine_2, b"app-m2");
     let identity_2 = rt2.resolve(&desc()).unwrap();
-    rt2.execute_raw(&identity_2, b"other popular", |d| d.to_vec()).unwrap();
-    rt2.execute_raw(&identity_2, b"other popular", |_| panic!("hit")).unwrap();
-
-    // Periodic sync pulls entries with ≥1 hit into the master.
-    assert_eq!(sync_once(&local_1, &master, 1), 1);
-    assert_eq!(sync_once(&local_2, &master, 1), 1);
-    assert_eq!(master.stats().entries, 2);
-
-    // An application attached to the master reuses machine 1's result —
-    // RCE decryption works because the tag/key derivation is machine
-    // independent.
-    let rt3 = DedupRuntime::builder(Arc::clone(&master_machine), b"app-master")
-        .in_process_store(Arc::clone(&master), Arc::clone(&authority))
-        .trusted_library(library())
-        .build()
-        .unwrap();
-    let identity_3 = rt3.resolve(&desc()).unwrap();
-    let (result, outcome) = rt3
-        .execute_raw(&identity_3, b"popular", |_| panic!("must reuse synced"))
+    let (result, outcome) = rt2
+        .execute_raw(&identity_2, b"shared input", |_| {
+            panic!("must reuse machine 1's result")
+        })
         .unwrap();
     assert_eq!(outcome, DedupOutcome::Hit);
-    assert_eq!(result, b"popular");
-}
-
-#[test]
-fn sync_daemon_round_trips() {
-    let machine = Platform::new(CostModel::no_sgx());
-    let local = Arc::new(ResultStore::new(&machine, StoreConfig::default()).unwrap());
-    let master = Arc::new(ResultStore::new(&machine, StoreConfig::default()).unwrap());
-    let authority = Arc::new(SessionAuthority::new());
-
-    let rt = DedupRuntime::builder(Arc::clone(&machine), b"daemon-app")
-        .in_process_store(Arc::clone(&local), Arc::clone(&authority))
-        .trusted_library(library())
-        .build()
-        .unwrap();
-    let identity = rt.resolve(&desc()).unwrap();
-    rt.execute_raw(&identity, b"data", |d| d.to_vec()).unwrap();
-    rt.execute_raw(&identity, b"data", |_| panic!("hit")).unwrap();
-
-    let daemon = SyncDaemon::spawn(
-        vec![Arc::clone(&local)],
-        Arc::clone(&master),
-        1,
-        Duration::from_millis(1),
-    );
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while master.stats().entries == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    daemon.shutdown();
-    assert_eq!(master.stats().entries, 1);
+    assert_eq!(result, b"shared input");
+    assert_eq!(store.stats().entries, 1);
+    server.shutdown();
 }
 
 #[test]

@@ -211,7 +211,7 @@ fn record_of(tag: u8, len: u8, fill: u8) -> Record {
 /// equivalent to this.
 #[derive(Default)]
 struct Model {
-    entries: BTreeMap<[u8; COMP_TAG_LEN], (Record, u64)>, // tag -> (record, hits)
+    entries: BTreeMap<[u8; COMP_TAG_LEN], Record>,
     lru: Vec<[u8; COMP_TAG_LEN]>,
     evictions: u64,
 }
@@ -224,9 +224,7 @@ impl Model {
 
     fn get(&mut self, tag: u8) -> Option<Record> {
         let key = [tag; COMP_TAG_LEN];
-        let (record, hits) = self.entries.get_mut(&key)?;
-        *hits += 1;
-        let record = record.clone();
+        let record = self.entries.get(&key)?.clone();
         self.touch(key);
         Some(record)
     }
@@ -237,13 +235,13 @@ impl Model {
         if self.entries.contains_key(&key) {
             return false; // first writer wins; no recency bump
         }
-        self.entries.insert(key, (record_of(tag, len, fill), 0));
+        self.entries.insert(key, record_of(tag, len, fill));
         self.lru.push(key);
         true
     }
 
     fn stored_bytes(&self) -> u64 {
-        self.entries.values().map(|(r, _)| r.boxed_result.len() as u64).sum()
+        self.entries.values().map(|r| r.boxed_result.len() as u64).sum()
     }
 
     /// The tags of the live entries.
@@ -259,18 +257,9 @@ impl Model {
         }
     }
 
-    /// Mirrors a reload: entries and hits survive, but the LRU order
-    /// resets to the export order (hits descending, tag ascending — the
-    /// `popular(0)` ordering), and the new store's eviction counter starts
-    /// at zero.
+    /// Mirrors a reload: entries and their LRU order survive, and the new
+    /// store's eviction counter starts at zero.
     fn reload(&mut self) {
-        let mut order: Vec<[u8; COMP_TAG_LEN]> = self.entries.keys().copied().collect();
-        order.sort_by(|a, b| {
-            let ha = self.entries[a].1;
-            let hb = self.entries[b].1;
-            hb.cmp(&ha).then(a.cmp(b))
-        });
-        self.lru = order;
         self.evictions = 0;
     }
 }
