@@ -2,12 +2,9 @@
 //!
 //! 1. **RCE vs single key** (§III-B vs §III-C): what does keyless
 //!    cross-application sharing cost per call?
-//! 2. **Synchronous vs asynchronous PUT** (§IV-B remark on processing PUT
-//!    "in a separated thread"): how much initial-computation latency does
-//!    the async worker hide?
-//! 3. **World-switch cost sensitivity**: how does store latency scale as
+//! 2. **World-switch cost sensitivity**: how does store latency scale as
 //!    ECALL/OCALL costs grow (the HotCalls/Eleos motivation)?
-//! 4. **In-process vs TCP transport**: what does the dedicated-server
+//! 3. **In-process vs TCP transport**: what does the dedicated-server
 //!    deployment cost per GET?
 
 use std::sync::Arc;
@@ -48,7 +45,7 @@ pub fn rce_vs_single_key(trials: usize) -> RceAblation {
 
     let run_mode = |mode: DedupMode| -> (Timing, Timing) {
         let env = DedupEnv::new(CostModel::default_sgx());
-        let runtime = env.runtime_with(b"ablation-rce", mode, false);
+        let runtime = env.runtime_with(b"ablation-rce", mode);
         let identity = runtime.resolve(&app.desc()).expect("registered");
         let mut initial = Timing::default();
         let mut subsequent = Timing::default();
@@ -102,83 +99,6 @@ pub fn render_rce(result: &RceAblation) -> String {
     format!(
         "Ablation — result protection scheme (compression, 256KB)\n{}",
         render_timings(&["scheme", "case"], &[], rows)
-    )
-}
-
-/// Result of the sync-vs-async PUT ablation.
-#[derive(Clone, Debug)]
-pub struct AsyncAblation {
-    /// Mean initial-computation latency with synchronous PUT.
-    pub sync_initial: Timing,
-    /// Mean initial-computation latency with the async PUT worker.
-    pub async_initial: Timing,
-    /// Raw (baseline) computation time, for reference.
-    pub baseline: Timing,
-}
-
-/// Measures initial-computation latency with and without the async PUT
-/// worker (compression at 4 MB — a large result makes the PUT roundtrip
-/// worth hiding).
-pub fn sync_vs_async_put(trials: usize) -> AsyncAblation {
-    let app = App::Deflate;
-    let size = 4 << 20;
-
-    let run_config = |async_put: bool| -> Timing {
-        let env = DedupEnv::new(CostModel::default_sgx());
-        let runtime = env.runtime_with(b"ablation-async", DedupMode::CrossApp, async_put);
-        let identity = runtime.resolve(&app.desc()).expect("registered");
-        let mut total = Timing::default();
-        for t in 0..trials {
-            let input = app.generate_input(size, 0xA5 << 8 | t as u64);
-            let (_, elapsed) = measure(&env.platform, || {
-                runtime
-                    .execute_raw(&identity, &input, |bytes| app.compute(bytes))
-                    .expect("store reachable")
-            });
-            total += elapsed;
-        }
-        runtime.flush();
-        total / trials as u32
-    };
-
-    let baseline = {
-        let env = DedupEnv::new(CostModel::default_sgx());
-        let enclave = env.platform.create_enclave(b"ablation-baseline").expect("epc");
-        let mut total = Timing::default();
-        for t in 0..trials {
-            let input = app.generate_input(size, 0xA5 << 8 | t as u64);
-            let (_, elapsed) = measure(&env.platform, || {
-                enclave.ecall("app_main", || app.compute(&input))
-            });
-            total += elapsed;
-        }
-        total / trials as u32
-    };
-
-    AsyncAblation {
-        sync_initial: run_config(false),
-        async_initial: run_config(true),
-        baseline,
-    }
-}
-
-/// Renders the async ablation; "vs baseline" compares SGX estimates.
-pub fn render_async(result: &AsyncAblation) -> String {
-    let baseline = result.baseline.sgx_estimate().as_secs_f64();
-    let rows = [
-        ("baseline (no SPEED)", result.baseline),
-        ("sync PUT", result.sync_initial),
-        ("async PUT", result.async_initial),
-    ]
-    .into_iter()
-    .map(|(configuration, timing)| {
-        let relative = timing.sgx_estimate().as_secs_f64() / baseline * 100.0;
-        (vec![configuration.to_string()], timing, vec![format!("{relative:.1}%")])
-    })
-    .collect();
-    format!(
-        "Ablation — initial computation with sync vs async PUT (compression, 4MB)\n{}",
-        render_timings(&["configuration"], &["vs baseline"], rows)
     )
 }
 
@@ -355,18 +275,5 @@ mod tests {
         let result = transport_comparison();
         assert!(result.tcp.sgx_estimate() > Duration::ZERO);
         assert!(result.in_process.sgx_estimate() > Duration::ZERO);
-    }
-
-    #[test]
-    fn async_put_not_slower_than_sync() {
-        let result = sync_vs_async_put(2);
-        // Async hides PUT latency; allow generous noise margin.
-        assert!(
-            result.async_initial.sgx_estimate()
-                < result.sync_initial.sgx_estimate() + Duration::from_millis(200),
-            "async {:?} vs sync {:?}",
-            result.async_initial,
-            result.sync_initial
-        );
     }
 }

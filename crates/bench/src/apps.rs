@@ -227,20 +227,14 @@ impl DedupEnv {
 
     /// Builds an application runtime connected to this environment's store.
     pub fn runtime(&self, app_code: &[u8]) -> Arc<DedupRuntime> {
-        self.runtime_with(app_code, DedupMode::CrossApp, false)
+        self.runtime_with(app_code, DedupMode::CrossApp)
     }
 
-    /// Builds a runtime with explicit mode and async-PUT setting.
-    pub fn runtime_with(
-        &self,
-        app_code: &[u8],
-        mode: DedupMode,
-        async_put: bool,
-    ) -> Arc<DedupRuntime> {
+    /// Builds a runtime with an explicit result-protection mode.
+    pub fn runtime_with(&self, app_code: &[u8], mode: DedupMode) -> Arc<DedupRuntime> {
         let mut builder = DedupRuntime::builder(Arc::clone(&self.platform), app_code)
             .in_process_store(Arc::clone(&self.store), Arc::clone(&self.authority))
-            .mode(mode)
-            .async_put(async_put);
+            .mode(mode);
         for library in DedupEnv::trusted_libraries() {
             builder = builder.trusted_library(library);
         }

@@ -22,10 +22,9 @@ fn usage() -> ! {
            table1                          crypto operation latency\n\
            fig6                            store throughput, SGX vs no SGX\n\
            ablation-rce                    RCE vs single-key protection\n\
-           ablation-async                  sync vs async PUT\n\
            ablation-switch                 world-switch cost sensitivity\n\
            ablation-transport              in-process vs TCP store\n\
-           ablations                       all four ablations\n\
+           ablations                       all three ablations\n\
            all                             everything above\n\
          benches (each writes BENCH_<bench>.json):\n\
            shard                           sharded store vs a single lock\n\
@@ -43,8 +42,6 @@ fn run_fig5(app: App, trials: usize) {
 
 fn run_ablations(trials: usize) {
     println!("{}", ablations::render_rce(&ablations::rce_vs_single_key(trials)));
-    println!();
-    println!("{}", ablations::render_async(&ablations::sync_vs_async_put(trials)));
     println!();
     println!("{}", ablations::render_switch(&ablations::switch_cost_sensitivity()));
     println!();
@@ -77,12 +74,6 @@ fn main() {
         "fig6" => println!("{}", fig6::render(&fig6::run())),
         "ablation-rce" => {
             println!("{}", ablations::render_rce(&ablations::rce_vs_single_key(trials())))
-        }
-        "ablation-async" => {
-            println!(
-                "{}",
-                ablations::render_async(&ablations::sync_vs_async_put(trials()))
-            )
         }
         "ablation-switch" => println!(
             "{}",

@@ -6,7 +6,7 @@
 //! | Fig. 5a–d (relative runtime of 4 apps) | [`fig5`] | `cargo run --release -p speed-bench --bin repro -- fig5a` … `fig5d` |
 //! | Table I (crypto op latency) | [`table1`] | `… -- table1` |
 //! | Fig. 6 (store throughput, SGX vs no SGX) | [`fig6`] | `… -- fig6` |
-//! | Ablations (RCE vs single key, async PUT, switch cost, transport) | [`ablations`] | `… -- ablation-…` |
+//! | Ablations (RCE vs single key, switch cost, transport) | [`ablations`] | `… -- ablation-…` |
 //! | Shard scaling, `BENCH_shard.json` | [`shard`] | `… -- shard [--smoke]` |
 //! | Durability cost and recovery, `BENCH_persist.json` | [`persist`] | `… -- persist [--smoke]` |
 //! | Switchless calls and connection scaling, `BENCH_switchless.json` | [`switchless`] | `… -- switchless [--smoke]` |

@@ -2,9 +2,10 @@
 //! share.
 //!
 //! [`write()`] emits `BENCH_<name>.json` in the working directory: the
-//! bench's name, a `host` block (CPU count, crypto CPU flags, git rev),
-//! whether it was a smoke run, then the bench's own sections. Values are
-//! built with [`text`], [`num`], [`obj`] and [`list`].
+//! bench's name, a `host` block (CPU count, crypto CPU flags, git rev and
+//! whether the working tree was clean), whether it was a smoke run, then
+//! the bench's own sections. Values are built with [`text`], [`num`],
+//! [`obj`] and [`list`].
 
 use std::path::Path;
 use std::time::Duration;
@@ -65,8 +66,8 @@ pub fn per_op_us(timing: Timing, ops: u64) -> [(&'static str, String); 2] {
 }
 
 /// Writes `BENCH_<name>.json` to the working directory: the bench's name,
-/// the `host` block (CPU count, crypto CPU flags, git rev), the smoke
-/// flag, then `sections`.
+/// the `host` block (CPU count, crypto CPU flags, git rev, clean tree),
+/// the smoke flag, then `sections`.
 pub fn write(name: &str, smoke: bool, sections: &[(&str, String)]) {
     let flags: Vec<String> = cpu_crypto_flags().into_iter().map(text).collect();
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -74,6 +75,7 @@ pub fn write(name: &str, smoke: bool, sections: &[(&str, String)]) {
         ("nproc", nproc.to_string()),
         ("cpu_crypto_flags", format!("[{}]", flags.join(", "))),
         ("git_rev", text(&git_rev())),
+        ("git_clean", git_clean(git_status().as_deref()).into()),
     ]);
     let mut fields = vec![
         format!("\"bench\": {}", text(name)),
@@ -119,6 +121,29 @@ fn git_rev() -> String {
         .find(|l| l.ends_with(reference))
         .and_then(|l| l.split_whitespace().next())
         .map_or_else(|| "unknown".into(), str::to_string)
+}
+
+/// The output of `git status --porcelain` in the working directory, or
+/// `None` if git could not run there. The `BENCH_*.json` records are left
+/// out: the benches write them, so a bench run right after another still
+/// finds the tree clean.
+fn git_status() -> Option<Vec<u8>> {
+    let out = std::process::Command::new("git")
+        .args(["status", "--porcelain", "--", ".", ":(exclude)BENCH_*.json"])
+        .output()
+        .ok()?;
+    out.status.success().then_some(out.stdout)
+}
+
+/// Whether the working tree matched `git_rev`, from [`git_status`]'s
+/// output: `true` when it printed nothing, `false` when it listed a
+/// change, `null` when git could not run.
+fn git_clean(porcelain: Option<&[u8]>) -> &'static str {
+    match porcelain {
+        None => "null",
+        Some([]) => "true",
+        Some(_) => "false",
+    }
 }
 
 /// A tag unique per `i` whose lead byte spreads over the store's shards.
@@ -173,5 +198,13 @@ mod tests {
             Timing { wall: Duration::from_micros(1500), modeled: Duration::ZERO };
         assert_eq!(timed_ms(timing)[0], ("wall_ms", "1.5".to_string()));
         assert_eq!(per_op_us(timing, 4)[1], ("modeled_us_per_op", "0".to_string()));
+    }
+
+    #[test]
+    fn git_clean_reads_the_porcelain_status() {
+        assert_eq!(git_clean(Some(b"")), "true");
+        assert_eq!(git_clean(Some(b" M crates/bench/src/report.rs\n")), "false");
+        assert_eq!(git_clean(Some(b"?? tests/new.rs\n")), "false");
+        assert_eq!(git_clean(None), "null");
     }
 }

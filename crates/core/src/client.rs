@@ -24,8 +24,8 @@ use crate::error::CoreError;
 
 /// A synchronous request/response connection to a `ResultStore`.
 ///
-/// Implementations must be [`Send`] so the asynchronous PUT worker can own
-/// one.
+/// Implementations must be [`Send`]: a runtime keeps its client behind a
+/// mutex and is shared between its callers' threads.
 pub trait StoreClient: Send + fmt::Debug {
     /// Sends `request` and waits for the response.
     ///

@@ -723,7 +723,8 @@ impl ClusterBuilder {
 /// hinted handoff, and independent per-node reconnect-and-re-attest.
 ///
 /// Cloning is cheap and clones share all state (ring, hints, breakers), so
-/// the synchronous client and the async-PUT worker of a runtime cooperate.
+/// a runtime that reconnects through a fresh clone keeps what the cluster
+/// has learned.
 #[derive(Clone)]
 pub struct ClusterClient {
     shared: Arc<ClusterShared>,

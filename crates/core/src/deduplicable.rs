@@ -134,8 +134,7 @@ where
 
     /// Calls the function over a batch of inputs, deduplicating each item
     /// independently (repeated items within the batch hit after their
-    /// first occurrence; with the async PUT worker enabled, publications
-    /// overlap with subsequent computations).
+    /// first occurrence).
     ///
     /// # Errors
     ///

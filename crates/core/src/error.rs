@@ -27,8 +27,6 @@ pub enum CoreError {
     Enclave(speed_enclave::EnclaveError),
     /// The store replied with an unexpected message kind.
     UnexpectedResponse(String),
-    /// The asynchronous PUT worker has shut down.
-    AsyncPutClosed,
     /// The store could not be reached even after the resilience layer's
     /// retries/reconnects, or its circuit breaker is open. The runtime
     /// degrades gracefully on this error (local execution for GETs, replay
@@ -56,7 +54,6 @@ impl fmt::Display for CoreError {
             CoreError::UnexpectedResponse(what) => {
                 write!(f, "unexpected store response: {what}")
             }
-            CoreError::AsyncPutClosed => write!(f, "asynchronous put worker closed"),
             CoreError::StoreUnavailable(why) => {
                 write!(f, "store unavailable: {why}")
             }

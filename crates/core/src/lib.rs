@@ -24,8 +24,8 @@
 //!   verification protocol on recovery.
 //! - [`DedupRuntime`] — intercepts marked computations, queries the
 //!   `ResultStore` over a [`StoreClient`] (in-process or TCP), reuses
-//!   results on hit, and publishes fresh results (synchronously or via the
-//!   asynchronous PUT thread the paper describes).
+//!   results on hit, and publishes fresh results, returning once the store
+//!   has answered the PUT.
 //! - [`Deduplicable`] — the 2-lines-of-code developer API (§IV-C): wrap a
 //!   function once, then call the wrapped version as normal.
 //!

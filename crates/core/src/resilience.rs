@@ -358,10 +358,10 @@ impl Drop for ReplayQueue {
     }
 }
 
-/// Shared counters describing the resilience layer's activity. One
-/// instance is shared by every [`ResilientClient`] a runtime owns (the
-/// synchronous client and the async-PUT worker's client); its fields are
-/// this instance's cells of the `resilience_*` registry series.
+/// Shared counters describing the resilience layer's activity. A runtime
+/// shares one instance with its [`ResilientClient`], and each cluster
+/// member one with its own client; its fields are this instance's cells of
+/// the `resilience_*` registry series.
 #[derive(Debug)]
 pub struct ResilienceStats {
     /// Retried round-trip attempts (not counting the first attempt).

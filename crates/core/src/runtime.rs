@@ -3,12 +3,11 @@
 //! `DedupRuntime` is "a trusted library linked against application enclaves"
 //! that intercepts marked computations, performs duplicate checking against
 //! the `ResultStore`, and either reuses the stored result or executes the
-//! function and publishes the encrypted result. GETs are synchronous (the
-//! OCALL waits for the `GET_RESPONSE`); PUTs can be processed "in a
-//! separated thread for better efficiency" — the asynchronous PUT worker.
+//! function and publishes the encrypted result. GETs and PUTs are both
+//! synchronous: each OCALL waits for the store's answer, so a call returns
+//! only after its PUT has been accepted, refused or parked for replay.
 
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use speed_crypto::{GhashPrf, Key128, SystemRng};
 use speed_enclave::{Enclave, Platform};
@@ -206,8 +205,8 @@ pub struct RuntimeStats {
     pub filtered_misses: u64,
 }
 
-/// The counters behind [`RuntimeStats`], shared with the asynchronous PUT
-/// worker: this runtime's cells of the process-wide registry series.
+/// The counters behind [`RuntimeStats`]: this runtime's cells of the
+/// process-wide registry series.
 #[derive(Debug)]
 struct AtomicStats {
     calls: Counter,
@@ -435,95 +434,11 @@ fn rejections(results: &[BatchItemResult]) -> u64 {
     results.iter().filter(|r| r.status == BatchStatus::Rejected).count() as u64
 }
 
-/// The asynchronous PUT worker: a background thread draining a channel of
-/// batched PUTs through its own store connection.
-struct AsyncPutter {
-    sender: Option<Sender<Message>>,
-    pending: Arc<(Mutex<u64>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for AsyncPutter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncPutter").finish_non_exhaustive()
-    }
-}
-
-impl AsyncPutter {
-    fn spawn(
-        mut client: Box<dyn StoreClient>,
-        replay: Option<Arc<ReplayQueue>>,
-        stats: Arc<AtomicStats>,
-    ) -> Self {
-        let (sender, receiver) = mpsc::channel::<Message>();
-        let pending = Arc::new((Mutex::new(0u64), Condvar::new()));
-        let pending_worker = Arc::clone(&pending);
-        let handle = std::thread::spawn(move || {
-            while let Ok(message) = receiver.recv() {
-                match client.roundtrip(&message) {
-                    Ok(Message::BatchResponse(results)) => {
-                        stats.rejected_puts.add(rejections(&results));
-                    }
-                    Err(CoreError::StoreUnavailable(_)) => {
-                        // Graceful degradation: park the PUTs for replay once
-                        // the store answers again. Without the resilience
-                        // layer the failure is dropped (legacy behavior).
-                        if let (Some(replay), Message::BatchRequest { app, items }) =
-                            (&replay, message)
-                        {
-                            stats.degraded_calls.add(replay.park(app, items));
-                        }
-                    }
-                    _ => {}
-                }
-                let (lock, cvar) = &*pending_worker;
-                let mut count = lock_recover(lock);
-                *count -= 1;
-                cvar.notify_all();
-            }
-        });
-        AsyncPutter { sender: Some(sender), pending, handle: Some(handle) }
-    }
-
-    fn submit(&self, message: Message) -> Result<(), CoreError> {
-        let (lock, _) = &*self.pending;
-        *lock_recover(lock) += 1;
-        match self.sender.as_ref().expect("sender lives until drop").send(message) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                let (lock, cvar) = &*self.pending;
-                *lock_recover(lock) -= 1;
-                cvar.notify_all();
-                Err(CoreError::AsyncPutClosed)
-            }
-        }
-    }
-
-    fn flush(&self) {
-        let (lock, cvar) = &*self.pending;
-        let mut count = lock_recover(lock);
-        while *count > 0 {
-            count = cvar.wait(count).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-}
-
-impl Drop for AsyncPutter {
-    fn drop(&mut self) {
-        self.sender.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 enum ClientSpec {
     InProcess { store: Arc<ResultStore>, authority: Arc<SessionAuthority> },
     Tcp { addr: std::net::SocketAddr, authority: Arc<SessionAuthority> },
-    // The Mutex cell makes the spec Sync so reconnect closures can share
-    // it; the client is taken out (once) at build time.
-    Custom(Mutex<Option<Box<dyn StoreClient>>>),
-    Factory(Arc<Mutex<Connector>>),
+    Custom(Box<dyn StoreClient>),
+    Factory(Connector),
 }
 
 impl std::fmt::Debug for ClientSpec {
@@ -546,7 +461,6 @@ pub struct RuntimeBuilder {
     client_spec: Option<ClientSpec>,
     registry: LibraryRegistry,
     mode: DedupMode,
-    async_put: bool,
     app_id: Option<u64>,
     rng_seed: Option<u64>,
     resilience: Option<ResilienceConfig>,
@@ -562,7 +476,6 @@ impl RuntimeBuilder {
             client_spec: None,
             registry: LibraryRegistry::new(),
             mode: DedupMode::CrossApp,
-            async_put: false,
             app_id: None,
             rng_seed: None,
             resilience: None,
@@ -591,28 +504,28 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Uses a custom [`StoreClient`] (e.g. a test double). Asynchronous PUT
-    /// is unavailable with a custom client.
+    /// Uses a custom [`StoreClient`] (e.g. a test double). It cannot
+    /// reconnect, so [`RuntimeBuilder::resilience`] is unavailable with it.
     pub fn client(mut self, client: Box<dyn StoreClient>) -> Self {
-        self.client_spec = Some(ClientSpec::Custom(Mutex::new(Some(client))));
+        self.client_spec = Some(ClientSpec::Custom(client));
         self
     }
 
     /// Uses a connector factory producing freshly connected clients. Each
     /// invocation must run the full handshake, which makes reconnection —
-    /// and therefore [`RuntimeBuilder::resilience`] and asynchronous PUT —
-    /// available for arbitrary client types (chaos wrappers, test doubles).
+    /// and therefore [`RuntimeBuilder::resilience`] — available for
+    /// arbitrary client types (chaos wrappers, test doubles).
     pub fn client_factory(mut self, factory: Connector) -> Self {
-        self.client_spec = Some(ClientSpec::Factory(Arc::new(Mutex::new(factory))));
+        self.client_spec = Some(ClientSpec::Factory(factory));
         self
     }
 
     /// Routes every store round-trip through a multi-node
     /// [`ClusterClient`](crate::cluster::ClusterClient): consistent-hash
     /// routing, R-way replication, and per-node failover re-attestation.
-    /// Clones of the handle share ring, hints, and breaker state, so the
-    /// synchronous path and the asynchronous PUT worker cooperate; the
-    /// cluster already fails over between replicas, while
+    /// Each connect hands out a clone of the handle, and clones share ring,
+    /// hints, and breaker state, so a reconnect keeps what the cluster has
+    /// learned; the cluster already fails over between replicas, while
     /// [`RuntimeBuilder::resilience`] composes on top as the outer line of
     /// defence for whole-cluster outages.
     pub fn cluster_store(self, cluster: crate::cluster::ClusterClient) -> Self {
@@ -640,12 +553,6 @@ impl RuntimeBuilder {
     /// Selects the result-protection mode (default: [`DedupMode::CrossApp`]).
     pub fn mode(mut self, mode: DedupMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Enables the asynchronous PUT worker thread.
-    pub fn async_put(mut self, enabled: bool) -> Self {
-        self.async_put = enabled;
         self
     }
 
@@ -689,13 +596,13 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Creates the application enclave, connects the store client(s), and
+    /// Creates the application enclave, connects the store client, and
     /// builds the runtime.
     ///
     /// # Errors
     ///
     /// - [`CoreError::UnexpectedResponse`] if no store was configured, or
-    ///   async PUT was requested with a custom client.
+    ///   resilience was requested with a custom client.
     /// - [`CoreError::Enclave`] / [`CoreError::Channel`] /
     ///   [`CoreError::Store`] on enclave creation or connection failure.
     pub fn build(self) -> Result<Arc<DedupRuntime>, CoreError> {
@@ -704,64 +611,30 @@ impl RuntimeBuilder {
             CoreError::UnexpectedResponse("no store configured on builder".into())
         })?;
 
-        let stats = Arc::new(AtomicStats::from_global());
-        let resilience_handles =
-            self.resilience.as_ref().map(|config| ResilienceHandles {
-                stats: Arc::new(ResilienceStats::default()),
-                replay: Arc::new(ReplayQueue::new(config.replay_capacity)),
-            });
-
-        let (main_client, async_putter) = match spec {
-            ClientSpec::Custom(cell) => {
-                let client = cell
-                    .into_inner()
-                    .expect("custom client cell poisoned")
-                    .expect("custom client present until build");
-                if self.resilience.is_some() {
-                    return Err(CoreError::UnexpectedResponse(
-                        "resilience requires a reconnectable store client; use \
-                         client_factory instead of client"
-                            .into(),
-                    ));
-                }
-                if self.async_put {
-                    return Err(CoreError::UnexpectedResponse(
-                        "async put requires a reconnectable store client".into(),
-                    ));
-                }
-                (client, None)
+        let mut resilience = None;
+        let client: Box<dyn StoreClient> = match (spec, self.resilience) {
+            (ClientSpec::Custom(_), Some(_)) => {
+                return Err(CoreError::UnexpectedResponse(
+                    "resilience requires a reconnectable store client; use \
+                     client_factory instead of client"
+                        .into(),
+                ));
             }
-            spec => {
-                let spec = Arc::new(spec);
-                let build_client =
-                    |salt: u64| -> Result<Box<dyn StoreClient>, CoreError> {
-                        match (&self.resilience, &resilience_handles) {
-                            (Some(config), Some(handles)) => {
-                                let mut config = config.clone();
-                                // Distinct jitter streams per client so the sync
-                                // path and the PUT worker do not back off in
-                                // lockstep.
-                                config.jitter_seed = config.jitter_seed.map(|s| s ^ salt);
-                                Ok(Box::new(ResilientClient::new(
-                                    Self::connector_for(&spec, &self.platform, &enclave),
-                                    config,
-                                    Arc::clone(&handles.stats),
-                                    Some(Arc::clone(&handles.replay)),
-                                )))
-                            }
-                            _ => Self::make_client(&spec, &self.platform, &enclave),
-                        }
-                    };
-                let main_client = build_client(0)?;
-                let async_putter = if self.async_put {
-                    let put_client = build_client(0xA5)?;
-                    let replay =
-                        resilience_handles.as_ref().map(|h| Arc::clone(&h.replay));
-                    Some(AsyncPutter::spawn(put_client, replay, Arc::clone(&stats)))
-                } else {
-                    None
+            (ClientSpec::Custom(client), None) => client,
+            (mut spec, None) => Self::make_client(&mut spec, &self.platform, &enclave)?,
+            (spec, Some(config)) => {
+                let handles = ResilienceHandles {
+                    stats: Arc::new(ResilienceStats::default()),
+                    replay: Arc::new(ReplayQueue::new(config.replay_capacity)),
                 };
-                (main_client, async_putter)
+                let client = ResilientClient::new(
+                    Self::connector_for(spec, &self.platform, &enclave),
+                    config,
+                    Arc::clone(&handles.stats),
+                    Some(Arc::clone(&handles.replay)),
+                );
+                resilience = Some(handles);
+                Box::new(client)
             }
         };
 
@@ -779,13 +652,12 @@ impl RuntimeBuilder {
             enclave,
             app_id,
             registry: self.registry,
-            client: Mutex::new(main_client),
+            client: Mutex::new(client),
             mode: self.mode,
             rng: Mutex::new(rng),
-            stats,
+            stats: AtomicStats::from_global(),
             telemetry: RuntimeTelemetry::from_global(),
-            async_putter,
-            resilience: resilience_handles,
+            resilience,
             hot_cache,
             filter: self.prefilter.map(|config| {
                 Mutex::new(ClientFilter {
@@ -801,18 +673,17 @@ impl RuntimeBuilder {
     /// A connector that rebuilds a client from `spec` on every call — for
     /// TCP that means a fresh attested handshake with a new session key.
     fn connector_for(
-        spec: &Arc<ClientSpec>,
+        mut spec: ClientSpec,
         platform: &Arc<Platform>,
         enclave: &Arc<Enclave>,
     ) -> Connector {
-        let spec = Arc::clone(spec);
         let platform = Arc::clone(platform);
         let enclave = Arc::clone(enclave);
-        Box::new(move || Self::make_client(&spec, &platform, &enclave))
+        Box::new(move || Self::make_client(&mut spec, &platform, &enclave))
     }
 
     fn make_client(
-        spec: &ClientSpec,
+        spec: &mut ClientSpec,
         platform: &Arc<Platform>,
         enclave: &Arc<Enclave>,
     ) -> Result<Box<dyn StoreClient>, CoreError> {
@@ -828,7 +699,7 @@ impl RuntimeBuilder {
             ClientSpec::Tcp { addr, authority } => {
                 Ok(Box::new(TcpClient::connect(*addr, platform, enclave, authority)?))
             }
-            ClientSpec::Factory(factory) => (lock_recover(factory))(),
+            ClientSpec::Factory(factory) => factory(),
             ClientSpec::Custom(_) => Err(CoreError::UnexpectedResponse(
                 "custom clients are moved at build time".into(),
             )),
@@ -845,9 +716,8 @@ pub struct DedupRuntime {
     client: Mutex<Box<dyn StoreClient>>,
     mode: DedupMode,
     rng: Mutex<SystemRng>,
-    stats: Arc<AtomicStats>,
+    stats: AtomicStats,
     telemetry: RuntimeTelemetry,
-    async_putter: Option<AsyncPutter>,
     resilience: Option<ResilienceHandles>,
     hot_cache: Option<HotCache>,
     filter: Option<Mutex<ClientFilter>>,
@@ -940,7 +810,8 @@ impl DedupRuntime {
     /// 2. one OCALL sends a single [`Message::BatchRequest`] carrying every
     ///    unresolved GET (one network round-trip);
     /// 3. misses are computed locally and their records are published in a
-    ///    single batched PUT — one more OCALL, or zero with async PUT.
+    ///    single batched PUT — one more OCALL, whose answer the call waits
+    ///    for.
     ///
     /// A batch that is answered entirely by the hot-tag cache performs no
     /// OCALL at all. Results are returned in call order.
@@ -1210,18 +1081,13 @@ impl DedupRuntime {
         Ok(items.into_iter().map(|item| item.answer).collect())
     }
 
-    /// Sends fresh records to the store in one batched PUT — through the
-    /// asynchronous worker when enabled, else as one OCALL.
+    /// Sends fresh records to the store in one batched PUT OCALL and waits
+    /// for its answer: a rejection is counted, and an unreachable store
+    /// parks the items for replay (resilience layer only) before the call
+    /// returns.
     fn publish(&self, items: Vec<BatchItem>) -> Result<(), CoreError> {
         let wire_len: usize = items.iter().map(BatchItem::wire_size).sum();
         let request = Message::BatchRequest { app: self.app_id, items };
-        if let Some(putter) = &self.async_putter {
-            // Enqueue and return immediately; the worker thread performs
-            // the OCALL on its own channel. The batch still leaves the
-            // enclave, so its copy is charged here.
-            self.enclave.charge_boundary_bytes(wire_len + 48);
-            return putter.submit(request);
-        }
         let response =
             self.enclave.ocall_with_bytes("batch_put_request", wire_len + 48, 0, || {
                 lock_recover(&self.client).roundtrip(&request)
@@ -1384,14 +1250,6 @@ impl DedupRuntime {
         }
         state.ops_since_refresh += 1;
         state.merged.as_ref().is_some_and(|filter| !filter.may_contain(tag))
-    }
-
-    /// Waits until all asynchronous PUTs submitted so far have completed.
-    /// No-op when async PUT is disabled.
-    pub fn flush(&self) {
-        if let Some(putter) = &self.async_putter {
-            putter.flush();
-        }
     }
 
     /// Current hot-cache occupancy as `(entries, bytes)` — remembered
@@ -1666,50 +1524,13 @@ mod tests {
     }
 
     #[test]
-    fn async_put_publishes_after_flush() {
-        let (platform, store, authority) = setup();
-        let rt = DedupRuntime::builder(Arc::clone(&platform), b"async-app")
-            .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-            .trusted_library(library())
-            .async_put(true)
-            .build()
-            .unwrap();
-        let (_, outcome) = rt.execute(&desc_double(), b"x", |i| i.to_vec()).unwrap();
-        assert_eq!(outcome, DedupOutcome::Miss);
-        rt.flush();
-        assert_eq!(store.stats().puts, 1);
-
-        // After the flush the result is reusable.
-        let (_, outcome) = rt.execute(&desc_double(), b"x", |_| panic!("dedup")).unwrap();
-        assert_eq!(outcome, DedupOutcome::Hit);
-    }
-
-    #[test]
-    fn an_async_miss_charges_its_result_copy() {
-        // The worker sends the batch from untrusted memory, so the call that
-        // hands it over pays for copying it out of the enclave.
-        let (platform, store, authority) = setup();
-        let rt = DedupRuntime::builder(Arc::clone(&platform), b"async-copy-app")
-            .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-            .trusted_library(library())
-            .async_put(true)
-            .build()
-            .unwrap();
-        let before = rt.enclave().stats().boundary_bytes;
-        rt.execute(&desc_double(), b"x", |_| vec![7; 100_000]).unwrap();
-        let charged = rt.enclave().stats().boundary_bytes - before;
-        rt.flush();
-        assert!(charged >= 100_000, "an async miss charged {charged} boundary bytes");
-    }
-
-    #[test]
     fn ecall_ocall_pattern_matches_paper() {
         let (platform, store, authority) = setup();
         let rt = runtime(&platform, &store, &authority, b"count-app");
         let before = rt.enclave().stats();
         rt.execute(&desc_double(), b"y", |i| i.to_vec()).unwrap();
         let after = rt.enclave().stats();
-        // One ECALL into the dedup routine; two OCALLs (GET + sync PUT).
+        // One ECALL into the dedup routine; two OCALLs (GET + PUT).
         assert_eq!(after.ecalls - before.ecalls, 1);
         assert_eq!(after.ocalls - before.ocalls, 2);
 
@@ -1863,40 +1684,6 @@ mod tests {
     }
 
     #[test]
-    fn async_put_degrades_to_replay_queue() {
-        let (platform, store, authority) = setup();
-        let up = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let rt = DedupRuntime::builder(Arc::clone(&platform), b"async-degraded")
-            .client_factory(flaky_factory(&platform, &store, &authority, &up))
-            .resilience(fast_resilience())
-            .trusted_library(library())
-            .async_put(true)
-            .build()
-            .unwrap();
-
-        // Warm call while up (also connects the PUT worker's client).
-        rt.execute(&desc_double(), b"warm", |i| i.to_vec()).unwrap();
-        rt.flush();
-        assert_eq!(store.stats().puts, 1);
-
-        // Down: GET degrades and the async PUT lands in the replay queue.
-        up.store(false, Ordering::Relaxed);
-        rt.execute(&desc_double(), b"dark", |i| i.to_vec()).unwrap();
-        rt.flush();
-        assert_eq!(rt.pending_replays(), 1);
-        assert!(rt.stats().degraded_calls >= 1);
-
-        // Recovery: any successful round-trip drains the queue.
-        up.store(true, Ordering::Relaxed);
-        rt.execute(&desc_double(), b"light", |i| i.to_vec()).unwrap();
-        rt.flush();
-        assert_eq!(rt.pending_replays(), 0);
-        let (_, outcome) =
-            rt.execute(&desc_double(), b"dark", |_| panic!("must hit")).unwrap();
-        assert_eq!(outcome, DedupOutcome::Hit);
-    }
-
-    #[test]
     fn resilience_rejects_moved_custom_client() {
         let (platform, store, authority) = setup();
         let client = InProcessClient::connect(
@@ -1914,19 +1701,58 @@ mod tests {
         assert!(matches!(result, Err(CoreError::UnexpectedResponse(_))));
     }
 
+    /// The one PUT contract: a call returns only after its batched PUT has
+    /// been answered. Without the resilience layer a failed PUT round trip
+    /// fails the call, and a PUT the store refuses is already counted when
+    /// the call returns its computed result.
     #[test]
-    fn client_factory_enables_async_put_without_resilience() {
+    fn a_call_returns_after_its_put_is_answered() {
+        #[derive(Debug)]
+        struct FailingPuts(InProcessClient);
+        impl StoreClient for FailingPuts {
+            fn roundtrip(&mut self, request: &Message) -> Result<Message, CoreError> {
+                match request {
+                    Message::BatchRequest { items, .. }
+                        if items
+                            .iter()
+                            .any(|item| matches!(item, BatchItem::Put { .. })) =>
+                    {
+                        Err(CoreError::StoreUnavailable("PUT round trip lost".into()))
+                    }
+                    _ => self.0.roundtrip(request),
+                }
+            }
+        }
         let (platform, store, authority) = setup();
-        let up = Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let rt = DedupRuntime::builder(Arc::clone(&platform), b"factory-async")
-            .client_factory(flaky_factory(&platform, &store, &authority, &up))
+        let enclave = platform.create_enclave(b"failing-puts").unwrap();
+        let inner =
+            InProcessClient::connect(Arc::clone(&store), &authority, &platform, &enclave)
+                .unwrap();
+        let rt = DedupRuntime::builder(Arc::clone(&platform), b"failing-put-app")
+            .client(Box::new(FailingPuts(inner)))
             .trusted_library(library())
-            .async_put(true)
             .build()
             .unwrap();
-        rt.execute(&desc_double(), b"x", |i| i.to_vec()).unwrap();
-        rt.flush();
-        assert_eq!(store.stats().puts, 1);
+        let err = rt.execute(&desc_double(), b"x", |i| i.to_vec()).unwrap_err();
+        assert!(matches!(err, CoreError::StoreUnavailable(_)), "{err}");
+        assert_eq!(store.stats().puts, 0);
+
+        // A 1-entry quota: the second result's PUT is refused, and counted
+        // by the time its call returns the result as a plain miss.
+        let quota = speed_store::QuotaPolicy {
+            max_entries_per_app: 1,
+            ..speed_store::QuotaPolicy::default()
+        };
+        let config = StoreConfig { quota, ..StoreConfig::default() };
+        let store = Arc::new(ResultStore::new(&platform, config).unwrap());
+        let rt = runtime(&platform, &store, &authority, b"quota-app");
+        for (input, rejected) in [(b"first", 0), (b"other", 1)] {
+            let (result, outcome) =
+                rt.execute(&desc_double(), input, |i| i.to_vec()).unwrap();
+            assert_eq!((result.to_vec(), outcome), (input.to_vec(), DedupOutcome::Miss));
+            assert_eq!(rt.stats().rejected_puts, rejected, "{input:?}");
+        }
+        assert_eq!(store.stats().entries, 1);
     }
 
     #[test]
@@ -2235,41 +2061,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_async_put_publishes_after_flush() {
-        let (platform, store, authority) = setup();
-        let rt = DedupRuntime::builder(Arc::clone(&platform), b"batch-async")
-            .in_process_store(Arc::clone(&store), Arc::clone(&authority))
-            .trusted_library(library())
-            .async_put(true)
-            .build()
-            .unwrap();
-        let identity = rt.resolve(&desc_double()).unwrap();
-        let inputs: Vec<[u8; 4]> = (0..5u32).map(|i| i.to_le_bytes()).collect();
-
-        let before = rt.enclave().stats();
-        let calls = inputs
-            .iter()
-            .map(|input| BatchCall::new(identity, input.as_slice(), |d| d.to_vec()))
-            .collect();
-        let results = rt.execute_batch(calls).unwrap();
-        let after = rt.enclave().stats();
-        assert!(results.iter().all(|(_, o)| *o == DedupOutcome::Miss));
-        // Async PUT: the publishing OCALL happens on the worker's channel,
-        // so the caller still paid only 1 ECALL + 1 OCALL.
-        assert_eq!(after.ecalls - before.ecalls, 1);
-        assert_eq!(after.ocalls - before.ocalls, 1);
-
-        rt.flush();
-        assert_eq!(store.stats().puts, 5);
-        let calls = inputs
-            .iter()
-            .map(|input| BatchCall::new(identity, input.as_slice(), |_| panic!("hit")))
-            .collect();
-        let results = rt.execute_batch(calls).unwrap();
-        assert!(results.iter().all(|(_, o)| *o == DedupOutcome::Hit));
-    }
-
-    #[test]
     fn stats_default_is_zeroed() {
         let (platform, store, authority) = setup();
         let rt = runtime(&platform, &store, &authority, b"fresh");
@@ -2283,7 +2074,6 @@ mod tests {
         let (_, outcome) =
             rt.execute(&desc_double(), b"\x05", |input| input.to_vec()).unwrap();
         assert_eq!(outcome, DedupOutcome::Miss);
-        rt.flush();
         let stats = rt.store_stats().unwrap();
         assert_eq!(stats.shards.len(), store.shard_count());
         assert_eq!(stats.entries, 1);

@@ -26,7 +26,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runtime = DedupRuntime::builder(Arc::clone(&platform), b"image-service")
         .in_process_store(Arc::clone(&store), Arc::clone(&authority))
         .trusted_library(siftlib)
-        .async_put(true) // hide publication latency behind extraction
         .build()?;
 
     let dedup_sift = Deduplicable::new(
@@ -64,7 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let parsed = speed_sift::features_from_bytes(&features).expect("valid features");
         assert!(!parsed.is_empty());
     }
-    runtime.flush();
 
     println!("served 30 extraction requests over 8 distinct images");
     println!("misses (computed): {misses}, mean {:?}", miss_time / misses.max(1));

@@ -43,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runtime = DedupRuntime::builder(Arc::clone(&platform), b"index-builder")
         .in_process_store(Arc::clone(&store), Arc::clone(&authority))
         .trusted_library(indexer_lib)
-        .async_put(true)
         .build()?;
 
     let dedup_index = Deduplicable::new(
@@ -66,7 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let entry = dedup_index.call(&document.clone())?;
             index_bytes += entry.len();
         }
-        runtime.flush();
         let stats = runtime.stats();
         let epoch_hits = stats.hits - previous_hits;
         previous_hits = stats.hits;

@@ -311,7 +311,6 @@ fn guard_compute(input: &[u8]) -> Vec<u8> {
 struct Tiers {
     hot_cache: bool,
     filter: bool,
-    async_put: bool,
 }
 
 /// Everything the guard compares between the two runs of one sequence.
@@ -328,7 +327,6 @@ fn run_guard(groups: &[Vec<u8>], tiers: Tiers, batched: bool) -> GuardRun {
     let mut builder = DedupRuntime::builder(Arc::clone(&platform), b"guard-app")
         .in_process_store(Arc::clone(&store), Arc::clone(&authority))
         .trusted_library(library())
-        .async_put(tiers.async_put)
         .rng_seed(99);
     if tiers.hot_cache {
         builder = builder.hot_cache(speed_core::HotCacheConfig::default());
@@ -355,10 +353,8 @@ fn run_guard(groups: &[Vec<u8>], tiers: Tiers, batched: bool) -> GuardRun {
                 let (result, outcome) =
                     rt.execute_raw(&identity, input, guard_compute).unwrap();
                 results.push((result.as_slice().to_vec(), outcome));
-                rt.flush();
             }
         }
-        rt.flush();
     }
     let stats = store.stats();
     (results, rt.stats(), [stats.entries, stats.puts, stats.gets, stats.hits])
@@ -369,7 +365,7 @@ fn run_guard(groups: &[Vec<u8>], tiers: Tiers, batched: bool) -> GuardRun {
 /// input and once as one `execute_batch` per group, each on its own fresh
 /// store, must yield the same outcomes, result bytes, runtime counters and
 /// store counters — under every combination of the hot-cache and
-/// negative-filter tiers, with synchronous and asynchronous PUTs.
+/// negative-filter tiers.
 #[test]
 fn single_and_batched_calls_agree_on_seeded_sequences() {
     speed_testkit::check(
@@ -377,20 +373,18 @@ fn single_and_batched_calls_agree_on_seeded_sequences() {
         0x5EED_0013,
         gen_groups,
         |groups: &Vec<Vec<u8>>| {
-            for async_put in [false, true] {
-                for (hot_cache, filter) in
-                    [(false, false), (true, false), (false, true), (true, true)]
-                {
-                    let tiers = Tiers { hot_cache, filter, async_put };
-                    let single = run_guard(groups, tiers, false);
-                    let batched = run_guard(groups, tiers, true);
-                    assert_eq!(single.0, batched.0, "{tiers:?}: outcomes or bytes");
-                    assert_eq!(single.1, batched.1, "{tiers:?}: runtime stats");
-                    assert_eq!(
-                        single.2, batched.2,
-                        "{tiers:?}: store entries/puts/gets/hits"
-                    );
-                }
+            for (hot_cache, filter) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let tiers = Tiers { hot_cache, filter };
+                let single = run_guard(groups, tiers, false);
+                let batched = run_guard(groups, tiers, true);
+                assert_eq!(single.0, batched.0, "{tiers:?}: outcomes or bytes");
+                assert_eq!(single.1, batched.1, "{tiers:?}: runtime stats");
+                assert_eq!(
+                    single.2, batched.2,
+                    "{tiers:?}: store entries/puts/gets/hits"
+                );
             }
         },
     );

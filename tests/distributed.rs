@@ -60,34 +60,6 @@ fn dedup_over_tcp_store() {
 }
 
 #[test]
-fn async_put_over_tcp() {
-    let platform = Platform::new(CostModel::default_sgx());
-    let store = Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
-    let authority = Arc::new(SessionAuthority::new());
-    let server = StoreServer::spawn(
-        Arc::clone(&store),
-        Arc::clone(&platform),
-        Arc::clone(&authority),
-        "127.0.0.1:0",
-    )
-    .unwrap();
-
-    let rt = DedupRuntime::builder(Arc::clone(&platform), b"tcp-async-app")
-        .tcp_store(server.addr(), Arc::clone(&authority))
-        .trusted_library(library())
-        .async_put(true)
-        .build()
-        .unwrap();
-    let identity = rt.resolve(&desc()).unwrap();
-    for i in 0..10u8 {
-        rt.execute_raw(&identity, &[i], |d| d.to_vec()).unwrap();
-    }
-    rt.flush();
-    assert_eq!(store.stats().puts, 10);
-    server.shutdown();
-}
-
-#[test]
 fn two_machine_deployment_over_tcp() {
     // The paper's §V-A setup: applications on one SGX machine, the store
     // on another, connected over the network with mutual attestation.
