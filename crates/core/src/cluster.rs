@@ -1005,6 +1005,22 @@ mod tests {
         client: ClusterClient,
         stores: Vec<Arc<ResultStore>>,
         switches: Vec<Arc<OutageSwitch>>,
+        /// Round trips sent to each node, failed ones included.
+        sends: Vec<Arc<AtomicU64>>,
+    }
+
+    /// A client that counts the round trips it is asked to send.
+    #[derive(Debug)]
+    struct Counted {
+        inner: SwitchedClient,
+        sends: Arc<AtomicU64>,
+    }
+
+    impl StoreClient for Counted {
+        fn roundtrip(&mut self, request: &Message) -> Result<Message, CoreError> {
+            self.sends.fetch_add(1, Ordering::Relaxed);
+            self.inner.roundtrip(request)
+        }
     }
 
     fn fast_node_resilience() -> ResilienceConfig {
@@ -1030,38 +1046,41 @@ mod tests {
         });
         let mut stores = Vec::new();
         let mut switches = Vec::new();
+        let mut sends = Vec::new();
         for id in 0..n {
             let store =
                 Arc::new(ResultStore::new(&platform, StoreConfig::default()).unwrap());
             let switch = Arc::new(OutageSwitch::new());
-            let connector: Connector =
-                {
-                    let store = Arc::clone(&store);
-                    let switch = Arc::clone(&switch);
-                    let authority = Arc::clone(&authority);
-                    let platform = Arc::clone(&platform);
-                    let enclave = Arc::clone(&enclave);
-                    Box::new(move || {
-                        if switch.is_down() {
-                            return Err(unavailable("node is down"));
-                        }
-                        let inner = InProcessClient::connect(
-                            Arc::clone(&store),
-                            &authority,
-                            &platform,
-                            &enclave,
-                        )?;
-                        Ok(Box::new(SwitchedClient::new(
-                            Box::new(inner),
-                            Arc::clone(&switch),
-                        )) as Box<dyn StoreClient>)
-                    })
-                };
+            let sent = Arc::new(AtomicU64::new(0));
+            let connector: Connector = {
+                let store = Arc::clone(&store);
+                let switch = Arc::clone(&switch);
+                let sent = Arc::clone(&sent);
+                let authority = Arc::clone(&authority);
+                let platform = Arc::clone(&platform);
+                let enclave = Arc::clone(&enclave);
+                Box::new(move || {
+                    if switch.is_down() {
+                        return Err(unavailable("node is down"));
+                    }
+                    let inner = InProcessClient::connect(
+                        Arc::clone(&store),
+                        &authority,
+                        &platform,
+                        &enclave,
+                    )?;
+                    Ok(Box::new(Counted {
+                        inner: SwitchedClient::new(Box::new(inner), Arc::clone(&switch)),
+                        sends: Arc::clone(&sent),
+                    }) as Box<dyn StoreClient>)
+                })
+            };
             builder = builder.node(id, connector);
             stores.push(store);
             switches.push(switch);
+            sends.push(sent);
         }
-        TestCluster { client: builder.build().unwrap(), stores, switches }
+        TestCluster { client: builder.build().unwrap(), stores, switches, sends }
     }
 
     fn get(client: &mut ClusterClient, seed: u64) -> bool {
@@ -1109,6 +1128,92 @@ mod tests {
             assert!(get(&mut cluster.client, 7));
             assert_eq!(cluster.client.counts().routed, replicas as u64 + 1);
             assert!(!get(&mut cluster.client, 8));
+        }
+    }
+
+    /// A batch shaped like a runtime's one round trip, its GET items first
+    /// and then its proven misses' PUT items, on a 3-node ring at R = 2.
+    /// Every item has primary A and second replica B, so round 1 is one
+    /// send to A, round 2 one send to B for the GETs A answered NotFound,
+    /// and replication one more send to B for the PUTs A accepted — or,
+    /// with B down, a hint for each of them and no second send to B.
+    #[test]
+    fn mixed_batch_probes_rank_two_and_replicates_its_puts() {
+        let mut cluster = test_cluster(3);
+        let owners = cluster.client.replicas_of(&tag_of(0));
+        let (a, b) = (owners[0].0 as usize, owners[1].0 as usize);
+        let seeds: Vec<u64> = (0..)
+            .filter(|&seed| cluster.client.replicas_of(&tag_of(seed)) == owners)
+            .take(7)
+            .collect();
+        let [both, on_b, absent, ref puts @ ..] = seeds[..] else { unreachable!() };
+        // `both` lives on both replicas; `on_b` only on B, as an undrained
+        // hint leaves it.
+        put(&mut cluster.client, both).unwrap();
+        let hint = BatchItem::Put { tag: tag_of(on_b), record: record_of(on_b as u8) };
+        cluster.stores[b]
+            .handle(Message::BatchRequest { app: AppId(1), items: vec![hint] });
+        let holders = |cluster: &TestCluster, seed: u64| -> Vec<usize> {
+            (0..3)
+                .filter(|&node| {
+                    matches!(
+                        cluster.stores[node]
+                            .handle(Message::GetRequest { app: AppId(1), tag: tag_of(seed) }),
+                        Message::GetResponse(body) if body.found
+                    )
+                })
+                .collect()
+        };
+        let mixed = |cluster: &mut TestCluster, puts: &[u64]| {
+            let before: Vec<u64> =
+                cluster.sends.iter().map(|s| s.load(Ordering::Relaxed)).collect();
+            let items = [both, on_b, absent]
+                .iter()
+                .map(|&seed| BatchItem::Get { tag: tag_of(seed) })
+                .chain(puts.iter().map(|&seed| BatchItem::Put {
+                    tag: tag_of(seed),
+                    record: record_of(seed as u8),
+                }))
+                .collect();
+            let response = cluster
+                .client
+                .roundtrip(&Message::BatchRequest { app: AppId(1), items })
+                .unwrap();
+            let Message::BatchResponse(results) = response else { panic!("not a batch") };
+            let statuses: Vec<BatchStatus> = results.iter().map(|r| r.status).collect();
+            let sent: Vec<u64> = cluster
+                .sends
+                .iter()
+                .zip(&before)
+                .map(|(s, before)| s.load(Ordering::Relaxed) - before)
+                .collect();
+            (statuses, sent)
+        };
+        let per_node = |a_sends: u64, b_sends: u64| {
+            let mut sent = vec![0; 3];
+            sent[a] = a_sends;
+            sent[b] = b_sends;
+            sent
+        };
+        use BatchStatus::{Accepted, Found, NotFound};
+
+        let (statuses, sent) = mixed(&mut cluster, &puts[..2]);
+        assert_eq!(statuses, [Found, Found, NotFound, Accepted, Accepted]);
+        assert_eq!(sent, per_node(1, 2));
+        for &seed in &puts[..2] {
+            assert_eq!(holders(&cluster, seed), [a.min(b), a.max(b)]);
+        }
+        assert_eq!(cluster.client.hint_depth(), 0);
+
+        // B down: its rank-2 probe fails once, so `on_b` reads NotFound,
+        // and the accepted PUTs are hinted for B with no second send.
+        cluster.switches[b].set_down(true);
+        let (statuses, sent) = mixed(&mut cluster, &puts[2..]);
+        assert_eq!(statuses, [Found, NotFound, NotFound, Accepted, Accepted]);
+        assert_eq!(sent, per_node(1, 1));
+        assert_eq!(cluster.client.hint_depth(), 2);
+        for &seed in &puts[2..] {
+            assert_eq!(holders(&cluster, seed), vec![a]);
         }
     }
 

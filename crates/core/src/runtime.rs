@@ -133,10 +133,6 @@ struct Planned<'a> {
     /// the negative filter or the store — or supplied by the hot cache,
     /// which remembers them.
     derived: Option<(CompDigest, CompTag)>,
-    /// The negative filter proved no stored result exists.
-    filtered: bool,
-    /// The record the store returned.
-    found: Option<Record>,
     answer: Option<(ResultBytes, DedupOutcome)>,
 }
 
@@ -153,8 +149,6 @@ impl<'a> Planned<'a> {
             compute,
             fp: None,
             derived: None,
-            filtered: false,
-            found: None,
             answer: None,
         }
     }
@@ -429,7 +423,7 @@ fn merge_shard_filters(shards: Vec<NegativeFilter>) -> Option<NegativeFilter> {
     iter.try_fold(first, |mut merged, shard| merged.merge_from(&shard).then_some(merged))
 }
 
-/// Rejected items of a batched PUT's response.
+/// Rejected items among the PUT items' results of a batch response.
 fn rejections(results: &[BatchItemResult]) -> u64 {
     results.iter().filter(|r| r.status == BatchStatus::Rejected).count() as u64
 }
@@ -587,9 +581,10 @@ impl RuntimeBuilder {
 
     /// Turns on the negative-filter tier: a merged snapshot of the store's
     /// per-shard filters, keyed by the comp-tag, lets an item the hot cache
-    /// did not answer skip the GET round-trip when the filter proves its
-    /// tag absent ([`DedupOutcome::MissFiltered`]). Off by default: the
-    /// extra tier changes the per-call transition profile, so existing
+    /// did not answer skip the GET when the filter proves its tag absent
+    /// ([`DedupOutcome::MissFiltered`]); it is computed before the store is
+    /// asked, and its PUT rides the batch's GET request. Off by default:
+    /// the extra tier changes the per-call transition profile, so existing
     /// deployments opt in explicitly.
     pub fn prefilter(mut self, config: PrefilterConfig) -> Self {
         self.prefilter = Some(config);
@@ -799,28 +794,35 @@ impl DedupRuntime {
     }
 
     /// Runs a batch of marked computations with O(1) enclave transitions
-    /// and at most one network round-trip per direction.
+    /// and at most two network round trips.
     ///
     /// Where a loop of [`execute_raw`](DedupRuntime::execute_raw) costs one
     /// ECALL plus one or two OCALLs *per call*, this pipelines the whole
     /// batch:
     ///
     /// 1. one ECALL covers tag derivation, hot-cache lookups, and all
-    ///    cryptographic work for every item;
-    /// 2. one OCALL sends a single [`Message::BatchRequest`] carrying every
-    ///    unresolved GET (one network round-trip);
-    /// 3. misses are computed locally and their records are published in a
-    ///    single batched PUT — one more OCALL, whose answer the call waits
-    ///    for.
+    ///    cryptographic work for every item, and computes, encrypts and
+    ///    remembers every miss the negative filter proves before the
+    ///    store is asked;
+    /// 2. one OCALL sends a single [`Message::BatchRequest`] (one network
+    ///    round trip, whose answer the call waits for) carrying every
+    ///    unresolved GET first and then the proven misses' PUTs, so the
+    ///    store settles the GETs against its state before those PUTs;
+    /// 3. only the items whose GET came back not found are computed after
+    ///    it, and their records are published in a single follow-up PUT —
+    ///    one more OCALL, whose answer the call also waits for.
     ///
-    /// A batch that is answered entirely by the hot-tag cache performs no
+    /// A batch of store hits and proven misses therefore costs one ECALL
+    /// and one OCALL, and one answered entirely by the hot-tag cache no
     /// OCALL at all. Results are returned in call order.
     ///
     /// Degradation is **per item**, matching the resilience layer's
     /// contract: when the store is unreachable, every unresolved item falls
-    /// back to local execution and its PUT item is parked in the replay
+    /// back to local execution and every PUT item is parked in the replay
     /// queue on its own, to be delivered as a one-item batch, so partial
-    /// replay capacity still saves the newest results.
+    /// replay capacity still saves the newest results. Each call is counted
+    /// once in [`RuntimeStats::degraded_calls`], as the per-call path
+    /// counts it.
     ///
     /// # Errors
     ///
@@ -889,8 +891,9 @@ impl DedupRuntime {
     }
 
     /// Algorithm 1 over a batch of items, in one ECALL: hot cache →
-    /// negative filter → one batched GET → RCE recover or compute → one
-    /// batched PUT, degrading item by item. Each item computes its secret
+    /// negative filter, computing the misses it proves → one round trip of
+    /// GETs and those misses' PUTs → RCE recover or compute → one
+    /// follow-up PUT, degrading item by item. Each item computes its secret
     /// fingerprint only for the hot cache, and its SHA-256 digest and tag
     /// only if it reaches the filter, the GET, `recover` or `encrypt` and
     /// the hot cache did not supply them, so a hot-cache hit or a
@@ -958,65 +961,44 @@ impl DedupRuntime {
         }
 
         // Tier 2 — the store's negative filter: a merged filter that lacks
-        // the item's comp-tag *proves* no stored result exists, so the GET
-        // round-trip is pure waste. The tag is derived here, or taken from
-        // the hot cache, and serves the GET or the PUT that follows.
+        // the item's comp-tag *proves* no stored result exists, so the item
+        // never needs the store's answer. It is computed, encrypted and
+        // remembered here, before the store is asked, and its PUT rides the
+        // GET request. The tag is derived here, or taken from the hot
+        // cache, and serves the GET or the PUT that follows.
+        let mut puts = Vec::new();
         if self.filter.is_some() {
-            for &i in &pending {
+            pending.retain(|&i| {
                 let item = &mut items[i];
                 let tag = self.derive(item).1;
-                if self.filter_proves_absent(&tag) {
-                    self.telemetry.filter_store_skips.inc();
-                    item.filtered = true;
-                    if item.call {
-                        self.stats.filtered_misses.add(1);
-                    }
+                if !self.filter_proves_absent(&tag) {
+                    return true;
                 }
-            }
+                self.telemetry.filter_store_skips.inc();
+                if item.call {
+                    self.stats.filtered_misses.add(1);
+                }
+                self.compute_miss(item, DedupOutcome::MissFiltered, &mut puts);
+                false
+            });
         }
 
-        // OCALL: ONE synchronous GET round-trip resolves every remaining
-        // tag.
-        pending.retain(|&i| !items[i].filtered);
-        let mut degraded = false;
-        if !pending.is_empty() {
-            let gets = pending
-                .iter()
-                .map(|&i| BatchItem::Get { tag: self.derive(&mut items[i]).1 })
-                .collect();
-            let request = Message::BatchRequest { app: self.app_id, items: gets };
-            let response = self.enclave.ocall_with_bytes(
-                "batch_get_request",
-                48 * pending.len(),
-                0,
-                || lock_recover(&self.client).roundtrip(&request),
-            );
-            // Graceful degradation (resilience layer only): an unreachable
-            // store is a miss, never an application error — Algorithm 1's
-            // fallback is always "just execute".
-            match response {
-                Ok(Message::BatchResponse(results)) if results.len() == pending.len() => {
-                    for (result, &i) in results.into_iter().zip(&pending) {
-                        items[i].found = result.record;
-                    }
-                }
-                Ok(other) => {
-                    return Err(CoreError::UnexpectedResponse(format!("{other:?}")))
-                }
-                Err(CoreError::StoreUnavailable(_)) if self.resilience.is_some() => {
-                    degraded = true;
-                }
-                Err(err) => return Err(err),
-            }
-        }
+        // OCALL: ONE synchronous round trip asks for every remaining tag
+        // and publishes the proven misses. The GET items go first, so the
+        // store settles them against its state before these PUTs.
+        let gets = pending
+            .iter()
+            .map(|&i| BatchItem::Get { tag: self.derive(&mut items[i]).1 })
+            .collect();
+        let answered = self.exchange(gets, puts)?;
+        let degraded = answered.is_none();
+        let mut records = answered.unwrap_or_default().into_iter();
 
-        // Verify hits, compute misses, collect the PUTs.
-        let mut puts: Vec<BatchItem> = Vec::new();
-        for item in &mut items {
-            if item.answer.is_some() {
-                continue; // answered by the hot cache
-            }
-            if let Some(record) = item.found.take() {
+        // Verify hits; compute what the store does not hold.
+        let mut puts = Vec::new();
+        for &i in &pending {
+            let item = &mut items[i];
+            if let Some(record) = records.next().flatten() {
                 self.enclave.charge_boundary_bytes(record.wire_size());
                 match self.recover(&self.derive(item).0, &record) {
                     Ok(result) => {
@@ -1024,7 +1006,6 @@ impl DedupRuntime {
                         self.count_reuse(&self.stats.hits, &result);
                         self.remember(item, &result, Some(record));
                         item.answer = Some((result, DedupOutcome::Hit));
-                        continue;
                     }
                     Err(CoreError::VerificationFailed) => {
                         // Fig. 3: ⊥ ⇒ execute locally, publish nothing (the
@@ -1038,73 +1019,96 @@ impl DedupRuntime {
                             item.answer =
                                 Some((result, DedupOutcome::MissAfterFailedVerify));
                         }
-                        continue;
                     }
                     Err(other) => return Err(other),
                 }
-            }
-
-            // Miss (filtered, degraded, or plain): a probe ends here; a call
-            // executes inside the enclave. Filtered items never touched the
-            // store, so they do not count as degraded even during an outage.
-            if !item.call {
                 continue;
             }
-            self.stats.misses.add(1);
-            if degraded && !item.filtered {
+            // Graceful degradation (resilience layer only): an unreachable
+            // store is a miss, never an application error — Algorithm 1's
+            // fallback is always "just execute".
+            if degraded && item.call {
                 self.stats.degraded_calls.add(1);
             }
-            let Some(result) = item.run() else { continue };
-            let tag = self.derive(item).1;
-            let record = self.encrypt(&self.derive(item).0, &result);
-            self.remember(item, &result, None);
-            puts.push(BatchItem::Put { tag, record });
-            let outcome = if item.filtered {
-                DedupOutcome::MissFiltered
-            } else {
-                DedupOutcome::Miss
-            };
-            item.answer = Some((result, outcome));
+            self.compute_miss(item, DedupOutcome::Miss, &mut puts);
         }
 
-        // Publish every fresh record in one batched PUT. When the GET
-        // already found the store unreachable, the PUTs are parked without
-        // a second doomed round-trip.
-        if !puts.is_empty() {
-            match &self.resilience {
-                Some(handles) if degraded => {
-                    handles.replay.park(self.app_id, puts);
-                }
-                _ => self.publish(puts)?,
+        // Publish the store's misses in one follow-up PUT. When the round
+        // trip already found the store unreachable, their PUTs are parked
+        // without a second doomed send; each was counted above.
+        match &self.resilience {
+            Some(handles) if degraded => {
+                handles.replay.park(self.app_id, puts);
+            }
+            _ => {
+                self.exchange(Vec::new(), puts)?;
             }
         }
         Ok(items.into_iter().map(|item| item.answer).collect())
     }
 
-    /// Sends fresh records to the store in one batched PUT OCALL and waits
-    /// for its answer: a rejection is counted, and an unreachable store
-    /// parks the items for replay (resilience layer only) before the call
-    /// returns.
-    fn publish(&self, items: Vec<BatchItem>) -> Result<(), CoreError> {
-        let wire_len: usize = items.iter().map(BatchItem::wire_size).sum();
+    /// A miss: a call executes inside the enclave, and its result is
+    /// encrypted, remembered and queued in `puts` for publishing; a probe
+    /// ends here with nothing.
+    fn compute_miss(
+        &self,
+        item: &mut Planned<'_>,
+        outcome: DedupOutcome,
+        puts: &mut Vec<BatchItem>,
+    ) {
+        if !item.call {
+            return;
+        }
+        self.stats.misses.add(1);
+        let Some(result) = item.run() else { return };
+        let tag = self.derive(item).1;
+        let record = self.encrypt(&self.derive(item).0, &result);
+        self.remember(item, &result, None);
+        puts.push(BatchItem::Put { tag, record });
+        item.answer = Some((result, outcome));
+    }
+
+    /// Sends `gets` then `puts` as one batched request in one OCALL, which
+    /// charges the bytes a GET OCALL and a PUT OCALL would charge apiece,
+    /// and waits for its answer. Returns the GET items' records in order
+    /// and counts the PUT items the store refused; nothing to send costs
+    /// nothing. When the store is unreachable (resilience layer only) the
+    /// PUT items fail as a unit but degrade item by item: each is parked
+    /// for replay and counted as a degraded call, and `None` tells the
+    /// caller to run its GET items locally.
+    fn exchange(
+        &self,
+        gets: Vec<BatchItem>,
+        puts: Vec<BatchItem>,
+    ) -> Result<Option<Vec<Option<Record>>>, CoreError> {
+        let n_gets = gets.len();
+        if n_gets + puts.len() == 0 {
+            return Ok(Some(Vec::new()));
+        }
+        let mut args_len = 48 * n_gets;
+        if !puts.is_empty() {
+            args_len += 48 + puts.iter().map(BatchItem::wire_size).sum::<usize>();
+        }
+        let mut items = gets;
+        items.extend(puts);
+        let sent = items.len();
         let request = Message::BatchRequest { app: self.app_id, items };
         let response =
-            self.enclave.ocall_with_bytes("batch_put_request", wire_len + 48, 0, || {
+            self.enclave.ocall_with_bytes("batch_request", args_len, 0, || {
                 lock_recover(&self.client).roundtrip(&request)
             });
         match (response, &self.resilience) {
-            (Ok(Message::BatchResponse(results)), _) => {
-                self.stats.rejected_puts.add(rejections(&results));
-                Ok(())
+            (Ok(Message::BatchResponse(mut results)), _) if results.len() == sent => {
+                self.stats.rejected_puts.add(rejections(&results[n_gets..]));
+                results.truncate(n_gets);
+                Ok(Some(results.into_iter().map(|result| result.record).collect()))
             }
             (Ok(other), _) => Err(CoreError::UnexpectedResponse(format!("{other:?}"))),
-            // The results are still correct: the PUTs failed as a unit but
-            // degrade item by item into the bounded replay queue.
             (Err(CoreError::StoreUnavailable(_)), Some(handles)) => {
                 if let Message::BatchRequest { app, items } = request {
                     self.stats.degraded_calls.add(handles.replay.park(app, items));
                 }
-                Ok(())
+                Ok(None)
             }
             (Err(err), _) => Err(err),
         }

@@ -4,13 +4,15 @@
 //! A session splits an incoming byte stream into content-defined chunks
 //! (see [`crate::chunker`]) and runs each chunk through the full dedup
 //! ladder as its own marked call: hot-cache probe, comp-tag against the
-//! merged negative filter, batched store GET, RCE recovery, batched PUT. Chunks
-//! are flushed in batches over [`DedupRuntime::execute_batch`], so a
-//! session inherits everything the batch path already provides — O(1)
-//! enclave transitions per flush, cluster routing, and per-item outage
-//! degradation (a mid-stream store outage turns the affected chunks into
-//! locally computed misses; the stream keeps going and its state remains
-//! valid for the next push).
+//! merged negative filter (a chunk it proves absent is computed at once),
+//! one store round trip carrying the GETs and those chunks' PUTs, RCE
+//! recovery, and a follow-up PUT for chunks the store did not hold.
+//! Chunks are flushed in batches over [`DedupRuntime::execute_batch`], so
+//! a session inherits everything the batch path already provides — O(1)
+//! enclave transitions per flush (one OCALL when every GET finds its
+//! chunk), cluster routing, and per-item outage degradation (a mid-stream
+//! store outage turns the affected chunks into locally computed misses;
+//! the stream keeps going and its state remains valid for the next push).
 //!
 //! The per-chunk function identity is the caller's identity: a chunk of
 //! input bytes is deduplicated against *any* stream of *any* session that

@@ -527,7 +527,8 @@ impl ResultStore {
     /// version is not newer than the current one is ignored, so stale
     /// gossip cannot roll the topology back.
     pub fn set_topology(&self, body: RingBody) -> bool {
-        let mut topology = self.topology.write().expect("topology lock poisoned");
+        let mut topology =
+            self.topology.write().unwrap_or_else(std::sync::PoisonError::into_inner);
         if !topology.nodes.is_empty() && body.version <= topology.version {
             return false;
         }
@@ -538,7 +539,7 @@ impl ResultStore {
     /// The cluster membership view this node currently advertises
     /// (default/empty with version 0 on standalone nodes).
     pub fn topology(&self) -> RingBody {
-        self.topology.read().expect("topology lock poisoned").clone()
+        self.topology.read().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
     }
 
     /// The shard `tag` routes to: its leading byte modulo the shard count.
@@ -1992,6 +1993,32 @@ mod tests {
         assert!(matches!(put, Message::PutResponse(b) if b.accepted));
         let get = store.handle(Message::GetRequest { app: AppId(1), tag });
         assert!(matches!(get, Message::GetResponse(b) if b.found));
+    }
+
+    #[test]
+    fn topology_lock_recovers_from_poison() {
+        // A panic while the topology lock is held must not make every later
+        // RING_REQUEST, or the next membership change, panic in turn.
+        let (_p, store) = store();
+        let store = Arc::new(store);
+        let node = |id| speed_wire::RingNodeBody { id, addr: String::new(), weight: 1 };
+        assert!(store.set_topology(RingBody { version: 1, nodes: vec![node(0)] }));
+        let poisoner = Arc::clone(&store);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.topology.write().unwrap();
+            panic!("poison the topology lock");
+        })
+        .join();
+        assert!(store.topology.is_poisoned());
+        assert!(matches!(
+            store.handle(Message::RingRequest),
+            Message::RingResponse(body) if body.version == 1
+        ));
+        assert!(!store.set_topology(RingBody { version: 1, nodes: vec![node(1)] }));
+        assert!(
+            store.set_topology(RingBody { version: 2, nodes: vec![node(0), node(1)] })
+        );
+        assert_eq!(store.topology().nodes.len(), 2);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Fault-injection integration tests: the full TCP stack (attested
 //! handshake, framed secure channel, `StoreServer`) driven through a
 //! deterministic `FaultInjector`, plus a mid-workload kill-and-restart of
-//! the store recovered from its `LogBackend` directory.
+//! the store recovered from its `LogBackend` directory. Single calls and
+//! streamed documents through the negative-filter tier, whose batches send
+//! GETs and proven misses' PUTs in one request, both run through it.
 //!
 //! The invariant under test is the SPEED degradation contract: the store is
 //! an *optimization*, so no store outage, dropped frame, corrupt response,
@@ -15,9 +17,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use speed_core::{
-    BreakerConfig, ChaosClient, Connector, DedupOutcome, DedupRuntime, FaultConfig,
-    FaultInjector, FaultRates, FuncDesc, ResilienceConfig, RetryPolicy, StoreClient,
-    TcpClient, TrustedLibrary,
+    chunk_all, BreakerConfig, ChaosClient, Connector, DedupOutcome, DedupRuntime,
+    FaultConfig, FaultInjector, FaultRates, FuncDesc, FuncIdentity, PrefilterConfig,
+    ResilienceConfig, RetryPolicy, StoreClient, StreamConfig, TcpClient, TrustedLibrary,
 };
 use speed_crypto::SystemRng;
 use speed_enclave::{CostModel, Platform};
@@ -83,6 +85,23 @@ fn chaotic_connector(
         let tcp = TcpClient::connect(target, &platform, &enclave, &authority)?;
         Ok(Box::new(ChaosClient::new(Box::new(tcp), Arc::clone(&injector)))
             as Box<dyn StoreClient>)
+    })
+}
+
+/// What a streamed document returns when no fault touches it: each
+/// chunk scrambled on its own, in stream order.
+fn fault_free(config: StreamConfig, document: &[u8]) -> Vec<u8> {
+    chunk_all(config.chunker, document).iter().flat_map(|chunk| scramble(chunk)).collect()
+}
+
+/// Waits out the breaker cooldown, then calls until `rt`'s replay queue
+/// empties (the first successful round trip drains it); false if it never
+/// does.
+fn drains(rt: &DedupRuntime, identity: &FuncIdentity) -> bool {
+    (0..40).any(|_| {
+        std::thread::sleep(Duration::from_millis(10));
+        rt.execute_raw(identity, b"drain-probe", scramble).unwrap();
+        rt.pending_replays() == 0
     })
 }
 
@@ -167,6 +186,44 @@ fn workload_survives_faults_and_store_restart() {
     // Dedup still pays off: strictly fewer executions than calls.
     assert!(executions.load(Ordering::Relaxed) < 150);
 
+    // Phase A': streamed documents under the same faults, through a second
+    // runtime with the filter tier on. `rt` publishes four shared segments
+    // first; the streaming runtime takes its one filter snapshot at its
+    // first consult, so each of its batches asks for the shared chunks and
+    // carries the PUTs of the chunks the snapshot proves absent.
+    let sr = DedupRuntime::builder(Arc::clone(&platform), b"chaos-stream-app")
+        .client_factory(chaotic_connector(&platform, &authority, &addr, &injector))
+        .resilience(resilience())
+        .trusted_library(library())
+        .prefilter(PrefilterConfig { refresh_ops: u64::MAX })
+        .rng_seed(10)
+        .build()
+        .unwrap();
+    let stream_identity = sr.resolve(&desc()).unwrap();
+    let config = StreamConfig::SMALL;
+    let mut random = |len: usize| {
+        let mut buf = vec![0u8; len];
+        rng.fill(&mut buf);
+        buf
+    };
+    let segments: Vec<Vec<u8>> = (0..4).map(|_| random(1024)).collect();
+    for segment in &segments {
+        rt.execute_stream(identity, config, segment, scramble).unwrap();
+    }
+    let documents: Vec<Vec<u8>> = (0..9)
+        .map(|n| {
+            let (fresh, tail) = (random(1024), random(512));
+            [&segments[n % 4][..], &fresh, &segments[(n + 1) % 4], &tail].concat()
+        })
+        .collect();
+    let (faulted, outage_documents) = documents.split_at(6);
+    for document in faulted {
+        let streamed = sr
+            .execute_stream(stream_identity, config, document, scramble)
+            .unwrap_or_else(|e| panic!("store fault escaped a stream: {e}"));
+        assert_eq!(streamed.concat(), fault_free(config, document));
+    }
+
     // Phase B: kill the store mid-workload and leave it down.
     server.shutdown();
     drop(store);
@@ -193,30 +250,50 @@ fn workload_survives_faults_and_store_restart() {
         "a dead store must trip the circuit breaker"
     );
 
+    // Phase B': streamed documents through the outage. Each batch's one
+    // request fails; its GET items run locally and every PUT item is
+    // parked on its own, each chunk counted as degraded once, and no
+    // second send follows: one ECALL and one OCALL per flush.
+    let before = (sr.enclave().stats(), sr.stats().degraded_calls, sr.pending_replays());
+    let (mut chunks, mut flushes, mut outcomes) = (0, 0, Vec::new());
+    for document in outage_documents {
+        let streamed = sr
+            .execute_stream(stream_identity, config, document, scramble)
+            .unwrap_or_else(|e| panic!("outage escaped a stream: {e}"));
+        assert_eq!(streamed.concat(), fault_free(config, document));
+        chunks += streamed.stats.chunks;
+        flushes += streamed.stats.flushes;
+        outcomes.extend(streamed.outcomes);
+    }
+    let after = sr.enclave().stats();
+    assert_eq!(sr.stats().degraded_calls - before.1, chunks);
+    assert_eq!(sr.pending_replays() - before.2, chunks as usize);
+    assert_eq!(after.ecalls - before.0.ecalls, flushes);
+    assert_eq!(after.ocalls - before.0.ocalls, flushes, "one send per flush");
+    // The failed requests held GETs (now local misses) and proven misses.
+    for outcome in [DedupOutcome::Miss, DedupOutcome::MissFiltered] {
+        assert!(outcomes.contains(&outcome), "no {outcome:?} in the outage");
+    }
+
     // Phase C: reopen the store from its directory on a fresh ephemeral
     // port; the resilient client re-attests against it.
     let restored = open_store(&platform, &dir);
     let server2 = spawn_server(&platform, &restored, &authority);
     *addr.lock().unwrap() = server2.addr();
 
-    // Drain: wait out the breaker cooldown, then call until the replay
-    // queue empties (the first successful round-trip drains it).
-    let mut drained = false;
-    for _ in 0..40 {
-        std::thread::sleep(Duration::from_millis(10));
-        rt.execute_raw(&identity, b"drain-probe", scramble).unwrap();
-        if rt.pending_replays() == 0 {
-            drained = true;
-            break;
-        }
-    }
-    assert!(drained, "replay queue never drained after the store came back");
+    // Drain both runtimes' replay queues.
+    assert!(
+        drains(&rt, &identity),
+        "replay queue never drained after the store came back"
+    );
     assert!(rt.stats().replayed_puts >= outage_inputs.len() as u64);
     assert_eq!(
         rt.dropped_replays(),
         0,
         "replay queue must not overflow in this workload"
     );
+    assert!(drains(&sr, &stream_identity), "the streaming runtime's queue never drained");
+    assert_eq!(sr.dropped_replays(), 0);
 
     // Phase D: convergence. Every input seen so far — including the ones
     // computed during the outage — must now be a dedup hit served by the
@@ -229,6 +306,17 @@ fn workload_survives_faults_and_store_restart() {
         assert_eq!(outcome, DedupOutcome::Hit);
     }
     assert!(rt.stats().hits >= 50, "hit rate must converge once faults stop");
+    // Every chunk of every streamed document, the outage's included, is
+    // found in the restored store.
+    for document in segments.iter().chain(&documents) {
+        let streamed = rt
+            .execute_stream(identity, config, document, |_| {
+                panic!("every chunk must come from the store")
+            })
+            .unwrap();
+        assert!(streamed.outcomes.iter().all(|o| *o == DedupOutcome::Hit));
+        assert_eq!(streamed.concat(), fault_free(config, document));
+    }
     server2.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
