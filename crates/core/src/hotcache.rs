@@ -6,16 +6,11 @@
 //! runtime's own keys. Every remembered computation keeps its secret
 //! digest `d`, its comp-tag and a small hit count; only some also keep
 //! their plaintext result, and some keep the RCE record their last
-//! verified store hit returned. A probe therefore answers one of three
-//! ways ([`Probe`]):
-//!
-//! - the result: a hot hit, with no enclave transition, no store round
-//!   trip and no SHA-256 (one GHASH pass over the input computes `fp`);
-//! - the digest and tag, with the kept record if there is one: the caller
-//!   opens the record under `d` in the enclave, with no store round trip,
-//!   or else its store GET, RCE recovery and any PUT run without the
-//!   SHA-256 pass over its input (see [`crate::tag`]);
-//! - nothing.
+//! verified store hit returned. A probe ([`Probe`]) answers with the
+//! result, a hot hit with no enclave transition, no store round trip and
+//! no SHA-256; with the digest and tag, and the kept record if there is
+//! one, so the call runs no SHA-256 pass over its input (see
+//! [`crate::tag`]); or with nothing.
 //!
 //! Neither the digest nor a result ever leaves the enclave, and the cache
 //! never decides what the store returns: a wrong hit or a wrong digest
@@ -25,50 +20,28 @@
 //! it verifies a store hit.
 //!
 //! Results are admitted by frequency, as in TinyLFU (Einziger, Friedman and
-//! Manes, ACM TOS 2017), with exact counts kept in the remembered entries
-//! instead of a sketch. A probe that finds an entry raises its count, up
-//! to 15, and every `10 × max_entries` probes every count halves, so the
-//! counts describe a bounded recent window. A result that needs room
-//! displaces the least-recent cached results only while each of them has a
-//! strictly lower count than its own entry; otherwise it is not kept and
-//! its entry stays digest-only. A new entry recycles the least-recent
-//! digest-only entry when the table is full. A burst of one-time inputs
-//! therefore never displaces a result that was hit, while a shifted popular
-//! set takes over once the old counts have halved.
+//! Manes, ACM TOS 2017), with exact hit counts that age. The result bytes
+//! and 160 B per entry are bounded and charged to EPC; kept records live
+//! in untrusted memory under a budget of their own. DESIGN.md (*Hot-tag
+//! cache*) spells out the policy, which the tests hold to a model.
 //!
-//! The cache is strictly bounded because it competes with the application
-//! for scarce EPC. [`HotCacheConfig::max_entries`] bounds the remembered
-//! computations and [`HotCacheConfig::max_bytes`] the accounted bytes: the
-//! result bytes plus a fixed charge of 160 B per entry. The charge for a
-//! full table is set aside when the cache is built — at most half of
-//! `max_bytes`, which caps the table below `max_entries` when `max_bytes`
-//! is small — so entries and results never displace one another. At the
-//! default 1024 entries that is 160 KiB of the 4 MiB. The accounted bytes
-//! are charged against the enclave's memory budget page by page, the same
-//! way the store's metadata heap is.
-//!
-//! Kept records live in the application's untrusted memory, as the store
-//! keeps its ciphertext outside its enclave, and are not charged to EPC.
-//! Their wire bytes have a budget of their own, `16 × max_bytes` (64 MiB at
-//! the default): a new record drops the records of the least-recent
-//! entries until it fits, and a record larger than the whole budget is not
-//! kept. Removing or recycling an entry frees its record.
-//!
-//! Entries hold their result behind a shared [`Arc`] buffer: a hit hands
-//! back another reference to the same allocation instead of copying the
-//! bytes, which makes the hit path O(1) regardless of result size. A kept
-//! record is shared the same way.
+//! The entries live in one slab, found through a table hashed on each
+//! fingerprint's own bytes (see its `Hash`). Three lists run through the
+//! slab by index, least recent first: the entries with a result, the
+//! digest-only ones, and those keeping a record. A hit touches its table
+//! slot, its entry and its list neighbours, allocates nothing, and shares
+//! the entry's [`Arc`] buffer instead of copying the bytes.
 
 // hot-path: deny-clone
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use speed_enclave::{Enclave, EnclaveError, PAGE_SIZE};
 use speed_wire::{CompTag, Record};
 
-use crate::tag::{CompDigest, Fingerprint};
+use crate::tag::{CompDigest, Fingerprint, FingerprintHash};
 
 /// Size limits for the in-enclave hot cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,7 +50,7 @@ pub struct HotCacheConfig {
     pub max_entries: usize,
     /// Maximum accounted in-enclave bytes: cached result bytes plus a fixed
     /// charge of 160 B per remembered computation (its key, digest, tag,
-    /// recency nodes and map slots). Kept RCE records, outside the enclave,
+    /// list links and table slots). Kept RCE records, outside the enclave,
     /// have a budget of 16 × this.
     pub max_bytes: usize,
 }
@@ -91,7 +64,7 @@ impl Default for HotCacheConfig {
 }
 
 /// Fixed bookkeeping charged per remembered computation on top of its
-/// result bytes: key and map slots, recency index nodes, digest and tag.
+/// result bytes: its slab entry (key, digest, tag, links) and table slots.
 pub(crate) const ENTRY_OVERHEAD: usize = 32 + 64 + 64;
 
 /// Kept records may hold `RECORD_BUDGET_FACTOR × max_bytes` wire bytes of
@@ -105,6 +78,17 @@ const MAX_COUNT: u8 = 15;
 /// Every `AGING_FACTOR × max_entries` probes, every count halves.
 const AGING_FACTOR: usize = 10;
 
+/// A list's own end, which is no entry.
+const NIL: usize = usize::MAX;
+
+/// The tier lists `tiers[DIGESTS]` and `tiers[RESULTS]`, by whether an
+/// entry holds a result, run through its links `TIER`; `records` through
+/// its links `KEPT`.
+const DIGESTS: usize = 0;
+const RESULTS: usize = 1;
+const TIER: usize = 0;
+const KEPT: usize = 1;
+
 /// What a probe of the hot cache found.
 pub(crate) enum Probe {
     /// The cached result, as another reference to the shared buffer.
@@ -117,31 +101,64 @@ pub(crate) enum Probe {
     Miss,
 }
 
+/// A node's neighbours in one list, as slab indices.
+#[derive(Clone, Copy)]
+struct Links {
+    prev: usize,
+    next: usize,
+}
+
 struct Entry {
+    fp: Fingerprint,
     digest: CompDigest,
     tag: CompTag,
     /// Probes that found this entry (its first sighting counts as one),
     /// halved every aging window.
     count: u8,
-    /// Key of the entry in its recency list, and in the record list when
-    /// it keeps a record.
+    /// When the entry last became the most recent of its tier list: the
+    /// order of `records`, which holds only some entries.
     seq: u64,
     result: Option<Arc<Vec<u8>>>,
     /// The RCE record of the last verified store hit, in untrusted memory.
     record: Option<Arc<Record>>,
+    links: [Links; 2],
 }
 
-/// Re-keys `entry`, whose recency just moved from `old` to `entry.seq`, in
-/// the record list if it keeps a record.
-fn move_record(
-    records: &mut BTreeMap<u64, Fingerprint>,
-    fp: Fingerprint,
-    entry: &Entry,
-    old: u64,
-) {
-    if entry.record.is_some() {
-        records.remove(&old);
-        records.insert(entry.seq, fp);
+/// A circular list through the slab's `link` links, least recent first,
+/// whose own node is `NIL`: `ends.next` is its first entry and
+/// `ends.prev` its last, `NIL` when it is empty.
+struct List {
+    ends: Links,
+    len: usize,
+    link: usize,
+}
+
+impl List {
+    const fn new(link: usize) -> Self {
+        List { ends: Links { prev: NIL, next: NIL }, len: 0, link }
+    }
+
+    fn node<'a>(&'a mut self, slab: &'a mut [Entry], at: usize) -> &'a mut Links {
+        match at {
+            NIL => &mut self.ends,
+            at => &mut slab[at].links[self.link],
+        }
+    }
+
+    fn unlink(&mut self, slab: &mut [Entry], at: usize) {
+        let Links { prev, next } = slab[at].links[self.link];
+        self.node(slab, prev).next = next;
+        self.node(slab, next).prev = prev;
+        self.len -= 1;
+    }
+
+    /// Links `at` in just before `next`, or last when `next` is `NIL`.
+    fn link_before(&mut self, slab: &mut [Entry], at: usize, next: usize) {
+        let prev = self.node(slab, next).prev;
+        slab[at].links[self.link] = Links { prev, next };
+        self.node(slab, prev).next = at;
+        self.node(slab, next).prev = at;
+        self.len += 1;
     }
 }
 
@@ -156,13 +173,13 @@ pub(crate) struct HotTagCache {
     /// Result bytes the cache may hold: what a full table leaves of
     /// `max_bytes`.
     result_budget: usize,
-    entries: HashMap<Fingerprint, Entry>,
-    /// Entries holding a result, least recent first.
-    results: BTreeMap<u64, Fingerprint>,
-    /// Digest-only entries, least recent first.
-    digests: BTreeMap<u64, Fingerprint>,
-    /// Entries keeping a record, least recent first.
-    records: BTreeMap<u64, Fingerprint>,
+    slab: Vec<Entry>,
+    /// Slab indices no entry holds.
+    free: Vec<usize>,
+    /// Slab indices by fingerprint.
+    index: HashMap<Fingerprint, usize, FingerprintHash>,
+    tiers: [List; 2],
+    records: List,
     /// Wire bytes the kept records may hold: `16 × max_bytes`.
     record_budget: usize,
     /// Wire bytes of the kept records.
@@ -178,10 +195,10 @@ pub(crate) struct HotTagCache {
 impl fmt::Debug for HotTagCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HotTagCache")
-            .field("entries", &self.entries.len())
-            .field("results", &self.results.len())
+            .field("entries", &self.len())
+            .field("results", &self.tiers[RESULTS].len)
             .field("bytes", &self.bytes())
-            .field("records", &self.records.len())
+            .field("records", &self.records.len)
             .field("record_bytes", &self.record_bytes)
             .field("config", &self.config)
             .finish_non_exhaustive()
@@ -195,10 +212,11 @@ impl HotTagCache {
             config,
             slots,
             result_budget: config.max_bytes - slots * ENTRY_OVERHEAD,
-            entries: HashMap::new(),
-            results: BTreeMap::new(),
-            digests: BTreeMap::new(),
-            records: BTreeMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::default(),
+            tiers: [List::new(TIER), List::new(TIER)],
+            records: List::new(KEPT),
             record_budget: config.max_bytes.saturating_mul(RECORD_BUDGET_FACTOR),
             record_bytes: 0,
             seq: 0,
@@ -216,23 +234,15 @@ impl HotTagCache {
         self.probes += 1;
         if self.probes >= AGING_FACTOR * self.config.max_entries {
             self.probes = 0;
-            for entry in self.entries.values_mut() {
+            for entry in &mut self.slab {
                 entry.count /= 2;
             }
         }
-        let seq = self.next_seq();
-        let Some(entry) = self.entries.get_mut(fp) else {
-            return Probe::Miss;
-        };
+        let Some(&at) = self.index.get(fp) else { return Probe::Miss };
+        self.tiers[self.tier(at)].unlink(&mut self.slab, at);
+        self.relink(at);
+        let entry = &mut self.slab[at];
         entry.count = (entry.count + 1).min(MAX_COUNT);
-        let list = match entry.result {
-            Some(_) => &mut self.results,
-            None => &mut self.digests,
-        };
-        let old = std::mem::replace(&mut entry.seq, seq);
-        list.remove(&old);
-        list.insert(seq, *fp);
-        move_record(&mut self.records, *fp, entry, old);
         match &entry.result {
             Some(result) => Probe::Result(Arc::clone(result)), // allow-clone: Arc refcount bump, not a byte copy
             None => {
@@ -248,16 +258,8 @@ impl HotTagCache {
     /// Returns whether the result is now cached; when it is not, the entry
     /// still supplies the digest to the next probe. A `record` — the one a
     /// verified store hit returned — replaces the record the entry kept;
-    /// `None` leaves it as it is.
-    ///
-    /// A new entry starts at count 1. When the table is full it recycles
-    /// the least-recent digest-only entry; with none, it displaces the
-    /// least-recent result only if that count has aged to 0, and is
-    /// otherwise not remembered. The result is admitted, and the record
-    /// kept, as the module doc describes. Buffers are shared, not copied.
-    /// Pages the enclave cannot commit (EPC exhausted) leave the entry or
-    /// the result out — the cache is an accelerator, never a correctness
-    /// dependency.
+    /// `None` leaves it as it is. Pages the enclave cannot commit leave the
+    /// entry or the result out: the cache is never a correctness dependency.
     pub(crate) fn insert(
         &mut self,
         enclave: &Enclave,
@@ -266,12 +268,13 @@ impl HotTagCache {
         result: &Arc<Vec<u8>>,
         record: Option<Arc<Record>>,
     ) -> bool {
-        if !self.entries.contains_key(&fp) && !self.add_entry(enclave, fp, derived) {
+        let found = self.index.get(&fp).copied();
+        let Some(at) = found.or_else(|| self.add_entry(enclave, fp, derived)) else {
             return false;
-        }
-        let cached = self.admit(enclave, fp, result);
+        };
+        let cached = self.admit(enclave, at, result);
         if let Some(record) = record {
-            self.keep_record(fp, record);
+            self.keep_record(at, record);
         }
         cached
     }
@@ -279,77 +282,87 @@ impl HotTagCache {
     /// Drops the record the entry `fp` keeps, if it is still `record`: the
     /// caller found that it fails verification.
     pub(crate) fn forget_record(&mut self, fp: &Fingerprint, record: &Arc<Record>) {
-        let held = self.entries.get(fp).and_then(|entry| entry.record.as_ref());
-        if held.is_some_and(|held| Arc::ptr_eq(held, record)) {
-            self.drop_record(fp);
+        let Some(&at) = self.index.get(fp) else { return };
+        if self.slab[at].record.as_ref().is_some_and(|held| Arc::ptr_eq(held, record)) {
+            self.drop_record(at);
         }
     }
 
     /// Number of remembered computations, with or without a result.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Accounted in-enclave bytes: result bytes plus the per-entry charge.
     /// Kept records are outside the enclave and not counted.
     pub(crate) fn bytes(&self) -> usize {
-        self.entries.len() * ENTRY_OVERHEAD + self.result_bytes
+        self.len() * ENTRY_OVERHEAD + self.result_bytes
     }
 
     /// Kept records and their wire bytes, in untrusted memory.
     pub(crate) fn record_usage(&self) -> (usize, usize) {
-        (self.records.len(), self.record_bytes)
+        (self.records.len, self.record_bytes)
     }
 
-    fn next_seq(&mut self) -> u64 {
+    /// The tier list that holds the entry `at`.
+    fn tier(&self, at: usize) -> usize {
+        usize::from(self.slab[at].result.is_some())
+    }
+
+    /// Makes the entry `at`, in no tier list, the most recent of its tier
+    /// list, and of `records` if it keeps a record.
+    fn relink(&mut self, at: usize) {
         self.seq += 1;
-        self.seq
+        self.slab[at].seq = self.seq;
+        self.tiers[self.tier(at)].link_before(&mut self.slab, at, NIL);
+        if self.slab[at].record.is_some() {
+            self.records.unlink(&mut self.slab, at);
+            self.records.link_before(&mut self.slab, at, NIL);
+        }
     }
 
+    /// Adds a digest-only entry for `fp` and returns its slab index.
     fn add_entry(
         &mut self,
         enclave: &Enclave,
         fp: Fingerprint,
         (digest, tag): &(CompDigest, CompTag),
-    ) -> bool {
-        if self.entries.len() >= self.slots {
+    ) -> Option<usize> {
+        if self.len() >= self.slots {
             // A digest-only entry holds nothing costly; a result goes only
             // if its count is strictly lower than a first sighting's 1.
             let victim =
-                match (self.digests.values().next(), self.results.values().next()) {
-                    (Some(&victim), _) => victim,
-                    (None, Some(&victim)) if self.entries[&victim].count == 0 => victim,
-                    _ => return false,
+                match (self.tiers[DIGESTS].ends.next, self.tiers[RESULTS].ends.next) {
+                    (NIL, NIL) => return None,
+                    (NIL, oldest) if self.slab[oldest].count > 0 => return None,
+                    (NIL, oldest) | (oldest, _) => oldest,
                 };
-            self.remove(enclave, &victim);
+            self.remove(enclave, victim);
         }
-        if self.charge(enclave, self.bytes() + ENTRY_OVERHEAD).is_err() {
-            return false;
-        }
-        let seq = self.next_seq();
-        self.digests.insert(seq, fp);
-        self.entries.insert(
+        self.charge(enclave, self.bytes() + ENTRY_OVERHEAD).ok()?;
+        let entry = Entry {
             fp,
-            Entry {
-                digest: digest.clone(), // allow-clone: the entry's own 32-byte digest copy
-                tag: *tag,
-                count: 1,
-                seq,
-                result: None,
-                record: None,
-            },
-        );
-        true
+            digest: digest.clone(), // allow-clone: the entry's own 32-byte digest copy
+            tag: *tag,
+            count: 1,
+            seq: 0,
+            result: None,
+            record: None,
+            links: [Links { prev: NIL, next: NIL }; 2],
+        };
+        let at = self.free.pop().unwrap_or(self.slab.len());
+        match self.slab.get_mut(at) {
+            Some(slot) => *slot = entry,
+            None => self.slab.push(entry),
+        }
+        self.index.insert(fp, at);
+        self.relink(at);
+        Some(at)
     }
 
-    /// The admission test for the result of the remembered entry `fp`.
-    fn admit(
-        &mut self,
-        enclave: &Enclave,
-        fp: Fingerprint,
-        result: &Arc<Vec<u8>>,
-    ) -> bool {
-        let entry = &self.entries[&fp];
+    /// The admission test for the result of the remembered entry `at`.
+    fn admit(&mut self, enclave: &Enclave, at: usize, result: &Arc<Vec<u8>>) -> bool {
+        let entry = &self.slab[at];
         if entry.result.is_some() {
             // Already cached: the result of a computation is immutable.
             return true;
@@ -362,16 +375,15 @@ impl HotTagCache {
         // must have a strictly lower count.
         let free = self.result_budget - self.result_bytes;
         let (mut freed, mut displaced) = (0, 0);
-        for victim in self.results.values() {
-            if free + freed >= len {
-                break;
-            }
-            let victim = &self.entries[victim];
-            if victim.count >= count {
+        let mut victim = self.tiers[RESULTS].ends.next;
+        while free + freed < len && victim != NIL {
+            let entry = &self.slab[victim];
+            if entry.count >= count {
                 return false;
             }
-            freed += victim.result.as_ref().map_or(0, |r| r.len());
+            freed += entry.result.as_ref().map_or(0, |r| r.len());
             displaced += 1;
+            victim = entry.links[TIER].next;
         }
         if free + freed < len || self.charge(enclave, self.bytes() - freed + len).is_err()
         {
@@ -380,66 +392,54 @@ impl HotTagCache {
         // Displaced results keep their entries, as the most recent
         // digest-only ones.
         for _ in 0..displaced {
-            let (old, victim) =
-                self.results.pop_first().expect("planned victims are listed");
-            let seq = self.next_seq();
-            let entry = self.entries.get_mut(&victim).expect("listed entries exist");
-            self.result_bytes -= entry.result.take().map_or(0, |r| r.len());
-            entry.seq = seq;
-            self.digests.insert(seq, victim);
-            move_record(&mut self.records, victim, entry, old);
+            let victim = self.tiers[RESULTS].ends.next;
+            self.tiers[RESULTS].unlink(&mut self.slab, victim);
+            self.result_bytes -= self.slab[victim].result.take().map_or(0, |r| r.len());
+            self.relink(victim);
         }
-        let seq = self.next_seq();
-        let entry = self.entries.get_mut(&fp).expect("admitted entry exists");
-        let old = std::mem::replace(&mut entry.seq, seq);
-        self.digests.remove(&old);
-        self.results.insert(seq, fp);
-        move_record(&mut self.records, fp, entry, old);
-        entry.result = Some(Arc::clone(result)); // allow-clone: Arc refcount bump, not a byte copy
+        self.tiers[DIGESTS].unlink(&mut self.slab, at);
+        self.slab[at].result = Some(Arc::clone(result)); // allow-clone: Arc refcount bump, not a byte copy
         self.result_bytes += len;
+        self.relink(at);
         true
     }
 
-    /// Keeps `record` with the remembered entry `fp` in place of the one it
+    /// Keeps `record` with the remembered entry `at` in place of the one it
     /// held, dropping the least-recent kept records until the budget has
     /// room. A record larger than the whole budget is not kept.
-    fn keep_record(&mut self, fp: Fingerprint, record: Arc<Record>) {
-        self.drop_record(&fp);
+    fn keep_record(&mut self, at: usize, record: Arc<Record>) {
+        self.drop_record(at);
         let size = record.wire_size();
         if size > self.record_budget {
             return;
         }
-        while self.record_bytes + size > self.record_budget {
-            let Some((_, victim)) = self.records.pop_first() else { break };
-            let entry = self.entries.get_mut(&victim).expect("listed entries exist");
-            self.record_bytes -= entry.record.take().map_or(0, |r| r.wire_size());
+        while self.record_bytes + size > self.record_budget && self.records.len > 0 {
+            self.drop_record(self.records.ends.next);
         }
-        let entry = self.entries.get_mut(&fp).expect("the record's entry exists");
-        self.records.insert(entry.seq, fp);
+        // `records` follows the entries' recency, and this entry need not
+        // be the most recent one: it goes before every later kept record.
+        let (seq, mut next, mut prev) = (self.slab[at].seq, NIL, self.records.ends.prev);
+        while prev != NIL && self.slab[prev].seq > seq {
+            (next, prev) = (prev, self.slab[prev].links[KEPT].prev);
+        }
+        self.records.link_before(&mut self.slab, at, next);
         self.record_bytes += size;
-        entry.record = Some(record);
+        self.slab[at].record = Some(record);
     }
 
-    fn drop_record(&mut self, fp: &Fingerprint) {
-        let Some(entry) = self.entries.get_mut(fp) else { return };
-        if let Some(record) = entry.record.take() {
-            self.records.remove(&entry.seq);
+    fn drop_record(&mut self, at: usize) {
+        if let Some(record) = self.slab[at].record.take() {
+            self.records.unlink(&mut self.slab, at);
             self.record_bytes -= record.wire_size();
         }
     }
 
-    fn remove(&mut self, enclave: &Enclave, fp: &Fingerprint) {
-        self.drop_record(fp);
-        let Some(entry) = self.entries.remove(fp) else { return };
-        match entry.result {
-            Some(result) => {
-                self.results.remove(&entry.seq);
-                self.result_bytes -= result.len();
-            }
-            None => {
-                self.digests.remove(&entry.seq);
-            }
-        }
+    fn remove(&mut self, enclave: &Enclave, at: usize) {
+        self.drop_record(at);
+        self.tiers[self.tier(at)].unlink(&mut self.slab, at);
+        self.result_bytes -= self.slab[at].result.take().map_or(0, |r| r.len());
+        self.index.remove(&self.slab[at].fp);
+        self.free.push(at);
         let _ = self.charge(enclave, self.bytes());
     }
 
@@ -470,7 +470,8 @@ mod tests {
             &mut self,
             fp: &Fingerprint,
         ) -> Option<&mut Arc<Record>> {
-            self.entries.get_mut(fp)?.record.as_mut()
+            let at = *self.index.get(fp)?;
+            self.slab[at].record.as_mut()
         }
     }
 

@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex};
 
 use speed_crypto::{GhashPrf, Key128, SystemRng};
-use speed_enclave::{Enclave, Platform};
+use speed_enclave::{Enclave, Platform, PAGE_SIZE};
 use speed_store::ResultStore;
 use speed_telemetry::{names, Counter, Histogram};
 use speed_wire::{
@@ -400,18 +400,43 @@ impl Default for PrefilterConfig {
 }
 
 /// Client-side view of the store's negative filters: every per-shard filter
-/// ORed into one, refreshed from the store on the staleness budget.
+/// ORed into one, refreshed from the store on the staleness budget, and
+/// kept in the enclave's own committed memory.
 #[derive(Debug)]
 struct ClientFilter {
-    /// The merged filter: `None` before the first successful refresh and
-    /// after one whose shard shapes disagree. Either way it proves nothing
-    /// absent.
+    /// The merged filter: `None` before the first successful refresh, after
+    /// one whose shard shapes disagree, and after one whose pages the
+    /// enclave could not commit. Either way it proves nothing absent.
     merged: Option<NegativeFilter>,
+    /// EPC bytes committed for `merged`, in whole pages.
+    committed: usize,
     /// Store epoch of the last snapshot, `None` until a refresh succeeds.
     epoch: Option<u64>,
     /// Consults since the last refresh attempt.
     ops_since_refresh: u64,
     config: PrefilterConfig,
+}
+
+impl ClientFilter {
+    /// Installs a freshly merged filter in place of the old one, moving the
+    /// enclave's EPC charge from the old filter's pages to its own: a
+    /// refresh of the same geometry commits nothing more. A commit the
+    /// enclave refuses leaves no filter and releases the old one's pages.
+    fn install(&mut self, enclave: &Enclave, merged: Option<NegativeFilter>) {
+        let bytes = merged.as_ref().map_or(0, |filter| filter.bit_len() / 8);
+        let mut needed = bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        self.merged = merged;
+        if needed > self.committed
+            && enclave.commit_memory(needed - self.committed).is_err()
+        {
+            self.merged = None;
+            needed = 0;
+        }
+        if needed < self.committed {
+            let _ = enclave.release_memory(self.committed - needed);
+        }
+        self.committed = needed;
+    }
 }
 
 /// ORs the store's per-shard filters into one client-side view. A store
@@ -657,6 +682,7 @@ impl RuntimeBuilder {
             filter: self.prefilter.map(|config| {
                 Mutex::new(ClientFilter {
                     merged: None,
+                    committed: 0,
                     epoch: None,
                     ops_since_refresh: 0,
                     config,
@@ -1249,7 +1275,7 @@ impl DedupRuntime {
             if let Ok(Message::FilterResponse(body)) = response {
                 self.telemetry.filter_refreshes.inc();
                 state.epoch = Some(body.epoch);
-                state.merged = merge_shard_filters(body.shards);
+                state.install(&self.enclave, merge_shard_filters(body.shards));
             }
         }
         state.ops_since_refresh += 1;
@@ -2159,6 +2185,43 @@ mod tests {
         assert_eq!(outcome, DedupOutcome::Hit);
         assert_eq!(result, b"m");
         assert_eq!(store.stats().gets, 1);
+    }
+
+    /// The merged filter lives in the enclave, so its pages are committed
+    /// when a refresh installs it, and a refresh of the same geometry
+    /// commits nothing more. When the enclave cannot commit them there is
+    /// no filter, which proves nothing: the call asks the store.
+    #[test]
+    fn the_merged_filter_is_committed_epc_and_a_refused_commit_proves_nothing() {
+        let (platform, store, authority) = setup();
+        let config = PrefilterConfig { refresh_ops: 1 };
+        let rt = filter_runtime(&platform, &store, &authority, b"epc-app", config);
+        let starved = filter_runtime(&platform, &store, &authority, b"starved", config);
+        let shards = store.filter_snapshot().shards;
+        let filter_bytes = shards[0].bit_len() / 8;
+        assert!(shards.iter().all(|f| f.bit_len() / 8 == filter_bytes), "one geometry");
+        let before = rt.enclave().committed_bytes();
+        let (_, outcome) = rt.execute(&desc_double(), b"f1", |i| i.to_vec()).unwrap();
+        assert_eq!(outcome, DedupOutcome::MissFiltered);
+        let installed = rt.enclave().committed_bytes();
+        assert_eq!(installed - before, filter_bytes as u64, "one merged filter");
+        for input in [b"f2", b"f3", b"f1"] {
+            rt.execute(&desc_double(), input, |i| i.to_vec()).unwrap();
+            assert_eq!(rt.enclave().committed_bytes(), installed, "refreshed in place");
+        }
+
+        // The platform's EPC is full: the first refresh cannot commit the
+        // filter, so the miss is not proven and goes to the store's GET.
+        let epc = platform.epc();
+        let used = epc.stats().committed_pages * PAGE_SIZE;
+        epc.commit(4 * epc.usable_bytes() - used).unwrap();
+        let (before, gets) = (starved.enclave().committed_bytes(), store.stats().gets);
+        let (_, outcome) =
+            starved.execute(&desc_double(), b"f4", |i| i.to_vec()).unwrap();
+        assert_eq!(outcome, DedupOutcome::Miss);
+        assert_eq!(store.stats().gets, gets + 1);
+        assert_eq!(starved.enclave().committed_bytes(), before);
+        epc.release(4 * epc.usable_bytes() - used).unwrap();
     }
 
     #[test]

@@ -33,6 +33,7 @@
 // hot-path: deny-clone
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use speed_crypto::{GhashPrf, Key128, Sha256, DIGEST_LEN, PRF_LEN};
 use speed_wire::CompTag;
@@ -97,7 +98,7 @@ pub fn tag_for(func: &FuncIdentity, input: &[u8]) -> CompTag {
 /// It has no wire encoding and its `Debug` output is redacted. It is no
 /// duplicate check between runtimes: each runtime draws its own keys, and
 /// the comp-tag stays the store's only correctness authority.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint([u8; PRF_LEN]);
 
 impl fmt::Debug for Fingerprint {
@@ -110,6 +111,41 @@ impl fmt::Debug for Fingerprint {
 /// over the input and one AES block, with no SHA-256.
 pub fn fingerprint(prf: &GhashPrf, func: &FuncIdentity, input: &[u8]) -> Fingerprint {
     Fingerprint(prf.eval(func.as_bytes(), input))
+}
+
+impl Hash for Fingerprint {
+    /// Feeds the hasher one `u64`, the fingerprint's first eight bytes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = self.0;
+        state.write_u64(u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]));
+    }
+}
+
+/// Hashes a [`Fingerprint`] to its own first eight bytes, as they are.
+/// `fp` is an AES output under the runtime's secret key, so those bits are
+/// uniform and no input can aim two fingerprints at one bucket: a table
+/// keyed by fingerprints needs no keyed SipHash.
+pub(crate) type FingerprintHash = BuildHasherDefault<FingerprintHasher>;
+
+/// The [`Hasher`] of [`FingerprintHash`].
+#[derive(Default)]
+pub(crate) struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Only other keys write bytes; they are folded in, eight bits apart.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 #[cfg(test)]

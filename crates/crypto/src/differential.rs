@@ -206,6 +206,60 @@ fn ghash_prf_backends_agree_at_every_ghash_group_boundary_pair() {
     }
 }
 
+/// The wide GHASH prefetches the 512-byte group eight groups (4 KiB) ahead
+/// of the one it folds. Over a fingerprinted document, 64 KiB plus 0 to 15
+/// bytes at every start offset 0 to 15, and over every length that ends
+/// within 4 KiB past a group boundary, where the prefetch runs out of
+/// groups: every backend's GHASH, as AAD and as ciphertext, and every
+/// backend's `GhashPrf` agree with the portable code.
+#[test]
+fn ghash_backends_agree_where_the_wide_prefetch_runs_out() {
+    let zero = Key128::from_bytes([0; 16]);
+    let names: Vec<_> =
+        GhashPrf::backends(&zero, &zero).iter().map(GhashPrf::backend_name).collect();
+    note_backends_checked(
+        "ghash_backends_agree_where_the_wide_prefetch_runs_out",
+        &names,
+    );
+    let mut rng = SystemRng::seeded(0xD1FF_9F37);
+    let (k_h, k) = (rng.gen_key(), rng.gen_key());
+    let (ciphers, prfs) = (AesGcm128::backends(&k_h), GhashPrf::backends(&k_h, &k));
+    let buffer = misaligned(&mut rng, 15, 64 * 1024 + 15);
+    let check = |data: &[u8], context: &str| {
+        let ghash = (ciphers[0].ghash(data, &[]), ciphers[0].ghash(&[], data));
+        for cipher in &ciphers {
+            let pair = (cipher.ghash(data, &[]), cipher.ghash(&[], data));
+            assert_eq!(pair, ghash, "{context}, {cipher:?}");
+        }
+        let reference = prfs[0].eval(b"func", data);
+        for prf in &prfs {
+            assert_eq!(
+                prf.eval(b"func", data),
+                reference,
+                "{context}, {}",
+                prf.backend_name()
+            );
+        }
+    };
+    for extra in 0..=15 {
+        for offset in 0..=15 {
+            let len = 64 * 1024 + extra;
+            check(
+                &buffer[offset..offset + len],
+                &format!("length {len}, offset {offset}"),
+            );
+        }
+    }
+    // Nine groups, then up to 4 KiB more: the group whose prefetch would
+    // be the last one in reach, and every tail after it.
+    let base = 9 * 512;
+    for past in (0..=4096).step_by(64).chain([1, 15, 16, 17, 511, 513, 4095]) {
+        let offset = rng.range_usize(0, 16);
+        let len = base + past;
+        check(&buffer[offset..offset + len], &format!("length {len}, offset {offset}"));
+    }
+}
+
 #[test]
 fn ctr_wraps_inside_an_eight_block_batch_like_the_portable_code() {
     let mut rng = SystemRng::seeded(0xD1FF_C7E0);

@@ -49,9 +49,9 @@ use std::arch::x86_64::{
     _mm512_loadu_si512, _mm512_setzero_si512, _mm512_shuffle_epi8, _mm512_xor_si512,
     _mm512_zextsi128_si512, _mm_aesenc_si128, _mm_aesenclast_si128,
     _mm_aeskeygenassist_si128, _mm_clmulepi64_si128, _mm_insert_epi32, _mm_loadu_si128,
-    _mm_or_si128, _mm_set_epi64x, _mm_setzero_si128, _mm_shuffle_epi32, _mm_shuffle_epi8,
-    _mm_slli_epi32, _mm_slli_si128, _mm_srli_epi32, _mm_srli_si128, _mm_storeu_si128,
-    _mm_xor_si128,
+    _mm_or_si128, _mm_prefetch, _mm_set_epi64x, _mm_setzero_si128, _mm_shuffle_epi32,
+    _mm_shuffle_epi8, _mm_slli_epi32, _mm_slli_si128, _mm_srli_epi32, _mm_srli_si128,
+    _mm_storeu_si128, _mm_xor_si128, _MM_HINT_T0,
 };
 use std::fmt;
 
@@ -73,6 +73,12 @@ const LANES_LEN: usize = LANES * BLOCK_LEN;
 const WIDE_GROUP: usize = 32;
 const WIDE_REGISTERS: usize = WIDE_GROUP / LANES;
 const WIDE_GROUP_LEN: usize = WIDE_GROUP * BLOCK_LEN;
+/// How many groups ahead of the one it folds the wide loop prefetches:
+/// 4 KiB, far enough to cover a load's latency from memory, and across the
+/// page boundaries where the hardware prefetchers stop.
+const PREFETCH_GROUPS: usize = 8;
+/// Bytes per cache line, the unit of a prefetch.
+const LINE_LEN: usize = 64;
 /// The byte order `byte_reverse` produces, as a PSHUFB control.
 const BYTE_REVERSE: [u8; BLOCK_LEN] =
     [15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0];
@@ -148,7 +154,8 @@ impl GcmNi {
     pub(crate) fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> u128 {
         let y = match &self.wide {
             // SAFETY: `wide` is set only when `new` detected every feature
-            // `ghash_wide` enables.
+            // `ghash_wide` enables. Its loads, and the addresses it
+            // prefetches, all lie inside `aad` and `ciphertext`.
             Some(powers) => unsafe { self.ghash_wide(powers, aad, ciphertext) },
             // SAFETY: as in `encrypt_block`, for `ghash_ni`.
             None => unsafe { self.ghash_ni(aad, ciphertext) },
@@ -238,7 +245,8 @@ impl GcmNi {
     }
 
     /// GHASH with 32 blocks per reduction over each input's whole 512-byte
-    /// groups, and four or one over the rest.
+    /// groups, prefetching the group eight ahead, and four or one over the
+    /// rest.
     ///
     /// # Safety
     ///
@@ -251,7 +259,15 @@ impl GcmNi {
         let mut y = _mm_setzero_si128();
         for data in [aad, ciphertext] {
             let (groups, rest) = data.as_chunks::<WIDE_GROUP_LEN>();
-            for group in groups {
+            for (g, group) in groups.iter().enumerate() {
+                // Each address is a line of `ahead`, a whole group inside
+                // `data`: the last eight groups prefetch nothing, so no
+                // address past the end of the slice is ever hinted.
+                if let Some(ahead) = groups.get(g + PREFETCH_GROUPS) {
+                    for line in ahead.as_chunks::<LINE_LEN>().0 {
+                        _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast());
+                    }
+                }
                 // Sums of the low, middle and high partial products of
                 // (Y ⊕ X₀)·H³² ⊕ X₁·H³¹ ⊕ … ⊕ X₃₁·H, four blocks per lane.
                 // Register 0, the one that waits for Y, goes last, so that

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use speed_telemetry::{names, Counter};
 
-use crate::cost::{CostModel, SimClock};
+use crate::cost::{ClockCell, CostModel, SimClock};
 use crate::epc::EpcAllocator;
 use crate::error::EnclaveError;
 use crate::measurement::Measurement;
@@ -80,6 +80,8 @@ pub struct Enclave {
     id: u64,
     measurement: Measurement,
     clock: Arc<SimClock>,
+    /// This enclave's own cell of `clock`.
+    clock_cell: Arc<ClockCell>,
     epc: Arc<EpcAllocator>,
     model: CostModel,
     ecalls: Counter,
@@ -112,6 +114,7 @@ impl Enclave {
         Ok(Enclave {
             id,
             measurement,
+            clock_cell: clock.cell(),
             clock,
             epc,
             model,
@@ -275,7 +278,7 @@ impl Enclave {
     }
 
     fn charge(&self, ns: u64) {
-        self.clock.charge_ns(ns);
+        self.clock_cell.charge_ns(ns);
         self.charged_ns.add(ns);
     }
 

@@ -24,6 +24,12 @@
 //!   cell, so the last writer wins.
 //! - [`Histogram`] — fixed-bucket latency distribution in **nanoseconds**
 //!   (bucket bounds are upper-inclusive `le` limits, Prometheus-style).
+//!   Every registration is its own cell, as a counter's is: a snapshot
+//!   sums the series' buckets, count and sum over its cells, dropped ones
+//!   included, and keeps the bounds of its first registration.
+//!
+//! Counter and histogram cells each sit on cache lines of their own, so
+//! two components recording from two threads share no line per event.
 //! - [`Span`] — a timed scope: created from a histogram, it observes the
 //!   elapsed wall time into the histogram when dropped.
 //!

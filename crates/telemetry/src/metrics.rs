@@ -1,5 +1,6 @@
 //! The metric handles: lock-free atomics behind `Arc`s.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,13 +25,28 @@ pub const DEFAULT_NS_BUCKETS: &[u64] = &[
     2_097_152_000,
 ];
 
+/// A value on 128 bytes of its own, the pair of cache lines the
+/// adjacent-line prefetcher moves together, so that cells which different
+/// threads update never share a line.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+impl<T> Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// A monotonically increasing counter: one cell of a registry series.
 ///
 /// Each [`Registry::counter`](crate::Registry::counter) call returns a new
 /// cell, which the caller owns; the series sums every cell of its name.
 /// Cloning is cheap (an `Arc` bump); all clones share the same cell.
 #[derive(Clone, Debug)]
-pub struct Counter(pub(crate) Arc<AtomicU64>);
+pub struct Counter(pub(crate) Arc<Padded<AtomicU64>>);
 
 impl Counter {
     /// Increments by one.
@@ -80,32 +96,40 @@ impl Gauge {
     }
 }
 
-/// Shared histogram state: one atomic per bucket plus count and sum.
+/// One histogram cell: an atomic per bucket plus count and sum, each on
+/// cache lines no other cell uses.
 #[derive(Debug)]
 pub(crate) struct HistogramCore {
-    /// Upper bounds (inclusive `le` limits) of the finite buckets, ascending.
+    /// Upper bounds (inclusive `le` limits) of the finite buckets,
+    /// ascending: those of the series' first registration.
     pub(crate) bounds: Box<[u64]>,
     /// Per-bucket observation counts; `counts[bounds.len()]` is `+Inf`.
-    pub(crate) counts: Box<[AtomicU64]>,
+    pub(crate) counts: Box<[Padded<AtomicU64>]>,
     pub(crate) count: AtomicU64,
     pub(crate) sum: AtomicU64,
 }
 
-/// A fixed-bucket latency histogram over `u64` nanosecond observations.
+/// A fixed-bucket latency histogram over `u64` nanosecond observations:
+/// one cell of a registry series.
+///
+/// Each [`Registry::histogram`](crate::Registry::histogram) call returns a
+/// new cell, which the caller owns; the series sums the buckets, count and
+/// sum of every cell of its name, as a counter series sums its cells.
+/// Cloning is cheap (an `Arc` bump); all clones share the same cell.
 #[derive(Clone, Debug)]
-pub struct Histogram(pub(crate) Arc<HistogramCore>);
+pub struct Histogram(pub(crate) Arc<Padded<HistogramCore>>);
 
 impl Histogram {
     pub(crate) fn new(bounds: &[u64]) -> Self {
         let bounds: Box<[u64]> = bounds.into();
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramCore {
+        let counts = (0..=bounds.len()).map(|_| Padded(AtomicU64::new(0))).collect();
+        Histogram(Arc::new(Padded(HistogramCore {
             bounds,
             counts,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-        }))
+        })))
     }
 
     /// Records one observation (binary search for the first bucket whose
@@ -137,12 +161,13 @@ impl Histogram {
         result
     }
 
-    /// Total observations so far.
+    /// Observations so far through this handle and its clones, not the
+    /// whole series.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all observed values (nanoseconds).
+    /// Sum of the values this cell observed (nanoseconds).
     pub fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }
@@ -152,8 +177,9 @@ impl Histogram {
         &self.0.bounds
     }
 
-    /// Cumulative count of observations `<= bound` for each finite bound,
-    /// in bound order (the Prometheus `le` semantics), excluding `+Inf`.
+    /// This cell's cumulative count of observations `<= bound` for each
+    /// finite bound, in bound order (the Prometheus `le` semantics),
+    /// excluding `+Inf`.
     pub fn cumulative_counts(&self) -> Vec<u64> {
         let mut running = 0u64;
         self.0
@@ -174,7 +200,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let counter = Counter(Arc::new(AtomicU64::new(0)));
+        let counter = Counter(Arc::default());
         counter.inc();
         counter.add(4);
         assert_eq!(counter.get(), 5);
@@ -230,7 +256,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_increments_do_not_lose_updates() {
-        let counter = Counter(Arc::new(AtomicU64::new(0)));
+        let counter = Counter(Arc::default());
         let hist = Histogram::new(&[100, 10_000]);
         std::thread::scope(|scope| {
             for _ in 0..8 {

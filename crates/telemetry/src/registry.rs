@@ -1,11 +1,13 @@
-//! The metric registry: a cell per counter registration, shared gauges and
-//! histograms, snapshot on demand.
+//! The metric registry: a cell per counter or histogram registration,
+//! shared gauges, snapshot on demand.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::metrics::{Counter, Gauge, Histogram, DEFAULT_NS_BUCKETS};
+use crate::metrics::{
+    Counter, Gauge, Histogram, HistogramCore, Padded, DEFAULT_NS_BUCKETS,
+};
 use crate::snapshot::{MetricSnapshot, MetricValue, TelemetrySnapshot};
 
 /// A label set, sorted by key at registration so `{a="1",b="2"}` and
@@ -16,14 +18,14 @@ type Labels = Vec<(String, String)>;
 enum Handle {
     Counter(CounterCells),
     Gauge(Gauge),
-    Histogram(Histogram),
+    Histogram(HistogramCells),
 }
 
 /// The cells of one counter series: one per registration, plus the final
 /// counts of cells no [`Counter`] refers to any more.
 #[derive(Debug, Default)]
 struct CounterCells {
-    cells: Vec<Arc<AtomicU64>>,
+    cells: Vec<Arc<Padded<AtomicU64>>>,
     carried: u64,
 }
 
@@ -36,18 +38,90 @@ impl CounterCells {
         let carried = &mut self.carried;
         self.cells.retain_mut(|cell| match Arc::get_mut(cell) {
             Some(count) => {
-                *carried += *count.get_mut();
+                *carried += *count.0.get_mut();
                 false
             }
             None => true,
         });
-        let cell = Arc::new(AtomicU64::new(0));
-        self.cells.push(Arc::clone(&cell));
-        Counter(cell)
+        let cell = Counter(Arc::default());
+        self.cells.push(Arc::clone(&cell.0));
+        cell
     }
 
     fn total(&self) -> u64 {
         self.carried + self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>()
+    }
+}
+
+/// The cells of one histogram series, as [`CounterCells`] keeps a
+/// counter's: one per registration, all with the bounds of the first,
+/// plus what the cells no [`Histogram`] refers to any more observed.
+#[derive(Debug)]
+struct HistogramCells {
+    bounds: Box<[u64]>,
+    cells: Vec<Histogram>,
+    carried: Observed,
+}
+
+/// Observations summed over cells: per-bucket counts, `+Inf` last, then
+/// the count and the sum.
+#[derive(Clone, Debug)]
+struct Observed {
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+}
+
+impl Observed {
+    fn add(&mut self, cell: &HistogramCore) {
+        for (total, bucket) in self.buckets.iter_mut().zip(cell.counts.iter()) {
+            *total += bucket.load(Ordering::Relaxed);
+        }
+        self.count += cell.count.load(Ordering::Relaxed);
+        self.sum += cell.sum.load(Ordering::Relaxed);
+    }
+}
+
+impl HistogramCells {
+    fn new(bounds: &[u64]) -> Self {
+        let carried = Observed { buckets: vec![0; bounds.len() + 1], count: 0, sum: 0 };
+        HistogramCells { bounds: bounds.into(), cells: Vec::new(), carried }
+    }
+
+    /// Folds every cell whose handles have all dropped into `carried`, then
+    /// adds a fresh cell, as [`CounterCells::register`] does.
+    fn register(&mut self) -> Histogram {
+        let carried = &mut self.carried;
+        self.cells.retain_mut(|cell| match Arc::get_mut(&mut cell.0) {
+            Some(core) => {
+                carried.add(core);
+                false
+            }
+            None => true,
+        });
+        let cell = Histogram::new(&self.bounds);
+        self.cells.push(cell.clone());
+        cell
+    }
+
+    fn value(&self) -> MetricValue {
+        let mut observed = self.carried.clone();
+        for cell in &self.cells {
+            observed.add(&cell.0);
+        }
+        let finite = &observed.buckets[..self.bounds.len()];
+        MetricValue::Histogram {
+            bounds: self.bounds.to_vec(),
+            cumulative: finite
+                .iter()
+                .scan(0, |running, bucket| {
+                    *running += bucket;
+                    Some(*running)
+                })
+                .collect(),
+            count: observed.count,
+            sum: observed.sum,
+        }
     }
 }
 
@@ -59,15 +133,17 @@ struct Series {
 
 /// A collection of named metrics.
 ///
-/// Every `counter`/`counter_with` call registers a fresh cell of the named
-/// `(name, labels)` series and returns a handle to it, so each component
-/// counts its own events and reads them back with [`Counter::get`]. A
-/// snapshot reports the series as the sum of its cells plus the counts of
-/// cells whose handles have all dropped, so a series never goes down.
-/// `gauge`/`histogram` are get-or-register: every call for a pair returns
-/// a clone of one shared handle. Registering a name that already exists
-/// with a *different* metric type panics — that is a programming error,
-/// not a runtime condition.
+/// Every `counter`/`counter_with` and `histogram`/`histogram_with` call
+/// registers a fresh cell of the named `(name, labels)` series and returns
+/// a handle to it, so each component records its own events, on cache
+/// lines no other cell shares, and reads them back from its handle. A
+/// snapshot reports the series as the sum of its cells (a histogram's
+/// buckets, count and sum alike) plus what the cells whose handles have
+/// all dropped recorded, so a series never goes down. `gauge` is
+/// get-or-register: every call for a pair returns a clone of one shared
+/// handle. Registering a name that already exists with a *different*
+/// metric type panics — that is a programming error, not a runtime
+/// condition.
 ///
 /// The internal lock is held only during registration and
 /// [`snapshot`](Registry::snapshot); recording through a handle never takes
@@ -126,13 +202,14 @@ impl Registry {
         )
     }
 
-    /// Gets or registers an unlabeled histogram with the
+    /// Registers a new cell of an unlabeled histogram with the
     /// [`DEFAULT_NS_BUCKETS`] bounds.
     pub fn histogram(&self, name: &str, help: &str) -> Histogram {
         self.histogram_with(name, help, &[], DEFAULT_NS_BUCKETS)
     }
 
-    /// Gets or registers a histogram with explicit labels and bucket bounds.
+    /// Registers a new cell of a histogram with explicit labels and bucket
+    /// bounds.
     ///
     /// If the series already exists its original bounds are kept; bounds are
     /// fixed at first registration.
@@ -147,9 +224,9 @@ impl Registry {
             name,
             help,
             labels,
-            || Handle::Histogram(Histogram::new(buckets)),
+            || Handle::Histogram(HistogramCells::new(buckets)),
             |handle| match handle {
-                Handle::Histogram(histogram) => Some(histogram.clone()),
+                Handle::Histogram(cells) => Some(cells.register()),
                 _ => None,
             },
         )
@@ -194,12 +271,7 @@ impl Registry {
                 value: match &series.handle {
                     Handle::Counter(cells) => MetricValue::Counter(cells.total()),
                     Handle::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Handle::Histogram(h) => MetricValue::Histogram {
-                        bounds: h.bounds().to_vec(),
-                        cumulative: h.cumulative_counts(),
-                        count: h.count(),
-                        sum: h.sum(),
-                    },
+                    Handle::Histogram(cells) => cells.value(),
                 },
             })
             .collect();
@@ -323,6 +395,94 @@ mod tests {
             rounds
         });
         assert_eq!(total(), rounds * ADDS);
+    }
+
+    /// The histogram series `name`'s cumulative buckets, count and sum.
+    fn histogram_totals(registry: &Registry, name: &str) -> (Vec<u64>, u64, u64) {
+        let snapshot = registry.snapshot();
+        let series = snapshot.metrics.iter().find(|m| m.name == name);
+        match series.map(|m| &m.value) {
+            Some(MetricValue::Histogram { cumulative, count, sum, .. }) => {
+                (cumulative.clone(), *count, *sum)
+            }
+            other => panic!("{name} is not a histogram: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn histogram_registrations_of_one_series_are_cells_summed_by_the_series() {
+        let registry = Registry::new();
+        let labels = [("stage", "probe")];
+        let a = registry.histogram_with("h_ns", "test", &labels, &[100, 1000]);
+        let b = registry.histogram_with("h_ns", "test", &labels, &[100, 1000]);
+        a.observe(50);
+        a.observe(5000);
+        b.observe(500);
+        assert_eq!((a.count(), a.sum(), a.cumulative_counts()), (2, 5050, vec![1, 1]));
+        assert_eq!((b.count(), b.sum(), b.cumulative_counts()), (1, 500, vec![0, 1]));
+        let snapshot = registry.snapshot();
+        let series: Vec<_> =
+            snapshot.metrics.iter().filter(|m| m.name == "h_ns").collect();
+        assert_eq!(series.len(), 1, "two cells, one series");
+        assert_eq!(series[0].labels, [("stage".to_string(), "probe".to_string())]);
+        let expected = MetricValue::Histogram {
+            bounds: vec![100, 1000],
+            cumulative: vec![1, 2],
+            count: 3,
+            sum: 5550,
+        };
+        assert_eq!(series[0].value, expected);
+        // A later registration with other bounds is a cell of the same
+        // series, with the series' bounds.
+        let c = registry.histogram_with("h_ns", "test", &labels, &[7]);
+        assert_eq!(c.bounds(), [100, 1000]);
+    }
+
+    #[test]
+    fn a_dropped_histogram_cell_stays_in_the_series() {
+        let registry = Registry::new();
+        let kept = registry.histogram("h_ns", "test");
+        kept.observe(300);
+        let dropped = registry.histogram("h_ns", "test");
+        dropped.observe(10);
+        dropped.observe(9_000);
+        drop(dropped);
+        let before = histogram_totals(&registry, "h_ns");
+        assert_eq!((before.1, before.2), (3, 9_310));
+        // A later registration folds the dropped cell into the carried
+        // observations: the series reads the same, and then only grows.
+        let fresh = registry.histogram("h_ns", "test");
+        assert_eq!(fresh.count(), 0);
+        assert_eq!(histogram_totals(&registry, "h_ns"), before);
+        fresh.observe(1);
+        let after = histogram_totals(&registry, "h_ns");
+        assert_eq!((after.1, after.2), (4, 9_311));
+        assert!(after.0.iter().zip(&before.0).all(|(a, b)| a >= b), "{after:?}");
+    }
+
+    #[test]
+    fn threads_observing_through_their_own_cells_sum_exactly() {
+        const THREADS: u64 = 8;
+        const OBSERVATIONS: u64 = 10_000;
+        let registry = Registry::new();
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    let cell =
+                        registry.histogram_with("h_ns", "test", &[], &[99, 10_000]);
+                    for i in 0..OBSERVATIONS {
+                        cell.observe(i % 200);
+                    }
+                    assert_eq!(cell.count(), OBSERVATIONS, "a cell counts its own only");
+                });
+            }
+        });
+        let (cumulative, count, sum) = histogram_totals(&registry, "h_ns");
+        let per_thread_sum = OBSERVATIONS / 200 * (0..200).sum::<u64>();
+        assert_eq!(count, THREADS * OBSERVATIONS);
+        assert_eq!(sum, THREADS * per_thread_sum);
+        // 0..=99 of every 200-cycle lands at or below 99.
+        assert_eq!(cumulative, vec![THREADS * OBSERVATIONS / 2, THREADS * OBSERVATIONS]);
     }
 
     #[test]
