@@ -129,7 +129,7 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
     /// caller must roll back the in-memory insert.
     fn record_put(&self, entry: &SyncEntry) -> Result<(), StoreError>;
 
-    /// The entry was removed outright (eviction, expiry, dangling blob).
+    /// The entry was removed outright (eviction, dangling blob).
     ///
     /// # Errors
     ///

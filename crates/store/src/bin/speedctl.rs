@@ -28,39 +28,39 @@ use speed_wire::{
     Record, RingBody, RingNodeBody, SessionAuthority,
 };
 
+/// What `speedctl` prints on a usage error. Each command's lines list
+/// exactly the flags [`known_flags`] lets it take.
+const USAGE: &str = "\
+usage: speedctl <command> [flags]
+commands:
+  serve   --addr HOST:PORT --secret N [--no-sgx] [--max-entries N]
+          [--max-bytes N] [--shards N] [--io-threads N]
+          [--max-conns N] [--no-switchless]
+          [--metrics-jsonl PATH] [--data-dir PATH] [--checkpoint-every N]
+          [--node-id N --peers ID=HOST:PORT[,ID=HOST:PORT...]]
+  ping    --addr HOST:PORT --secret N [--count N]
+  stats   --addr HOST:PORT --secret N
+  metrics --addr HOST:PORT --secret N [--json]
+  ring    --addr HOST:PORT --secret N
+  get     --addr HOST:PORT --secret N --tag HEX
+  put     --addr HOST:PORT --secret N --tag HEX --data STRING
+notes:
+  --secret is the shared deployment secret both sides derive their
+  attestation trust from; --tag is zero-padded to 32 bytes
+  --data-dir enables the crash-safe log-structured backend: the
+  store recovers its contents from PATH on start and makes every
+  acknowledged PUT durable (see docs/OPERATIONS.md)
+  --checkpoint-every N checkpoints the store every N WAL records
+  (default 4096). A checkpoint deletes the WAL files it covers and
+  is the only thing that reclaims WAL space: with 0 (no automatic
+  checkpoint) the WAL grows for as long as PATH is used, and every
+  start replays all of it
+  --node-id/--peers advertise a cluster membership ring that
+  ClusterClient callers fetch with `ring` (see docs/CLUSTER.md);
+  every member must be started with the same member list";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: speedctl <command> [flags]\n\
-         commands:\n\
-           serve   --addr HOST:PORT --secret N [--no-sgx] [--max-entries N]\n\
-                   [--max-bytes N] [--ttl-ms N] [--shards N] [--io-threads N]\n\
-                   [--max-conns N] [--no-switchless]\n\
-                   [--metrics-jsonl PATH] [--data-dir PATH] [--checkpoint-every N]\n\
-                   [--node-id N --peers ID=HOST:PORT[,ID=HOST:PORT...]]\n\
-           ping    --addr HOST:PORT --secret N [--count N]\n\
-           stats   --addr HOST:PORT --secret N\n\
-           metrics --addr HOST:PORT --secret N [--json]\n\
-           ring    --addr HOST:PORT --secret N\n\
-           get     --addr HOST:PORT --secret N --tag HEX\n\
-           put     --addr HOST:PORT --secret N --tag HEX --data STRING\n\
-         notes:\n\
-           --secret is the shared deployment secret both sides derive their\n\
-           attestation trust from; --tag is zero-padded to 32 bytes\n\
-           --data-dir enables the crash-safe log-structured backend: the\n\
-           store recovers its contents from PATH on start and makes every\n\
-           acknowledged PUT durable (see docs/OPERATIONS.md)\n\
-           --checkpoint-every N checkpoints the store every N WAL records\n\
-           (default 4096). A checkpoint deletes the WAL files it covers and\n\
-           is the only thing that reclaims WAL space: with 0 (no automatic\n\
-           checkpoint) the WAL grows for as long as PATH is used, and every\n\
-           start replays all of it\n\
-           --ttl-ms N expires an entry once the store has served N GET or\n\
-           PUT items since its PUT, counted store-wide: the store's clock\n\
-           counts items, not milliseconds\n\
-           --node-id/--peers advertise a cluster membership ring that\n\
-           ClusterClient callers fetch with `ring` (see docs/CLUSTER.md);\n\
-           every member must be started with the same member list"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -133,13 +133,13 @@ impl Flags {
     }
 }
 
-/// The flags `command` takes, as its usage line lists them, or `None` for
-/// an unknown command.
+/// The flags `command` takes, as its [`USAGE`] lines list them, or `None`
+/// for an unknown command.
 fn known_flags(command: &str) -> Option<&'static str> {
     Some(match command {
         "serve" => {
-            "addr secret no-sgx max-entries max-bytes ttl-ms shards io-threads \
-             max-conns no-switchless metrics-jsonl data-dir checkpoint-every node-id peers"
+            "addr secret no-sgx max-entries max-bytes shards io-threads max-conns \
+             no-switchless metrics-jsonl data-dir checkpoint-every node-id peers"
         }
         "ping" => "addr secret count",
         "stats" | "ring" => "addr secret",
@@ -240,7 +240,6 @@ fn cmd_serve(flags: &Flags) {
     let config = StoreConfig {
         max_entries: flags.get_parsed("max-entries").unwrap_or(1_000_000),
         max_stored_bytes: flags.get_parsed("max-bytes").unwrap_or(8 << 30),
-        ttl_ms: flags.get_parsed("ttl-ms"),
         shards: flags.get_parsed("shards").unwrap_or(speed_store::DEFAULT_SHARDS),
         ..StoreConfig::default()
     };
@@ -524,6 +523,8 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -544,6 +545,43 @@ mod tests {
         assert!(flags.has("no-sgx"));
         assert!(!flags.has("sgx"));
         assert_eq!(flags.get_parsed::<u64>("ttl-ms"), None);
+    }
+
+    /// Each command [`USAGE`] lists, in order, with the `--name`s of its
+    /// lines: a line that starts with a command name opens its entry, and
+    /// the lines under it, which start with a flag, continue it.
+    fn usage_flags() -> Vec<(&'static str, BTreeSet<&'static str>)> {
+        let (_, commands) = USAGE.split_once("commands:\n").expect("commands section");
+        let (commands, _) = commands.split_once("notes:").expect("notes section");
+        let mut listed: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+        for line in commands.lines() {
+            let first = line.split_whitespace().next().expect("no blank line");
+            if !first.starts_with(['-', '[']) {
+                listed.push((first, BTreeSet::new()));
+            }
+            let (_, flags) = listed.last_mut().expect("a command line comes first");
+            for after in line.split("--").skip(1) {
+                let end = after
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(after.len());
+                flags.insert(&after[..end]);
+            }
+        }
+        listed
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_takes() {
+        let listed = usage_flags();
+        let commands: Vec<&str> = listed.iter().map(|(command, _)| *command).collect();
+        assert_eq!(commands, ["serve", "ping", "stats", "metrics", "ring", "get", "put"]);
+        for (command, flags) in listed {
+            let known: BTreeSet<&str> = known_flags(command)
+                .expect("a listed command is known")
+                .split(' ')
+                .collect();
+            assert_eq!(flags, known, "`{command}`: usage lines against known_flags");
+        }
     }
 
     #[test]

@@ -36,9 +36,6 @@ pub struct DictEntry {
     /// Application whose quota the entry is charged to (for reclamation);
     /// `None` for an imported entry, which charges no quota.
     pub owner: Option<AppId>,
-    /// The store's logical clock at insertion, which counts GET and PUT
-    /// items (drives TTL expiry).
-    pub created_ms: u64,
     /// Recency sequence of the most recent touch (read-path stamp; atomic
     /// so the read path never needs an exclusive borrow).
     last_touch: AtomicU64,
@@ -57,7 +54,6 @@ impl Clone for DictEntry {
             blob: self.blob,
             boxed_len: self.boxed_len,
             owner: self.owner,
-            created_ms: self.created_ms,
             last_touch: AtomicU64::new(self.last_touch.load(Ordering::Relaxed)),
             lru_seq: self.lru_seq,
         }
@@ -72,18 +68,21 @@ impl PartialEq for DictEntry {
             && self.blob == other.blob
             && self.boxed_len == other.boxed_len
             && self.owner == other.owner
-            && self.created_ms == other.created_ms
     }
 }
 
 impl Eq for DictEntry {}
 
 impl DictEntry {
-    /// Approximate in-enclave footprint of this entry in bytes, used for
-    /// EPC accounting.
-    pub fn enclave_footprint(&self) -> usize {
-        // tag key (32) + challenge + fixed fields + map overhead estimate.
-        32 + self.challenge.len() + 16 + 12 + 8 + 4 + 8 + 8 + 64
+    /// The EPC bytes an entry whose challenge is `challenge_len` bytes long
+    /// is charged: reserved before it is inserted, released when it leaves.
+    ///
+    /// 32 B of tag key, the challenge, and a fixed 120 B for the other
+    /// fields and the map and LRU-index overhead. The fixed part is held at
+    /// 120 B, 8 B above what those fields now take, so that a store commits
+    /// the same EPC pages for the same entries as it always has.
+    pub fn enclave_footprint(challenge_len: usize) -> usize {
+        32 + challenge_len + 120
     }
 }
 
@@ -152,7 +151,6 @@ impl MetadataDict {
         blob: BlobId,
         boxed_len: u32,
         owner: Option<AppId>,
-        created_ms: u64,
     ) -> Option<BlobId> {
         if self.entries.contains_key(&tag) {
             // First writer wins; reject the new blob.
@@ -170,7 +168,6 @@ impl MetadataDict {
                 blob,
                 boxed_len,
                 owner,
-                created_ms,
                 last_touch: AtomicU64::new(seq),
                 lru_seq: seq,
             },
@@ -195,30 +192,22 @@ impl MetadataDict {
         loop {
             let (&seq, &tag) = self.lru.iter().next()?;
             self.lru.remove(&seq);
-            let touched = match self.entries.get(&tag) {
-                Some(entry) => entry.last_touch.load(Ordering::Relaxed),
-                // Index and entries drifted (cannot happen through the
-                // public API); drop the stale index slot and keep going.
-                None => continue,
-            };
+            // Index and entries drifted (cannot happen through the public
+            // API): drop the stale index slot and keep going.
+            let Some(entry) = self.entries.get_mut(&tag) else { continue };
+            let touched = entry.last_touch.load(Ordering::Relaxed);
             if touched > seq {
                 // Read since last filed: re-file at its current recency.
                 // `touched` is unique (a fetch_add ticket) so it cannot
                 // collide with another live index key.
-                let entry = self.entries.get_mut(&tag).expect("entry checked above");
                 entry.lru_seq = touched;
                 self.lru.insert(touched, tag);
                 continue;
             }
-            let entry = self.entries.remove(&tag).expect("entry checked above");
+            let Some(entry) = self.entries.remove(&tag) else { continue };
             self.stored_bytes -= u64::from(entry.boxed_len);
             return Some((tag, entry));
         }
-    }
-
-    /// Iterates over `(tag, entry)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&CompTag, &DictEntry)> {
-        self.entries.iter()
     }
 
     /// Copies of every entry, least recently used first: the order in
@@ -253,7 +242,6 @@ mod tests {
             BlobId::from_raw(u64::from(n)),
             len,
             Some(AppId(1)),
-            0,
         )
     }
 
@@ -297,7 +285,6 @@ mod tests {
             BlobId::from_raw(99),
             20,
             Some(AppId(2)),
-            0,
         );
         assert_eq!(rejected, Some(BlobId::from_raw(99)));
         assert_eq!(dict.peek(&tag(1)).unwrap().challenge, vec![1; 32]);
@@ -404,7 +391,10 @@ mod tests {
     fn footprint_is_small() {
         let mut dict = MetadataDict::new();
         insert_basic(&mut dict, 1, 1_000_000);
-        // A 1 MB result only costs ~200 bytes of enclave memory.
-        assert!(dict.peek(&tag(1)).unwrap().enclave_footprint() < 256);
+        // A 1 MB result only costs ~200 bytes of enclave memory: 184 B for
+        // its 32-byte challenge, the charge every entry has always paid.
+        let challenge_len = dict.peek(&tag(1)).unwrap().challenge.len();
+        assert_eq!(DictEntry::enclave_footprint(challenge_len), 184);
+        assert!(DictEntry::enclave_footprint(challenge_len) < 256);
     }
 }

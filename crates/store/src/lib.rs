@@ -15,9 +15,9 @@
 //!   delegates the request to one of two customized ECALLs" — exactly the
 //!   flow implemented here, with boundary-copy and world-switch costs
 //!   charged to the platform's simulated clock.
-//! - **DoS mitigation** ([`QuotaPolicy`]): the rate-limiting / quota
-//!   mechanism sketched in §III-D to stop a malicious application from
-//!   polluting the store with useless results.
+//! - **DoS mitigation** ([`QuotaPolicy`]): per-application entry and byte
+//!   quotas, the quota mechanism sketched in §III-D to stop a malicious
+//!   application from polluting the store with useless results.
 //! - **TCP deployment** ([`server::StoreServer`]): a framed, attested,
 //!   AES-GCM-protected network front end.
 //!

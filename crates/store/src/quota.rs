@@ -1,4 +1,4 @@
-//! Per-application quota and rate limiting.
+//! Per-application storage quotas.
 //!
 //! "A malicious application may issue a large number of 'update' requests
 //! for polluting the ResultStore with useless results. To defend against it,
@@ -9,34 +9,19 @@ use std::collections::HashMap;
 
 use speed_wire::AppId;
 
-/// Limits applied to each application.
-///
-/// The rate window runs on the store's logical clock, which advances once
-/// per GET or PUT item, store-wide: `window_ms` counts items, not
-/// milliseconds. One application can therefore put at most `window_ms`
-/// items in a window, so the default cap of 10,000 PUTs per 1,000-item
-/// window never binds; only the entry and byte quotas do.
+/// Limits on what each application may keep stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuotaPolicy {
     /// Maximum live entries an application may own.
     pub max_entries_per_app: u64,
     /// Maximum total ciphertext bytes an application may have stored.
     pub max_bytes_per_app: u64,
-    /// Maximum PUT items per window.
-    pub max_puts_per_window: u64,
-    /// Rate-limit window length in store items (GETs and PUTs, store-wide).
-    pub window_ms: u64,
 }
 
 impl QuotaPolicy {
     /// Effectively unlimited (benchmarking configuration).
     pub fn unlimited() -> Self {
-        QuotaPolicy {
-            max_entries_per_app: u64::MAX,
-            max_bytes_per_app: u64::MAX,
-            max_puts_per_window: u64::MAX,
-            window_ms: 1_000,
-        }
+        QuotaPolicy { max_entries_per_app: u64::MAX, max_bytes_per_app: u64::MAX }
     }
 }
 
@@ -45,8 +30,6 @@ impl Default for QuotaPolicy {
         QuotaPolicy {
             max_entries_per_app: 100_000,
             max_bytes_per_app: 4 * 1024 * 1024 * 1024,
-            max_puts_per_window: 10_000,
-            window_ms: 1_000,
         }
     }
 }
@@ -71,14 +54,9 @@ impl QuotaDecision {
 struct AppUsage {
     entries: u64,
     bytes: u64,
-    window_start_ms: u64,
-    puts_in_window: u64,
 }
 
 /// Tracks per-application usage against a [`QuotaPolicy`].
-///
-/// Time is injected by the caller (`now_ms`) so the tracker is fully
-/// deterministic in tests; the store feeds it a monotonic millisecond clock.
 #[derive(Debug)]
 pub struct QuotaTracker {
     policy: QuotaPolicy,
@@ -96,26 +74,10 @@ impl QuotaTracker {
         self.policy
     }
 
-    /// Checks whether `app` may PUT `bytes` more ciphertext at `now_ms`,
-    /// and records the PUT if allowed.
-    ///
-    /// Every attempt — allowed or denied — counts against the rate-limit
-    /// window: an application hammering the store with oversized or
-    /// otherwise-denied PUTs burns its own request budget and eventually
-    /// trips the rate limit instead of retrying for free.
-    pub fn check_put(&mut self, app: AppId, bytes: u64, now_ms: u64) -> QuotaDecision {
+    /// Checks whether `app` may PUT `bytes` more ciphertext, and records
+    /// the PUT if allowed.
+    pub fn check_put(&mut self, app: AppId, bytes: u64) -> QuotaDecision {
         let usage = self.usage.entry(app).or_default();
-        if now_ms.saturating_sub(usage.window_start_ms) >= self.policy.window_ms {
-            usage.window_start_ms = now_ms;
-            usage.puts_in_window = 0;
-        }
-        usage.puts_in_window = usage.puts_in_window.saturating_add(1);
-        if usage.puts_in_window > self.policy.max_puts_per_window {
-            return QuotaDecision::Deny(format!(
-                "rate limit: {} puts in current window",
-                usage.puts_in_window
-            ));
-        }
         if usage.entries >= self.policy.max_entries_per_app {
             return QuotaDecision::Deny(format!(
                 "entry quota: {} entries stored",
@@ -181,8 +143,8 @@ impl ShardedQuota {
     }
 
     /// See [`QuotaTracker::check_put`].
-    pub fn check_put(&self, app: AppId, bytes: u64, now_ms: u64) -> QuotaDecision {
-        lock_bucket(self.bucket(app)).check_put(app, bytes, now_ms)
+    pub fn check_put(&self, app: AppId, bytes: u64) -> QuotaDecision {
+        lock_bucket(self.bucket(app)).check_put(app, bytes)
     }
 
     /// See [`QuotaTracker::release`].
@@ -201,67 +163,23 @@ mod tests {
     use super::*;
 
     fn small_policy() -> QuotaPolicy {
-        QuotaPolicy {
-            max_entries_per_app: 3,
-            max_bytes_per_app: 100,
-            max_puts_per_window: 2,
-            window_ms: 1_000,
-        }
+        QuotaPolicy { max_entries_per_app: 3, max_bytes_per_app: 100 }
     }
 
     #[test]
     fn allows_within_limits() {
         let mut tracker = QuotaTracker::new(small_policy());
-        assert!(tracker.check_put(AppId(1), 10, 0).is_allowed());
+        assert!(tracker.check_put(AppId(1), 10).is_allowed());
         assert_eq!(tracker.usage(AppId(1)), (1, 10));
-    }
-
-    #[test]
-    fn rate_limit_trips_within_window() {
-        let mut tracker = QuotaTracker::new(small_policy());
-        assert!(tracker.check_put(AppId(1), 1, 0).is_allowed());
-        assert!(tracker.check_put(AppId(1), 1, 100).is_allowed());
-        let denied = tracker.check_put(AppId(1), 1, 200);
-        assert!(matches!(denied, QuotaDecision::Deny(ref r) if r.contains("rate limit")));
-    }
-
-    #[test]
-    fn denied_puts_count_against_rate_limit() {
-        // Regression: denied attempts must burn the rate-limit budget, or a
-        // misbehaving app could hammer the store with oversized PUTs forever
-        // without ever tripping the rate limiter.
-        let mut tracker = QuotaTracker::new(small_policy());
-        // Oversized PUT: denied on byte quota, but still counts as attempt #1.
-        let denied = tracker.check_put(AppId(1), 500, 0);
-        assert!(matches!(denied, QuotaDecision::Deny(ref r) if r.contains("byte quota")));
-        assert_eq!(
-            tracker.usage(AppId(1)),
-            (0, 0),
-            "denied PUT must not consume storage quota"
-        );
-        // Attempt #2 (allowed) exhausts the 2-per-window budget.
-        assert!(tracker.check_put(AppId(1), 1, 100).is_allowed());
-        // Attempt #3 is rate-limited even though only one PUT was stored.
-        let denied = tracker.check_put(AppId(1), 1, 200);
-        assert!(matches!(denied, QuotaDecision::Deny(ref r) if r.contains("rate limit")));
-    }
-
-    #[test]
-    fn rate_limit_resets_after_window() {
-        let mut tracker = QuotaTracker::new(small_policy());
-        tracker.check_put(AppId(1), 1, 0);
-        tracker.check_put(AppId(1), 1, 1);
-        assert!(!tracker.check_put(AppId(1), 1, 2).is_allowed());
-        assert!(tracker.check_put(AppId(1), 1, 1_000).is_allowed());
     }
 
     #[test]
     fn entry_quota_trips() {
         let mut tracker = QuotaTracker::new(small_policy());
-        for i in 0..3u64 {
-            assert!(tracker.check_put(AppId(1), 1, i * 1_000).is_allowed());
+        for _ in 0..3 {
+            assert!(tracker.check_put(AppId(1), 1).is_allowed());
         }
-        let denied = tracker.check_put(AppId(1), 1, 10_000);
+        let denied = tracker.check_put(AppId(1), 1);
         assert!(
             matches!(denied, QuotaDecision::Deny(ref r) if r.contains("entry quota"))
         );
@@ -270,25 +188,25 @@ mod tests {
     #[test]
     fn byte_quota_trips() {
         let mut tracker = QuotaTracker::new(small_policy());
-        assert!(tracker.check_put(AppId(1), 90, 0).is_allowed());
-        let denied = tracker.check_put(AppId(1), 20, 1_000);
+        assert!(tracker.check_put(AppId(1), 90).is_allowed());
+        let denied = tracker.check_put(AppId(1), 20);
         assert!(matches!(denied, QuotaDecision::Deny(ref r) if r.contains("byte quota")));
     }
 
     #[test]
     fn quotas_are_per_app() {
         let mut tracker = QuotaTracker::new(small_policy());
-        tracker.check_put(AppId(1), 90, 0);
-        assert!(tracker.check_put(AppId(2), 90, 0).is_allowed());
+        tracker.check_put(AppId(1), 90);
+        assert!(tracker.check_put(AppId(2), 90).is_allowed());
     }
 
     #[test]
     fn release_returns_quota() {
         let mut tracker = QuotaTracker::new(small_policy());
-        tracker.check_put(AppId(1), 90, 0);
+        tracker.check_put(AppId(1), 90);
         tracker.release(AppId(1), 90);
         assert_eq!(tracker.usage(AppId(1)), (0, 0));
-        assert!(tracker.check_put(AppId(1), 90, 2_000).is_allowed());
+        assert!(tracker.check_put(AppId(1), 90).is_allowed());
     }
 
     #[test]
@@ -301,8 +219,8 @@ mod tests {
     #[test]
     fn unlimited_policy_never_denies() {
         let mut tracker = QuotaTracker::new(QuotaPolicy::unlimited());
-        for i in 0..1_000u64 {
-            assert!(tracker.check_put(AppId(1), 1 << 20, i).is_allowed());
+        for _ in 0..1_000 {
+            assert!(tracker.check_put(AppId(1), 1 << 20).is_allowed());
         }
     }
 
@@ -311,13 +229,13 @@ mod tests {
         let quota = ShardedQuota::new(small_policy(), 4);
         // Two apps landing in different buckets are independent; each app's
         // own limits behave exactly like a lone QuotaTracker.
-        assert!(quota.check_put(AppId(1), 90, 0).is_allowed());
-        assert!(quota.check_put(AppId(2), 90, 0).is_allowed());
-        let denied = quota.check_put(AppId(1), 20, 1_000);
+        assert!(quota.check_put(AppId(1), 90).is_allowed());
+        assert!(quota.check_put(AppId(2), 90).is_allowed());
+        let denied = quota.check_put(AppId(1), 20);
         assert!(matches!(denied, QuotaDecision::Deny(ref r) if r.contains("byte quota")));
         quota.release(AppId(1), 90);
         assert_eq!(quota.usage(AppId(1)), (0, 0));
-        assert!(quota.check_put(AppId(1), 90, 2_000).is_allowed());
+        assert!(quota.check_put(AppId(1), 90).is_allowed());
     }
 
     #[test]
@@ -325,8 +243,8 @@ mod tests {
         // Apps 0 and 4 collide in the same bucket of a 4-way quota; their
         // accounting must still be per-app.
         let quota = ShardedQuota::new(small_policy(), 4);
-        assert!(quota.check_put(AppId(0), 90, 0).is_allowed());
-        assert!(quota.check_put(AppId(4), 90, 0).is_allowed());
+        assert!(quota.check_put(AppId(0), 90).is_allowed());
+        assert!(quota.check_put(AppId(4), 90).is_allowed());
         assert_eq!(quota.usage(AppId(0)), (1, 90));
         assert_eq!(quota.usage(AppId(4)), (1, 90));
     }

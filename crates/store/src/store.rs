@@ -20,7 +20,7 @@ use speed_wire::{
 };
 
 use crate::backend::{MemoryBackend, RecoveryReport, StoreBackend};
-use crate::dict::MetadataDict;
+use crate::dict::{DictEntry, MetadataDict};
 use crate::quota::{QuotaDecision, QuotaPolicy, ShardedQuota};
 use crate::StoreError;
 
@@ -73,11 +73,6 @@ pub struct StoreConfig {
     pub quota: QuotaPolicy,
     /// Which applications may use the store.
     pub access: AccessControl,
-    /// Entry time-to-live on the store's logical clock, which advances by
-    /// one for every GET or PUT item the store serves, store-wide (a batch
-    /// of n items advances it by n). So it counts items, not milliseconds.
-    /// `None` disables expiry.
-    pub ttl_ms: Option<u64>,
     /// Number of lock partitions of the metadata dictionary (at least 1).
     /// Requests route by the tag's leading byte; more shards mean more
     /// concurrent dictionary traffic at the cost of coarser per-shard
@@ -99,7 +94,6 @@ impl Default for StoreConfig {
             max_stored_bytes: 8 * 1024 * 1024 * 1024,
             quota: QuotaPolicy::default(),
             access: AccessControl::Open,
-            ttl_ms: None,
             shards: DEFAULT_SHARDS,
         }
     }
@@ -115,7 +109,6 @@ impl StoreConfig {
             max_stored_bytes,
             quota: QuotaPolicy::unlimited(),
             access: AccessControl::Open,
-            ttl_ms: None,
             shards: 1,
         }
     }
@@ -265,8 +258,8 @@ struct Shard {
     dict: RwLock<MetadataDict>,
     meta_heap: Mutex<MetaHeap>,
     /// Negative-lookup filter over the comp-tags of every entry this shard
-    /// took. Bits are only set, never cleared (eviction and expiry leave
-    /// stale bits — false positives only).
+    /// took. Bits are only set, never cleared (eviction leaves stale bits
+    /// — false positives only).
     filter: Mutex<NegativeFilter>,
     evictions: Counter,
     contention: Counter,
@@ -352,7 +345,6 @@ impl Shard {
 enum BatchPlan {
     Get {
         tag: CompTag,
-        now_ms: u64,
     },
     Put {
         tag: CompTag,
@@ -361,7 +353,6 @@ enum BatchPlan {
         nonce: [u8; 12],
         blob: BlobId,
         boxed_len: u64,
-        now_ms: u64,
     },
     /// Denied host-side (quota); never enters the enclave.
     Denied {
@@ -369,21 +360,11 @@ enum BatchPlan {
     },
 }
 
-impl BatchPlan {
-    fn tag(&self) -> Option<&CompTag> {
-        match self {
-            BatchPlan::Get { tag, .. } | BatchPlan::Put { tag, .. } => Some(tag),
-            BatchPlan::Denied { .. } => None,
-        }
-    }
-}
-
 /// Per-item outcome of the batch ECALL, resolved to a wire result (and any
 /// required blob/quota cleanup) back on the host side.
 enum BatchOutcome {
     GetHit { challenge: Vec<u8>, wrapped_key: [u8; 16], nonce: [u8; 12], blob: BlobId },
     GetMiss,
-    GetExpired(crate::DictEntry),
     PutInserted,
     PutDuplicate { orphan: BlobId },
     PutFailed(String),
@@ -406,7 +387,6 @@ pub struct ResultStore {
     quota: ShardedQuota,
     config: StoreConfig,
     telemetry: StoreTelemetry,
-    logical_ms: AtomicU64,
     /// Bumped on every negative-filter mutation; shipped in
     /// [`FilterBody::epoch`] so clients can tell how stale their copy is.
     filter_epoch: AtomicU64,
@@ -444,7 +424,6 @@ impl ResultStore {
             shards,
             config,
             telemetry: StoreTelemetry::from_global(),
-            logical_ms: AtomicU64::new(0),
             filter_epoch: AtomicU64::new(0),
             backend: Arc::new(MemoryBackend),
             backend_logging: AtomicBool::new(true),
@@ -658,13 +637,12 @@ impl ResultStore {
         let mut args_len = 0usize;
         let mut ret_len = 0usize;
         for item in items {
-            let now_ms = self.tick();
             match item {
                 BatchItem::Get { tag } => {
                     self.telemetry.gets.inc();
                     args_len += 32;
                     ret_len += 128;
-                    plans.push(BatchPlan::Get { tag, now_ms });
+                    plans.push(BatchPlan::Get { tag });
                 }
                 BatchItem::Put { tag, record } => {
                     self.telemetry.puts.inc();
@@ -677,8 +655,7 @@ impl ResultStore {
                         continue;
                     }
                     let boxed_len = record.boxed_result.len() as u64;
-                    let decision =
-                        owner.map(|app| self.quota.check_put(app, boxed_len, now_ms));
+                    let decision = owner.map(|app| self.quota.check_put(app, boxed_len));
                     if let Some(QuotaDecision::Deny(reason)) = decision {
                         plans.push(BatchPlan::Denied { reason });
                         continue;
@@ -693,7 +670,6 @@ impl ResultStore {
                         nonce: record.nonce,
                         blob,
                         boxed_len,
-                        now_ms,
                     });
                 }
             }
@@ -713,7 +689,7 @@ impl ResultStore {
                         BatchPlan::Denied { reason } => {
                             outcomes[index] = Some(BatchOutcome::Denied(reason.clone()));
                         }
-                        BatchPlan::Get { tag, .. } | BatchPlan::Put { tag, .. } => {
+                        BatchPlan::Get { tag } | BatchPlan::Put { tag, .. } => {
                             by_shard[self.shard_for_tag(tag)].push(index);
                         }
                     }
@@ -723,12 +699,11 @@ impl ResultStore {
                         continue;
                     }
                     let shard = &self.shards[shard_index];
-                    // Pure-GET groups without TTL share the shard read
-                    // lock; anything that can mutate takes the write lock.
-                    let needs_write = self.config.ttl_ms.is_some()
-                        || indices
-                            .iter()
-                            .any(|&i| matches!(plans[i], BatchPlan::Put { .. }));
+                    // Pure-GET groups share the shard read lock; a group
+                    // with a PUT takes the write lock.
+                    let needs_write = indices
+                        .iter()
+                        .any(|&i| matches!(plans[i], BatchPlan::Put { .. }));
                     if needs_write {
                         let mut dict = shard.dict_write();
                         for &index in indices {
@@ -742,8 +717,9 @@ impl ResultStore {
                     } else {
                         let dict = shard.dict_read();
                         for &index in indices {
-                            outcomes[index] =
-                                Some(Self::settle_get(&plans[index], &dict));
+                            if let BatchPlan::Get { tag } = &plans[index] {
+                                outcomes[index] = Some(Self::settle_get(tag, &dict));
+                            }
                         }
                     }
                 }
@@ -753,11 +729,11 @@ impl ResultStore {
                     .collect::<Vec<_>>()
             });
 
-        // Phase C (host): load hit blobs, clean up expired/duplicate/failed
-        // items, mirror mutations into the durable backend, and enforce
-        // capacity once per inserted-into shard. WAL records are appended
-        // per item but fsynced once for the whole batch (group commit)
-        // before the results are returned.
+        // Phase C (host): load hit blobs, clean up duplicate/failed items,
+        // mirror mutations into the durable backend, and enforce capacity
+        // once per inserted-into shard. WAL records are appended per item
+        // but fsynced once for the whole batch (group commit) before the
+        // results are returned.
         let durable = self.durable();
         let mut results = Vec::with_capacity(outcomes.len());
         let mut dangling: Vec<CompTag> = Vec::new();
@@ -772,19 +748,6 @@ impl ResultStore {
             match outcome {
                 BatchOutcome::Denied(reason) => results.push(self.reject(reason)),
                 BatchOutcome::GetMiss => results.push(BatchItemResult::not_found()),
-                BatchOutcome::GetExpired(entry) => {
-                    self.untrusted.remove(entry.blob);
-                    self.release_quota(entry.owner, u64::from(entry.boxed_len));
-                    if let Some(tag) = plan.tag() {
-                        self.release_entry_memory(self.shard(tag), &entry);
-                        // Best-effort: a lost expiry record only resurrects
-                        // an already-expired entry, which TTL re-expires.
-                        if durable && self.backend.record_delete(tag).is_ok() {
-                            wal_touched = true;
-                        }
-                    }
-                    results.push(BatchItemResult::not_found());
-                }
                 BatchOutcome::GetHit { challenge, wrapped_key, nonce, blob } => {
                     // The ciphertext itself is read from untrusted memory by
                     // the host side — no boundary crossing for the bulk bytes.
@@ -801,7 +764,7 @@ impl ResultStore {
                         None => {
                             // Hostile blob deletion; drop the metadata in one
                             // follow-up ECALL shared by all dangling items.
-                            if let BatchPlan::Get { tag, .. } = plan {
+                            if let BatchPlan::Get { tag } = plan {
                                 dangling.push(tag);
                             }
                             results.push(BatchItemResult::not_found());
@@ -816,7 +779,6 @@ impl ResultStore {
                         nonce,
                         blob,
                         boxed_len,
-                        ..
                     } = plan
                     else {
                         continue;
@@ -965,38 +927,9 @@ impl ResultStore {
     ) -> BatchOutcome {
         match plan {
             BatchPlan::Denied { reason } => BatchOutcome::Denied(reason.clone()),
-            BatchPlan::Get { tag, now_ms } => {
-                if let Some(ttl) = self.config.ttl_ms {
-                    let is_expired = dict.peek(tag).is_some_and(|entry| {
-                        now_ms.saturating_sub(entry.created_ms) >= ttl
-                    });
-                    if is_expired {
-                        return match dict.remove(tag) {
-                            Some(entry) => BatchOutcome::GetExpired(entry),
-                            None => BatchOutcome::GetMiss,
-                        };
-                    }
-                }
-                match dict.get(tag) {
-                    Some(entry) => BatchOutcome::GetHit {
-                        challenge: entry.challenge.clone(),
-                        wrapped_key: entry.wrapped_key,
-                        nonce: entry.nonce,
-                        blob: entry.blob,
-                    },
-                    None => BatchOutcome::GetMiss,
-                }
-            }
-            BatchPlan::Put {
-                tag,
-                challenge,
-                wrapped_key,
-                nonce,
-                blob,
-                boxed_len,
-                now_ms,
-            } => {
-                let entry_footprint = 32 + challenge.len() + 120;
+            BatchPlan::Get { tag } => Self::settle_get(tag, dict),
+            BatchPlan::Put { tag, challenge, wrapped_key, nonce, blob, boxed_len } => {
+                let entry_footprint = DictEntry::enclave_footprint(challenge.len());
                 let mut meta_heap = lock_recover(&shard.meta_heap);
                 if let Err(e) = meta_heap.reserve(&self.enclave, entry_footprint) {
                     return BatchOutcome::PutFailed(e.to_string());
@@ -1009,7 +942,6 @@ impl ResultStore {
                     *blob,
                     *boxed_len as u32,
                     owner,
-                    *now_ms,
                 );
                 match rejected {
                     Some(orphan) => {
@@ -1022,20 +954,16 @@ impl ResultStore {
         }
     }
 
-    /// Settles a GET from a pure-read batch group (no TTL, no PUTs in the
-    /// shard group), under the shard's shared read lock.
-    fn settle_get(plan: &BatchPlan, dict: &MetadataDict) -> BatchOutcome {
-        match plan {
-            BatchPlan::Get { tag, .. } => match dict.get(tag) {
-                Some(entry) => BatchOutcome::GetHit {
-                    challenge: entry.challenge.clone(),
-                    wrapped_key: entry.wrapped_key,
-                    nonce: entry.nonce,
-                    blob: entry.blob,
-                },
-                None => BatchOutcome::GetMiss,
+    /// Settles a GET of `tag` under either of its shard's locks.
+    fn settle_get(tag: &CompTag, dict: &MetadataDict) -> BatchOutcome {
+        match dict.get(tag) {
+            Some(entry) => BatchOutcome::GetHit {
+                challenge: entry.challenge.clone(),
+                wrapped_key: entry.wrapped_key,
+                nonce: entry.nonce,
+                blob: entry.blob,
             },
-            _ => unreachable!("read-only groups contain only GET plans"),
+            None => BatchOutcome::GetMiss,
         }
     }
 
@@ -1075,8 +1003,8 @@ impl ResultStore {
         }
     }
 
-    fn release_entry_memory(&self, shard: &Shard, entry: &crate::DictEntry) {
-        let footprint = 32 + entry.challenge.len() + 120;
+    fn release_entry_memory(&self, shard: &Shard, entry: &DictEntry) {
+        let footprint = DictEntry::enclave_footprint(entry.challenge.len());
         lock_recover(&shard.meta_heap).release(&self.enclave, footprint);
     }
 
@@ -1230,14 +1158,6 @@ impl ResultStore {
     /// Number of LRU evictions so far, across all shards.
     pub fn evictions(&self) -> u64 {
         self.shards.iter().map(|s| s.evictions.get()).sum()
-    }
-
-    /// Advances and returns the store's logical clock, once per GET or PUT
-    /// item, store-wide. It drives TTL expiry and the quota's PUT-rate
-    /// window, so both count items, not time; tests may rely on this
-    /// determinism.
-    fn tick(&self) -> u64 {
-        self.logical_ms.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -1433,7 +1353,6 @@ mod tests {
             max_stored_bytes: u64::MAX,
             quota: QuotaPolicy::unlimited(),
             access: AccessControl::Open,
-            ttl_ms: None,
             shards: 4,
         };
         let store = ResultStore::new(&platform, config).unwrap();
@@ -1468,14 +1387,8 @@ mod tests {
         let config = StoreConfig {
             max_entries: 1000,
             max_stored_bytes: u64::MAX,
-            quota: QuotaPolicy {
-                max_entries_per_app: 2,
-                max_bytes_per_app: u64::MAX,
-                max_puts_per_window: u64::MAX,
-                window_ms: 1_000,
-            },
+            quota: QuotaPolicy { max_entries_per_app: 2, max_bytes_per_app: u64::MAX },
             access: AccessControl::Open,
-            ttl_ms: None,
             shards: DEFAULT_SHARDS,
         };
         let store = ResultStore::new(&platform, config).unwrap();
@@ -1600,33 +1513,9 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
-        let platform = Platform::new(CostModel::default_sgx());
-        let config = StoreConfig { ttl_ms: Some(5), ..StoreConfig::default() };
-        let store = ResultStore::new(&platform, config).unwrap();
-        store.handle(Message::PutRequest {
-            app: AppId(1),
-            tag: tag(1),
-            record: record(12, 1),
-        });
-
-        // Within TTL (the logical clock advances once per item): hit.
-        let hit = store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
-        assert!(matches!(hit, Message::GetResponse(b) if b.found));
-
-        // Burn logical time with unrelated requests past the TTL.
-        for n in 10..20u8 {
-            store.handle(Message::GetRequest { app: AppId(1), tag: tag(n) });
-        }
-        let miss = store.handle(Message::GetRequest { app: AppId(1), tag: tag(1) });
-        assert!(matches!(miss, Message::GetResponse(b) if !b.found));
-        // The expired entry was fully reclaimed.
-        assert_eq!(store.stats().entries, 0);
-        assert_eq!(store.stats().stored_bytes, 0);
-    }
-
-    #[test]
     fn no_ttl_means_no_expiry() {
+        // An entry outlives any amount of other traffic: only capacity
+        // eviction removes it.
         let (_p, store) = store();
         store.handle(Message::PutRequest {
             app: AppId(1),
@@ -1865,12 +1754,7 @@ mod tests {
     fn batch_quota_denial_rejects_item_not_batch() {
         let platform = Platform::new(CostModel::default_sgx());
         let config = StoreConfig {
-            quota: QuotaPolicy {
-                max_entries_per_app: 1,
-                max_bytes_per_app: u64::MAX,
-                max_puts_per_window: u64::MAX,
-                window_ms: 1_000,
-            },
+            quota: QuotaPolicy { max_entries_per_app: 1, max_bytes_per_app: u64::MAX },
             ..StoreConfig::default()
         };
         let store = ResultStore::new(&platform, config).unwrap();
@@ -1918,35 +1802,6 @@ mod tests {
             items: vec![BatchItem::Get { tag: tag(1) }],
         });
         assert!(matches!(denied, Message::Error(ref m) if m.contains("not authorized")));
-    }
-
-    #[test]
-    fn batch_ttl_expiry_and_cleanup() {
-        let platform = Platform::new(CostModel::default_sgx());
-        let config = StoreConfig { ttl_ms: Some(3), ..StoreConfig::default() };
-        let store = ResultStore::new(&platform, config).unwrap();
-        store.handle(Message::PutRequest {
-            app: AppId(1),
-            tag: tag(1),
-            record: record(12, 1),
-        });
-        // Burn logical time past the TTL, then batch-GET the stale tag.
-        for n in 10..20u8 {
-            store.handle(Message::GetRequest { app: AppId(1), tag: tag(n) });
-        }
-        let response = store.handle(Message::BatchRequest {
-            app: AppId(1),
-            items: vec![BatchItem::Get { tag: tag(1) }],
-        });
-        match response {
-            Message::BatchResponse(results) => {
-                assert_eq!(results[0].status, BatchStatus::NotFound);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // The expired entry was fully reclaimed.
-        assert_eq!(store.stats().entries, 0);
-        assert_eq!(store.stats().stored_bytes, 0);
     }
 
     #[test]

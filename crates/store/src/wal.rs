@@ -46,7 +46,7 @@ pub enum WalOp {
     /// A released reference. No version of the store ever wrote it
     /// outside tests; it still decodes, and replays as a no-op.
     Unref(CompTag),
-    /// The entry was removed (eviction, TTL expiry, dangling-blob cleanup).
+    /// The entry was removed (eviction, dangling-blob cleanup).
     Delete(CompTag),
 }
 

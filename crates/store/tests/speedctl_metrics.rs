@@ -166,7 +166,7 @@ fn a_flag_the_command_does_not_take_is_refused() {
     // instead of serving.
     let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = taken.local_addr().unwrap().to_string();
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (
             &["serve", "--addr", &addr, "--secret", SECRET, "--ring-slots", "64"],
             "--ring-slots",
@@ -175,6 +175,8 @@ fn a_flag_the_command_does_not_take_is_refused() {
             &["serve", "--addr", &addr, "--secret", SECRET, "--checkpoint-evry", "0"],
             "--checkpoint-evry",
         ),
+        // The store keeps no clock, so it has no entry time-to-live.
+        (&["serve", "--addr", &addr, "--secret", SECRET, "--ttl-ms", "5"], "--ttl-ms"),
         // A flag of another command is refused too.
         (&["stats", "--addr", &addr, "--secret", SECRET, "--json"], "--json"),
     ];

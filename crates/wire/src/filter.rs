@@ -15,7 +15,7 @@
 //! for a present key (false negative — that would silently disable
 //! deduplication). The store inserts the tag of every entry it takes, from
 //! a PUT, an import or recovery, so a filter is complete by construction;
-//! bits are only ever set, never cleared, so evicted or expired entries
+//! bits are only ever set, never cleared, so evicted or removed entries
 //! leave stale bits behind, which can only cause false positives.
 
 // hot-path: deny-clone

@@ -64,8 +64,8 @@ fn record_of(seed: u8) -> Record {
     }
 }
 
-/// Ample-capacity config: no eviction and no TTL, so the only deletions
-/// are the ones the harness performs itself.
+/// Ample-capacity config: no eviction, so the only deletions are the ones
+/// the harness performs itself.
 fn roomy_config() -> StoreConfig {
     let mut config = StoreConfig::with_capacity(100_000, u64::MAX);
     config.quota = QuotaPolicy::unlimited();

@@ -206,8 +206,8 @@ fn runtime_debug_shows_no_cached_result() {
     assert!(!shown.contains("SystemRng {"), "RNG state in {shown}");
 }
 
-/// DoS mitigation (§III-D): a malicious application flooding PUTs is
-/// rate-limited; a well-behaved application is unaffected.
+/// DoS mitigation (§III-D): a malicious application flooding PUTs is held
+/// to its entry quota; a well-behaved application is unaffected.
 #[test]
 fn put_flood_is_rate_limited_per_app() {
     let platform = Platform::new(CostModel::default_sgx());
@@ -217,11 +217,8 @@ fn put_flood_is_rate_limited_per_app() {
         quota: speed_store::QuotaPolicy {
             max_entries_per_app: 50,
             max_bytes_per_app: u64::MAX,
-            max_puts_per_window: u64::MAX,
-            window_ms: 1_000,
         },
         access: speed_store::AccessControl::Open,
-        ttl_ms: None,
         shards: speed_store::DEFAULT_SHARDS,
     };
     let store = Arc::new(ResultStore::new(&platform, config).unwrap());

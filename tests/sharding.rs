@@ -148,7 +148,6 @@ fn eviction_budgets_hold_under_concurrent_pressure() {
         max_entries,
         max_stored_bytes: u64::MAX,
         quota: QuotaPolicy::unlimited(),
-        ttl_ms: None,
         access: speed_store::AccessControl::Open,
         shards,
     };
